@@ -1,7 +1,8 @@
 """Command line interface: one-shot designs, experiment sweeps, self-diagnostics.
 
 Exit codes: 0 on success, 2 for configuration problems (including bad flags),
-3 when a numerical solver fails.
+3 when a numerical solver fails, 4 when a channel carries no usable signal
+dimension.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 
 from .channel import save_channels
 from .config import SystemConfig, load_config
-from .errors import ConfigError, SolverError
+from .errors import ConfigError, DegenerateChannelError, SolverError
 from .evaluation import average_jcas_pattern, beampattern_mse, sweep
 from .pipeline import build_run_manifest, run_design
 from .selfcheck import run_selfcheck
@@ -246,6 +247,9 @@ def main(argv=None) -> int:
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
+    except DegenerateChannelError as exc:
+        print(f"degenerate channel: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

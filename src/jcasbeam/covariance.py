@@ -9,8 +9,16 @@ with an operator-splitting (ADMM) scheme over the off-diagonal entries of R.
 The uniform diagonal is built into the parametrization, the absolute-error
 objective becomes a soft-threshold step on per-angle residuals, and the psd
 constraint is enforced through a consensus copy projected by eigenvalue clip.
-The problem is scale-normalized to a unit budget internally so tolerances
-behave identically for any transmit power.
+
+One ADMM core serves every caller. It runs on the unit-budget problem
+(target ``q = p / P - 1``), so tolerances behave identically for any transmit
+power, and it is batched over a leading carrier axis: the operands of all
+carriers are stacked and each step is one stacked numpy call, while every
+carrier keeps its own penalties, rebalancing and stopping iteration. A carrier
+stops exactly where it would stop if solved alone. Power enters only in the
+finish step (scale, polish, objective at the raw desired pattern), so for the
+binary mask, whose normalized target is the same at every power, one solve
+per subcarrier serves every power.
 
 Convergence note: the optimum generically sits on the psd boundary with many
 active pattern kinks, a degenerate geometry where splitting methods slow to a
@@ -36,10 +44,13 @@ BALANCE_RATIO = 3.0
 
 
 def psd_project(mat: np.ndarray) -> np.ndarray:
-    """Nearest (Frobenius) Hermitian psd matrix: symmetrize, clip eigenvalues."""
-    herm = 0.5 * (mat + mat.conj().T)
+    """Nearest (Frobenius) Hermitian psd matrix: symmetrize, clip eigenvalues.
+
+    Works on one (n, n) matrix or a stack (..., n, n).
+    """
+    herm = 0.5 * (mat + _ctranspose(mat))
     vals, vecs = np.linalg.eigh(herm)
-    return (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
+    return (vecs * np.clip(vals, 0.0, None)[..., None, :]) @ _ctranspose(vecs)
 
 
 def diag_project(mat: np.ndarray, diag_value: float) -> np.ndarray:
@@ -51,36 +62,43 @@ def diag_project(mat: np.ndarray, diag_value: float) -> np.ndarray:
 
 def offdiag_params(mat: np.ndarray) -> np.ndarray:
     """Pack strict-upper-triangle entries as interleaved (re, im) reals."""
-    iu = np.triu_indices(mat.shape[0], 1)
-    vals = mat[iu]
-    x = np.empty(2 * vals.size)
-    x[0::2] = vals.real
-    x[1::2] = vals.imag
-    return x
+    iu = np.triu_indices(mat.shape[-1], 1)
+    return np.ascontiguousarray(mat[..., iu[0], iu[1]]).view(np.float64)
 
 
-def _matrix_from_params(x: np.ndarray, n: int, diag_value: float) -> np.ndarray:
-    """Hermitian matrix with uniform diagonal and given off-diagonal params."""
-    r = np.zeros((n, n), dtype=complex)
-    iu = np.triu_indices(n, 1)
-    r[iu] = x[0::2] + 1j * x[1::2]
-    r = r + r.conj().T
-    np.fill_diagonal(r, diag_value)
+def _ctranspose(mat: np.ndarray) -> np.ndarray:
+    return mat.conj().swapaxes(-1, -2)
+
+
+def _herm_params(mats: np.ndarray, iu) -> np.ndarray:
+    """Packed params of the Hermitian part 0.5 * (A + A^H), read off ``iu`` only."""
+    upper = 0.5 * (mats[..., iu[0], iu[1]] + mats[..., iu[1], iu[0]].conj())
+    return np.ascontiguousarray(upper).view(np.float64)
+
+
+def _unpack(x: np.ndarray, n: int, iu, diag_value: float) -> np.ndarray:
+    """(..., 2M) params -> Hermitian (..., n, n) with uniform diagonal."""
+    vals = np.ascontiguousarray(x).view(complex)
+    r = np.zeros(x.shape[:-1] + (n, n), dtype=complex)
+    r[..., iu[0], iu[1]] = vals
+    r[..., iu[1], iu[0]] = vals.conj()
+    idx = np.arange(n)
+    r[..., idx, idx] = diag_value
     return r
 
 
-def _pattern_matrix(steering: np.ndarray) -> np.ndarray:
+def _pattern_matrix(steering: np.ndarray, iu) -> np.ndarray:
     """Rows g_t with a_t^H R a_t = budget + g_t . x for unit-modulus steering.
 
-    steering has shape (T, n_tx). Column 2i multiplies the real part of the
-    i-th upper-triangle entry of R, column 2i+1 its imaginary part.
+    steering has shape (K, T, n_tx), the result (K, T, 2M). Column 2i
+    multiplies the real part of the i-th upper-triangle entry of R, column
+    2i+1 its imaginary part.
     """
-    n = steering.shape[1]
-    iu = np.triu_indices(n, 1)
-    w = np.conj(steering[:, iu[0]]) * steering[:, iu[1]]  # (T, M)
-    g = np.empty((steering.shape[0], 2 * w.shape[1]))
-    g[:, 0::2] = 2.0 * w.real
-    g[:, 1::2] = -2.0 * w.imag
+    g = np.empty(steering.shape[:2] + (2 * len(iu[0]),))
+    for g_k, a in zip(g, steering):  # one carrier at a time: no stack-sized temporaries
+        w = np.conj(a[:, iu[0]]) * a[:, iu[1]]  # (T, M)
+        g_k[:, 0::2] = 2.0 * w.real
+        g_k[:, 1::2] = -2.0 * w.imag
     return g
 
 
@@ -89,8 +107,22 @@ def beampattern_values(mat: np.ndarray, steering: np.ndarray) -> np.ndarray:
     return np.real(np.einsum("ti,ij,tj->t", np.conj(steering), mat, steering))
 
 
-def _soft_threshold(v: np.ndarray, kappa: float) -> np.ndarray:
+def _soft_threshold(v: np.ndarray, kappa) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - kappa, 0.0)
+
+
+def _matvec(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Stacked (K, m, n) @ (K, n) -> (K, m)."""
+    return np.matmul(mats, vecs[..., None])[..., 0]
+
+
+def _sq_norms(vecs: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm of each row of a real (K, m) stack.
+
+    A stacked vector-vector matmul takes the same BLAS dot per row as
+    ``np.linalg.norm`` does on one vector.
+    """
+    return np.matmul(vecs[:, None, :], vecs[:, :, None])[:, 0, 0]
 
 
 @dataclass(frozen=True)
@@ -107,6 +139,170 @@ class CovarianceSolution:
     converged: bool
     primal_residuals: np.ndarray  # per-iteration combined primal residual norm
     dual_residuals: np.ndarray
+
+
+@dataclass(frozen=True)
+class _UnitSolve:
+    """ADMM outcome for one carrier of the unit-budget problem, before power enters."""
+
+    matrix: np.ndarray  # last iterate, Hermitian with diagonal 1 / n_tx
+    iterations: int
+    converged: bool
+    primal_residuals: np.ndarray
+    dual_residuals: np.ndarray
+
+
+def _admm_unit(steering, q, x0, tol, max_iter) -> list[_UnitSolve]:
+    """Run ADMM on the unit-budget problem for a stack of carriers.
+
+    ``steering`` is (K, T, n_tx), ``q`` the normalized targets (K, T) and
+    ``x0`` None or unit-scale start parameters (K, 2M). Carriers share only
+    the stacked calls: each has its own penalties and balancing, and leaves
+    the active set at the iteration where its primal residual drops below
+    ``tol``. Every stacked product makes the same BLAS call per carrier as
+    the one-carrier formula it replaces, so a carrier's iterates are
+    bit-identical whatever batch it runs in. A single antenna has no
+    off-diagonal to fit: its only feasible matrix is the budget itself,
+    returned with zero iterations.
+    """
+    n_car, n_grid, n = steering.shape
+    if n == 1:
+        empty = np.zeros(0)
+        return [_UnitSolve(np.ones((1, 1), dtype=complex), 0, True, empty, empty) for _ in range(n_car)]
+    if n_car == 0:
+        return []
+
+    iu = np.triu_indices(n, 1)
+    diag_value = 1.0 / n
+    g = _pattern_matrix(steering, iu)                # (K, T, P)
+    gt = g.swapaxes(1, 2)                            # (K, P, T), a view like g.T: same BLAS kernel
+    gtg = gt @ g
+    eye2 = 2.0 * np.eye(g.shape[2])
+
+    beta1 = np.ones(n_car)  # pattern-residual block penalty
+    beta2 = np.ones(n_car)  # psd-consensus block penalty
+    solve_mat = np.linalg.inv(gtg + eye2)
+
+    x = np.zeros((n_car, g.shape[2])) if x0 is None else np.array(x0, dtype=float)
+    z = q - _matvec(g, x)
+    s = psd_project(_unpack(x, n, iu, diag_value))
+    u = np.zeros((n_car, n_grid))
+    u_mat = np.zeros((n_car, n, n), dtype=complex)
+
+    primal_hist = np.empty((n_car, max_iter))
+    dual_hist = np.empty((n_car, max_iter))
+    act = np.arange(n_car)  # original index of each active carrier
+    final_x = x.copy()
+    iterations = np.full(n_car, max_iter)
+    converged = np.zeros(n_car, dtype=bool)
+
+    for it in range(max_iter):
+        y = _herm_params(s - u_mat, iu)
+        x = _matvec(solve_mat, beta1[:, None] * _matvec(gt, q - z - u) + 2.0 * beta2[:, None] * y)
+
+        gx = _matvec(g, x)
+        r_mat = _unpack(x, n, iu, diag_value)
+        gx_rel = OVERRELAX * gx + (1.0 - OVERRELAX) * (q - z)
+        r_mat_rel = OVERRELAX * r_mat + (1.0 - OVERRELAX) * s
+        z_old, s_old = z, s
+        z = _soft_threshold(q - gx_rel - u, 1.0 / beta1[:, None])
+        s = psd_project(r_mat_rel + u_mat)
+        u = u + gx_rel + z - q
+        u_mat = u_mat + (r_mat_rel - s)
+
+        p1 = np.sqrt(_sq_norms(gx + z - q))
+        r_diff = (r_mat - s).reshape(len(act), -1)
+        p2 = np.sqrt(_sq_norms(r_diff.real) + _sq_norms(r_diff.imag))
+        primal = np.hypot(p1, p2)
+        d1 = beta1 * np.sqrt(_sq_norms(_matvec(gt, z - z_old)))
+        d2 = beta2 * np.sqrt(2.0 * np.sum(_herm_params(s - s_old, iu) ** 2, axis=1))
+        primal_hist[act, it] = primal
+        dual_hist[act, it] = np.hypot(d1, d2)
+
+        done = primal < tol
+        if done.any():
+            final_x[act[done]] = x[done]
+            iterations[act[done]] = it + 1
+            converged[act[done]] = True
+            keep = ~done
+            act = act[keep]
+            x, z, s, u, u_mat, q, g, gtg, solve_mat, beta1, beta2, p1, p2, d1, d2 = (
+                a[keep] for a in (x, z, s, u, u_mat, q, g, gtg, solve_mat, beta1, beta2, p1, p2, d1, d2)
+            )
+            gt = g.swapaxes(1, 2)
+            if act.size == 0:
+                break
+
+        if (it + 1) % BALANCE_EVERY == 0:
+            up1 = p1 > BALANCE_RATIO * np.maximum(d1, 1e-300)
+            down1 = ~up1 & (d1 > BALANCE_RATIO * p1)
+            up2 = p2 > BALANCE_RATIO * np.maximum(d2, 1e-300)
+            down2 = ~up2 & (d2 > BALANCE_RATIO * p2)
+            beta1 = np.where(up1, 2.0 * beta1, np.where(down1, beta1 / 2.0, beta1))
+            beta2 = np.where(up2, 2.0 * beta2, np.where(down2, beta2 / 2.0, beta2))
+            u[up1] /= 2.0
+            u[down1] *= 2.0
+            u_mat[up2] /= 2.0
+            u_mat[down2] *= 2.0
+            changed = up1 | down1 | up2 | down2
+            if changed.any():
+                solve_mat[changed] = np.linalg.inv(
+                    beta1[changed, None, None] * gtg[changed] + beta2[changed, None, None] * eye2
+                )
+
+    final_x[act] = x
+    mats = _unpack(final_x, n, iu, diag_value)
+    return [
+        _UnitSolve(
+            mats[c],
+            int(iterations[c]),
+            bool(converged[c]),
+            primal_hist[c, : iterations[c]],
+            dual_hist[c, : iterations[c]],
+        )
+        for c in range(n_car)
+    ]
+
+
+def _raise_on_fallback(units, contexts, tol, fallback_tol) -> None:
+    """Raise for the first carrier whose iterate fails even the fallback tolerance.
+
+    ``contexts`` gives each carrier's message prefix and the power at which
+    its last iterate is reported.
+    """
+    for unit, (prefix, power) in zip(units, contexts):
+        if not unit.converged and unit.primal_residuals[-1] > fallback_tol:
+            raise SolverError(
+                f"{prefix}covariance solver residual {unit.primal_residuals[-1]:.3e} after "
+                f"{unit.iterations} iterations exceeds even the fallback tolerance "
+                f"{fallback_tol:g} (tight tolerance {tol:g})",
+                last_iterate=power * unit.matrix,
+                residuals=unit.primal_residuals,
+            )
+
+
+def _finish(unit: _UnitSolve, steering: np.ndarray, desired: np.ndarray, power_budget: float) -> CovarianceSolution:
+    """Scale a unit-budget solve to ``power_budget``, polish it, and score it on ``desired``."""
+    mat = _polish(power_budget * unit.matrix, power_budget / steering.shape[1])
+    obj = float(np.sum(np.abs(desired - beampattern_values(mat, steering))))
+    return CovarianceSolution(
+        matrix=mat,
+        objective=obj,
+        iterations=unit.iterations,
+        converged=unit.converged,
+        primal_residuals=unit.primal_residuals,
+        dual_residuals=unit.dual_residuals,
+    )
+
+
+def _polish(mat: np.ndarray, diag_value: float, floor: float = -1e-10, max_rounds: int = 200) -> np.ndarray:
+    """Alternate psd and diagonal projections until both hold to tight slack."""
+    out = diag_project(0.5 * (mat + mat.conj().T), diag_value)
+    for _ in range(max_rounds):
+        if np.linalg.eigvalsh(out)[0] >= floor:
+            return out
+        out = diag_project(psd_project(out), diag_value)
+    return out
 
 
 def solve_pattern_covariance(
@@ -129,115 +325,51 @@ def solve_pattern_covariance(
     the 1e-2*P accuracy the rest of the pipeline relies on), else
     :class:`SolverError` carries the last iterate and residual history.
     ``x0`` optionally warm-starts the off-diagonal parameters (raw scale).
+    This is the batched core run on a batch of one.
     """
     steering = np.asarray(steering)
-    n = steering.shape[1]
-    n_grid = steering.shape[0]
-    diag_value = 1.0 / n  # normalized budget of 1
+    desired = np.asarray(desired, dtype=float)
+    q = desired / power_budget - 1.0
+    start = None if x0 is None else np.asarray(x0, dtype=float)[None] / power_budget
+    units = _admm_unit(steering[None], q[None], start, tol, max_iter)
+    _raise_on_fallback(units, [("", power_budget)], tol, fallback_tol)
+    return _finish(units[0], steering, desired, power_budget)
 
-    if n == 1:
-        mat = np.array([[power_budget]], dtype=complex)
-        obj = float(np.sum(np.abs(desired - beampattern_values(mat, steering))))
-        return CovarianceSolution(mat, obj, 0, True, np.zeros(0), np.zeros(0))
 
-    g = _pattern_matrix(steering)
-    q = np.asarray(desired, dtype=float) / power_budget - 1.0
-    n_par = g.shape[1]
-    gtg = g.T @ g
-    eye2 = 2.0 * np.eye(n_par)
+def solve_radar_covariances(
+    grid: BeamGrid,
+    requests: dict,
+    tol: float = 1e-6,
+    fallback_tol: float = 1e-2,
+    max_iter: int = 5000,
+) -> dict[float, dict[int, CovarianceSolution]]:
+    """Covariances of the mask pattern for many (power, subcarrier) pairs at once.
 
-    beta1 = 1.0  # pattern-residual block penalty
-    beta2 = 1.0  # psd-consensus block penalty
-    solve_mat = np.linalg.inv(beta1 * gtg + beta2 * eye2)
-
-    x = np.zeros(n_par) if x0 is None else np.asarray(x0, dtype=float) / power_budget
-    z = q - g @ x
-    s = psd_project(_matrix_from_params(x, n, diag_value))
-    u = np.zeros(n_grid)
-    u_mat = np.zeros((n, n), dtype=complex)
-
-    primal_hist = []
-    dual_hist = []
-    converged = False
-    for it in range(max_iter):
-        target = 0.5 * ((s - u_mat) + (s - u_mat).conj().T)
-        y = offdiag_params(target)
-        x = solve_mat @ (beta1 * (g.T @ (q - z - u)) + 2.0 * beta2 * y)
-
-        gx = g @ x
-        r_mat = _matrix_from_params(x, n, diag_value)
-        gx_rel = OVERRELAX * gx + (1.0 - OVERRELAX) * (q - z)
-        r_mat_rel = OVERRELAX * r_mat + (1.0 - OVERRELAX) * s
-        z_old, s_old = z, s
-        z = _soft_threshold(q - gx_rel - u, 1.0 / beta1)
-        s = psd_project(r_mat_rel + u_mat)
-        u = u + gx_rel + z - q
-        u_mat = u_mat + (r_mat_rel - s)
-
-        p1 = np.linalg.norm(gx + z - q)
-        p2 = np.linalg.norm(r_mat - s)
-        primal = float(np.hypot(p1, p2))
-        d1 = beta1 * np.linalg.norm(g.T @ (z - z_old))
-        ds = offdiag_params(0.5 * ((s - s_old) + (s - s_old).conj().T))
-        d2 = beta2 * np.sqrt(2.0 * np.sum(ds ** 2))
-        primal_hist.append(primal)
-        dual_hist.append(float(np.hypot(d1, d2)))
-
-        if primal < tol:
-            converged = True
-            break
-
-        if (it + 1) % BALANCE_EVERY == 0:
-            changed = False
-            if p1 > BALANCE_RATIO * max(d1, 1e-300):
-                beta1 *= 2.0
-                u /= 2.0
-                changed = True
-            elif d1 > BALANCE_RATIO * p1:
-                beta1 /= 2.0
-                u *= 2.0
-                changed = True
-            if p2 > BALANCE_RATIO * max(d2, 1e-300):
-                beta2 *= 2.0
-                u_mat /= 2.0
-                changed = True
-            elif d2 > BALANCE_RATIO * p2:
-                beta2 /= 2.0
-                u_mat *= 2.0
-                changed = True
-            if changed:
-                solve_mat = np.linalg.inv(beta1 * gtg + beta2 * eye2)
-
-    if not converged and primal_hist[-1] > fallback_tol:
-        raise SolverError(
-            f"covariance solver residual {primal_hist[-1]:.3e} after {max_iter} "
-            f"iterations exceeds even the fallback tolerance {fallback_tol:g} "
-            f"(tight tolerance {tol:g})",
-            last_iterate=power_budget * _matrix_from_params(x, n, diag_value),
-            residuals=np.asarray(primal_hist),
-        )
-
-    mat = power_budget * _matrix_from_params(x, n, diag_value)
-    mat = _polish(mat, power_budget / n)
-    obj = float(np.sum(np.abs(np.asarray(desired, dtype=float) - beampattern_values(mat, steering))))
-    return CovarianceSolution(
-        matrix=mat,
-        objective=obj,
-        iterations=len(primal_hist),
-        converged=converged,
-        primal_residuals=np.asarray(primal_hist),
-        dual_residuals=np.asarray(dual_hist),
+    ``requests`` maps each power budget to the subcarriers wanted at it. The
+    desired pattern at power P is P times the grid's binary mask, whose
+    normalized target ``mask - 1`` does not depend on P, so every requested
+    subcarrier is solved once, in one batched ADMM call, and that solve is
+    finished at each power that asked for it. Returns ``{power: {k: solution}}``
+    in request order. A :class:`SolverError` names the failing subcarrier and
+    carries its last iterate at the first power that requested it.
+    """
+    first_power = {}
+    for power, ks in requests.items():
+        for k in ks:
+            first_power.setdefault(int(k), power)
+    ks = list(first_power)
+    q = np.broadcast_to(grid.desired_gain - 1.0, (len(ks), grid.n_angles))
+    units = dict(zip(ks, _admm_unit(grid.steering[ks], q, None, tol, max_iter)))
+    _raise_on_fallback(
+        units.values(), [(f"subcarrier {k}: ", first_power[k]) for k in ks], tol, fallback_tol
     )
-
-
-def _polish(mat: np.ndarray, diag_value: float, floor: float = -1e-10, max_rounds: int = 200) -> np.ndarray:
-    """Alternate psd and diagonal projections until both hold to tight slack."""
-    out = diag_project(0.5 * (mat + mat.conj().T), diag_value)
-    for _ in range(max_rounds):
-        if np.linalg.eigvalsh(out)[0] >= floor:
-            return out
-        out = diag_project(psd_project(out), diag_value)
-    return out
+    return {
+        power: {
+            int(k): _finish(units[int(k)], grid.steering[int(k)], power * grid.desired_gain, power)
+            for k in ks_p
+        }
+        for power, ks_p in requests.items()
+    }
 
 
 def solve_radar_covariance(
@@ -246,7 +378,7 @@ def solve_radar_covariance(
     subcarriers=None,
     **solver_kwargs,
 ) -> dict[int, CovarianceSolution]:
-    """Solve the covariance problem on each requested subcarrier.
+    """Solve the covariance problem on each requested subcarrier, in one batch.
 
     The desired pattern is ``power_budget`` times the grid's binary mask, so a
     unit mask asks for the full budget toward each target. Returns a dict
@@ -254,18 +386,5 @@ def solve_radar_covariance(
     """
     if subcarriers is None:
         subcarriers = range(grid.n_subcarriers)
-    desired = power_budget * grid.desired_gain
-    out = {}
-    for k in subcarriers:
-        k = int(k)
-        try:
-            out[k] = solve_pattern_covariance(
-                grid.steering[k], desired, power_budget, **solver_kwargs
-            )
-        except SolverError as exc:
-            raise SolverError(
-                f"subcarrier {k}: {exc}",
-                last_iterate=exc.last_iterate,
-                residuals=exc.residuals,
-            ) from exc
-    return out
+    ks = [int(k) for k in subcarriers]
+    return solve_radar_covariances(grid, {power_budget: ks}, **solver_kwargs)[power_budget]

@@ -3,8 +3,10 @@
 The sweep runs the full design over a grid of (SNR, rho, sensing subcarrier
 count) settings with paired channel realizations: realization r always uses
 seed base_seed + r, so every configuration sees the same channels and the
-comparisons are matched. Covariance solves are shared through a cache keyed
-by (design power, subcarrier), since nothing else enters that problem.
+comparisons are matched. The covariance problem of the binary mask depends
+on the subcarrier alone once normalized by the design power, so each needed
+subcarrier is solved once for every SNR, in one batched call, and finished
+at each design power that needs it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .beamgrid import BeamGrid, build_grid
 from .channel import generate_rayleigh
 from .config import SystemConfig
 from .covariance import beampattern_values as beampattern_gain
-from .covariance import solve_pattern_covariance
+from .covariance import solve_radar_covariances
 from .pipeline import DesignResult, eigen_stage, run_design, select_jcas_subcarriers
 
 
@@ -103,7 +105,7 @@ def _realization_metrics(payload):
     Module-level so worker processes can import it. Returns
     ({(snr, rho, J): (avg_rate, mse)}, {(rho, J): (avg_pattern, member_pattern)}).
     """
-    base, snrs, rhos, jcas_counts, seed, grid, cov_cache, pattern_snr = payload
+    base, snrs, rhos, jcas_counts, seed, grid, covariances, pattern_snr = payload
     channels = generate_rayleigh(base.n_subcarriers, base.n_rx, base.n_tx, seed)
     point_metrics = {}
     patterns = {}
@@ -111,11 +113,7 @@ def _realization_metrics(payload):
         for rho in rhos:
             for n_jcas in jcas_counts:
                 cfg = _config_for(base, snr, rho, n_jcas, seed)
-                covs = {
-                    k: sol
-                    for (p, k), sol in cov_cache.items()
-                    if p == cfg.effective_power
-                }
+                covs = covariances.get(cfg.effective_power, {})
                 result = run_design(cfg, channels=channels, grid=grid, covariances=covs)
                 mse = beampattern_mse(result.precoders, result.jcas_subcarriers, grid)
                 point_metrics[(snr, rho, n_jcas)] = (result.avg_rate, mse)
@@ -152,24 +150,22 @@ def sweep(
     grid = build_grid(base_cfg)
     pattern_snr = 10.0 if any(abs(s - 10.0) < 1e-9 for s in snrs) else snrs[-1]
 
-    # Pass 1: find which (power, subcarrier) covariance solves any run needs.
-    needed = set()
+    # Pass 1: find which subcarriers any run needs at each design power.
+    needed = {}
     for r in range(n_realizations):
         seed = base_seed + r
         channels = generate_rayleigh(base_cfg.n_subcarriers, base_cfg.n_rx, base_cfg.n_tx, seed)
         for snr in snrs:
             cfg = _config_for(base_cfg, snr, rhos[0], jcas_counts[0], seed)
             _, rates = eigen_stage(cfg, channels)
+            ks = needed.setdefault(cfg.effective_power, set())
             for n_jcas in jcas_counts:
-                for k in select_jcas_subcarriers(rates, n_jcas):
-                    needed.add((cfg.effective_power, int(k)))
+                ks.update(int(k) for k in select_jcas_subcarriers(rates, n_jcas))
 
-    # Pass 2: solve each needed covariance once.
-    cov_cache = {}
-    for power, k in sorted(needed):
-        cov_cache[(power, k)] = solve_pattern_covariance(
-            grid.steering[k], power * grid.desired_gain, power
-        )
+    # Pass 2: solve each needed subcarrier once, finished at each power.
+    covariances = solve_radar_covariances(
+        grid, {power: sorted(ks) for power, ks in sorted(needed.items())}
+    )
 
     # Pass 3: full designs per realization, optionally in parallel.
     payloads = [
@@ -180,7 +176,7 @@ def sweep(
             tuple(jcas_counts),
             base_seed + r,
             grid,
-            cov_cache,
+            covariances,
             pattern_snr,
         )
         for r in range(n_realizations)

@@ -21,7 +21,6 @@ from .beamgrid import BeamGrid, build_grid
 from .channel import ChannelSet, generate_rayleigh
 from .config import SystemConfig
 from .covariance import CovarianceSolution, solve_radar_covariance
-from .errors import SolverError
 from .manifold import RcgResult, solve_rcg
 from .precoding import achievable_rate, eigenmode_precoder, optimal_combiner
 
@@ -97,8 +96,9 @@ def run_design(
     """Run the full design for one channel realization.
 
     ``channels``, ``grid``, and ``covariances`` may be supplied to reuse work
-    across runs (the sweep does); anything missing is computed here. Provided
-    covariances must have been solved at ``cfg.effective_power`` on this grid.
+    across runs (the sweep does); covariances missing for the sensing set are
+    solved here in one batched call. Provided covariances must have been
+    solved at ``cfg.effective_power`` on this grid.
     """
     if grid is None:
         grid = build_grid(cfg)
@@ -125,20 +125,13 @@ def run_design(
 
     refinements = {}
     for k in jcas:
-        try:
-            refinements[int(k)] = solve_rcg(
-                f0=eigen_precoders[k],
-                cov=covariances[int(k)].matrix,
-                f_comm=eigen_precoders[k],
-                rho=cfg.rho,
-                power=power,
-            )
-        except SolverError as exc:
-            raise SolverError(
-                f"subcarrier {k}: {exc}",
-                last_iterate=exc.last_iterate,
-                residuals=exc.residuals,
-            ) from exc
+        refinements[int(k)] = solve_rcg(
+            f0=eigen_precoders[k],
+            cov=covariances[int(k)].matrix,
+            f_comm=eigen_precoders[k],
+            rho=cfg.rho,
+            power=power,
+        )
 
     precoders = assemble_final_precoders(eigen_precoders, refinements)
     prefactor = 1.0 / cfg.effective_noise
@@ -179,6 +172,7 @@ def build_run_manifest(result: DesignResult) -> dict:
             str(k): {
                 "iterations": sol.iterations,
                 "objective": sol.objective,
+                "converged": bool(sol.converged),
             }
             for k, sol in result.covariances.items()
         },

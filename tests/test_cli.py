@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from jcasbeam.channel import generate_rayleigh, load_channels
+from jcasbeam.channel import ChannelSet, generate_rayleigh, load_channels
 from jcasbeam.cli import main
 from jcasbeam.config import SystemConfig, write_config
 from jcasbeam.errors import SolverError
@@ -146,6 +146,20 @@ def test_solver_failure_exits_3(small_config_file, tmp_path, monkeypatch, capsys
     )
     assert code == 3
     assert "did not converge" in capsys.readouterr().err
+
+
+def test_degenerate_channel_exits_4(small_config_file, tmp_path, monkeypatch, capsys):
+    import jcasbeam.pipeline as pipeline_module
+
+    def zero_channels(n_subcarriers, n_rx, n_tx, seed):
+        return ChannelSet(np.zeros((n_subcarriers, n_rx, n_tx), dtype=complex), seed)
+
+    monkeypatch.setattr(pipeline_module, "generate_rayleigh", zero_channels)
+    code = main(
+        ["design", "--config", str(small_config_file), "--out-dir", str(tmp_path / "o")]
+    )
+    assert code == 4
+    assert "degenerate channel" in capsys.readouterr().err
 
 
 def test_out_dir_env_var(small_config_file, tmp_path, monkeypatch):

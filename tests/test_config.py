@@ -1,6 +1,7 @@
 """Configuration container and config-file round trips."""
 
 import dataclasses
+from pathlib import Path
 
 import pytest
 
@@ -138,3 +139,13 @@ def test_config_is_frozen():
     cfg = SystemConfig()
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.n_tx = 2
+
+
+def test_readme_config_example_loads_as_defaults(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "readme.ini"
+    path.write_text(block)
+    assert load_config(path) == SystemConfig()
+    write_config(SystemConfig(), tmp_path / "written.ini")
+    assert (tmp_path / "written.ini").read_text().strip() == block.strip()

@@ -1,19 +1,25 @@
 """Radar covariance solver: projections, feasibility, and brute-force oracles."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from jcasbeam.beamgrid import build_grid, steering_vector
 from jcasbeam.config import SystemConfig
 from jcasbeam.covariance import (
+    _admm_unit,
     beampattern_values,
     diag_project,
     offdiag_params,
     psd_project,
     solve_pattern_covariance,
     solve_radar_covariance,
+    solve_radar_covariances,
 )
 from jcasbeam.errors import SolverError
+from jcasbeam.evaluation import sweep
+from jcasbeam.pipeline import run_design
 
 from conftest import random_complex
 
@@ -167,3 +173,111 @@ def test_trivial_single_antenna_budget():
     steering = np.ones((3, 1), dtype=complex)
     sol = solve_pattern_covariance(steering, np.array([1.0, 1.0, 1.0]), 1.0)
     np.testing.assert_allclose(sol.matrix, [[1.0]], atol=1e-12)
+
+
+def _small_grid():
+    return build_grid(SystemConfig(n_tx=4, n_subcarriers=6, n_jcas=2, grid_size=41))
+
+
+def test_psd_project_stack_matches_single(rng):
+    stack = np.stack([_hermitian(rng, 4) for _ in range(3)])
+    out = psd_project(stack)
+    for i in range(3):
+        np.testing.assert_array_equal(out[i], psd_project(stack[i]))
+
+
+def test_batched_radar_covariance_matches_solo_solves():
+    grid = _small_grid()
+    ks = [5, 0, 2, 3]
+    batch = solve_radar_covariance(grid, 2.0, ks)
+    assert list(batch) == ks
+    assert len({sol.iterations for sol in batch.values()}) > 1  # carriers leave at different iterations
+    for k in ks:
+        solo = solve_pattern_covariance(grid.steering[k], 2.0 * grid.desired_gain, 2.0)
+        got = batch[k]
+        assert got.iterations == solo.iterations
+        assert got.converged == solo.converged
+        np.testing.assert_allclose(got.matrix, solo.matrix, rtol=1e-10, atol=0)
+        assert got.objective == pytest.approx(solo.objective, rel=1e-12)
+        np.testing.assert_array_equal(got.primal_residuals, solo.primal_residuals)
+        np.testing.assert_array_equal(got.dual_residuals, solo.dual_residuals)
+
+
+def test_warm_started_carrier_leaves_batch_early_and_alone():
+    grid = _small_grid()
+    steering = grid.steering[:3]
+    q = np.broadcast_to(grid.desired_gain - 1.0, (3, grid.n_angles))
+    cold = _admm_unit(steering, q, None, 1e-6, 5000)
+    x0 = np.zeros((3, 12))
+    x0[1] = offdiag_params(cold[1].matrix)
+    warm = _admm_unit(steering, q, x0, 1e-6, 5000)
+    alone = _admm_unit(steering[1:2], q[1:2], x0[1:2], 1e-6, 5000)[0]
+
+    assert warm[1].converged
+    assert warm[1].iterations < cold[1].iterations
+    assert warm[1].iterations < warm[0].iterations  # it stops while a batch-mate runs on
+    np.testing.assert_array_equal(warm[1].primal_residuals, alone.primal_residuals)
+    np.testing.assert_array_equal(warm[1].dual_residuals, alone.dual_residuals)
+    np.testing.assert_array_equal(warm[1].matrix, alone.matrix)
+    for c in (0, 2):
+        assert warm[c].iterations == cold[c].iterations
+        np.testing.assert_array_equal(warm[c].primal_residuals, cold[c].primal_residuals)
+        np.testing.assert_array_equal(warm[c].matrix, cold[c].matrix)
+
+
+def test_one_solve_finished_at_two_powers_equals_fresh_solves():
+    grid = _small_grid()
+    both = solve_radar_covariances(grid, {2.0: [1, 3], 4.0: [3]})
+    assert sorted(both) == [2.0, 4.0]
+    assert list(both[2.0]) == [1, 3] and list(both[4.0]) == [3]
+    for power, sols in both.items():
+        fresh = solve_radar_covariance(grid, power, list(sols))
+        for k, sol in sols.items():
+            np.testing.assert_array_equal(sol.matrix, fresh[k].matrix)
+            assert sol.objective == fresh[k].objective
+            solo = solve_pattern_covariance(grid.steering[k], power * grid.desired_gain, power)
+            np.testing.assert_allclose(sol.matrix, solo.matrix, rtol=1e-10, atol=0)
+            assert sol.objective == pytest.approx(solo.objective, rel=1e-12)
+            np.testing.assert_allclose(np.diag(sol.matrix).real, power / 4, atol=1e-8)
+
+
+def test_radar_covariance_empty_and_single_antenna():
+    grid = _small_grid()
+    assert solve_radar_covariance(grid, 2.0, []) == {}
+    assert solve_radar_covariances(grid, {}) == {}
+    single = build_grid(SystemConfig(n_tx=1, n_rx=1, n_streams=1, n_subcarriers=3, n_jcas=1, grid_size=9))
+    sols = solve_radar_covariance(single, 3.0)
+    for k, sol in sols.items():
+        closed = solve_pattern_covariance(single.steering[k], 3.0 * single.desired_gain, 3.0)
+        np.testing.assert_array_equal(sol.matrix, [[3.0]])
+        assert sol.objective == closed.objective
+        assert (sol.iterations, sol.converged) == (0, True)
+
+
+def test_batched_solver_error_names_first_failing_carrier():
+    grid = _small_grid()
+    with pytest.raises(SolverError, match="^subcarrier 3: ") as err:
+        solve_radar_covariance(grid, 2.0, subcarriers=[3, 1], max_iter=2, fallback_tol=1e-12)
+    with pytest.raises(SolverError) as solo:
+        solve_pattern_covariance(
+            grid.steering[3], 2.0 * grid.desired_gain, 2.0, max_iter=2, fallback_tol=1e-12
+        )
+    assert str(err.value) == f"subcarrier 3: {solo.value}"
+    np.testing.assert_array_equal(err.value.last_iterate, solo.value.last_iterate)
+    np.testing.assert_array_equal(err.value.residuals, solo.value.residuals)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [dict(n_jcas=0), dict(n_tx=1, n_rx=1, n_streams=1)],
+    ids=["no-sensing", "single-antenna"],
+)
+def test_edge_configs_run_through_design_and_sweep(small_cfg, overrides):
+    cfg = replace(small_cfg, **overrides)
+    res = run_design(cfg, covariances={})
+    assert sorted(res.covariances) == [int(k) for k in res.jcas_subcarriers]
+    assert len(res.covariances) == cfg.n_jcas
+    assert np.all(np.isfinite(res.rates))
+    out = sweep(cfg, [0.0, 5.0], [0.5], [cfg.n_jcas], n_realizations=1)
+    assert [p.snr_db for p in out.points] == [0.0, 5.0]
+    assert all(np.isfinite(p.avg_rate) for p in out.points)

@@ -180,3 +180,14 @@ def test_avg_rate_properties(small_cfg):
     assert res.avg_rate == pytest.approx(float(np.mean(res.rates)))
     assert res.eigen_avg_rate == pytest.approx(float(np.mean(res.eigen_rates)))
     assert res.avg_rate <= res.eigen_avg_rate + 1e-9
+
+
+def test_manifest_reports_covariance_convergence(small_cfg):
+    res = run_design(small_cfg)
+    back = json.loads(json.dumps(build_run_manifest(res)))
+    assert sorted(back["covariance"]) == sorted(str(k) for k in res.covariances)
+    for k, sol in res.covariances.items():
+        entry = back["covariance"][str(k)]
+        assert entry["converged"] is bool(sol.converged)
+        assert entry["iterations"] == sol.iterations
+        assert entry["objective"] == sol.objective
