@@ -7,8 +7,10 @@ The flow per run:
 3. Solve the beampattern covariance problem on those subcarriers.
 4. Refine each sensing subcarrier's precoder on the power sphere, trading
    covariance match against distance from the eigenmode precoder.
-5. Reassemble: refined precoders on sensing subcarriers, eigenmode elsewhere;
-   recompute combiners and final rates everywhere.
+5. Reassemble: refined precoders on sensing subcarriers, eigenmode elsewhere.
+   Combiners and rates are recomputed on the sensing subcarriers; elsewhere
+   the precoder is the eigenmode one, so its eigen-stage combiner and rate
+   are kept.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from .beamgrid import BeamGrid, build_grid
 from .channel import ChannelSet, generate_rayleigh
 from .config import SystemConfig
 from .covariance import CovarianceSolution, solve_radar_covariance
-from .manifold import RcgResult, solve_rcg
-from .precoding import achievable_rate, eigenmode_precoder, optimal_combiner
+from .manifold import solve_rcg_batch
+from .precoding import eigenmode_precoder, link_rates
 
 
 def select_jcas_subcarriers(rates, n_jcas: int) -> np.ndarray:
@@ -43,22 +45,22 @@ def assemble_final_precoders(eigen_precoders: np.ndarray, refined: dict) -> np.n
     return out
 
 
+def _eigen_links(cfg: SystemConfig, channels: ChannelSet):
+    """Eigenmode precoders with their combiners and rates on every subcarrier."""
+    precoders = np.array([
+        eigenmode_precoder(h, cfg.n_streams, cfg.effective_power, cfg.effective_noise)[0]
+        for h in channels.matrices
+    ], dtype=complex)
+    combiners, rates = link_rates(channels.matrices, precoders, 1.0 / cfg.effective_noise)
+    return precoders, combiners, rates
+
+
 def eigen_stage(cfg: SystemConfig, channels: ChannelSet):
     """Eigenmode precoder and achievable rate on every subcarrier.
 
     Returns (precoders, rates) with shapes (K, n_tx, n_streams) and (K,).
     """
-    power = cfg.effective_power
-    prefactor = 1.0 / cfg.effective_noise
-    n_k = cfg.n_subcarriers
-    precoders = np.zeros((n_k, cfg.n_tx, cfg.n_streams), dtype=complex)
-    rates = np.zeros(n_k)
-    for k in range(n_k):
-        h = channels.matrices[k]
-        f_hat, _, _ = eigenmode_precoder(h, cfg.n_streams, power, cfg.effective_noise)
-        w = optimal_combiner(h, f_hat)
-        precoders[k] = f_hat
-        rates[k] = achievable_rate(h, f_hat, w, prefactor)
+    precoders, _, rates = _eigen_links(cfg, channels)
     return precoders, rates
 
 
@@ -98,7 +100,8 @@ def run_design(
     ``channels``, ``grid``, and ``covariances`` may be supplied to reuse work
     across runs (the sweep does); covariances missing for the sensing set are
     solved here in one batched call. Provided covariances must have been
-    solved at ``cfg.effective_power`` on this grid.
+    solved at ``cfg.effective_power`` on this grid. All sensing subcarriers
+    are refined in one batched RCG call, each exactly as if solved alone.
     """
     if grid is None:
         grid = build_grid(cfg)
@@ -111,9 +114,7 @@ def run_design(
         )
 
     power = cfg.effective_power
-    n_k = cfg.n_subcarriers
-
-    eigen_precoders, eigen_rates = eigen_stage(cfg, channels)
+    eigen_precoders, eigen_combiners, eigen_rates = _eigen_links(cfg, channels)
     jcas = select_jcas_subcarriers(eigen_rates, cfg.n_jcas)
 
     if covariances is None:
@@ -124,24 +125,22 @@ def run_design(
         covariances.update(solve_radar_covariance(grid, power, missing))
 
     refinements = {}
-    for k in jcas:
-        refinements[int(k)] = solve_rcg(
-            f0=eigen_precoders[k],
-            cov=covariances[int(k)].matrix,
-            f_comm=eigen_precoders[k],
+    if jcas.size:
+        results = solve_rcg_batch(
+            f0=eigen_precoders[jcas],
+            cov=np.stack([covariances[int(k)].matrix for k in jcas]),
+            f_comm=eigen_precoders[jcas],
             rho=cfg.rho,
             power=power,
         )
+        refinements = dict(zip(jcas.tolist(), results))
 
     precoders = assemble_final_precoders(eigen_precoders, refinements)
-    prefactor = 1.0 / cfg.effective_noise
-    combiners = np.zeros((n_k, cfg.n_rx, cfg.n_streams), dtype=complex)
-    rates = np.zeros(n_k)
-    for k in range(n_k):
-        h = channels.matrices[k]
-        w = optimal_combiner(h, precoders[k])
-        combiners[k] = w
-        rates[k] = achievable_rate(h, precoders[k], w, prefactor)
+    # off the sensing set the precoder is the eigenmode one: its combiner and rate stand
+    combiners, rates = eigen_combiners, eigen_rates.copy()
+    combiners[jcas], rates[jcas] = link_rates(
+        channels.matrices[jcas], precoders[jcas], 1.0 / cfg.effective_noise
+    )
 
     return DesignResult(
         config=cfg,

@@ -125,3 +125,18 @@ def achievable_rate(h: np.ndarray, f: np.ndarray, w: np.ndarray, prefactor: floa
     m = np.eye(w.shape[1]) + prefactor * (eff @ (f.conj().T @ h.conj().T @ w))
     _, logdet = np.linalg.slogdet(m)
     return max(float(logdet) / np.log(2.0), 0.0)
+
+
+def link_rates(h: np.ndarray, f: np.ndarray, prefactor: float):
+    """Optimal combiner and achievable rate of each carrier of a stack.
+
+    ``h`` is (K, n_rx, n_tx) and ``f`` (K, n_tx, n_streams); returns the
+    combiners (K, n_rx, n_streams) and the rates (K,).
+    """
+    combiners = np.empty(h.shape[:2] + f.shape[2:], dtype=complex)
+    rates = np.empty(len(h))
+    for k, (h_k, f_k) in enumerate(zip(h, f)):
+        w = optimal_combiner(h_k, f_k)
+        combiners[k] = w
+        rates[k] = achievable_rate(h_k, f_k, w, prefactor)
+    return combiners, rates

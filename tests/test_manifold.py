@@ -1,5 +1,8 @@
 """Sphere geometry, line search, and the conjugate-gradient refinement solver."""
 
+import math
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from jcasbeam.manifold import (
     project_to_tangent,
     retract,
     solve_rcg,
+    solve_rcg_batch,
     tradeoff_gradient,
     tradeoff_objective,
     transport,
@@ -205,3 +209,107 @@ def test_rcg_multistart_consistency(rng):
         start = random_sphere_point(rng, (4, 2), power)
         finals.append(solve_rcg(start, cov, f_comm, 0.5, power).objective)
     assert max(finals) - min(finals) <= 1e-3
+
+
+def assert_same_result(got, want):
+    """Every RcgResult field equal bit for bit."""
+    for field in fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), field.name
+        else:
+            assert type(a) is type(b) and a == b, field.name
+
+
+def test_rcg_batch_matches_solo_exactly_across_stop_reasons():
+    # Near the roundoff floor (tiny grad_tol, plateau_tol 0) some carriers
+    # stall in the line search and some plateau; the cap stops the slow ones;
+    # a carrier started at its optimum stops on the gradient norm at once.
+    rng = np.random.default_rng(5)
+    power = 2.0
+    f0s, covs, f_comms = [], [], []
+    for _ in range(16):
+        f0s.append(random_sphere_point(rng, (4, 2), power))
+        f_comms.append(random_sphere_point(rng, (4, 2), power))
+        covs.append(random_psd(rng, 4, power))
+    f_opt = random_sphere_point(rng, (4, 2), power)
+    f0s.append(f_opt)
+    f_comms.append(f_opt)
+    covs.append(f_opt @ f_opt.conj().T)
+    settings = dict(rho=0.5, power=power, grad_tol=1e-13, max_iter=45, plateau_tol=0.0)
+
+    batch = solve_rcg_batch(np.array(f0s), np.array(covs), np.array(f_comms), **settings)
+    assert {r.stop_reason for r in batch} == {
+        "gradient_norm", "line_search_stall", "objective_plateau", "max_iterations"
+    }
+    for f0, cov, f_comm, got in zip(f0s, covs, f_comms, batch):
+        assert_same_result(got, solve_rcg(f0, cov, f_comm, **settings))
+
+
+def test_rcg_batch_callback_names_the_running_carriers(rng):
+    f0s, covs, f_comms = zip(*(_small_instance(rng) for _ in range(3)))
+    seen = []
+    batch = solve_rcg_batch(
+        np.array(f0s), np.array(covs), np.array(f_comms), 0.5, 2.0,
+        max_iter=4, callback=lambda it, carriers, f, g: seen.append((it, list(carriers), f.shape)),
+    )
+    assert [it for it, _, _ in seen] == list(range(1, max(r.iterations for r in batch) + 1))
+    for it, carriers, shape in seen:
+        assert carriers == [c for c, r in enumerate(batch) if r.iterations >= it]
+        assert shape == (len(carriers), 4, 2)
+    assert solve_rcg_batch(np.zeros((0, 4, 2)), np.zeros((0, 4, 4)), np.zeros((0, 4, 2)), 0.5, 2.0) == []
+
+
+@pytest.mark.parametrize("rho", [0.0, 1.0])
+def test_stacked_objective_squares_norms_like_a_scalar(rng, rho):
+    # On the last carrier both norms land on v, where libm pow(v, 2) and
+    # v * v round apart; rho in {0, 1} keeps the odd square in the sum.
+    v = 12.428327649956394
+    assert math.pow(v, 2) != v * v
+    odd = np.zeros((2, 2), dtype=complex)
+    odd[0, 0] = -v
+    stack = np.concatenate([random_complex(rng, (3, 2, 1)), np.zeros((1, 2, 1), dtype=complex)])
+    cov = np.concatenate([random_complex(rng, (3, 2, 2)), odd[None]])
+    f_comm = np.concatenate([random_complex(rng, (3, 2, 1)), odd[None, :, :1]])
+    stacked = tradeoff_objective(stack, cov, f_comm, rho)
+    assert stacked.shape == (4,)
+    assert stacked[3] == math.pow(v, 2)
+    for f, c, fc, got in zip(stack, cov, f_comm, stacked):
+        # the one-matrix formula, squaring each norm as a float scalar
+        want = rho * np.linalg.norm(f @ f.conj().T - c) ** 2 + (1 - rho) * np.linalg.norm(f - fc) ** 2
+        assert got == want == tradeoff_objective(f, c, fc, rho)
+
+
+def test_stacked_primitives_match_one_matrix_calls(rng):
+    power = 2.0
+    f = np.array([random_sphere_point(rng, (4, 2), power) for _ in range(5)])
+    g = random_complex(rng, (5, 4, 2))
+    d = random_complex(rng, (5, 4, 2))
+    cov = np.array([random_psd(rng, 4, power) for _ in range(5)])
+    steps = rng.uniform(0.0, 2.0, 5)
+    stacked = (
+        tradeoff_gradient(f, cov, g, 0.4),
+        project_to_tangent(f, g, power),
+        retract(f, steps, d, power),
+        transport(f, d, power),
+        polak_ribiere_mu(g, d, f),
+    )
+    for b in range(5):
+        np.testing.assert_array_equal(stacked[0][b], tradeoff_gradient(f[b], cov[b], g[b], 0.4))
+        np.testing.assert_array_equal(stacked[1][b], project_to_tangent(f[b], g[b], power))
+        np.testing.assert_array_equal(stacked[2][b], retract(f[b], steps[b], d[b], power))
+        np.testing.assert_array_equal(stacked[3][b], transport(f[b], d[b], power))
+        assert stacked[4][b] == polak_ribiere_mu(g[b], d[b], f[b])
+
+
+def test_armijo_searches_run_side_by_side_as_alone():
+    # each item is a different 1-d function; one ascends and fails
+    scales = np.array([2.0, 1.0, 0.3, -1.0])
+    phi = lambda d: (scales * d - 1.0) ** 2 + (scales < 0) * d
+    phi0 = np.ones(4)
+    slope = np.array([-4.0, -2.0, -0.6, -1.0])
+    delta, value, ok = armijo_step(phi, phi0, slope)
+    for b in range(4):
+        alone = armijo_step(lambda d: (scales[b] * d - 1.0) ** 2 + (scales[b] < 0) * d, 1.0, slope[b])
+        assert (delta[b], value[b], ok[b]) == alone
+    assert list(ok) == [True, True, True, False]

@@ -1,15 +1,18 @@
 """Subcarrier selection, refinement assembly, and full design runs."""
 
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from jcasbeam import pipeline
 from jcasbeam.beamgrid import build_grid
 from jcasbeam.channel import generate_rayleigh
+from jcasbeam.config import SystemConfig
 from jcasbeam.covariance import solve_radar_covariance
-from jcasbeam.manifold import tradeoff_objective
+from jcasbeam.manifold import solve_rcg, tradeoff_objective
+from jcasbeam.precoding import link_rates
 from jcasbeam.pipeline import (
     assemble_final_precoders,
     build_run_manifest,
@@ -191,3 +194,63 @@ def test_manifest_reports_covariance_convergence(small_cfg):
         assert entry["converged"] is bool(sol.converged)
         assert entry["iterations"] == sol.iterations
         assert entry["objective"] == sol.objective
+
+
+def assert_links_recomputed_everywhere(res):
+    """Combiners and rates equal a fresh computation on every subcarrier."""
+    combiners, rates = link_rates(
+        res.channels.matrices, res.precoders, 1.0 / res.config.effective_noise
+    )
+    np.testing.assert_array_equal(res.combiners, combiners)
+    np.testing.assert_array_equal(res.rates, rates)
+
+
+def test_run_design_regression_pin():
+    # The RCG plateau stop is absolute, so any roundoff change in the solver
+    # moves these iteration counts; they were recorded with the solver run
+    # one subcarrier at a time.
+    res = run_design(SystemConfig(n_subcarriers=16, n_jcas=4, rho=0.5))
+    assert res.jcas_subcarriers.tolist() == [6, 9, 10, 11]
+    assert [res.refinements[k].iterations for k in (6, 9, 10, 11)] == [134, 50, 55, 35]
+    assert {r.stop_reason for r in res.refinements.values()} == {"objective_plateau"}
+    assert res.avg_rate == pytest.approx(15.017346666031594, abs=1e-12)
+    assert_links_recomputed_everywhere(res)
+
+
+def test_run_design_without_sensing_makes_no_rcg_call(small_cfg, monkeypatch):
+    def no_call(*args, **kwargs):
+        raise AssertionError("RCG called without sensing subcarriers")
+
+    monkeypatch.setattr(pipeline, "solve_rcg_batch", no_call)
+    res = run_design(replace(small_cfg, n_jcas=0))
+    assert res.refinements == {} and res.covariances == {}
+    np.testing.assert_array_equal(res.rates, res.eigen_rates)
+    assert_links_recomputed_everywhere(res)
+
+
+def test_run_design_every_subcarrier_sensing_matches_solo_solves(small_cfg):
+    cfg = replace(small_cfg, n_jcas=small_cfg.n_subcarriers)
+    res = run_design(cfg)
+    assert sorted(res.refinements) == list(range(cfg.n_subcarriers))
+    for k, got in res.refinements.items():
+        f_hat = res.eigen_precoders[k]
+        solo = solve_rcg(f_hat, res.covariances[k].matrix, f_hat, cfg.rho, cfg.effective_power)
+        for field in fields(solo):
+            a, b = getattr(got, field.name), getattr(solo, field.name)
+            assert np.array_equal(a, b) if isinstance(b, np.ndarray) else a == b, (k, field.name)
+        np.testing.assert_array_equal(res.precoders[k], got.precoder)
+    assert_links_recomputed_everywhere(res)
+
+
+def test_run_design_single_transmit_antenna():
+    # One antenna: the sphere point is fixed up to phase and the covariance
+    # term vanishes on it, so the eigenmode precoder is already optimal.
+    cfg = SystemConfig(n_tx=1, n_rx=2, n_streams=1, n_subcarriers=4, n_jcas=2, grid_size=31)
+    res = run_design(cfg)
+    assert len(res.refinements) == 2
+    for k, ref in res.refinements.items():
+        assert (ref.iterations, ref.stop_reason) == (0, "gradient_norm")
+        assert abs(ref.precoder[0, 0]) ** 2 == pytest.approx(cfg.effective_power, rel=1e-12)
+    np.testing.assert_allclose(res.precoders, res.eigen_precoders, rtol=1e-12)
+    assert np.all(res.rates > 0)
+    assert_links_recomputed_everywhere(res)
