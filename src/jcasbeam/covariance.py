@@ -103,8 +103,12 @@ def _pattern_matrix(steering: np.ndarray, iu) -> np.ndarray:
 
 
 def beampattern_values(mat: np.ndarray, steering: np.ndarray) -> np.ndarray:
-    """a_t^H R a_t over all grid rows; real up to roundoff for Hermitian R."""
-    return np.real(np.einsum("ti,ij,tj->t", np.conj(steering), mat, steering))
+    """a_t^H R a_t over all grid rows; real up to roundoff for Hermitian R.
+
+    ``mat`` (n, n) with ``steering`` (T, n) gives (T,); stacks (J, n, n) and
+    (J, T, n) give (J, T).
+    """
+    return np.real(np.einsum("...ti,...ij,...tj->...t", np.conj(steering), mat, steering))
 
 
 def _soft_threshold(v: np.ndarray, kappa) -> np.ndarray:

@@ -26,8 +26,18 @@ from .pipeline import DesignResult, eigen_stage, run_design, select_jcas_subcarr
 
 
 def precoder_pattern(f: np.ndarray, steering: np.ndarray) -> np.ndarray:
-    """Transmit beampattern a^H (F F^H) a of one precoder over the grid."""
-    return beampattern_gain(f @ f.conj().T, steering)
+    """Transmit beampattern a^H (F F^H) a over the grid.
+
+    One precoder (n_tx, n_streams) with its (T, n_tx) steering gives (T,); a
+    stack (J, n_tx, n_streams) with (J, T, n_tx) steering gives (J, T).
+    """
+    return beampattern_gain(f @ f.conj().swapaxes(-1, -2), steering)
+
+
+def _jcas_patterns(precoders: np.ndarray, jcas_subcarriers, grid: BeamGrid) -> np.ndarray:
+    """Beampatterns of the sensing subcarriers, one (J, T) stack."""
+    jcas = np.asarray(jcas_subcarriers, dtype=int)
+    return precoder_pattern(precoders[jcas], grid.steering[jcas])
 
 
 def beampattern_mse(precoders: np.ndarray, jcas_subcarriers, grid: BeamGrid) -> float:
@@ -36,23 +46,15 @@ def beampattern_mse(precoders: np.ndarray, jcas_subcarriers, grid: BeamGrid) -> 
     Averages |desired - a^H F F^H a|^2 over all grid angles and all
     subcarriers in the sensing set; nan when the set is empty.
     """
-    jcas = [int(k) for k in jcas_subcarriers]
-    if not jcas:
+    if len(jcas_subcarriers) == 0:
         return float("nan")
-    errs = []
-    for k in jcas:
-        pat = precoder_pattern(precoders[k], grid.steering[k])
-        errs.append(np.abs(grid.desired_gain - pat) ** 2)
+    errs = np.abs(grid.desired_gain - _jcas_patterns(precoders, jcas_subcarriers, grid)) ** 2
     return float(np.mean(errs))
 
 
 def average_jcas_pattern(result: DesignResult) -> np.ndarray:
     """Beampattern averaged over the sensing subcarriers of one design run."""
-    pats = [
-        precoder_pattern(result.precoders[int(k)], result.grid.steering[int(k)])
-        for k in result.jcas_subcarriers
-    ]
-    return np.mean(pats, axis=0)
+    return np.mean(_jcas_patterns(result.precoders, result.jcas_subcarriers, result.grid), axis=0)
 
 
 def median_member_pattern(result: DesignResult) -> np.ndarray:

@@ -13,19 +13,34 @@ normalization retraction, and monotone descent by construction.
 One RCG core, :func:`solve_rcg_batch`, serves every caller. It runs a stack
 of carriers ``(B, n_tx, n_streams)`` through stacked numpy calls: the geometry
 primitives below accept a leading carrier axis, and every carrier keeps its
-own Armijo step, accepted flag, backtrack and polish counts, Polak-Ribiere
-coefficient, plateau counter and stop reason. A line-search round evaluates
-every carrier of the current iteration, masks decide which values are kept,
-and the running operands are gathered again only when a carrier stops. The
-core steps until every carrier is done. :func:`solve_rcg` is a batch of one.
+own Armijo step, accepted flag, Polak-Ribiere coefficient, plateau counter
+and stop reason. The running operands are gathered again only when a carrier
+stops, and the core steps until every carrier is done. :func:`solve_rcg` is
+a batch of one.
+
+The Armijo line search runs on a ladder. Its trial steps are fixed rungs,
+rung r being delta0 * contraction**r, so the values of a whole chunk of rungs
+(``LADDER_CHUNK``) are known before any is judged: one stacked retraction and
+one stacked objective call evaluate every running carrier at every rung of
+the chunk, and carriers still undecided at its end get the next chunk. One
+routine, ``_armijo_decide``, reads each carrier's row of values and finds
+where a sequential backtracking search (with its polishing probes) would
+end; :func:`armijo_step` feeds it one rung per ``phi`` call. The rungs are
+formed by the same repeated multiplication by ``contraction`` as a shrinking
+step (exact powers for the contraction 0.5 used here), so each rung is
+bit for bit the step the sequential search tries at that round, and the
+ladder ends every search on the same step with the same value. The accepted
+rung's retracted point and its residual F F^H - R, already computed on the
+ladder, become the new iterate and the gradient's residual.
 
 Exactness: the plateau stop is absolute (``plateau_tol`` = 1e-10 against an
 objective of order P^2), so it is sensitive to roundoff: a 1-ulp change in one
 objective value can move the stop iteration and the returned precoder by
 ~1e-5. The stacked code therefore repeats the one-matrix arithmetic bit for
-bit. A Frobenius norm is two BLAS dots over the strided real and imaginary
-parts (what ``np.linalg.norm`` does on one matrix, not ``norm(axis=...)``),
-an inner product is the conjugating BLAS dot that ``np.vdot`` makes (through
+bit. Products are the per-matrix BLAS calls of a stacked matmul. A Frobenius
+norm is two BLAS dots over the strided real and imaginary parts (what
+``np.linalg.norm`` does on one matrix, not ``norm(axis=...)``), an inner
+product is the conjugating BLAS dot that ``np.vdot`` makes (through
 ``np.vecdot``), and a norm is squared by libm ``pow``, as a float scalar's
 ``** 2`` is, not as ``x * x``, which rounds differently on about 0.1% of
 values. So a carrier's result is the same whatever batch it runs in.
@@ -33,10 +48,18 @@ values. So a carrier's result is the same whatever batch it runs in.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+# the line search of the RCG solver (the defaults of armijo_step)
+CONTRACTION = 0.5
+ARMIJO_C = 1e-4
+MAX_BACKTRACKS = 50
+# rungs evaluated per stacked round: 99.9% of searches are decided within the first 7
+LADDER_CHUNK = 7
 
 
 def _ctranspose(mat: np.ndarray) -> np.ndarray:
@@ -75,20 +98,33 @@ def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.vecdot(a.reshape(-1, n), b.reshape(-1, n)).real
 
 
-def tradeoff_objective(f: np.ndarray, cov: np.ndarray, f_comm: np.ndarray, rho: float):
-    """gamma(F): a float for one precoder, a (B,) array for a (B, n_tx, n_streams) stack.
+def _residual_objective(f: np.ndarray, cov: np.ndarray, f_comm: np.ndarray, rho: float):
+    """The residuals F F^H - R and the objective values of a (..., n_tx, n_streams) stack.
 
     Each norm is squared by ``math.pow``, as a scalar ``** 2`` squares it.
     """
-    sens = _norms(f @ _ctranspose(f) - cov).tolist()
-    comm = _norms(f - f_comm).tolist()
-    gamma = [rho * math.pow(s, 2) + (1.0 - rho) * math.pow(c, 2) for s, c in zip(sens, comm)]
-    return gamma[0] if f.ndim == 2 else np.array(gamma)
+    resid = f @ _ctranspose(f) - cov
+    sens = _norms(resid)
+    norms = np.concatenate([sens, _norms(f - f_comm)]).tolist()
+    squares = np.array(list(map(math.pow, norms, itertools.repeat(2))))
+    gamma = rho * squares[: sens.size] + (1.0 - rho) * squares[sens.size :]
+    return resid, gamma.reshape(f.shape[:-2])
+
+
+def tradeoff_objective(f: np.ndarray, cov: np.ndarray, f_comm: np.ndarray, rho: float):
+    """gamma(F): a float for one precoder, a (B,) array for a (B, n_tx, n_streams) stack."""
+    gamma = _residual_objective(f, cov, f_comm, rho)[1]
+    return float(gamma) if f.ndim == 2 else gamma
+
+
+def _gradient(f: np.ndarray, resid: np.ndarray, f_comm: np.ndarray, rho: float) -> np.ndarray:
+    """Euclidean gradient at ``f`` from its residual F F^H - R."""
+    return 4.0 * rho * (resid @ f) + 2.0 * (1.0 - rho) * (f - f_comm)
 
 
 def tradeoff_gradient(f: np.ndarray, cov: np.ndarray, f_comm: np.ndarray, rho: float) -> np.ndarray:
     """Euclidean (conjugate-coordinate) gradient of the tradeoff objective, per matrix."""
-    return 4.0 * rho * ((f @ _ctranspose(f) - cov) @ f) + 2.0 * (1.0 - rho) * (f - f_comm)
+    return _gradient(f, f @ _ctranspose(f) - cov, f_comm, rho)
 
 
 def project_to_tangent(f: np.ndarray, g: np.ndarray, power: float) -> np.ndarray:
@@ -96,13 +132,17 @@ def project_to_tangent(f: np.ndarray, g: np.ndarray, power: float) -> np.ndarray
     return g - _each(_inner(f, g) / power, f) * f
 
 
+def _normalize(v: np.ndarray, power: float) -> np.ndarray:
+    """Scale each matrix of a stack onto the power sphere."""
+    return math.sqrt(power) * v / _each(_norms(v), v)
+
+
 def retract(f: np.ndarray, step, direction: np.ndarray, power: float) -> np.ndarray:
     """Move along ``direction`` then renormalize back onto the power sphere.
 
     ``step`` is one float, or one step per matrix of a stack.
     """
-    v = f + _each(step, f) * direction
-    return math.sqrt(power) * v / _each(_norms(v), v)
+    return _normalize(f + _each(step, f) * direction, power)
 
 
 def transport(f_new: np.ndarray, g: np.ndarray, power: float) -> np.ndarray:
@@ -122,14 +162,67 @@ def polak_ribiere_mu(g_new: np.ndarray, g_prev: np.ndarray, g_prev_transported: 
     return float(mu[0]) if g_new.ndim == 2 else mu
 
 
+def _ladder(delta0: float, contraction: float, max_backtracks: int) -> np.ndarray:
+    """Every step a search can try: rung r is delta0 * contraction**r.
+
+    The rungs are formed by repeated multiplication, as a sequential search
+    shrinks its step, up to the last polishing probe (2 * max_backtracks).
+    """
+    rungs = np.empty(2 * max_backtracks + 1)
+    rungs[0] = delta0
+    for r in range(1, rungs.size):
+        rungs[r] = rungs[r - 1] * contraction
+    return rungs
+
+
+def _armijo_decide(values, rungs, phi0, slope, c, max_backtracks):
+    """Armijo decision of each search from its values at the first rungs.
+
+    ``values`` is (m, n): row i holds search i's objective at ``rungs[:n]``.
+    Returns (final, decided, ok), each (m,). A decided search ends on rung
+    ``final``; an undecided one needs values at more rungs. Values appended
+    later never change a decision already made.
+
+    The rule is the sequential backtracking search's. The first rung whose
+    value is within the sufficient-decrease bound is accepted. At rung
+    ``max_backtracks`` any value not above the bound is accepted, nan
+    included; a value above it fails the search, which ends there with ok
+    False. An accepted search then steps on to the next rung while its value
+    does not rise, for at most ``max_backtracks`` steps.
+    """
+    m, n = values.shape
+    r = np.arange(n)
+    bound = phi0[:, None] + c * rungs[:n] * slope[:, None]
+    sufficient = values <= bound
+    if n > max_backtracks:
+        last = max_backtracks
+        sufficient[:, last] = ~(values[:, last] > bound[:, last])
+        sufficient[:, last + 1 :] = False
+    accepted = sufficient.any(axis=1)
+    first = np.argmax(sufficient, axis=1)
+    rise = np.zeros((m, n), dtype=bool)
+    rise[:, 1:] = values[:, 1:] >= values[:, :-1]
+    rise &= r > first[:, None]
+    rose = rise.any(axis=1)
+    # polishing ends on the rung before the first rise, or after max_backtracks steps
+    final = np.minimum(np.where(rose, np.argmax(rise, axis=1) - 1, n), first + max_backtracks)
+    failed = ~accepted & (n > max_backtracks)
+    final[failed] = max_backtracks
+    decided = failed | accepted & (rose | (first + max_backtracks < n))
+    return final, decided, ~failed
+
+
+_RCG_RUNGS = _ladder(1.0, CONTRACTION, MAX_BACKTRACKS)
+
+
 def armijo_step(
     phi,
     phi0,
     slope,
     delta0: float = 1.0,
-    contraction: float = 0.5,
-    c: float = 1e-4,
-    max_backtracks: int = 50,
+    contraction: float = CONTRACTION,
+    c: float = ARMIJO_C,
+    max_backtracks: int = MAX_BACKTRACKS,
 ):
     """Backtracking line search on ``phi``, for one or many independent searches.
 
@@ -146,47 +239,69 @@ def armijo_step(
     evaluation and keeps the sufficient-decrease condition intact, since
     shrinking delta only weakens the required decrease.
 
-    Each search takes the trial steps it would take alone. Every round
-    evaluates ``phi`` on all items at once and keeps the values of the items
-    still searching or polishing.
+    Each round evaluates ``phi`` at the next rung of the step ladder for all
+    items and feeds the values to the shared Armijo decision, until every
+    search is decided; each search ends where it would alone.
     """
     phi0 = np.asarray(phi0, dtype=float)
     slope = np.asarray(slope, dtype=float)
-    delta = np.full(phi0.shape, float(delta0))
-    value = np.asarray(phi(delta), dtype=float)
-    live = np.ones(phi0.shape, dtype=bool)  # still backtracking or polishing
-    polishing = np.zeros(phi0.shape, dtype=bool)
-    failed = np.zeros(phi0.shape, dtype=bool)
-    began = np.zeros(phi0.shape, dtype=int)  # round in which polishing began
-    rnd = 0  # every search still backtracking has backtracked rnd times
+    rungs = _ladder(float(delta0), contraction, max_backtracks)
+    columns = []
     while True:
-        searching = live & ~polishing
-        if np.count_nonzero(searching):
-            bound = phi0 + c * delta * slope
-            if rnd < max_backtracks:
-                accepted = searching & (value <= bound)
-            else:
-                # out of backtracks: only a value above the bound fails (nan goes on)
-                failed = searching & (value > bound)
-                live &= ~failed
-                accepted = searching & ~failed
-            polishing |= accepted
-            began[accepted] = rnd
-        if rnd >= max_backtracks:
-            live &= ~(polishing & (rnd - began == max_backtracks))
-        if not np.count_nonzero(live):
+        step = np.full(phi0.shape, rungs[len(columns)])
+        columns.append(np.asarray(phi(step), dtype=float).reshape(-1))
+        values = np.stack(columns, axis=1)
+        final, decided, ok = _armijo_decide(
+            values, rungs, phi0.reshape(-1), slope.reshape(-1), c, max_backtracks
+        )
+        if decided.all():
             break
-        trial = delta * contraction
-        values = np.asarray(phi(trial), dtype=float)
-        # a polishing probe that does not strictly improve ends that search
-        live &= ~(polishing & (values >= value))
-        delta = np.where(live, trial, delta)
-        value = np.where(live, values, value)
-        rnd += 1
-    ok = ~failed
+    delta = rungs[final].reshape(phi0.shape)
+    value = values[np.arange(len(final)), final].reshape(phi0.shape)
+    ok = ok.reshape(phi0.shape)
     if phi0.ndim == 0:
         return float(delta), float(value), bool(ok)
     return delta, value, ok
+
+
+def _line_search(f, direction, cov, f_comm, rho, power, gamma, slope):
+    """Armijo searches of a stack of carriers along the retraction, on the ladder.
+
+    Each round retracts the undecided carriers to the next ``LADDER_CHUNK``
+    rungs and evaluates them in one stacked call; the first round takes
+    every carrier. Returns (value, ok, f_new, resid_new): each carrier's
+    objective, success flag, retracted point and residual F F^H - R at its
+    final rung, where :func:`armijo_step` would end.
+    """
+    todo = slice(None)
+    tables = None  # points, residuals and values of every carrier at the rungs so far
+    while True:
+        lo = 0 if tables is None else tables[2].shape[1]
+        steps = _RCG_RUNGS[lo : lo + LADDER_CHUNK, None, None]
+        points = _normalize(f[todo, None] + steps * direction[todo, None], power)
+        chunk = (points, *_residual_objective(points, cov[todo, None], f_comm[todo, None], rho))
+        if tables is None:
+            tables = chunk
+        else:
+            tables = tuple(_append_rows(t, new, todo) for t, new in zip(tables, chunk))
+        final, decided, ok = _armijo_decide(
+            tables[2], _RCG_RUNGS, gamma, slope, ARMIJO_C, MAX_BACKTRACKS
+        )
+        if decided.all():
+            break
+        todo = ~decided
+    points, resids, values = (t[np.arange(len(final)), final] for t in tables)
+    return values, ok, points, resids
+
+
+def _append_rows(table: np.ndarray, new: np.ndarray, rows) -> np.ndarray:
+    """``table`` (m, n, ...) with ``new`` appended as further columns of ``rows``.
+
+    The other rows get zeros there; their decisions are already made.
+    """
+    more = np.zeros(table.shape[:1] + new.shape[1:], dtype=table.dtype)
+    more[rows] = new
+    return np.concatenate([table, more], axis=1)
 
 
 @dataclass(frozen=True)
@@ -228,9 +343,9 @@ def solve_rcg_batch(
     if n_car == 0:
         return []
 
-    f = np.sqrt(power) * f0 / _each(_norms(f0), f0)
-    gamma = tradeoff_objective(f, cov, f_comm, rho)
-    grad = project_to_tangent(f, tradeoff_gradient(f, cov, f_comm, rho), power)
+    f = _normalize(f0, power)
+    resid, gamma = _residual_objective(f, cov, f_comm, rho)
+    grad = project_to_tangent(f, _gradient(f, resid, f_comm, rho), power)
     direction = -grad
     grad_norm = _norms(grad)
 
@@ -278,18 +393,14 @@ def solve_rcg_batch(
             direction = np.where(_each(lost, direction), -grad, direction)
             slope = np.where(lost, [-math.pow(g, 2) for g in grad_norm.tolist()], slope)
 
-        def phi(step):
-            return tradeoff_objective(retract(f, step, direction, power), cov, f_comm, rho)
-
-        delta, value, ok = armijo_step(phi, gamma, slope)
+        value, ok, f_new, resid = _line_search(f, direction, cov, f_comm, rho, power, gamma, slope)
         stall = ~ok & (value >= gamma)
         if np.count_nonzero(stall):
-            delta, value = drop(stall, "line_search_stall", delta, value)
+            value, f_new, resid = drop(stall, "line_search_stall", value, f_new, resid)
             if not act.size:
                 break
 
-        f_new = retract(f, delta, direction, power)
-        grad_new = project_to_tangent(f_new, tradeoff_gradient(f_new, cov, f_comm, rho), power)
+        grad_new = project_to_tangent(f_new, _gradient(f_new, resid, f_comm, rho), power)
         mu = polak_ribiere_mu(grad_new, grad, transport(f_new, grad, power))
         direction = -grad_new + _each(mu, f_new) * transport(f_new, direction, power)
 

@@ -2,11 +2,13 @@
 
 The flow per run:
 
-1. Per-subcarrier eigenmode precoders and their achievable rates.
+1. Eigenmode precoders, combiners and achievable rates of all subcarriers,
+   each stage one stacked call over the subcarriers.
 2. Pick the n_jcas subcarriers with the lowest rates for sensing duty.
 3. Solve the beampattern covariance problem on those subcarriers.
 4. Refine each sensing subcarrier's precoder on the power sphere, trading
-   covariance match against distance from the eigenmode precoder.
+   covariance match against distance from the eigenmode precoder, all of
+   them in one batched RCG call.
 5. Reassemble: refined precoders on sensing subcarriers, eigenmode elsewhere.
    Combiners and rates are recomputed on the sensing subcarriers; elsewhere
    the precoder is the eigenmode one, so its eigen-stage combiner and rate
@@ -24,7 +26,7 @@ from .channel import ChannelSet, generate_rayleigh
 from .config import SystemConfig
 from .covariance import CovarianceSolution, solve_radar_covariance
 from .manifold import solve_rcg_batch
-from .precoding import eigenmode_precoder, link_rates
+from .precoding import eigenmode_precoders, link_rates
 
 
 def select_jcas_subcarriers(rates, n_jcas: int) -> np.ndarray:
@@ -46,11 +48,15 @@ def assemble_final_precoders(eigen_precoders: np.ndarray, refined: dict) -> np.n
 
 
 def _eigen_links(cfg: SystemConfig, channels: ChannelSet):
-    """Eigenmode precoders with their combiners and rates on every subcarrier."""
-    precoders = np.array([
-        eigenmode_precoder(h, cfg.n_streams, cfg.effective_power, cfg.effective_noise)[0]
-        for h in channels.matrices
-    ], dtype=complex)
+    """Eigenmode precoders with their combiners and rates on every subcarrier.
+
+    A subcarrier whose channel has no usable signal dimension raises
+    :class:`DegenerateChannelError` naming it.
+    """
+    precoders = np.asarray(
+        eigenmode_precoders(channels.matrices, cfg.n_streams, cfg.effective_power, cfg.effective_noise)[0],
+        dtype=complex,
+    )
     combiners, rates = link_rates(channels.matrices, precoders, 1.0 / cfg.effective_noise)
     return precoders, combiners, rates
 

@@ -1,4 +1,17 @@
-"""Communications-side precoding: water-filling, eigenmode beams, combiners, rates."""
+"""Communications-side precoding: water-filling, eigenmode beams, combiners, rates.
+
+Every stage runs on a stack of subcarriers at once: :func:`eigenmode_precoders`
+takes one SVD of the (K, n_rx, n_tx) channel stack, water-fills every carrier
+through a cumulative sum over its sorted noise floors and fixes the column
+phases of all carriers together; :func:`link_rates` takes one SVD of the
+stack of effective channels HF for the combiners and one log-determinant
+for the rates. The one-matrix functions (:func:`waterfill`,
+:func:`eigenmode_precoder`, :func:`optimal_combiner`,
+:func:`achievable_rate`) are these cores run on a stack of one. Stacked
+numpy linear algebra makes the same LAPACK call per matrix as on one matrix,
+and the running sums are taken in the same order, so a carrier's precoder
+and combiner are the same bit for bit whatever stack it is in.
+"""
 
 from __future__ import annotations
 
@@ -19,59 +32,94 @@ class WaterfillAllocation:
     n_active: int
 
 
+def _waterfill_rows(gains: np.ndarray, total_power: float, noise_power: float):
+    """Water-filling of each row of a (K, n) gain stack; every row has a positive gain.
+
+    Returns (powers (K, n), levels (K,), active counts (K,)). Rows are sorted
+    by floor noise/gain (zero gains last, at an infinite floor); the candidate
+    level with the m strongest channels active is (total + sum of their
+    floors) / m, summed in order by ``cumsum`` as a running sum would, and a
+    row keeps the leading candidates that lie above their own floor.
+    """
+    positive = gains > 0
+    floor = np.full(gains.shape, np.inf)
+    floor[positive] = noise_power / gains[positive]
+    by_floor = np.take_along_axis(floor, np.argsort(floor, axis=-1, kind="stable"), axis=-1)
+    candidate = (total_power + np.cumsum(by_floor, axis=-1)) / np.arange(1, gains.shape[-1] + 1)
+    n_active = np.logical_and.accumulate(candidate > by_floor, axis=-1).sum(axis=-1)
+    level = np.take_along_axis(candidate, n_active[:, None] - 1, axis=-1)[:, 0]
+    powers = np.maximum(level[:, None] - floor, 0.0)
+    powers[~positive] = 0.0
+    return powers, level, n_active
+
+
 def waterfill(gains, total_power: float, noise_power: float = 1.0) -> WaterfillAllocation:
     """Exact water-filling over channels with the given power gains.
 
     Maximizes sum_i log(1 + g_i p_i / noise) subject to sum p_i = total and
     p_i >= 0 by the closed-form active-set construction: try progressively
     larger active sets (strongest gains first) and keep the largest one whose
-    weakest member still gets positive power.
+    weakest member still gets positive power. This is the stacked
+    construction run on one row.
     """
     g = np.asarray(gains, dtype=float)
     if np.any(g < 0):
         raise ValueError("channel gains must be nonnegative")
     if not total_power > 0:
         raise ValueError("total_power must be positive")
-    positive = g > 0
-    if not np.any(positive):
+    if not np.any(g > 0):
         raise DegenerateChannelError("no positive channel gains to allocate power over")
+    powers, level, n_active = _waterfill_rows(g.reshape(1, -1), total_power, noise_power)
+    return WaterfillAllocation(
+        powers=powers.reshape(g.shape), level=float(level[0]), n_active=int(n_active[0])
+    )
 
-    floor = np.full(g.shape, np.inf)
-    floor[positive] = noise_power / g[positive]
-    order = np.argsort(floor, kind="stable")
-    n_pos = int(np.count_nonzero(positive))
 
-    level = 0.0
-    n_active = 0
-    running = 0.0
-    for m in range(1, n_pos + 1):
-        running += floor[order[m - 1]]
-        candidate = (total_power + running) / m
-        if candidate > floor[order[m - 1]]:
-            level = candidate
-            n_active = m
-        else:
-            break
-
-    powers = np.maximum(level - floor, 0.0)
-    powers[~positive] = 0.0
-    return WaterfillAllocation(powers=powers, level=float(level), n_active=n_active)
+def _ctranspose(mat: np.ndarray) -> np.ndarray:
+    return mat.conj().swapaxes(-1, -2)
 
 
 def _fix_column_phases(mat: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude entry is real positive.
+    """Rotate each column of a (..., n, m) stack so its largest-magnitude entry is real positive.
 
     Removes the per-column phase ambiguity of singular vectors so repeated
-    factorizations of the same matrix give identical beams.
+    factorizations of the same matrix give identical beams. An all-zero
+    column is left as it is.
     """
-    out = mat.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        i = int(np.argmax(np.abs(col)))
-        pivot = col[i]
-        if np.abs(pivot) > 0:
-            out[:, j] = col * (np.conj(pivot) / np.abs(pivot))
-    return out
+    pivot = np.take_along_axis(mat, np.argmax(np.abs(mat), axis=-2)[..., None, :], axis=-2)
+    size = np.abs(pivot)
+    nonzero = size > 0
+    turn = np.conj(pivot) / np.where(nonzero, size, 1.0)
+    return np.where(nonzero, mat * turn, mat)
+
+
+def eigenmode_precoders(
+    h: np.ndarray,
+    n_streams: int,
+    total_power: float,
+    noise_power: float,
+    label: str = "subcarrier {}: ",
+):
+    """Capacity-achieving precoders of a (K, n_rx, n_tx) channel stack.
+
+    One SVD over the stack, water-filling of every carrier at once and one
+    column-phase fix. Returns (f_hat (K, n_tx, n_streams), singular values
+    (K, n_streams), (powers, levels, active counts) of the water-filling).
+    A channel with no usable signal dimension raises
+    :class:`DegenerateChannelError`, its message prefixed by ``label``
+    formatted with the carrier's index.
+    """
+    h = np.asarray(h)
+    _, s, vh = np.linalg.svd(h, full_matrices=False)
+    sv = s[:, :n_streams]
+    dead = ~np.any(sv > 0, axis=-1) | (sv.shape[-1] < n_streams)
+    if np.any(dead):
+        raise DegenerateChannelError(
+            label.format(int(np.argmax(dead))) + "channel matrix has no usable signal dimension"
+        )
+    v = _fix_column_phases(_ctranspose(vh)[:, :, :n_streams])
+    powers, level, n_active = _waterfill_rows(sv ** 2, total_power, noise_power)
+    return v * np.sqrt(powers)[:, None, :], sv, (powers, level, n_active)
 
 
 def eigenmode_precoder(h: np.ndarray, n_streams: int, total_power: float, noise_power: float):
@@ -79,17 +127,40 @@ def eigenmode_precoder(h: np.ndarray, n_streams: int, total_power: float, noise_
 
     Returns (f_hat, singular_values, allocation): f_hat has orthogonal columns
     along the top right singular vectors of ``h`` scaled by the water-filled
-    per-stream powers, so ||f_hat||_F^2 equals ``total_power``.
+    per-stream powers, so ||f_hat||_F^2 equals ``total_power``. This is
+    :func:`eigenmode_precoders` on a stack of one.
     """
-    h = np.asarray(h)
-    _, s, vh = np.linalg.svd(h, full_matrices=False)
-    sv = s[:n_streams]
-    if sv.size < n_streams or not np.any(sv > 0):
-        raise DegenerateChannelError("channel matrix has no usable signal dimension")
-    v = _fix_column_phases(vh.conj().T[:, :n_streams])
-    alloc = waterfill(sv ** 2, total_power, noise_power)
-    f_hat = v * np.sqrt(alloc.powers)
-    return f_hat, sv, alloc
+    f_hat, sv, (powers, level, n_active) = eigenmode_precoders(
+        np.asarray(h)[None], n_streams, total_power, noise_power, label=""
+    )
+    alloc = WaterfillAllocation(powers=powers[0], level=float(level[0]), n_active=int(n_active[0]))
+    return f_hat[0], sv[0], alloc
+
+
+def _combiners(hf: np.ndarray, n_streams: int) -> np.ndarray:
+    """Left singular vectors of each effective channel of a (K, n_rx, n_streams) stack.
+
+    Each rank-deficient carrier emits one RuntimeWarning.
+    """
+    u, s, _ = np.linalg.svd(hf, full_matrices=True)
+    top = s[:, 0] if s.shape[-1] else np.zeros(len(hf))
+    tol = max(hf.shape[1:]) * np.finfo(float).eps * top
+    for rank in np.sum(s > tol[:, None], axis=-1).tolist():
+        if rank < n_streams:
+            warnings.warn(
+                f"effective channel rank {rank} is below the stream count {n_streams}; "
+                "filling the combiner with an orthonormal complement",
+                RuntimeWarning,
+            )
+    return _fix_column_phases(u[:, :, :n_streams])
+
+
+def _rates(hf: np.ndarray, w: np.ndarray, prefactor: float) -> np.ndarray:
+    """log2 det(I + prefactor * W^H HF (W^H HF)^H) of each carrier, clamped at zero."""
+    eff = _ctranspose(w) @ hf
+    m = np.eye(w.shape[-1]) + prefactor * (eff @ _ctranspose(eff))
+    _, logdet = np.linalg.slogdet(m)
+    return np.maximum(logdet / np.log(2.0), 0.0)
 
 
 def optimal_combiner(h: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -97,46 +168,30 @@ def optimal_combiner(h: np.ndarray, f: np.ndarray) -> np.ndarray:
 
     If HF is rank deficient the missing columns are filled with an orthonormal
     complement (the extra streams then carry no signal) and a RuntimeWarning
-    is emitted.
+    is emitted. The columns are orthonormal either way.
     """
     hf = np.asarray(h) @ np.asarray(f)
-    n_streams = f.shape[1]
-    u, s, _ = np.linalg.svd(hf, full_matrices=True)
-    tol = max(hf.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-    rank = int(np.sum(s > tol))
-    if rank < n_streams:
-        warnings.warn(
-            f"effective channel rank {rank} is below the stream count {n_streams}; "
-            "filling the combiner with an orthonormal complement",
-            RuntimeWarning,
-        )
-    return _fix_column_phases(u[:, :n_streams])
+    return _combiners(hf[None], hf.shape[1])[0]
 
 
 def achievable_rate(h: np.ndarray, f: np.ndarray, w: np.ndarray, prefactor: float) -> float:
-    """Spectral efficiency log2 det(I + prefactor * W^+ H F F^H H^H W) in bit/s/Hz.
+    """Spectral efficiency log2 det(I + prefactor * W^H H F F^H H^H W) in bit/s/Hz.
 
-    W^+ is the pseudo-inverse (equal to W^H for the orthonormal combiners
-    produced here). Clamped at zero against roundoff; the determinant is >= 1
-    for any orthonormal W.
+    ``w`` must have orthonormal columns (W^H W = I), as every combiner of
+    :func:`optimal_combiner` has; then W^H is its pseudo-inverse. Clamped at
+    zero against roundoff; the determinant is >= 1 for any orthonormal W.
     """
-    w_pinv = np.linalg.pinv(w)
-    eff = w_pinv @ h @ f
-    m = np.eye(w.shape[1]) + prefactor * (eff @ (f.conj().T @ h.conj().T @ w))
-    _, logdet = np.linalg.slogdet(m)
-    return max(float(logdet) / np.log(2.0), 0.0)
+    hf = np.asarray(h) @ np.asarray(f)
+    return float(_rates(hf[None], np.asarray(w)[None], prefactor)[0])
 
 
 def link_rates(h: np.ndarray, f: np.ndarray, prefactor: float):
     """Optimal combiner and achievable rate of each carrier of a stack.
 
     ``h`` is (K, n_rx, n_tx) and ``f`` (K, n_tx, n_streams); returns the
-    combiners (K, n_rx, n_streams) and the rates (K,).
+    combiners (K, n_rx, n_streams) and the rates (K,), from one SVD and one
+    log-determinant over the stack of effective channels HF.
     """
-    combiners = np.empty(h.shape[:2] + f.shape[2:], dtype=complex)
-    rates = np.empty(len(h))
-    for k, (h_k, f_k) in enumerate(zip(h, f)):
-        w = optimal_combiner(h_k, f_k)
-        combiners[k] = w
-        rates[k] = achievable_rate(h_k, f_k, w, prefactor)
-    return combiners, rates
+    hf = h @ f
+    combiners = _combiners(hf, f.shape[-1])
+    return combiners, _rates(hf, combiners, prefactor)

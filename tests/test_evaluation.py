@@ -1,5 +1,6 @@
 """Pattern metrics, sweep aggregation, and table formatting."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -206,3 +207,25 @@ def test_write_table_round_trips(tmp_path):
     header, parsed = parse_table(path.read_text())
     assert header == ["k", "rate"]
     assert parsed[1]["rate"] == 2.25
+
+
+def _one_carrier_pattern(f, steering):
+    """a^H F F^H a of one carrier, in the one-matrix einsum."""
+    return np.real(np.einsum("ti,ij,tj->t", steering.conj(), f @ f.conj().T, steering))
+
+
+def test_stacked_pattern_metrics_equal_per_carrier_formula(rng, small_cfg):
+    cfg = replace(small_cfg, n_subcarriers=8, n_jcas=5, grid_size=61)
+    grid = build_grid(cfg)
+    precoders = random_complex(rng, (8, cfg.n_tx, cfg.n_streams))
+    jcas = np.array([0, 2, 3, 6, 7])
+    errs = [np.abs(grid.desired_gain - _one_carrier_pattern(precoders[k], grid.steering[k])) ** 2 for k in jcas]
+    assert beampattern_mse(precoders, jcas, grid) == pytest.approx(np.mean(errs), rel=1e-12)
+    res = run_design(cfg)
+    pats = [_one_carrier_pattern(res.precoders[k], res.grid.steering[k]) for k in res.jcas_subcarriers]
+    np.testing.assert_allclose(average_jcas_pattern(res), np.mean(pats, axis=0), rtol=1e-12, atol=0)
+    # an empty sensing set: nan, as before
+    assert np.isnan(beampattern_mse(precoders, np.array([], dtype=int), grid))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # mean of an empty stack
+        assert np.all(np.isnan(average_jcas_pattern(run_design(replace(cfg, n_jcas=0)))))

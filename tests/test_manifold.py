@@ -5,8 +5,12 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from jcasbeam import manifold
 from jcasbeam.manifold import (
+    _armijo_decide,
     armijo_step,
     polak_ribiere_mu,
     project_to_tangent,
@@ -313,3 +317,187 @@ def test_armijo_searches_run_side_by_side_as_alone():
         alone = armijo_step(lambda d: (scales[b] * d - 1.0) ** 2 + (scales[b] < 0) * d, 1.0, slope[b])
         assert (delta[b], value[b], ok[b]) == alone
     assert list(ok) == [True, True, True, False]
+
+
+# (iterations, stop_reason, objective) of each carrier of the mixed-stop batch
+# above, recorded with the sequential line search (one stacked phi round per
+# trial step) that the stacked Armijo ladder replaced; any change in the line
+# search's arithmetic or decisions moves these.
+MIXED_STOP_RECORD = [
+    (45, "max_iterations", 0.6010792965588513),
+    (45, "max_iterations", 0.5331578480620717),
+    (43, "objective_plateau", 0.5627723864204226),
+    (45, "max_iterations", 0.37700363602691656),
+    (45, "max_iterations", 0.9556827185075248),
+    (45, "max_iterations", 0.8857647893269565),
+    (36, "objective_plateau", 0.23513758328539708),
+    (45, "max_iterations", 0.7634049252605076),
+    (37, "objective_plateau", 0.431389797641476),
+    (45, "max_iterations", 0.6948027903946365),
+    (41, "line_search_stall", 0.3829678735124877),
+    (45, "max_iterations", 0.5808171596435456),
+    (37, "line_search_stall", 0.4647153662458852),
+    (45, "max_iterations", 0.6711999452511292),
+    (45, "max_iterations", 0.7007822044511652),
+    (43, "line_search_stall", 0.41774507994568527),
+    (0, "gradient_norm", 9.533353224716817e-33),
+]
+
+
+def _mixed_stop_instance():
+    """The 17-carrier batch of the stop-reason test above, with its settings."""
+    rng = np.random.default_rng(5)
+    power = 2.0
+    f0s, covs, f_comms = [], [], []
+    for _ in range(16):
+        f0s.append(random_sphere_point(rng, (4, 2), power))
+        f_comms.append(random_sphere_point(rng, (4, 2), power))
+        covs.append(random_psd(rng, 4, power))
+    f_opt = random_sphere_point(rng, (4, 2), power)
+    f0s.append(f_opt)
+    f_comms.append(f_opt)
+    covs.append(f_opt @ f_opt.conj().T)
+    settings = dict(rho=0.5, power=power, grad_tol=1e-13, max_iter=45, plateau_tol=0.0)
+    return (np.array(f0s), np.array(covs), np.array(f_comms)), settings
+
+
+def test_rcg_mixed_stop_batch_matches_its_record():
+    stack, settings = _mixed_stop_instance()
+    batch = solve_rcg_batch(*stack, **settings)
+    assert [(r.iterations, r.stop_reason, r.objective) for r in batch] == MIXED_STOP_RECORD
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+def test_rcg_ladder_chunk_does_not_change_results(monkeypatch, chunk):
+    # small chunks leave most searches undecided after their first round
+    stack, settings = _mixed_stop_instance()
+    want = solve_rcg_batch(*stack, **settings)
+    monkeypatch.setattr(manifold, "LADDER_CHUNK", chunk)
+    for got, ref in zip(solve_rcg_batch(*stack, **settings), want):
+        assert_same_result(got, ref)
+
+
+def _sequential_armijo(phi, phi0, slope, delta0=1.0, contraction=0.5, c=1e-4, max_backtracks=50):
+    """The line search the ladder replaced: one phi round per trial step, kept verbatim."""
+    phi0 = np.asarray(phi0, dtype=float)
+    slope = np.asarray(slope, dtype=float)
+    delta = np.full(phi0.shape, float(delta0))
+    value = np.asarray(phi(delta), dtype=float)
+    live = np.ones(phi0.shape, dtype=bool)  # still backtracking or polishing
+    polishing = np.zeros(phi0.shape, dtype=bool)
+    failed = np.zeros(phi0.shape, dtype=bool)
+    began = np.zeros(phi0.shape, dtype=int)  # round in which polishing began
+    rnd = 0  # every search still backtracking has backtracked rnd times
+    while True:
+        searching = live & ~polishing
+        if np.count_nonzero(searching):
+            bound = phi0 + c * delta * slope
+            if rnd < max_backtracks:
+                accepted = searching & (value <= bound)
+            else:
+                # out of backtracks: only a value above the bound fails (nan goes on)
+                failed = searching & (value > bound)
+                live &= ~failed
+                accepted = searching & ~failed
+            polishing |= accepted
+            began[accepted] = rnd
+        if rnd >= max_backtracks:
+            live &= ~(polishing & (rnd - began == max_backtracks))
+        if not np.count_nonzero(live):
+            break
+        trial = delta * contraction
+        values = np.asarray(phi(trial), dtype=float)
+        # a polishing probe that does not strictly improve ends that search
+        live &= ~(polishing & (values >= value))
+        delta = np.where(live, trial, delta)
+        value = np.where(live, values, value)
+        rnd += 1
+    ok = ~failed
+    if phi0.ndim == 0:
+        return float(delta), float(value), bool(ok)
+    return delta, value, ok
+
+
+def check_ladder_against_sequential(table, phi0, slope, c, max_backtracks, chunk):
+    """The table-fed decision, fed ``chunk`` rungs at a time, ends every search where
+    the sequential search does, once it holds the last rung that search evaluates."""
+    rows = np.arange(len(table))
+    rungs = 0.5 ** np.arange(table.shape[1])  # exact: the repeated halvings of 1
+    rung_of = {float(d): r for r, d in enumerate(rungs)}
+
+    def lookup(items, steps):
+        return table[items, [rung_of[float(s)] for s in np.ravel(steps)]]
+
+    settings = dict(c=c, max_backtracks=max_backtracks)
+    want = _sequential_armijo(lambda steps: lookup(rows, steps), phi0, slope, **settings)
+    # the highest rung each search evaluates when run alone
+    last = []
+    for i in rows:
+        seen = []
+        _sequential_armijo(
+            lambda step: seen.append(rung_of[float(step)]) or table[i, seen[-1]],
+            phi0[i], slope[i], **settings,
+        )
+        last.append(max(seen))
+    assert max(last) < table.shape[1]
+
+    got = armijo_step(lambda steps: lookup(rows, steps), phi0, slope, **settings)
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)
+
+    for n in range(chunk, table.shape[1] + chunk, chunk):
+        n = min(n, table.shape[1])
+        final, decided, ok = _armijo_decide(table[:, :n], rungs, phi0, slope, c, max_backtracks)
+        np.testing.assert_array_equal(decided, np.array(last) < n)
+        for i in np.flatnonzero(decided):
+            assert rungs[final[i]] == want[0][i]
+            np.testing.assert_array_equal(table[i, final[i]], want[1][i])
+            assert ok[i] == want[2][i]
+        if decided.all():
+            break
+
+
+LADDER_VALUES = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, math.nan])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_ladder_decision_equals_sequential_search(data):
+    max_backtracks = data.draw(st.integers(1, 5), label="max_backtracks")
+    m = data.draw(st.integers(1, 4), label="searches")
+    width = 2 * max_backtracks + 2
+    table = np.array(data.draw(
+        st.lists(st.lists(LADDER_VALUES, min_size=width, max_size=width), min_size=m, max_size=m),
+        label="table",
+    ))
+    phi0 = np.array(data.draw(st.lists(LADDER_VALUES, min_size=m, max_size=m), label="phi0"))
+    slope = np.array(data.draw(
+        st.lists(st.sampled_from([-8.0, -2.0, -0.5, 0.0, 1.0]), min_size=m, max_size=m), label="slope"
+    ))
+    c = data.draw(st.sampled_from([1e-4, 0.5]), label="c")
+    chunk = data.draw(st.integers(1, 8), label="chunk")
+    check_ladder_against_sequential(table, phi0, slope, c, max_backtracks, chunk)
+
+
+NAN = math.nan
+
+
+@pytest.mark.parametrize(
+    "row, phi0, chunk",
+    [
+        # accepted on the last rung of the first chunk; its polish probe, in the
+        # next chunk, ties and ends the search back on that rung
+        ([3.0, 3.0, 0.5, 0.5, 0.2, 0.1, 0.0], 1.0, 3),
+        # out of backtracks: the search fails on rung max_backtracks
+        ([2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0], 1.0, 2),
+        # out of backtracks on a nan: accepted, and polishing goes on through nan
+        ([2.0, 2.0, 2.0, NAN, NAN, 1.0, 0.5], 1.0, 4),
+        # ties: a probe equal to the current value ends polishing
+        ([1.0, 0.5, 0.5, 0.25, 0.0, 0.0, 0.0], 1.0, 2),
+        # every polishing probe improves: it stops after max_backtracks of them
+        ([0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3], 1.0, 5),
+    ],
+)
+def test_ladder_decision_edge_tables(row, phi0, chunk):
+    table = np.array([row])
+    check_ladder_against_sequential(table, np.array([phi0]), np.array([-0.5]), 1e-4, 3, chunk)

@@ -8,9 +8,10 @@ import pytest
 
 from jcasbeam import pipeline
 from jcasbeam.beamgrid import build_grid
-from jcasbeam.channel import generate_rayleigh
+from jcasbeam.channel import ChannelSet, generate_rayleigh
 from jcasbeam.config import SystemConfig
 from jcasbeam.covariance import solve_radar_covariance
+from jcasbeam.errors import DegenerateChannelError
 from jcasbeam.manifold import solve_rcg, tradeoff_objective
 from jcasbeam.precoding import link_rates
 from jcasbeam.pipeline import (
@@ -253,4 +254,25 @@ def test_run_design_single_transmit_antenna():
         assert abs(ref.precoder[0, 0]) ** 2 == pytest.approx(cfg.effective_power, rel=1e-12)
     np.testing.assert_allclose(res.precoders, res.eigen_precoders, rtol=1e-12)
     assert np.all(res.rates > 0)
+    assert_links_recomputed_everywhere(res)
+
+
+def test_run_design_names_the_degenerate_subcarrier(small_cfg):
+    channels = generate_rayleigh(
+        small_cfg.n_subcarriers, small_cfg.n_rx, small_cfg.n_tx, small_cfg.seed
+    )
+    matrices = channels.matrices.copy()
+    matrices[3] = 0.0
+    with pytest.raises(DegenerateChannelError, match=r"^subcarrier 3: "):
+        run_design(small_cfg, channels=ChannelSet(matrices, channels.seed))
+
+
+def test_run_design_on_real_valued_channels_keeps_complex_beams(small_cfg):
+    # the refined precoders and their combiners are complex even when the
+    # channels (and so the eigen-stage beams) are real
+    rng = np.random.default_rng(0)
+    matrices = rng.standard_normal((small_cfg.n_subcarriers, small_cfg.n_rx, small_cfg.n_tx))
+    res = run_design(small_cfg, channels=ChannelSet(matrices, 0))
+    assert res.precoders.dtype == res.combiners.dtype == complex
+    assert np.any(res.precoders[res.jcas_subcarriers].imag != 0.0)
     assert_links_recomputed_everywhere(res)

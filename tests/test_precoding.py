@@ -5,10 +5,14 @@ import warnings
 import numpy as np
 import pytest
 
+from jcasbeam.channel import generate_rayleigh
 from jcasbeam.errors import DegenerateChannelError
 from jcasbeam.precoding import (
+    _waterfill_rows,
     achievable_rate,
     eigenmode_precoder,
+    eigenmode_precoders,
+    link_rates,
     optimal_combiner,
     waterfill,
 )
@@ -232,3 +236,93 @@ def test_rate_matches_direct_determinant(rng):
         m = np.eye(2) + pref * eff @ eff.conj().T
         expected = float(np.log2(np.linalg.det(m).real))
         assert achievable_rate(h, f, w, pref) == pytest.approx(expected, abs=1e-9)
+
+
+def _pinv_rate(h, f, w, prefactor):
+    """The pseudo-inverse and determinant formula of the rate."""
+    eff = np.linalg.pinv(w) @ h @ f
+    m = np.eye(w.shape[1]) + prefactor * eff @ eff.conj().T
+    return max(float(np.log2(np.linalg.det(m).real)), 0.0)
+
+
+def test_rate_with_orthonormal_combiner_equals_pinv_formula(rng):
+    for _ in range(20):
+        h = random_complex(rng, (4, 6))
+        f = random_complex(rng, (6, 3))
+        w, _ = np.linalg.qr(random_complex(rng, (4, 3)))
+        pref = float(rng.uniform(0.2, 3.0))
+        assert achievable_rate(h, f, w, pref) == pytest.approx(_pinv_rate(h, f, w, pref), rel=1e-12)
+    # rank-deficient carrier: the combiner's extra column is the orthonormal complement
+    h = random_complex(rng, (4, 6))
+    f = random_complex(rng, (6, 1)) @ random_complex(rng, (1, 3))
+    with pytest.warns(RuntimeWarning, match="rank 1"):
+        w = optimal_combiner(h, f)
+    np.testing.assert_allclose(w.conj().T @ w, np.eye(3), atol=1e-12)
+    assert achievable_rate(h, f, w, 2.0) == pytest.approx(_pinv_rate(h, f, w, 2.0), rel=1e-12)
+
+
+def test_stacked_eigen_stage_equals_one_matrix_calls(rng):
+    h = random_complex(rng, (12, 4, 6))
+    h[5] = np.outer([1.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0, 0.0, 0.0])  # rank 1
+    f_hat, sv, (powers, level, n_active) = eigenmode_precoders(h, 3, 2.5, 0.7)
+    for k in range(len(h)):
+        f_k, sv_k, alloc = eigenmode_precoder(h[k], 3, 2.5, 0.7)
+        np.testing.assert_array_equal(f_hat[k], f_k)
+        np.testing.assert_array_equal(sv[k], sv_k)
+        np.testing.assert_array_equal(powers[k], alloc.powers)
+        assert (level[k], n_active[k]) == (alloc.level, alloc.n_active)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        combiners, rates = link_rates(h, f_hat, 1.0 / 0.7)
+        for k in range(len(h)):
+            w = optimal_combiner(h[k], f_hat[k])
+            np.testing.assert_array_equal(combiners[k], w)
+            assert rates[k] == achievable_rate(h[k], f_hat[k], w, 1.0 / 0.7)
+
+
+def test_stacked_waterfill_rows_equal_one_row_calls(rng):
+    gains = rng.uniform(0.0, 4.0, size=(30, 5))
+    gains[rng.uniform(size=gains.shape) < 0.3] = 0.0
+    gains[:, 0] = np.maximum(gains[:, 0], 0.1)
+    powers, level, n_active = _waterfill_rows(gains, 3.0, 0.8)
+    for g, p, lv, n in zip(gains, powers, level, n_active):
+        alloc = waterfill(g, 3.0, 0.8)
+        np.testing.assert_array_equal(p, alloc.powers)
+        assert (lv, n) == (alloc.level, alloc.n_active)
+
+
+def test_degenerate_channel_in_a_stack_names_its_subcarrier(rng):
+    h = random_complex(rng, (6, 2, 3))
+    h[3] = 0.0
+    with pytest.raises(DegenerateChannelError, match=r"^subcarrier 3: channel matrix has no usable"):
+        eigenmode_precoders(h, 2, 1.0, 1.0)
+    with pytest.raises(DegenerateChannelError, match=r"^channel matrix has no usable"):
+        eigenmode_precoder(h[3], 2, 1.0, 1.0)
+
+
+def test_stacked_combiners_warn_once_per_rank_deficient_carrier():
+    # 0 dB on 64 carriers of a 4x8 link: water-filling drops weak streams, so
+    # many effective channels lose rank
+    h = generate_rayleigh(64, 4, 8, seed=0).matrices
+    f_hat = eigenmode_precoders(h, 4, 1.0, 1.0)[0]
+    with warnings.catch_warnings(record=True) as stacked:
+        warnings.simplefilter("always")
+        link_rates(h, f_hat, 1.0)
+    with warnings.catch_warnings(record=True) as solo:
+        warnings.simplefilter("always")
+        for h_k, f_k in zip(h, f_hat):
+            optimal_combiner(h_k, f_k)
+    assert len(stacked) > 0
+    assert [(w.category, str(w.message)) for w in stacked] == [
+        (w.category, str(w.message)) for w in solo
+    ]
+
+
+def test_stacked_beams_have_real_positive_pivots(rng):
+    # each column's largest-magnitude entry is rotated onto the positive real axis
+    h = random_complex(rng, (10, 4, 6))
+    f_hat = eigenmode_precoders(h, 3, 2.0, 1.0)[0]
+    combiners, _ = link_rates(h, f_hat, 1.0)
+    for beams in (f_hat, combiners):
+        pivots = np.take_along_axis(beams, np.argmax(np.abs(beams), axis=1)[:, None, :], axis=1)
+        assert np.all(pivots.real > 0.0) and np.all(np.abs(pivots.imag) <= 1e-15 * pivots.real)
