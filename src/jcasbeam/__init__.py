@@ -3,65 +3,27 @@
 Design flow: eigenmode precoding per subcarrier, selection of the weakest
 subcarriers for sensing duty, beampattern-matching covariance design, and
 Riemannian refinement of the sensing precoders on the transmit power sphere.
+
+The package exports the entry points of the command line and of each stage,
+with their result and error types; every other function stays importable
+from its submodule.
 """
 
-from .beamgrid import (
-    BeamGrid,
-    angle_grid,
-    build_grid,
-    carrier_frequencies,
-    desired_beampattern,
-    steering_vector,
-)
-from .channel import ChannelSet, generate_rayleigh, load_channels, save_channels
-from .config import SPEED_OF_LIGHT, SystemConfig, load_config, write_config
+from .beamgrid import BeamGrid, build_grid
+from .channel import ChannelSet, generate_rayleigh
+from .config import SystemConfig, load_config, write_config
 from .covariance import (
     CovarianceSolution,
-    beampattern_values,
-    diag_project,
-    psd_project,
     solve_pattern_covariance,
     solve_radar_covariance,
+    solve_radar_covariances,
 )
 from .errors import ConfigError, DegenerateChannelError, SolverError
-from .evaluation import (
-    SweepPoint,
-    SweepResult,
-    average_jcas_pattern,
-    beampattern_gain,
-    beampattern_mse,
-    median_member_pattern,
-    precoder_pattern,
-    sweep,
-)
-from .manifold import (
-    RcgResult,
-    armijo_step,
-    polak_ribiere_mu,
-    project_to_tangent,
-    retract,
-    solve_rcg,
-    tradeoff_gradient,
-    tradeoff_objective,
-    transport,
-)
-from .pipeline import (
-    DesignResult,
-    assemble_final_precoders,
-    build_run_manifest,
-    eigen_stage,
-    run_design,
-    select_jcas_subcarriers,
-)
-from .precoding import (
-    WaterfillAllocation,
-    achievable_rate,
-    eigenmode_precoder,
-    optimal_combiner,
-    waterfill,
-)
+from .evaluation import SweepPoint, SweepResult, average_jcas_pattern, beampattern_mse, sweep
+from .manifold import RcgResult, solve_rcg_batch
+from .pipeline import DesignResult, build_run_manifest, run_design
 from .selfcheck import run_selfcheck
-from .tables import emit_table, parse_table, write_table
+from .tables import write_table
 
 __version__ = "0.1.0"
 
@@ -73,52 +35,23 @@ __all__ = [
     "DegenerateChannelError",
     "DesignResult",
     "RcgResult",
-    "SPEED_OF_LIGHT",
     "SolverError",
     "SweepPoint",
     "SweepResult",
     "SystemConfig",
-    "WaterfillAllocation",
-    "achievable_rate",
-    "angle_grid",
-    "armijo_step",
-    "assemble_final_precoders",
     "average_jcas_pattern",
-    "beampattern_gain",
     "beampattern_mse",
-    "beampattern_values",
     "build_grid",
     "build_run_manifest",
-    "carrier_frequencies",
-    "desired_beampattern",
-    "diag_project",
-    "eigen_stage",
-    "eigenmode_precoder",
-    "emit_table",
     "generate_rayleigh",
-    "load_channels",
     "load_config",
-    "median_member_pattern",
-    "optimal_combiner",
-    "parse_table",
-    "polak_ribiere_mu",
-    "precoder_pattern",
-    "project_to_tangent",
-    "psd_project",
-    "retract",
     "run_design",
     "run_selfcheck",
-    "save_channels",
-    "select_jcas_subcarriers",
     "solve_pattern_covariance",
     "solve_radar_covariance",
-    "solve_rcg",
-    "steering_vector",
+    "solve_radar_covariances",
+    "solve_rcg_batch",
     "sweep",
-    "tradeoff_gradient",
-    "tradeoff_objective",
-    "transport",
-    "waterfill",
     "write_config",
     "write_table",
 ]

@@ -1,4 +1,4 @@
-"""Rayleigh channel generation and CSV persistence.
+"""Rayleigh channel generation.
 
 Channels are i.i.d. CN(0,1) per entry: real and imaginary parts drawn
 independently from N(0, 1/2). One (n_rx, n_tx) matrix per subcarrier.
@@ -6,7 +6,6 @@ independently from N(0, 1/2). One (n_rx, n_tx) matrix per subcarrier.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,37 +40,3 @@ def generate_rayleigh(n_subcarriers: int, n_rx: int, n_tx: int, seed: int) -> Ch
     h = (real + 1j * imag) / np.sqrt(2.0)
     return ChannelSet(matrices=h, seed=seed)
 
-
-def save_channels(channels: ChannelSet, path) -> None:
-    """Write channels as CSV rows k,row,col,re,im with full float precision."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "row", "col", "re", "im"])
-        mats = channels.matrices
-        for k in range(mats.shape[0]):
-            for r in range(mats.shape[1]):
-                for c in range(mats.shape[2]):
-                    v = mats[k, r, c]
-                    writer.writerow([k, r, c, "%.17g" % v.real, "%.17g" % v.imag])
-
-
-def load_channels(path) -> ChannelSet:
-    """Read channels written by :func:`save_channels`; exact bit-level replay."""
-    entries = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["k", "row", "col", "re", "im"]:
-            raise ValueError(f"unexpected channel CSV header: {header}")
-        for row in reader:
-            k, r, c = int(row[0]), int(row[1]), int(row[2])
-            entries.append((k, r, c, float(row[3]), float(row[4])))
-    if not entries:
-        raise ValueError("channel CSV contains no entries")
-    n_k = max(e[0] for e in entries) + 1
-    n_r = max(e[1] for e in entries) + 1
-    n_c = max(e[2] for e in entries) + 1
-    mats = np.zeros((n_k, n_r, n_c), dtype=complex)
-    for k, r, c, re, im in entries:
-        mats[k, r, c] = re + 1j * im
-    return ChannelSet(matrices=mats, seed=None)

@@ -15,7 +15,6 @@ import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
-from .channel import save_channels
 from .config import SystemConfig, load_config
 from .errors import ConfigError, DegenerateChannelError, SolverError
 from .evaluation import average_jcas_pattern, beampattern_mse, sweep
@@ -99,8 +98,6 @@ def cmd_design(args) -> int:
             for i, (p, d) in enumerate(zip(sol.primal_residuals, sol.dual_residuals)):
                 rows.append({"k": k, "iter": i, "primal": p, "dual": d})
         write_table(out_dir / "residuals.csv", rows, ["k", "iter", "primal", "dual"])
-    if args.save_channels:
-        save_channels(result.channels, out_dir / "channels.csv")
 
     print(f"jcas subcarriers: {[int(k) for k in result.jcas_subcarriers]}")
     print(
@@ -125,9 +122,6 @@ def cmd_sweep(args) -> int:
     else:
         n_realizations = 20 if args.fast else 100
 
-    out_dir = _resolve_out_dir(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     result = sweep(
         cfg,
         snrs,
@@ -137,6 +131,9 @@ def cmd_sweep(args) -> int:
         base_seed=cfg.seed,
         jobs=args.jobs,
     )
+    # made only now, so that a rejected or failed sweep leaves no directory behind
+    out_dir = _resolve_out_dir(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     write_table(
         out_dir / "rates.csv",
@@ -215,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--jcas", type=int, help="sensing subcarrier count override")
     d.add_argument("--snr", type=float, help="SNR in dB; sets the power budget over the configured noise")
     d.add_argument("--dump-residuals", action="store_true", help="write covariance solver residuals")
-    d.add_argument("--save-channels", action="store_true", help="write the channel realization")
     d.set_defaults(func=cmd_design)
 
     s = sub.add_parser("sweep", help="average metrics over many channel realizations")

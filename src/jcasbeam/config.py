@@ -42,7 +42,6 @@ class SystemConfig:
     grid_size: int = 181                # angular grid points over [-90, 90] degrees
     mainlobe_halfwidth: float = 8.0     # degrees
     target_angles: tuple[float, ...] = (-60.0, -30.0, 30.0, 60.0)
-    sensing_tolerance: float | None = None  # reporting only, never a solver input
     rate_formula: str = "consistent"    # "consistent" or "literal"
     seed: int = 0
 
@@ -83,14 +82,8 @@ class SystemConfig:
         for angle in self.target_angles:
             if not -90.0 <= angle <= 90.0:
                 raise ConfigError("target_angles entries must lie in [-90, 90] degrees")
-        if self.sensing_tolerance is not None and not self.sensing_tolerance >= 0:
-            raise ConfigError("sensing_tolerance must be nonnegative (or omitted)")
         if self.rate_formula not in RATE_FORMULAS:
             raise ConfigError("rate_formula must be one of %s" % (RATE_FORMULAS,))
-
-    @property
-    def rho_bar(self) -> float:
-        return 1.0 - self.rho
 
     @property
     def top_carrier(self) -> float:
@@ -156,7 +149,6 @@ _SCHEMA = {
         "target_angles": _parse_angle_list,
         "mainlobe_halfwidth": float,
         "grid_size": int,
-        "sensing_tolerance": float,
     },
     "link": {
         "power_budget": float,
@@ -168,7 +160,7 @@ _SCHEMA = {
     },
 }
 
-_OPTIONAL_KEYS = {"antenna_spacing", "sensing_tolerance"}
+_OPTIONAL_KEYS = {"antenna_spacing"}
 
 
 def load_config(path) -> SystemConfig:

@@ -60,12 +60,6 @@ def diag_project(mat: np.ndarray, diag_value: float) -> np.ndarray:
     return out
 
 
-def offdiag_params(mat: np.ndarray) -> np.ndarray:
-    """Pack strict-upper-triangle entries as interleaved (re, im) reals."""
-    iu = np.triu_indices(mat.shape[-1], 1)
-    return np.ascontiguousarray(mat[..., iu[0], iu[1]]).view(np.float64)
-
-
 def _ctranspose(mat: np.ndarray) -> np.ndarray:
     return mat.conj().swapaxes(-1, -2)
 
@@ -156,12 +150,12 @@ class _UnitSolve:
     dual_residuals: np.ndarray
 
 
-def _admm_unit(steering, q, x0, tol, max_iter) -> list[_UnitSolve]:
+def _admm_unit(steering, q, tol, max_iter) -> list[_UnitSolve]:
     """Run ADMM on the unit-budget problem for a stack of carriers.
 
-    ``steering`` is (K, T, n_tx), ``q`` the normalized targets (K, T) and
-    ``x0`` None or unit-scale start parameters (K, 2M). Carriers share only
-    the stacked calls: each has its own penalties and balancing, and leaves
+    ``steering`` is (K, T, n_tx) and ``q`` the normalized targets (K, T);
+    every carrier starts from the uniform budget. Carriers share only the
+    stacked calls: each has its own penalties and balancing, and leaves
     the active set at the iteration where its primal residual drops below
     ``tol``. Every stacked product makes the same BLAS call per carrier as
     the one-carrier formula it replaces, so a carrier's iterates are
@@ -187,7 +181,7 @@ def _admm_unit(steering, q, x0, tol, max_iter) -> list[_UnitSolve]:
     beta2 = np.ones(n_car)  # psd-consensus block penalty
     solve_mat = np.linalg.inv(gtg + eye2)
 
-    x = np.zeros((n_car, g.shape[2])) if x0 is None else np.array(x0, dtype=float)
+    x = np.zeros((n_car, g.shape[2]))
     z = q - _matvec(g, x)
     s = psd_project(_unpack(x, n, iu, diag_value))
     u = np.zeros((n_car, n_grid))
@@ -316,7 +310,6 @@ def solve_pattern_covariance(
     tol: float = 1e-6,
     fallback_tol: float = 1e-2,
     max_iter: int = 5000,
-    x0: np.ndarray | None = None,
 ) -> CovarianceSolution:
     """Solve the beampattern-matching covariance problem on one subcarrier.
 
@@ -328,14 +321,12 @@ def solve_pattern_covariance(
     below ``fallback_tol`` (its objective error is orders of magnitude inside
     the 1e-2*P accuracy the rest of the pipeline relies on), else
     :class:`SolverError` carries the last iterate and residual history.
-    ``x0`` optionally warm-starts the off-diagonal parameters (raw scale).
     This is the batched core run on a batch of one.
     """
     steering = np.asarray(steering)
     desired = np.asarray(desired, dtype=float)
     q = desired / power_budget - 1.0
-    start = None if x0 is None else np.asarray(x0, dtype=float)[None] / power_budget
-    units = _admm_unit(steering[None], q[None], start, tol, max_iter)
+    units = _admm_unit(steering[None], q[None], tol, max_iter)
     _raise_on_fallback(units, [("", power_budget)], tol, fallback_tol)
     return _finish(units[0], steering, desired, power_budget)
 
@@ -363,7 +354,7 @@ def solve_radar_covariances(
             first_power.setdefault(int(k), power)
     ks = list(first_power)
     q = np.broadcast_to(grid.desired_gain - 1.0, (len(ks), grid.n_angles))
-    units = dict(zip(ks, _admm_unit(grid.steering[ks], q, None, tol, max_iter)))
+    units = dict(zip(ks, _admm_unit(grid.steering[ks], q, tol, max_iter)))
     _raise_on_fallback(
         units.values(), [(f"subcarrier {k}: ", first_power[k]) for k in ks], tol, fallback_tol
     )

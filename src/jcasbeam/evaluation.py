@@ -22,6 +22,7 @@ from .channel import generate_rayleigh
 from .config import SystemConfig
 from .covariance import beampattern_values as beampattern_gain
 from .covariance import solve_radar_covariances
+from .errors import ConfigError
 from .pipeline import DesignResult, eigen_stage, run_design, select_jcas_subcarriers
 
 
@@ -146,7 +147,9 @@ def sweep(
     rhos = [float(r) for r in rhos]
     jcas_counts = [int(j) for j in jcas_counts]
     if n_realizations < 1:
-        raise ValueError("n_realizations must be at least 1")
+        raise ConfigError("n_realizations must be at least 1")
+    if jobs < 1:
+        raise ConfigError("jobs must be at least 1")
     if base_seed is None:
         base_seed = base_cfg.seed
     grid = build_grid(base_cfg)

@@ -10,28 +10,28 @@ using projected gradients, Polak-Ribiere (nonnegative) conjugate directions
 with projection-based transport, an Armijo backtracking line search along the
 normalization retraction, and monotone descent by construction.
 
-One RCG core, :func:`solve_rcg_batch`, serves every caller. It runs a stack
-of carriers ``(B, n_tx, n_streams)`` through stacked numpy calls: the geometry
-primitives below accept a leading carrier axis, and every carrier keeps its
-own Armijo step, accepted flag, Polak-Ribiere coefficient, plateau counter
-and stop reason. The running operands are gathered again only when a carrier
-stops, and the core steps until every carrier is done. :func:`solve_rcg` is
-a batch of one.
+One RCG core, :func:`solve_rcg_batch`, serves every caller; one carrier is a
+stack of one. It runs a stack of carriers ``(B, n_tx, n_streams)`` through
+stacked numpy calls: the geometry primitives below accept a leading carrier
+axis, and every carrier keeps its own Armijo step, accepted flag,
+Polak-Ribiere coefficient, plateau counter and stop reason. The running
+operands are gathered again only when a carrier stops, and the core steps
+until every carrier is done.
 
 The Armijo line search runs on a ladder. Its trial steps are fixed rungs,
-rung r being delta0 * contraction**r, so the values of a whole chunk of rungs
+rung r being CONTRACTION**r, so the values of a whole chunk of rungs
 (``LADDER_CHUNK``) are known before any is judged: one stacked retraction and
 one stacked objective call evaluate every running carrier at every rung of
 the chunk, and carriers still undecided at its end get the next chunk. One
 routine, ``_armijo_decide``, reads each carrier's row of values and finds
 where a sequential backtracking search (with its polishing probes) would
-end; :func:`armijo_step` feeds it one rung per ``phi`` call. The rungs are
-formed by the same repeated multiplication by ``contraction`` as a shrinking
-step (exact powers for the contraction 0.5 used here), so each rung is
-bit for bit the step the sequential search tries at that round, and the
-ladder ends every search on the same step with the same value. The accepted
-rung's retracted point and its residual F F^H - R, already computed on the
-ladder, become the new iterate and the gradient's residual.
+end. The rungs are formed by the same repeated multiplication by
+``CONTRACTION`` as a shrinking step (exact powers for the contraction 0.5
+used here), so each rung is bit for bit the step the sequential search tries
+at that round, and the ladder ends every search on the same step with the
+same value. The accepted rung's retracted point and its residual F F^H - R,
+already computed on the ladder, become the new iterate and the gradient's
+residual.
 
 Exactness: the plateau stop is absolute (``plateau_tol`` = 1e-10 against an
 objective of order P^2), so it is sensitive to roundoff: a 1-ulp change in one
@@ -54,12 +54,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# the line search of the RCG solver (the defaults of armijo_step)
+# the line search of the RCG solver
 CONTRACTION = 0.5
 ARMIJO_C = 1e-4
 MAX_BACKTRACKS = 50
 # rungs evaluated per stacked round: 99.9% of searches are decided within the first 7
 LADDER_CHUNK = 7
+# Every step a search can try, up to the last polishing probe: rung r is
+# CONTRACTION**r, formed by repeated multiplication as a search shrinks its step.
+_RCG_RUNGS = np.cumprod(np.r_[1.0, np.full(2 * MAX_BACKTRACKS, CONTRACTION)])
 
 
 def _ctranspose(mat: np.ndarray) -> np.ndarray:
@@ -162,19 +165,6 @@ def polak_ribiere_mu(g_new: np.ndarray, g_prev: np.ndarray, g_prev_transported: 
     return float(mu[0]) if g_new.ndim == 2 else mu
 
 
-def _ladder(delta0: float, contraction: float, max_backtracks: int) -> np.ndarray:
-    """Every step a search can try: rung r is delta0 * contraction**r.
-
-    The rungs are formed by repeated multiplication, as a sequential search
-    shrinks its step, up to the last polishing probe (2 * max_backtracks).
-    """
-    rungs = np.empty(2 * max_backtracks + 1)
-    rungs[0] = delta0
-    for r in range(1, rungs.size):
-        rungs[r] = rungs[r - 1] * contraction
-    return rungs
-
-
 def _armijo_decide(values, rungs, phi0, slope, c, max_backtracks):
     """Armijo decision of each search from its values at the first rungs.
 
@@ -188,7 +178,9 @@ def _armijo_decide(values, rungs, phi0, slope, c, max_backtracks):
     ``max_backtracks`` any value not above the bound is accepted, nan
     included; a value above it fails the search, which ends there with ok
     False. An accepted search then steps on to the next rung while its value
-    does not rise, for at most ``max_backtracks`` steps.
+    does not rise, for at most ``max_backtracks`` steps: the first acceptable
+    step often straddles the 1-d minimizer, and stopping there makes descent
+    stagnate, while a shorter step only weakens the required decrease.
     """
     m, n = values.shape
     r = np.arange(n)
@@ -212,58 +204,6 @@ def _armijo_decide(values, rungs, phi0, slope, c, max_backtracks):
     return final, decided, ~failed
 
 
-_RCG_RUNGS = _ladder(1.0, CONTRACTION, MAX_BACKTRACKS)
-
-
-def armijo_step(
-    phi,
-    phi0,
-    slope,
-    delta0: float = 1.0,
-    contraction: float = CONTRACTION,
-    c: float = ARMIJO_C,
-    max_backtracks: int = MAX_BACKTRACKS,
-):
-    """Backtracking line search on ``phi``, for one or many independent searches.
-
-    ``phi0`` and ``slope`` are floats, or arrays with one search per item; then
-    ``phi`` maps an array of steps to the array of values. Returns
-    (delta, value, ok): ok is True when the sufficient-decrease condition
-    phi(delta) <= phi0 + c * delta * slope held; otherwise the last trial point
-    is returned so the caller can decide whether it still helps.
-
-    An accepted step is polished by probing further contractions while they
-    strictly improve. The first acceptable step often straddles the 1-d
-    minimizer (phi(delta) can sit barely below phi0 on the far side of the
-    valley), and stopping there makes descent stagnate; the probe costs one
-    evaluation and keeps the sufficient-decrease condition intact, since
-    shrinking delta only weakens the required decrease.
-
-    Each round evaluates ``phi`` at the next rung of the step ladder for all
-    items and feeds the values to the shared Armijo decision, until every
-    search is decided; each search ends where it would alone.
-    """
-    phi0 = np.asarray(phi0, dtype=float)
-    slope = np.asarray(slope, dtype=float)
-    rungs = _ladder(float(delta0), contraction, max_backtracks)
-    columns = []
-    while True:
-        step = np.full(phi0.shape, rungs[len(columns)])
-        columns.append(np.asarray(phi(step), dtype=float).reshape(-1))
-        values = np.stack(columns, axis=1)
-        final, decided, ok = _armijo_decide(
-            values, rungs, phi0.reshape(-1), slope.reshape(-1), c, max_backtracks
-        )
-        if decided.all():
-            break
-    delta = rungs[final].reshape(phi0.shape)
-    value = values[np.arange(len(final)), final].reshape(phi0.shape)
-    ok = ok.reshape(phi0.shape)
-    if phi0.ndim == 0:
-        return float(delta), float(value), bool(ok)
-    return delta, value, ok
-
-
 def _line_search(f, direction, cov, f_comm, rho, power, gamma, slope):
     """Armijo searches of a stack of carriers along the retraction, on the ladder.
 
@@ -271,7 +211,7 @@ def _line_search(f, direction, cov, f_comm, rho, power, gamma, slope):
     rungs and evaluates them in one stacked call; the first round takes
     every carrier. Returns (value, ok, f_new, resid_new): each carrier's
     objective, success flag, retracted point and residual F F^H - R at its
-    final rung, where :func:`armijo_step` would end.
+    final rung, where a sequential backtracking search would end.
     """
     todo = slice(None)
     tables = None  # points, residuals and values of every carrier at the rungs so far
@@ -332,10 +272,15 @@ def solve_rcg_batch(
     """Minimize the tradeoff objective on each carrier of a stack, from ``f0``.
 
     ``f0`` and ``f_comm`` are (B, n_tx, n_streams), ``cov`` is (B, n_tx, n_tx);
-    ``rho`` and ``power`` are shared. Each carrier stops on its own, with the
-    rules of :func:`solve_rcg`, and its result is bit-identical to solving it
-    alone. ``callback(it, carriers, f, grad)`` runs after every iteration with
-    the indices of the carriers that took it and their stacked iterates.
+    ``rho`` and ``power`` are shared. Each carrier stops on its own: when its
+    Riemannian gradient norm falls below ``grad_tol`` (default
+    1e-6 * sqrt(power)), when its objective decrease stays below
+    ``plateau_tol`` for ``plateau_runs`` consecutive iterations, when its line
+    search cannot make progress, or after ``max_iter`` iterations.
+    ``callback(it, carriers, f, grad)`` runs after every iteration with the
+    indices of the carriers that took it and their stacked iterates. A
+    carrier's result is the same bit for bit whatever batch it runs in, a
+    batch of one included (see the module docstring).
     """
     if grad_tol is None:
         grad_tol = 1e-6 * np.sqrt(power)
@@ -431,44 +376,3 @@ def solve_rcg_batch(
         for c in range(n_car)
     ]
 
-
-def solve_rcg(
-    f0: np.ndarray,
-    cov: np.ndarray,
-    f_comm: np.ndarray,
-    rho: float,
-    power: float,
-    grad_tol: float | None = None,
-    max_iter: int = 500,
-    plateau_tol: float = 1e-10,
-    plateau_runs: int = 3,
-    callback=None,
-) -> RcgResult:
-    """Minimize the tradeoff objective over the fixed-power sphere from ``f0``.
-
-    Stops when the Riemannian gradient norm falls below ``grad_tol``
-    (default 1e-6 * sqrt(power)), when the objective decrease stays below
-    ``plateau_tol`` for ``plateau_runs`` consecutive iterations, when the line
-    search cannot make progress, or after ``max_iter`` iterations.
-    ``callback(it, f, grad)`` runs after every iteration.
-
-    This is the batched core, :func:`solve_rcg_batch`, run on a batch of
-    one. The plateau test is absolute (1e-10 against an objective of order
-    P^2), so it is sensitive to roundoff: one ulp can move the stop
-    iteration. The core therefore repeats this one-carrier arithmetic
-    exactly (see the module docstring), and a carrier solved in any batch
-    returns this result bit for bit.
-    """
-    step_hook = None if callback is None else (lambda it, _, f, grad: callback(it, f[0], grad[0]))
-    return solve_rcg_batch(
-        np.asarray(f0)[None],
-        np.asarray(cov)[None],
-        np.asarray(f_comm)[None],
-        rho,
-        power,
-        grad_tol=grad_tol,
-        max_iter=max_iter,
-        plateau_tol=plateau_tol,
-        plateau_runs=plateau_runs,
-        callback=step_hook,
-    )[0]

@@ -39,14 +39,6 @@ def select_jcas_subcarriers(rates, n_jcas: int) -> np.ndarray:
     return np.sort(picked)
 
 
-def assemble_final_precoders(eigen_precoders: np.ndarray, refined: dict) -> np.ndarray:
-    """Eigenmode precoders with refined ones substituted on sensing subcarriers."""
-    out = eigen_precoders.copy()
-    for k, result in refined.items():
-        out[k] = result.precoder
-    return out
-
-
 def _eigen_links(cfg: SystemConfig, channels: ChannelSet):
     """Eigenmode precoders with their combiners and rates on every subcarrier.
 
@@ -130,6 +122,7 @@ def run_design(
         covariances = dict(covariances)
         covariances.update(solve_radar_covariance(grid, power, missing))
 
+    precoders = eigen_precoders.copy()
     refinements = {}
     if jcas.size:
         results = solve_rcg_batch(
@@ -140,8 +133,8 @@ def run_design(
             power=power,
         )
         refinements = dict(zip(jcas.tolist(), results))
+        precoders[jcas] = [res.precoder for res in results]
 
-    precoders = assemble_final_precoders(eigen_precoders, refinements)
     # off the sensing set the precoder is the eigenmode one: its combiner and rate stand
     combiners, rates = eigen_combiners, eigen_rates.copy()
     combiners[jcas], rates[jcas] = link_rates(

@@ -17,7 +17,7 @@ from .errors import SolverError
 from .manifold import (
     project_to_tangent,
     retract,
-    solve_rcg,
+    solve_rcg_batch,
     tradeoff_gradient,
     tradeoff_objective,
 )
@@ -75,7 +75,7 @@ def run_selfcheck(seed: int = 0, gradient_fn=None):
     checks.append(("gradient-derivative", rel <= 1e-5, f"relative error {rel:.2e}"))
 
     # descent trace never increases
-    result = solve_rcg(f_comm, cov, f_comm, rho, power)
+    result = solve_rcg_batch(f_comm[None], cov[None], f_comm[None], rho, power)[0]
     increases = float(np.max(np.diff(result.objective_trace), initial=0.0))
     checks.append(("descent-monotone", increases <= 1e-10, f"max increase {increases:.2e}"))
 

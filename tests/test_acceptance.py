@@ -23,7 +23,7 @@ from jcasbeam.evaluation import sweep
 from jcasbeam.manifold import (
     project_to_tangent,
     retract,
-    solve_rcg,
+    solve_rcg_batch,
     tradeoff_gradient,
     tradeoff_objective,
 )
@@ -82,7 +82,7 @@ def test_property_suite():
         f0 = random_sphere_point(rng, (4, 2), power)
         cov = random_psd(rng, 4, power)
         f_comm = random_sphere_point(rng, (4, 2), power)
-        res = solve_rcg(f0, cov, f_comm, float(rng.uniform(0.1, 0.9)), power)
+        res = solve_rcg_batch(f0[None], cov[None], f_comm[None], float(rng.uniform(0.1, 0.9)), power)[0]
         worst_ascent = max(worst_ascent, float(np.max(np.diff(res.objective_trace))))
     if worst_ascent > 1e-12:
         failures.append(f"objective ascent {worst_ascent:.2e} in a descent trace")
@@ -185,11 +185,10 @@ def test_oracle_equivalence():
         cov = random_psd(rng, 4, p)
         f_comm = random_sphere_point(rng, (4, 2), p)
         rho = float(rng.uniform(0.2, 0.8))
-        single = solve_rcg(f_comm, cov, f_comm, rho, p).objective
-        oracle = min(
-            solve_rcg(random_sphere_point(rng, (4, 2), p), cov, f_comm, rho, p).objective
-            for _ in range(50)
-        )
+        single = solve_rcg_batch(f_comm[None], cov[None], f_comm[None], rho, p)[0].objective
+        starts = np.array([random_sphere_point(rng, (4, 2), p) for _ in range(50)])
+        stack = np.repeat(cov[None], 50, axis=0), np.repeat(f_comm[None], 50, axis=0)
+        oracle = min(r.objective for r in solve_rcg_batch(starts, *stack, rho, p))
         worst_gap = max(worst_gap, single - oracle)
     if worst_gap > 1e-3:
         failures.append(f"refinement misses the multistart optimum by {worst_gap:.2e}")

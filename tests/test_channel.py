@@ -1,9 +1,9 @@
-"""Rayleigh channel draws and CSV persistence."""
+"""Rayleigh channel draws."""
 
 import numpy as np
 import pytest
 
-from jcasbeam.channel import generate_rayleigh, load_channels, save_channels
+from jcasbeam.channel import generate_rayleigh
 
 
 def test_shapes_and_dtype():
@@ -31,24 +31,3 @@ def test_unit_entry_variance():
     assert np.var(h.imag) == pytest.approx(0.5, abs=0.05)
     assert abs(np.mean(h)) < 0.05
 
-
-def test_csv_round_trip_is_exact(tmp_path):
-    ch = generate_rayleigh(5, 3, 4, seed=42)
-    path = tmp_path / "channels.csv"
-    save_channels(ch, path)
-    loaded = load_channels(path)
-    np.testing.assert_array_equal(loaded.matrices, ch.matrices)
-
-
-def test_csv_rejects_foreign_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(ValueError, match="header"):
-        load_channels(path)
-
-
-def test_csv_rejects_empty_body(tmp_path):
-    path = tmp_path / "empty.csv"
-    path.write_text("k,row,col,re,im\n")
-    with pytest.raises(ValueError, match="no entries"):
-        load_channels(path)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from jcasbeam.channel import ChannelSet, generate_rayleigh, load_channels
+from jcasbeam.channel import ChannelSet
 from jcasbeam.cli import main
 from jcasbeam.config import SystemConfig, write_config
 from jcasbeam.errors import SolverError
@@ -77,16 +77,12 @@ def test_design_optional_dumps(small_config_file, tmp_path):
             "--out-dir",
             str(out),
             "--dump-residuals",
-            "--save-channels",
         ]
     )
     assert code == 0
     header, rows = parse_table((out / "residuals.csv").read_text())
     assert header == ["k", "iter", "primal", "dual"]
     assert rows
-    loaded = load_channels(out / "channels.csv")
-    expected = generate_rayleigh(SMALL["n_subcarriers"], SMALL["n_rx"], SMALL["n_tx"], SMALL["seed"])
-    np.testing.assert_array_equal(loaded.matrices, expected.matrices)
 
 
 def test_design_without_sensing_skips_pattern(small_config_file, tmp_path):
@@ -98,6 +94,22 @@ def test_design_without_sensing_skips_pattern(small_config_file, tmp_path):
     assert not (out / "beampattern.csv").exists()
     manifest = json.loads((out / "design_manifest.json").read_text())
     assert manifest["beampattern_mse"] is None  # undefined without sensing carriers
+
+
+@pytest.mark.parametrize(
+    "flags, n_refined",
+    [(["--rho", "1"], SMALL["n_jcas"]), (["--jcas", str(SMALL["n_subcarriers"])], SMALL["n_subcarriers"])],
+    ids=["rho=1", "n_jcas=K"],
+)
+def test_design_edge_configurations(small_config_file, tmp_path, flags, n_refined):
+    out = tmp_path / "edge"
+    assert main(["design", "--config", str(small_config_file), "--out-dir", str(out), *flags]) == 0
+    manifest = json.loads((out / "design_manifest.json").read_text())
+    assert len(manifest["refinement"]) == n_refined
+    _, rows = parse_table((out / "rates.csv").read_text())
+    rates = np.array([r["rate"] for r in rows])
+    assert len(rates) == SMALL["n_subcarriers"]
+    assert np.all(np.isfinite(rates)) and np.all(rates >= 0)
 
 
 def test_missing_key_exits_2(tmp_path, capsys):
@@ -219,6 +231,15 @@ def test_sweep_outputs_and_labels(small_config_file, tmp_path, capsys):
         assert header == ["theta", "gain", "rho", "J"]
         assert len(rows) == 2 * SMALL["grid_size"]
     assert "wrote results" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag, name", [("--realizations", "n_realizations"), ("--jobs", "jobs")])
+def test_sweep_rejects_counts_below_one_before_writing(small_config_file, tmp_path, capsys, flag, name):
+    out = tmp_path / "never"
+    code = main(["sweep", "--config", str(small_config_file), "--out-dir", str(out), flag, "0"])
+    assert code == 2
+    assert name in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_repeat_is_byte_identical(small_config_file, tmp_path):

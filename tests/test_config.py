@@ -55,7 +55,7 @@ def test_effective_units_literal_mode():
         (dict(mainlobe_halfwidth=-1.0), "mainlobe_halfwidth"),
         (dict(target_angles=()), "target_angles"),
         (dict(target_angles=(120.0,)), "target_angles"),
-        (dict(sensing_tolerance=-0.5), "sensing_tolerance"),
+        (dict(base_freq=0.0), "base_freq"),
         (dict(rate_formula="bogus"), "rate_formula"),
     ],
 )
@@ -65,8 +65,8 @@ def test_validation_names_offending_key(overrides, key):
 
 
 def test_rho_endpoints_allowed():
-    assert SystemConfig(rho=0.0).rho_bar == 1.0
-    assert SystemConfig(rho=1.0).rho_bar == 0.0
+    assert SystemConfig(rho=0.0).rho == 0.0
+    assert SystemConfig(rho=1.0).rho == 1.0
 
 
 def test_config_file_round_trip(tmp_path):
@@ -79,7 +79,7 @@ def test_config_file_round_trip(tmp_path):
         power_budget=2.5,
         rho=0.25,
         target_angles=(-45.0, 10.0),
-        sensing_tolerance=0.7,
+        antenna_spacing=0.07,
         rate_formula="literal",
         seed=11,
     )
@@ -94,7 +94,7 @@ def test_config_file_round_trip_with_auto_spacing(tmp_path):
     write_config(cfg, path)
     loaded = load_config(path)
     assert loaded == cfg
-    assert loaded.antenna_spacing is None and loaded.sensing_tolerance is None
+    assert loaded.antenna_spacing is None
 
 
 def test_load_config_missing_file(tmp_path):
@@ -115,6 +115,15 @@ def test_load_config_unknown_key(tmp_path):
     write_config(SystemConfig(), cfg_path)
     cfg_path.write_text(cfg_path.read_text().replace("[run]", "[run]\nbogus_key = 3"))
     with pytest.raises(ConfigError, match="bogus_key"):
+        load_config(cfg_path)
+
+
+def test_load_config_rejects_removed_sensing_tolerance_key(tmp_path):
+    # a key that older config files carried is now unknown, like any typo
+    cfg_path = tmp_path / "run.ini"
+    write_config(SystemConfig(), cfg_path)
+    cfg_path.write_text(cfg_path.read_text().replace("[link]", "sensing_tolerance = auto\n\n[link]"))
+    with pytest.raises(ConfigError, match="unknown config key 'sensing_tolerance' in section \\[sensing\\]"):
         load_config(cfg_path)
 
 

@@ -8,10 +8,8 @@ import pytest
 from jcasbeam.beamgrid import build_grid, steering_vector
 from jcasbeam.config import SystemConfig
 from jcasbeam.covariance import (
-    _admm_unit,
     beampattern_values,
     diag_project,
-    offdiag_params,
     psd_project,
     solve_pattern_covariance,
     solve_radar_covariance,
@@ -134,19 +132,6 @@ def test_objective_reported_at_returned_matrix():
     assert sol.objective == pytest.approx(direct, rel=1e-12)
 
 
-def test_warm_start_agrees_with_cold_start():
-    cfg = SystemConfig(n_tx=4, grid_size=41)
-    grid = build_grid(cfg)
-    desired = grid.desired_gain
-    cold = solve_pattern_covariance(grid.steering[1], desired, 1.0)
-    warm = solve_pattern_covariance(
-        grid.steering[1], desired, 1.0, x0=offdiag_params(cold.matrix)
-    )
-    # Same optimum from either start; iteration counts may differ.
-    assert warm.objective == pytest.approx(cold.objective, abs=1e-3)
-    np.testing.assert_allclose(np.diag(warm.matrix).real, 0.25, atol=1e-8)
-
-
 def test_solver_error_carries_iterate_and_residuals():
     grid = build_grid(SystemConfig())
     with pytest.raises(SolverError) as err:
@@ -201,28 +186,6 @@ def test_batched_radar_covariance_matches_solo_solves():
         assert got.objective == pytest.approx(solo.objective, rel=1e-12)
         np.testing.assert_array_equal(got.primal_residuals, solo.primal_residuals)
         np.testing.assert_array_equal(got.dual_residuals, solo.dual_residuals)
-
-
-def test_warm_started_carrier_leaves_batch_early_and_alone():
-    grid = _small_grid()
-    steering = grid.steering[:3]
-    q = np.broadcast_to(grid.desired_gain - 1.0, (3, grid.n_angles))
-    cold = _admm_unit(steering, q, None, 1e-6, 5000)
-    x0 = np.zeros((3, 12))
-    x0[1] = offdiag_params(cold[1].matrix)
-    warm = _admm_unit(steering, q, x0, 1e-6, 5000)
-    alone = _admm_unit(steering[1:2], q[1:2], x0[1:2], 1e-6, 5000)[0]
-
-    assert warm[1].converged
-    assert warm[1].iterations < cold[1].iterations
-    assert warm[1].iterations < warm[0].iterations  # it stops while a batch-mate runs on
-    np.testing.assert_array_equal(warm[1].primal_residuals, alone.primal_residuals)
-    np.testing.assert_array_equal(warm[1].dual_residuals, alone.dual_residuals)
-    np.testing.assert_array_equal(warm[1].matrix, alone.matrix)
-    for c in (0, 2):
-        assert warm[c].iterations == cold[c].iterations
-        np.testing.assert_array_equal(warm[c].primal_residuals, cold[c].primal_residuals)
-        np.testing.assert_array_equal(warm[c].matrix, cold[c].matrix)
 
 
 def test_one_solve_finished_at_two_powers_equals_fresh_solves():

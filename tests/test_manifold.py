@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 
 from jcasbeam import manifold
 from jcasbeam.manifold import (
+    _RCG_RUNGS,
+    ARMIJO_C,
+    MAX_BACKTRACKS,
     _armijo_decide,
-    armijo_step,
     polak_ribiere_mu,
     project_to_tangent,
     retract,
-    solve_rcg,
     solve_rcg_batch,
     tradeoff_gradient,
     tradeoff_objective,
@@ -23,6 +24,11 @@ from jcasbeam.manifold import (
 )
 
 from conftest import random_complex, random_psd, random_sphere_point
+
+
+def solve_one(f0, cov, f_comm, rho, power, **kwargs):
+    """One carrier's refinement: the batched solver on a stack of one."""
+    return solve_rcg_batch(f0[None], cov[None], f_comm[None], rho, power, **kwargs)[0]
 
 
 def real_inner(a, b):
@@ -120,23 +126,33 @@ def test_polak_ribiere_nonnegative(rng):
         assert polak_ribiere_mu(a, b, c) >= 0.0
 
 
+def armijo_on_ladder(phi, phi0, slope):
+    """(step, value, ok) of each search, decided on the solver's full ladder of rungs.
+
+    ``phi`` maps a step to the value of every search, as an array.
+    """
+    phi0 = np.atleast_1d(np.asarray(phi0, dtype=float))
+    slope = np.atleast_1d(np.asarray(slope, dtype=float))
+    values = np.stack([np.broadcast_to(phi(step), phi0.shape) for step in _RCG_RUNGS], axis=1)
+    final, decided, ok = _armijo_decide(values, _RCG_RUNGS, phi0, slope, ARMIJO_C, MAX_BACKTRACKS)
+    assert decided.all()
+    return _RCG_RUNGS[final], values[np.arange(len(final)), final], ok
+
+
 def test_armijo_quadratic():
-    phi = lambda d: (2.0 * d - 1.0) ** 2
-    delta, value, ok = armijo_step(phi, phi0=1.0, slope=-4.0)
-    assert (delta, value, ok) == (0.5, 0.0, True)
+    delta, value, ok = armijo_on_ladder(lambda d: (2.0 * d - 1.0) ** 2, phi0=1.0, slope=-4.0)
+    assert (delta[0], value[0], ok[0]) == (0.5, 0.0, True)
 
 
 def test_armijo_accepts_first_trial():
-    phi = lambda d: (1.0 - d) ** 2
-    delta, value, ok = armijo_step(phi, phi0=1.0, slope=-2.0)
-    assert (delta, value, ok) == (1.0, 0.0, True)
+    delta, value, ok = armijo_on_ladder(lambda d: (1.0 - d) ** 2, phi0=1.0, slope=-2.0)
+    assert (delta[0], value[0], ok[0]) == (1.0, 0.0, True)
 
 
 def test_armijo_reports_failure_on_ascent():
-    phi = lambda d: 1.0 + d
-    delta, value, ok = armijo_step(phi, phi0=1.0, slope=-1.0)
-    assert not ok
-    assert value >= 1.0
+    delta, value, ok = armijo_on_ladder(lambda d: 1.0 + d, phi0=1.0, slope=-1.0)
+    assert not ok[0]
+    assert value[0] >= 1.0
 
 
 def _small_instance(rng, power=2.0):
@@ -150,7 +166,7 @@ def test_rcg_monotone_descent(rng):
     power = 2.0
     for _ in range(20):
         f0, cov, f_comm = _small_instance(rng, power)
-        res = solve_rcg(f0, cov, f_comm, 0.5, power)
+        res = solve_one(f0, cov, f_comm, 0.5, power)
         assert np.all(np.diff(res.objective_trace) <= 1e-12)
         assert abs(np.linalg.norm(res.precoder) - np.sqrt(power)) <= 1e-9
         assert res.objective == pytest.approx(
@@ -163,7 +179,7 @@ def test_rcg_pure_communications_recovers_target(rng):
     power = 2.0
     f_comm = random_sphere_point(rng, (4, 2), power)
     f0 = random_sphere_point(rng, (4, 2), power)
-    res = solve_rcg(f0, np.zeros((4, 4), dtype=complex), f_comm, 0.0, power)
+    res = solve_one(f0, np.zeros((4, 4), dtype=complex), f_comm, 0.0, power)
     assert res.objective <= 1e-8
     np.testing.assert_allclose(res.precoder, f_comm, atol=1e-4)
 
@@ -171,7 +187,7 @@ def test_rcg_pure_communications_recovers_target(rng):
 def test_rcg_starts_at_optimum(rng):
     power = 1.5
     f_comm = random_sphere_point(rng, (3, 2), power)
-    res = solve_rcg(f_comm, np.zeros((3, 3), dtype=complex), f_comm, 0.0, power)
+    res = solve_one(f_comm, np.zeros((3, 3), dtype=complex), f_comm, 0.0, power)
     assert res.converged
     assert res.stop_reason == "gradient_norm"
     assert res.iterations == 0
@@ -184,13 +200,13 @@ def test_rcg_pure_sensing_rank_one(rng):
     v = random_sphere_point(rng, (2, 1), power)
     cov = v @ v.conj().T
     f0 = random_sphere_point(rng, (2, 1), power)
-    res = solve_rcg(f0, cov, np.zeros((2, 1), dtype=complex), 1.0, power)
+    res = solve_one(f0, cov, np.zeros((2, 1), dtype=complex), 1.0, power)
     assert res.objective <= 1e-10
 
 
 def test_rcg_max_iteration_stop(rng):
     f0, cov, f_comm = _small_instance(rng)
-    res = solve_rcg(f0, cov, f_comm, 0.5, 2.0, max_iter=1, grad_tol=1e-300)
+    res = solve_one(f0, cov, f_comm, 0.5, 2.0, max_iter=1, grad_tol=1e-300)
     assert res.iterations == 1
     assert res.stop_reason in ("max_iterations", "objective_plateau", "line_search_stall")
     if res.stop_reason == "max_iterations":
@@ -200,8 +216,10 @@ def test_rcg_max_iteration_stop(rng):
 def test_rcg_callback_sees_every_iterate(rng):
     f0, cov, f_comm = _small_instance(rng)
     seen = []
-    res = solve_rcg(f0, cov, f_comm, 0.5, 2.0, callback=lambda it, f, g: seen.append(it))
-    assert seen == list(range(1, res.iterations + 1))
+    res = solve_one(
+        f0, cov, f_comm, 0.5, 2.0, callback=lambda it, carriers, f, g: seen.append((it, list(carriers)))
+    )
+    assert seen == [(it, [0]) for it in range(1, res.iterations + 1)]
 
 
 def test_rcg_multistart_consistency(rng):
@@ -211,7 +229,7 @@ def test_rcg_multistart_consistency(rng):
     finals = []
     for _ in range(5):
         start = random_sphere_point(rng, (4, 2), power)
-        finals.append(solve_rcg(start, cov, f_comm, 0.5, power).objective)
+        finals.append(solve_one(start, cov, f_comm, 0.5, power).objective)
     assert max(finals) - min(finals) <= 1e-3
 
 
@@ -247,7 +265,7 @@ def test_rcg_batch_matches_solo_exactly_across_stop_reasons():
         "gradient_norm", "line_search_stall", "objective_plateau", "max_iterations"
     }
     for f0, cov, f_comm, got in zip(f0s, covs, f_comms, batch):
-        assert_same_result(got, solve_rcg(f0, cov, f_comm, **settings))
+        assert_same_result(got, solve_one(f0, cov, f_comm, **settings))
 
 
 def test_rcg_batch_callback_names_the_running_carriers(rng):
@@ -312,11 +330,11 @@ def test_armijo_searches_run_side_by_side_as_alone():
     phi = lambda d: (scales * d - 1.0) ** 2 + (scales < 0) * d
     phi0 = np.ones(4)
     slope = np.array([-4.0, -2.0, -0.6, -1.0])
-    delta, value, ok = armijo_step(phi, phi0, slope)
+    together = armijo_on_ladder(phi, phi0, slope)
     for b in range(4):
-        alone = armijo_step(lambda d: (scales[b] * d - 1.0) ** 2 + (scales[b] < 0) * d, 1.0, slope[b])
-        assert (delta[b], value[b], ok[b]) == alone
-    assert list(ok) == [True, True, True, False]
+        alone = armijo_on_ladder(lambda d: (scales[b] * d - 1.0) ** 2 + (scales[b] < 0) * d, 1.0, slope[b])
+        assert tuple(a[b] for a in together) == tuple(a[0] for a in alone)
+    assert list(together[2]) == [True, True, True, False]
 
 
 # (iterations, stop_reason, objective) of each carrier of the mixed-stop batch
@@ -440,10 +458,6 @@ def check_ladder_against_sequential(table, phi0, slope, c, max_backtracks, chunk
         )
         last.append(max(seen))
     assert max(last) < table.shape[1]
-
-    got = armijo_step(lambda steps: lookup(rows, steps), phi0, slope, **settings)
-    for a, b in zip(got, want):
-        np.testing.assert_array_equal(a, b)
 
     for n in range(chunk, table.shape[1] + chunk, chunk):
         n = min(n, table.shape[1])

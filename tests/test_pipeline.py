@@ -1,6 +1,7 @@
 """Subcarrier selection, refinement assembly, and full design runs."""
 
 import json
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -12,10 +13,9 @@ from jcasbeam.channel import ChannelSet, generate_rayleigh
 from jcasbeam.config import SystemConfig
 from jcasbeam.covariance import solve_radar_covariance
 from jcasbeam.errors import DegenerateChannelError
-from jcasbeam.manifold import solve_rcg, tradeoff_objective
+from jcasbeam.manifold import solve_rcg_batch, tradeoff_objective
 from jcasbeam.precoding import link_rates
 from jcasbeam.pipeline import (
-    assemble_final_precoders,
     build_run_manifest,
     eigen_stage,
     run_design,
@@ -53,13 +53,12 @@ def test_selection_edge_counts():
 
 def test_assembly_substitutes_only_selected(small_cfg):
     res = run_design(small_cfg)
-    out = assemble_final_precoders(res.eigen_precoders, res.refinements)
     jcas = set(int(k) for k in res.jcas_subcarriers)
     for k in range(small_cfg.n_subcarriers):
         if k in jcas:
-            np.testing.assert_array_equal(out[k], res.refinements[k].precoder)
+            np.testing.assert_array_equal(res.precoders[k], res.refinements[k].precoder)
         else:
-            np.testing.assert_array_equal(out[k], res.eigen_precoders[k])
+            np.testing.assert_array_equal(res.precoders[k], res.eigen_precoders[k])
 
 
 def test_eigen_stage_shapes_and_positive_rates(small_cfg):
@@ -235,7 +234,9 @@ def test_run_design_every_subcarrier_sensing_matches_solo_solves(small_cfg):
     assert sorted(res.refinements) == list(range(cfg.n_subcarriers))
     for k, got in res.refinements.items():
         f_hat = res.eigen_precoders[k]
-        solo = solve_rcg(f_hat, res.covariances[k].matrix, f_hat, cfg.rho, cfg.effective_power)
+        solo = solve_rcg_batch(
+            f_hat[None], res.covariances[k].matrix[None], f_hat[None], cfg.rho, cfg.effective_power
+        )[0]
         for field in fields(solo):
             a, b = getattr(got, field.name), getattr(solo, field.name)
             assert np.array_equal(a, b) if isinstance(b, np.ndarray) else a == b, (k, field.name)
@@ -276,3 +277,38 @@ def test_run_design_on_real_valued_channels_keeps_complex_beams(small_cfg):
     assert res.precoders.dtype == res.combiners.dtype == complex
     assert np.any(res.precoders[res.jcas_subcarriers].imag != 0.0)
     assert_links_recomputed_everywhere(res)
+
+
+def assert_sane_design(res):
+    """Finite non-negative rates, and every precoder on the power sphere to 1e-9."""
+    assert np.all(np.isfinite(res.rates)) and np.all(res.rates >= 0)
+    norms = np.linalg.norm(res.precoders, axis=(1, 2)) ** 2
+    np.testing.assert_allclose(norms, res.config.effective_power, rtol=0, atol=1e-9)
+
+
+def test_run_design_pure_sensing_weight(small_cfg):
+    res = run_design(replace(small_cfg, rho=1.0))
+    assert sorted(res.refinements) == res.jcas_subcarriers.tolist()
+    assert_sane_design(res)
+    assert_links_recomputed_everywhere(res)
+
+
+def test_run_design_on_rank_deficient_channels():
+    # rank-2 channels under 4 streams: every subcarrier's combiner is filled
+    # out with an orthonormal complement, once in the eigen stage (8) and once
+    # more on each refined sensing subcarrier (3)
+    cfg = SystemConfig(
+        n_tx=4, n_rx=4, n_streams=4, n_subcarriers=8, n_jcas=3, power_budget=2.0, grid_size=41
+    )
+    rng = np.random.default_rng(0)
+    left = rng.standard_normal((8, 4, 2)) + 1j * rng.standard_normal((8, 4, 2))
+    right = rng.standard_normal((8, 2, 4)) + 1j * rng.standard_normal((8, 2, 4))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = run_design(cfg, channels=ChannelSet(left @ right, None))
+    rank = [w for w in caught if w.category is RuntimeWarning and "rank 2" in str(w.message)]
+    assert len(rank) == len(caught) == 11
+    assert len(res.refinements) == 3
+    assert_sane_design(res)
+    with pytest.warns(RuntimeWarning, match="rank 2"):
+        assert_links_recomputed_everywhere(res)
