@@ -66,11 +66,11 @@ def cmd_design(args) -> int:
     if overrides:
         cfg = replace(cfg, **overrides)
 
-    out_dir = _resolve_out_dir(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     result = run_design(cfg)
     mse = beampattern_mse(result.precoders, result.jcas_subcarriers, result.grid)
+    # made only now, so that a failed design leaves no directory behind
+    out_dir = _resolve_out_dir(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     manifest = build_run_manifest(result)
     manifest["beampattern_mse"] = mse

@@ -97,12 +97,6 @@ class SystemConfig:
             return self.antenna_spacing
         return SPEED_OF_LIGHT / (2.0 * self.top_carrier)
 
-    @property
-    def snr_db(self) -> float:
-        import math
-
-        return 10.0 * math.log10(self.power_budget / self.noise_power)
-
     # The two rate conventions share one code path: "literal" evaluates the
     # printed per-stream rate prefactor P/(sigma^2*Ns) by moving the power
     # budget into the noise normalization, i.e. designing on a unit-power

@@ -3,10 +3,18 @@
 The sweep runs the full design over a grid of (SNR, rho, sensing subcarrier
 count) settings with paired channel realizations: realization r always uses
 seed base_seed + r, so every configuration sees the same channels and the
-comparisons are matched. The covariance problem of the binary mask depends
-on the subcarrier alone once normalized by the design power, so each needed
-subcarrier is solved once for every SNR, in one batched call, and finished
-at each design power that needs it.
+comparisons are matched. It runs in three passes:
+
+1. Per realization and SNR, one eigen stage finds the sensing sets of every
+   sensing count.
+2. The covariance problem of the binary mask depends on the subcarrier alone
+   once normalized by the design power, so each needed subcarrier is solved
+   once for every SNR, in one batched call, and finished at each design
+   power that needs it.
+3. Per realization and SNR, one eigen stage again, from which every
+   (rho, J) design of that SNR is refined. Recomputing it rather than
+   keeping pass 1's keeps a worker's payload to a seed and memory flat in
+   the realization count.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from .config import SystemConfig
 from .covariance import beampattern_values as beampattern_gain
 from .covariance import solve_radar_covariances
 from .errors import ConfigError
-from .pipeline import DesignResult, eigen_stage, run_design, select_jcas_subcarriers
+from .pipeline import DesignResult, _refine, eigen_stage, select_jcas_subcarriers
 
 
 def precoder_pattern(f: np.ndarray, steering: np.ndarray) -> np.ndarray:
@@ -88,18 +96,18 @@ class SweepResult:
     base_seed: int
 
 
-def _power_for_snr(base: SystemConfig, snr_db: float) -> float:
-    return base.noise_power * 10.0 ** (snr_db / 10.0)
+def _realization_links(base: SystemConfig, snrs, seed: int):
+    """Channels of realization ``seed``, and per SNR its design config and eigen stage.
 
-
-def _config_for(base: SystemConfig, snr_db: float, rho: float, n_jcas: int, seed: int) -> SystemConfig:
-    return replace(
-        base,
-        power_budget=_power_for_snr(base, snr_db),
-        rho=rho,
-        n_jcas=n_jcas,
-        seed=seed,
-    )
+    The configs carry the SNR's power budget and ``seed``; their rho and
+    sensing count are the base's.
+    """
+    channels = generate_rayleigh(base.n_subcarriers, base.n_rx, base.n_tx, seed)
+    stages = []
+    for snr in snrs:
+        cfg = replace(base, power_budget=base.noise_power * 10.0 ** (snr / 10.0), seed=seed)
+        stages.append((cfg, eigen_stage(cfg, channels)))
+    return channels, stages
 
 
 def _realization_metrics(payload):
@@ -109,15 +117,15 @@ def _realization_metrics(payload):
     ({(snr, rho, J): (avg_rate, mse)}, {(rho, J): (avg_pattern, member_pattern)}).
     """
     base, snrs, rhos, jcas_counts, seed, grid, covariances, pattern_snr = payload
-    channels = generate_rayleigh(base.n_subcarriers, base.n_rx, base.n_tx, seed)
+    channels, stages = _realization_links(base, snrs, seed)
     point_metrics = {}
     patterns = {}
-    for snr in snrs:
+    for snr, (snr_cfg, eigen) in zip(snrs, stages):
+        covs = covariances.get(snr_cfg.effective_power, {})
         for rho in rhos:
             for n_jcas in jcas_counts:
-                cfg = _config_for(base, snr, rho, n_jcas, seed)
-                covs = covariances.get(cfg.effective_power, {})
-                result = run_design(cfg, channels=channels, grid=grid, covariances=covs)
+                cfg = replace(snr_cfg, rho=rho, n_jcas=n_jcas)
+                result = _refine(cfg, channels, grid, covs, eigen)
                 mse = beampattern_mse(result.precoders, result.jcas_subcarriers, grid)
                 point_metrics[(snr, rho, n_jcas)] = (result.avg_rate, mse)
                 if snr == pattern_snr and n_jcas > 0:
@@ -155,14 +163,15 @@ def sweep(
     grid = build_grid(base_cfg)
     pattern_snr = 10.0 if any(abs(s - 10.0) < 1e-9 for s in snrs) else snrs[-1]
 
+    for rho in rhos:  # reject a bad rho or sensing count before any solve
+        for n_jcas in jcas_counts:
+            replace(base_cfg, rho=rho, n_jcas=n_jcas)
+
     # Pass 1: find which subcarriers any run needs at each design power.
     needed = {}
     for r in range(n_realizations):
-        seed = base_seed + r
-        channels = generate_rayleigh(base_cfg.n_subcarriers, base_cfg.n_rx, base_cfg.n_tx, seed)
-        for snr in snrs:
-            cfg = _config_for(base_cfg, snr, rhos[0], jcas_counts[0], seed)
-            _, rates = eigen_stage(cfg, channels)
+        _, stages = _realization_links(base_cfg, snrs, base_seed + r)
+        for cfg, (_, _, rates) in stages:
             ks = needed.setdefault(cfg.effective_power, set())
             for n_jcas in jcas_counts:
                 ks.update(int(k) for k in select_jcas_subcarriers(rates, n_jcas))
@@ -172,7 +181,7 @@ def sweep(
         grid, {power: sorted(ks) for power, ks in sorted(needed.items())}
     )
 
-    # Pass 3: full designs per realization, optionally in parallel.
+    # Pass 3: every design per realization, optionally in parallel.
     payloads = [
         (
             base_cfg,

@@ -2,8 +2,8 @@
 
 The flow per run:
 
-1. Eigenmode precoders, combiners and achievable rates of all subcarriers,
-   each stage one stacked call over the subcarriers.
+1. :func:`eigen_stage`: eigenmode precoders, combiners and achievable rates
+   of all subcarriers, each one stacked call over the subcarriers.
 2. Pick the n_jcas subcarriers with the lowest rates for sensing duty.
 3. Solve the beampattern covariance problem on those subcarriers.
 4. Refine each sensing subcarrier's precoder on the power sphere, trading
@@ -13,6 +13,9 @@ The flow per run:
    Combiners and rates are recomputed on the sensing subcarriers; elsewhere
    the precoder is the eigenmode one, so its eigen-stage combiner and rate
    are kept.
+
+Steps 2-5 read the eigen stage without writing to it, so the sweep runs one
+eigen stage per SNR and refines every (rho, J) design of that SNR from it.
 """
 
 from __future__ import annotations
@@ -39,11 +42,12 @@ def select_jcas_subcarriers(rates, n_jcas: int) -> np.ndarray:
     return np.sort(picked)
 
 
-def _eigen_links(cfg: SystemConfig, channels: ChannelSet):
+def eigen_stage(cfg: SystemConfig, channels: ChannelSet):
     """Eigenmode precoders with their combiners and rates on every subcarrier.
 
-    A subcarrier whose channel has no usable signal dimension raises
-    :class:`DegenerateChannelError` naming it.
+    Returns (precoders, combiners, rates) with shapes (K, n_tx, n_streams),
+    (K, n_rx, n_streams) and (K,). A subcarrier whose channel has no usable
+    signal dimension raises :class:`DegenerateChannelError` naming it.
     """
     precoders = np.asarray(
         eigenmode_precoders(channels.matrices, cfg.n_streams, cfg.effective_power, cfg.effective_noise)[0],
@@ -51,15 +55,6 @@ def _eigen_links(cfg: SystemConfig, channels: ChannelSet):
     )
     combiners, rates = link_rates(channels.matrices, precoders, 1.0 / cfg.effective_noise)
     return precoders, combiners, rates
-
-
-def eigen_stage(cfg: SystemConfig, channels: ChannelSet):
-    """Eigenmode precoder and achievable rate on every subcarrier.
-
-    Returns (precoders, rates) with shapes (K, n_tx, n_streams) and (K,).
-    """
-    precoders, _, rates = _eigen_links(cfg, channels)
-    return precoders, rates
 
 
 @dataclass(frozen=True)
@@ -96,10 +91,10 @@ def run_design(
     """Run the full design for one channel realization.
 
     ``channels``, ``grid``, and ``covariances`` may be supplied to reuse work
-    across runs (the sweep does); covariances missing for the sensing set are
-    solved here in one batched call. Provided covariances must have been
-    solved at ``cfg.effective_power`` on this grid. All sensing subcarriers
-    are refined in one batched RCG call, each exactly as if solved alone.
+    across runs; covariances missing for the sensing set are solved here in
+    one batched call. Provided covariances must have been solved at
+    ``cfg.effective_power`` on this grid. All sensing subcarriers are refined
+    in one batched RCG call, each exactly as if solved alone.
     """
     if grid is None:
         grid = build_grid(cfg)
@@ -110,13 +105,19 @@ def run_design(
             f"channel set shape {channels.matrices.shape} does not match the "
             f"configured ({cfg.n_subcarriers}, {cfg.n_rx}, {cfg.n_tx})"
         )
+    return _refine(cfg, channels, grid, covariances or {}, eigen_stage(cfg, channels))
 
+
+def _refine(cfg, channels, grid, covariances, eigen) -> DesignResult:
+    """Steps 2-5 of a design from ``eigen``, the :func:`eigen_stage` of ``cfg`` on ``channels``.
+
+    ``eigen`` is only read, so one eigen stage can serve every design at its
+    power. Covariances missing from ``covariances`` are solved here.
+    """
+    eigen_precoders, eigen_combiners, eigen_rates = eigen
     power = cfg.effective_power
-    eigen_precoders, eigen_combiners, eigen_rates = _eigen_links(cfg, channels)
     jcas = select_jcas_subcarriers(eigen_rates, cfg.n_jcas)
 
-    if covariances is None:
-        covariances = {}
     missing = [k for k in jcas if k not in covariances]
     if missing:
         covariances = dict(covariances)
@@ -136,7 +137,7 @@ def run_design(
         precoders[jcas] = [res.precoder for res in results]
 
     # off the sensing set the precoder is the eigenmode one: its combiner and rate stand
-    combiners, rates = eigen_combiners, eigen_rates.copy()
+    combiners, rates = eigen_combiners.copy(), eigen_rates.copy()
     combiners[jcas], rates[jcas] = link_rates(
         channels.matrices[jcas], precoders[jcas], 1.0 / cfg.effective_noise
     )

@@ -1,47 +1,47 @@
 """Communications-side precoding: water-filling, eigenmode beams, combiners, rates.
 
-Every stage runs on a stack of subcarriers at once: :func:`eigenmode_precoders`
-takes one SVD of the (K, n_rx, n_tx) channel stack, water-fills every carrier
-through a cumulative sum over its sorted noise floors and fixes the column
-phases of all carriers together; :func:`link_rates` takes one SVD of the
-stack of effective channels HF for the combiners and one log-determinant
-for the rates. The one-matrix functions (:func:`waterfill`,
-:func:`eigenmode_precoder`, :func:`optimal_combiner`,
-:func:`achievable_rate`) are these cores run on a stack of one. Stacked
-numpy linear algebra makes the same LAPACK call per matrix as on one matrix,
-and the running sums are taken in the same order, so a carrier's precoder
-and combiner are the same bit for bit whatever stack it is in.
+Every stage runs on a stack of subcarriers at once, and a single matrix is a
+stack of one: :func:`eigenmode_precoders` takes one SVD of the
+(K, n_rx, n_tx) channel stack, water-fills every carrier with
+:func:`waterfill` through a cumulative sum over its sorted noise floors and
+fixes the column phases of all carriers together; :func:`link_rates` takes
+one SVD of the stack of effective channels HF for the combiners and one
+log-determinant for the rates. Stacked numpy linear algebra makes the same
+LAPACK call per matrix as on one matrix, and the running sums are taken in
+the same order, so a carrier's precoder and combiner are the same bit for
+bit whatever stack it is in.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateChannelError
 
 
-@dataclass(frozen=True)
-class WaterfillAllocation:
-    """Power split across eigenmodes with the water level that produced it."""
+def waterfill(gains, total_power: float, noise_power: float = 1.0):
+    """Exact water-filling of each row of a (K, n) stack of channel power gains.
 
-    powers: np.ndarray
-    level: float
-    n_active: int
-
-
-def _waterfill_rows(gains: np.ndarray, total_power: float, noise_power: float):
-    """Water-filling of each row of a (K, n) gain stack; every row has a positive gain.
-
+    Per row, maximizes sum_i log(1 + g_i p_i / noise) subject to
+    sum p_i = total and p_i >= 0 by the closed-form active-set construction.
     Returns (powers (K, n), levels (K,), active counts (K,)). Rows are sorted
     by floor noise/gain (zero gains last, at an infinite floor); the candidate
     level with the m strongest channels active is (total + sum of their
     floors) / m, summed in order by ``cumsum`` as a running sum would, and a
     row keeps the leading candidates that lie above their own floor.
+    Negative gains or a non-positive total raise ``ValueError``, and a row
+    without a positive gain raises :class:`DegenerateChannelError`.
     """
+    gains = np.asarray(gains, dtype=float)
+    if np.any(gains < 0):
+        raise ValueError("channel gains must be nonnegative")
+    if not total_power > 0:
+        raise ValueError("total_power must be positive")
     positive = gains > 0
+    if not np.all(np.any(positive, axis=-1)):
+        raise DegenerateChannelError("no positive channel gains to allocate power over")
     floor = np.full(gains.shape, np.inf)
     floor[positive] = noise_power / gains[positive]
     by_floor = np.take_along_axis(floor, np.argsort(floor, axis=-1, kind="stable"), axis=-1)
@@ -51,28 +51,6 @@ def _waterfill_rows(gains: np.ndarray, total_power: float, noise_power: float):
     powers = np.maximum(level[:, None] - floor, 0.0)
     powers[~positive] = 0.0
     return powers, level, n_active
-
-
-def waterfill(gains, total_power: float, noise_power: float = 1.0) -> WaterfillAllocation:
-    """Exact water-filling over channels with the given power gains.
-
-    Maximizes sum_i log(1 + g_i p_i / noise) subject to sum p_i = total and
-    p_i >= 0 by the closed-form active-set construction: try progressively
-    larger active sets (strongest gains first) and keep the largest one whose
-    weakest member still gets positive power. This is the stacked
-    construction run on one row.
-    """
-    g = np.asarray(gains, dtype=float)
-    if np.any(g < 0):
-        raise ValueError("channel gains must be nonnegative")
-    if not total_power > 0:
-        raise ValueError("total_power must be positive")
-    if not np.any(g > 0):
-        raise DegenerateChannelError("no positive channel gains to allocate power over")
-    powers, level, n_active = _waterfill_rows(g.reshape(1, -1), total_power, noise_power)
-    return WaterfillAllocation(
-        powers=powers.reshape(g.shape), level=float(level[0]), n_active=int(n_active[0])
-    )
 
 
 def _ctranspose(mat: np.ndarray) -> np.ndarray:
@@ -93,21 +71,14 @@ def _fix_column_phases(mat: np.ndarray) -> np.ndarray:
     return np.where(nonzero, mat * turn, mat)
 
 
-def eigenmode_precoders(
-    h: np.ndarray,
-    n_streams: int,
-    total_power: float,
-    noise_power: float,
-    label: str = "subcarrier {}: ",
-):
+def eigenmode_precoders(h: np.ndarray, n_streams: int, total_power: float, noise_power: float):
     """Capacity-achieving precoders of a (K, n_rx, n_tx) channel stack.
 
     One SVD over the stack, water-filling of every carrier at once and one
     column-phase fix. Returns (f_hat (K, n_tx, n_streams), singular values
     (K, n_streams), (powers, levels, active counts) of the water-filling).
     A channel with no usable signal dimension raises
-    :class:`DegenerateChannelError`, its message prefixed by ``label``
-    formatted with the carrier's index.
+    :class:`DegenerateChannelError` naming its carrier.
     """
     h = np.asarray(h)
     _, s, vh = np.linalg.svd(h, full_matrices=False)
@@ -115,26 +86,11 @@ def eigenmode_precoders(
     dead = ~np.any(sv > 0, axis=-1) | (sv.shape[-1] < n_streams)
     if np.any(dead):
         raise DegenerateChannelError(
-            label.format(int(np.argmax(dead))) + "channel matrix has no usable signal dimension"
+            f"subcarrier {int(np.argmax(dead))}: channel matrix has no usable signal dimension"
         )
     v = _fix_column_phases(_ctranspose(vh)[:, :, :n_streams])
-    powers, level, n_active = _waterfill_rows(sv ** 2, total_power, noise_power)
+    powers, level, n_active = waterfill(sv ** 2, total_power, noise_power)
     return v * np.sqrt(powers)[:, None, :], sv, (powers, level, n_active)
-
-
-def eigenmode_precoder(h: np.ndarray, n_streams: int, total_power: float, noise_power: float):
-    """Capacity-achieving precoder for one channel matrix.
-
-    Returns (f_hat, singular_values, allocation): f_hat has orthogonal columns
-    along the top right singular vectors of ``h`` scaled by the water-filled
-    per-stream powers, so ||f_hat||_F^2 equals ``total_power``. This is
-    :func:`eigenmode_precoders` on a stack of one.
-    """
-    f_hat, sv, (powers, level, n_active) = eigenmode_precoders(
-        np.asarray(h)[None], n_streams, total_power, noise_power, label=""
-    )
-    alloc = WaterfillAllocation(powers=powers[0], level=float(level[0]), n_active=int(n_active[0]))
-    return f_hat[0], sv[0], alloc
 
 
 def _combiners(hf: np.ndarray, n_streams: int) -> np.ndarray:
@@ -155,43 +111,20 @@ def _combiners(hf: np.ndarray, n_streams: int) -> np.ndarray:
     return _fix_column_phases(u[:, :, :n_streams])
 
 
-def _rates(hf: np.ndarray, w: np.ndarray, prefactor: float) -> np.ndarray:
-    """log2 det(I + prefactor * W^H HF (W^H HF)^H) of each carrier, clamped at zero."""
-    eff = _ctranspose(w) @ hf
-    m = np.eye(w.shape[-1]) + prefactor * (eff @ _ctranspose(eff))
-    _, logdet = np.linalg.slogdet(m)
-    return np.maximum(logdet / np.log(2.0), 0.0)
-
-
-def optimal_combiner(h: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Left singular vectors of the effective channel HF, one column per stream.
-
-    If HF is rank deficient the missing columns are filled with an orthonormal
-    complement (the extra streams then carry no signal) and a RuntimeWarning
-    is emitted. The columns are orthonormal either way.
-    """
-    hf = np.asarray(h) @ np.asarray(f)
-    return _combiners(hf[None], hf.shape[1])[0]
-
-
-def achievable_rate(h: np.ndarray, f: np.ndarray, w: np.ndarray, prefactor: float) -> float:
-    """Spectral efficiency log2 det(I + prefactor * W^H H F F^H H^H W) in bit/s/Hz.
-
-    ``w`` must have orthonormal columns (W^H W = I), as every combiner of
-    :func:`optimal_combiner` has; then W^H is its pseudo-inverse. Clamped at
-    zero against roundoff; the determinant is >= 1 for any orthonormal W.
-    """
-    hf = np.asarray(h) @ np.asarray(f)
-    return float(_rates(hf[None], np.asarray(w)[None], prefactor)[0])
-
-
 def link_rates(h: np.ndarray, f: np.ndarray, prefactor: float):
     """Optimal combiner and achievable rate of each carrier of a stack.
 
     ``h`` is (K, n_rx, n_tx) and ``f`` (K, n_tx, n_streams); returns the
     combiners (K, n_rx, n_streams) and the rates (K,), from one SVD and one
-    log-determinant over the stack of effective channels HF.
+    log-determinant over the stack of effective channels HF. A combiner is
+    the top left singular vectors of HF, its columns orthonormal (filled out
+    with an orthonormal complement where HF is rank deficient), so W^H is its
+    pseudo-inverse and the rate is log2 det(I + prefactor * W^H HF (W^H HF)^H)
+    in bit/s/Hz, clamped at zero against roundoff.
     """
     hf = h @ f
     combiners = _combiners(hf, f.shape[-1])
-    return combiners, _rates(hf, combiners, prefactor)
+    eff = _ctranspose(combiners) @ hf
+    m = np.eye(combiners.shape[-1]) + prefactor * (eff @ _ctranspose(eff))
+    _, logdet = np.linalg.slogdet(m)
+    return combiners, np.maximum(logdet / np.log(2.0), 0.0)

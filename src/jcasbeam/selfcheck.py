@@ -82,14 +82,14 @@ def run_selfcheck(seed: int = 0, gradient_fn=None):
     # water-filling satisfies its optimality conditions
     gains = rng.uniform(0.1, 4.0, size=6)
     total, noise = 2.5, 0.7
-    alloc = waterfill(gains, total, noise)
-    budget_err = abs(alloc.powers.sum() - total)
+    (powers,), (level,), _ = waterfill(gains[None], total, noise)
+    budget_err = abs(powers.sum() - total)
     kkt_err = 0.0
-    for p, gval in zip(alloc.powers, gains):
+    for p, gval in zip(powers, gains):
         if p > 0:
-            kkt_err = max(kkt_err, abs(alloc.level - (noise / gval + p)))
+            kkt_err = max(kkt_err, abs(level - (noise / gval + p)))
         else:
-            kkt_err = max(kkt_err, max(0.0, alloc.level - noise / gval))
+            kkt_err = max(kkt_err, max(0.0, level - noise / gval))
     ok = budget_err <= 1e-8 and kkt_err <= 1e-8
     checks.append(("waterfill-kkt", ok, f"budget {budget_err:.2e} kkt {kkt_err:.2e}"))
 

@@ -92,13 +92,13 @@ def test_property_suite():
         gains = rng.uniform(0.05, 5.0, size=int(rng.integers(2, 6)))
         total = float(rng.uniform(0.5, 8.0))
         noise = float(rng.uniform(0.3, 2.0))
-        alloc = waterfill(gains, total, noise)
-        worst_kkt = max(worst_kkt, abs(alloc.powers.sum() - total))
-        for gi, pi in zip(gains, alloc.powers):
+        (powers,), (level,), _ = waterfill(gains[None], total, noise)
+        worst_kkt = max(worst_kkt, abs(powers.sum() - total))
+        for gi, pi in zip(gains, powers):
             if pi > 0:
-                worst_kkt = max(worst_kkt, abs(noise / gi + pi - alloc.level))
+                worst_kkt = max(worst_kkt, abs(noise / gi + pi - level))
             else:
-                worst_kkt = max(worst_kkt, max(alloc.level - noise / gi, 0.0))
+                worst_kkt = max(worst_kkt, max(level - noise / gi, 0.0))
     if worst_kkt > 1e-8:
         failures.append(f"water-filling KKT residual {worst_kkt:.2e} > 1e-8")
 
@@ -165,14 +165,14 @@ def test_oracle_equivalence():
     for _ in range(5):
         gains = rng.uniform(0.2, 5.0, size=2)
         total = float(rng.uniform(0.5, 4.0))
-        alloc = waterfill(gains, total, 1.0)
+        (powers,), _, _ = waterfill(gains[None], total, 1.0)
         p1 = np.linspace(0.0, total, 4001)
         rates = np.log2(1 + gains[0] * p1) + np.log2(1 + gains[1] * (total - p1))
         best_p = p1[np.argmax(rates)]
         lo, hi = max(best_p - total / 4000, 0.0), min(best_p + total / 4000, total)
         p1 = np.linspace(lo, hi, 4001)
         rates = np.log2(1 + gains[0] * p1) + np.log2(1 + gains[1] * (total - p1))
-        wf_rate = float(np.sum(np.log2(1 + gains * alloc.powers)))
+        wf_rate = float(np.sum(np.log2(1 + gains * powers)))
         worst_wf = max(worst_wf, abs(wf_rate - float(np.max(rates))))
     if worst_wf > 1e-6:
         failures.append(f"water-filling off grid oracle by {worst_wf:.2e}")

@@ -157,6 +157,7 @@ def test_solver_failure_exits_3(small_config_file, tmp_path, monkeypatch, capsys
         ["design", "--config", str(small_config_file), "--out-dir", str(tmp_path / "o")]
     )
     assert code == 3
+    assert not (tmp_path / "o").exists()  # a failed design leaves no output directory
     assert "did not converge" in capsys.readouterr().err
 
 
@@ -171,6 +172,7 @@ def test_degenerate_channel_exits_4(small_config_file, tmp_path, monkeypatch, ca
         ["design", "--config", str(small_config_file), "--out-dir", str(tmp_path / "o")]
     )
     assert code == 4
+    assert not (tmp_path / "o").exists()  # a failed design leaves no output directory
     assert "degenerate channel" in capsys.readouterr().err
 
 

@@ -13,7 +13,7 @@ def test_defaults_are_valid():
     cfg = SystemConfig()
     assert cfg.n_tx == 8 and cfg.n_rx == 4 and cfg.n_streams == 4
     assert cfg.n_subcarriers == 64 and cfg.n_jcas == 16
-    assert cfg.snr_db == pytest.approx(10.0)
+    assert cfg.power_budget / cfg.noise_power == pytest.approx(10.0)  # 10 dB
 
 
 def test_spacing_defaults_to_half_wavelength_at_top_carrier():

@@ -6,7 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from jcasbeam import evaluation, pipeline
 from jcasbeam.beamgrid import build_grid
+from jcasbeam.errors import ConfigError
 from jcasbeam.evaluation import (
     average_jcas_pattern,
     beampattern_mse,
@@ -15,6 +17,7 @@ from jcasbeam.evaluation import (
     sweep,
 )
 from jcasbeam.pipeline import run_design
+from jcasbeam.precoding import eigenmode_precoders
 from jcasbeam.tables import emit_table, format_value, parse_table, write_table
 
 from conftest import SMALL, random_complex
@@ -126,6 +129,37 @@ def test_sweep_pattern_bookkeeping(small_sweep):
     assert res.base_seed == cfg.seed
 
 
+# recorded before the sweep refined every (rho, J) design of an SNR from one eigen stage
+SMALL_SWEEP_POINTS = [
+    (0.0, 0.5, 2, 2.907573594875025, 0.7201298108476419),
+    (0.0, 0.5, 6, 2.6048524073371113, 0.657836035600238),
+    (10.0, 0.5, 2, 7.468317950613439, 98.57306945443833),
+    (10.0, 0.5, 6, 5.8522475184131295, 98.84131027242245),
+]
+
+
+def test_sweep_regression_pin(small_sweep):
+    _, res = small_sweep
+    got = [(p.snr_db, p.rho, p.n_jcas, p.avg_rate, p.avg_mse) for p in res.points]
+    assert got == SMALL_SWEEP_POINTS
+
+
+def test_sweep_runs_one_eigen_stage_per_realization_snr_and_pass(small_cfg, monkeypatch):
+    # pass 1 and pass 3 each run one eigen stage per (realization, SNR); the
+    # (rho, J) designs of an SNR share it
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return eigenmode_precoders(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "eigenmode_precoders", counting)
+    snrs, rhos, jcas_counts, n_realizations = [0.0, 10.0], [0.25, 0.75], [1, 2, 6], 2
+    sweep(small_cfg, snrs, rhos, jcas_counts, n_realizations=n_realizations)
+    assert len(calls) == 2 * len(snrs) * n_realizations
+    assert set(calls) == {(small_cfg.n_subcarriers, small_cfg.n_rx, small_cfg.n_tx)}
+
+
 def test_sweep_matches_manual_average(small_sweep):
     cfg, res = small_sweep
     point = next(p for p in res.points if p.snr_db == 10.0 and p.n_jcas == 2)
@@ -159,6 +193,16 @@ def test_sweep_deterministic(small_cfg):
 def test_sweep_rejects_empty_realizations(small_cfg):
     with pytest.raises(ValueError, match="realizations"):
         sweep(small_cfg, [5.0], [0.5], [2], n_realizations=0)
+
+
+@pytest.mark.parametrize("rhos, jcas_counts, key", [([0.5, 1.5], [2], "rho"), ([0.5], [2, 7], "n_jcas")])
+def test_sweep_rejects_a_bad_point_before_any_solve(small_cfg, monkeypatch, rhos, jcas_counts, key):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("covariances solved for a sweep with a bad point")
+
+    monkeypatch.setattr(evaluation, "solve_radar_covariances", no_solve)
+    with pytest.raises(ConfigError, match=key):
+        sweep(small_cfg, [5.0], rhos, jcas_counts, n_realizations=1)
 
 
 def test_format_value_rules():

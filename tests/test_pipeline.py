@@ -65,8 +65,9 @@ def test_eigen_stage_shapes_and_positive_rates(small_cfg):
     channels = generate_rayleigh(
         small_cfg.n_subcarriers, small_cfg.n_rx, small_cfg.n_tx, 0
     )
-    precoders, rates = eigen_stage(small_cfg, channels)
+    precoders, combiners, rates = eigen_stage(small_cfg, channels)
     assert precoders.shape == (6, 4, 2)
+    assert combiners.shape == (6, 2, 2)
     assert rates.shape == (6,)
     assert np.all(rates > 0)
     for k in range(6):
@@ -312,3 +313,24 @@ def test_run_design_on_rank_deficient_channels():
     assert_sane_design(res)
     with pytest.warns(RuntimeWarning, match="rank 2"):
         assert_links_recomputed_everywhere(res)
+
+
+def test_designs_sharing_one_eigen_stage_equal_fresh_runs(small_cfg):
+    # the sweep refines every (rho, J) design of an SNR from one eigen stage;
+    # each design must equal a fresh run and leave the shared stage as it was
+    grid = build_grid(small_cfg)
+    channels = generate_rayleigh(
+        small_cfg.n_subcarriers, small_cfg.n_rx, small_cfg.n_tx, small_cfg.seed
+    )
+    eigen = pipeline.eigen_stage(small_cfg, channels)
+    before = [a.copy() for a in eigen]
+    for rho, n_jcas in [(0.75, 3), (0.25, 1), (1.0, 6), (0.5, 2)]:
+        cfg = replace(small_cfg, rho=rho, n_jcas=n_jcas)
+        shared = pipeline._refine(cfg, channels, grid, {}, eigen)
+        fresh = run_design(cfg, channels=channels, grid=grid)
+        for field in fields(pipeline.DesignResult):
+            got = getattr(shared, field.name)
+            if isinstance(got, np.ndarray):
+                np.testing.assert_array_equal(got, getattr(fresh, field.name), err_msg=field.name)
+        for a, b in zip(eigen, before):
+            np.testing.assert_array_equal(a, b)

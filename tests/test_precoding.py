@@ -7,33 +7,42 @@ import pytest
 
 from jcasbeam.channel import generate_rayleigh
 from jcasbeam.errors import DegenerateChannelError
-from jcasbeam.precoding import (
-    _waterfill_rows,
-    achievable_rate,
-    eigenmode_precoder,
-    eigenmode_precoders,
-    link_rates,
-    optimal_combiner,
-    waterfill,
-)
+from jcasbeam.precoding import eigenmode_precoders, link_rates, waterfill
 
 from conftest import random_complex
 
 
-def waterfill_kkt_residual(gains, alloc, total_power, noise_power=1.0):
+def waterfill_one(gains, total_power, noise_power=1.0):
+    """Water-filling of one gain vector, as a stack of one: (powers, level, n_active)."""
+    powers, level, n_active = waterfill(np.asarray(gains, dtype=float)[None], total_power, noise_power)
+    return powers[0], level[0], n_active[0]
+
+
+def eigen_one(h, n_streams, total_power, noise_power):
+    """Eigenmode precoder of one channel matrix, as a stack of one: (f_hat, sv, powers)."""
+    f_hat, sv, (powers, _, _) = eigenmode_precoders(h[None], n_streams, total_power, noise_power)
+    return f_hat[0], sv[0], powers[0]
+
+
+def link_one(h, f, prefactor):
+    """Optimal combiner and rate of one link, as a stack of one: (w, rate)."""
+    combiners, rates = link_rates(h[None], f[None], prefactor)
+    return combiners[0], float(rates[0])
+
+
+def waterfill_kkt_residual(gains, powers, level, total_power, noise_power=1.0):
     """Largest violation of the water-filling optimality conditions."""
     g = np.asarray(gains, dtype=float)
-    p = alloc.powers
-    res = abs(p.sum() - total_power)
-    for gi, pi in zip(g, p):
+    res = abs(powers.sum() - total_power)
+    for gi, pi in zip(g, powers):
         if gi <= 0:
             res = max(res, abs(pi))
             continue
         floor = noise_power / gi
         if pi > 0:
-            res = max(res, abs(floor + pi - alloc.level))
+            res = max(res, abs(floor + pi - level))
         else:
-            res = max(res, max(alloc.level - floor, 0.0))
+            res = max(res, max(level - floor, 0.0))
     return res
 
 
@@ -44,36 +53,41 @@ def sum_rate(gains, powers, noise_power=1.0):
 
 def test_waterfill_two_stream_oracle():
     # Hand-solved: floors 1/4 and 1, level (1 + 5/4)/2 = 9/8.
-    alloc = waterfill([4.0, 1.0], 1.0, 1.0)
-    assert alloc.level == pytest.approx(1.125, abs=1e-12)
-    np.testing.assert_allclose(alloc.powers, [0.875, 0.125], atol=1e-12)
-    assert alloc.n_active == 2
+    powers, level, n_active = waterfill_one([4.0, 1.0], 1.0, 1.0)
+    assert level == pytest.approx(1.125, abs=1e-12)
+    np.testing.assert_allclose(powers, [0.875, 0.125], atol=1e-12)
+    assert n_active == 2
 
 
 def test_waterfill_drops_weak_stream():
     # Budget too small to lift the weak mode above its floor.
-    alloc = waterfill([4.0, 0.1], 0.5, 1.0)
-    assert alloc.n_active == 1
-    assert alloc.powers[1] == 0.0
-    assert alloc.powers[0] == pytest.approx(0.5, abs=1e-12)
+    powers, _, n_active = waterfill_one([4.0, 0.1], 0.5, 1.0)
+    assert n_active == 1
+    assert powers[1] == 0.0
+    assert powers[0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_waterfill_zero_gain_gets_nothing():
-    alloc = waterfill([2.0, 0.0], 1.0)
-    assert alloc.powers[1] == 0.0
-    assert alloc.powers[0] == pytest.approx(1.0, abs=1e-12)
+    powers, _, _ = waterfill_one([2.0, 0.0], 1.0)
+    assert powers[1] == 0.0
+    assert powers[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_waterfill_all_zero_gains_degenerate():
     with pytest.raises(DegenerateChannelError):
-        waterfill([0.0, 0.0], 1.0)
+        waterfill_one([0.0, 0.0], 1.0)
+    # one dead row in a stack is enough
+    with pytest.raises(DegenerateChannelError, match="no positive channel gains"):
+        waterfill([[1.0, 2.0], [0.0, 0.0], [3.0, 0.0]], 1.0)
 
 
 def test_waterfill_input_validation():
-    with pytest.raises(ValueError):
-        waterfill([1.0, -0.5], 1.0)
-    with pytest.raises(ValueError):
-        waterfill([1.0], 0.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        waterfill_one([1.0, -0.5], 1.0)
+    with pytest.raises(ValueError, match="total_power"):
+        waterfill_one([1.0], 0.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        waterfill([[1.0, 2.0], [1.0, -0.5]], 1.0)
 
 
 def test_waterfill_kkt_random(rng):
@@ -84,9 +98,9 @@ def test_waterfill_kkt_random(rng):
             gains[0] = 1.0
         total = float(rng.uniform(0.1, 10.0))
         noise = float(rng.uniform(0.2, 3.0))
-        alloc = waterfill(gains, total, noise)
-        assert waterfill_kkt_residual(gains, alloc, total, noise) <= 1e-8
-        assert np.all(alloc.powers >= 0)
+        powers, level, _ = waterfill_one(gains, total, noise)
+        assert waterfill_kkt_residual(gains, powers, level, total, noise) <= 1e-8
+        assert np.all(powers >= 0)
 
 
 def test_waterfill_matches_grid_oracle(rng):
@@ -94,7 +108,7 @@ def test_waterfill_matches_grid_oracle(rng):
     for _ in range(10):
         gains = rng.uniform(0.2, 5.0, size=2)
         total = float(rng.uniform(0.5, 4.0))
-        alloc = waterfill(gains, total, 1.0)
+        powers, _, _ = waterfill_one(gains, total, 1.0)
         p1 = np.linspace(0.0, total, 4001)
         rates = np.log2(1.0 + gains[0] * p1) + np.log2(1.0 + gains[1] * (total - p1))
         best = p1[np.argmax(rates)]
@@ -102,14 +116,14 @@ def test_waterfill_matches_grid_oracle(rng):
         p1 = np.linspace(lo, hi, 4001)
         rates = np.log2(1.0 + gains[0] * p1) + np.log2(1.0 + gains[1] * (total - p1))
         grid_rate = float(np.max(rates))
-        wf_rate = sum_rate(gains, alloc.powers)
+        wf_rate = sum_rate(gains, powers)
         assert wf_rate >= grid_rate - 1e-6
         assert abs(wf_rate - grid_rate) <= 1e-6
 
 
 def test_eigenmode_precoder_diagonal_channel():
     h = np.diag([2.0, 1.0]).astype(complex)
-    f_hat, sv, alloc = eigenmode_precoder(h, 2, 1.0, 1.0)
+    f_hat, sv, _ = eigen_one(h, 2, 1.0, 1.0)
     np.testing.assert_allclose(sv, [2.0, 1.0], atol=1e-12)
     expected = np.diag([np.sqrt(0.875), np.sqrt(0.125)])
     np.testing.assert_allclose(f_hat, expected, atol=1e-12)
@@ -118,7 +132,7 @@ def test_eigenmode_precoder_diagonal_channel():
 def test_eigenmode_precoder_power_and_orthogonality(rng):
     for _ in range(10):
         h = random_complex(rng, (4, 6))
-        f_hat, _, _ = eigenmode_precoder(h, 3, 2.5, 1.0)
+        f_hat, _, _ = eigen_one(h, 3, 2.5, 1.0)
         assert np.linalg.norm(f_hat) ** 2 == pytest.approx(2.5, abs=1e-10)
         gram = f_hat.conj().T @ f_hat
         np.testing.assert_allclose(gram, np.diag(np.diag(gram)), atol=1e-10)
@@ -126,23 +140,23 @@ def test_eigenmode_precoder_power_and_orthogonality(rng):
 
 def test_eigenmode_precoder_deterministic(rng):
     h = random_complex(rng, (3, 5))
-    f1, _, _ = eigenmode_precoder(h, 2, 1.0, 1.0)
-    f2, _, _ = eigenmode_precoder(h.copy(), 2, 1.0, 1.0)
+    f1, _, _ = eigen_one(h, 2, 1.0, 1.0)
+    f2, _, _ = eigen_one(h.copy(), 2, 1.0, 1.0)
     np.testing.assert_array_equal(f1, f2)
 
 
 def test_eigenmode_precoder_rank_deficient_zero_columns():
     # Rank-1 channel: second stream gets a zero beam, power still adds up.
     h = np.outer([1.0, 1.0], [1.0, 0.0, 0.0]).astype(complex)
-    f_hat, _, alloc = eigenmode_precoder(h, 2, 1.0, 1.0)
-    assert alloc.powers[1] == 0.0
+    f_hat, _, powers = eigen_one(h, 2, 1.0, 1.0)
+    assert powers[1] == 0.0
     np.testing.assert_allclose(f_hat[:, 1], 0.0, atol=1e-12)
     assert np.linalg.norm(f_hat) ** 2 == pytest.approx(1.0, abs=1e-12)
 
 
 def test_eigenmode_precoder_zero_channel_degenerate():
     with pytest.raises(DegenerateChannelError):
-        eigenmode_precoder(np.zeros((2, 3), dtype=complex), 2, 1.0, 1.0)
+        eigen_one(np.zeros((2, 3), dtype=complex), 2, 1.0, 1.0)
 
 
 def test_eigenmode_precoder_unitary_invariant_rate(rng):
@@ -155,22 +169,20 @@ def test_eigenmode_precoder_unitary_invariant_rate(rng):
 
 
 def _eigen_rate(h, n_streams, power, noise=1.0):
-    f, _, _ = eigenmode_precoder(h, n_streams, power, noise)
-    w = optimal_combiner(h, f)
-    return achievable_rate(h, f, w, 1.0 / noise)
+    f, _, _ = eigen_one(h, n_streams, power, noise)
+    return link_one(h, f, 1.0 / noise)[1]
 
 
 def test_eigenmode_beats_random_feasible(rng):
     h = random_complex(rng, (3, 4))
     power = 1.5
     best = _eigen_rate(h, 3, power)
-    w_by_f = lambda f: optimal_combiner(h, f)
     for _ in range(100):
         f = random_complex(rng, (4, 3))
         f *= np.sqrt(power) / np.linalg.norm(f)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            rate = achievable_rate(h, f, w_by_f(f), 1.0)
+            _, rate = link_one(h, f, 1.0)
         assert rate <= best + 1e-9
 
 
@@ -183,7 +195,7 @@ def test_rate_monotone_in_power(rng):
 def test_combiner_orthonormal(rng):
     h = random_complex(rng, (4, 6))
     f = random_complex(rng, (6, 3))
-    w = optimal_combiner(h, f)
+    w, _ = link_one(h, f, 1.0)
     assert w.shape == (4, 3)
     np.testing.assert_allclose(w.conj().T @ w, np.eye(3), atol=1e-12)
 
@@ -193,49 +205,52 @@ def test_combiner_warns_on_rank_deficiency():
     f = np.zeros((3, 2), dtype=complex)
     f[0, 0] = 1.0
     with pytest.warns(RuntimeWarning, match="rank"):
-        w = optimal_combiner(h, f)
+        w, _ = link_one(h, f, 1.0)
     np.testing.assert_allclose(w.conj().T @ w, np.eye(2), atol=1e-12)
 
 
 def test_rate_scalar_case():
     h = np.array([[1.0 + 0j]])
     f = np.array([[np.sqrt(10.0) + 0j]])
-    w = np.array([[1.0 + 0j]])
-    assert achievable_rate(h, f, w, 1.0) == pytest.approx(np.log2(11.0), abs=1e-12)
+    w, rate = link_one(h, f, 1.0)
+    assert w == pytest.approx(1.0, abs=1e-15)
+    assert rate == pytest.approx(np.log2(11.0), abs=1e-12)
 
 
 def test_rate_zero_precoder():
     h = np.array([[1.0 + 0j]])
-    assert achievable_rate(h, np.zeros((1, 1)), np.eye(1), 1.0) == 0.0
+    with pytest.warns(RuntimeWarning, match="rank 0"):
+        assert link_one(h, np.zeros((1, 1)), 1.0)[1] == 0.0
 
 
 def test_rate_zero_channel():
     h = np.zeros((2, 3), dtype=complex)
     f = np.ones((3, 2), dtype=complex)
-    assert achievable_rate(h, f, np.eye(2)[:, :2], 1.0) == 0.0
+    with pytest.warns(RuntimeWarning, match="rank 0"):
+        assert link_one(h, f, 1.0)[1] == 0.0
 
 
 def test_rate_diagonal_integration_oracle():
     # diag(2,1) channel, unit budget: closed-form rate
     # log2(1 + 4*7/8) + log2(1 + 1/8).
     h = np.diag([2.0, 1.0]).astype(complex)
-    f, _, _ = eigenmode_precoder(h, 2, 1.0, 1.0)
-    w = optimal_combiner(h, f)
+    f, _, _ = eigen_one(h, 2, 1.0, 1.0)
     expected = np.log2(4.5) + np.log2(1.125)
-    assert achievable_rate(h, f, w, 1.0) == pytest.approx(expected, abs=1e-10)
+    assert link_one(h, f, 1.0)[1] == pytest.approx(expected, abs=1e-10)
     assert expected == pytest.approx(2.3398500028846243, abs=1e-12)
 
 
 def test_rate_matches_direct_determinant(rng):
+    # with n_streams <= n_rx the optimal combiner keeps every singular value
+    # of HF, so the rate is log2 det(I + prefactor (HF)^H HF), combiner-free
     for _ in range(10):
         h = random_complex(rng, (3, 4))
         f = random_complex(rng, (4, 2))
-        w, _ = np.linalg.qr(random_complex(rng, (3, 2)))
         pref = float(rng.uniform(0.2, 3.0))
-        eff = np.linalg.pinv(w) @ h @ f
-        m = np.eye(2) + pref * eff @ eff.conj().T
+        hf = h @ f
+        m = np.eye(2) + pref * hf.conj().T @ hf
         expected = float(np.log2(np.linalg.det(m).real))
-        assert achievable_rate(h, f, w, pref) == pytest.approx(expected, abs=1e-9)
+        assert link_one(h, f, pref)[1] == pytest.approx(expected, abs=1e-9)
 
 
 def _pinv_rate(h, f, w, prefactor):
@@ -249,46 +264,48 @@ def test_rate_with_orthonormal_combiner_equals_pinv_formula(rng):
     for _ in range(20):
         h = random_complex(rng, (4, 6))
         f = random_complex(rng, (6, 3))
-        w, _ = np.linalg.qr(random_complex(rng, (4, 3)))
         pref = float(rng.uniform(0.2, 3.0))
-        assert achievable_rate(h, f, w, pref) == pytest.approx(_pinv_rate(h, f, w, pref), rel=1e-12)
+        w, rate = link_one(h, f, pref)
+        np.testing.assert_allclose(w.conj().T @ w, np.eye(3), atol=1e-12)
+        assert rate == pytest.approx(_pinv_rate(h, f, w, pref), rel=1e-12)
     # rank-deficient carrier: the combiner's extra column is the orthonormal complement
     h = random_complex(rng, (4, 6))
     f = random_complex(rng, (6, 1)) @ random_complex(rng, (1, 3))
     with pytest.warns(RuntimeWarning, match="rank 1"):
-        w = optimal_combiner(h, f)
+        w, rate = link_one(h, f, 2.0)
     np.testing.assert_allclose(w.conj().T @ w, np.eye(3), atol=1e-12)
-    assert achievable_rate(h, f, w, 2.0) == pytest.approx(_pinv_rate(h, f, w, 2.0), rel=1e-12)
+    assert rate == pytest.approx(_pinv_rate(h, f, w, 2.0), rel=1e-12)
 
 
 def test_stacked_eigen_stage_equals_one_matrix_calls(rng):
+    # each carrier of a stack is the same bit for bit as that carrier on a stack of one
     h = random_complex(rng, (12, 4, 6))
     h[5] = np.outer([1.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0, 0.0, 0.0])  # rank 1
     f_hat, sv, (powers, level, n_active) = eigenmode_precoders(h, 3, 2.5, 0.7)
     for k in range(len(h)):
-        f_k, sv_k, alloc = eigenmode_precoder(h[k], 3, 2.5, 0.7)
-        np.testing.assert_array_equal(f_hat[k], f_k)
-        np.testing.assert_array_equal(sv[k], sv_k)
-        np.testing.assert_array_equal(powers[k], alloc.powers)
-        assert (level[k], n_active[k]) == (alloc.level, alloc.n_active)
+        f_k, sv_k, (powers_k, level_k, n_active_k) = eigenmode_precoders(h[k:k + 1], 3, 2.5, 0.7)
+        np.testing.assert_array_equal(f_hat[k], f_k[0])
+        np.testing.assert_array_equal(sv[k], sv_k[0])
+        np.testing.assert_array_equal(powers[k], powers_k[0])
+        assert (level[k], n_active[k]) == (level_k[0], n_active_k[0])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         combiners, rates = link_rates(h, f_hat, 1.0 / 0.7)
         for k in range(len(h)):
-            w = optimal_combiner(h[k], f_hat[k])
+            w, rate = link_one(h[k], f_hat[k], 1.0 / 0.7)
             np.testing.assert_array_equal(combiners[k], w)
-            assert rates[k] == achievable_rate(h[k], f_hat[k], w, 1.0 / 0.7)
+            assert rates[k] == rate
 
 
 def test_stacked_waterfill_rows_equal_one_row_calls(rng):
     gains = rng.uniform(0.0, 4.0, size=(30, 5))
     gains[rng.uniform(size=gains.shape) < 0.3] = 0.0
     gains[:, 0] = np.maximum(gains[:, 0], 0.1)
-    powers, level, n_active = _waterfill_rows(gains, 3.0, 0.8)
+    powers, level, n_active = waterfill(gains, 3.0, 0.8)
     for g, p, lv, n in zip(gains, powers, level, n_active):
-        alloc = waterfill(g, 3.0, 0.8)
-        np.testing.assert_array_equal(p, alloc.powers)
-        assert (lv, n) == (alloc.level, alloc.n_active)
+        p_one, lv_one, n_one = waterfill_one(g, 3.0, 0.8)
+        np.testing.assert_array_equal(p, p_one)
+        assert (lv, n) == (lv_one, n_one)
 
 
 def test_degenerate_channel_in_a_stack_names_its_subcarrier(rng):
@@ -296,8 +313,8 @@ def test_degenerate_channel_in_a_stack_names_its_subcarrier(rng):
     h[3] = 0.0
     with pytest.raises(DegenerateChannelError, match=r"^subcarrier 3: channel matrix has no usable"):
         eigenmode_precoders(h, 2, 1.0, 1.0)
-    with pytest.raises(DegenerateChannelError, match=r"^channel matrix has no usable"):
-        eigenmode_precoder(h[3], 2, 1.0, 1.0)
+    with pytest.raises(DegenerateChannelError, match=r"^subcarrier 0: channel matrix has no usable"):
+        eigenmode_precoders(h[3:4], 2, 1.0, 1.0)
 
 
 def test_stacked_combiners_warn_once_per_rank_deficient_carrier():
@@ -311,7 +328,7 @@ def test_stacked_combiners_warn_once_per_rank_deficient_carrier():
     with warnings.catch_warnings(record=True) as solo:
         warnings.simplefilter("always")
         for h_k, f_k in zip(h, f_hat):
-            optimal_combiner(h_k, f_k)
+            link_one(h_k, f_k, 1.0)
     assert len(stacked) > 0
     assert [(w.category, str(w.message)) for w in stacked] == [
         (w.category, str(w.message)) for w in solo
