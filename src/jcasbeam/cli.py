@@ -62,7 +62,7 @@ def cmd_design(args) -> int:
     if args.jcas is not None:
         overrides["n_jcas"] = args.jcas
     if args.snr is not None:
-        overrides["power_budget"] = cfg.noise_power * 10.0 ** (args.snr / 10.0)
+        overrides["power_budget"] = cfg.snr_power(args.snr)
     if overrides:
         cfg = replace(cfg, **overrides)
 
@@ -161,12 +161,10 @@ def cmd_sweep(args) -> int:
     write_table(out_dir / "beampattern_avg.csv", avg_rows, pattern_columns)
     write_table(out_dir / "beampattern_member.csv", member_rows, pattern_columns)
 
-    cfg_dict = asdict(cfg)
-    cfg_dict["target_angles"] = list(cfg_dict["target_angles"])
     _write_json(
         out_dir / "sweep_manifest.json",
         {
-            "config": cfg_dict,
+            "config": cfg.to_dict(),
             "snrs": list(snrs),
             "rhos": list(rhos),
             "jcas_counts": list(jcas_counts),

@@ -9,7 +9,8 @@ to a default.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .errors import ConfigError
@@ -61,22 +62,23 @@ class SystemConfig:
             raise ConfigError("n_subcarriers must be a positive integer")
         if not 0 <= self.n_jcas <= self.n_subcarriers:
             raise ConfigError("n_jcas must satisfy 0 <= n_jcas <= n_subcarriers")
-        if not self.power_budget > 0:
-            raise ConfigError("power_budget must be positive")
-        if not self.noise_power > 0:
-            raise ConfigError("noise_power must be positive")
+        # the chained comparisons reject nan as well as inf
+        if not 0 < self.power_budget < math.inf:
+            raise ConfigError("power_budget must be positive and finite")
+        if not 0 < self.noise_power < math.inf:
+            raise ConfigError("noise_power must be positive and finite")
         if not 0.0 <= self.rho <= 1.0:
             raise ConfigError("rho must lie in [0, 1]")
-        if not self.base_freq > 0:
-            raise ConfigError("base_freq must be positive")
-        if not self.subcarrier_spacing > 0:
-            raise ConfigError("subcarrier_spacing must be positive")
-        if self.antenna_spacing is not None and not self.antenna_spacing > 0:
-            raise ConfigError("antenna_spacing must be positive (or omitted for automatic)")
+        if not 0 < self.base_freq < math.inf:
+            raise ConfigError("base_freq must be positive and finite")
+        if not 0 < self.subcarrier_spacing < math.inf:
+            raise ConfigError("subcarrier_spacing must be positive and finite")
+        if self.antenna_spacing is not None and not 0 < self.antenna_spacing < math.inf:
+            raise ConfigError("antenna_spacing must be positive and finite (or omitted for automatic)")
         if self.grid_size < 1:
             raise ConfigError("grid_size must be a positive integer")
-        if not self.mainlobe_halfwidth >= 0:
-            raise ConfigError("mainlobe_halfwidth must be nonnegative")
+        if not 0 <= self.mainlobe_halfwidth < math.inf:
+            raise ConfigError("mainlobe_halfwidth must be nonnegative and finite")
         if len(self.target_angles) == 0:
             raise ConfigError("target_angles must list at least one angle")
         for angle in self.target_angles:
@@ -84,6 +86,23 @@ class SystemConfig:
                 raise ConfigError("target_angles entries must lie in [-90, 90] degrees")
         if self.rate_formula not in RATE_FORMULAS:
             raise ConfigError("rate_formula must be one of %s" % (RATE_FORMULAS,))
+
+    def snr_power(self, snr_db: float) -> float:
+        """Power budget (watts) that puts ``snr_db`` dB over this config's noise power.
+
+        A budget that overflows raises :class:`ConfigError`; one that is zero,
+        infinite or nan is rejected by :meth:`validate` where it is set.
+        """
+        try:
+            return self.noise_power * 10.0 ** (snr_db / 10.0)
+        except OverflowError:
+            raise ConfigError(f"snr {snr_db:g} dB overflows the power budget") from None
+
+    def to_dict(self) -> dict:
+        """The fields as a JSON-ready dict, ``target_angles`` as a list."""
+        fields = asdict(self)
+        fields["target_angles"] = list(fields["target_angles"])
+        return fields
 
     @property
     def top_carrier(self) -> float:

@@ -22,10 +22,11 @@ per subcarrier serves every power.
 
 Convergence note: the optimum generically sits on the psd boundary with many
 active pattern kinks, a degenerate geometry where splitting methods slow to a
-crawl near the end. The solver stops early at a tight primal residual when it
-can; otherwise it accepts the max-iteration iterate provided the residual is
-below a coarse fallback threshold whose objective error is far inside the
-accuracy anything downstream consumes, and raises otherwise.
+crawl near the end. The solver stops early once its primal residual is below
+``TOL``; otherwise it accepts the iterate at ``MAX_ITER`` provided the residual
+is below the coarse ``FALLBACK_TOL``, whose objective error is far inside the
+accuracy anything downstream consumes, and raises otherwise. All three rules
+are fixed module constants, read at call time.
 """
 
 from __future__ import annotations
@@ -41,6 +42,12 @@ from .errors import SolverError
 OVERRELAX = 1.6
 BALANCE_EVERY = 100
 BALANCE_RATIO = 3.0
+# Stopping rules, on the primal residual of the unit-budget problem (so in raw
+# units they read TOL * P and FALLBACK_TOL * P): stop early below TOL; at
+# MAX_ITER accept an iterate below FALLBACK_TOL, else raise SolverError.
+TOL = 1e-6
+FALLBACK_TOL = 1e-2
+MAX_ITER = 5000
 
 
 def psd_project(mat: np.ndarray) -> np.ndarray:
@@ -150,18 +157,18 @@ class _UnitSolve:
     dual_residuals: np.ndarray
 
 
-def _admm_unit(steering, q, tol, max_iter) -> list[_UnitSolve]:
+def _admm_unit(steering, q) -> list[_UnitSolve]:
     """Run ADMM on the unit-budget problem for a stack of carriers.
 
     ``steering`` is (K, T, n_tx) and ``q`` the normalized targets (K, T);
     every carrier starts from the uniform budget. Carriers share only the
     stacked calls: each has its own penalties and balancing, and leaves
     the active set at the iteration where its primal residual drops below
-    ``tol``. Every stacked product makes the same BLAS call per carrier as
-    the one-carrier formula it replaces, so a carrier's iterates are
-    bit-identical whatever batch it runs in. A single antenna has no
-    off-diagonal to fit: its only feasible matrix is the budget itself,
-    returned with zero iterations.
+    ``TOL``, or runs to ``MAX_ITER``. Every stacked product makes the same
+    BLAS call per carrier as the one-carrier formula it replaces, so a
+    carrier's iterates are bit-identical whatever batch it runs in. A single
+    antenna has no off-diagonal to fit: its only feasible matrix is the
+    budget itself, returned with zero iterations.
     """
     n_car, n_grid, n = steering.shape
     if n == 1:
@@ -187,14 +194,14 @@ def _admm_unit(steering, q, tol, max_iter) -> list[_UnitSolve]:
     u = np.zeros((n_car, n_grid))
     u_mat = np.zeros((n_car, n, n), dtype=complex)
 
-    primal_hist = np.empty((n_car, max_iter))
-    dual_hist = np.empty((n_car, max_iter))
+    primal_hist = np.empty((n_car, MAX_ITER))
+    dual_hist = np.empty((n_car, MAX_ITER))
     act = np.arange(n_car)  # original index of each active carrier
     final_x = x.copy()
-    iterations = np.full(n_car, max_iter)
+    iterations = np.full(n_car, MAX_ITER)
     converged = np.zeros(n_car, dtype=bool)
 
-    for it in range(max_iter):
+    for it in range(MAX_ITER):
         y = _herm_params(s - u_mat, iu)
         x = _matvec(solve_mat, beta1[:, None] * _matvec(gt, q - z - u) + 2.0 * beta2[:, None] * y)
 
@@ -217,7 +224,7 @@ def _admm_unit(steering, q, tol, max_iter) -> list[_UnitSolve]:
         primal_hist[act, it] = primal
         dual_hist[act, it] = np.hypot(d1, d2)
 
-        done = primal < tol
+        done = primal < TOL
         if done.any():
             final_x[act[done]] = x[done]
             iterations[act[done]] = it + 1
@@ -262,18 +269,18 @@ def _admm_unit(steering, q, tol, max_iter) -> list[_UnitSolve]:
     ]
 
 
-def _raise_on_fallback(units, contexts, tol, fallback_tol) -> None:
-    """Raise for the first carrier whose iterate fails even the fallback tolerance.
+def _raise_on_fallback(units, contexts) -> None:
+    """Raise for the first carrier whose iterate fails even ``FALLBACK_TOL``.
 
     ``contexts`` gives each carrier's message prefix and the power at which
     its last iterate is reported.
     """
     for unit, (prefix, power) in zip(units, contexts):
-        if not unit.converged and unit.primal_residuals[-1] > fallback_tol:
+        if not unit.converged and unit.primal_residuals[-1] > FALLBACK_TOL:
             raise SolverError(
                 f"{prefix}covariance solver residual {unit.primal_residuals[-1]:.3e} after "
                 f"{unit.iterations} iterations exceeds even the fallback tolerance "
-                f"{fallback_tol:g} (tight tolerance {tol:g})",
+                f"{FALLBACK_TOL:g} (tight tolerance {TOL:g})",
                 last_iterate=power * unit.matrix,
                 residuals=unit.primal_residuals,
             )
@@ -304,40 +311,27 @@ def _polish(mat: np.ndarray, diag_value: float, floor: float = -1e-10, max_round
 
 
 def solve_pattern_covariance(
-    steering: np.ndarray,
-    desired: np.ndarray,
-    power_budget: float,
-    tol: float = 1e-6,
-    fallback_tol: float = 1e-2,
-    max_iter: int = 5000,
+    steering: np.ndarray, desired: np.ndarray, power_budget: float
 ) -> CovarianceSolution:
     """Solve the beampattern-matching covariance problem on one subcarrier.
 
     ``steering`` is (T, n_tx) with unit-modulus entries, ``desired`` the
-    target gain per grid angle in the same units as a^H R a. Both tolerances
-    apply to the primal residual of the unit-budget normalized problem, so
-    in raw units they read tol*P and fallback_tol*P. Iteration stops early
-    below ``tol``; at ``max_iter`` the iterate is accepted if the residual is
-    below ``fallback_tol`` (its objective error is orders of magnitude inside
-    the 1e-2*P accuracy the rest of the pipeline relies on), else
-    :class:`SolverError` carries the last iterate and residual history.
-    This is the batched core run on a batch of one.
+    target gain per grid angle in the same units as a^H R a. Iteration stops
+    early below ``TOL``; at ``MAX_ITER`` the iterate is accepted if its
+    residual is below ``FALLBACK_TOL`` (its objective error is orders of
+    magnitude inside the 1e-2*P accuracy the rest of the pipeline relies
+    on), else :class:`SolverError` carries the last iterate and residual
+    history. This is the batched core run on a batch of one.
     """
     steering = np.asarray(steering)
     desired = np.asarray(desired, dtype=float)
     q = desired / power_budget - 1.0
-    units = _admm_unit(steering[None], q[None], tol, max_iter)
-    _raise_on_fallback(units, [("", power_budget)], tol, fallback_tol)
+    units = _admm_unit(steering[None], q[None])
+    _raise_on_fallback(units, [("", power_budget)])
     return _finish(units[0], steering, desired, power_budget)
 
 
-def solve_radar_covariances(
-    grid: BeamGrid,
-    requests: dict,
-    tol: float = 1e-6,
-    fallback_tol: float = 1e-2,
-    max_iter: int = 5000,
-) -> dict[float, dict[int, CovarianceSolution]]:
+def solve_radar_covariances(grid: BeamGrid, requests: dict) -> dict[float, dict[int, CovarianceSolution]]:
     """Covariances of the mask pattern for many (power, subcarrier) pairs at once.
 
     ``requests`` maps each power budget to the subcarriers wanted at it. The
@@ -354,10 +348,8 @@ def solve_radar_covariances(
             first_power.setdefault(int(k), power)
     ks = list(first_power)
     q = np.broadcast_to(grid.desired_gain - 1.0, (len(ks), grid.n_angles))
-    units = dict(zip(ks, _admm_unit(grid.steering[ks], q, tol, max_iter)))
-    _raise_on_fallback(
-        units.values(), [(f"subcarrier {k}: ", first_power[k]) for k in ks], tol, fallback_tol
-    )
+    units = dict(zip(ks, _admm_unit(grid.steering[ks], q)))
+    _raise_on_fallback(units.values(), [(f"subcarrier {k}: ", first_power[k]) for k in ks])
     return {
         power: {
             int(k): _finish(units[int(k)], grid.steering[int(k)], power * grid.desired_gain, power)
@@ -368,10 +360,7 @@ def solve_radar_covariances(
 
 
 def solve_radar_covariance(
-    grid: BeamGrid,
-    power_budget: float,
-    subcarriers=None,
-    **solver_kwargs,
+    grid: BeamGrid, power_budget: float, subcarriers=None
 ) -> dict[int, CovarianceSolution]:
     """Solve the covariance problem on each requested subcarrier, in one batch.
 
@@ -382,4 +371,4 @@ def solve_radar_covariance(
     if subcarriers is None:
         subcarriers = range(grid.n_subcarriers)
     ks = [int(k) for k in subcarriers]
-    return solve_radar_covariances(grid, {power_budget: ks}, **solver_kwargs)[power_budget]
+    return solve_radar_covariances(grid, {power_budget: ks})[power_budget]

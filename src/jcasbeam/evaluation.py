@@ -105,7 +105,7 @@ def _realization_links(base: SystemConfig, snrs, seed: int):
     channels = generate_rayleigh(base.n_subcarriers, base.n_rx, base.n_tx, seed)
     stages = []
     for snr in snrs:
-        cfg = replace(base, power_budget=base.noise_power * 10.0 ** (snr / 10.0), seed=seed)
+        cfg = replace(base, power_budget=base.snr_power(snr), seed=seed)
         stages.append((cfg, eigen_stage(cfg, channels)))
     return channels, stages
 

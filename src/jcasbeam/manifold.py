@@ -7,33 +7,36 @@ communications precoder,
     gamma(F) = rho * ||F F^H - R||_F^2 + (1 - rho) * ||F - F_hat||_F^2,
 
 using projected gradients, Polak-Ribiere (nonnegative) conjugate directions
-with projection-based transport, an Armijo backtracking line search along the
-normalization retraction, and monotone descent by construction.
+with transport by projection onto the new tangent space, an Armijo
+backtracking line search along the normalization retraction, and monotone
+descent by construction. Its rules are module constants, read at call time:
+the line search's ``CONTRACTION``, ``ARMIJO_C`` and ``MAX_BACKTRACKS``, and
+the stops ``GRAD_TOL``, ``PLATEAU_TOL``, ``PLATEAU_RUNS`` and ``MAX_ITER``.
 
 One RCG core, :func:`solve_rcg_batch`, serves every caller; one carrier is a
 stack of one. It runs a stack of carriers ``(B, n_tx, n_streams)`` through
-stacked numpy calls: the geometry primitives below accept a leading carrier
-axis, and every carrier keeps its own Armijo step, accepted flag,
-Polak-Ribiere coefficient, plateau counter and stop reason. The running
+stacked numpy calls: the geometry primitives below act on every matrix of a
+stack ``(..., n, m)``, and every carrier keeps its own Armijo step, accepted
+flag, Polak-Ribiere coefficient, plateau counter and stop reason. The running
 operands are gathered again only when a carrier stops, and the core steps
 until every carrier is done.
 
-The Armijo line search runs on a ladder. Its trial steps are fixed rungs,
-rung r being CONTRACTION**r, so the values of a whole chunk of rungs
-(``LADDER_CHUNK``) are known before any is judged: one stacked retraction and
-one stacked objective call evaluate every running carrier at every rung of
-the chunk, and carriers still undecided at its end get the next chunk. One
-routine, ``_armijo_decide``, reads each carrier's row of values and finds
-where a sequential backtracking search (with its polishing probes) would
-end. The rungs are formed by the same repeated multiplication by
-``CONTRACTION`` as a shrinking step (exact powers for the contraction 0.5
-used here), so each rung is bit for bit the step the sequential search tries
-at that round, and the ladder ends every search on the same step with the
-same value. The accepted rung's retracted point and its residual F F^H - R,
-already computed on the ladder, become the new iterate and the gradient's
-residual.
+The Armijo line search runs on a ladder. Its trial steps are fixed rungs, rung
+r being CONTRACTION**r, so the values of a whole chunk of rungs
+(``LADDER_CHUNK``) are known before any is judged: one :func:`retract` of the
+column of running carriers by the row of rungs, and one stacked objective
+call, evaluate every carrier at every rung of the chunk, and carriers still
+undecided at its end get the next chunk. One routine, ``_armijo_decide``,
+reads each carrier's row of values and finds where a sequential backtracking
+search (with its polishing probes) would end. The rungs are formed by the same
+repeated multiplication by ``CONTRACTION`` as a shrinking step (exact powers
+for the contraction 0.5 used here), so each rung is bit for bit the step the
+sequential search tries at that round, and the ladder ends every search on the
+same step with the same value. The accepted rung's retracted point and its
+residual F F^H - R, already computed on the ladder, become the new iterate and
+the gradient's residual.
 
-Exactness: the plateau stop is absolute (``plateau_tol`` = 1e-10 against an
+Exactness: the plateau stop is absolute (``PLATEAU_TOL`` = 1e-10 against an
 objective of order P^2), so it is sensitive to roundoff: a 1-ulp change in one
 objective value can move the stop iteration and the returned precoder by
 ~1e-5. The stacked code therefore repeats the one-matrix arithmetic bit for
@@ -60,6 +63,12 @@ ARMIJO_C = 1e-4
 MAX_BACKTRACKS = 50
 # rungs evaluated per stacked round: 99.9% of searches are decided within the first 7
 LADDER_CHUNK = 7
+# the stopping rules of the RCG solver (see solve_rcg_batch); the gradient
+# tolerance is relative, GRAD_TOL * sqrt(P)
+GRAD_TOL = 1e-6
+PLATEAU_TOL = 1e-10
+PLATEAU_RUNS = 3
+MAX_ITER = 500
 # Every step a search can try, up to the last polishing probe: rung r is
 # CONTRACTION**r, formed by repeated multiplication as a search shrinks its step.
 _RCG_RUNGS = np.cumprod(np.r_[1.0, np.full(2 * MAX_BACKTRACKS, CONTRACTION)])
@@ -69,15 +78,13 @@ def _ctranspose(mat: np.ndarray) -> np.ndarray:
     return mat.conj().swapaxes(-1, -2)
 
 
-def _each(values, like: np.ndarray):
-    """Per-matrix values shaped to broadcast over the matrices of ``like``; scalars pass."""
-    if getattr(values, "ndim", 0) == 0:
-        return values
-    return values.reshape(like.shape[:-2] + (1, 1))
+def _each(values):
+    """Values shaped like a stack's leading axes, made to broadcast over its matrices."""
+    return np.asarray(values)[..., None, None]
 
 
 def _norms(mats: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix of a (..., n, m) stack, as a (B,) array.
+    """Frobenius norm of each matrix of a (..., n, m) stack, shaped (...).
 
     ``np.linalg.norm`` of one complex matrix is sqrt(re.re + im.im), two BLAS
     dots over the strided real and imaginary views (one dot for a real
@@ -85,20 +92,20 @@ def _norms(mats: np.ndarray) -> np.ndarray:
     """
     flat = mats.reshape(-1, mats.shape[-2] * mats.shape[-1])
     if not np.iscomplexobj(flat):
-        return np.sqrt(np.vecdot(flat, flat))
+        return np.sqrt(np.vecdot(flat, flat)).reshape(mats.shape[:-2])
     parts = flat[..., None].view(np.float64)  # (B, n, re/im)
     sq = np.vecdot(parts, parts, axis=1)
-    return np.sqrt(sq[:, 0] + sq[:, 1])
+    return np.sqrt(sq[:, 0] + sq[:, 1]).reshape(mats.shape[:-2])
 
 
 def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Real inner product Re tr(A^H B) of each matrix pair, as a (B,) array.
+    """Real inner product Re tr(A^H B) of each matrix pair, shaped like the leading axes.
 
     ``np.vecdot`` conjugates its first operand with the BLAS complex dot that
     ``np.vdot`` makes on one pair.
     """
     n = a.shape[-2] * a.shape[-1]
-    return np.vecdot(a.reshape(-1, n), b.reshape(-1, n)).real
+    return np.vecdot(a.reshape(-1, n), b.reshape(-1, n)).real.reshape(a.shape[:-2])
 
 
 def _residual_objective(f: np.ndarray, cov: np.ndarray, f_comm: np.ndarray, rho: float):
@@ -108,16 +115,15 @@ def _residual_objective(f: np.ndarray, cov: np.ndarray, f_comm: np.ndarray, rho:
     """
     resid = f @ _ctranspose(f) - cov
     sens = _norms(resid)
-    norms = np.concatenate([sens, _norms(f - f_comm)]).tolist()
+    norms = sens.ravel().tolist() + _norms(f - f_comm).ravel().tolist()
     squares = np.array(list(map(math.pow, norms, itertools.repeat(2))))
     gamma = rho * squares[: sens.size] + (1.0 - rho) * squares[sens.size :]
-    return resid, gamma.reshape(f.shape[:-2])
+    return resid, gamma.reshape(sens.shape)
 
 
 def tradeoff_objective(f: np.ndarray, cov: np.ndarray, f_comm: np.ndarray, rho: float):
-    """gamma(F): a float for one precoder, a (B,) array for a (B, n_tx, n_streams) stack."""
-    gamma = _residual_objective(f, cov, f_comm, rho)[1]
-    return float(gamma) if f.ndim == 2 else gamma
+    """gamma(F) of each precoder of a (..., n_tx, n_streams) stack, shaped (...)."""
+    return _residual_objective(f, cov, f_comm, rho)[1]
 
 
 def _gradient(f: np.ndarray, resid: np.ndarray, f_comm: np.ndarray, rho: float) -> np.ndarray:
@@ -132,37 +138,30 @@ def tradeoff_gradient(f: np.ndarray, cov: np.ndarray, f_comm: np.ndarray, rho: f
 
 def project_to_tangent(f: np.ndarray, g: np.ndarray, power: float) -> np.ndarray:
     """Remove the radial component of g at the sphere point f (||f||^2 = power)."""
-    return g - _each(_inner(f, g) / power, f) * f
+    return g - _each(_inner(f, g) / power) * f
 
 
 def _normalize(v: np.ndarray, power: float) -> np.ndarray:
     """Scale each matrix of a stack onto the power sphere."""
-    return math.sqrt(power) * v / _each(_norms(v), v)
+    return math.sqrt(power) * v / _each(_norms(v))
 
 
 def retract(f: np.ndarray, step, direction: np.ndarray, power: float) -> np.ndarray:
     """Move along ``direction`` then renormalize back onto the power sphere.
 
-    ``step`` is one float, or one step per matrix of a stack.
+    ``step`` broadcasts over the leading axes of the stack: one float, one
+    step per matrix, or, as the line search uses it, a row of steps against
+    a column of matrices.
     """
-    return _normalize(f + _each(step, f) * direction, power)
-
-
-def transport(f_new: np.ndarray, g: np.ndarray, power: float) -> np.ndarray:
-    """Carry a tangent vector to the new point by projecting onto its tangent space."""
-    return project_to_tangent(f_new, g, power)
+    return _normalize(f + _each(step) * direction, power)
 
 
 def polak_ribiere_mu(g_new: np.ndarray, g_prev: np.ndarray, g_prev_transported: np.ndarray):
-    """Nonnegative Polak-Ribiere coefficient; zero resets to steepest descent.
-
-    A float for one matrix, a (B,) array for a stack.
-    """
+    """Nonnegative Polak-Ribiere coefficient of each matrix; zero resets to steepest descent."""
     denom = _inner(g_prev, g_prev)
     num = _inner(g_new, g_new - g_prev_transported)
     ratio = np.divide(num, denom, out=np.zeros_like(num), where=denom > 0.0)
-    mu = np.where(ratio > 0.0, ratio, 0.0)
-    return float(mu[0]) if g_new.ndim == 2 else mu
+    return np.where(ratio > 0.0, ratio, 0.0)
 
 
 def _armijo_decide(values, rungs, phi0, slope, c, max_backtracks):
@@ -217,8 +216,8 @@ def _line_search(f, direction, cov, f_comm, rho, power, gamma, slope):
     tables = None  # points, residuals and values of every carrier at the rungs so far
     while True:
         lo = 0 if tables is None else tables[2].shape[1]
-        steps = _RCG_RUNGS[lo : lo + LADDER_CHUNK, None, None]
-        points = _normalize(f[todo, None] + steps * direction[todo, None], power)
+        steps = _RCG_RUNGS[lo : lo + LADDER_CHUNK]
+        points = retract(f[todo, None], steps, direction[todo, None], power)
         chunk = (points, *_residual_objective(points, cov[todo, None], f_comm[todo, None], rho))
         if tables is None:
             tables = chunk
@@ -263,27 +262,20 @@ def solve_rcg_batch(
     f_comm: np.ndarray,
     rho: float,
     power: float,
-    grad_tol: float | None = None,
-    max_iter: int = 500,
-    plateau_tol: float = 1e-10,
-    plateau_runs: int = 3,
-    callback=None,
 ) -> list[RcgResult]:
     """Minimize the tradeoff objective on each carrier of a stack, from ``f0``.
 
     ``f0`` and ``f_comm`` are (B, n_tx, n_streams), ``cov`` is (B, n_tx, n_tx);
     ``rho`` and ``power`` are shared. Each carrier stops on its own: when its
-    Riemannian gradient norm falls below ``grad_tol`` (default
-    1e-6 * sqrt(power)), when its objective decrease stays below
-    ``plateau_tol`` for ``plateau_runs`` consecutive iterations, when its line
-    search cannot make progress, or after ``max_iter`` iterations.
-    ``callback(it, carriers, f, grad)`` runs after every iteration with the
-    indices of the carriers that took it and their stacked iterates. A
-    carrier's result is the same bit for bit whatever batch it runs in, a
-    batch of one included (see the module docstring).
+    Riemannian gradient norm is at most ``GRAD_TOL * sqrt(power)``, when its
+    objective decrease is at most ``PLATEAU_TOL`` for ``PLATEAU_RUNS``
+    consecutive iterations, when its line search cannot make progress, or
+    after ``MAX_ITER`` iterations. The trace of each carrier's descent is on
+    its :class:`RcgResult`. A carrier's result is the same bit for bit
+    whatever batch it runs in, a batch of one included (see the module
+    docstring).
     """
-    if grad_tol is None:
-        grad_tol = 1e-6 * np.sqrt(power)
+    grad_tol = GRAD_TOL * np.sqrt(power)
     n_car = len(f0)
     if n_car == 0:
         return []
@@ -294,8 +286,8 @@ def solve_rcg_batch(
     direction = -grad
     grad_norm = _norms(grad)
 
-    trace = np.empty((n_car, max_iter + 1))
-    grad_norms = np.empty((n_car, max_iter + 1))
+    trace = np.empty((n_car, MAX_ITER + 1))
+    grad_norms = np.empty((n_car, MAX_ITER + 1))
     trace[:, 0] = gamma
     grad_norms[:, 0] = grad_norm
     final_f = np.empty_like(f)
@@ -322,7 +314,7 @@ def solve_rcg_batch(
         return [a[keep] for a in extra]
 
     while act.size:
-        if it >= max_iter:
+        if it >= MAX_ITER:
             drop(np.ones(act.size, dtype=bool), "max_iterations")
             break
         small = grad_norm <= grad_tol
@@ -335,7 +327,7 @@ def solve_rcg_batch(
         lost = slope >= 0.0
         if np.count_nonzero(lost):
             # conjugate direction lost descent; fall back to steepest descent
-            direction = np.where(_each(lost, direction), -grad, direction)
+            direction = np.where(_each(lost), -grad, direction)
             slope = np.where(lost, [-math.pow(g, 2) for g in grad_norm.tolist()], slope)
 
         value, ok, f_new, resid = _line_search(f, direction, cov, f_comm, rho, power, gamma, slope)
@@ -346,8 +338,8 @@ def solve_rcg_batch(
                 break
 
         grad_new = project_to_tangent(f_new, _gradient(f_new, resid, f_comm, rho), power)
-        mu = polak_ribiere_mu(grad_new, grad, transport(f_new, grad, power))
-        direction = -grad_new + _each(mu, f_new) * transport(f_new, direction, power)
+        mu = polak_ribiere_mu(grad_new, grad, project_to_tangent(f_new, grad, power))
+        direction = -grad_new + _each(mu) * project_to_tangent(f_new, direction, power)
 
         decrease = gamma - value
         f, grad, gamma = f_new, grad_new, value
@@ -355,11 +347,9 @@ def solve_rcg_batch(
         grad_norm = _norms(grad)
         trace[act, it] = gamma
         grad_norms[act, it] = grad_norm
-        if callback is not None:
-            callback(it, act, f, grad)
 
-        plateau = np.where(np.abs(decrease) <= plateau_tol, plateau + 1, 0)
-        flat = plateau >= plateau_runs
+        plateau = np.where(np.abs(decrease) <= PLATEAU_TOL, plateau + 1, 0)
+        flat = plateau >= PLATEAU_RUNS
         if np.count_nonzero(flat):
             drop(flat, "objective_plateau")
 

@@ -20,7 +20,7 @@ eigen stage per SNR and refines every (rho, J) design of that SNR from it.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -159,10 +159,8 @@ def _refine(cfg, channels, grid, covariances, eigen) -> DesignResult:
 
 def build_run_manifest(result: DesignResult) -> dict:
     """JSON-ready summary of one design run (no arrays beyond per-k scalars)."""
-    cfg_dict = asdict(result.config)
-    cfg_dict["target_angles"] = list(cfg_dict["target_angles"])
     return {
-        "config": cfg_dict,
+        "config": result.config.to_dict(),
         "jcas_subcarriers": [int(k) for k in result.jcas_subcarriers],
         "eigen_avg_rate": result.eigen_avg_rate,
         "avg_rate": result.avg_rate,

@@ -1,5 +1,7 @@
 """The package's public API: what ``import jcasbeam`` exports."""
 
+import inspect
+
 import jcasbeam
 import jcasbeam.cli
 
@@ -48,3 +50,19 @@ def test_benchmark_entry_points_are_present():
                  "run_design", "beampattern_mse"):
         assert callable(getattr(jcasbeam, name)), name
     assert callable(jcasbeam.cli.main)
+
+
+# Each solver has one fixed set of rules, module constants: no per-call tuning values.
+SOLVER_SIGNATURES = {
+    "solve_rcg_batch": ["f0", "cov", "f_comm", "rho", "power"],
+    "solve_pattern_covariance": ["steering", "desired", "power_budget"],
+    "solve_radar_covariances": ["grid", "requests"],
+    "solve_radar_covariance": ["grid", "power_budget", "subcarriers=None"],
+}
+
+
+def test_solver_signatures_take_no_tuning_values():
+    for name, want in SOLVER_SIGNATURES.items():
+        params = inspect.signature(getattr(jcasbeam, name)).parameters.values()
+        got = [p.name if p.default is p.empty else f"{p.name}={p.default!r}" for p in params]
+        assert got == want, name

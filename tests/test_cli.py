@@ -5,10 +5,12 @@ import json
 import numpy as np
 import pytest
 
-from jcasbeam.channel import ChannelSet
+from jcasbeam import covariance
+from jcasbeam.channel import ChannelSet, generate_rayleigh
 from jcasbeam.cli import main
 from jcasbeam.config import SystemConfig, write_config
 from jcasbeam.errors import SolverError
+from jcasbeam.pipeline import eigen_stage, select_jcas_subcarriers
 from jcasbeam.selfcheck import run_selfcheck
 from jcasbeam.tables import parse_table
 
@@ -140,6 +142,27 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     assert "absent.ini" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["power_budget", "base_freq"])
+def test_non_finite_config_value_exits_2(small_config_file, tmp_path, capsys, key):
+    path = tmp_path / "inf.ini"
+    lines = small_config_file.read_text().splitlines()
+    path.write_text("\n".join(f"{key} = inf" if l.startswith(f"{key} =") else l for l in lines) + "\n")
+    out = tmp_path / "never"
+    assert main(["design", "--config", str(path), "--out-dir", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["design", "sweep"])
+def test_out_of_range_snr_exits_2(small_config_file, tmp_path, capsys, command):
+    # 10 ** 400 overflows a float: no finite power budget gives this SNR
+    out = tmp_path / "never"
+    code = main([command, "--config", str(small_config_file), "--out-dir", str(out), "--snr", "4000"])
+    assert code == 2
+    assert "snr 4000 dB" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_flag_exits_2(small_config_file):
     with pytest.raises(SystemExit) as err:
         main(["design", "--config", str(small_config_file), "--frobnicate"])
@@ -159,6 +182,21 @@ def test_solver_failure_exits_3(small_config_file, tmp_path, monkeypatch, capsys
     assert code == 3
     assert not (tmp_path / "o").exists()  # a failed design leaves no output directory
     assert "did not converge" in capsys.readouterr().err
+
+
+def test_covariance_failure_exits_3_end_to_end(small_config_file, tmp_path, monkeypatch, capsys):
+    # the real design, with covariance rules that no iterate can meet
+    monkeypatch.setattr(covariance, "MAX_ITER", 2)
+    monkeypatch.setattr(covariance, "FALLBACK_TOL", 1e-12)
+    cfg = SystemConfig(**SMALL)
+    channels = generate_rayleigh(cfg.n_subcarriers, cfg.n_rx, cfg.n_tx, cfg.seed)
+    first = select_jcas_subcarriers(eigen_stage(cfg, channels)[2], cfg.n_jcas)[0]
+    code = main(
+        ["design", "--config", str(small_config_file), "--out-dir", str(tmp_path / "o")]
+    )
+    assert code == 3
+    assert f"solver error: subcarrier {first}: " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_degenerate_channel_exits_4(small_config_file, tmp_path, monkeypatch, capsys):

@@ -1,11 +1,14 @@
 """Configuration container and config-file round trips."""
 
 import dataclasses
+import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from jcasbeam.config import SPEED_OF_LIGHT, SystemConfig, load_config, write_config
+from jcasbeam.config import RATE_FORMULAS, SPEED_OF_LIGHT, SystemConfig, load_config, write_config
 from jcasbeam.errors import ConfigError
 
 
@@ -57,6 +60,17 @@ def test_effective_units_literal_mode():
         (dict(target_angles=(120.0,)), "target_angles"),
         (dict(base_freq=0.0), "base_freq"),
         (dict(rate_formula="bogus"), "rate_formula"),
+        (dict(power_budget=math.inf), "power_budget"),
+        (dict(noise_power=math.inf), "noise_power"),
+        (dict(base_freq=math.inf), "base_freq"),
+        (dict(subcarrier_spacing=math.inf), "subcarrier_spacing"),
+        (dict(antenna_spacing=math.inf), "antenna_spacing"),
+        (dict(mainlobe_halfwidth=math.inf), "mainlobe_halfwidth"),
+        (dict(power_budget=math.nan), "power_budget"),
+        (dict(antenna_spacing=math.nan), "antenna_spacing"),
+        (dict(mainlobe_halfwidth=math.nan), "mainlobe_halfwidth"),
+        (dict(rho=math.nan), "rho"),
+        (dict(target_angles=(math.nan,)), "target_angles"),
     ],
 )
 def test_validation_names_offending_key(overrides, key):
@@ -95,6 +109,41 @@ def test_config_file_round_trip_with_auto_spacing(tmp_path):
     loaded = load_config(path)
     assert loaded == cfg
     assert loaded.antenna_spacing is None
+
+
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def valid_configs(draw):
+    n_tx, n_rx = draw(st.integers(1, 16)), draw(st.integers(1, 16))
+    n_subcarriers = draw(st.integers(1, 128))
+    return SystemConfig(
+        n_tx=n_tx,
+        n_rx=n_rx,
+        n_streams=draw(st.integers(1, min(n_tx, n_rx))),
+        n_subcarriers=n_subcarriers,
+        n_jcas=draw(st.integers(0, n_subcarriers)),
+        power_budget=draw(POSITIVE),
+        noise_power=draw(POSITIVE),
+        rho=draw(st.floats(0.0, 1.0)),
+        base_freq=draw(POSITIVE),
+        subcarrier_spacing=draw(POSITIVE),
+        antenna_spacing=draw(st.none() | POSITIVE),
+        grid_size=draw(st.integers(1, 1000)),
+        mainlobe_halfwidth=draw(st.floats(min_value=0.0, allow_infinity=False)),
+        target_angles=draw(st.lists(st.floats(-90.0, 90.0), min_size=1, max_size=6)),
+        rate_formula=draw(st.sampled_from(RATE_FORMULAS)),
+        seed=draw(st.integers(0, 2**63 - 1)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=valid_configs())
+def test_any_valid_config_round_trips(tmp_path_factory, cfg):
+    path = tmp_path_factory.getbasetemp() / "round_trip.ini"
+    write_config(cfg, path)
+    assert load_config(path) == cfg
 
 
 def test_load_config_missing_file(tmp_path):

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from jcasbeam import covariance
 from jcasbeam.beamgrid import build_grid, steering_vector
 from jcasbeam.config import SystemConfig
 from jcasbeam.covariance import (
@@ -132,17 +133,17 @@ def test_objective_reported_at_returned_matrix():
     assert sol.objective == pytest.approx(direct, rel=1e-12)
 
 
-def test_solver_error_carries_iterate_and_residuals():
+def test_solver_error_carries_iterate_and_residuals(monkeypatch):
     grid = build_grid(SystemConfig())
+    monkeypatch.setattr(covariance, "MAX_ITER", 3)
+    monkeypatch.setattr(covariance, "FALLBACK_TOL", 1e-9)
     with pytest.raises(SolverError) as err:
-        solve_pattern_covariance(
-            grid.steering[0], 10.0 * grid.desired_gain, 10.0, max_iter=3, fallback_tol=1e-9
-        )
+        solve_pattern_covariance(grid.steering[0], 10.0 * grid.desired_gain, 10.0)
     assert err.value.last_iterate is not None
     assert len(err.value.residuals) == 3
 
 
-def test_radar_covariance_subset_and_error_context():
+def test_radar_covariance_subset_and_error_context(monkeypatch):
     cfg = SystemConfig(n_tx=4, n_subcarriers=6, n_jcas=2, grid_size=41)
     grid = build_grid(cfg)
     sols = solve_radar_covariance(grid, 2.0, subcarriers=[4, 1])
@@ -150,8 +151,10 @@ def test_radar_covariance_subset_and_error_context():
     assert all(isinstance(k, int) for k in sols)
     for sol in sols.values():
         np.testing.assert_allclose(np.diag(sol.matrix).real, 0.5, atol=1e-8)
+    monkeypatch.setattr(covariance, "MAX_ITER", 2)
+    monkeypatch.setattr(covariance, "FALLBACK_TOL", 1e-12)
     with pytest.raises(SolverError, match="subcarrier 4"):
-        solve_radar_covariance(grid, 2.0, subcarriers=[4], max_iter=2, fallback_tol=1e-12)
+        solve_radar_covariance(grid, 2.0, subcarriers=[4])
 
 
 def test_trivial_single_antenna_budget():
@@ -217,14 +220,14 @@ def test_radar_covariance_empty_and_single_antenna():
         assert (sol.iterations, sol.converged) == (0, True)
 
 
-def test_batched_solver_error_names_first_failing_carrier():
+def test_batched_solver_error_names_first_failing_carrier(monkeypatch):
     grid = _small_grid()
+    monkeypatch.setattr(covariance, "MAX_ITER", 2)
+    monkeypatch.setattr(covariance, "FALLBACK_TOL", 1e-12)
     with pytest.raises(SolverError, match="^subcarrier 3: ") as err:
-        solve_radar_covariance(grid, 2.0, subcarriers=[3, 1], max_iter=2, fallback_tol=1e-12)
+        solve_radar_covariance(grid, 2.0, subcarriers=[3, 1])
     with pytest.raises(SolverError) as solo:
-        solve_pattern_covariance(
-            grid.steering[3], 2.0 * grid.desired_gain, 2.0, max_iter=2, fallback_tol=1e-12
-        )
+        solve_pattern_covariance(grid.steering[3], 2.0 * grid.desired_gain, 2.0)
     assert str(err.value) == f"subcarrier 3: {solo.value}"
     np.testing.assert_array_equal(err.value.last_iterate, solo.value.last_iterate)
     np.testing.assert_array_equal(err.value.residuals, solo.value.residuals)

@@ -20,15 +20,14 @@ from jcasbeam.manifold import (
     solve_rcg_batch,
     tradeoff_gradient,
     tradeoff_objective,
-    transport,
 )
 
 from conftest import random_complex, random_psd, random_sphere_point
 
 
-def solve_one(f0, cov, f_comm, rho, power, **kwargs):
+def solve_one(f0, cov, f_comm, rho, power):
     """One carrier's refinement: the batched solver on a stack of one."""
-    return solve_rcg_batch(f0[None], cov[None], f_comm[None], rho, power, **kwargs)[0]
+    return solve_rcg_batch(f0[None], cov[None], f_comm[None], rho, power)[0]
 
 
 def real_inner(a, b):
@@ -100,11 +99,12 @@ def test_retraction_zero_step_identity(rng):
 
 
 def test_transport_lands_in_tangent_space(rng):
+    # the solver carries a tangent vector to a new point by projecting it there
     power = 1.0
     f = random_sphere_point(rng, (4, 2), power)
     f_new = random_sphere_point(rng, (4, 2), power)
     v = project_to_tangent(f, random_complex(rng, (4, 2)), power)
-    carried = transport(f_new, v, power)
+    carried = project_to_tangent(f_new, v, power)
     assert abs(real_inner(f_new, carried)) <= 1e-8
 
 
@@ -204,22 +204,15 @@ def test_rcg_pure_sensing_rank_one(rng):
     assert res.objective <= 1e-10
 
 
-def test_rcg_max_iteration_stop(rng):
+def test_rcg_max_iteration_stop(rng, monkeypatch):
     f0, cov, f_comm = _small_instance(rng)
-    res = solve_one(f0, cov, f_comm, 0.5, 2.0, max_iter=1, grad_tol=1e-300)
+    monkeypatch.setattr(manifold, "MAX_ITER", 1)
+    monkeypatch.setattr(manifold, "GRAD_TOL", 1e-300)
+    res = solve_one(f0, cov, f_comm, 0.5, 2.0)
     assert res.iterations == 1
     assert res.stop_reason in ("max_iterations", "objective_plateau", "line_search_stall")
     if res.stop_reason == "max_iterations":
         assert not res.converged
-
-
-def test_rcg_callback_sees_every_iterate(rng):
-    f0, cov, f_comm = _small_instance(rng)
-    seen = []
-    res = solve_one(
-        f0, cov, f_comm, 0.5, 2.0, callback=lambda it, carriers, f, g: seen.append((it, list(carriers)))
-    )
-    assert seen == [(it, [0]) for it in range(1, res.iterations + 1)]
 
 
 def test_rcg_multistart_consistency(rng):
@@ -243,10 +236,19 @@ def assert_same_result(got, want):
             assert type(a) is type(b) and a == b, field.name
 
 
-def test_rcg_batch_matches_solo_exactly_across_stop_reasons():
-    # Near the roundoff floor (tiny grad_tol, plateau_tol 0) some carriers
-    # stall in the line search and some plateau; the cap stops the slow ones;
-    # a carrier started at its optimum stops on the gradient norm at once.
+# Stop rules of the mixed-stop batch: an absolute gradient tolerance of 1e-13
+# at P = 2, no plateau tolerance, and a cap of 45 iterations.
+MIXED_STOP_RULES = dict(GRAD_TOL=1e-13 / math.sqrt(2.0), PLATEAU_TOL=0.0, MAX_ITER=45)
+
+
+@pytest.fixture
+def mixed_stop_rules(monkeypatch):
+    for name, value in MIXED_STOP_RULES.items():
+        monkeypatch.setattr(manifold, name, value)
+
+
+def _mixed_stop_instance():
+    """A 17-carrier batch that, under ``MIXED_STOP_RULES``, ends on every stop reason."""
     rng = np.random.default_rng(5)
     power = 2.0
     f0s, covs, f_comms = [], [], []
@@ -258,27 +260,21 @@ def test_rcg_batch_matches_solo_exactly_across_stop_reasons():
     f0s.append(f_opt)
     f_comms.append(f_opt)
     covs.append(f_opt @ f_opt.conj().T)
-    settings = dict(rho=0.5, power=power, grad_tol=1e-13, max_iter=45, plateau_tol=0.0)
+    return (np.array(f0s), np.array(covs), np.array(f_comms)), dict(rho=0.5, power=power)
 
-    batch = solve_rcg_batch(np.array(f0s), np.array(covs), np.array(f_comms), **settings)
+
+def test_rcg_batch_matches_solo_exactly_across_stop_reasons(mixed_stop_rules):
+    # Near the roundoff floor (tiny gradient tolerance, plateau tolerance 0)
+    # some carriers stall in the line search and some plateau; the cap stops
+    # the slow ones; a carrier started at its optimum stops on the gradient
+    # norm at once.
+    stack, settings = _mixed_stop_instance()
+    batch = solve_rcg_batch(*stack, **settings)
     assert {r.stop_reason for r in batch} == {
         "gradient_norm", "line_search_stall", "objective_plateau", "max_iterations"
     }
-    for f0, cov, f_comm, got in zip(f0s, covs, f_comms, batch):
+    for f0, cov, f_comm, got in zip(*stack, batch):
         assert_same_result(got, solve_one(f0, cov, f_comm, **settings))
-
-
-def test_rcg_batch_callback_names_the_running_carriers(rng):
-    f0s, covs, f_comms = zip(*(_small_instance(rng) for _ in range(3)))
-    seen = []
-    batch = solve_rcg_batch(
-        np.array(f0s), np.array(covs), np.array(f_comms), 0.5, 2.0,
-        max_iter=4, callback=lambda it, carriers, f, g: seen.append((it, list(carriers), f.shape)),
-    )
-    assert [it for it, _, _ in seen] == list(range(1, max(r.iterations for r in batch) + 1))
-    for it, carriers, shape in seen:
-        assert carriers == [c for c, r in enumerate(batch) if r.iterations >= it]
-        assert shape == (len(carriers), 4, 2)
     assert solve_rcg_batch(np.zeros((0, 4, 2)), np.zeros((0, 4, 4)), np.zeros((0, 4, 2)), 0.5, 2.0) == []
 
 
@@ -313,15 +309,18 @@ def test_stacked_primitives_match_one_matrix_calls(rng):
         tradeoff_gradient(f, cov, g, 0.4),
         project_to_tangent(f, g, power),
         retract(f, steps, d, power),
-        transport(f, d, power),
         polak_ribiere_mu(g, d, f),
     )
     for b in range(5):
         np.testing.assert_array_equal(stacked[0][b], tradeoff_gradient(f[b], cov[b], g[b], 0.4))
         np.testing.assert_array_equal(stacked[1][b], project_to_tangent(f[b], g[b], power))
         np.testing.assert_array_equal(stacked[2][b], retract(f[b], steps[b], d[b], power))
-        np.testing.assert_array_equal(stacked[3][b], transport(f[b], d[b], power))
-        assert stacked[4][b] == polak_ribiere_mu(g[b], d[b], f[b])
+        assert stacked[3][b] == polak_ribiere_mu(g[b], d[b], f[b])
+    # the line search's form: a column of matrices retracted by a row of steps
+    ladder = retract(f[:, None], steps, d[:, None], power)
+    assert ladder.shape == (5, 5, 4, 2)
+    for b, r in np.ndindex(5, 5):
+        np.testing.assert_array_equal(ladder[b, r], retract(f[b], steps[r], d[b], power))
 
 
 def test_armijo_searches_run_side_by_side_as_alone():
@@ -362,31 +361,14 @@ MIXED_STOP_RECORD = [
 ]
 
 
-def _mixed_stop_instance():
-    """The 17-carrier batch of the stop-reason test above, with its settings."""
-    rng = np.random.default_rng(5)
-    power = 2.0
-    f0s, covs, f_comms = [], [], []
-    for _ in range(16):
-        f0s.append(random_sphere_point(rng, (4, 2), power))
-        f_comms.append(random_sphere_point(rng, (4, 2), power))
-        covs.append(random_psd(rng, 4, power))
-    f_opt = random_sphere_point(rng, (4, 2), power)
-    f0s.append(f_opt)
-    f_comms.append(f_opt)
-    covs.append(f_opt @ f_opt.conj().T)
-    settings = dict(rho=0.5, power=power, grad_tol=1e-13, max_iter=45, plateau_tol=0.0)
-    return (np.array(f0s), np.array(covs), np.array(f_comms)), settings
-
-
-def test_rcg_mixed_stop_batch_matches_its_record():
+def test_rcg_mixed_stop_batch_matches_its_record(mixed_stop_rules):
     stack, settings = _mixed_stop_instance()
     batch = solve_rcg_batch(*stack, **settings)
     assert [(r.iterations, r.stop_reason, r.objective) for r in batch] == MIXED_STOP_RECORD
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3])
-def test_rcg_ladder_chunk_does_not_change_results(monkeypatch, chunk):
+def test_rcg_ladder_chunk_does_not_change_results(mixed_stop_rules, monkeypatch, chunk):
     # small chunks leave most searches undecided after their first round
     stack, settings = _mixed_stop_instance()
     want = solve_rcg_batch(*stack, **settings)
