@@ -14,7 +14,6 @@ from .channel import ChannelSet, generate_rayleigh
 from .config import SystemConfig, load_config, write_config
 from .covariance import (
     CovarianceSolution,
-    solve_pattern_covariance,
     solve_radar_covariance,
     solve_radar_covariances,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "load_config",
     "run_design",
     "run_selfcheck",
-    "solve_pattern_covariance",
     "solve_radar_covariance",
     "solve_radar_covariances",
     "solve_rcg_batch",

@@ -11,14 +11,15 @@ objective becomes a soft-threshold step on per-angle residuals, and the psd
 constraint is enforced through a consensus copy projected by eigenvalue clip.
 
 One ADMM core serves every caller. It runs on the unit-budget problem
-(target ``q = p / P - 1``), so tolerances behave identically for any transmit
-power, and it is batched over a leading carrier axis: the operands of all
-carriers are stacked and each step is one stacked numpy call, while every
-carrier keeps its own penalties, rebalancing and stopping iteration. A carrier
-stops exactly where it would stop if solved alone. Power enters only in the
-finish step (scale, polish, objective at the raw desired pattern), so for the
-binary mask, whose normalized target is the same at every power, one solve
-per subcarrier serves every power.
+(target ``q = mask - 1`` for the grid's binary mask), so tolerances behave
+identically for any transmit power, and it is batched over a leading carrier
+axis: the operands of all carriers are stacked and each step is one stacked
+numpy call, while every carrier keeps its own penalties, rebalancing and
+stopping iteration. A carrier stops exactly where it would stop if solved
+alone, in a batch of one through :func:`solve_radar_covariance`. Power enters
+only in the finish step (scale, polish, objective at the raw desired
+pattern), and the normalized target of the mask is the same at every power,
+so one solve per subcarrier serves every power.
 
 Convergence note: the optimum generically sits on the psd boundary with many
 active pattern kinks, a degenerate geometry where splitting methods slow to a
@@ -146,36 +147,27 @@ class CovarianceSolution:
     dual_residuals: np.ndarray
 
 
-@dataclass(frozen=True)
-class _UnitSolve:
-    """ADMM outcome for one carrier of the unit-budget problem, before power enters."""
-
-    matrix: np.ndarray  # last iterate, Hermitian with diagonal 1 / n_tx
-    iterations: int
-    converged: bool
-    primal_residuals: np.ndarray
-    dual_residuals: np.ndarray
-
-
-def _admm_unit(steering, q) -> list[_UnitSolve]:
+def _admm_unit(steering, q):
     """Run ADMM on the unit-budget problem for a stack of carriers.
 
-    ``steering`` is (K, T, n_tx) and ``q`` the normalized targets (K, T);
-    every carrier starts from the uniform budget. Carriers share only the
-    stacked calls: each has its own penalties and balancing, and leaves
-    the active set at the iteration where its primal residual drops below
-    ``TOL``, or runs to ``MAX_ITER``. Every stacked product makes the same
-    BLAS call per carrier as the one-carrier formula it replaces, so a
-    carrier's iterates are bit-identical whatever batch it runs in. A single
-    antenna has no off-diagonal to fit: its only feasible matrix is the
-    budget itself, returned with zero iterations.
+    ``steering`` is (K, T, n_tx) and ``q`` the normalized target (T,), shared
+    by every carrier; every carrier starts from the uniform budget. Carriers
+    share only the stacked calls: each has its own penalties and balancing,
+    and leaves the active set at the iteration where its primal residual
+    drops below ``TOL``, or runs to ``MAX_ITER``. Every stacked product makes
+    the same BLAS call per carrier as the one-carrier formula it replaces, so
+    a carrier's iterates are bit-identical whatever batch it runs in. A
+    single antenna has no off-diagonal to fit: its only feasible matrix is
+    the budget itself, returned with zero iterations.
+
+    Returns the stacked last iterates (K, n_tx, n_tx), Hermitian with diagonal
+    1 / n_tx, the iteration counts and ``converged`` flags (K,), and the primal
+    and dual residual histories (K, MAX_ITER), valid up to each count.
     """
     n_car, n_grid, n = steering.shape
-    if n == 1:
-        empty = np.zeros(0)
-        return [_UnitSolve(np.ones((1, 1), dtype=complex), 0, True, empty, empty) for _ in range(n_car)]
-    if n_car == 0:
-        return []
+    if n == 1 or n_car == 0:
+        mats, empty = np.ones((n_car, n, n), dtype=complex), np.zeros((n_car, 0))
+        return mats, np.zeros(n_car, dtype=int), np.ones(n_car, dtype=bool), empty, empty
 
     iu = np.triu_indices(n, 1)
     diag_value = 1.0 / n
@@ -231,8 +223,8 @@ def _admm_unit(steering, q) -> list[_UnitSolve]:
             converged[act[done]] = True
             keep = ~done
             act = act[keep]
-            x, z, s, u, u_mat, q, g, gtg, solve_mat, beta1, beta2, p1, p2, d1, d2 = (
-                a[keep] for a in (x, z, s, u, u_mat, q, g, gtg, solve_mat, beta1, beta2, p1, p2, d1, d2)
+            x, z, s, u, u_mat, g, gtg, solve_mat, beta1, beta2, p1, p2, d1, d2 = (
+                a[keep] for a in (x, z, s, u, u_mat, g, gtg, solve_mat, beta1, beta2, p1, p2, d1, d2)
             )
             gt = g.swapaxes(1, 2)
             if act.size == 0:
@@ -256,48 +248,15 @@ def _admm_unit(steering, q) -> list[_UnitSolve]:
                 )
 
     final_x[act] = x
-    mats = _unpack(final_x, n, iu, diag_value)
-    return [
-        _UnitSolve(
-            mats[c],
-            int(iterations[c]),
-            bool(converged[c]),
-            primal_hist[c, : iterations[c]],
-            dual_hist[c, : iterations[c]],
-        )
-        for c in range(n_car)
-    ]
+    return _unpack(final_x, n, iu, diag_value), iterations, converged, primal_hist, dual_hist
 
 
-def _raise_on_fallback(units, contexts) -> None:
-    """Raise for the first carrier whose iterate fails even ``FALLBACK_TOL``.
-
-    ``contexts`` gives each carrier's message prefix and the power at which
-    its last iterate is reported.
-    """
-    for unit, (prefix, power) in zip(units, contexts):
-        if not unit.converged and unit.primal_residuals[-1] > FALLBACK_TOL:
-            raise SolverError(
-                f"{prefix}covariance solver residual {unit.primal_residuals[-1]:.3e} after "
-                f"{unit.iterations} iterations exceeds even the fallback tolerance "
-                f"{FALLBACK_TOL:g} (tight tolerance {TOL:g})",
-                last_iterate=power * unit.matrix,
-                residuals=unit.primal_residuals,
-            )
-
-
-def _finish(unit: _UnitSolve, steering: np.ndarray, desired: np.ndarray, power_budget: float) -> CovarianceSolution:
-    """Scale a unit-budget solve to ``power_budget``, polish it, and score it on ``desired``."""
-    mat = _polish(power_budget * unit.matrix, power_budget / steering.shape[1])
-    obj = float(np.sum(np.abs(desired - beampattern_values(mat, steering))))
-    return CovarianceSolution(
-        matrix=mat,
-        objective=obj,
-        iterations=unit.iterations,
-        converged=unit.converged,
-        primal_residuals=unit.primal_residuals,
-        dual_residuals=unit.dual_residuals,
-    )
+def _finish(grid, k, power_budget, unit_matrix, iterations, converged, primal, dual) -> CovarianceSolution:
+    """Scale carrier ``k``'s unit-budget solve to ``power_budget``, polish it, score it on the mask."""
+    steering = grid.steering[k]
+    mat = _polish(power_budget * unit_matrix, power_budget / steering.shape[1])
+    obj = float(np.sum(np.abs(power_budget * grid.desired_gain - beampattern_values(mat, steering))))
+    return CovarianceSolution(mat, obj, iterations, converged, primal, dual)
 
 
 def _polish(mat: np.ndarray, diag_value: float, floor: float = -1e-10, max_rounds: int = 200) -> np.ndarray:
@@ -310,27 +269,6 @@ def _polish(mat: np.ndarray, diag_value: float, floor: float = -1e-10, max_round
     return out
 
 
-def solve_pattern_covariance(
-    steering: np.ndarray, desired: np.ndarray, power_budget: float
-) -> CovarianceSolution:
-    """Solve the beampattern-matching covariance problem on one subcarrier.
-
-    ``steering`` is (T, n_tx) with unit-modulus entries, ``desired`` the
-    target gain per grid angle in the same units as a^H R a. Iteration stops
-    early below ``TOL``; at ``MAX_ITER`` the iterate is accepted if its
-    residual is below ``FALLBACK_TOL`` (its objective error is orders of
-    magnitude inside the 1e-2*P accuracy the rest of the pipeline relies
-    on), else :class:`SolverError` carries the last iterate and residual
-    history. This is the batched core run on a batch of one.
-    """
-    steering = np.asarray(steering)
-    desired = np.asarray(desired, dtype=float)
-    q = desired / power_budget - 1.0
-    units = _admm_unit(steering[None], q[None])
-    _raise_on_fallback(units, [("", power_budget)])
-    return _finish(units[0], steering, desired, power_budget)
-
-
 def solve_radar_covariances(grid: BeamGrid, requests: dict) -> dict[float, dict[int, CovarianceSolution]]:
     """Covariances of the mask pattern for many (power, subcarrier) pairs at once.
 
@@ -338,23 +276,35 @@ def solve_radar_covariances(grid: BeamGrid, requests: dict) -> dict[float, dict[
     desired pattern at power P is P times the grid's binary mask, whose
     normalized target ``mask - 1`` does not depend on P, so every requested
     subcarrier is solved once, in one batched ADMM call, and that solve is
-    finished at each power that asked for it. Returns ``{power: {k: solution}}``
-    in request order. A :class:`SolverError` names the failing subcarrier and
-    carries its last iterate at the first power that requested it.
+    finished at each power that asked for it; its residual histories are
+    shared by those solutions. Returns ``{power: {k: solution}}`` in request
+    order. Iteration stops early below ``TOL``; at ``MAX_ITER`` the iterate
+    is accepted if its residual is below ``FALLBACK_TOL`` (its objective
+    error is orders of magnitude inside the 1e-2*P accuracy the rest of the
+    pipeline relies on), else a :class:`SolverError` names the failing
+    subcarrier and carries its last iterate at the first power that
+    requested it, with its residual history.
     """
     first_power = {}
     for power, ks in requests.items():
         for k in ks:
             first_power.setdefault(int(k), power)
     ks = list(first_power)
-    q = np.broadcast_to(grid.desired_gain - 1.0, (len(ks), grid.n_angles))
-    units = dict(zip(ks, _admm_unit(grid.steering[ks], q)))
-    _raise_on_fallback(units.values(), [(f"subcarrier {k}: ", first_power[k]) for k in ks])
+    mats, iterations, converged, primal, dual = _admm_unit(grid.steering[ks], grid.desired_gain - 1.0)
+    unit = {}  # each carrier's unit-budget solve, its histories shared by every power
+    for c, k in enumerate(ks):
+        residuals = primal[c, : iterations[c]]
+        if not converged[c] and residuals[-1] > FALLBACK_TOL:
+            raise SolverError(
+                f"subcarrier {k}: covariance solver residual {residuals[-1]:.3e} after "
+                f"{iterations[c]} iterations exceeds even the fallback tolerance "
+                f"{FALLBACK_TOL:g} (tight tolerance {TOL:g})",
+                last_iterate=first_power[k] * mats[c],
+                residuals=residuals,
+            )
+        unit[k] = (mats[c], int(iterations[c]), bool(converged[c]), residuals, dual[c, : iterations[c]])
     return {
-        power: {
-            int(k): _finish(units[int(k)], grid.steering[int(k)], power * grid.desired_gain, power)
-            for k in ks_p
-        }
+        power: {int(k): _finish(grid, int(k), power, *unit[int(k)]) for k in ks_p}
         for power, ks_p in requests.items()
     }
 

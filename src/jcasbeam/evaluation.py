@@ -13,8 +13,10 @@ comparisons are matched. It runs in three passes:
    power that needs it.
 3. Per realization and SNR, one eigen stage again, from which every
    (rho, J) design of that SNR is refined. Recomputing it rather than
-   keeping pass 1's keeps a worker's payload to a seed and memory flat in
-   the realization count.
+   keeping pass 1's keeps memory flat in the realization count. A worker's
+   payload is not small, though: it carries the grid and every covariance
+   solution of the sweep, residual histories included (about 6.8 MB per
+   realization for the default sweep: 3 SNRs, all 64 subcarriers).
 """
 
 from __future__ import annotations

@@ -57,6 +57,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
+
 # the line search of the RCG solver
 CONTRACTION = 0.5
 ARMIJO_C = 1e-4
@@ -273,7 +275,8 @@ def solve_rcg_batch(
     after ``MAX_ITER`` iterations. The trace of each carrier's descent is on
     its :class:`RcgResult`. A carrier's result is the same bit for bit
     whatever batch it runs in, a batch of one included (see the module
-    docstring).
+    docstring). A power whose starting objective is not finite (it overflows
+    near P = 1e154) raises :class:`ConfigError`.
     """
     grad_tol = GRAD_TOL * np.sqrt(power)
     n_car = len(f0)
@@ -281,7 +284,10 @@ def solve_rcg_batch(
         return []
 
     f = _normalize(f0, power)
-    resid, gamma = _residual_objective(f, cov, f_comm, rho)
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        resid, gamma = _residual_objective(f, cov, f_comm, rho)
+    if not np.all(np.isfinite(gamma)):
+        raise ConfigError(f"power budget {power:g} is too large: the RCG objective, of order P^2, overflows")
     grad = project_to_tangent(f, _gradient(f, resid, f_comm, rho), power)
     direction = -grad
     grad_norm = _norms(grad)

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .beamgrid import steering_vector
-from .config import SPEED_OF_LIGHT, SystemConfig
-from .covariance import solve_pattern_covariance
+from .beamgrid import build_grid
+from .config import SystemConfig
+from .covariance import solve_radar_covariance
 from .errors import SolverError
 from .manifold import (
     project_to_tangent,
@@ -36,14 +36,9 @@ def _random_psd(rng, n, scale):
     return scale * m / np.trace(m).real
 
 
-def run_selfcheck(seed: int = 0, gradient_fn=None):
-    """Run all checks; returns (all_ok, [(name, ok, detail), ...]).
-
-    ``gradient_fn`` substitutes the tradeoff gradient in the derivative check,
-    which lets a caller verify the check actually detects a wrong gradient.
-    """
+def run_selfcheck(seed: int = 0):
+    """Run all checks; returns (all_ok, [(name, ok, detail), ...])."""
     rng = np.random.default_rng(seed)
-    grad = tradeoff_gradient if gradient_fn is None else gradient_fn
     checks = []
     power = 4.0
     n_tx, n_streams = 4, 2
@@ -64,7 +59,7 @@ def run_selfcheck(seed: int = 0, gradient_fn=None):
     rho = 0.6
     direction = project_to_tangent(f, g, power)
     direction /= np.linalg.norm(direction)
-    rgrad = project_to_tangent(f, grad(f, cov, f_comm, rho), power)
+    rgrad = project_to_tangent(f, tradeoff_gradient(f, cov, f_comm, rho), power)
     analytic = float(np.real(np.vdot(rgrad, direction)))
     h = 1e-6
     fd = (
@@ -93,13 +88,13 @@ def run_selfcheck(seed: int = 0, gradient_fn=None):
     ok = budget_err <= 1e-8 and kkt_err <= 1e-8
     checks.append(("waterfill-kkt", ok, f"budget {budget_err:.2e} kkt {kkt_err:.2e}"))
 
-    # covariance solve returns a feasible matrix
-    angles = np.linspace(-90.0, 90.0, 21)
-    freq = 2.0e9
-    steer = steering_vector(angles, freq, 3, SPEED_OF_LIGHT / (2 * freq))
-    desired = 2.0 * (np.abs(angles) <= 20.0).astype(float)
+    # covariance solve returns a feasible matrix: 3 antennas, one target at broadside
+    grid = build_grid(SystemConfig(
+        n_tx=3, n_rx=1, n_streams=1, n_subcarriers=1, n_jcas=1, grid_size=21,
+        target_angles=(0.0,), mainlobe_halfwidth=20.0,
+    ))
     try:
-        sol = solve_pattern_covariance(steer, desired, 2.0)
+        sol = solve_radar_covariance(grid, 2.0)[0]
         diag_err = float(np.max(np.abs(np.diag(sol.matrix) - 2.0 / 3.0)))
         min_eig = float(np.linalg.eigvalsh(sol.matrix)[0])
         ok = diag_err <= 1e-8 and min_eig >= -1e-8

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from jcasbeam.config import SystemConfig
+from jcasbeam.beamgrid import BeamGrid, steering_vector
+from jcasbeam.config import SPEED_OF_LIGHT, SystemConfig
 
 # Small but non-trivial setup: 4x2 link, 6 subcarriers, coarse angle grid.
 # Covariance solves and RCG runs complete in milliseconds at this size.
@@ -41,3 +42,10 @@ def random_psd(rng, n, trace):
     a = random_complex(rng, (n, n))
     m = a @ a.conj().T
     return trace * m / np.real(np.trace(m))
+
+
+def ula_grid(angles, mask, n_tx, freq=2.0e9):
+    """A one-subcarrier BeamGrid: a half-wavelength ULA at ``freq`` and a hand-made mask."""
+    angles = np.asarray(angles, dtype=float)
+    steering = steering_vector(angles, freq, n_tx, SPEED_OF_LIGHT / (2 * freq))
+    return BeamGrid(angles, np.array([freq]), steering[None], np.asarray(mask, dtype=float))

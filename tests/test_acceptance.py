@@ -18,7 +18,7 @@ import pytest
 from jcasbeam.beamgrid import build_grid
 from jcasbeam.cli import main
 from jcasbeam.config import SystemConfig
-from jcasbeam.covariance import solve_pattern_covariance
+from jcasbeam.covariance import solve_radar_covariance
 from jcasbeam.evaluation import sweep
 from jcasbeam.manifold import (
     project_to_tangent,
@@ -104,9 +104,7 @@ def test_property_suite():
 
     cfg = SystemConfig()
     grid = build_grid(cfg)
-    sol = solve_pattern_covariance(
-        grid.steering[0], cfg.power_budget * grid.desired_gain, cfg.power_budget
-    )
+    sol = solve_radar_covariance(grid, cfg.power_budget, [0])[0]
     diag_err = float(np.max(np.abs(np.diag(sol.matrix).real - cfg.power_budget / cfg.n_tx)))
     min_eig = float(np.linalg.eigvalsh(sol.matrix)[0])
     if diag_err > 1e-8:
@@ -141,7 +139,7 @@ def test_oracle_equivalence():
     )
     grid = build_grid(cfg)
     desired = power * grid.desired_gain
-    sol = solve_pattern_covariance(grid.steering[0], desired, power)
+    sol = solve_radar_covariance(grid, power, [0])[0]
     a1 = grid.steering[0][:, 1]
     base = desired - power  # a^H R a = power + 2 Re(z a1)
 

@@ -25,7 +25,6 @@ PUBLIC_API = [
     "load_config",
     "run_design",
     "run_selfcheck",
-    "solve_pattern_covariance",
     "solve_radar_covariance",
     "solve_radar_covariances",
     "solve_rcg_batch",
@@ -55,7 +54,6 @@ def test_benchmark_entry_points_are_present():
 # Each solver has one fixed set of rules, module constants: no per-call tuning values.
 SOLVER_SIGNATURES = {
     "solve_rcg_batch": ["f0", "cov", "f_comm", "rho", "power"],
-    "solve_pattern_covariance": ["steering", "desired", "power_budget"],
     "solve_radar_covariances": ["grid", "requests"],
     "solve_radar_covariance": ["grid", "power_budget", "subcarriers=None"],
 }

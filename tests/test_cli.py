@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from jcasbeam import covariance
+from jcasbeam import covariance, selfcheck
 from jcasbeam.channel import ChannelSet, generate_rayleigh
 from jcasbeam.cli import main
 from jcasbeam.config import SystemConfig, write_config
@@ -163,6 +163,26 @@ def test_out_of_range_snr_exits_2(small_config_file, tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, flags", [("design", []), ("sweep", ["--rho", "0.5", "--realizations", "1"])]
+)
+def test_snr_whose_rcg_objective_overflows_exits_2(small_config_file, tmp_path, capsys, command, flags):
+    # P = 1e200 is a finite power budget, but the RCG objective, of order P^2, overflows
+    out = tmp_path / "never"
+    argv = [command, "--config", str(small_config_file), "--out-dir", str(out), "--snr", "2000", "--jcas", "2"]
+    assert main(argv + flags) == 2
+    assert "power budget 1e+200" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_huge_snr_without_sensing_still_designs(small_config_file, tmp_path):
+    # no sensing subcarrier, no RCG objective to overflow
+    out = tmp_path / "o"
+    argv = ["design", "--config", str(small_config_file), "--out-dir", str(out), "--snr", "2000", "--jcas", "0"]
+    assert main(argv) == 0
+    assert (out / "rates.csv").exists()
+
+
 def test_unknown_flag_exits_2(small_config_file):
     with pytest.raises(SystemExit) as err:
         main(["design", "--config", str(small_config_file), "--frobnicate"])
@@ -298,10 +318,10 @@ def test_selfcheck_command(capsys):
     assert "FAIL" not in out
 
 
-def test_selfcheck_detects_wrong_gradient():
+def test_selfcheck_detects_wrong_gradient(monkeypatch):
     # The diagnostic must catch a corrupted derivative, not just always pass.
-    wrong = lambda f, cov, f_comm, rho: 2.0 * f
-    ok, checks = run_selfcheck(seed=0, gradient_fn=wrong)
+    monkeypatch.setattr(selfcheck, "tradeoff_gradient", lambda f, cov, f_comm, rho: 2.0 * f)
+    ok, checks = run_selfcheck(seed=0)
     assert not ok
     failed = {name for name, passed, _ in checks if not passed}
     assert "gradient-derivative" in failed

@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from jcasbeam import covariance
-from jcasbeam.beamgrid import build_grid, steering_vector
+from jcasbeam.beamgrid import build_grid
 from jcasbeam.config import SystemConfig
 from jcasbeam.covariance import (
     beampattern_values,
     diag_project,
     psd_project,
-    solve_pattern_covariance,
     solve_radar_covariance,
     solve_radar_covariances,
 )
@@ -20,7 +19,7 @@ from jcasbeam.errors import SolverError
 from jcasbeam.evaluation import sweep
 from jcasbeam.pipeline import run_design
 
-from conftest import random_complex
+from conftest import random_complex, ula_grid
 
 
 def _hermitian(rng, n):
@@ -61,8 +60,7 @@ def test_beampattern_values_matches_naive_loop(rng):
 def test_single_angle_broadside_matches_exactly():
     # one broadside angle, desired gain = budget: the diagonal matrix is exact
     p = 1.0
-    steering = steering_vector(0.0, 2.0e9, 2, 0.075)[None, :]
-    sol = solve_pattern_covariance(steering, np.array([p]), p)
+    sol = solve_radar_covariance(ula_grid([0.0], [1.0], 2), p)[0]
     assert sol.objective <= 1e-9
     np.testing.assert_allclose(sol.matrix, (p / 2) * np.eye(2), atol=1e-8)
     assert sol.converged
@@ -75,12 +73,10 @@ def test_two_antenna_brute_force_oracle():
     |z| <= P/2; the pattern is P + 2*Re(z * a1_t) per grid angle.
     """
     p = 2.0
-    angles = np.array([-60.0, -30.0, 0.0, 30.0, 60.0])
-    spacing = 3.0e8 / (2 * 2.0e9)
-    steering = np.stack([steering_vector(t, 2.0e9, 2, spacing) for t in angles])
-    desired = p * np.array([1.0, 1.0, 0.0, 1.0, 1.0])
+    grid = ula_grid([-60.0, -30.0, 0.0, 30.0, 60.0], [1.0, 1.0, 0.0, 1.0, 1.0], 2)
+    desired = p * grid.desired_gain
 
-    a1 = steering[:, 1]
+    a1 = grid.steering[0, :, 1]
 
     def scan(center, half, n=401):
         xs = center.real + np.linspace(-half, half, n)
@@ -97,7 +93,7 @@ def test_two_antenna_brute_force_oracle():
     z0, _ = scan(0.0 + 0.0j, p / 2)
     z1, best = scan(z0, 2 * (p / 2) / 400)  # refine around the coarse optimum
 
-    sol = solve_pattern_covariance(steering, desired, p)
+    sol = solve_radar_covariance(grid, p)[0]
     assert abs(sol.objective - best) <= 1e-2 * p
     assert abs(sol.matrix[0, 1] - z1) <= 0.02
 
@@ -107,7 +103,7 @@ def test_feasibility_on_small_mask_instance():
         n_tx=3, n_rx=2, n_streams=2, n_subcarriers=4, n_jcas=1, grid_size=21, power_budget=2.0
     )
     grid = build_grid(cfg)
-    sol = solve_pattern_covariance(grid.steering[0], 2.0 * grid.desired_gain, 2.0)
+    sol = solve_radar_covariance(grid, 2.0, [0])[0]
     np.testing.assert_allclose(np.diag(sol.matrix).real, 2.0 / 3, atol=1e-8)
     np.testing.assert_allclose(sol.matrix, sol.matrix.conj().T, atol=1e-12)
     assert np.linalg.eigvalsh(sol.matrix).min() >= -1e-8
@@ -118,8 +114,8 @@ def test_feasibility_on_small_mask_instance():
 def test_budget_scaling_is_exact():
     cfg = SystemConfig(n_tx=4, grid_size=41)
     grid = build_grid(cfg)
-    one = solve_pattern_covariance(grid.steering[0], grid.desired_gain, 1.0)
-    two = solve_pattern_covariance(grid.steering[0], 2.0 * grid.desired_gain, 2.0)
+    one = solve_radar_covariance(grid, 1.0, [0])[0]
+    two = solve_radar_covariance(grid, 2.0, [0])[0]
     np.testing.assert_allclose(two.matrix, 2.0 * one.matrix, rtol=1e-9, atol=1e-12)
     assert two.objective == pytest.approx(2.0 * one.objective, rel=1e-9)
 
@@ -128,7 +124,7 @@ def test_objective_reported_at_returned_matrix():
     cfg = SystemConfig(n_tx=4, grid_size=41)
     grid = build_grid(cfg)
     desired = 1.5 * grid.desired_gain
-    sol = solve_pattern_covariance(grid.steering[2], desired, 1.5)
+    sol = solve_radar_covariance(grid, 1.5, [2])[2]
     direct = np.abs(desired - beampattern_values(sol.matrix, grid.steering[2])).sum()
     assert sol.objective == pytest.approx(direct, rel=1e-12)
 
@@ -138,7 +134,7 @@ def test_solver_error_carries_iterate_and_residuals(monkeypatch):
     monkeypatch.setattr(covariance, "MAX_ITER", 3)
     monkeypatch.setattr(covariance, "FALLBACK_TOL", 1e-9)
     with pytest.raises(SolverError) as err:
-        solve_pattern_covariance(grid.steering[0], 10.0 * grid.desired_gain, 10.0)
+        solve_radar_covariance(grid, 10.0, [0])
     assert err.value.last_iterate is not None
     assert len(err.value.residuals) == 3
 
@@ -158,8 +154,7 @@ def test_radar_covariance_subset_and_error_context(monkeypatch):
 
 
 def test_trivial_single_antenna_budget():
-    steering = np.ones((3, 1), dtype=complex)
-    sol = solve_pattern_covariance(steering, np.array([1.0, 1.0, 1.0]), 1.0)
+    sol = solve_radar_covariance(ula_grid([-45.0, 0.0, 45.0], [1.0, 1.0, 1.0], 1), 1.0)[0]
     np.testing.assert_allclose(sol.matrix, [[1.0]], atol=1e-12)
 
 
@@ -181,7 +176,7 @@ def test_batched_radar_covariance_matches_solo_solves():
     assert list(batch) == ks
     assert len({sol.iterations for sol in batch.values()}) > 1  # carriers leave at different iterations
     for k in ks:
-        solo = solve_pattern_covariance(grid.steering[k], 2.0 * grid.desired_gain, 2.0)
+        solo = solve_radar_covariance(grid, 2.0, [k])[k]
         got = batch[k]
         assert got.iterations == solo.iterations
         assert got.converged == solo.converged
@@ -201,10 +196,21 @@ def test_one_solve_finished_at_two_powers_equals_fresh_solves():
         for k, sol in sols.items():
             np.testing.assert_array_equal(sol.matrix, fresh[k].matrix)
             assert sol.objective == fresh[k].objective
-            solo = solve_pattern_covariance(grid.steering[k], power * grid.desired_gain, power)
+            solo = solve_radar_covariance(grid, power, [k])[k]
             np.testing.assert_allclose(sol.matrix, solo.matrix, rtol=1e-10, atol=0)
             assert sol.objective == pytest.approx(solo.objective, rel=1e-12)
             np.testing.assert_allclose(np.diag(sol.matrix).real, power / 4, atol=1e-8)
+
+
+def test_one_carrier_shares_its_histories_across_powers():
+    # one history per carrier, however many powers ask for it, so it pickles once
+    sols = solve_radar_covariances(_small_grid(), {2.0: [1, 3], 4.0: [3], 8.0: [3, 1]})
+    for k in (1, 3):
+        first, *rest = [at[k] for at in sols.values() if k in at]
+        assert rest
+        for sol in rest:
+            assert sol.primal_residuals is first.primal_residuals
+            assert sol.dual_residuals is first.dual_residuals
 
 
 def test_radar_covariance_empty_and_single_antenna():
@@ -213,10 +219,10 @@ def test_radar_covariance_empty_and_single_antenna():
     assert solve_radar_covariances(grid, {}) == {}
     single = build_grid(SystemConfig(n_tx=1, n_rx=1, n_streams=1, n_subcarriers=3, n_jcas=1, grid_size=9))
     sols = solve_radar_covariance(single, 3.0)
-    for k, sol in sols.items():
-        closed = solve_pattern_covariance(single.steering[k], 3.0 * single.desired_gain, 3.0)
+    for sol in sols.values():
+        # the pattern is the budget 3 at every angle, so the mask's zeros cost 3 each
         np.testing.assert_array_equal(sol.matrix, [[3.0]])
-        assert sol.objective == closed.objective
+        assert sol.objective == 3.0 * np.sum(1.0 - single.desired_gain)
         assert (sol.iterations, sol.converged) == (0, True)
 
 
@@ -227,8 +233,8 @@ def test_batched_solver_error_names_first_failing_carrier(monkeypatch):
     with pytest.raises(SolverError, match="^subcarrier 3: ") as err:
         solve_radar_covariance(grid, 2.0, subcarriers=[3, 1])
     with pytest.raises(SolverError) as solo:
-        solve_pattern_covariance(grid.steering[3], 2.0 * grid.desired_gain, 2.0)
-    assert str(err.value) == f"subcarrier 3: {solo.value}"
+        solve_radar_covariance(grid, 2.0, subcarriers=[3])
+    assert str(err.value) == str(solo.value)
     np.testing.assert_array_equal(err.value.last_iterate, solo.value.last_iterate)
     np.testing.assert_array_equal(err.value.residuals, solo.value.residuals)
 

@@ -190,6 +190,20 @@ def test_sweep_deterministic(small_cfg):
     np.testing.assert_array_equal(r1.pattern_avg[(0.25, 2)], r2.pattern_avg[(0.25, 2)])
 
 
+def test_sweep_in_worker_processes_matches_in_process(small_cfg):
+    # jobs=2 runs the realizations in a spawn-context process pool
+    args = (small_cfg, [0.0, 10.0], [0.5], [2, 6])
+    serial = sweep(*args, n_realizations=2)
+    pooled = sweep(*args, n_realizations=2, jobs=2)
+    assert pooled.points == serial.points
+    for patterns in ("pattern_avg", "pattern_member"):
+        want = getattr(serial, patterns)
+        got = getattr(pooled, patterns)
+        assert list(got) == list(want)
+        for key in want:
+            np.testing.assert_array_equal(got[key], want[key])
+
+
 def test_sweep_rejects_empty_realizations(small_cfg):
     with pytest.raises(ValueError, match="realizations"):
         sweep(small_cfg, [5.0], [0.5], [2], n_realizations=0)

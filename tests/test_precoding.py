@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jcasbeam.channel import generate_rayleigh
 from jcasbeam.errors import DegenerateChannelError
@@ -101,6 +103,32 @@ def test_waterfill_kkt_random(rng):
         powers, level, _ = waterfill_one(gains, total, noise)
         assert waterfill_kkt_residual(gains, powers, level, total, noise) <= 1e-8
         assert np.all(powers >= 0)
+
+
+@st.composite
+def gain_rows(draw):
+    """A (K, n) stack of nonnegative gains, each row with at least one positive entry."""
+    width = draw(st.integers(1, 8))
+    gain = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
+    row = st.lists(gain, min_size=width, max_size=width).filter(lambda r: any(g > 0 for g in r))
+    return np.array(draw(st.lists(row, min_size=1, max_size=4)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(gains=gain_rows(), total=st.floats(1e-3, 1e3), noise=st.floats(1e-3, 1e3))
+def test_waterfill_kkt_property(gains, total, noise):
+    powers, level, n_active = waterfill(gains, total, noise)
+    assert np.all(powers >= 0)
+    # a power is level - floor: where the floors dwarf the total, that difference
+    # carries the level's roundoff, so the budget holds to 1e-9 of the larger scale
+    assert np.all(np.abs(powers.sum(axis=1) - total) <= 1e-9 * np.maximum(total, level))
+    floor = noise / np.where(gains > 0, gains, np.nan)  # nan: no floor for a zero gain
+    active = powers > 0
+    np.testing.assert_array_equal(active.sum(axis=1), n_active)
+    level = np.broadcast_to(level[:, None], gains.shape)
+    # an active carrier's floor plus its power is the water level; an inactive one's floor is above it
+    np.testing.assert_allclose((floor + powers)[active], level[active], rtol=1e-9)
+    assert np.all(floor[~active & (gains > 0)] >= level[~active & (gains > 0)])
 
 
 def test_waterfill_matches_grid_oracle(rng):
