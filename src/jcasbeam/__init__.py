@@ -10,7 +10,7 @@ from its submodule.
 """
 
 from .beamgrid import BeamGrid, build_grid
-from .channel import ChannelSet, generate_rayleigh
+from .channel import generate_rayleigh
 from .config import SystemConfig, load_config, write_config
 from .covariance import (
     CovarianceSolution,
@@ -28,7 +28,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BeamGrid",
-    "ChannelSet",
     "ConfigError",
     "CovarianceSolution",
     "DegenerateChannelError",

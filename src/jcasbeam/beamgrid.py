@@ -61,10 +61,6 @@ class BeamGrid:
     desired_gain: np.ndarray  # (T,) in {0, 1}
 
     @property
-    def n_angles(self) -> int:
-        return self.angles.shape[0]
-
-    @property
     def n_subcarriers(self) -> int:
         return self.frequencies.shape[0]
 

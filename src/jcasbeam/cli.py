@@ -1,8 +1,8 @@
 """Command line interface: one-shot designs, experiment sweeps, self-diagnostics.
 
-Exit codes: 0 on success, 2 for configuration problems (including bad flags),
-3 when a numerical solver fails, 4 when a channel carries no usable signal
-dimension.
+Exit codes: 0 on success, 2 for configuration problems (including bad flags
+and an output directory that cannot be created), 3 when a numerical solver
+fails, 4 when a channel carries no usable signal dimension.
 """
 
 from __future__ import annotations
@@ -25,13 +25,14 @@ from .tables import write_table
 OUT_DIR_ENV = "JCASBEAM_OUT_DIR"
 
 
-def _resolve_out_dir(flag_value) -> Path:
-    if flag_value:
-        return Path(flag_value)
-    env = os.environ.get(OUT_DIR_ENV)
-    if env:
-        return Path(env)
-    return Path("out")
+def _make_out_dir(flag_value) -> Path:
+    """Create the output directory: ``--out-dir``, else ``$JCASBEAM_OUT_DIR``, else ./out."""
+    out_dir = Path(flag_value or os.environ.get(OUT_DIR_ENV) or "out")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir}: {exc.strerror or exc}") from exc
+    return out_dir
 
 
 def _load_base_config(args) -> SystemConfig:
@@ -68,9 +69,7 @@ def cmd_design(args) -> int:
 
     result = run_design(cfg)
     mse = beampattern_mse(result.precoders, result.jcas_subcarriers, result.grid)
-    # made only now, so that a failed design leaves no directory behind
-    out_dir = _resolve_out_dir(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_out_dir(args.out_dir)  # only now, so a failed design leaves no directory
 
     manifest = build_run_manifest(result)
     manifest["beampattern_mse"] = mse
@@ -131,9 +130,7 @@ def cmd_sweep(args) -> int:
         base_seed=cfg.seed,
         jobs=args.jobs,
     )
-    # made only now, so that a rejected or failed sweep leaves no directory behind
-    out_dir = _resolve_out_dir(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_out_dir(args.out_dir)  # only now, so a failed sweep leaves no directory
 
     write_table(
         out_dir / "rates.csv",

@@ -86,6 +86,8 @@ class SystemConfig:
                 raise ConfigError("target_angles entries must lie in [-90, 90] degrees")
         if self.rate_formula not in RATE_FORMULAS:
             raise ConfigError("rate_formula must be one of %s" % (RATE_FORMULAS,))
+        if self.seed < 0:
+            raise ConfigError("seed must be a nonnegative integer")
 
     def snr_power(self, snr_db: float) -> float:
         """Power budget (watts) that puts ``snr_db`` dB over this config's noise power.

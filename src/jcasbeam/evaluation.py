@@ -13,16 +13,20 @@ comparisons are matched. It runs in three passes:
    power that needs it.
 3. Per realization and SNR, one eigen stage again, from which every
    (rho, J) design of that SNR is refined. Recomputing it rather than
-   keeping pass 1's keeps memory flat in the realization count. A worker's
-   payload is not small, though: it carries the grid and every covariance
-   solution of the sweep, residual histories included (about 6.8 MB per
-   realization for the default sweep: 3 SNRs, all 64 subcarriers).
+   keeping pass 1's keeps memory flat in the realization count. One worker
+   function, bound to the inputs every realization shares (the grid and
+   every covariance solution of the sweep, about 6.8 MB for the default
+   sweep: 3 SNRs, all 64 subcarriers), is mapped over the seeds. Under
+   ``jobs`` > 1 the seeds go out in at most ``jobs`` contiguous blocks, so
+   the shared inputs are pickled once per block, not once per realization.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
+import math
 import multiprocessing
 
 import numpy as np
@@ -112,13 +116,12 @@ def _realization_links(base: SystemConfig, snrs, seed: int):
     return channels, stages
 
 
-def _realization_metrics(payload):
-    """Metrics for every configuration on one channel realization.
+def _realization_metrics(base, snrs, rhos, jcas_counts, grid, covariances, pattern_snr, seed):
+    """Metrics for every configuration on the channel realization of ``seed``.
 
     Module-level so worker processes can import it. Returns
     ({(snr, rho, J): (avg_rate, mse)}, {(rho, J): (avg_pattern, member_pattern)}).
     """
-    base, snrs, rhos, jcas_counts, seed, grid, covariances, pattern_snr = payload
     channels, stages = _realization_links(base, snrs, seed)
     point_metrics = {}
     patterns = {}
@@ -150,8 +153,9 @@ def sweep(
     """Run the design across a configuration grid with paired realizations.
 
     Beampatterns are recorded at 10 dB SNR when present in ``snrs``, else at
-    the last SNR. ``jobs`` > 1 distributes realizations over worker processes;
-    the reduction order is fixed either way, so results are reproducible.
+    the last SNR. ``jobs`` > 1 hands the realizations to worker processes in
+    contiguous blocks, at most one per worker; the reduction order is fixed
+    either way, so results are reproducible.
     """
     snrs = [float(s) for s in snrs]
     rhos = [float(r) for r in rhos]
@@ -184,64 +188,41 @@ def sweep(
     )
 
     # Pass 3: every design per realization, optionally in parallel.
-    payloads = [
-        (
-            base_cfg,
-            tuple(snrs),
-            tuple(rhos),
-            tuple(jcas_counts),
-            base_seed + r,
-            grid,
-            covariances,
-            pattern_snr,
-        )
-        for r in range(n_realizations)
-    ]
+    run = partial(
+        _realization_metrics, base_cfg, tuple(snrs), tuple(rhos), tuple(jcas_counts),
+        grid, covariances, pattern_snr,
+    )
+    seeds = range(base_seed, base_seed + n_realizations)
     if jobs > 1:
         ctx = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=jobs, mp_context=ctx) as pool:
-            outputs = list(pool.map(_realization_metrics, payloads))
+            outputs = list(pool.map(run, seeds, chunksize=math.ceil(n_realizations / jobs)))
     else:
-        outputs = [_realization_metrics(p) for p in payloads]
+        outputs = list(map(run, seeds))
+    metrics, patterns = zip(*outputs)
 
-    rate_sum = {}
-    mse_sum = {}
-    pat_avg = {}
-    pat_member = {}
-    for point_metrics, patterns in outputs:  # realization order is fixed
-        for key, (rate, mse) in point_metrics.items():
-            rate_sum[key] = rate_sum.get(key, 0.0) + rate
-            mse_sum[key] = mse_sum.get(key, 0.0) + mse
-        for key, (avg, member) in patterns.items():
-            if key not in pat_avg:
-                pat_avg[key] = np.zeros_like(avg)
-                pat_member[key] = np.zeros_like(member)
-            pat_avg[key] += avg
-            pat_member[key] += member
+    def mean(values):  # summed in realization order, so the result is reproducible
+        return sum(values) / n_realizations
 
-    points = []
-    for snr in snrs:
-        for rho in rhos:
-            for n_jcas in jcas_counts:
-                key = (snr, rho, n_jcas)
-                label = "Conv." if n_jcas == base_cfg.n_subcarriers else "Prop."
-                points.append(
-                    SweepPoint(
-                        snr_db=snr,
-                        rho=rho,
-                        n_jcas=n_jcas,
-                        avg_rate=rate_sum[key] / n_realizations,
-                        avg_mse=mse_sum[key] / n_realizations,
-                        label=label,
-                    )
-                )
-
+    points = tuple(
+        SweepPoint(
+            snr_db=snr,
+            rho=rho,
+            n_jcas=n_jcas,
+            avg_rate=mean(m[(snr, rho, n_jcas)][0] for m in metrics),
+            avg_mse=mean(m[(snr, rho, n_jcas)][1] for m in metrics),
+            label="Conv." if n_jcas == base_cfg.n_subcarriers else "Prop.",
+        )
+        for snr in snrs
+        for rho in rhos
+        for n_jcas in jcas_counts
+    )
     return SweepResult(
-        points=tuple(points),
+        points=points,
         pattern_snr=pattern_snr,
         angles=grid.angles,
-        pattern_avg={k: v / n_realizations for k, v in pat_avg.items()},
-        pattern_member={k: v / n_realizations for k, v in pat_member.items()},
+        pattern_avg={key: mean(p[key][0] for p in patterns) for key in patterns[0]},
+        pattern_member={key: mean(p[key][1] for p in patterns) for key in patterns[0]},
         n_realizations=n_realizations,
         base_seed=base_seed,
     )

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beamgrid import BeamGrid, build_grid
-from .channel import ChannelSet, generate_rayleigh
+from .channel import generate_rayleigh
 from .config import SystemConfig
 from .covariance import CovarianceSolution, solve_radar_covariance
 from .manifold import solve_rcg_batch
@@ -42,18 +42,16 @@ def select_jcas_subcarriers(rates, n_jcas: int) -> np.ndarray:
     return np.sort(picked)
 
 
-def eigen_stage(cfg: SystemConfig, channels: ChannelSet):
+def eigen_stage(cfg: SystemConfig, channels: np.ndarray):
     """Eigenmode precoders with their combiners and rates on every subcarrier.
 
-    Returns (precoders, combiners, rates) with shapes (K, n_tx, n_streams),
+    ``channels`` is the complex (K, n_rx, n_tx) channel stack. Returns
+    (precoders, combiners, rates) with shapes (K, n_tx, n_streams),
     (K, n_rx, n_streams) and (K,). A subcarrier whose channel has no usable
     signal dimension raises :class:`DegenerateChannelError` naming it.
     """
-    precoders = np.asarray(
-        eigenmode_precoders(channels.matrices, cfg.n_streams, cfg.effective_power, cfg.effective_noise)[0],
-        dtype=complex,
-    )
-    combiners, rates = link_rates(channels.matrices, precoders, 1.0 / cfg.effective_noise)
+    precoders = eigenmode_precoders(channels, cfg.n_streams, cfg.effective_power, cfg.effective_noise)
+    combiners, rates = link_rates(channels, precoders, 1.0 / cfg.effective_noise)
     return precoders, combiners, rates
 
 
@@ -62,7 +60,7 @@ class DesignResult:
     """Everything a design run produced, stage by stage."""
 
     config: SystemConfig
-    channels: ChannelSet
+    channels: np.ndarray          # (K, n_rx, n_tx)
     grid: BeamGrid
     eigen_precoders: np.ndarray   # (K, n_tx, n_streams)
     eigen_rates: np.ndarray       # (K,)
@@ -84,15 +82,16 @@ class DesignResult:
 
 def run_design(
     cfg: SystemConfig,
-    channels: ChannelSet | None = None,
+    channels: np.ndarray | None = None,
     grid: BeamGrid | None = None,
     covariances: dict[int, CovarianceSolution] | None = None,
 ) -> DesignResult:
     """Run the full design for one channel realization.
 
-    ``channels``, ``grid``, and ``covariances`` may be supplied to reuse work
-    across runs; covariances missing for the sensing set are solved here in
-    one batched call. Provided covariances must have been solved at
+    ``channels`` (a (K, n_rx, n_tx) array, taken as complex), ``grid``, and
+    ``covariances`` may be supplied to reuse work across runs; covariances
+    missing for the sensing set are solved here in one batched call.
+    Provided covariances must have been solved at
     ``cfg.effective_power`` on this grid. All sensing subcarriers are refined
     in one batched RCG call, each exactly as if solved alone.
     """
@@ -100,9 +99,10 @@ def run_design(
         grid = build_grid(cfg)
     if channels is None:
         channels = generate_rayleigh(cfg.n_subcarriers, cfg.n_rx, cfg.n_tx, cfg.seed)
-    if channels.matrices.shape != (cfg.n_subcarriers, cfg.n_rx, cfg.n_tx):
+    channels = np.asarray(channels, dtype=complex)
+    if channels.shape != (cfg.n_subcarriers, cfg.n_rx, cfg.n_tx):
         raise ValueError(
-            f"channel set shape {channels.matrices.shape} does not match the "
+            f"channel shape {channels.shape} does not match the "
             f"configured ({cfg.n_subcarriers}, {cfg.n_rx}, {cfg.n_tx})"
         )
     return _refine(cfg, channels, grid, covariances or {}, eigen_stage(cfg, channels))
@@ -138,9 +138,7 @@ def _refine(cfg, channels, grid, covariances, eigen) -> DesignResult:
 
     # off the sensing set the precoder is the eigenmode one: its combiner and rate stand
     combiners, rates = eigen_combiners.copy(), eigen_rates.copy()
-    combiners[jcas], rates[jcas] = link_rates(
-        channels.matrices[jcas], precoders[jcas], 1.0 / cfg.effective_noise
-    )
+    combiners[jcas], rates[jcas] = link_rates(channels[jcas], precoders[jcas], 1.0 / cfg.effective_noise)
 
     return DesignResult(
         config=cfg,

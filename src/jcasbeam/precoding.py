@@ -75,10 +75,10 @@ def eigenmode_precoders(h: np.ndarray, n_streams: int, total_power: float, noise
     """Capacity-achieving precoders of a (K, n_rx, n_tx) channel stack.
 
     One SVD over the stack, water-filling of every carrier at once and one
-    column-phase fix. Returns (f_hat (K, n_tx, n_streams), singular values
-    (K, n_streams), (powers, levels, active counts) of the water-filling).
-    A channel with no usable signal dimension raises
-    :class:`DegenerateChannelError` naming its carrier.
+    column-phase fix. Returns the precoders, shape (K, n_tx, n_streams); a
+    column's squared norm is its stream's water-filled power. A channel with
+    no usable signal dimension raises :class:`DegenerateChannelError` naming
+    its carrier.
     """
     h = np.asarray(h)
     _, s, vh = np.linalg.svd(h, full_matrices=False)
@@ -89,8 +89,8 @@ def eigenmode_precoders(h: np.ndarray, n_streams: int, total_power: float, noise
             f"subcarrier {int(np.argmax(dead))}: channel matrix has no usable signal dimension"
         )
     v = _fix_column_phases(_ctranspose(vh)[:, :, :n_streams])
-    powers, level, n_active = waterfill(sv ** 2, total_power, noise_power)
-    return v * np.sqrt(powers)[:, None, :], sv, (powers, level, n_active)
+    powers = waterfill(sv ** 2, total_power, noise_power)[0]
+    return v * np.sqrt(powers)[:, None, :]
 
 
 def _combiners(hf: np.ndarray, n_streams: int) -> np.ndarray:

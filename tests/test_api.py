@@ -7,7 +7,6 @@ import jcasbeam.cli
 
 PUBLIC_API = [
     "BeamGrid",
-    "ChannelSet",
     "ConfigError",
     "CovarianceSolution",
     "DegenerateChannelError",

@@ -78,7 +78,7 @@ def test_build_grid_shapes_and_consistency():
         steering_vector(grid.angles[7], grid.frequencies[3], 4, cfg.spacing),
         atol=1e-14,
     )
-    assert grid.n_angles == 41 and grid.n_subcarriers == 6
+    assert len(grid.angles) == 41 and grid.n_subcarriers == 6
 
 
 def test_grid_mask_matches_targets(small_cfg):

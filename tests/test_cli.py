@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from jcasbeam import covariance, selfcheck
-from jcasbeam.channel import ChannelSet, generate_rayleigh
+from jcasbeam.channel import generate_rayleigh
 from jcasbeam.cli import main
 from jcasbeam.config import SystemConfig, write_config
 from jcasbeam.errors import SolverError
@@ -175,6 +175,40 @@ def test_snr_whose_rcg_objective_overflows_exits_2(small_config_file, tmp_path, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, source", [("design", "flag"), ("sweep", "flag"), ("design", "file")])
+def test_negative_seed_exits_2(small_config_file, tmp_path, capsys, command, source):
+    # numpy's generators take no negative seed: rejected as a config error, before any run
+    config, flags = small_config_file, ["--seed", "-1"]
+    if source == "file":
+        config, flags = tmp_path / "negative.ini", []
+        write_config(SystemConfig(**SMALL), config)
+        config.write_text(config.read_text().replace("seed = 3", "seed = -1"))
+    out = tmp_path / "never"
+    assert main([command, "--config", str(config), "--out-dir", str(out), *flags]) == 2
+    assert "seed must be a nonnegative integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, via", [("design", "flag"), ("sweep", "env")])
+def test_unusable_out_dir_exits_2_naming_it(small_config_file, tmp_path, monkeypatch, capsys, command, via):
+    # an existing file where the directory goes, or on the path to it
+    blocker = tmp_path / "taken"
+    blocker.write_text("a file\n")
+    argv = [command, "--config", str(small_config_file)]
+    if command == "sweep":
+        argv += ["--realizations", "1"]
+    if via == "flag":
+        target = blocker
+        argv += ["--out-dir", str(target)]
+    else:
+        target = blocker / "sub"
+        monkeypatch.setenv("JCASBEAM_OUT_DIR", str(target))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"cannot create output directory {target}" in err
+    assert blocker.read_text() == "a file\n"
+
+
 def test_huge_snr_without_sensing_still_designs(small_config_file, tmp_path):
     # no sensing subcarrier, no RCG objective to overflow
     out = tmp_path / "o"
@@ -223,7 +257,7 @@ def test_degenerate_channel_exits_4(small_config_file, tmp_path, monkeypatch, ca
     import jcasbeam.pipeline as pipeline_module
 
     def zero_channels(n_subcarriers, n_rx, n_tx, seed):
-        return ChannelSet(np.zeros((n_subcarriers, n_rx, n_tx), dtype=complex), seed)
+        return np.zeros((n_subcarriers, n_rx, n_tx), dtype=complex)
 
     monkeypatch.setattr(pipeline_module, "generate_rayleigh", zero_channels)
     code = main(

@@ -71,6 +71,7 @@ def test_effective_units_literal_mode():
         (dict(mainlobe_halfwidth=math.nan), "mainlobe_halfwidth"),
         (dict(rho=math.nan), "rho"),
         (dict(target_angles=(math.nan,)), "target_angles"),
+        (dict(seed=-1), "seed"),
     ],
 )
 def test_validation_names_offending_key(overrides, key):

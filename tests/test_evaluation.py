@@ -190,18 +190,60 @@ def test_sweep_deterministic(small_cfg):
     np.testing.assert_array_equal(r1.pattern_avg[(0.25, 2)], r2.pattern_avg[(0.25, 2)])
 
 
-def test_sweep_in_worker_processes_matches_in_process(small_cfg):
-    # jobs=2 runs the realizations in a spawn-context process pool
-    args = (small_cfg, [0.0, 10.0], [0.5], [2, 6])
-    serial = sweep(*args, n_realizations=2)
-    pooled = sweep(*args, n_realizations=2, jobs=2)
-    assert pooled.points == serial.points
+def assert_same_sweep(got, want):
+    assert got.points == want.points
     for patterns in ("pattern_avg", "pattern_member"):
-        want = getattr(serial, patterns)
-        got = getattr(pooled, patterns)
-        assert list(got) == list(want)
-        for key in want:
-            np.testing.assert_array_equal(got[key], want[key])
+        assert list(getattr(got, patterns)) == list(getattr(want, patterns))
+        for key, pattern in getattr(want, patterns).items():
+            np.testing.assert_array_equal(getattr(got, patterns)[key], pattern)
+
+
+# even blocks, an uneven last block, and more workers than realizations
+@pytest.mark.parametrize("jobs, n_realizations", [(2, 2), (2, 3), (3, 2)])
+def test_sweep_in_worker_processes_matches_in_process(small_cfg, jobs, n_realizations):
+    # jobs > 1 runs the realizations in a spawn-context process pool
+    args = (small_cfg, [0.0, 10.0], [0.5], [2, 6], n_realizations)
+    assert_same_sweep(sweep(*args, jobs=jobs), sweep(*args))
+
+
+class _InlinePool:
+    """Stand-in process pool that runs ``map`` in this process and records each call in ``calls``."""
+
+    def __init__(self, calls):
+        self.calls = calls
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, seeds, chunksize):
+        seeds = list(seeds)
+        chunks = [seeds[i:i + chunksize] for i in range(0, len(seeds), chunksize)]
+        self.calls.append((fn, chunks))
+        return [fn(seed) for chunk in chunks for seed in chunk]
+
+
+@pytest.mark.parametrize("jobs, n_realizations", [(2, 2), (2, 3), (3, 2), (2, 5)])
+def test_sweep_ships_one_function_in_one_chunk_per_worker(small_cfg, monkeypatch, jobs, n_realizations):
+    # the shared inputs travel with the function, pickled once per chunk:
+    # min(jobs, R) chunks of consecutive seeds, not one payload per realization
+    calls, workers = [], []
+
+    def pool(max_workers, mp_context):
+        workers.append(max_workers)
+        return _InlinePool(calls)
+
+    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", pool)
+    args = (small_cfg, [5.0], [0.5], [2], n_realizations)
+    pooled = sweep(*args, jobs=jobs)
+    [(fn, chunks)] = calls
+    assert workers == [jobs]
+    assert fn.func is evaluation._realization_metrics
+    assert len(chunks) == min(jobs, n_realizations)
+    assert [seed for chunk in chunks for seed in chunk] == list(range(small_cfg.seed, small_cfg.seed + n_realizations))
+    assert_same_sweep(pooled, sweep(*args))
 
 
 def test_sweep_rejects_empty_realizations(small_cfg):

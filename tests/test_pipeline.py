@@ -6,10 +6,12 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jcasbeam import pipeline
 from jcasbeam.beamgrid import build_grid
-from jcasbeam.channel import ChannelSet, generate_rayleigh
+from jcasbeam.channel import generate_rayleigh
 from jcasbeam.config import SystemConfig
 from jcasbeam.covariance import solve_radar_covariance
 from jcasbeam.errors import DegenerateChannelError
@@ -199,9 +201,7 @@ def test_manifest_reports_covariance_convergence(small_cfg):
 
 def assert_links_recomputed_everywhere(res):
     """Combiners and rates equal a fresh computation on every subcarrier."""
-    combiners, rates = link_rates(
-        res.channels.matrices, res.precoders, 1.0 / res.config.effective_noise
-    )
+    combiners, rates = link_rates(res.channels, res.precoders, 1.0 / res.config.effective_noise)
     np.testing.assert_array_equal(res.combiners, combiners)
     np.testing.assert_array_equal(res.rates, rates)
 
@@ -263,10 +263,9 @@ def test_run_design_names_the_degenerate_subcarrier(small_cfg):
     channels = generate_rayleigh(
         small_cfg.n_subcarriers, small_cfg.n_rx, small_cfg.n_tx, small_cfg.seed
     )
-    matrices = channels.matrices.copy()
-    matrices[3] = 0.0
+    channels[3] = 0.0
     with pytest.raises(DegenerateChannelError, match=r"^subcarrier 3: "):
-        run_design(small_cfg, channels=ChannelSet(matrices, channels.seed))
+        run_design(small_cfg, channels=channels)
 
 
 def test_run_design_on_real_valued_channels_keeps_complex_beams(small_cfg):
@@ -274,7 +273,7 @@ def test_run_design_on_real_valued_channels_keeps_complex_beams(small_cfg):
     # channels (and so the eigen-stage beams) are real
     rng = np.random.default_rng(0)
     matrices = rng.standard_normal((small_cfg.n_subcarriers, small_cfg.n_rx, small_cfg.n_tx))
-    res = run_design(small_cfg, channels=ChannelSet(matrices, 0))
+    res = run_design(small_cfg, channels=matrices)
     assert res.precoders.dtype == res.combiners.dtype == complex
     assert np.any(res.precoders[res.jcas_subcarriers].imag != 0.0)
     assert_links_recomputed_everywhere(res)
@@ -306,7 +305,7 @@ def test_run_design_on_rank_deficient_channels():
     right = rng.standard_normal((8, 2, 4)) + 1j * rng.standard_normal((8, 2, 4))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        res = run_design(cfg, channels=ChannelSet(left @ right, None))
+        res = run_design(cfg, channels=left @ right)
     rank = [w for w in caught if w.category is RuntimeWarning and "rank 2" in str(w.message)]
     assert len(rank) == len(caught) == 11
     assert len(res.refinements) == 3
@@ -334,3 +333,48 @@ def test_designs_sharing_one_eigen_stage_equal_fresh_runs(small_cfg):
                 np.testing.assert_array_equal(got, getattr(fresh, field.name), err_msg=field.name)
         for a, b in zip(eigen, before):
             np.testing.assert_array_equal(a, b)
+
+
+@st.composite
+def edge_designs(draw):
+    """A small config at -10 to 20 dB, and its channels: None (the seeded draw) or a product of thin factors."""
+    n_tx, n_rx, n_subcarriers = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    cfg = SystemConfig(
+        n_tx=n_tx,
+        n_rx=n_rx,
+        n_streams=draw(st.integers(1, min(n_tx, n_rx))),
+        n_subcarriers=n_subcarriers,
+        n_jcas=draw(st.integers(0, n_subcarriers)),
+        rho=draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
+        grid_size=draw(st.integers(1, 15)),
+        power_budget=10.0 ** (draw(st.floats(-10.0, 20.0)) / 10.0),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    rank = draw(st.none() | st.integers(0, min(n_tx, n_rx)))
+    if rank is None:
+        return cfg, None
+    left = generate_rayleigh(n_subcarriers, n_rx, rank, cfg.seed)
+    return cfg, left @ generate_rayleigh(n_subcarriers, rank, n_tx, cfg.seed + 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(design=edge_designs())
+def test_edge_configurations_design_cleanly(design):
+    # n_tx=1, n_jcas in {0, K}, rho in {0, 1} and rank-deficient channels:
+    # a sane design, or a DegenerateChannelError exactly where a channel is zero
+    cfg, channels = design
+    zero = channels is not None and not np.all(np.any(channels, axis=(1, 2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warnings.filterwarnings("ignore", "effective channel rank", RuntimeWarning)
+        try:
+            res = run_design(cfg, channels=channels)
+        except DegenerateChannelError:
+            assert zero
+            return
+    assert not zero
+    norms = np.linalg.norm(res.precoders, axis=(1, 2)) ** 2
+    np.testing.assert_allclose(norms, cfg.effective_power, rtol=1e-9, atol=0)
+    assert np.all(np.isfinite(res.rates)) and np.all(res.rates >= 0)
+    assert len(res.jcas_subcarriers) == cfg.n_jcas
+    assert sorted(res.refinements) == res.jcas_subcarriers.tolist()
