@@ -90,13 +90,6 @@ def cmd_design(args) -> int:
             ],
             ["theta", "gain", "rho", "J"],
         )
-    if args.dump_residuals:
-        rows = []
-        for k in sorted(result.covariances):
-            sol = result.covariances[k]
-            for i, (p, d) in enumerate(zip(sol.primal_residuals, sol.dual_residuals)):
-                rows.append({"k": k, "iter": i, "primal": p, "dual": d})
-        write_table(out_dir / "residuals.csv", rows, ["k", "iter", "primal", "dual"])
 
     print(f"jcas subcarriers: {[int(k) for k in result.jcas_subcarriers]}")
     print(
@@ -116,17 +109,13 @@ def cmd_sweep(args) -> int:
     snrs = args.snr if args.snr else [0.0, 5.0, 10.0]
     rhos = args.rho if args.rho else [0.25, 0.5, 0.75]
     jcas_counts = args.jcas if args.jcas else sorted({cfg.n_jcas, cfg.n_subcarriers})
-    if args.realizations is not None:
-        n_realizations = args.realizations
-    else:
-        n_realizations = 20 if args.fast else 100
 
     result = sweep(
         cfg,
         snrs,
         rhos,
         jcas_counts,
-        n_realizations,
+        args.realizations,
         base_seed=cfg.seed,
         jobs=args.jobs,
     )
@@ -165,7 +154,7 @@ def cmd_sweep(args) -> int:
             "snrs": list(snrs),
             "rhos": list(rhos),
             "jcas_counts": list(jcas_counts),
-            "realizations": n_realizations,
+            "realizations": args.realizations,
             "base_seed": result.base_seed,
             "pattern_snr": result.pattern_snr,
             "points": [asdict(p) for p in result.points],
@@ -206,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--rho", type=float, help="sensing weight override in [0, 1]")
     d.add_argument("--jcas", type=int, help="sensing subcarrier count override")
     d.add_argument("--snr", type=float, help="SNR in dB; sets the power budget over the configured noise")
-    d.add_argument("--dump-residuals", action="store_true", help="write covariance solver residuals")
     d.set_defaults(func=cmd_design)
 
     s = sub.add_parser("sweep", help="average metrics over many channel realizations")
@@ -216,8 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--snr", type=float, nargs="+", help="SNR points in dB (default 0 5 10)")
     s.add_argument("--rho", type=float, nargs="+", help="sensing weights (default 0.25 0.5 0.75)")
     s.add_argument("--jcas", type=int, nargs="+", help="sensing subcarrier counts (default config value and all)")
-    s.add_argument("--realizations", type=int, help="channel realizations per point (default 100)")
-    s.add_argument("--fast", action="store_true", help="use 20 realizations unless --realizations is given")
+    s.add_argument("--realizations", type=int, default=100, help="channel realizations per point (default 100)")
     s.add_argument("--jobs", type=int, default=1, help="worker processes for realizations")
     s.set_defaults(func=cmd_sweep)
 

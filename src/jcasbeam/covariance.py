@@ -26,8 +26,10 @@ active pattern kinks, a degenerate geometry where splitting methods slow to a
 crawl near the end. The solver stops early once its primal residual is below
 ``TOL``; otherwise it accepts the iterate at ``MAX_ITER`` provided the residual
 is below the coarse ``FALLBACK_TOL``, whose objective error is far inside the
-accuracy anything downstream consumes, and raises otherwise. All three rules
-are fixed module constants, read at call time.
+accuracy anything downstream consumes, and raises otherwise. The solver keeps
+only what these rules read: the current primal residual, and the dual
+residual on the iterations that rebalance the penalties. These rules, and the
+polish's, are fixed module constants, read at call time.
 """
 
 from __future__ import annotations
@@ -49,6 +51,10 @@ BALANCE_RATIO = 3.0
 TOL = 1e-6
 FALLBACK_TOL = 1e-2
 MAX_ITER = 5000
+# The finished matrix alternates psd and diagonal projections until its
+# minimum eigenvalue is at least POLISH_FLOOR, for at most POLISH_MAX_ROUNDS.
+POLISH_FLOOR = -1e-10
+POLISH_MAX_ROUNDS = 200
 
 
 def psd_project(mat: np.ndarray) -> np.ndarray:
@@ -137,14 +143,15 @@ class CovarianceSolution:
 
     ``converged`` records whether the tight stopping tolerance was met; a
     False value means the fallback acceptance fired at the iteration cap.
+    ``residual`` is the final primal residual of the unit-budget problem, the
+    value the stopping rules compare with ``TOL`` and ``FALLBACK_TOL``.
     """
 
     matrix: np.ndarray            # Hermitian psd with exact uniform diagonal
     objective: float              # sum_t |p_t - a^H R a| at the returned matrix
     iterations: int
     converged: bool
-    primal_residuals: np.ndarray  # per-iteration combined primal residual norm
-    dual_residuals: np.ndarray
+    residual: float
 
 
 def _admm_unit(steering, q):
@@ -161,13 +168,13 @@ def _admm_unit(steering, q):
     the budget itself, returned with zero iterations.
 
     Returns the stacked last iterates (K, n_tx, n_tx), Hermitian with diagonal
-    1 / n_tx, the iteration counts and ``converged`` flags (K,), and the primal
-    and dual residual histories (K, MAX_ITER), valid up to each count.
+    1 / n_tx, and per carrier (K,) the iteration count, the ``converged`` flag
+    and the final primal residual.
     """
     n_car, n_grid, n = steering.shape
     if n == 1 or n_car == 0:
-        mats, empty = np.ones((n_car, n, n), dtype=complex), np.zeros((n_car, 0))
-        return mats, np.zeros(n_car, dtype=int), np.ones(n_car, dtype=bool), empty, empty
+        mats = np.ones((n_car, n, n), dtype=complex)
+        return mats, np.zeros(n_car, dtype=int), np.ones(n_car, dtype=bool), np.zeros(n_car)
 
     iu = np.triu_indices(n, 1)
     diag_value = 1.0 / n
@@ -186,10 +193,9 @@ def _admm_unit(steering, q):
     u = np.zeros((n_car, n_grid))
     u_mat = np.zeros((n_car, n, n), dtype=complex)
 
-    primal_hist = np.empty((n_car, MAX_ITER))
-    dual_hist = np.empty((n_car, MAX_ITER))
     act = np.arange(n_car)  # original index of each active carrier
     final_x = x.copy()
+    final_primal = np.empty(n_car)
     iterations = np.full(n_car, MAX_ITER)
     converged = np.zeros(n_car, dtype=bool)
 
@@ -211,26 +217,12 @@ def _admm_unit(steering, q):
         r_diff = (r_mat - s).reshape(len(act), -1)
         p2 = np.sqrt(_sq_norms(r_diff.real) + _sq_norms(r_diff.imag))
         primal = np.hypot(p1, p2)
-        d1 = beta1 * np.sqrt(_sq_norms(_matvec(gt, z - z_old)))
-        d2 = beta2 * np.sqrt(2.0 * np.sum(_herm_params(s - s_old, iu) ** 2, axis=1))
-        primal_hist[act, it] = primal
-        dual_hist[act, it] = np.hypot(d1, d2)
 
-        done = primal < TOL
-        if done.any():
-            final_x[act[done]] = x[done]
-            iterations[act[done]] = it + 1
-            converged[act[done]] = True
-            keep = ~done
-            act = act[keep]
-            x, z, s, u, u_mat, g, gtg, solve_mat, beta1, beta2, p1, p2, d1, d2 = (
-                a[keep] for a in (x, z, s, u, u_mat, g, gtg, solve_mat, beta1, beta2, p1, p2, d1, d2)
-            )
-            gt = g.swapaxes(1, 2)
-            if act.size == 0:
-                break
-
+        # Rebalancing leaves x alone, so a carrier that stops below keeps its
+        # iterate whether or not its penalties were rebalanced first.
         if (it + 1) % BALANCE_EVERY == 0:
+            d1 = beta1 * np.sqrt(_sq_norms(_matvec(gt, z - z_old)))
+            d2 = beta2 * np.sqrt(2.0 * np.sum(_herm_params(s - s_old, iu) ** 2, axis=1))
             up1 = p1 > BALANCE_RATIO * np.maximum(d1, 1e-300)
             down1 = ~up1 & (d1 > BALANCE_RATIO * p1)
             up2 = p2 > BALANCE_RATIO * np.maximum(d2, 1e-300)
@@ -247,23 +239,39 @@ def _admm_unit(steering, q):
                     beta1[changed, None, None] * gtg[changed] + beta2[changed, None, None] * eye2
                 )
 
+        done = primal < TOL
+        if done.any():
+            final_x[act[done]] = x[done]
+            final_primal[act[done]] = primal[done]
+            iterations[act[done]] = it + 1
+            converged[act[done]] = True
+            keep = ~done
+            act = act[keep]
+            x, z, s, u, u_mat, g, gtg, solve_mat, beta1, beta2, primal = (
+                a[keep] for a in (x, z, s, u, u_mat, g, gtg, solve_mat, beta1, beta2, primal)
+            )
+            gt = g.swapaxes(1, 2)
+            if act.size == 0:
+                break
+
     final_x[act] = x
-    return _unpack(final_x, n, iu, diag_value), iterations, converged, primal_hist, dual_hist
+    final_primal[act] = primal
+    return _unpack(final_x, n, iu, diag_value), iterations, converged, final_primal
 
 
-def _finish(grid, k, power_budget, unit_matrix, iterations, converged, primal, dual) -> CovarianceSolution:
+def _finish(grid, k, power_budget, unit_matrix, iterations, converged, residual) -> CovarianceSolution:
     """Scale carrier ``k``'s unit-budget solve to ``power_budget``, polish it, score it on the mask."""
     steering = grid.steering[k]
     mat = _polish(power_budget * unit_matrix, power_budget / steering.shape[1])
     obj = float(np.sum(np.abs(power_budget * grid.desired_gain - beampattern_values(mat, steering))))
-    return CovarianceSolution(mat, obj, iterations, converged, primal, dual)
+    return CovarianceSolution(mat, obj, iterations, converged, residual)
 
 
-def _polish(mat: np.ndarray, diag_value: float, floor: float = -1e-10, max_rounds: int = 200) -> np.ndarray:
+def _polish(mat: np.ndarray, diag_value: float) -> np.ndarray:
     """Alternate psd and diagonal projections until both hold to tight slack."""
     out = diag_project(0.5 * (mat + mat.conj().T), diag_value)
-    for _ in range(max_rounds):
-        if np.linalg.eigvalsh(out)[0] >= floor:
+    for _ in range(POLISH_MAX_ROUNDS):
+        if np.linalg.eigvalsh(out)[0] >= POLISH_FLOOR:
             return out
         out = diag_project(psd_project(out), diag_value)
     return out
@@ -276,33 +284,31 @@ def solve_radar_covariances(grid: BeamGrid, requests: dict) -> dict[float, dict[
     desired pattern at power P is P times the grid's binary mask, whose
     normalized target ``mask - 1`` does not depend on P, so every requested
     subcarrier is solved once, in one batched ADMM call, and that solve is
-    finished at each power that asked for it; its residual histories are
-    shared by those solutions. Returns ``{power: {k: solution}}`` in request
-    order. Iteration stops early below ``TOL``; at ``MAX_ITER`` the iterate
-    is accepted if its residual is below ``FALLBACK_TOL`` (its objective
-    error is orders of magnitude inside the 1e-2*P accuracy the rest of the
-    pipeline relies on), else a :class:`SolverError` names the failing
-    subcarrier and carries its last iterate at the first power that
-    requested it, with its residual history.
+    finished at each power that asked for it. Returns ``{power: {k: solution}}``
+    in request order. Iteration stops early below ``TOL``; at ``MAX_ITER`` the
+    iterate is accepted if its residual is below ``FALLBACK_TOL`` (its
+    objective error is orders of magnitude inside the 1e-2*P accuracy the rest
+    of the pipeline relies on), else a :class:`SolverError` names the first
+    failing subcarrier and carries its last iterate at the first power that
+    requested it, with its final residual.
     """
     first_power = {}
     for power, ks in requests.items():
         for k in ks:
             first_power.setdefault(int(k), power)
     ks = list(first_power)
-    mats, iterations, converged, primal, dual = _admm_unit(grid.steering[ks], grid.desired_gain - 1.0)
-    unit = {}  # each carrier's unit-budget solve, its histories shared by every power
+    mats, iterations, converged, residual = _admm_unit(grid.steering[ks], grid.desired_gain - 1.0)
+    unit = {}  # each carrier's unit-budget solve
     for c, k in enumerate(ks):
-        residuals = primal[c, : iterations[c]]
-        if not converged[c] and residuals[-1] > FALLBACK_TOL:
+        if not converged[c] and residual[c] > FALLBACK_TOL:
             raise SolverError(
-                f"subcarrier {k}: covariance solver residual {residuals[-1]:.3e} after "
+                f"subcarrier {k}: covariance solver residual {residual[c]:.3e} after "
                 f"{iterations[c]} iterations exceeds even the fallback tolerance "
                 f"{FALLBACK_TOL:g} (tight tolerance {TOL:g})",
                 last_iterate=first_power[k] * mats[c],
-                residuals=residuals,
+                residual=float(residual[c]),
             )
-        unit[k] = (mats[c], int(iterations[c]), bool(converged[c]), residuals, dual[c, : iterations[c]])
+        unit[k] = (mats[c], int(iterations[c]), bool(converged[c]), float(residual[c]))
     return {
         power: {int(k): _finish(grid, int(k), power, *unit[int(k)]) for k in ks_p}
         for power, ks_p in requests.items()

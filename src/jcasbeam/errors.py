@@ -8,14 +8,14 @@ class ConfigError(ValueError):
 class SolverError(RuntimeError):
     """A numerical solver failed to converge.
 
-    Carries the last iterate and residual history so a failed run can be
+    Carries the last iterate and its final residual so a failed run can be
     inspected instead of silently discarded.
     """
 
-    def __init__(self, message, last_iterate=None, residuals=None):
+    def __init__(self, message, last_iterate=None, residual=None):
         super().__init__(message)
         self.last_iterate = last_iterate
-        self.residuals = residuals
+        self.residual = residual
 
 
 class DegenerateChannelError(ValueError):

@@ -15,10 +15,11 @@ comparisons are matched. It runs in three passes:
    (rho, J) design of that SNR is refined. Recomputing it rather than
    keeping pass 1's keeps memory flat in the realization count. One worker
    function, bound to the inputs every realization shares (the grid and
-   every covariance solution of the sweep, about 6.8 MB for the default
-   sweep: 3 SNRs, all 64 subcarriers), is mapped over the seeds. Under
-   ``jobs`` > 1 the seeds go out in at most ``jobs`` contiguous blocks, so
-   the shared inputs are pickled once per block, not once per realization.
+   every covariance solution of the sweep, about 1.7 MB pickled for the
+   default sweep: 3 SNRs, all 64 subcarriers, 1.5 MB of it the grid), is
+   mapped over the seeds. Under ``jobs`` > 1 the seeds go out in at most
+   ``jobs`` contiguous blocks, so the shared inputs are pickled once per
+   block, not once per realization.
 """
 
 from __future__ import annotations

@@ -168,6 +168,7 @@ def build_run_manifest(result: DesignResult) -> dict:
                 "iterations": sol.iterations,
                 "objective": sol.objective,
                 "converged": bool(sol.converged),
+                "residual": sol.residual,
             }
             for k, sol in result.covariances.items()
         },

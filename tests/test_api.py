@@ -1,6 +1,9 @@
-"""The package's public API: what ``import jcasbeam`` exports."""
+"""The package's public API: what ``import jcasbeam`` exports, and what it imports."""
 
+import ast
 import inspect
+import sys
+from pathlib import Path
 
 import jcasbeam
 import jcasbeam.cli
@@ -63,3 +66,21 @@ def test_solver_signatures_take_no_tuning_values():
         params = inspect.signature(getattr(jcasbeam, name)).parameters.values()
         got = [p.name if p.default is p.empty else f"{p.name}={p.default!r}" for p in params]
         assert got == want, name
+
+
+def test_runtime_dependency_is_numpy_only():
+    # every import of the package's modules, at any depth, is numpy, the
+    # package itself, or the standard library
+    allowed = {"numpy", "jcasbeam"} | set(sys.stdlib_module_names)
+    sources = sorted(Path(jcasbeam.__file__).parent.glob("*.py"))
+    assert sources
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in allowed, f"{path.name}:{node.lineno} imports {name}"

@@ -1,13 +1,16 @@
 """Command line behavior: flags, outputs, exit codes, determinism."""
 
+import argparse
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from jcasbeam import covariance, selfcheck
 from jcasbeam.channel import generate_rayleigh
-from jcasbeam.cli import main
+from jcasbeam.cli import build_parser, main
 from jcasbeam.config import SystemConfig, write_config
 from jcasbeam.errors import SolverError
 from jcasbeam.pipeline import eigen_stage, select_jcas_subcarriers
@@ -32,6 +35,10 @@ def test_design_writes_outputs(small_config_file, tmp_path, capsys):
     assert manifest["config"]["n_tx"] == SMALL["n_tx"]
     assert len(manifest["jcas_subcarriers"]) == SMALL["n_jcas"]
     assert manifest["beampattern_mse"] >= 0
+    assert len(manifest["covariance"]) == SMALL["n_jcas"]
+    for entry in manifest["covariance"].values():
+        # converged below the tolerance, or accepted below the fallback at the cap
+        assert 0 <= entry["residual"] < (covariance.TOL if entry["converged"] else covariance.FALLBACK_TOL)
     header, rows = parse_table((out / "rates.csv").read_text())
     assert header == ["k", "rate"]
     assert len(rows) == SMALL["n_subcarriers"]
@@ -67,24 +74,6 @@ def test_design_overrides_reach_manifest(small_config_file, tmp_path):
     assert cfg["rho"] == 0.75
     assert cfg["n_jcas"] == 1
     assert cfg["power_budget"] == pytest.approx(10.0 ** 0.3, rel=1e-12)
-
-
-def test_design_optional_dumps(small_config_file, tmp_path):
-    out = tmp_path / "dumps"
-    code = main(
-        [
-            "design",
-            "--config",
-            str(small_config_file),
-            "--out-dir",
-            str(out),
-            "--dump-residuals",
-        ]
-    )
-    assert code == 0
-    header, rows = parse_table((out / "residuals.csv").read_text())
-    assert header == ["k", "iter", "primal", "dual"]
-    assert rows
 
 
 def test_design_without_sensing_skips_pattern(small_config_file, tmp_path):
@@ -217,10 +206,39 @@ def test_huge_snr_without_sensing_still_designs(small_config_file, tmp_path):
     assert (out / "rates.csv").exists()
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+LONG_FLAG = re.compile(r"--[a-z][a-z-]*")
+
+
+def _parser_flags():
+    """The long flags each subcommand's parser accepts, ``--help`` aside."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: {flag for action in p._actions for flag in action.option_strings if flag.startswith("--")} - {"--help"}
+        for name, p in sub.choices.items()
+    }
+
+
+def test_readme_names_exactly_the_cli_flags():
+    section = README.read_text().split("## Command line", 1)[1].split("\n## ", 1)[0]
+    accepted = _parser_flags()
+    for command, flags in accepted.items():
+        # the command's entry in the README's flag list, continuation lines included
+        (entry,) = re.findall(rf"^- `{command}`:.*(?:\n  .*)*", section, re.M)
+        assert set(LONG_FLAG.findall(entry)) == flags, command
+        for example in re.findall(rf"^jcasbeam {command}\b.*$", section, re.M):
+            assert set(LONG_FLAG.findall(example)) <= flags, example
+    # a flag named anywhere else in the section is one that some command accepts
+    assert set(LONG_FLAG.findall(section)) <= set.union(*accepted.values())
+
+
 def test_unknown_flag_exits_2(small_config_file):
-    with pytest.raises(SystemExit) as err:
-        main(["design", "--config", str(small_config_file), "--frobnicate"])
-    assert err.value.code == 2
+    # the last two are flags that the commands no longer have
+    for argv in (["design", "--config", str(small_config_file), "--frobnicate"],
+                 ["design", "--dump-residuals"], ["sweep", "--fast"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
 
 
 def test_solver_failure_exits_3(small_config_file, tmp_path, monkeypatch, capsys):
