@@ -27,9 +27,13 @@ crawl near the end. The solver stops early once its primal residual is below
 ``TOL``; otherwise it accepts the iterate at ``MAX_ITER`` provided the residual
 is below the coarse ``FALLBACK_TOL``, whose objective error is far inside the
 accuracy anything downstream consumes, and raises otherwise. The solver keeps
-only what these rules read: the current primal residual, and the dual
-residual on the iterations that rebalance the penalties. These rules, and the
-polish's, are fixed module constants, read at call time.
+only what these rules read, and computes it only where they read it. The
+primal residual is hypot(p1, p2), with p1 the pattern half and p2 the psd
+consensus half, so it is below ``TOL`` only where p1 is: p2 is computed on
+an iteration where some carrier's p1 is below ``TOL``, on the iterations
+that rebalance the penalties (with the dual residual), and on the last
+iteration, whose primal residual a capped carrier reports. These rules, and
+the polish's, are fixed module constants, read at call time.
 """
 
 from __future__ import annotations
@@ -64,7 +68,7 @@ def psd_project(mat: np.ndarray) -> np.ndarray:
     """
     herm = 0.5 * (mat + _ctranspose(mat))
     vals, vecs = np.linalg.eigh(herm)
-    return (vecs * np.clip(vals, 0.0, None)[..., None, :]) @ _ctranspose(vecs)
+    return (vecs * np.maximum(vals, 0.0)[..., None, :]) @ _ctranspose(vecs)
 
 
 def diag_project(mat: np.ndarray, diag_value: float) -> np.ndarray:
@@ -187,9 +191,16 @@ def _admm_unit(steering, q):
     beta2 = np.ones(n_car)  # psd-consensus block penalty
     solve_mat = np.linalg.inv(gtg + eye2)
 
+    def broadcasts():
+        """The penalties shaped to scale the carriers' rows: beta1, 2 beta2 and 1 / beta1."""
+        return beta1[:, None], 2.0 * beta2[:, None], 1.0 / beta1[:, None]
+
+    b1, b2x2, inv_b1 = broadcasts()
+
     x = np.zeros((n_car, g.shape[2]))
     z = q - _matvec(g, x)
-    s = psd_project(_unpack(x, n, iu, diag_value))
+    r_mat = _unpack(x, n, iu, diag_value)  # its diagonal stays; each iteration writes the rest
+    s = psd_project(r_mat)
     u = np.zeros((n_car, n_grid))
     u_mat = np.zeros((n_car, n, n), dtype=complex)
 
@@ -201,26 +212,34 @@ def _admm_unit(steering, q):
 
     for it in range(MAX_ITER):
         y = _herm_params(s - u_mat, iu)
-        x = _matvec(solve_mat, beta1[:, None] * _matvec(gt, q - z - u) + 2.0 * beta2[:, None] * y)
+        q_z = q - z
+        x = _matvec(solve_mat, b1 * _matvec(gt, q_z - u) + b2x2 * y)
 
         gx = _matvec(g, x)
-        r_mat = _unpack(x, n, iu, diag_value)
-        gx_rel = OVERRELAX * gx + (1.0 - OVERRELAX) * (q - z)
+        vals = np.ascontiguousarray(x).view(complex)
+        r_mat[:, iu[0], iu[1]] = vals
+        r_mat[:, iu[1], iu[0]] = vals.conj()
+        gx_rel = OVERRELAX * gx + (1.0 - OVERRELAX) * q_z
         r_mat_rel = OVERRELAX * r_mat + (1.0 - OVERRELAX) * s
         z_old, s_old = z, s
-        z = _soft_threshold(q - gx_rel - u, 1.0 / beta1[:, None])
+        z = _soft_threshold(q - gx_rel - u, inv_b1)
         s = psd_project(r_mat_rel + u_mat)
         u = u + gx_rel + z - q
         u_mat = u_mat + (r_mat_rel - s)
 
+        # p2 only where a rule reads it: hypot(p1, p2) >= p1 stops no carrier
+        # until some p1 is below TOL (see the module docstring)
         p1 = np.sqrt(_sq_norms(gx + z - q))
+        balance = (it + 1) % BALANCE_EVERY == 0
+        if not (balance or it == MAX_ITER - 1 or np.count_nonzero(p1 < TOL)):
+            continue
         r_diff = (r_mat - s).reshape(len(act), -1)
         p2 = np.sqrt(_sq_norms(r_diff.real) + _sq_norms(r_diff.imag))
         primal = np.hypot(p1, p2)
 
         # Rebalancing leaves x alone, so a carrier that stops below keeps its
         # iterate whether or not its penalties were rebalanced first.
-        if (it + 1) % BALANCE_EVERY == 0:
+        if balance:
             d1 = beta1 * np.sqrt(_sq_norms(_matvec(gt, z - z_old)))
             d2 = beta2 * np.sqrt(2.0 * np.sum(_herm_params(s - s_old, iu) ** 2, axis=1))
             up1 = p1 > BALANCE_RATIO * np.maximum(d1, 1e-300)
@@ -229,6 +248,7 @@ def _admm_unit(steering, q):
             down2 = ~up2 & (d2 > BALANCE_RATIO * p2)
             beta1 = np.where(up1, 2.0 * beta1, np.where(down1, beta1 / 2.0, beta1))
             beta2 = np.where(up2, 2.0 * beta2, np.where(down2, beta2 / 2.0, beta2))
+            b1, b2x2, inv_b1 = broadcasts()
             u[up1] /= 2.0
             u[down1] *= 2.0
             u_mat[up2] /= 2.0
@@ -247,10 +267,11 @@ def _admm_unit(steering, q):
             converged[act[done]] = True
             keep = ~done
             act = act[keep]
-            x, z, s, u, u_mat, g, gtg, solve_mat, beta1, beta2, primal = (
-                a[keep] for a in (x, z, s, u, u_mat, g, gtg, solve_mat, beta1, beta2, primal)
+            x, z, s, u, u_mat, r_mat, g, gtg, solve_mat, beta1, beta2, primal = (
+                a[keep] for a in (x, z, s, u, u_mat, r_mat, g, gtg, solve_mat, beta1, beta2, primal)
             )
             gt = g.swapaxes(1, 2)
+            b1, b2x2, inv_b1 = broadcasts()
             if act.size == 0:
                 break
 

@@ -13,13 +13,18 @@ comparisons are matched. It runs in three passes:
    power that needs it.
 3. Per realization and SNR, one eigen stage again, from which every
    (rho, J) design of that SNR is refined. Recomputing it rather than
-   keeping pass 1's keeps memory flat in the realization count. One worker
-   function, bound to the inputs every realization shares (the grid and
-   every covariance solution of the sweep, about 1.7 MB pickled for the
-   default sweep: 3 SNRs, all 64 subcarriers, 1.5 MB of it the grid), is
-   mapped over the seeds. Under ``jobs`` > 1 the seeds go out in at most
-   ``jobs`` contiguous blocks, so the shared inputs are pickled once per
-   block, not once per realization.
+   keeping pass 1's keeps memory flat in the realization count. The
+   sensing subcarriers of every (SNR, rho, J) design of a realization run
+   in one RCG batch, each at its design's rho and power, and are relinked
+   in one stacked call; a realization's designs are held together until
+   its metrics are taken, so memory grows with the designs per
+   realization, not with the realizations. One worker function, bound to
+   the inputs every realization shares (the grid and every covariance
+   solution of the sweep, about 1.7 MB pickled for the default sweep:
+   3 SNRs, all 64 subcarriers, 1.5 MB of it the grid), is mapped over the
+   seeds. Under ``jobs`` > 1 the seeds go out in at most ``jobs``
+   contiguous blocks, so the shared inputs are pickled once per block, not
+   once per realization.
 """
 
 from __future__ import annotations
@@ -117,28 +122,39 @@ def _realization_links(base: SystemConfig, snrs, seed: int):
     return channels, stages
 
 
+def _realization_designs(base, snrs, rhos, jcas_counts, grid, covariances, seed):
+    """Every (SNR, rho, J) design on the channel realization of ``seed``, refined together.
+
+    Returns ``[(snr, rho, n_jcas, DesignResult)]`` in SNR, rho, J order.
+    """
+    channels, stages = _realization_links(base, snrs, seed)
+    keys, designs = [], []
+    for snr, (snr_cfg, eigen) in zip(snrs, stages):
+        covs = covariances.get(snr_cfg.effective_power, {})
+        for rho in rhos:
+            for n_jcas in jcas_counts:
+                keys.append((snr, rho, n_jcas))
+                designs.append((replace(snr_cfg, rho=rho, n_jcas=n_jcas), eigen, covs))
+    return [(*key, result) for key, result in zip(keys, _refine(channels, grid, designs))]
+
+
 def _realization_metrics(base, snrs, rhos, jcas_counts, grid, covariances, pattern_snr, seed):
     """Metrics for every configuration on the channel realization of ``seed``.
 
     Module-level so worker processes can import it. Returns
     ({(snr, rho, J): (avg_rate, mse)}, {(rho, J): (avg_pattern, member_pattern)}).
     """
-    channels, stages = _realization_links(base, snrs, seed)
     point_metrics = {}
     patterns = {}
-    for snr, (snr_cfg, eigen) in zip(snrs, stages):
-        covs = covariances.get(snr_cfg.effective_power, {})
-        for rho in rhos:
-            for n_jcas in jcas_counts:
-                cfg = replace(snr_cfg, rho=rho, n_jcas=n_jcas)
-                result = _refine(cfg, channels, grid, covs, eigen)
-                mse = beampattern_mse(result.precoders, result.jcas_subcarriers, grid)
-                point_metrics[(snr, rho, n_jcas)] = (result.avg_rate, mse)
-                if snr == pattern_snr and n_jcas > 0:
-                    patterns[(rho, n_jcas)] = (
-                        average_jcas_pattern(result),
-                        median_member_pattern(result),
-                    )
+    designs = _realization_designs(base, snrs, rhos, jcas_counts, grid, covariances, seed)
+    for snr, rho, n_jcas, result in designs:
+        mse = beampattern_mse(result.precoders, result.jcas_subcarriers, grid)
+        point_metrics[(snr, rho, n_jcas)] = (result.avg_rate, mse)
+        if snr == pattern_snr and n_jcas > 0:
+            patterns[(rho, n_jcas)] = (
+                average_jcas_pattern(result),
+                median_member_pattern(result),
+            )
     return point_metrics, patterns
 
 

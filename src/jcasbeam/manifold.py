@@ -32,9 +32,12 @@ search (with its polishing probes) would end. The rungs are formed by the same
 repeated multiplication by ``CONTRACTION`` as a shrinking step (exact powers
 for the contraction 0.5 used here), so each rung is bit for bit the step the
 sequential search tries at that round, and the ladder ends every search on the
-same step with the same value. The accepted rung's retracted point and its
-residual F F^H - R, already computed on the ladder, become the new iterate and
-the gradient's residual.
+same step with the same value. The accepted rung's retracted point, already
+computed on the ladder, becomes the new iterate. The ladder keeps only points
+and values: its residuals F F^H - R, (n_tx, n_tx) per rung, would be its
+largest table, so the gradient's residual is formed again at the new
+iterate, by the same per-matrix products, which keeps a batch's peak memory
+small.
 
 Exactness: the plateau stop is absolute (``PLATEAU_TOL`` = 1e-10 against an
 objective of order P^2), so it is sensitive to roundoff: a 1-ulp change in one
@@ -46,12 +49,15 @@ norm is two BLAS dots over the strided real and imaginary parts (what
 product is the conjugating BLAS dot that ``np.vdot`` makes (through
 ``np.vecdot``), and a norm is squared by libm ``pow``, as a float scalar's
 ``** 2`` is, not as ``x * x``, which rounds differently on about 0.1% of
-values. So a carrier's result is the same whatever batch it runs in.
+values. The stack squares all its norms in one ``np.float_power(x, 2.0)``
+call, whose loop calls that same ``pow`` (a test holds it equal to
+``math.pow`` on a million values). A per-carrier rho or power enters each
+product as the scalar would, elementwise. So a carrier's result is the same
+whatever batch it runs in, and whatever rho and power its neighbours have.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -74,6 +80,7 @@ MAX_ITER = 500
 # Every step a search can try, up to the last polishing probe: rung r is
 # CONTRACTION**r, formed by repeated multiplication as a search shrinks its step.
 _RCG_RUNGS = np.cumprod(np.r_[1.0, np.full(2 * MAX_BACKTRACKS, CONTRACTION)])
+_RUNG_STEPS = _RCG_RUNGS[:, None, None]  # the rungs, shaped to scale a stack of directions
 
 
 def _ctranspose(mat: np.ndarray) -> np.ndarray:
@@ -101,51 +108,61 @@ def _norms(mats: np.ndarray) -> np.ndarray:
 
 
 def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Real inner product Re tr(A^H B) of each matrix pair, shaped like the leading axes.
+    """Real inner product Re tr(A^H B) of each matrix pair, broadcast over the leading axes.
 
     ``np.vecdot`` conjugates its first operand with the BLAS complex dot that
     ``np.vdot`` makes on one pair.
     """
     n = a.shape[-2] * a.shape[-1]
-    return np.vecdot(a.reshape(-1, n), b.reshape(-1, n)).real.reshape(a.shape[:-2])
+    return np.vecdot(a.reshape(a.shape[:-2] + (n,)), b.reshape(b.shape[:-2] + (n,))).real
 
 
-def _residual_objective(f: np.ndarray, cov: np.ndarray, f_comm: np.ndarray, rho: float):
+def _residual_objective(f: np.ndarray, cov: np.ndarray, f_comm: np.ndarray, rho, rho_c):
     """The residuals F F^H - R and the objective values of a (..., n_tx, n_streams) stack.
 
-    Each norm is squared by ``math.pow``, as a scalar ``** 2`` squares it.
+    ``rho`` and ``rho_c`` = 1 - rho broadcast against the stack's leading
+    axes. Each norm is squared by libm ``pow`` (``np.float_power``), as a
+    scalar ``** 2`` squares it.
     """
-    resid = f @ _ctranspose(f) - cov
-    sens = _norms(resid)
-    norms = sens.ravel().tolist() + _norms(f - f_comm).ravel().tolist()
-    squares = np.array(list(map(math.pow, norms, itertools.repeat(2))))
-    gamma = rho * squares[: sens.size] + (1.0 - rho) * squares[sens.size :]
-    return resid, gamma.reshape(sens.shape)
+    comm = np.float_power(_norms(f - f_comm), 2.0)
+    gram = f @ _ctranspose(f)
+    # in place on a complex stack: on the line-search ladder these are the largest temporaries
+    resid = np.subtract(gram, cov, out=gram if gram.dtype.kind == "c" else None)
+    sens = np.float_power(_norms(resid), 2.0)
+    return resid, rho * sens + rho_c * comm
 
 
-def tradeoff_objective(f: np.ndarray, cov: np.ndarray, f_comm: np.ndarray, rho: float):
+def tradeoff_objective(f: np.ndarray, cov: np.ndarray, f_comm: np.ndarray, rho):
     """gamma(F) of each precoder of a (..., n_tx, n_streams) stack, shaped (...)."""
-    return _residual_objective(f, cov, f_comm, rho)[1]
+    return _residual_objective(f, cov, f_comm, rho, 1.0 - rho)[1]
 
 
-def _gradient(f: np.ndarray, resid: np.ndarray, f_comm: np.ndarray, rho: float) -> np.ndarray:
-    """Euclidean gradient at ``f`` from its residual F F^H - R."""
-    return 4.0 * rho * (resid @ f) + 2.0 * (1.0 - rho) * (f - f_comm)
+def _gradient(f: np.ndarray, resid: np.ndarray, f_comm: np.ndarray, c_sens, c_comm) -> np.ndarray:
+    """Euclidean gradient at ``f`` from its residual F F^H - R; c_sens = 4 rho, c_comm = 2 (1 - rho)."""
+    return c_sens * (resid @ f) + c_comm * (f - f_comm)
 
 
 def tradeoff_gradient(f: np.ndarray, cov: np.ndarray, f_comm: np.ndarray, rho: float) -> np.ndarray:
     """Euclidean (conjugate-coordinate) gradient of the tradeoff objective, per matrix."""
-    return _gradient(f, f @ _ctranspose(f) - cov, f_comm, rho)
+    return _gradient(f, f @ _ctranspose(f) - cov, f_comm, 4.0 * rho, 2.0 * (1.0 - rho))
 
 
-def project_to_tangent(f: np.ndarray, g: np.ndarray, power: float) -> np.ndarray:
-    """Remove the radial component of g at the sphere point f (||f||^2 = power)."""
+def project_to_tangent(f: np.ndarray, g: np.ndarray, power) -> np.ndarray:
+    """Remove the radial component of g at the sphere point f (||f||^2 = power).
+
+    ``g`` may carry more leading axes than ``f``: a stack of vectors at each
+    point is projected in one call. ``power`` is a float or one per point.
+    """
     return g - _each(_inner(f, g) / power) * f
 
 
-def _normalize(v: np.ndarray, power: float) -> np.ndarray:
-    """Scale each matrix of a stack onto the power sphere."""
-    return math.sqrt(power) * v / _each(_norms(v))
+def _normalize(v: np.ndarray, root) -> np.ndarray:
+    """Scale each matrix of a stack onto the power sphere of radius ``root`` = sqrt(P).
+
+    ``root`` broadcasts against the stack: a float, or one per matrix shaped
+    like the leading axes with two trailing unit axes.
+    """
+    return root * v / _each(_norms(v))
 
 
 def retract(f: np.ndarray, step, direction: np.ndarray, power: float) -> np.ndarray:
@@ -155,7 +172,7 @@ def retract(f: np.ndarray, step, direction: np.ndarray, power: float) -> np.ndar
     step per matrix, or, as the line search uses it, a row of steps against
     a column of matrices.
     """
-    return _normalize(f + _each(step) * direction, power)
+    return _normalize(f + _each(step) * direction, math.sqrt(power))
 
 
 def polak_ribiere_mu(g_new: np.ndarray, g_prev: np.ndarray, g_prev_transported: np.ndarray):
@@ -205,34 +222,38 @@ def _armijo_decide(values, rungs, phi0, slope, c, max_backtracks):
     return final, decided, ~failed
 
 
-def _line_search(f, direction, cov, f_comm, rho, power, gamma, slope):
+def _line_search(f, direction, cov, f_comm, rho, rho_c, root, gamma, slope):
     """Armijo searches of a stack of carriers along the retraction, on the ladder.
 
+    The carriers' ``rho`` and ``rho_c`` = 1 - rho come shaped (B, 1) and
+    ``root`` = sqrt(P) shaped (B, 1, 1, 1), to broadcast over the rungs.
     Each round retracts the undecided carriers to the next ``LADDER_CHUNK``
     rungs and evaluates them in one stacked call; the first round takes
-    every carrier. Returns (value, ok, f_new, resid_new): each carrier's
-    objective, success flag, retracted point and residual F F^H - R at its
-    final rung, where a sequential backtracking search would end.
+    every carrier. Returns (value, ok, f_new): each carrier's objective,
+    success flag and retracted point at its final rung, where a sequential
+    backtracking search would end.
     """
     todo = slice(None)
-    tables = None  # points, residuals and values of every carrier at the rungs so far
+    tables = None  # points and values of every carrier at the rungs so far
     while True:
-        lo = 0 if tables is None else tables[2].shape[1]
-        steps = _RCG_RUNGS[lo : lo + LADDER_CHUNK]
-        points = retract(f[todo, None], steps, direction[todo, None], power)
-        chunk = (points, *_residual_objective(points, cov[todo, None], f_comm[todo, None], rho))
+        lo = 0 if tables is None else tables[1].shape[1]
+        steps = _RUNG_STEPS[lo : lo + LADDER_CHUNK]
+        points = _normalize(f[todo, None] + steps * direction[todo, None], root[todo])
+        values = _residual_objective(points, cov[todo, None], f_comm[todo, None], rho[todo], rho_c[todo])[1]
+        chunk = (points, values)
         if tables is None:
             tables = chunk
         else:
             tables = tuple(_append_rows(t, new, todo) for t, new in zip(tables, chunk))
         final, decided, ok = _armijo_decide(
-            tables[2], _RCG_RUNGS, gamma, slope, ARMIJO_C, MAX_BACKTRACKS
+            tables[1], _RCG_RUNGS, gamma, slope, ARMIJO_C, MAX_BACKTRACKS
         )
         if decided.all():
             break
         todo = ~decided
-    points, resids, values = (t[np.arange(len(final)), final] for t in tables)
-    return values, ok, points, resids
+    points, values = tables
+    rows = np.arange(len(final))
+    return values[rows, final], ok, points[rows, final]
 
 
 def _append_rows(table: np.ndarray, new: np.ndarray, rows) -> np.ndarray:
@@ -262,13 +283,14 @@ def solve_rcg_batch(
     f0: np.ndarray,
     cov: np.ndarray,
     f_comm: np.ndarray,
-    rho: float,
-    power: float,
+    rho,
+    power,
 ) -> list[RcgResult]:
     """Minimize the tradeoff objective on each carrier of a stack, from ``f0``.
 
     ``f0`` and ``f_comm`` are (B, n_tx, n_streams), ``cov`` is (B, n_tx, n_tx);
-    ``rho`` and ``power`` are shared. Each carrier stops on its own: when its
+    ``rho`` and ``power`` are each a float shared by every carrier or a (B,)
+    array, one per carrier. Each carrier stops on its own: when its
     Riemannian gradient norm is at most ``GRAD_TOL * sqrt(power)``, when its
     objective decrease is at most ``PLATEAU_TOL`` for ``PLATEAU_RUNS``
     consecutive iterations, when its line search cannot make progress, or
@@ -276,19 +298,27 @@ def solve_rcg_batch(
     its :class:`RcgResult`. A carrier's result is the same bit for bit
     whatever batch it runs in, a batch of one included (see the module
     docstring). A power whose starting objective is not finite (it overflows
-    near P = 1e154) raises :class:`ConfigError`.
+    near P = 1e154) raises :class:`ConfigError` naming the first such power.
     """
-    grad_tol = GRAD_TOL * np.sqrt(power)
     n_car = len(f0)
     if n_car == 0:
         return []
+    rho = np.broadcast_to(np.asarray(rho, dtype=float), (n_car,))
+    power = np.broadcast_to(np.asarray(power, dtype=float), (n_car,))
+    # per-carrier coefficients, shaped to broadcast where they are used
+    rho_c = 1.0 - rho
+    root = np.sqrt(power)[:, None, None, None]  # against the (B, rungs, n_tx, n_streams) ladder
+    c_sens, c_comm = _each(4.0 * rho), _each(2.0 * rho_c)
+    grad_tol = GRAD_TOL * np.sqrt(power)
+    rho_w, rho_cw = rho[:, None], rho_c[:, None]  # against the ladder's (B, rungs) values
 
-    f = _normalize(f0, power)
+    f = _normalize(f0, root[:, 0])
     with np.errstate(over="ignore"):  # an overflow is reported below
-        resid, gamma = _residual_objective(f, cov, f_comm, rho)
+        resid, gamma = _residual_objective(f, cov, f_comm, rho, rho_c)
     if not np.all(np.isfinite(gamma)):
-        raise ConfigError(f"power budget {power:g} is too large: the RCG objective, of order P^2, overflows")
-    grad = project_to_tangent(f, _gradient(f, resid, f_comm, rho), power)
+        bad = power[np.argmin(np.isfinite(gamma))]
+        raise ConfigError(f"power budget {bad:g} is too large: the RCG objective, of order P^2, overflows")
+    grad = project_to_tangent(f, _gradient(f, resid, f_comm, c_sens, c_comm), power)
     direction = -grad
     grad_norm = _norms(grad)
 
@@ -307,6 +337,7 @@ def solve_rcg_batch(
     def drop(done, reason, *extra):
         """Record the carriers in ``done`` as stopped and gather the rest (and ``extra``)."""
         nonlocal act, f, grad, direction, gamma, grad_norm, plateau, cov, f_comm
+        nonlocal power, root, c_sens, c_comm, grad_tol, rho_w, rho_cw
         idx = act[done]
         final_f[idx] = f[done]
         final_gamma[idx] = gamma[done]
@@ -314,8 +345,10 @@ def solve_rcg_batch(
         for i in idx:
             reasons[i] = reason
         keep = ~done
-        act, f, grad, direction, gamma, grad_norm, plateau, cov, f_comm = (
-            a[keep] for a in (act, f, grad, direction, gamma, grad_norm, plateau, cov, f_comm)
+        (act, f, grad, direction, gamma, grad_norm, plateau, cov, f_comm,
+         power, root, c_sens, c_comm, grad_tol, rho_w, rho_cw) = (
+            a[keep] for a in (act, f, grad, direction, gamma, grad_norm, plateau, cov, f_comm,
+                              power, root, c_sens, c_comm, grad_tol, rho_w, rho_cw)
         )
         return [a[keep] for a in extra]
 
@@ -334,18 +367,21 @@ def solve_rcg_batch(
         if np.count_nonzero(lost):
             # conjugate direction lost descent; fall back to steepest descent
             direction = np.where(_each(lost), -grad, direction)
-            slope = np.where(lost, [-math.pow(g, 2) for g in grad_norm.tolist()], slope)
+            slope = np.where(lost, -np.float_power(grad_norm, 2.0), slope)
 
-        value, ok, f_new, resid = _line_search(f, direction, cov, f_comm, rho, power, gamma, slope)
+        value, ok, f_new = _line_search(f, direction, cov, f_comm, rho_w, rho_cw, root, gamma, slope)
         stall = ~ok & (value >= gamma)
         if np.count_nonzero(stall):
-            value, f_new, resid = drop(stall, "line_search_stall", value, f_new, resid)
+            value, f_new = drop(stall, "line_search_stall", value, f_new)
             if not act.size:
                 break
 
-        grad_new = project_to_tangent(f_new, _gradient(f_new, resid, f_comm, rho), power)
-        mu = polak_ribiere_mu(grad_new, grad, project_to_tangent(f_new, grad, power))
-        direction = -grad_new + _each(mu) * project_to_tangent(f_new, direction, power)
+        # the new gradient, and the old gradient and direction transported to f_new, in one projection
+        euclid = _gradient(f_new, f_new @ _ctranspose(f_new) - cov, f_comm, c_sens, c_comm)
+        moved = project_to_tangent(f_new, np.stack([euclid, grad, direction]), power)
+        grad_new, grad_moved, direction_moved = moved
+        mu = polak_ribiere_mu(grad_new, grad, grad_moved)
+        direction = -grad_new + _each(mu) * direction_moved
 
         decrease = gamma - value
         f, grad, gamma = f_new, grad_new, value
@@ -363,12 +399,12 @@ def solve_rcg_batch(
         RcgResult(
             precoder=final_f[c],
             objective=float(final_gamma[c]),
-            objective_trace=trace[c, : iterations[c] + 1],
-            gradient_norms=grad_norms[c, : iterations[c] + 1],
+            # copies, so the batch's (B, MAX_ITER + 1) tables are freed on return
+            objective_trace=trace[c, : iterations[c] + 1].copy(),
+            gradient_norms=grad_norms[c, : iterations[c] + 1].copy(),
             iterations=int(iterations[c]),
             converged=reasons[c] != "max_iterations",
             stop_reason=reasons[c],
         )
         for c in range(n_car)
     ]
-

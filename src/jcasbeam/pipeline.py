@@ -8,7 +8,7 @@ The flow per run:
 3. Solve the beampattern covariance problem on those subcarriers.
 4. Refine each sensing subcarrier's precoder on the power sphere, trading
    covariance match against distance from the eigenmode precoder, all of
-   them in one batched RCG call.
+   them in one batched RCG call, with rho and power per subcarrier.
 5. Reassemble: refined precoders on sensing subcarriers, eigenmode elsewhere.
    Combiners and rates are recomputed on the sensing subcarriers; elsewhere
    the precoder is the eigenmode one, so its eigen-stage combiner and rate
@@ -16,6 +16,10 @@ The flow per run:
 
 Steps 2-5 read the eigen stage without writing to it, so the sweep runs one
 eigen stage per SNR and refines every (rho, J) design of that SNR from it.
+One helper runs steps 2-5 for any number of designs on one channel
+realization: :func:`run_design` hands it one design, the sweep every
+(SNR, rho, J) design of a realization, whose sensing subcarriers then share
+one RCG batch and one stacked relink.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import numpy as np
 from .beamgrid import BeamGrid, build_grid
 from .channel import generate_rayleigh
 from .config import SystemConfig
-from .covariance import CovarianceSolution, solve_radar_covariance
+from .covariance import CovarianceSolution, solve_radar_covariances
 from .manifold import solve_rcg_batch
 from .precoding import eigenmode_precoders, link_rates
 
@@ -105,54 +109,77 @@ def run_design(
             f"channel shape {channels.shape} does not match the "
             f"configured ({cfg.n_subcarriers}, {cfg.n_rx}, {cfg.n_tx})"
         )
-    return _refine(cfg, channels, grid, covariances or {}, eigen_stage(cfg, channels))
+    return _refine(channels, grid, [(cfg, eigen_stage(cfg, channels), covariances or {})])[0]
 
 
-def _refine(cfg, channels, grid, covariances, eigen) -> DesignResult:
-    """Steps 2-5 of a design from ``eigen``, the :func:`eigen_stage` of ``cfg`` on ``channels``.
+def _refine(channels, grid, designs) -> list[DesignResult]:
+    """Steps 2-5 of every design in ``designs``, all on the channel realization ``channels``.
 
-    ``eigen`` is only read, so one eigen stage can serve every design at its
-    power. Covariances missing from ``covariances`` are solved here.
+    Each design is ``(cfg, eigen, covariances)``: its config, the
+    :func:`eigen_stage` of ``cfg`` on ``channels``, and covariances solved at
+    ``cfg.effective_power``. ``eigen`` is only read, so one eigen stage can
+    serve every design at its power. Covariances missing for a design are
+    solved here, all of them in one batched call. The sensing subcarriers of
+    every design are then refined in one RCG batch, each at its design's rho
+    and power, and relinked in one stacked call, so each design comes out bit
+    for bit as if run alone. Returns one :class:`DesignResult` per design, in
+    order.
     """
-    eigen_precoders, eigen_combiners, eigen_rates = eigen
-    power = cfg.effective_power
-    jcas = select_jcas_subcarriers(eigen_rates, cfg.n_jcas)
+    jcas = [select_jcas_subcarriers(eigen[2], cfg.n_jcas) for cfg, eigen, _ in designs]
 
-    missing = [k for k in jcas if k not in covariances]
-    if missing:
-        covariances = dict(covariances)
-        covariances.update(solve_radar_covariance(grid, power, missing))
+    requests = {}
+    for (cfg, _, covs), ks in zip(designs, jcas):
+        missing = [k for k in ks.tolist() if k not in covs]
+        if missing:
+            requests.setdefault(cfg.effective_power, []).extend(missing)
+    solved = solve_radar_covariances(grid, requests) if requests else {}
+    covariances = [
+        {k: covs[k] if k in covs else solved[cfg.effective_power][k] for k in ks.tolist()}
+        for (cfg, _, covs), ks in zip(designs, jcas)
+    ]
 
-    precoders = eigen_precoders.copy()
-    refinements = {}
-    if jcas.size:
-        results = solve_rcg_batch(
-            f0=eigen_precoders[jcas],
-            cov=np.stack([covariances[int(k)].matrix for k in jcas]),
-            f_comm=eigen_precoders[jcas],
-            rho=cfg.rho,
+    # the sensing carriers of every design, stacked in design order, each with its design's settings
+    counts = [len(ks) for ks in jcas]
+    f_hat = np.concatenate([eigen[0][ks] for (_, eigen, _), ks in zip(designs, jcas)])
+    settings = [(cfg.rho, cfg.effective_power, 1.0 / cfg.effective_noise) for cfg, _, _ in designs]
+    rho, power, prefactor = np.repeat(np.array(settings), counts, axis=0).T
+
+    refined = []
+    if len(f_hat):
+        refined = solve_rcg_batch(
+            f0=f_hat,
+            cov=np.stack([sol.matrix for covs in covariances for sol in covs.values()]),
+            f_comm=f_hat,
+            rho=rho,
             power=power,
         )
-        refinements = dict(zip(jcas.tolist(), results))
-        precoders[jcas] = [res.precoder for res in results]
+    f_new = np.array([res.precoder for res in refined]).reshape(f_hat.shape)
+    new_combiners, new_rates = link_rates(channels[np.concatenate(jcas)], f_new, prefactor[:, None, None])
 
-    # off the sensing set the precoder is the eigenmode one: its combiner and rate stand
-    combiners, rates = eigen_combiners.copy(), eigen_rates.copy()
-    combiners[jcas], rates[jcas] = link_rates(channels[jcas], precoders[jcas], 1.0 / cfg.effective_noise)
-
-    return DesignResult(
-        config=cfg,
-        channels=channels,
-        grid=grid,
-        eigen_precoders=eigen_precoders,
-        eigen_rates=eigen_rates,
-        jcas_subcarriers=jcas,
-        covariances={int(k): covariances[int(k)] for k in jcas},
-        refinements=refinements,
-        precoders=precoders,
-        combiners=combiners,
-        rates=rates,
-    )
+    results = []
+    ends = np.cumsum(counts).tolist()
+    for (cfg, eigen, _), ks, covs, end, n in zip(designs, jcas, covariances, ends, counts):
+        eigen_precoders, eigen_combiners, eigen_rates = eigen
+        own = slice(end - n, end)
+        precoders = eigen_precoders.copy()
+        precoders[ks] = f_new[own]
+        # off the sensing set the precoder is the eigenmode one: its combiner and rate stand
+        combiners, rates = eigen_combiners.copy(), eigen_rates.copy()
+        combiners[ks], rates[ks] = new_combiners[own], new_rates[own]
+        results.append(DesignResult(
+            config=cfg,
+            channels=channels,
+            grid=grid,
+            eigen_precoders=eigen_precoders,
+            eigen_rates=eigen_rates,
+            jcas_subcarriers=ks,
+            covariances=covs,
+            refinements=dict(zip(ks.tolist(), refined[own])),
+            precoders=precoders,
+            combiners=combiners,
+            rates=rates,
+        ))
+    return results
 
 
 def build_run_manifest(result: DesignResult) -> dict:

@@ -111,10 +111,11 @@ def _combiners(hf: np.ndarray, n_streams: int) -> np.ndarray:
     return _fix_column_phases(u[:, :, :n_streams])
 
 
-def link_rates(h: np.ndarray, f: np.ndarray, prefactor: float):
+def link_rates(h: np.ndarray, f: np.ndarray, prefactor):
     """Optimal combiner and achievable rate of each carrier of a stack.
 
-    ``h`` is (K, n_rx, n_tx) and ``f`` (K, n_tx, n_streams); returns the
+    ``h`` is (K, n_rx, n_tx) and ``f`` (K, n_tx, n_streams); ``prefactor``
+    is a float, or one per carrier shaped (K, 1, 1). Returns the
     combiners (K, n_rx, n_streams) and the rates (K,), from one SVD and one
     log-determinant over the stack of effective channels HF. A combiner is
     the top left singular vectors of HF, its columns orthonormal (filled out

@@ -49,3 +49,24 @@ def ula_grid(angles, mask, n_tx, freq=2.0e9):
     angles = np.asarray(angles, dtype=float)
     steering = steering_vector(angles, freq, n_tx, SPEED_OF_LIGHT / (2 * freq))
     return BeamGrid(angles, np.array([freq]), steering[None], np.asarray(mask, dtype=float))
+
+
+def assert_same_design(got, want):
+    """Two DesignResults equal bit for bit: every array, covariance and RCG result."""
+    for name in ("channels", "eigen_precoders", "eigen_rates", "jcas_subcarriers",
+                 "precoders", "combiners", "rates"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+    assert got.config == want.config
+    assert list(got.covariances) == list(want.covariances)
+    for k, sol in want.covariances.items():
+        np.testing.assert_array_equal(got.covariances[k].matrix, sol.matrix)
+        assert got.covariances[k].objective == sol.objective
+    assert list(got.refinements) == list(want.refinements)
+    for k, res in want.refinements.items():
+        mine = got.refinements[k]
+        np.testing.assert_array_equal(mine.precoder, res.precoder)
+        np.testing.assert_array_equal(mine.objective_trace, res.objective_trace)
+        np.testing.assert_array_equal(mine.gradient_norms, res.gradient_norms)
+        assert (mine.objective, mine.iterations, mine.converged, mine.stop_reason) == (
+            res.objective, res.iterations, res.converged, res.stop_reason
+        )

@@ -164,6 +164,17 @@ def test_snr_whose_rcg_objective_overflows_exits_2(small_config_file, tmp_path, 
     assert not out.exists()
 
 
+def test_sweep_mixing_an_overflowing_snr_with_finite_ones_exits_2(small_config_file, tmp_path, capsys):
+    # the designs of every SNR share one RCG batch; the error names the overflowing power
+    out = tmp_path / "never"
+    argv = ["sweep", "--config", str(small_config_file), "--out-dir", str(out), "--snr", "0", "2000", "5",
+            "--rho", "0.5", "--jcas", "2", "--realizations", "1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "power budget 1e+200 is too large" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, source", [("design", "flag"), ("sweep", "flag"), ("design", "file")])
 def test_negative_seed_exits_2(small_config_file, tmp_path, capsys, command, source):
     # numpy's generators take no negative seed: rejected as a config error, before any run

@@ -229,6 +229,34 @@ def test_early_stop_carriers_are_pinned(name):
         np.testing.assert_array_equal(sols[k].matrix[iu], entries)
 
 
+# (iterations, converged, residual) per carrier with the iteration cap off the
+# rebalancing period, so the last iteration alone computes the final residual:
+# at 137 no carrier has converged; at 232 two stop on it and two are capped
+# just above TOL. Recorded with the consensus residual computed on every
+# iteration.
+LAST_ITERATION_STOPS = {
+    137: ("n_tx=4", {
+        0: (137, False, 0.04831002365182954), 1: (137, False, 0.04818294343596113),
+        2: (137, False, 0.048075256088067835), 3: (137, False, 0.047968529701302),
+        4: (137, False, 0.047877025215302745), 5: (137, False, 0.047802888946418175),
+    }),
+    232: ("n_tx=3", {
+        0: (232, True, 9.835948128638832e-07), 1: (232, True, 9.954332894902792e-07),
+        2: (232, False, 1.0071865630560424e-06), 3: (232, False, 1.0188375980727333e-06),
+    }),
+}
+
+
+@pytest.mark.parametrize("max_iter", list(LAST_ITERATION_STOPS))
+def test_residual_at_a_cap_off_the_rebalancing_period_is_pinned(monkeypatch, max_iter):
+    name, want = LAST_ITERATION_STOPS[max_iter]
+    assert max_iter % covariance.BALANCE_EVERY != 0
+    monkeypatch.setattr(covariance, "MAX_ITER", max_iter)
+    monkeypatch.setattr(covariance, "FALLBACK_TOL", 1.0)
+    sols = solve_radar_covariance(build_grid(SystemConfig(**EARLY_STOPS[name][0])), 2.0)
+    assert {k: (sol.iterations, sol.converged, sol.residual) for k, sol in sols.items()} == want
+
+
 def test_one_solve_finished_at_two_powers_equals_fresh_solves():
     grid = _small_grid()
     both = solve_radar_covariances(grid, {2.0: [1, 3], 4.0: [3]})

@@ -8,6 +8,8 @@ import pytest
 
 from jcasbeam import evaluation, pipeline
 from jcasbeam.beamgrid import build_grid
+from jcasbeam.channel import generate_rayleigh
+from jcasbeam.covariance import solve_radar_covariances
 from jcasbeam.errors import ConfigError
 from jcasbeam.evaluation import (
     average_jcas_pattern,
@@ -20,7 +22,7 @@ from jcasbeam.pipeline import run_design
 from jcasbeam.precoding import eigenmode_precoders
 from jcasbeam.tables import emit_table, format_value, parse_table, write_table
 
-from conftest import SMALL, random_complex
+from conftest import SMALL, assert_same_design, random_complex
 
 
 def test_precoder_pattern_matches_direct_quadratic(rng, small_cfg):
@@ -191,7 +193,9 @@ def test_sweep_deterministic(small_cfg):
 
 
 def assert_same_sweep(got, want):
-    assert got.points == want.points
+    # a design without sensing has a nan pattern error, equal to itself here
+    assert [replace(p, avg_mse=0.0) for p in got.points] == [replace(p, avg_mse=0.0) for p in want.points]
+    np.testing.assert_array_equal([p.avg_mse for p in got.points], [p.avg_mse for p in want.points])
     for patterns in ("pattern_avg", "pattern_member"):
         assert list(getattr(got, patterns)) == list(getattr(want, patterns))
         for key, pattern in getattr(want, patterns).items():
@@ -244,6 +248,37 @@ def test_sweep_ships_one_function_in_one_chunk_per_worker(small_cfg, monkeypatch
     assert len(chunks) == min(jobs, n_realizations)
     assert [seed for chunk in chunks for seed in chunk] == list(range(small_cfg.seed, small_cfg.seed + n_realizations))
     assert_same_sweep(pooled, sweep(*args))
+
+
+def test_pass3_designs_equal_run_design_bit_for_bit(small_cfg):
+    # pass 3 refines every (SNR, rho, J) design of a realization in one RCG
+    # batch: designs without sensing (J=0), with every carrier sensing (J=K),
+    # and at rho 0 and 1 must each equal run_design on the same inputs
+    snrs, rhos, jcas_counts, seed = [0.0, 10.0], [0.0, 0.5, 1.0], [0, 2, 6], small_cfg.seed + 1
+    grid = build_grid(small_cfg)
+    powers = [replace(small_cfg, power_budget=small_cfg.snr_power(snr)).effective_power for snr in snrs]
+    covariances = solve_radar_covariances(grid, {power: range(small_cfg.n_subcarriers) for power in powers})
+    designs = evaluation._realization_designs(small_cfg, snrs, rhos, jcas_counts, grid, covariances, seed)
+    assert [d[:3] for d in designs] == [(s, r, j) for s in snrs for r in rhos for j in jcas_counts]
+    channels = generate_rayleigh(small_cfg.n_subcarriers, small_cfg.n_rx, small_cfg.n_tx, seed)
+    for (snr, rho, n_jcas, got), power in zip(designs, np.repeat(powers, len(rhos) * len(jcas_counts))):
+        cfg = replace(small_cfg, power_budget=small_cfg.snr_power(snr), rho=rho, n_jcas=n_jcas, seed=seed)
+        assert_same_design(got, run_design(cfg, channels=channels, grid=grid, covariances=covariances[power]))
+
+
+def test_sweep_without_sensing_makes_no_rcg_call(small_cfg, monkeypatch):
+    def no_call(*args, **kwargs):
+        raise AssertionError("RCG called without sensing subcarriers")
+
+    monkeypatch.setattr(pipeline, "solve_rcg_batch", no_call)
+    res = sweep(small_cfg, [0.0, 10.0], [0.5], [0], n_realizations=2)
+    assert all(np.isfinite(p.avg_rate) and np.isnan(p.avg_mse) for p in res.points)
+
+
+def test_sweep_edge_designs_in_worker_processes_match_in_process(small_cfg):
+    # J in {0, K} and rho in {0, 1} share each realization's RCG batch
+    args = (small_cfg, [0.0, 10.0], [0.0, 1.0], [0, 2, 6], 2)
+    assert_same_sweep(sweep(*args, jobs=2), sweep(*args))
 
 
 def test_sweep_rejects_empty_realizations(small_cfg):

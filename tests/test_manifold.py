@@ -247,20 +247,27 @@ def mixed_stop_rules(monkeypatch):
         monkeypatch.setattr(manifold, name, value)
 
 
-def _mixed_stop_instance():
-    """A 17-carrier batch that, under ``MIXED_STOP_RULES``, ends on every stop reason."""
+def _mixed_stop_instance(per_carrier=False):
+    """A 17-carrier batch that, under ``MIXED_STOP_RULES``, ends on every stop reason.
+
+    Every carrier has rho 0.5 and power 2, or with ``per_carrier`` a rho and
+    a power of its own.
+    """
     rng = np.random.default_rng(5)
-    power = 2.0
+    rhos, powers = np.full(17, 0.5), np.full(17, 2.0)
+    if per_carrier:
+        rhos, powers = np.linspace(0.05, 0.95, 17), np.geomspace(0.5, 8.0, 17)
     f0s, covs, f_comms = [], [], []
-    for _ in range(16):
+    for power in powers[:16]:
         f0s.append(random_sphere_point(rng, (4, 2), power))
         f_comms.append(random_sphere_point(rng, (4, 2), power))
         covs.append(random_psd(rng, 4, power))
-    f_opt = random_sphere_point(rng, (4, 2), power)
+    f_opt = random_sphere_point(rng, (4, 2), powers[16])
     f0s.append(f_opt)
     f_comms.append(f_opt)
     covs.append(f_opt @ f_opt.conj().T)
-    return (np.array(f0s), np.array(covs), np.array(f_comms)), dict(rho=0.5, power=power)
+    settings = dict(rho=rhos, power=powers) if per_carrier else dict(rho=0.5, power=2.0)
+    return (np.array(f0s), np.array(covs), np.array(f_comms)), settings
 
 
 def test_rcg_batch_matches_solo_exactly_across_stop_reasons(mixed_stop_rules):
@@ -276,6 +283,35 @@ def test_rcg_batch_matches_solo_exactly_across_stop_reasons(mixed_stop_rules):
     for f0, cov, f_comm, got in zip(*stack, batch):
         assert_same_result(got, solve_one(f0, cov, f_comm, **settings))
     assert solve_rcg_batch(np.zeros((0, 4, 2)), np.zeros((0, 4, 4)), np.zeros((0, 4, 2)), 0.5, 2.0) == []
+
+
+def test_rcg_batch_with_rho_and_power_per_carrier_matches_solo_scalar_calls(mixed_stop_rules):
+    # (B,) arrays of rho and power: each carrier as if solved alone with its
+    # own scalars, on every stop reason
+    stack, settings = _mixed_stop_instance(per_carrier=True)
+    batch = solve_rcg_batch(*stack, **settings)
+    assert {r.stop_reason for r in batch} == {
+        "gradient_norm", "line_search_stall", "objective_plateau", "max_iterations"
+    }
+    for f0, cov, f_comm, rho, power, got in zip(*stack, settings["rho"], settings["power"], batch):
+        assert_same_result(got, solve_one(f0, cov, f_comm, float(rho), float(power)))
+    # a shared rho or power may come as a scalar or as a (B,) array
+    stack, settings = _mixed_stop_instance()
+    shared = solve_rcg_batch(*stack, **settings)
+    for got, want in zip(solve_rcg_batch(*stack, rho=np.full(17, 0.5), power=2.0), shared):
+        assert_same_result(got, want)
+
+
+def test_float_power_squares_like_libm_pow():
+    # the objective squares its norms with np.float_power where a scalar ``** 2``
+    # calls libm pow; x * x rounds apart on about 0.1% of values, and one ulp
+    # can move the absolute plateau stop
+    rng = np.random.default_rng(11)
+    n = 1_000_000
+    x = np.r_[rng.standard_normal(n) * 10.0 ** rng.uniform(-150.0, 150.0, n), 12.428327649956394]
+    want = np.array([math.pow(v, 2) for v in x.tolist()])
+    assert np.count_nonzero(x * x != want) > 100
+    np.testing.assert_array_equal(np.float_power(x, 2.0), want)
 
 
 @pytest.mark.parametrize("rho", [0.0, 1.0])

@@ -24,6 +24,8 @@ from jcasbeam.pipeline import (
     select_jcas_subcarriers,
 )
 
+from conftest import assert_same_design
+
 
 def test_selection_picks_lowest_rates():
     picked = select_jcas_subcarriers([3.0, 1.0, 2.0], 1)
@@ -315,24 +317,23 @@ def test_run_design_on_rank_deficient_channels():
 
 
 def test_designs_sharing_one_eigen_stage_equal_fresh_runs(small_cfg):
-    # the sweep refines every (rho, J) design of an SNR from one eigen stage;
-    # each design must equal a fresh run and leave the shared stage as it was
+    # the sweep refines every (rho, J) design of an SNR from one eigen stage, all
+    # of them in one call; each design must equal a fresh run and leave the
+    # shared stage as it was
     grid = build_grid(small_cfg)
     channels = generate_rayleigh(
         small_cfg.n_subcarriers, small_cfg.n_rx, small_cfg.n_tx, small_cfg.seed
     )
     eigen = pipeline.eigen_stage(small_cfg, channels)
     before = [a.copy() for a in eigen]
-    for rho, n_jcas in [(0.75, 3), (0.25, 1), (1.0, 6), (0.5, 2)]:
-        cfg = replace(small_cfg, rho=rho, n_jcas=n_jcas)
-        shared = pipeline._refine(cfg, channels, grid, {}, eigen)
-        fresh = run_design(cfg, channels=channels, grid=grid)
-        for field in fields(pipeline.DesignResult):
-            got = getattr(shared, field.name)
-            if isinstance(got, np.ndarray):
-                np.testing.assert_array_equal(got, getattr(fresh, field.name), err_msg=field.name)
-        for a, b in zip(eigen, before):
-            np.testing.assert_array_equal(a, b)
+    settings = [(0.75, 3), (0.25, 1), (1.0, 6), (0.5, 2)]
+    cfgs = [replace(small_cfg, rho=rho, n_jcas=n_jcas) for rho, n_jcas in settings]
+    shared = pipeline._refine(channels, grid, [(cfg, eigen, {}) for cfg in cfgs])
+    assert len(shared) == len(cfgs)
+    for cfg, got in zip(cfgs, shared):
+        assert_same_design(got, run_design(cfg, channels=channels, grid=grid))
+    for a, b in zip(eigen, before):
+        np.testing.assert_array_equal(a, b)
 
 
 @st.composite
