@@ -13,13 +13,18 @@ constraint is enforced through a consensus copy projected by eigenvalue clip.
 One ADMM core serves every caller. It runs on the unit-budget problem
 (target ``q = mask - 1`` for the grid's binary mask), so tolerances behave
 identically for any transmit power, and it is batched over a leading carrier
-axis: the operands of all carriers are stacked and each step is one stacked
-numpy call, while every carrier keeps its own penalties, rebalancing and
-stopping iteration. A carrier stops exactly where it would stop if solved
-alone, in a batch of one through :func:`solve_radar_covariance`. Power enters
-only in the finish step (scale, polish, objective at the raw desired
-pattern), and the normalized target of the mask is the same at every power,
-so one solve per subcarrier serves every power.
+axis: the iterates of all carriers are column stacks (K, m, 1) and each step
+is one stacked numpy call, while every carrier keeps its own penalties,
+rebalancing and stopping iteration. A carrier stops exactly where it would
+stop if solved alone, in a batch of one through
+:func:`solve_radar_covariance`. Power enters only in the finish (scale,
+polish, objective at the raw desired pattern), and the normalized target of
+the mask is the same at every power, so one solve per subcarrier serves
+every power. The finish, too, is one stacked call over every requested
+(power, subcarrier) pair: it scales and symmetrizes the unit-budget solves,
+sets their diagonals, and alternates psd and diagonal projections, each
+matrix leaving the loop at its own round; one stacked pattern evaluation
+then scores them all.
 
 Convergence note: the optimum generically sits on the psd boundary with many
 active pattern kinks, a degenerate geometry where splitting methods slow to a
@@ -66,37 +71,26 @@ def psd_project(mat: np.ndarray) -> np.ndarray:
 
     Works on one (n, n) matrix or a stack (..., n, n).
     """
-    herm = 0.5 * (mat + _ctranspose(mat))
+    herm = 0.5 * (mat + mat.conj().mT)
     vals, vecs = np.linalg.eigh(herm)
-    return (vecs * np.maximum(vals, 0.0)[..., None, :]) @ _ctranspose(vecs)
+    return (vecs * np.maximum(vals, 0.0)[..., None, :]) @ vecs.conj().mT
 
 
-def diag_project(mat: np.ndarray, diag_value: float) -> np.ndarray:
-    """Copy of ``mat`` with every diagonal entry replaced by ``diag_value``."""
-    out = mat.copy()
-    np.fill_diagonal(out, diag_value)
-    return out
+def _herm_params(mats: np.ndarray, upper, lower) -> np.ndarray:
+    """Packed params (..., 2M, 1) of the Hermitian part 0.5 * (A + A^H), read off the triangles."""
+    flat = mats.reshape(mats.shape[:-2] + (-1,))
+    half = 0.5 * (flat[..., upper] + flat[..., lower].conj())
+    return np.ascontiguousarray(half).view(np.float64)[..., None]
 
 
-def _ctranspose(mat: np.ndarray) -> np.ndarray:
-    return mat.conj().swapaxes(-1, -2)
-
-
-def _herm_params(mats: np.ndarray, iu) -> np.ndarray:
-    """Packed params of the Hermitian part 0.5 * (A + A^H), read off ``iu`` only."""
-    upper = 0.5 * (mats[..., iu[0], iu[1]] + mats[..., iu[1], iu[0]].conj())
-    return np.ascontiguousarray(upper).view(np.float64)
-
-
-def _unpack(x: np.ndarray, n: int, iu, diag_value: float) -> np.ndarray:
-    """(..., 2M) params -> Hermitian (..., n, n) with uniform diagonal."""
-    vals = np.ascontiguousarray(x).view(complex)
-    r = np.zeros(x.shape[:-1] + (n, n), dtype=complex)
-    r[..., iu[0], iu[1]] = vals
-    r[..., iu[1], iu[0]] = vals.conj()
-    idx = np.arange(n)
-    r[..., idx, idx] = diag_value
-    return r
+def _unpack(x: np.ndarray, n: int, upper, lower, diag_value: float) -> np.ndarray:
+    """(..., 2M, 1) params -> Hermitian (..., n, n) with uniform diagonal."""
+    vals = np.ascontiguousarray(x[..., 0]).view(complex)
+    r = np.zeros(x.shape[:-2] + (n * n,), dtype=complex)
+    r[..., upper] = vals
+    r[..., lower] = vals.conj()
+    r[..., :: n + 1] = diag_value
+    return r.reshape(x.shape[:-2] + (n, n))
 
 
 def _pattern_matrix(steering: np.ndarray, iu) -> np.ndarray:
@@ -127,20 +121,6 @@ def _soft_threshold(v: np.ndarray, kappa) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - kappa, 0.0)
 
 
-def _matvec(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Stacked (K, m, n) @ (K, n) -> (K, m)."""
-    return np.matmul(mats, vecs[..., None])[..., 0]
-
-
-def _sq_norms(vecs: np.ndarray) -> np.ndarray:
-    """Squared Euclidean norm of each row of a real (K, m) stack.
-
-    A stacked vector-vector matmul takes the same BLAS dot per row as
-    ``np.linalg.norm`` does on one vector.
-    """
-    return np.matmul(vecs[:, None, :], vecs[:, :, None])[:, 0, 0]
-
-
 @dataclass(frozen=True)
 class CovarianceSolution:
     """Result of one covariance solve, with convergence diagnostics attached.
@@ -165,11 +145,12 @@ def _admm_unit(steering, q):
     by every carrier; every carrier starts from the uniform budget. Carriers
     share only the stacked calls: each has its own penalties and balancing,
     and leaves the active set at the iteration where its primal residual
-    drops below ``TOL``, or runs to ``MAX_ITER``. Every stacked product makes
-    the same BLAS call per carrier as the one-carrier formula it replaces, so
-    a carrier's iterates are bit-identical whatever batch it runs in. A
-    single antenna has no off-diagonal to fit: its only feasible matrix is
-    the budget itself, returned with zero iterations.
+    drops below ``TOL``, or runs to ``MAX_ITER``. The iterates are column
+    stacks (K, m, 1), so every product is one stacked ``@`` that makes the
+    same BLAS call per carrier as the one-carrier formula, and a squared
+    norm is ``v.mT @ v``: a carrier's iterates are bit-identical whatever
+    batch it runs in. A single antenna has no off-diagonal to fit: its only
+    feasible matrix is the budget itself, returned with zero iterations.
 
     Returns the stacked last iterates (K, n_tx, n_tx), Hermitian with diagonal
     1 / n_tx, and per carrier (K,) the iteration count, the ``converged`` flag
@@ -181,9 +162,11 @@ def _admm_unit(steering, q):
         return mats, np.zeros(n_car, dtype=int), np.ones(n_car, dtype=bool), np.zeros(n_car)
 
     iu = np.triu_indices(n, 1)
+    upper, lower = iu[0] * n + iu[1], iu[1] * n + iu[0]  # flat positions of the triangles
     diag_value = 1.0 / n
+    q = q[:, None]  # a column, like the iterates
     g = _pattern_matrix(steering, iu)                # (K, T, P)
-    gt = g.swapaxes(1, 2)                            # (K, P, T), a view like g.T: same BLAS kernel
+    gt = g.mT                                        # (K, P, T), a view like g.T: same BLAS kernel
     gtg = gt @ g
     eye2 = 2.0 * np.eye(g.shape[2])
 
@@ -192,16 +175,16 @@ def _admm_unit(steering, q):
     solve_mat = np.linalg.inv(gtg + eye2)
 
     def broadcasts():
-        """The penalties shaped to scale the carriers' rows: beta1, 2 beta2 and 1 / beta1."""
-        return beta1[:, None], 2.0 * beta2[:, None], 1.0 / beta1[:, None]
+        """The penalties shaped to scale the carriers' columns: beta1, 2 beta2 and 1 / beta1."""
+        return beta1[:, None, None], 2.0 * beta2[:, None, None], 1.0 / beta1[:, None, None]
 
     b1, b2x2, inv_b1 = broadcasts()
 
-    x = np.zeros((n_car, g.shape[2]))
-    z = q - _matvec(g, x)
-    r_mat = _unpack(x, n, iu, diag_value)  # its diagonal stays; each iteration writes the rest
+    x = np.zeros((n_car, g.shape[2], 1))
+    z = q - g @ x
+    r_mat = _unpack(x, n, upper, lower, diag_value)  # its diagonal stays; each iteration writes the rest
     s = psd_project(r_mat)
-    u = np.zeros((n_car, n_grid))
+    u = np.zeros((n_car, n_grid, 1))
     u_mat = np.zeros((n_car, n, n), dtype=complex)
 
     act = np.arange(n_car)  # original index of each active carrier
@@ -211,14 +194,15 @@ def _admm_unit(steering, q):
     converged = np.zeros(n_car, dtype=bool)
 
     for it in range(MAX_ITER):
-        y = _herm_params(s - u_mat, iu)
+        y = _herm_params(s - u_mat, upper, lower)
         q_z = q - z
-        x = _matvec(solve_mat, b1 * _matvec(gt, q_z - u) + b2x2 * y)
+        x = solve_mat @ (b1 * (gt @ (q_z - u)) + b2x2 * y)
 
-        gx = _matvec(g, x)
-        vals = np.ascontiguousarray(x).view(complex)
-        r_mat[:, iu[0], iu[1]] = vals
-        r_mat[:, iu[1], iu[0]] = vals.conj()
+        gx = g @ x
+        vals = x[..., 0].view(complex)
+        r_flat = r_mat.reshape(len(act), -1)
+        r_flat[:, upper] = vals
+        r_flat[:, lower] = vals.conj()
         gx_rel = OVERRELAX * gx + (1.0 - OVERRELAX) * q_z
         r_mat_rel = OVERRELAX * r_mat + (1.0 - OVERRELAX) * s
         z_old, s_old = z, s
@@ -229,19 +213,22 @@ def _admm_unit(steering, q):
 
         # p2 only where a rule reads it: hypot(p1, p2) >= p1 stops no carrier
         # until some p1 is below TOL (see the module docstring)
-        p1 = np.sqrt(_sq_norms(gx + z - q))
+        res = gx + z - q
+        p1 = np.sqrt(res.mT @ res)[:, 0, 0]
         balance = (it + 1) % BALANCE_EVERY == 0
         if not (balance or it == MAX_ITER - 1 or np.count_nonzero(p1 < TOL)):
             continue
-        r_diff = (r_mat - s).reshape(len(act), -1)
-        p2 = np.sqrt(_sq_norms(r_diff.real) + _sq_norms(r_diff.imag))
+        r_diff = (r_mat - s).reshape(len(act), -1, 1)
+        re, im = r_diff.real, r_diff.imag
+        p2 = np.sqrt(re.mT @ re + im.mT @ im)[:, 0, 0]
         primal = np.hypot(p1, p2)
 
         # Rebalancing leaves x alone, so a carrier that stops below keeps its
         # iterate whether or not its penalties were rebalanced first.
         if balance:
-            d1 = beta1 * np.sqrt(_sq_norms(_matvec(gt, z - z_old)))
-            d2 = beta2 * np.sqrt(2.0 * np.sum(_herm_params(s - s_old, iu) ** 2, axis=1))
+            dz = gt @ (z - z_old)
+            d1 = beta1 * np.sqrt(dz.mT @ dz)[:, 0, 0]
+            d2 = beta2 * np.sqrt(2.0 * np.sum(_herm_params(s - s_old, upper, lower) ** 2, axis=(1, 2)))
             up1 = p1 > BALANCE_RATIO * np.maximum(d1, 1e-300)
             down1 = ~up1 & (d1 > BALANCE_RATIO * p1)
             up2 = p2 > BALANCE_RATIO * np.maximum(d2, 1e-300)
@@ -270,31 +257,37 @@ def _admm_unit(steering, q):
             x, z, s, u, u_mat, r_mat, g, gtg, solve_mat, beta1, beta2, primal = (
                 a[keep] for a in (x, z, s, u, u_mat, r_mat, g, gtg, solve_mat, beta1, beta2, primal)
             )
-            gt = g.swapaxes(1, 2)
+            gt = g.mT
             b1, b2x2, inv_b1 = broadcasts()
             if act.size == 0:
                 break
 
     final_x[act] = x
     final_primal[act] = primal
-    return _unpack(final_x, n, iu, diag_value), iterations, converged, final_primal
+    return _unpack(final_x, n, upper, lower, diag_value), iterations, converged, final_primal
 
 
-def _finish(grid, k, power_budget, unit_matrix, iterations, converged, residual) -> CovarianceSolution:
-    """Scale carrier ``k``'s unit-budget solve to ``power_budget``, polish it, score it on the mask."""
-    steering = grid.steering[k]
-    mat = _polish(power_budget * unit_matrix, power_budget / steering.shape[1])
-    obj = float(np.sum(np.abs(power_budget * grid.desired_gain - beampattern_values(mat, steering))))
-    return CovarianceSolution(mat, obj, iterations, converged, residual)
+def _finished(unit: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """Unit-budget solves (B, n, n) scaled to their powers (B,) and polished, in one stack.
 
-
-def _polish(mat: np.ndarray, diag_value: float) -> np.ndarray:
-    """Alternate psd and diagonal projections until both hold to tight slack."""
-    out = diag_project(0.5 * (mat + mat.conj().T), diag_value)
+    Each matrix is scaled and symmetrized, its diagonal set to power / n,
+    then psd and diagonal projections alternate until its minimum eigenvalue
+    is at least ``POLISH_FLOOR``, for at most ``POLISH_MAX_ROUNDS``. A matrix
+    leaves the loop at its own round, with the bits it would have alone.
+    """
+    mats = powers[:, None, None] * unit
+    out = 0.5 * (mats + mats.conj().mT)
+    diag = np.arange(unit.shape[-1])
+    diag_values = (powers / unit.shape[-1])[:, None]
+    out[:, diag, diag] = diag_values
+    todo = np.arange(len(out))
     for _ in range(POLISH_MAX_ROUNDS):
-        if np.linalg.eigvalsh(out)[0] >= POLISH_FLOOR:
-            return out
-        out = diag_project(psd_project(out), diag_value)
+        todo = todo[~(np.linalg.eigvalsh(out[todo])[:, 0] >= POLISH_FLOOR)]
+        if todo.size == 0:
+            break
+        polished = psd_project(out[todo])
+        polished[:, diag, diag] = diag_values[todo]
+        out[todo] = polished
     return out
 
 
@@ -304,36 +297,39 @@ def solve_radar_covariances(grid: BeamGrid, requests: dict) -> dict[float, dict[
     ``requests`` maps each power budget to the subcarriers wanted at it. The
     desired pattern at power P is P times the grid's binary mask, whose
     normalized target ``mask - 1`` does not depend on P, so every requested
-    subcarrier is solved once, in one batched ADMM call, and that solve is
-    finished at each power that asked for it. Returns ``{power: {k: solution}}``
-    in request order. Iteration stops early below ``TOL``; at ``MAX_ITER`` the
-    iterate is accepted if its residual is below ``FALLBACK_TOL`` (its
-    objective error is orders of magnitude inside the 1e-2*P accuracy the rest
-    of the pipeline relies on), else a :class:`SolverError` names the first
-    failing subcarrier and carries its last iterate at the first power that
-    requested it, with its final residual.
+    subcarrier is solved once, in one batched ADMM call, and every requested
+    (power, subcarrier) pair is then finished in one stacked call (scale,
+    polish) and scored in one stacked pattern evaluation. Returns
+    ``{power: {k: solution}}`` in request order. Iteration stops early below
+    ``TOL``; at ``MAX_ITER`` the iterate is accepted if its residual is below
+    ``FALLBACK_TOL`` (its objective error is orders of magnitude inside the
+    1e-2*P accuracy the rest of the pipeline relies on), else a
+    :class:`SolverError` names the first failing subcarrier and carries its
+    last iterate at the first power that requested it, with its final
+    residual.
     """
-    first_power = {}
-    for power, ks in requests.items():
-        for k in ks:
-            first_power.setdefault(int(k), power)
-    ks = list(first_power)
+    pairs = [(power, int(k)) for power, ks in requests.items() for k in ks]
+    ks = list(dict.fromkeys(k for _, k in pairs))
     mats, iterations, converged, residual = _admm_unit(grid.steering[ks], grid.desired_gain - 1.0)
-    unit = {}  # each carrier's unit-budget solve
-    for c, k in enumerate(ks):
-        if not converged[c] and residual[c] > FALLBACK_TOL:
-            raise SolverError(
-                f"subcarrier {k}: covariance solver residual {residual[c]:.3e} after "
-                f"{iterations[c]} iterations exceeds even the fallback tolerance "
-                f"{FALLBACK_TOL:g} (tight tolerance {TOL:g})",
-                last_iterate=first_power[k] * mats[c],
-                residual=float(residual[c]),
-            )
-        unit[k] = (mats[c], int(iterations[c]), bool(converged[c]), float(residual[c]))
-    return {
-        power: {int(k): _finish(grid, int(k), power, *unit[int(k)]) for k in ks_p}
-        for power, ks_p in requests.items()
-    }
+    failed = ~converged & (residual > FALLBACK_TOL)
+    if failed.any():
+        c = int(np.argmax(failed))
+        raise SolverError(
+            f"subcarrier {ks[c]}: covariance solver residual {residual[c]:.3e} after "
+            f"{iterations[c]} iterations exceeds even the fallback tolerance "
+            f"{FALLBACK_TOL:g} (tight tolerance {TOL:g})",
+            last_iterate=next(power for power, k in pairs if k == ks[c]) * mats[c],
+            residual=float(residual[c]),
+        )
+    rows = [ks.index(k) for _, k in pairs]
+    powers = np.array([power for power, _ in pairs], dtype=float)
+    finished = _finished(mats[rows], powers)
+    patterns = beampattern_values(finished, grid.steering[[k for _, k in pairs]])
+    objectives = np.sum(np.abs(powers[:, None] * grid.desired_gain - patterns), axis=1)
+    out = {power: {} for power in requests}
+    for (power, k), c, mat, obj in zip(pairs, rows, finished, objectives.tolist()):
+        out[power][k] = CovarianceSolution(mat, obj, int(iterations[c]), bool(converged[c]), float(residual[c]))
+    return out
 
 
 def solve_radar_covariance(

@@ -52,7 +52,7 @@ def precoder_pattern(f: np.ndarray, steering: np.ndarray) -> np.ndarray:
     One precoder (n_tx, n_streams) with its (T, n_tx) steering gives (T,); a
     stack (J, n_tx, n_streams) with (J, T, n_tx) steering gives (J, T).
     """
-    return beampattern_gain(f @ f.conj().swapaxes(-1, -2), steering)
+    return beampattern_gain(f @ f.conj().mT, steering)
 
 
 def _jcas_patterns(precoders: np.ndarray, jcas_subcarriers, grid: BeamGrid) -> np.ndarray:

@@ -83,10 +83,6 @@ _RCG_RUNGS = np.cumprod(np.r_[1.0, np.full(2 * MAX_BACKTRACKS, CONTRACTION)])
 _RUNG_STEPS = _RCG_RUNGS[:, None, None]  # the rungs, shaped to scale a stack of directions
 
 
-def _ctranspose(mat: np.ndarray) -> np.ndarray:
-    return mat.conj().swapaxes(-1, -2)
-
-
 def _each(values):
     """Values shaped like a stack's leading axes, made to broadcast over its matrices."""
     return np.asarray(values)[..., None, None]
@@ -125,7 +121,7 @@ def _residual_objective(f: np.ndarray, cov: np.ndarray, f_comm: np.ndarray, rho,
     scalar ``** 2`` squares it.
     """
     comm = np.float_power(_norms(f - f_comm), 2.0)
-    gram = f @ _ctranspose(f)
+    gram = f @ f.conj().mT
     # in place on a complex stack: on the line-search ladder these are the largest temporaries
     resid = np.subtract(gram, cov, out=gram if gram.dtype.kind == "c" else None)
     sens = np.float_power(_norms(resid), 2.0)
@@ -144,7 +140,7 @@ def _gradient(f: np.ndarray, resid: np.ndarray, f_comm: np.ndarray, c_sens, c_co
 
 def tradeoff_gradient(f: np.ndarray, cov: np.ndarray, f_comm: np.ndarray, rho: float) -> np.ndarray:
     """Euclidean (conjugate-coordinate) gradient of the tradeoff objective, per matrix."""
-    return _gradient(f, f @ _ctranspose(f) - cov, f_comm, 4.0 * rho, 2.0 * (1.0 - rho))
+    return _gradient(f, f @ f.conj().mT - cov, f_comm, 4.0 * rho, 2.0 * (1.0 - rho))
 
 
 def project_to_tangent(f: np.ndarray, g: np.ndarray, power) -> np.ndarray:
@@ -377,7 +373,7 @@ def solve_rcg_batch(
                 break
 
         # the new gradient, and the old gradient and direction transported to f_new, in one projection
-        euclid = _gradient(f_new, f_new @ _ctranspose(f_new) - cov, f_comm, c_sens, c_comm)
+        euclid = _gradient(f_new, f_new @ f_new.conj().mT - cov, f_comm, c_sens, c_comm)
         moved = project_to_tangent(f_new, np.stack([euclid, grad, direction]), power)
         grad_new, grad_moved, direction_moved = moved
         mu = polak_ribiere_mu(grad_new, grad, grad_moved)

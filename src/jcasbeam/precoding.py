@@ -30,7 +30,9 @@ def waterfill(gains, total_power: float, noise_power: float = 1.0):
     by floor noise/gain (zero gains last, at an infinite floor); the candidate
     level with the m strongest channels active is (total + sum of their
     floors) / m, summed in order by ``cumsum`` as a running sum would, and a
-    row keeps the leading candidates that lie above their own floor.
+    row keeps the leading candidates that lie above their own floor. A row
+    whose powers miss the total by more than 1e-12 relative is rescaled onto
+    it; every other row keeps the bits of level - floor.
     Negative gains or a non-positive total raise ``ValueError``, and a row
     without a positive gain raises :class:`DegenerateChannelError`.
     """
@@ -50,11 +52,11 @@ def waterfill(gains, total_power: float, noise_power: float = 1.0):
     level = np.take_along_axis(candidate, n_active[:, None] - 1, axis=-1)[:, 0]
     powers = np.maximum(level[:, None] - floor, 0.0)
     powers[~positive] = 0.0
+    # where the floors dwarf the total, level - floor carries the level's roundoff
+    sums = powers.sum(axis=-1)
+    off = np.abs(sums - total_power) > 1e-12 * total_power
+    powers[off] *= total_power / sums[off, None]
     return powers, level, n_active
-
-
-def _ctranspose(mat: np.ndarray) -> np.ndarray:
-    return mat.conj().swapaxes(-1, -2)
 
 
 def _fix_column_phases(mat: np.ndarray) -> np.ndarray:
@@ -88,7 +90,7 @@ def eigenmode_precoders(h: np.ndarray, n_streams: int, total_power: float, noise
         raise DegenerateChannelError(
             f"subcarrier {int(np.argmax(dead))}: channel matrix has no usable signal dimension"
         )
-    v = _fix_column_phases(_ctranspose(vh)[:, :, :n_streams])
+    v = _fix_column_phases(vh.conj().mT[:, :, :n_streams])
     powers = waterfill(sv ** 2, total_power, noise_power)[0]
     return v * np.sqrt(powers)[:, None, :]
 
@@ -125,7 +127,7 @@ def link_rates(h: np.ndarray, f: np.ndarray, prefactor):
     """
     hf = h @ f
     combiners = _combiners(hf, f.shape[-1])
-    eff = _ctranspose(combiners) @ hf
-    m = np.eye(combiners.shape[-1]) + prefactor * (eff @ _ctranspose(eff))
+    eff = combiners.conj().mT @ hf
+    m = np.eye(combiners.shape[-1]) + prefactor * (eff @ eff.conj().mT)
     _, logdet = np.linalg.slogdet(m)
     return combiners, np.maximum(logdet / np.log(2.0), 0.0)

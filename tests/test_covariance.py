@@ -10,7 +10,6 @@ from jcasbeam.beamgrid import build_grid
 from jcasbeam.config import SystemConfig
 from jcasbeam.covariance import (
     beampattern_values,
-    diag_project,
     psd_project,
     solve_radar_covariance,
     solve_radar_covariances,
@@ -40,14 +39,6 @@ def test_psd_project_keeps_psd_input(rng):
     a = random_complex(rng, (4, 4))
     m = a @ a.conj().T
     np.testing.assert_allclose(psd_project(m), m, atol=1e-10)
-
-
-def test_diag_project_sets_exact_diagonal(rng):
-    h = _hermitian(rng, 4)
-    out = diag_project(h, 0.75)
-    np.testing.assert_allclose(np.diag(out), 0.75)
-    off = ~np.eye(4, dtype=bool)
-    np.testing.assert_allclose(out[off], h[off])
 
 
 def test_beampattern_values_matches_naive_loop(rng):
@@ -120,12 +111,13 @@ def test_budget_scaling_is_exact():
 
 
 def test_objective_reported_at_returned_matrix():
-    cfg = SystemConfig(n_tx=4, grid_size=41)
-    grid = build_grid(cfg)
-    desired = 1.5 * grid.desired_gain
-    sol = solve_radar_covariance(grid, 1.5, [2])[2]
-    direct = np.abs(desired - beampattern_values(sol.matrix, grid.steering[2])).sum()
-    assert sol.objective == pytest.approx(direct, rel=1e-12)
+    # the stacked pattern evaluation scores every (power, subcarrier) pair as a one-pair evaluation does
+    grid = _small_grid()
+    sols = solve_radar_covariances(grid, {1.5: [2, 5], 7.5: [5, 2]})
+    for power, by_k in sols.items():
+        for k, sol in by_k.items():
+            direct = np.abs(power * grid.desired_gain - beampattern_values(sol.matrix, grid.steering[k])).sum()
+            assert sol.objective == direct
 
 
 def test_solver_error_carries_iterate_and_residuals(monkeypatch):
@@ -271,6 +263,45 @@ def test_one_solve_finished_at_two_powers_equals_fresh_solves():
             np.testing.assert_allclose(sol.matrix, solo.matrix, rtol=1e-10, atol=0)
             assert sol.objective == pytest.approx(solo.objective, rel=1e-12)
             np.testing.assert_allclose(np.diag(sol.matrix).real, power / 4, atol=1e-8)
+
+
+def _finish_alone(unit, power):
+    """One pair's finish as a per-pair loop computes it, with its polish round count.
+
+    Scale, symmetrize and set the diagonal, then alternate psd and diagonal
+    projections until the minimum eigenvalue clears ``POLISH_FLOOR``.
+    """
+    n = unit.shape[-1]
+    mat = power * unit
+    out = 0.5 * (mat + mat.conj().T)
+    np.fill_diagonal(out, power / n)
+    for rounds in range(covariance.POLISH_MAX_ROUNDS):
+        if np.linalg.eigvalsh(out)[0] >= covariance.POLISH_FLOOR:
+            return out, rounds
+        out = psd_project(out)
+        np.fill_diagonal(out, power / n)
+    return out, covariance.POLISH_MAX_ROUNDS
+
+
+def test_stacked_finish_equals_per_pair_finish(rng):
+    n = 4
+    c = random_complex(rng, (n, n))
+    gram = c @ c.conj().T
+    scale = 1.0 / np.sqrt(n * np.diag(gram).real)
+    psd = gram * np.outer(scale, scale)  # diagonal 1 / n, well inside the psd cone
+    a = np.exp(1j * np.pi * 0.3 * np.arange(n))
+    indefinite = np.outer(a, a.conj()) / n + 1e-3 * _hermitian(rng, n)  # minimum eigenvalue about -5e-3
+    np.fill_diagonal(indefinite, 1.0 / n)
+    unit = np.stack([psd, indefinite])
+    pairs = [(power, i) for power in (0.5, 10.0) for i in (0, 1)]
+    got = covariance._finished(unit[[i for _, i in pairs]], np.array([power for power, _ in pairs]))
+    rounds = []
+    for mat, (power, i) in zip(got, pairs):
+        want, used = _finish_alone(unit[i], power)
+        np.testing.assert_array_equal(mat, want)
+        rounds.append(used)
+    assert rounds[0] == rounds[2] == 0  # the psd matrix leaves before any projection
+    assert min(rounds[1], rounds[3]) >= 20  # the indefinite one polishes for many rounds
 
 
 def test_radar_covariance_empty_and_single_antenna():

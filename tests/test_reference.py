@@ -1,19 +1,38 @@
-"""The default seed's sweep-snr points against the benchmark's recorded reference.
+"""The default seed's outputs against the benchmark's recorded reference.
 
-The benchmark checks these nine points after its timed run; checking them here
-too shows a bit-level drift of the sweep in the test suite first. The
+The benchmark checks these after its timed runs: the nine sweep-snr points,
+the six link designs and the link set-up's 16 covariance objectives.
+Checking them here too shows a bit-level drift in the test suite first. The
 reference file is only read.
 """
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+from jcasbeam import (
+    SystemConfig,
+    beampattern_mse,
+    build_grid,
+    generate_rayleigh,
+    run_design,
+    solve_radar_covariance,
+)
 from jcasbeam.cli import main
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 RTOL = 1e-8  # the benchmark's tolerance on final rates and pattern errors
+COV_RTOL = 1e-6  # and on covariance objectives
+LINK_SUBCARRIERS = 16
+
+
+def rel_errors(values, reference):
+    values, reference = np.asarray(values, dtype=float), np.asarray(reference, dtype=float)
+    assert values.shape == reference.shape
+    return np.abs(values - reference) / np.abs(reference)
 
 
 def test_sweep_snr_seed0_matches_the_benchmark_reference(tmp_path):
@@ -27,6 +46,36 @@ def test_sweep_snr_seed0_matches_the_benchmark_reference(tmp_path):
 
     assert keys(points) == keys(ref)
     for key in ("avg_rate", "avg_mse"):
-        got = np.array([p[key] for p in points])
-        want = np.array([p[key] for p in ref])
-        assert np.all(np.abs(got - want) <= RTOL * np.abs(want)), key
+        assert np.all(rel_errors([p[key] for p in points], [p[key] for p in ref]) <= RTOL), key
+
+
+@pytest.fixture(scope="module")
+def link_setup():
+    """The link workload's set-up: the 16-carrier grid and its covariances at the default power."""
+    cfg = SystemConfig(n_subcarriers=LINK_SUBCARRIERS)
+    grid = build_grid(cfg)
+    return cfg, grid, solve_radar_covariance(grid, cfg.effective_power)
+
+
+def test_link_covariance_objectives_match_the_benchmark_reference(link_setup):
+    ref = json.loads(REFERENCE.read_text())["covariance_objectives"]["k16_p10"]
+    _, _, sols = link_setup
+    assert sorted(sols) == list(range(LINK_SUBCARRIERS))
+    assert np.all(rel_errors([sols[k].objective for k in range(LINK_SUBCARRIERS)], ref) <= COV_RTOL)
+
+
+def test_link_designs_seed0_match_the_benchmark_reference(link_setup):
+    cfg, grid, sols = link_setup
+    refs = json.loads(REFERENCE.read_text())["link_seed0"]
+    assert [(r["rho"], r["J"]) for r in refs] == [(rho, j) for rho in (0.25, 0.5, 0.75) for j in (4, 16)]
+    channels = generate_rayleigh(cfg.n_subcarriers, cfg.n_rx, cfg.n_tx, 0)
+    for ref in refs:
+        label = f"rho={ref['rho']} J={ref['J']}"
+        result = run_design(replace(cfg, rho=ref["rho"], n_jcas=ref["J"], seed=0),
+                            channels=channels, grid=grid, covariances=sols)
+        want = np.asarray(ref["precoders_re"]) + 1j * np.asarray(ref["precoders_im"])
+        diff = np.linalg.norm(result.precoders - want, axis=(1, 2)) / np.linalg.norm(want, axis=(1, 2))
+        assert np.all(diff <= RTOL), label
+        assert np.all(rel_errors(result.rates, ref["rates"]) <= RTOL), label
+        mse = beampattern_mse(result.precoders, result.jcas_subcarriers, grid)
+        assert np.all(rel_errors([mse], [ref["mse"]]) <= RTOL), label
