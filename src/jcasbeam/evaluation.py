@@ -169,14 +169,19 @@ def sweep(
 ) -> SweepResult:
     """Run the design across a configuration grid with paired realizations.
 
-    Beampatterns are recorded at 10 dB SNR when present in ``snrs``, else at
-    the last SNR. ``jobs`` > 1 hands the realizations to worker processes in
-    contiguous blocks, at most one per worker; the reduction order is fixed
-    either way, so results are reproducible.
+    Beampatterns are recorded at the listed SNR within 1e-9 of 10 dB when
+    there is one, else at the last SNR. An empty ``snrs``, ``rhos`` or
+    ``jcas_counts`` raises :class:`ConfigError`. ``jobs`` > 1 hands the
+    realizations to worker processes in contiguous blocks, at most one per
+    worker; the reduction order is fixed either way, so results are
+    reproducible.
     """
     snrs = [float(s) for s in snrs]
     rhos = [float(r) for r in rhos]
     jcas_counts = [int(j) for j in jcas_counts]
+    for name, values in (("snrs", snrs), ("rhos", rhos), ("jcas_counts", jcas_counts)):
+        if not values:
+            raise ConfigError(f"{name} must not be empty")
     if n_realizations < 1:
         raise ConfigError("n_realizations must be at least 1")
     if jobs < 1:
@@ -184,7 +189,7 @@ def sweep(
     if base_seed is None:
         base_seed = base_cfg.seed
     grid = build_grid(base_cfg)
-    pattern_snr = 10.0 if any(abs(s - 10.0) < 1e-9 for s in snrs) else snrs[-1]
+    pattern_snr = next((s for s in snrs if abs(s - 10.0) < 1e-9), snrs[-1])
 
     for rho in rhos:  # reject a bad rho or sensing count before any solve
         for n_jcas in jcas_counts:
@@ -194,7 +199,7 @@ def sweep(
     needed = {}
     for r in range(n_realizations):
         _, stages = _realization_links(base_cfg, snrs, base_seed + r)
-        for cfg, (_, _, rates) in stages:
+        for cfg, (_, rates) in stages:
             ks = needed.setdefault(cfg.effective_power, set())
             for n_jcas in jcas_counts:
                 ks.update(int(k) for k in select_jcas_subcarriers(rates, n_jcas))

@@ -264,12 +264,11 @@ def _append_rows(table: np.ndarray, new: np.ndarray, rows) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RcgResult:
-    """Solver output with the full descent trace for diagnostics."""
+    """Solver output with the objective trace of its descent."""
 
     precoder: np.ndarray
     objective: float
     objective_trace: np.ndarray  # gamma per iterate, monotone nonincreasing
-    gradient_norms: np.ndarray
     iterations: int
     converged: bool
     stop_reason: str
@@ -319,9 +318,7 @@ def solve_rcg_batch(
     grad_norm = _norms(grad)
 
     trace = np.empty((n_car, MAX_ITER + 1))
-    grad_norms = np.empty((n_car, MAX_ITER + 1))
     trace[:, 0] = gamma
-    grad_norms[:, 0] = grad_norm
     final_f = np.empty_like(f)
     final_gamma = np.empty(n_car)
     iterations = np.zeros(n_car, dtype=int)
@@ -384,7 +381,6 @@ def solve_rcg_batch(
         it += 1
         grad_norm = _norms(grad)
         trace[act, it] = gamma
-        grad_norms[act, it] = grad_norm
 
         plateau = np.where(np.abs(decrease) <= PLATEAU_TOL, plateau + 1, 0)
         flat = plateau >= PLATEAU_RUNS
@@ -395,9 +391,8 @@ def solve_rcg_batch(
         RcgResult(
             precoder=final_f[c],
             objective=float(final_gamma[c]),
-            # copies, so the batch's (B, MAX_ITER + 1) tables are freed on return
+            # a copy, so the batch's (B, MAX_ITER + 1) table is freed on return
             objective_trace=trace[c, : iterations[c] + 1].copy(),
-            gradient_norms=grad_norms[c, : iterations[c] + 1].copy(),
             iterations=int(iterations[c]),
             converged=reasons[c] != "max_iterations",
             stop_reason=reasons[c],

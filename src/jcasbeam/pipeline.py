@@ -2,17 +2,18 @@
 
 The flow per run:
 
-1. :func:`eigen_stage`: eigenmode precoders, combiners and achievable rates
-   of all subcarriers, each one stacked call over the subcarriers.
+1. :func:`eigen_stage`: eigenmode precoders and achievable rates of all
+   subcarriers, each one stacked call over the subcarriers. A rate is taken
+   under the optimal combiner from the singular values of HF alone, so no
+   combiner is formed.
 2. Pick the n_jcas subcarriers with the lowest rates for sensing duty.
 3. Solve the beampattern covariance problem on those subcarriers.
 4. Refine each sensing subcarrier's precoder on the power sphere, trading
    covariance match against distance from the eigenmode precoder, all of
    them in one batched RCG call, with rho and power per subcarrier.
 5. Reassemble: refined precoders on sensing subcarriers, eigenmode elsewhere.
-   Combiners and rates are recomputed on the sensing subcarriers; elsewhere
-   the precoder is the eigenmode one, so its eigen-stage combiner and rate
-   are kept.
+   Rates are recomputed on the sensing subcarriers; elsewhere the precoder
+   is the eigenmode one, so its eigen-stage rate is kept.
 
 Steps 2-5 read the eigen stage without writing to it, so the sweep runs one
 eigen stage per SNR and refines every (rho, J) design of that SNR from it.
@@ -47,16 +48,15 @@ def select_jcas_subcarriers(rates, n_jcas: int) -> np.ndarray:
 
 
 def eigen_stage(cfg: SystemConfig, channels: np.ndarray):
-    """Eigenmode precoders with their combiners and rates on every subcarrier.
+    """Eigenmode precoders with their rates on every subcarrier.
 
     ``channels`` is the complex (K, n_rx, n_tx) channel stack. Returns
-    (precoders, combiners, rates) with shapes (K, n_tx, n_streams),
-    (K, n_rx, n_streams) and (K,). A subcarrier whose channel has no usable
-    signal dimension raises :class:`DegenerateChannelError` naming it.
+    (precoders, rates) with shapes (K, n_tx, n_streams) and (K,). A
+    subcarrier whose channel has no usable signal dimension raises
+    :class:`DegenerateChannelError` naming it.
     """
     precoders = eigenmode_precoders(channels, cfg.n_streams, cfg.effective_power, cfg.effective_noise)
-    combiners, rates = link_rates(channels, precoders, 1.0 / cfg.effective_noise)
-    return precoders, combiners, rates
+    return precoders, link_rates(channels, precoders, 1.0 / cfg.effective_noise)
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,6 @@ class DesignResult:
     covariances: dict             # subcarrier -> CovarianceSolution
     refinements: dict             # subcarrier -> RcgResult
     precoders: np.ndarray         # (K, n_tx, n_streams) final
-    combiners: np.ndarray         # (K, n_rx, n_streams)
     rates: np.ndarray             # (K,) final
 
     @property
@@ -125,7 +124,7 @@ def _refine(channels, grid, designs) -> list[DesignResult]:
     for bit as if run alone. Returns one :class:`DesignResult` per design, in
     order.
     """
-    jcas = [select_jcas_subcarriers(eigen[2], cfg.n_jcas) for cfg, eigen, _ in designs]
+    jcas = [select_jcas_subcarriers(eigen[1], cfg.n_jcas) for cfg, eigen, _ in designs]
 
     requests = {}
     for (cfg, _, covs), ks in zip(designs, jcas):
@@ -154,18 +153,18 @@ def _refine(channels, grid, designs) -> list[DesignResult]:
             power=power,
         )
     f_new = np.array([res.precoder for res in refined]).reshape(f_hat.shape)
-    new_combiners, new_rates = link_rates(channels[np.concatenate(jcas)], f_new, prefactor[:, None, None])
+    new_rates = link_rates(channels[np.concatenate(jcas)], f_new, prefactor)
 
     results = []
     ends = np.cumsum(counts).tolist()
     for (cfg, eigen, _), ks, covs, end, n in zip(designs, jcas, covariances, ends, counts):
-        eigen_precoders, eigen_combiners, eigen_rates = eigen
+        eigen_precoders, eigen_rates = eigen
         own = slice(end - n, end)
         precoders = eigen_precoders.copy()
         precoders[ks] = f_new[own]
-        # off the sensing set the precoder is the eigenmode one: its combiner and rate stand
-        combiners, rates = eigen_combiners.copy(), eigen_rates.copy()
-        combiners[ks], rates[ks] = new_combiners[own], new_rates[own]
+        # off the sensing set the precoder is the eigenmode one: its rate stands
+        rates = eigen_rates.copy()
+        rates[ks] = new_rates[own]
         results.append(DesignResult(
             config=cfg,
             channels=channels,
@@ -176,7 +175,6 @@ def _refine(channels, grid, designs) -> list[DesignResult]:
             covariances=covs,
             refinements=dict(zip(ks.tolist(), refined[own])),
             precoders=precoders,
-            combiners=combiners,
             rates=rates,
         ))
     return results

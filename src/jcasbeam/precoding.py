@@ -1,20 +1,17 @@
-"""Communications-side precoding: water-filling, eigenmode beams, combiners, rates.
+"""Communications-side precoding: water-filling, eigenmode beams, rates.
 
 Every stage runs on a stack of subcarriers at once, and a single matrix is a
 stack of one: :func:`eigenmode_precoders` takes one SVD of the
 (K, n_rx, n_tx) channel stack, water-fills every carrier with
 :func:`waterfill` through a cumulative sum over its sorted noise floors and
 fixes the column phases of all carriers together; :func:`link_rates` takes
-one SVD of the stack of effective channels HF for the combiners and one
-log-determinant for the rates. Stacked numpy linear algebra makes the same
-LAPACK call per matrix as on one matrix, and the running sums are taken in
-the same order, so a carrier's precoder and combiner are the same bit for
-bit whatever stack it is in.
+one values-only SVD of the stack of effective channels HF. Stacked numpy
+linear algebra makes the same LAPACK call per matrix as on one matrix, and
+the running sums are taken in the same order, so a carrier's precoder and
+rate are the same bit for bit whatever stack it is in.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 
@@ -95,39 +92,15 @@ def eigenmode_precoders(h: np.ndarray, n_streams: int, total_power: float, noise
     return v * np.sqrt(powers)[:, None, :]
 
 
-def _combiners(hf: np.ndarray, n_streams: int) -> np.ndarray:
-    """Left singular vectors of each effective channel of a (K, n_rx, n_streams) stack.
-
-    Each rank-deficient carrier emits one RuntimeWarning.
-    """
-    u, s, _ = np.linalg.svd(hf, full_matrices=True)
-    top = s[:, 0] if s.shape[-1] else np.zeros(len(hf))
-    tol = max(hf.shape[1:]) * np.finfo(float).eps * top
-    for rank in np.sum(s > tol[:, None], axis=-1).tolist():
-        if rank < n_streams:
-            warnings.warn(
-                f"effective channel rank {rank} is below the stream count {n_streams}; "
-                "filling the combiner with an orthonormal complement",
-                RuntimeWarning,
-            )
-    return _fix_column_phases(u[:, :, :n_streams])
-
-
-def link_rates(h: np.ndarray, f: np.ndarray, prefactor):
-    """Optimal combiner and achievable rate of each carrier of a stack.
+def link_rates(h: np.ndarray, f: np.ndarray, prefactor) -> np.ndarray:
+    """Achievable rate of each carrier of a stack under its optimal combiner.
 
     ``h`` is (K, n_rx, n_tx) and ``f`` (K, n_tx, n_streams); ``prefactor``
-    is a float, or one per carrier shaped (K, 1, 1). Returns the
-    combiners (K, n_rx, n_streams) and the rates (K,), from one SVD and one
-    log-determinant over the stack of effective channels HF. A combiner is
-    the top left singular vectors of HF, its columns orthonormal (filled out
-    with an orthonormal complement where HF is rank deficient), so W^H is its
-    pseudo-inverse and the rate is log2 det(I + prefactor * W^H HF (W^H HF)^H)
-    in bit/s/Hz, clamped at zero against roundoff.
+    is a float, or one per carrier shaped (K,). Returns the rates (K,) in
+    bit/s/Hz. The optimal combiner W is the top left singular vectors of HF,
+    so W^H HF = S V^H and the rate log2 det(I + prefactor (W^H HF)(W^H HF)^H)
+    is sum_i log2(1 + prefactor s_i^2) over the singular values s_i of HF:
+    one values-only SVD over the stack, and never negative.
     """
-    hf = h @ f
-    combiners = _combiners(hf, f.shape[-1])
-    eff = combiners.conj().mT @ hf
-    m = np.eye(combiners.shape[-1]) + prefactor * (eff @ eff.conj().mT)
-    _, logdet = np.linalg.slogdet(m)
-    return combiners, np.maximum(logdet / np.log(2.0), 0.0)
+    s = np.linalg.svd(h @ f, compute_uv=False)
+    return np.log1p(np.asarray(prefactor)[..., None] * s**2).sum(axis=-1) / np.log(2.0)

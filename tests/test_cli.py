@@ -273,7 +273,7 @@ def test_covariance_failure_exits_3_end_to_end(small_config_file, tmp_path, monk
     monkeypatch.setattr(covariance, "FALLBACK_TOL", 1e-12)
     cfg = SystemConfig(**SMALL)
     channels = generate_rayleigh(cfg.n_subcarriers, cfg.n_rx, cfg.n_tx, cfg.seed)
-    first = select_jcas_subcarriers(eigen_stage(cfg, channels)[2], cfg.n_jcas)[0]
+    first = select_jcas_subcarriers(eigen_stage(cfg, channels)[1], cfg.n_jcas)[0]
     code = main(
         ["design", "--config", str(small_config_file), "--out-dir", str(tmp_path / "o")]
     )

@@ -131,12 +131,14 @@ def test_sweep_pattern_bookkeeping(small_sweep):
     assert res.base_seed == cfg.seed
 
 
-# recorded before the sweep refined every (rho, J) design of an SNR from one eigen stage
+# recorded before the sweep refined every (rho, J) design of an SNR from one eigen
+# stage; the two 10 dB rates re-recorded (1 ulp each) when rates came to be taken
+# from the singular values of HF
 SMALL_SWEEP_POINTS = [
     (0.0, 0.5, 2, 2.907573594875025, 0.7201298108476419),
     (0.0, 0.5, 6, 2.6048524073371113, 0.657836035600238),
-    (10.0, 0.5, 2, 7.468317950613439, 98.57306945443833),
-    (10.0, 0.5, 6, 5.8522475184131295, 98.84131027242245),
+    (10.0, 0.5, 2, 7.4683179506134385, 98.57306945443833),
+    (10.0, 0.5, 6, 5.85224751841313, 98.84131027242245),
 ]
 
 
@@ -279,6 +281,22 @@ def test_sweep_edge_designs_in_worker_processes_match_in_process(small_cfg):
     # J in {0, K} and rho in {0, 1} share each realization's RCG batch
     args = (small_cfg, [0.0, 10.0], [0.0, 1.0], [0, 2, 6], 2)
     assert_same_sweep(sweep(*args, jobs=2), sweep(*args))
+
+
+def test_sweep_patterns_at_the_listed_snr_near_10_and_empty_lists_rejected(small_cfg, monkeypatch):
+    # an SNR within 1e-9 of 10 dB is the pattern SNR as listed, so its patterns are recorded
+    near = 10.0 + 1e-10
+    res = sweep(small_cfg, [0.0, near], [0.5], [2], n_realizations=1)
+    assert res.pattern_snr == near
+    assert set(res.pattern_avg) == set(res.pattern_member) == {(0.5, 2)}
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("covariances solved for a sweep with an empty list")
+
+    monkeypatch.setattr(evaluation, "solve_radar_covariances", no_solve)
+    for args, key in ((([], [0.5], [2]), "snrs"), (([5.0], [], [2]), "rhos"), (([5.0], [0.5], []), "jcas_counts")):
+        with pytest.raises(ConfigError, match=key):
+            sweep(small_cfg, *args, n_realizations=1)
 
 
 def test_sweep_rejects_empty_realizations(small_cfg):

@@ -69,9 +69,8 @@ def test_eigen_stage_shapes_and_positive_rates(small_cfg):
     channels = generate_rayleigh(
         small_cfg.n_subcarriers, small_cfg.n_rx, small_cfg.n_tx, 0
     )
-    precoders, combiners, rates = eigen_stage(small_cfg, channels)
+    precoders, rates = eigen_stage(small_cfg, channels)
     assert precoders.shape == (6, 4, 2)
-    assert combiners.shape == (6, 2, 2)
     assert rates.shape == (6,)
     assert np.all(rates > 0)
     for k in range(6):
@@ -202,9 +201,8 @@ def test_manifest_reports_covariance_convergence(small_cfg):
 
 
 def assert_links_recomputed_everywhere(res):
-    """Combiners and rates equal a fresh computation on every subcarrier."""
-    combiners, rates = link_rates(res.channels, res.precoders, 1.0 / res.config.effective_noise)
-    np.testing.assert_array_equal(res.combiners, combiners)
+    """Rates equal a fresh computation on every subcarrier."""
+    rates = link_rates(res.channels, res.precoders, 1.0 / res.config.effective_noise)
     np.testing.assert_array_equal(res.rates, rates)
 
 
@@ -271,12 +269,12 @@ def test_run_design_names_the_degenerate_subcarrier(small_cfg):
 
 
 def test_run_design_on_real_valued_channels_keeps_complex_beams(small_cfg):
-    # the refined precoders and their combiners are complex even when the
-    # channels (and so the eigen-stage beams) are real
+    # the refined precoders are complex even when the channels (and so the
+    # eigen-stage beams) are real
     rng = np.random.default_rng(0)
     matrices = rng.standard_normal((small_cfg.n_subcarriers, small_cfg.n_rx, small_cfg.n_tx))
     res = run_design(small_cfg, channels=matrices)
-    assert res.precoders.dtype == res.combiners.dtype == complex
+    assert res.precoders.dtype == complex
     assert np.any(res.precoders[res.jcas_subcarriers].imag != 0.0)
     assert_links_recomputed_everywhere(res)
 
@@ -296,9 +294,8 @@ def test_run_design_pure_sensing_weight(small_cfg):
 
 
 def test_run_design_on_rank_deficient_channels():
-    # rank-2 channels under 4 streams: every subcarrier's combiner is filled
-    # out with an orthonormal complement, once in the eigen stage (8) and once
-    # more on each refined sensing subcarrier (3)
+    # rank-2 channels under 4 streams: every effective channel HF is rank
+    # deficient, and its rate is still the determinant formula, with no warning
     cfg = SystemConfig(
         n_tx=4, n_rx=4, n_streams=4, n_subcarriers=8, n_jcas=3, power_budget=2.0, grid_size=41
     )
@@ -308,12 +305,13 @@ def test_run_design_on_rank_deficient_channels():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         res = run_design(cfg, channels=left @ right)
-    rank = [w for w in caught if w.category is RuntimeWarning and "rank 2" in str(w.message)]
-    assert len(rank) == len(caught) == 11
+    assert [w for w in caught if w.category is RuntimeWarning] == []
     assert len(res.refinements) == 3
     assert_sane_design(res)
-    with pytest.warns(RuntimeWarning, match="rank 2"):
-        assert_links_recomputed_everywhere(res)
+    assert_links_recomputed_everywhere(res)
+    hf = res.channels @ res.precoders
+    gram = np.eye(cfg.n_streams) + (hf.conj().mT @ hf) / cfg.effective_noise
+    np.testing.assert_allclose(res.rates, np.log2(np.linalg.det(gram).real), rtol=1e-12)
 
 
 def test_designs_sharing_one_eigen_stage_equal_fresh_runs(small_cfg):
@@ -367,7 +365,6 @@ def test_edge_configurations_design_cleanly(design):
     zero = channels is not None and not np.all(np.any(channels, axis=(1, 2)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        warnings.filterwarnings("ignore", "effective channel rank", RuntimeWarning)
         try:
             res = run_design(cfg, channels=channels)
         except DegenerateChannelError:

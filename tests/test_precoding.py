@@ -1,13 +1,10 @@
-"""Water-filling, eigenmode precoders, combiners, and rate computation."""
-
-import warnings
+"""Water-filling, eigenmode precoders, and rate computation."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jcasbeam.channel import generate_rayleigh
 from jcasbeam.errors import DegenerateChannelError
 from jcasbeam.precoding import eigenmode_precoders, link_rates, waterfill
 
@@ -32,9 +29,8 @@ def eigen_one(h, n_streams, total_power, noise_power):
 
 
 def link_one(h, f, prefactor):
-    """Optimal combiner and rate of one link, as a stack of one: (w, rate)."""
-    combiners, rates = link_rates(h[None], f[None], prefactor)
-    return combiners[0], float(rates[0])
+    """Rate of one link under its optimal combiner, as a stack of one."""
+    return float(link_rates(h[None], f[None], prefactor)[0])
 
 
 def waterfill_kkt_residual(gains, powers, level, total_power, noise_power=1.0):
@@ -217,7 +213,7 @@ def test_eigenmode_precoder_unitary_invariant_rate(rng):
 
 def _eigen_rate(h, n_streams, power, noise=1.0):
     f, _, _ = eigen_one(h, n_streams, power, noise)
-    return link_one(h, f, 1.0 / noise)[1]
+    return link_one(h, f, 1.0 / noise)
 
 
 def test_eigenmode_beats_random_feasible(rng):
@@ -227,10 +223,7 @@ def test_eigenmode_beats_random_feasible(rng):
     for _ in range(100):
         f = random_complex(rng, (4, 3))
         f *= np.sqrt(power) / np.linalg.norm(f)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            _, rate = link_one(h, f, 1.0)
-        assert rate <= best + 1e-9
+        assert link_one(h, f, 1.0) <= best + 1e-9
 
 
 def test_rate_monotone_in_power(rng):
@@ -239,42 +232,21 @@ def test_rate_monotone_in_power(rng):
     assert all(b >= a - 1e-12 for a, b in zip(rates, rates[1:]))
 
 
-def test_combiner_orthonormal(rng):
-    h = random_complex(rng, (4, 6))
-    f = random_complex(rng, (6, 3))
-    w, _ = link_one(h, f, 1.0)
-    assert w.shape == (4, 3)
-    np.testing.assert_allclose(w.conj().T @ w, np.eye(3), atol=1e-12)
-
-
-def test_combiner_warns_on_rank_deficiency():
-    h = np.eye(3, dtype=complex)
-    f = np.zeros((3, 2), dtype=complex)
-    f[0, 0] = 1.0
-    with pytest.warns(RuntimeWarning, match="rank"):
-        w, _ = link_one(h, f, 1.0)
-    np.testing.assert_allclose(w.conj().T @ w, np.eye(2), atol=1e-12)
-
-
 def test_rate_scalar_case():
     h = np.array([[1.0 + 0j]])
     f = np.array([[np.sqrt(10.0) + 0j]])
-    w, rate = link_one(h, f, 1.0)
-    assert w == pytest.approx(1.0, abs=1e-15)
-    assert rate == pytest.approx(np.log2(11.0), abs=1e-12)
+    assert link_one(h, f, 1.0) == pytest.approx(np.log2(11.0), abs=1e-12)
 
 
 def test_rate_zero_precoder():
     h = np.array([[1.0 + 0j]])
-    with pytest.warns(RuntimeWarning, match="rank 0"):
-        assert link_one(h, np.zeros((1, 1)), 1.0)[1] == 0.0
+    assert link_one(h, np.zeros((1, 1)), 1.0) == 0.0
 
 
 def test_rate_zero_channel():
     h = np.zeros((2, 3), dtype=complex)
     f = np.ones((3, 2), dtype=complex)
-    with pytest.warns(RuntimeWarning, match="rank 0"):
-        assert link_one(h, f, 1.0)[1] == 0.0
+    assert link_one(h, f, 1.0) == 0.0
 
 
 def test_rate_diagonal_integration_oracle():
@@ -283,13 +255,13 @@ def test_rate_diagonal_integration_oracle():
     h = np.diag([2.0, 1.0]).astype(complex)
     f, _, _ = eigen_one(h, 2, 1.0, 1.0)
     expected = np.log2(4.5) + np.log2(1.125)
-    assert link_one(h, f, 1.0)[1] == pytest.approx(expected, abs=1e-10)
+    assert link_one(h, f, 1.0) == pytest.approx(expected, abs=1e-10)
     assert expected == pytest.approx(2.3398500028846243, abs=1e-12)
 
 
 def test_rate_matches_direct_determinant(rng):
     # with n_streams <= n_rx the optimal combiner keeps every singular value
-    # of HF, so the rate is log2 det(I + prefactor (HF)^H HF), combiner-free
+    # of HF, so the rate is log2 det(I + prefactor (HF)^H HF)
     for _ in range(10):
         h = random_complex(rng, (3, 4))
         f = random_complex(rng, (4, 2))
@@ -297,12 +269,19 @@ def test_rate_matches_direct_determinant(rng):
         hf = h @ f
         m = np.eye(2) + pref * hf.conj().T @ hf
         expected = float(np.log2(np.linalg.det(m).real))
-        assert link_one(h, f, pref)[1] == pytest.approx(expected, abs=1e-9)
+        assert link_one(h, f, pref) == pytest.approx(expected, abs=1e-9)
 
 
-def _pinv_rate(h, f, w, prefactor):
-    """The pseudo-inverse and determinant formula of the rate."""
-    eff = np.linalg.pinv(w) @ h @ f
+def _pinv_rate(h, f, prefactor):
+    """The rate under the optimal combiner W, by the pseudo-inverse and determinant formula.
+
+    W is the top n_streams left singular vectors of HF, taken from its full
+    SVD, so its columns are orthonormal even where HF is rank deficient.
+    """
+    hf = h @ f
+    w = np.linalg.svd(hf)[0][:, : f.shape[1]]
+    np.testing.assert_allclose(w.conj().T @ w, np.eye(f.shape[1]), atol=1e-12)
+    eff = np.linalg.pinv(w) @ hf
     m = np.eye(w.shape[1]) + prefactor * eff @ eff.conj().T
     return max(float(np.log2(np.linalg.det(m).real)), 0.0)
 
@@ -312,16 +291,11 @@ def test_rate_with_orthonormal_combiner_equals_pinv_formula(rng):
         h = random_complex(rng, (4, 6))
         f = random_complex(rng, (6, 3))
         pref = float(rng.uniform(0.2, 3.0))
-        w, rate = link_one(h, f, pref)
-        np.testing.assert_allclose(w.conj().T @ w, np.eye(3), atol=1e-12)
-        assert rate == pytest.approx(_pinv_rate(h, f, w, pref), rel=1e-12)
-    # rank-deficient carrier: the combiner's extra column is the orthonormal complement
+        assert link_one(h, f, pref) == pytest.approx(_pinv_rate(h, f, pref), rel=1e-12)
+    # rank-1 carrier: the combiner's two extra columns are orthogonal to the range of HF
     h = random_complex(rng, (4, 6))
     f = random_complex(rng, (6, 1)) @ random_complex(rng, (1, 3))
-    with pytest.warns(RuntimeWarning, match="rank 1"):
-        w, rate = link_one(h, f, 2.0)
-    np.testing.assert_allclose(w.conj().T @ w, np.eye(3), atol=1e-12)
-    assert rate == pytest.approx(_pinv_rate(h, f, w, 2.0), rel=1e-12)
+    assert link_one(h, f, 2.0) == pytest.approx(_pinv_rate(h, f, 2.0), rel=1e-12)
 
 
 def test_stacked_eigen_stage_equals_one_matrix_calls(rng):
@@ -331,13 +305,9 @@ def test_stacked_eigen_stage_equals_one_matrix_calls(rng):
     f_hat = eigenmode_precoders(h, 3, 2.5, 0.7)
     for k in range(len(h)):
         np.testing.assert_array_equal(f_hat[k], eigenmode_precoders(h[k:k + 1], 3, 2.5, 0.7)[0])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        combiners, rates = link_rates(h, f_hat, 1.0 / 0.7)
-        for k in range(len(h)):
-            w, rate = link_one(h[k], f_hat[k], 1.0 / 0.7)
-            np.testing.assert_array_equal(combiners[k], w)
-            assert rates[k] == rate
+    rates = link_rates(h, f_hat, 1.0 / 0.7)
+    for k in range(len(h)):
+        assert rates[k] == link_one(h[k], f_hat[k], 1.0 / 0.7)
 
 
 def test_stacked_waterfill_rows_equal_one_row_calls(rng):
@@ -360,29 +330,9 @@ def test_degenerate_channel_in_a_stack_names_its_subcarrier(rng):
         eigenmode_precoders(h[3:4], 2, 1.0, 1.0)
 
 
-def test_stacked_combiners_warn_once_per_rank_deficient_carrier():
-    # 0 dB on 64 carriers of a 4x8 link: water-filling drops weak streams, so
-    # many effective channels lose rank
-    h = generate_rayleigh(64, 4, 8, seed=0)
-    f_hat = eigenmode_precoders(h, 4, 1.0, 1.0)
-    with warnings.catch_warnings(record=True) as stacked:
-        warnings.simplefilter("always")
-        link_rates(h, f_hat, 1.0)
-    with warnings.catch_warnings(record=True) as solo:
-        warnings.simplefilter("always")
-        for h_k, f_k in zip(h, f_hat):
-            link_one(h_k, f_k, 1.0)
-    assert len(stacked) > 0
-    assert [(w.category, str(w.message)) for w in stacked] == [
-        (w.category, str(w.message)) for w in solo
-    ]
-
-
 def test_stacked_beams_have_real_positive_pivots(rng):
     # each column's largest-magnitude entry is rotated onto the positive real axis
     h = random_complex(rng, (10, 4, 6))
     f_hat = eigenmode_precoders(h, 3, 2.0, 1.0)
-    combiners, _ = link_rates(h, f_hat, 1.0)
-    for beams in (f_hat, combiners):
-        pivots = np.take_along_axis(beams, np.argmax(np.abs(beams), axis=1)[:, None, :], axis=1)
-        assert np.all(pivots.real > 0.0) and np.all(np.abs(pivots.imag) <= 1e-15 * pivots.real)
+    pivots = np.take_along_axis(f_hat, np.argmax(np.abs(f_hat), axis=1)[:, None, :], axis=1)
+    assert np.all(pivots.real > 0.0) and np.all(np.abs(pivots.imag) <= 1e-15 * pivots.real)

@@ -1,7 +1,10 @@
 """The default seed's outputs against the benchmark's recorded reference.
 
 The benchmark checks these after its timed runs: the nine sweep-snr points,
-the six link designs and the link set-up's 16 covariance objectives.
+in the manifest and in rates.csv, the six link designs and the link set-up's
+16 covariance objectives. Its `design` workload, which is run by hand and
+not gated, checks the default design's sensing set, rates and covariance
+objectives.
 Checking them here too shows a bit-level drift in the test suite first. The
 reference file is only read.
 """
@@ -22,6 +25,7 @@ from jcasbeam import (
     solve_radar_covariance,
 )
 from jcasbeam.cli import main
+from jcasbeam.tables import parse_table
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 RTOL = 1e-8  # the benchmark's tolerance on final rates and pattern errors
@@ -45,8 +49,23 @@ def test_sweep_snr_seed0_matches_the_benchmark_reference(tmp_path):
         return [(p["snr_db"], p["rho"], p["n_jcas"]) for p in pts]
 
     assert keys(points) == keys(ref)
+    _, rows = parse_table((tmp_path / "rates.csv").read_text())
     for key in ("avg_rate", "avg_mse"):
         assert np.all(rel_errors([p[key] for p in points], [p[key] for p in ref]) <= RTOL), key
+        # the CSV holds 6 significant digits: it reads as the reference rounded so
+        assert [r[key] for r in rows] == [float(f"{p[key]:.6g}") for p in ref], key
+
+
+def test_default_design_seed0_matches_the_benchmark_reference():
+    reference = json.loads(REFERENCE.read_text())
+    ref, objectives = reference["design_seed0"], reference["covariance_objectives"]["k64_p10"]
+    result = run_design(SystemConfig())
+    assert result.jcas_subcarriers.tolist() == ref["jcas_subcarriers"]
+    assert np.all(rel_errors(result.rates, ref["rates"]) <= RTOL)
+    ks = sorted(result.covariances)
+    assert ks == ref["jcas_subcarriers"]
+    got = [result.covariances[k].objective for k in ks]
+    assert np.all(rel_errors(got, [objectives[k] for k in ks]) <= COV_RTOL)
 
 
 @pytest.fixture(scope="module")
