@@ -20,16 +20,18 @@ def carrier_frequencies(cfg: SystemConfig) -> np.ndarray:
     return cfg.base_freq + k * cfg.subcarrier_spacing
 
 
-def steering_vector(theta_deg, freq: float, n_tx: int, spacing: float) -> np.ndarray:
-    """Unit-modulus ULA steering vector(s) at angle(s) ``theta_deg`` for one frequency.
+def steering_vector(theta_deg, freq, n_tx: int, spacing: float) -> np.ndarray:
+    """Unit-modulus ULA steering vector(s) at angle(s) ``theta_deg`` and frequency ``freq``.
 
     Entry n is exp(j*2*pi*n*(freq*spacing/c)*sin(theta)); the first entry is
-    always 1. Scalar angle gives shape (n_tx,), an array of T angles (T, n_tx).
+    always 1. At one frequency a scalar angle gives shape (n_tx,), an array of
+    T angles (T, n_tx); a (K, 1) column of frequencies gives (K, T, n_tx).
     """
     theta = np.deg2rad(np.asarray(theta_deg, dtype=float))
     phase_per_elem = 2.0 * np.pi * freq * spacing / SPEED_OF_LIGHT * np.sin(theta)
     n = np.arange(n_tx, dtype=float)
-    return np.exp(1j * np.multiply.outer(phase_per_elem, n))
+    steering = 1j * np.multiply.outer(phase_per_elem, n)
+    return np.exp(steering, out=steering)  # in place: no second (K, T, n_tx) array for a whole grid
 
 
 def angle_grid(grid_size: int) -> np.ndarray:
@@ -68,8 +70,6 @@ class BeamGrid:
 def build_grid(cfg: SystemConfig) -> BeamGrid:
     angles = angle_grid(cfg.grid_size)
     freqs = carrier_frequencies(cfg)
-    steering = np.stack(
-        [steering_vector(angles, f, cfg.n_tx, cfg.spacing) for f in freqs]
-    )
+    steering = steering_vector(angles, freqs[:, None], cfg.n_tx, cfg.spacing)
     desired = desired_beampattern(angles, cfg.target_angles, cfg.mainlobe_halfwidth)
     return BeamGrid(angles=angles, frequencies=freqs, steering=steering, desired_gain=desired)

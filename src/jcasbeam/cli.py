@@ -110,15 +110,7 @@ def cmd_sweep(args) -> int:
     rhos = args.rho if args.rho else [0.25, 0.5, 0.75]
     jcas_counts = args.jcas if args.jcas else sorted({cfg.n_jcas, cfg.n_subcarriers})
 
-    result = sweep(
-        cfg,
-        snrs,
-        rhos,
-        jcas_counts,
-        args.realizations,
-        base_seed=cfg.seed,
-        jobs=args.jobs,
-    )
+    result = sweep(cfg, snrs, rhos, jcas_counts, args.realizations, jobs=args.jobs)
     out_dir = _make_out_dir(args.out_dir)  # only now, so a failed sweep leaves no directory
 
     write_table(
@@ -155,7 +147,7 @@ def cmd_sweep(args) -> int:
             "rhos": list(rhos),
             "jcas_counts": list(jcas_counts),
             "realizations": args.realizations,
-            "base_seed": result.base_seed,
+            "base_seed": cfg.seed,
             "pattern_snr": result.pattern_snr,
             "points": [asdict(p) for p in result.points],
         },

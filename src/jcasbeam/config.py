@@ -193,6 +193,10 @@ def load_config(path) -> SystemConfig:
             parser.read_file(fh)
     except configparser.Error as exc:
         raise ConfigError(f"config file is not valid key/value text: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not {exc.encoding} text: {exc.reason}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
 
     values = {}
     for section in parser.sections():

@@ -2,18 +2,20 @@
 
 The sweep runs the full design over a grid of (SNR, rho, sensing subcarrier
 count) settings with paired channel realizations: realization r always uses
-seed base_seed + r, so every configuration sees the same channels and the
-comparisons are matched. It runs in three passes:
+seed ``base_cfg.seed + r``, so every configuration sees the same channels
+and the comparisons are matched. It runs in three passes:
 
-1. Per realization and SNR, one eigen stage finds the sensing sets of every
-   sensing count.
+1. Per realization and SNR, one eigen stage and one selection at the
+   largest sensing count: the lowest-rate carriers are a prefix of one
+   stable sort, so a smaller count's set is a subset of the largest's.
 2. The covariance problem of the binary mask depends on the subcarrier alone
    once normalized by the design power, so each needed subcarrier is solved
    once for every SNR, in one batched call, and finished at each design
    power that needs it.
 3. Per realization and SNR, one eigen stage again, from which every
-   (rho, J) design of that SNR is refined. Recomputing it rather than
-   keeping pass 1's keeps memory flat in the realization count. The
+   (rho, J) design of that SNR is refined with pass 2's covariances at its
+   power, which cover its sensing set. Recomputing the eigen stage rather
+   than keeping pass 1's keeps memory flat in the realization count. The
    sensing subcarriers of every (SNR, rho, J) design of a realization run
    in one RCG batch, each at its design's rho and power, and are relinked
    in one stacked call; a realization's designs are held together until
@@ -104,8 +106,6 @@ class SweepResult:
     angles: np.ndarray
     pattern_avg: dict     # (rho, n_jcas) -> mean pattern over realizations
     pattern_member: dict  # (rho, n_jcas) -> median-subcarrier pattern, averaged
-    n_realizations: int
-    base_seed: int
 
 
 def _realization_links(base: SystemConfig, snrs, seed: int):
@@ -122,32 +122,24 @@ def _realization_links(base: SystemConfig, snrs, seed: int):
     return channels, stages
 
 
-def _realization_designs(base, snrs, rhos, jcas_counts, grid, covariances, seed):
-    """Every (SNR, rho, J) design on the channel realization of ``seed``, refined together.
+def _realization_metrics(base, snrs, rhos, jcas_counts, grid, covariances, pattern_snr, seed):
+    """Metrics for every configuration on the channel realization of ``seed``.
 
-    Returns ``[(snr, rho, n_jcas, DesignResult)]`` in SNR, rho, J order.
+    Every (SNR, rho, J) design of the realization is refined in one call.
+    Module-level so worker processes can import it. Returns
+    ({(snr, rho, J): (avg_rate, mse)}, {(rho, J): (avg_pattern, member_pattern)}).
     """
     channels, stages = _realization_links(base, snrs, seed)
     keys, designs = [], []
     for snr, (snr_cfg, eigen) in zip(snrs, stages):
-        covs = covariances.get(snr_cfg.effective_power, {})
+        covs = covariances[snr_cfg.effective_power]
         for rho in rhos:
             for n_jcas in jcas_counts:
                 keys.append((snr, rho, n_jcas))
                 designs.append((replace(snr_cfg, rho=rho, n_jcas=n_jcas), eigen, covs))
-    return [(*key, result) for key, result in zip(keys, _refine(channels, grid, designs))]
-
-
-def _realization_metrics(base, snrs, rhos, jcas_counts, grid, covariances, pattern_snr, seed):
-    """Metrics for every configuration on the channel realization of ``seed``.
-
-    Module-level so worker processes can import it. Returns
-    ({(snr, rho, J): (avg_rate, mse)}, {(rho, J): (avg_pattern, member_pattern)}).
-    """
     point_metrics = {}
     patterns = {}
-    designs = _realization_designs(base, snrs, rhos, jcas_counts, grid, covariances, seed)
-    for snr, rho, n_jcas, result in designs:
+    for (snr, rho, n_jcas), result in zip(keys, _refine(channels, grid, designs)):
         mse = beampattern_mse(result.precoders, result.jcas_subcarriers, grid)
         point_metrics[(snr, rho, n_jcas)] = (result.avg_rate, mse)
         if snr == pattern_snr and n_jcas > 0:
@@ -164,17 +156,17 @@ def sweep(
     rhos,
     jcas_counts,
     n_realizations: int,
-    base_seed: int | None = None,
     jobs: int = 1,
 ) -> SweepResult:
     """Run the design across a configuration grid with paired realizations.
 
-    Beampatterns are recorded at the listed SNR within 1e-9 of 10 dB when
-    there is one, else at the last SNR. An empty ``snrs``, ``rhos`` or
-    ``jcas_counts`` raises :class:`ConfigError`. ``jobs`` > 1 hands the
-    realizations to worker processes in contiguous blocks, at most one per
-    worker; the reduction order is fixed either way, so results are
-    reproducible.
+    Realization r uses seed ``base_cfg.seed + r``; pass ``replace(base_cfg,
+    seed=...)`` for other seeds. Beampatterns are recorded at the listed SNR
+    within 1e-9 of 10 dB when there is one, else at the last SNR. An empty
+    ``snrs``, ``rhos`` or ``jcas_counts`` raises :class:`ConfigError`.
+    ``jobs`` > 1 hands the realizations to worker processes in contiguous
+    blocks, at most one per worker; the reduction order is fixed either way,
+    so results are reproducible.
     """
     snrs = [float(s) for s in snrs]
     rhos = [float(r) for r in rhos]
@@ -186,8 +178,6 @@ def sweep(
         raise ConfigError("n_realizations must be at least 1")
     if jobs < 1:
         raise ConfigError("jobs must be at least 1")
-    if base_seed is None:
-        base_seed = base_cfg.seed
     grid = build_grid(base_cfg)
     pattern_snr = next((s for s in snrs if abs(s - 10.0) < 1e-9), snrs[-1])
 
@@ -195,14 +185,15 @@ def sweep(
         for n_jcas in jcas_counts:
             replace(base_cfg, rho=rho, n_jcas=n_jcas)
 
-    # Pass 1: find which subcarriers any run needs at each design power.
+    # Pass 1: find which subcarriers any run needs at each design power; the
+    # largest count's set holds every smaller count's.
+    seeds = range(base_cfg.seed, base_cfg.seed + n_realizations)
     needed = {}
-    for r in range(n_realizations):
-        _, stages = _realization_links(base_cfg, snrs, base_seed + r)
+    for seed in seeds:
+        _, stages = _realization_links(base_cfg, snrs, seed)
         for cfg, (_, rates) in stages:
             ks = needed.setdefault(cfg.effective_power, set())
-            for n_jcas in jcas_counts:
-                ks.update(int(k) for k in select_jcas_subcarriers(rates, n_jcas))
+            ks.update(select_jcas_subcarriers(rates, max(jcas_counts)).tolist())
 
     # Pass 2: solve each needed subcarrier once, finished at each power.
     covariances = solve_radar_covariances(
@@ -214,7 +205,6 @@ def sweep(
         _realization_metrics, base_cfg, tuple(snrs), tuple(rhos), tuple(jcas_counts),
         grid, covariances, pattern_snr,
     )
-    seeds = range(base_seed, base_seed + n_realizations)
     if jobs > 1:
         ctx = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=jobs, mp_context=ctx) as pool:
@@ -245,6 +235,4 @@ def sweep(
         angles=grid.angles,
         pattern_avg={key: mean(p[key][0] for p in patterns) for key in patterns[0]},
         pattern_member={key: mean(p[key][1] for p in patterns) for key in patterns[0]},
-        n_realizations=n_realizations,
-        base_seed=base_seed,
     )

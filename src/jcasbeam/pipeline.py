@@ -15,12 +15,13 @@ The flow per run:
    Rates are recomputed on the sensing subcarriers; elsewhere the precoder
    is the eigenmode one, so its eigen-stage rate is kept.
 
-Steps 2-5 read the eigen stage without writing to it, so the sweep runs one
-eigen stage per SNR and refines every (rho, J) design of that SNR from it.
-One helper runs steps 2-5 for any number of designs on one channel
-realization: :func:`run_design` hands it one design, the sweep every
-(SNR, rho, J) design of a realization, whose sensing subcarriers then share
-one RCG batch and one stacked relink.
+:func:`run_design` runs step 1 and, of step 3, only the covariances its
+caller did not supply. Steps 2, 4 and 5 then take complete inputs: an eigen
+stage, which they only read, and a covariance for every sensing subcarrier.
+So one helper runs them for any number of designs on one channel
+realization: ``run_design`` hands it one design, the sweep every (SNR, rho,
+J) design of a realization, refined from one eigen stage per SNR, whose
+sensing subcarriers then share one RCG batch and one stacked relink.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 from .beamgrid import BeamGrid, build_grid
 from .channel import generate_rayleigh
 from .config import SystemConfig
-from .covariance import CovarianceSolution, solve_radar_covariances
+from .covariance import CovarianceSolution, solve_radar_covariance
 from .manifold import solve_rcg_batch
 from .precoding import eigenmode_precoders, link_rates
 
@@ -92,11 +93,12 @@ def run_design(
     """Run the full design for one channel realization.
 
     ``channels`` (a (K, n_rx, n_tx) array, taken as complex), ``grid``, and
-    ``covariances`` may be supplied to reuse work across runs; covariances
-    missing for the sensing set are solved here in one batched call.
-    Provided covariances must have been solved at
-    ``cfg.effective_power`` on this grid. All sensing subcarriers are refined
-    in one batched RCG call, each exactly as if solved alone.
+    ``covariances`` may be supplied to reuse work across runs. Covariances
+    missing for the sensing set are solved here in one batched call and
+    added to a copy of ``covariances``; supplied ones are used as they are
+    and must have been solved at ``cfg.effective_power`` on this grid. All
+    sensing subcarriers are refined in one batched RCG call, each exactly as
+    if solved alone.
     """
     if grid is None:
         grid = build_grid(cfg)
@@ -108,34 +110,28 @@ def run_design(
             f"channel shape {channels.shape} does not match the "
             f"configured ({cfg.n_subcarriers}, {cfg.n_rx}, {cfg.n_tx})"
         )
-    return _refine(channels, grid, [(cfg, eigen_stage(cfg, channels), covariances or {})])[0]
+    eigen = eigen_stage(cfg, channels)
+    covariances = covariances or {}
+    missing = [k for k in select_jcas_subcarriers(eigen[1], cfg.n_jcas).tolist() if k not in covariances]
+    if missing:
+        covariances = {**covariances, **solve_radar_covariance(grid, cfg.effective_power, missing)}
+    return _refine(channels, grid, [(cfg, eigen, covariances)])[0]
 
 
 def _refine(channels, grid, designs) -> list[DesignResult]:
-    """Steps 2-5 of every design in ``designs``, all on the channel realization ``channels``.
+    """Steps 2, 4 and 5 of every design in ``designs``, all on the channel realization ``channels``.
 
     Each design is ``(cfg, eigen, covariances)``: its config, the
     :func:`eigen_stage` of ``cfg`` on ``channels``, and covariances solved at
-    ``cfg.effective_power``. ``eigen`` is only read, so one eigen stage can
-    serve every design at its power. Covariances missing for a design are
-    solved here, all of them in one batched call. The sensing subcarriers of
-    every design are then refined in one RCG batch, each at its design's rho
-    and power, and relinked in one stacked call, so each design comes out bit
-    for bit as if run alone. Returns one :class:`DesignResult` per design, in
-    order.
+    ``cfg.effective_power`` that cover the design's sensing set (a missing
+    one raises ``KeyError``). ``eigen`` is only read, so one eigen stage can
+    serve every design at its power. The sensing subcarriers of every design
+    are refined in one RCG batch, each at its design's rho and power, and
+    relinked in one stacked call, so each design comes out bit for bit as if
+    run alone. Returns one :class:`DesignResult` per design, in order.
     """
     jcas = [select_jcas_subcarriers(eigen[1], cfg.n_jcas) for cfg, eigen, _ in designs]
-
-    requests = {}
-    for (cfg, _, covs), ks in zip(designs, jcas):
-        missing = [k for k in ks.tolist() if k not in covs]
-        if missing:
-            requests.setdefault(cfg.effective_power, []).extend(missing)
-    solved = solve_radar_covariances(grid, requests) if requests else {}
-    covariances = [
-        {k: covs[k] if k in covs else solved[cfg.effective_power][k] for k in ks.tolist()}
-        for (cfg, _, covs), ks in zip(designs, jcas)
-    ]
+    covariances = [{k: covs[k] for k in ks.tolist()} for (_, _, covs), ks in zip(designs, jcas)]
 
     # the sensing carriers of every design, stacked in design order, each with its design's settings
     counts = [len(ks) for ks in jcas]

@@ -293,7 +293,7 @@ def test_tradeoff_trends():
     if failures:
         retried = True
         failures = _trend_failures(
-            sweep(cfg, base_seed=cfg.seed + 1000, **kwargs).points
+            sweep(replace(cfg, seed=cfg.seed + 1000), **kwargs).points
         )
     _verdict(
         "trends",

@@ -72,12 +72,9 @@ def test_build_grid_shapes_and_consistency():
     assert grid.angles.shape == (41,)
     assert grid.frequencies.shape == (6,)
     assert grid.desired_gain.shape == (41,)
-    # a sampled entry matches a direct steering_vector call
-    np.testing.assert_allclose(
-        grid.steering[3, 7],
-        steering_vector(grid.angles[7], grid.frequencies[3], 4, cfg.spacing),
-        atol=1e-14,
-    )
+    # every carrier's steering matrix equals a direct one-frequency call, bit for bit
+    for k, freq in enumerate(grid.frequencies):
+        np.testing.assert_array_equal(grid.steering[k], steering_vector(grid.angles, freq, 4, cfg.spacing))
     assert len(grid.angles) == 41 and grid.n_subcarriers == 6
 
 

@@ -126,9 +126,16 @@ def test_oversized_sensing_count_exits_2(tmp_path, capsys):
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):
-    code = main(["design", "--config", str(tmp_path / "absent.ini")])
-    assert code == 2
-    assert "absent.ini" in capsys.readouterr().err
+    # an absent file, and one that is not UTF-8 text: a config error naming
+    # the file, no traceback, no output directory
+    (tmp_path / "binary.ini").write_bytes(b"\xff\xfe\x00bad")
+    out = tmp_path / "never"
+    for name in ("absent.ini", "binary.ini"):
+        for command in ("design", "sweep"):
+            code = main([command, "--config", str(tmp_path / name), "--out-dir", str(out)])
+            assert code == 2
+            assert name in capsys.readouterr().err
+            assert not out.exists()
 
 
 @pytest.mark.parametrize("key", ["power_budget", "base_freq"])

@@ -152,6 +152,13 @@ def test_load_config_missing_file(tmp_path):
         load_config(tmp_path / "nope.ini")
 
 
+def test_load_config_rejects_non_utf8_text(tmp_path):
+    cfg_path = tmp_path / "binary.ini"
+    cfg_path.write_bytes(b"\xff\xfe\x00bad")
+    with pytest.raises(ConfigError, match="binary.ini is not utf-8 text"):
+        load_config(cfg_path)
+
+
 def test_load_config_unknown_section(tmp_path):
     cfg_path = tmp_path / "run.ini"
     write_config(SystemConfig(), cfg_path)

@@ -127,8 +127,6 @@ def test_sweep_pattern_bookkeeping(small_sweep):
     assert res.pattern_snr == 10.0
     assert set(res.pattern_avg) == {(0.5, 2), (0.5, 6)}
     assert res.pattern_avg[(0.5, 2)].shape == (cfg.grid_size,)
-    assert res.n_realizations == 3
-    assert res.base_seed == cfg.seed
 
 
 # recorded before the sweep refined every (rho, J) design of an SNR from one eigen
@@ -180,8 +178,7 @@ def test_sweep_seeding_contract(small_cfg):
     # Doubling the realization count reuses the first half's draws.
     one = sweep(small_cfg, [5.0], [0.5], [2], n_realizations=1)
     two = sweep(small_cfg, [5.0], [0.5], [2], n_realizations=2)
-    shifted = sweep(small_cfg, [5.0], [0.5], [2], n_realizations=1,
-                    base_seed=small_cfg.seed + 1)
+    shifted = sweep(replace(small_cfg, seed=small_cfg.seed + 1), [5.0], [0.5], [2], n_realizations=1)
     a = one.points[0].avg_rate
     b = shifted.points[0].avg_rate
     assert two.points[0].avg_rate == pytest.approx((a + b) / 2, rel=1e-12)
@@ -252,7 +249,7 @@ def test_sweep_ships_one_function_in_one_chunk_per_worker(small_cfg, monkeypatch
     assert_same_sweep(pooled, sweep(*args))
 
 
-def test_pass3_designs_equal_run_design_bit_for_bit(small_cfg):
+def test_pass3_designs_equal_run_design_bit_for_bit(small_cfg, monkeypatch):
     # pass 3 refines every (SNR, rho, J) design of a realization in one RCG
     # batch: designs without sensing (J=0), with every carrier sensing (J=K),
     # and at rho 0 and 1 must each equal run_design on the same inputs
@@ -260,12 +257,47 @@ def test_pass3_designs_equal_run_design_bit_for_bit(small_cfg):
     grid = build_grid(small_cfg)
     powers = [replace(small_cfg, power_budget=small_cfg.snr_power(snr)).effective_power for snr in snrs]
     covariances = solve_radar_covariances(grid, {power: range(small_cfg.n_subcarriers) for power in powers})
-    designs = evaluation._realization_designs(small_cfg, snrs, rhos, jcas_counts, grid, covariances, seed)
-    assert [d[:3] for d in designs] == [(s, r, j) for s in snrs for r in rhos for j in jcas_counts]
+    calls = []
+
+    def spy(*args):
+        calls.append(pipeline._refine(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(evaluation, "_refine", spy)
+    evaluation._realization_metrics(small_cfg, snrs, rhos, jcas_counts, grid, covariances, 10.0, seed)
+    [designs] = calls
+    keys = [(s, r, j) for s in snrs for r in rhos for j in jcas_counts]
+    assert len(designs) == len(keys)
     channels = generate_rayleigh(small_cfg.n_subcarriers, small_cfg.n_rx, small_cfg.n_tx, seed)
-    for (snr, rho, n_jcas, got), power in zip(designs, np.repeat(powers, len(rhos) * len(jcas_counts))):
+    for (snr, rho, n_jcas), got, power in zip(keys, designs, np.repeat(powers, len(rhos) * len(jcas_counts))):
         cfg = replace(small_cfg, power_budget=small_cfg.snr_power(snr), rho=rho, n_jcas=n_jcas, seed=seed)
         assert_same_design(got, run_design(cfg, channels=channels, grid=grid, covariances=covariances[power]))
+
+
+def test_pass1_solves_once_for_the_largest_counts_sets(small_cfg, monkeypatch):
+    # pass 1 selects at the largest count only: the one covariance solve asks,
+    # at each power, for the union of that count's sets over the realizations
+    base = replace(small_cfg, n_subcarriers=12)
+    snrs, jcas_counts, n_realizations = [0.0, 10.0], [1, 2, 6], 2
+    requests = []
+
+    def spy(grid, request):
+        requests.append({power: list(ks) for power, ks in request.items()})
+        return solve_radar_covariances(grid, request)
+
+    monkeypatch.setattr(evaluation, "solve_radar_covariances", spy)
+    sweep(base, snrs, [0.5], jcas_counts, n_realizations=n_realizations)
+    [request] = requests
+    want = {}
+    for seed in range(base.seed, base.seed + n_realizations):
+        channels = generate_rayleigh(base.n_subcarriers, base.n_rx, base.n_tx, seed)
+        for snr in snrs:
+            cfg = replace(base, power_budget=base.snr_power(snr))
+            rates = pipeline.eigen_stage(cfg, channels)[1]
+            want.setdefault(cfg.effective_power, set()).update(
+                pipeline.select_jcas_subcarriers(rates, max(jcas_counts)).tolist()
+            )
+    assert request == {power: sorted(ks) for power, ks in sorted(want.items())}
 
 
 def test_sweep_without_sensing_makes_no_rcg_call(small_cfg, monkeypatch):

@@ -39,6 +39,21 @@ def test_selection_tie_breaks_to_lower_index():
     np.testing.assert_array_equal(picked, [0])
 
 
+@pytest.mark.parametrize("rates", [
+    [3.0, 1.0, 2.0, 0.5, 4.0],
+    [1.0, 1.0, 1.0, 1.0, 1.0],
+    [2.0, 1.0, 2.0, 1.0, 2.0, 0.0],
+    [0.0, 0.0, 5.0, 0.0, 5.0, 5.0, 0.0],
+])
+def test_smaller_counts_select_subsets_of_larger_ones(rates):
+    # sweep pass 1 selects at the largest count alone: every smaller count's
+    # set must lie inside it, tied rates included, where the stable sort decides
+    for big in range(len(rates) + 1):
+        larger = set(select_jcas_subcarriers(rates, big).tolist())
+        for small in range(big + 1):
+            assert set(select_jcas_subcarriers(rates, small).tolist()) <= larger
+
+
 def test_selection_sorted_and_sized():
     rates = np.array([5.0, 1.0, 4.0, 0.5, 3.0])
     picked = select_jcas_subcarriers(rates, 3)
@@ -155,6 +170,28 @@ def test_run_design_accepts_precomputed_covariances(small_cfg):
     np.testing.assert_allclose(res.precoders, ref.precoders, atol=1e-12)
     extra_key = int(ref.jcas_subcarriers[0])
     assert res.covariances[extra_key].iterations == covs[extra_key].iterations
+
+
+def test_run_design_solves_only_the_missing_covariances(small_cfg, monkeypatch):
+    # half the sensing set supplied: one solve, on exactly the other half; the
+    # supplied solutions are used as they are, and the design equals a fresh run
+    cfg = replace(small_cfg, n_jcas=4)
+    grid = build_grid(cfg)
+    fresh = run_design(cfg, grid=grid)
+    jcas = fresh.jcas_subcarriers.tolist()
+    supplied = {k: fresh.covariances[k] for k in jcas[::2]}
+    calls = []
+
+    def spy(grid, power, subcarriers):
+        calls.append((power, list(subcarriers)))
+        return solve_radar_covariance(grid, power, subcarriers)
+
+    monkeypatch.setattr(pipeline, "solve_radar_covariance", spy)
+    res = run_design(cfg, grid=grid, covariances=supplied)
+    assert calls == [(cfg.effective_power, jcas[1::2])]
+    assert all(res.covariances[k] is sol for k, sol in supplied.items())
+    assert list(supplied) == jcas[::2]  # the caller's dict is not filled in
+    assert_same_design(res, fresh)
 
 
 def test_run_design_reuses_supplied_channels(small_cfg):
@@ -315,10 +352,11 @@ def test_run_design_on_rank_deficient_channels():
 
 
 def test_designs_sharing_one_eigen_stage_equal_fresh_runs(small_cfg):
-    # the sweep refines every (rho, J) design of an SNR from one eigen stage, all
-    # of them in one call; each design must equal a fresh run and leave the
-    # shared stage as it was
+    # the sweep refines every (rho, J) design of an SNR from one eigen stage and
+    # one set of solved covariances, all of them in one call; each design must
+    # equal a fresh run and leave the shared stage as it was
     grid = build_grid(small_cfg)
+    covs = solve_radar_covariance(grid, small_cfg.effective_power)
     channels = generate_rayleigh(
         small_cfg.n_subcarriers, small_cfg.n_rx, small_cfg.n_tx, small_cfg.seed
     )
@@ -326,12 +364,14 @@ def test_designs_sharing_one_eigen_stage_equal_fresh_runs(small_cfg):
     before = [a.copy() for a in eigen]
     settings = [(0.75, 3), (0.25, 1), (1.0, 6), (0.5, 2)]
     cfgs = [replace(small_cfg, rho=rho, n_jcas=n_jcas) for rho, n_jcas in settings]
-    shared = pipeline._refine(channels, grid, [(cfg, eigen, {}) for cfg in cfgs])
+    shared = pipeline._refine(channels, grid, [(cfg, eigen, covs) for cfg in cfgs])
     assert len(shared) == len(cfgs)
     for cfg, got in zip(cfgs, shared):
         assert_same_design(got, run_design(cfg, channels=channels, grid=grid))
     for a, b in zip(eigen, before):
         np.testing.assert_array_equal(a, b)
+    with pytest.raises(KeyError):  # refinement solves nothing: a missing covariance is the caller's bug
+        pipeline._refine(channels, grid, [(cfgs[0], eigen, {})])
 
 
 @st.composite

@@ -1,0 +1,59 @@
+"""Print SHA-256 digests of the package's outputs as JSON, to check that a change is bit-identical:
+run ``python tools/output_digests.py > digests.json`` in two checkouts and ``diff``
+the files; each run imports ``jcasbeam`` from its own checkout's ``src/``. Covered: the
+sweep files at the ``sweep-snr`` benchmark settings and of a seed-7 sweep at ``--jobs``
+1 and 2, the ``link`` workload's 16 covariances and 18 designs, and the default design.
+"""
+
+import contextlib, hashlib, io, json, sys, tempfile  # noqa: E401
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+import jcasbeam as jb  # noqa: E402
+from jcasbeam.cli import main as cli  # noqa: E402
+
+SEED7 = "--snr 10 --rho 0.5 --jcas 2 16 --realizations 3 --seed 7 --jobs"
+SWEEPS = {"sweep-snr": "--snr 0 5 10 --rho 0.25 0.5 0.75 --jcas 4 --realizations 1 --seed 0",
+          "seed7-jobs1": f"{SEED7} 1", "seed7-jobs2": f"{SEED7} 2"}
+SWEEP_FILES = ("rates.csv", "beampattern_avg.csv", "beampattern_member.csv", "sweep_manifest.json")
+DESIGN_ARRAYS = ("channels", "eigen_precoders", "eigen_rates", "jcas_subcarriers", "precoders", "rates")
+
+
+def digest(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(np.ascontiguousarray(part).tobytes() if isinstance(part, np.ndarray) else repr(part).encode())
+    return h.hexdigest()
+
+
+def design_digests(res) -> dict:
+    out = {name: digest(getattr(res, name)) for name in DESIGN_ARRAYS}
+    out["covariances"] = {k: digest(*vars(sol).values()) for k, sol in res.covariances.items()}
+    out["refinements"] = {k: digest(*vars(r).values()) for k, r in res.refinements.items()}
+    out["mse"] = digest(jb.beampattern_mse(res.precoders, res.jcas_subcarriers, res.grid))
+    return out
+
+
+def main():
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        for name, flags in SWEEPS.items():
+            assert cli(["sweep", *flags.split(), "--out-dir", f"{tmp}/{name}"]) == 0
+            out[name] = {f: hashlib.sha256(Path(tmp, name, f).read_bytes()).hexdigest() for f in SWEEP_FILES}
+    cfg = jb.SystemConfig(n_subcarriers=16)
+    grid = jb.build_grid(cfg)
+    covs = jb.solve_radar_covariance(grid, cfg.effective_power)
+    out["link-covariances"] = {k: digest(*vars(sol).values()) for k, sol in covs.items()}
+    for seed, rho, n_jcas in [(s, r, j) for s in range(3) for r in (0.25, 0.5, 0.75) for j in (4, 16)]:
+        channels = jb.generate_rayleigh(cfg.n_subcarriers, cfg.n_rx, cfg.n_tx, seed)
+        res = jb.run_design(replace(cfg, rho=rho, n_jcas=n_jcas, seed=seed), channels, grid, covs)
+        out[f"link-seed{seed}-rho{rho}-J{n_jcas}"] = design_digests(res)
+    out["design-seed0"] = design_digests(jb.run_design(jb.SystemConfig()))
+    print(json.dumps(out, indent=1, sort_keys=True))
+
+
+if __name__ == "__main__":
+    main()
