@@ -21,7 +21,6 @@ from .errors import ConfigError, DegenerateChannelError, SolverError
 from .evaluation import SweepPoint, SweepResult, average_jcas_pattern, beampattern_mse, sweep
 from .manifold import RcgResult, solve_rcg_batch
 from .pipeline import DesignResult, build_run_manifest, run_design
-from .selfcheck import run_selfcheck
 from .tables import write_table
 
 __version__ = "0.1.0"
@@ -44,7 +43,6 @@ __all__ = [
     "generate_rayleigh",
     "load_config",
     "run_design",
-    "run_selfcheck",
     "solve_radar_covariance",
     "solve_radar_covariances",
     "solve_rcg_batch",

@@ -1,4 +1,4 @@
-"""Command line interface: one-shot designs, experiment sweeps, self-diagnostics.
+"""Command line interface: one-shot designs and experiment sweeps.
 
 Exit codes: 0 on success, 2 for configuration problems (including bad flags
 and an output directory that cannot be created), 3 when a numerical solver
@@ -19,7 +19,6 @@ from .config import SystemConfig, load_config
 from .errors import ConfigError, DegenerateChannelError, SolverError
 from .evaluation import average_jcas_pattern, beampattern_mse, sweep
 from .pipeline import build_run_manifest, run_design
-from .selfcheck import run_selfcheck
 from .tables import write_table
 
 OUT_DIR_ENV = "JCASBEAM_OUT_DIR"
@@ -162,17 +161,6 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_selfcheck(args) -> int:
-    ok, checks = run_selfcheck(seed=args.seed if args.seed is not None else 0)
-    for name, passed, detail in checks:
-        print(f"{'ok  ' if passed else 'FAIL'} {name}: {detail}")
-    if not ok:
-        print("selfcheck failed", file=sys.stderr)
-        return 3
-    print("all checks passed")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jcasbeam",
@@ -199,10 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--realizations", type=int, default=100, help="channel realizations per point (default 100)")
     s.add_argument("--jobs", type=int, default=1, help="worker processes for realizations")
     s.set_defaults(func=cmd_sweep)
-
-    c = sub.add_parser("selfcheck", help="run quick numerical self-diagnostics")
-    c.add_argument("--seed", type=int, help="seed for the random check instances")
-    c.set_defaults(func=cmd_selfcheck)
 
     return parser
 

@@ -12,21 +12,19 @@ and the comparisons are matched. It runs in three passes:
    once normalized by the design power, so each needed subcarrier is solved
    once for every SNR, in one batched call, and finished at each design
    power that needs it.
-3. Per realization and SNR, one eigen stage again, from which every
-   (rho, J) design of that SNR is refined with pass 2's covariances at its
-   power, which cover its sensing set. Recomputing the eigen stage rather
-   than keeping pass 1's keeps memory flat in the realization count. The
-   sensing subcarriers of every (SNR, rho, J) design of a realization run
-   in one RCG batch, each at its design's rho and power, and are relinked
-   in one stacked call; a realization's designs are held together until
-   its metrics are taken, so memory grows with the designs per
-   realization, not with the realizations. One worker function, bound to
-   the inputs every realization shares (the grid and every covariance
-   solution of the sweep, about 1.7 MB pickled for the default sweep:
-   3 SNRs, all 64 subcarriers, 1.5 MB of it the grid), is mapped over the
-   seeds. Under ``jobs`` > 1 the seeds go out in at most ``jobs``
-   contiguous blocks, so the shared inputs are pickled once per block, not
-   once per realization.
+3. Per realization and SNR, one eigen stage again, whose carriers are
+   ranked once by rate. Recomputing the eigen stage rather than keeping
+   pass 1's keeps memory flat in the realization count. A carrier's
+   refinement depends on its SNR and rho, never on the sensing count, so
+   the first max(J) ranks are refined once at every (SNR, rho), all of a
+   realization's in one RCG batch, one stacked relink and one pattern
+   stack; every (SNR, rho, J) point reads its first J ranks off them. One
+   worker function, bound to the inputs every realization shares (the grid
+   and every covariance solution of the sweep, about 1.7 MB pickled for the
+   default sweep: 3 SNRs, all 64 subcarriers, 1.5 MB of it the grid), is
+   mapped over the seeds. Under ``jobs`` > 1 the seeds go out in at most
+   ``jobs`` contiguous blocks, so the shared inputs are pickled once per
+   block, not once per realization.
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ from .config import SystemConfig
 from .covariance import beampattern_values as beampattern_gain
 from .covariance import solve_radar_covariances
 from .errors import ConfigError
-from .pipeline import DesignResult, _refine, eigen_stage, select_jcas_subcarriers
+from .pipeline import DesignResult, eigen_stage, refine_carriers, select_jcas_subcarriers
 
 
 def precoder_pattern(f: np.ndarray, steering: np.ndarray) -> np.ndarray:
@@ -69,22 +67,17 @@ def beampattern_mse(precoders: np.ndarray, jcas_subcarriers, grid: BeamGrid) -> 
     Averages |desired - a^H F F^H a|^2 over all grid angles and all
     subcarriers in the sensing set; nan when the set is empty.
     """
-    if len(jcas_subcarriers) == 0:
-        return float("nan")
-    errs = np.abs(grid.desired_gain - _jcas_patterns(precoders, jcas_subcarriers, grid)) ** 2
-    return float(np.mean(errs))
+    return _mask_mse(_jcas_patterns(precoders, jcas_subcarriers, grid), grid)
+
+
+def _mask_mse(patterns: np.ndarray, grid: BeamGrid) -> float:
+    """Mean of |desired - pattern|^2 over a (J, T) pattern stack; nan when J = 0."""
+    return float(np.mean(np.abs(grid.desired_gain - patterns) ** 2)) if len(patterns) else float("nan")
 
 
 def average_jcas_pattern(result: DesignResult) -> np.ndarray:
     """Beampattern averaged over the sensing subcarriers of one design run."""
     return np.mean(_jcas_patterns(result.precoders, result.jcas_subcarriers, result.grid), axis=0)
-
-
-def median_member_pattern(result: DesignResult) -> np.ndarray:
-    """Beampattern of the median-index sensing subcarrier (ascending order)."""
-    jcas = result.jcas_subcarriers
-    k = int(jcas[(len(jcas) - 1) // 2])
-    return precoder_pattern(result.precoders[k], result.grid.steering[k])
 
 
 @dataclass(frozen=True)
@@ -109,45 +102,58 @@ class SweepResult:
 
 
 def _realization_links(base: SystemConfig, snrs, seed: int):
-    """Channels of realization ``seed``, and per SNR its design config and eigen stage.
+    """Channels of realization ``seed``, and per SNR its config and eigen stage.
 
-    The configs carry the SNR's power budget and ``seed``; their rho and
-    sensing count are the base's.
+    The configs are the base's with the SNR's power budget and ``seed``.
     """
     channels = generate_rayleigh(base.n_subcarriers, base.n_rx, base.n_tx, seed)
-    stages = []
-    for snr in snrs:
-        cfg = replace(base, power_budget=base.snr_power(snr), seed=seed)
-        stages.append((cfg, eigen_stage(cfg, channels)))
-    return channels, stages
+    cfgs = [replace(base, power_budget=base.snr_power(snr), seed=seed) for snr in snrs]
+    return channels, [(cfg, eigen_stage(cfg, channels)) for cfg in cfgs]
 
 
 def _realization_metrics(base, snrs, rhos, jcas_counts, grid, covariances, pattern_snr, seed):
     """Metrics for every configuration on the channel realization of ``seed``.
 
-    Every (SNR, rho, J) design of the realization is refined in one call.
+    Per SNR the carriers are ranked once, by the stable sort whose prefix
+    :func:`select_jcas_subcarriers` takes, and the first max(J) ranks are
+    refined at every rho, all of them in one :func:`refine_carriers` call and
+    one pattern stack. A point (SNR, rho, J) reads its first J ranks, with its
+    pattern rows in ascending subcarrier order as a design's are, so each
+    mean adds the same values in the same order as :func:`run_design`'s.
     Module-level so worker processes can import it. Returns
     ({(snr, rho, J): (avg_rate, mse)}, {(rho, J): (avg_pattern, member_pattern)}).
     """
     channels, stages = _realization_links(base, snrs, seed)
-    keys, designs = [], []
-    for snr, (snr_cfg, eigen) in zip(snrs, stages):
-        covs = covariances[snr_cfg.effective_power]
-        for rho in rhos:
-            for n_jcas in jcas_counts:
-                keys.append((snr, rho, n_jcas))
-                designs.append((replace(snr_cfg, rho=rho, n_jcas=n_jcas), eigen, covs))
+    shape = (len(snrs), len(rhos), max(jcas_counts))
+    ranked = [np.argsort(rates, kind="stable")[:shape[2]] for _, (_, rates) in stages]
+    # the refined carriers, SNR-major, then rho, then rank
+    snr_of = np.repeat(np.arange(shape[0]), shape[1] * shape[2])
+    ks = np.concatenate([top for top in ranked for _ in rhos])
+    powers = [cfg.effective_power for cfg, _ in stages]
+    _, precoders, rates = refine_carriers(
+        channels[ks],
+        np.stack([eigen[0] for _, eigen in stages])[snr_of, ks],
+        [covariances[powers[s]][k].matrix for s, k in zip(snr_of.tolist(), ks.tolist())],
+        np.tile(np.repeat(rhos, shape[2]), shape[0]),
+        np.array(powers)[snr_of],
+        np.array([1.0 / cfg.effective_noise for cfg, _ in stages])[snr_of],
+    )
+    rates = rates.reshape(shape)
+    patterns = precoder_pattern(precoders, grid.steering[ks]).reshape(*shape, len(grid.angles))
+
     point_metrics = {}
-    patterns = {}
-    for (snr, rho, n_jcas), result in zip(keys, _refine(channels, grid, designs)):
-        mse = beampattern_mse(result.precoders, result.jcas_subcarriers, grid)
-        point_metrics[(snr, rho, n_jcas)] = (result.avg_rate, mse)
-        if snr == pattern_snr and n_jcas > 0:
-            patterns[(rho, n_jcas)] = (
-                average_jcas_pattern(result),
-                median_member_pattern(result),
-            )
-    return point_metrics, patterns
+    pattern_means = {}
+    for s, (snr, (_, (_, eigen_rates)), order) in enumerate(zip(snrs, stages, ranked)):
+        for r, rho in enumerate(rhos):
+            for n_jcas in jcas_counts:
+                top = order[:n_jcas]
+                link = eigen_rates.copy()
+                link[top] = rates[s, r, :n_jcas]
+                rows = patterns[s, r, np.argsort(top)]
+                point_metrics[(snr, rho, n_jcas)] = (float(np.mean(link)), _mask_mse(rows, grid))
+                if snr == pattern_snr and n_jcas:
+                    pattern_means[(rho, n_jcas)] = (np.mean(rows, axis=0), rows[(n_jcas - 1) // 2])
+    return point_metrics, pattern_means
 
 
 def sweep(

@@ -15,13 +15,13 @@ The flow per run:
    Rates are recomputed on the sensing subcarriers; elsewhere the precoder
    is the eigenmode one, so its eigen-stage rate is kept.
 
-:func:`run_design` runs step 1 and, of step 3, only the covariances its
-caller did not supply. Steps 2, 4 and 5 then take complete inputs: an eigen
-stage, which they only read, and a covariance for every sensing subcarrier.
-So one helper runs them for any number of designs on one channel
-realization: ``run_design`` hands it one design, the sweep every (SNR, rho,
-J) design of a realization, refined from one eigen stage per SNR, whose
-sensing subcarriers then share one RCG batch and one stacked relink.
+A sensing subcarrier's refinement and relinked rate depend only on its own
+channel, eigenmode precoder and covariance, and on rho and the power, never
+on the sensing count. So steps 4 and 5 are one per-carrier routine,
+:func:`refine_carriers`, shared by :func:`run_design`, which hands it its
+sensing set, and by the sweep, which hands it the lowest-rate carriers of
+every (SNR, rho) of a realization at once and reads every sensing count off
+them.
 """
 
 from __future__ import annotations
@@ -43,9 +43,7 @@ def select_jcas_subcarriers(rates, n_jcas: int) -> np.ndarray:
 
     Ties go to the lower subcarrier index (stable sort).
     """
-    rates = np.asarray(rates)
-    picked = np.argsort(rates, kind="stable")[:n_jcas]
-    return np.sort(picked)
+    return np.sort(np.argsort(rates, kind="stable")[:n_jcas])
 
 
 def eigen_stage(cfg: SystemConfig, channels: np.ndarray):
@@ -110,70 +108,53 @@ def run_design(
             f"channel shape {channels.shape} does not match the "
             f"configured ({cfg.n_subcarriers}, {cfg.n_rx}, {cfg.n_tx})"
         )
-    eigen = eigen_stage(cfg, channels)
+    eigen_precoders, eigen_rates = eigen_stage(cfg, channels)
+    jcas = select_jcas_subcarriers(eigen_rates, cfg.n_jcas)
     covariances = covariances or {}
-    missing = [k for k in select_jcas_subcarriers(eigen[1], cfg.n_jcas).tolist() if k not in covariances]
+    missing = [k for k in jcas.tolist() if k not in covariances]
     if missing:
         covariances = {**covariances, **solve_radar_covariance(grid, cfg.effective_power, missing)}
-    return _refine(channels, grid, [(cfg, eigen, covariances)])[0]
+    covariances = {k: covariances[k] for k in jcas.tolist()}
+    cov = [sol.matrix for sol in covariances.values()]
+    refined, f_new, new_rates = refine_carriers(
+        channels[jcas], eigen_precoders[jcas], cov, cfg.rho, cfg.effective_power, 1.0 / cfg.effective_noise
+    )
+    precoders = eigen_precoders.copy()
+    precoders[jcas] = f_new
+    # off the sensing set the precoder is the eigenmode one: its rate stands
+    rates = eigen_rates.copy()
+    rates[jcas] = new_rates
+    return DesignResult(
+        config=cfg,
+        channels=channels,
+        grid=grid,
+        eigen_precoders=eigen_precoders,
+        eigen_rates=eigen_rates,
+        jcas_subcarriers=jcas,
+        covariances=covariances,
+        refinements=dict(zip(jcas.tolist(), refined)),
+        precoders=precoders,
+        rates=rates,
+    )
 
 
-def _refine(channels, grid, designs) -> list[DesignResult]:
-    """Steps 2, 4 and 5 of every design in ``designs``, all on the channel realization ``channels``.
+def refine_carriers(channels, f_hat, cov, rho, power, prefactor):
+    """Refine a stack of sensing carriers and relink them: steps 4 and 5 per carrier.
 
-    Each design is ``(cfg, eigen, covariances)``: its config, the
-    :func:`eigen_stage` of ``cfg`` on ``channels``, and covariances solved at
-    ``cfg.effective_power`` that cover the design's sensing set (a missing
-    one raises ``KeyError``). ``eigen`` is only read, so one eigen stage can
-    serve every design at its power. The sensing subcarriers of every design
-    are refined in one RCG batch, each at its design's rho and power, and
-    relinked in one stacked call, so each design comes out bit for bit as if
-    run alone. Returns one :class:`DesignResult` per design, in order.
+    ``channels`` (B, n_rx, n_tx), ``f_hat`` (B, n_tx, n_streams) the eigenmode
+    precoders and ``cov`` the B covariance matrices (n_tx, n_tx), one per
+    carrier; ``rho``, ``power`` and ``prefactor`` are each a float shared by
+    every carrier or a (B,) array. A carrier's refinement reads only its own
+    row, so it comes out bit for bit as if refined alone, whatever the stack.
+    One RCG batch (none for an empty stack) and one stacked relink. Returns
+    (list of :class:`RcgResult`, refined precoders (B, n_tx, n_streams),
+    rates (B,)).
     """
-    jcas = [select_jcas_subcarriers(eigen[1], cfg.n_jcas) for cfg, eigen, _ in designs]
-    covariances = [{k: covs[k] for k in ks.tolist()} for (_, _, covs), ks in zip(designs, jcas)]
-
-    # the sensing carriers of every design, stacked in design order, each with its design's settings
-    counts = [len(ks) for ks in jcas]
-    f_hat = np.concatenate([eigen[0][ks] for (_, eigen, _), ks in zip(designs, jcas)])
-    settings = [(cfg.rho, cfg.effective_power, 1.0 / cfg.effective_noise) for cfg, _, _ in designs]
-    rho, power, prefactor = np.repeat(np.array(settings), counts, axis=0).T
-
     refined = []
     if len(f_hat):
-        refined = solve_rcg_batch(
-            f0=f_hat,
-            cov=np.stack([sol.matrix for covs in covariances for sol in covs.values()]),
-            f_comm=f_hat,
-            rho=rho,
-            power=power,
-        )
-    f_new = np.array([res.precoder for res in refined]).reshape(f_hat.shape)
-    new_rates = link_rates(channels[np.concatenate(jcas)], f_new, prefactor)
-
-    results = []
-    ends = np.cumsum(counts).tolist()
-    for (cfg, eigen, _), ks, covs, end, n in zip(designs, jcas, covariances, ends, counts):
-        eigen_precoders, eigen_rates = eigen
-        own = slice(end - n, end)
-        precoders = eigen_precoders.copy()
-        precoders[ks] = f_new[own]
-        # off the sensing set the precoder is the eigenmode one: its rate stands
-        rates = eigen_rates.copy()
-        rates[ks] = new_rates[own]
-        results.append(DesignResult(
-            config=cfg,
-            channels=channels,
-            grid=grid,
-            eigen_precoders=eigen_precoders,
-            eigen_rates=eigen_rates,
-            jcas_subcarriers=ks,
-            covariances=covs,
-            refinements=dict(zip(ks.tolist(), refined[own])),
-            precoders=precoders,
-            rates=rates,
-        ))
-    return results
+        refined = solve_rcg_batch(f0=f_hat, cov=np.stack(cov), f_comm=f_hat, rho=rho, power=power)
+    precoders = np.array([res.precoder for res in refined]).reshape(f_hat.shape)
+    return refined, precoders, link_rates(channels, precoders, prefactor)
 
 
 def build_run_manifest(result: DesignResult) -> dict:

@@ -26,7 +26,6 @@ PUBLIC_API = [
     "generate_rayleigh",
     "load_config",
     "run_design",
-    "run_selfcheck",
     "solve_radar_covariance",
     "solve_radar_covariances",
     "solve_rcg_batch",

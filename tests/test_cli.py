@@ -8,13 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from jcasbeam import covariance, selfcheck
+from jcasbeam import covariance
 from jcasbeam.channel import generate_rayleigh
 from jcasbeam.cli import build_parser, main
 from jcasbeam.config import SystemConfig, write_config
 from jcasbeam.errors import SolverError
 from jcasbeam.pipeline import eigen_stage, select_jcas_subcarriers
-from jcasbeam.selfcheck import run_selfcheck
 from jcasbeam.tables import parse_table
 
 from conftest import SMALL
@@ -379,19 +378,3 @@ def test_sweep_repeat_is_byte_identical(small_config_file, tmp_path):
     assert _run_small_sweep(small_config_file, out2) == 0
     for name in ("rates.csv", "beampattern_avg.csv", "beampattern_member.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-
-
-def test_selfcheck_command(capsys):
-    assert main(["selfcheck"]) == 0
-    out = capsys.readouterr().out
-    assert "all checks passed" in out
-    assert "FAIL" not in out
-
-
-def test_selfcheck_detects_wrong_gradient(monkeypatch):
-    # The diagnostic must catch a corrupted derivative, not just always pass.
-    monkeypatch.setattr(selfcheck, "tradeoff_gradient", lambda f, cov, f_comm, rho: 2.0 * f)
-    ok, checks = run_selfcheck(seed=0)
-    assert not ok
-    failed = {name for name, passed, _ in checks if not passed}
-    assert "gradient-derivative" in failed

@@ -11,10 +11,10 @@ from jcasbeam.beamgrid import build_grid
 from jcasbeam.channel import generate_rayleigh
 from jcasbeam.covariance import solve_radar_covariances
 from jcasbeam.errors import ConfigError
+from jcasbeam.manifold import solve_rcg_batch
 from jcasbeam.evaluation import (
     average_jcas_pattern,
     beampattern_mse,
-    median_member_pattern,
     precoder_pattern,
     sweep,
 )
@@ -89,19 +89,12 @@ def test_mse_empty_sensing_set_is_nan(small_cfg):
 def test_pattern_summaries(small_cfg):
     res = run_design(small_cfg)
     avg = average_jcas_pattern(res)
-    member = median_member_pattern(res)
     assert avg.shape == (small_cfg.grid_size,)
-    assert member.shape == (small_cfg.grid_size,)
     pats = [
         precoder_pattern(res.precoders[int(k)], res.grid.steering[int(k)])
         for k in res.jcas_subcarriers
     ]
     np.testing.assert_allclose(avg, np.mean(pats, axis=0), atol=1e-12)
-    # median member: lower middle of the ascending index list
-    idx = int(res.jcas_subcarriers[(len(res.jcas_subcarriers) - 1) // 2])
-    np.testing.assert_allclose(
-        member, precoder_pattern(res.precoders[idx], res.grid.steering[idx]), atol=1e-12
-    )
 
 
 @pytest.fixture(scope="module")
@@ -250,9 +243,11 @@ def test_sweep_ships_one_function_in_one_chunk_per_worker(small_cfg, monkeypatch
 
 
 def test_pass3_designs_equal_run_design_bit_for_bit(small_cfg, monkeypatch):
-    # pass 3 refines every (SNR, rho, J) design of a realization in one RCG
-    # batch: designs without sensing (J=0), with every carrier sensing (J=K),
-    # and at rho 0 and 1 must each equal run_design on the same inputs
+    # pass 3 refines the max(J) lowest-rate carriers of every (SNR, rho) of a
+    # realization in one refine_carriers call and reads each J off them:
+    # designs without sensing (J=0), with every carrier sensing (J=K), and at
+    # rho 0 and 1 must each equal run_design on the same inputs, carrier by
+    # carrier, in their metrics, and in their average and median-member patterns
     snrs, rhos, jcas_counts, seed = [0.0, 10.0], [0.0, 0.5, 1.0], [0, 2, 6], small_cfg.seed + 1
     grid = build_grid(small_cfg)
     powers = [replace(small_cfg, power_budget=small_cfg.snr_power(snr)).effective_power for snr in snrs]
@@ -260,18 +255,37 @@ def test_pass3_designs_equal_run_design_bit_for_bit(small_cfg, monkeypatch):
     calls = []
 
     def spy(*args):
-        calls.append(pipeline._refine(*args))
+        calls.append(pipeline.refine_carriers(*args))
         return calls[-1]
 
-    monkeypatch.setattr(evaluation, "_refine", spy)
-    evaluation._realization_metrics(small_cfg, snrs, rhos, jcas_counts, grid, covariances, 10.0, seed)
-    [designs] = calls
-    keys = [(s, r, j) for s in snrs for r in rhos for j in jcas_counts]
-    assert len(designs) == len(keys)
+    monkeypatch.setattr(evaluation, "refine_carriers", spy)
+    metrics, patterns = evaluation._realization_metrics(
+        small_cfg, snrs, rhos, jcas_counts, grid, covariances, 10.0, seed
+    )
+    [(refined, precoders, rates)] = calls
+    n_top = max(jcas_counts)
+    assert len(refined) == len(snrs) * len(rhos) * n_top
     channels = generate_rayleigh(small_cfg.n_subcarriers, small_cfg.n_rx, small_cfg.n_tx, seed)
-    for (snr, rho, n_jcas), got, power in zip(keys, designs, np.repeat(powers, len(rhos) * len(jcas_counts))):
-        cfg = replace(small_cfg, power_budget=small_cfg.snr_power(snr), rho=rho, n_jcas=n_jcas, seed=seed)
-        assert_same_design(got, run_design(cfg, channels=channels, grid=grid, covariances=covariances[power]))
+    blocks = [(snr, power, rho) for snr, power in zip(snrs, powers) for rho in rhos]
+    for block, (snr, power, rho) in enumerate(blocks):
+        rows = slice(block * n_top, (block + 1) * n_top)  # SNR-major, then rho, then rank
+        for n_jcas in jcas_counts:
+            cfg = replace(small_cfg, power_budget=small_cfg.snr_power(snr), rho=rho, n_jcas=n_jcas, seed=seed)
+            want = run_design(cfg, channels=channels, grid=grid, covariances=covariances[power])
+            ranked = np.argsort(want.eigen_rates, kind="stable")[:n_jcas]
+            np.testing.assert_array_equal(np.sort(ranked), want.jcas_subcarriers)
+            np.testing.assert_array_equal(precoders[rows][:n_jcas], want.precoders[ranked])
+            np.testing.assert_array_equal(rates[rows][:n_jcas], want.rates[ranked])
+            for got, k in zip(refined[rows], ranked.tolist()):
+                np.testing.assert_equal(vars(got), vars(want.refinements[k]))
+            mse = beampattern_mse(want.precoders, want.jcas_subcarriers, grid)
+            np.testing.assert_equal(metrics[(snr, rho, n_jcas)], (want.avg_rate, mse))
+            if snr == 10.0 and n_jcas:
+                avg, member = patterns[(rho, n_jcas)]
+                np.testing.assert_array_equal(avg, average_jcas_pattern(want))
+                k = want.jcas_subcarriers[(n_jcas - 1) // 2]  # the lower middle of the ascending set
+                np.testing.assert_array_equal(member, precoder_pattern(want.precoders[k], grid.steering[k]))
+    assert sorted(patterns) == [(rho, n_jcas) for rho in rhos for n_jcas in jcas_counts if n_jcas]
 
 
 def test_pass1_solves_once_for_the_largest_counts_sets(small_cfg, monkeypatch):
@@ -307,6 +321,22 @@ def test_sweep_without_sensing_makes_no_rcg_call(small_cfg, monkeypatch):
     monkeypatch.setattr(pipeline, "solve_rcg_batch", no_call)
     res = sweep(small_cfg, [0.0, 10.0], [0.5], [0], n_realizations=2)
     assert all(np.isfinite(p.avg_rate) and np.isnan(p.avg_mse) for p in res.points)
+
+
+def test_sweep_refines_each_ranked_carrier_once_per_snr_and_rho(small_cfg, monkeypatch):
+    # a carrier's refinement does not depend on J: each realization refines the
+    # max(J) lowest-rate carriers once per (SNR, rho), in one RCG batch, not
+    # the sensing set of every (SNR, rho, J) design on its own
+    sizes = []
+
+    def spy(f0, cov, f_comm, rho, power):
+        sizes.append(len(f0))
+        return solve_rcg_batch(f0, cov, f_comm, rho, power)
+
+    monkeypatch.setattr(pipeline, "solve_rcg_batch", spy)
+    snrs, rhos, jcas_counts, n_realizations = [0.0, 10.0], [0.25, 0.75], [2, 6], 2
+    sweep(small_cfg, snrs, rhos, jcas_counts, n_realizations=n_realizations)
+    assert sizes == [len(snrs) * len(rhos) * max(jcas_counts)] * n_realizations
 
 
 def test_sweep_edge_designs_in_worker_processes_match_in_process(small_cfg):

@@ -13,7 +13,7 @@ from jcasbeam import pipeline
 from jcasbeam.beamgrid import build_grid
 from jcasbeam.channel import generate_rayleigh
 from jcasbeam.config import SystemConfig
-from jcasbeam.covariance import solve_radar_covariance
+from jcasbeam.covariance import solve_radar_covariance, solve_radar_covariances
 from jcasbeam.errors import DegenerateChannelError
 from jcasbeam.manifold import solve_rcg_batch, tradeoff_objective
 from jcasbeam.precoding import link_rates
@@ -351,27 +351,32 @@ def test_run_design_on_rank_deficient_channels():
     np.testing.assert_allclose(res.rates, np.log2(np.linalg.det(gram).real), rtol=1e-12)
 
 
-def test_designs_sharing_one_eigen_stage_equal_fresh_runs(small_cfg):
-    # the sweep refines every (rho, J) design of an SNR from one eigen stage and
-    # one set of solved covariances, all of them in one call; each design must
-    # equal a fresh run and leave the shared stage as it was
+def test_refine_carriers_batch_equals_solo(small_cfg):
+    # one stack at mixed rho, power and prefactor, a carrier repeated, must
+    # equal each carrier refined alone at shared float settings, as run_design
+    # refines, and leave its inputs as they were; an empty stack refines nothing
     grid = build_grid(small_cfg)
-    covs = solve_radar_covariance(grid, small_cfg.effective_power)
-    channels = generate_rayleigh(
-        small_cfg.n_subcarriers, small_cfg.n_rx, small_cfg.n_tx, small_cfg.seed
-    )
-    eigen = pipeline.eigen_stage(small_cfg, channels)
-    before = [a.copy() for a in eigen]
-    settings = [(0.75, 3), (0.25, 1), (1.0, 6), (0.5, 2)]
-    cfgs = [replace(small_cfg, rho=rho, n_jcas=n_jcas) for rho, n_jcas in settings]
-    shared = pipeline._refine(channels, grid, [(cfg, eigen, covs) for cfg in cfgs])
-    assert len(shared) == len(cfgs)
-    for cfg, got in zip(cfgs, shared):
-        assert_same_design(got, run_design(cfg, channels=channels, grid=grid))
-    for a, b in zip(eigen, before):
+    channels = generate_rayleigh(small_cfg.n_subcarriers, small_cfg.n_rx, small_cfg.n_tx, small_cfg.seed)
+    powers = [small_cfg.effective_power, 5.0 * small_cfg.effective_power]
+    covs = solve_radar_covariances(grid, {power: range(small_cfg.n_subcarriers) for power in powers})
+    eigen = {p: eigen_stage(replace(small_cfg, power_budget=p), channels)[0] for p in powers}
+    rows = [(0, 0.75, powers[0], 1.0), (3, 0.25, powers[1], 0.5), (0, 1.0, powers[0], 2.0),
+            (5, 0.0, powers[1], 1.0), (3, 0.25, powers[1], 0.5), (2, 0.5, powers[0], 1.0)]
+    ks, rho, power, prefactor = (np.array(column) for column in zip(*rows))
+    args = (channels[ks], np.stack([eigen[p][k] for k, _, p, _ in rows]),
+            np.stack([covs[p][k].matrix for k, _, p, _ in rows]), rho, power, prefactor)
+    before = [a.copy() for a in args]
+    refined, precoders, rates = pipeline.refine_carriers(*args)
+    assert len(refined) == len(rows)
+    for i, (_, r, p, c) in enumerate(rows):
+        [solo], solo_precoders, solo_rates = pipeline.refine_carriers(*(a[i:i + 1] for a in args[:3]), r, p, c)
+        np.testing.assert_equal(vars(refined[i]), vars(solo))
+        np.testing.assert_array_equal(precoders[i], solo_precoders[0])
+        np.testing.assert_array_equal(rates[i], solo_rates[0])
+    for a, b in zip(args, before):
         np.testing.assert_array_equal(a, b)
-    with pytest.raises(KeyError):  # refinement solves nothing: a missing covariance is the caller's bug
-        pipeline._refine(channels, grid, [(cfgs[0], eigen, {})])
+    refined, precoders, rates = pipeline.refine_carriers(*(a[:0] for a in args))
+    assert refined == [] and precoders.shape == (0, small_cfg.n_tx, small_cfg.n_streams) and rates.shape == (0,)
 
 
 @st.composite

@@ -1,8 +1,9 @@
 """Print SHA-256 digests of the package's outputs as JSON, to check that a change is bit-identical:
 run ``python tools/output_digests.py > digests.json`` in two checkouts and ``diff``
 the files; each run imports ``jcasbeam`` from its own checkout's ``src/``. Covered: the
-sweep files at the ``sweep-snr`` benchmark settings and of a seed-7 sweep at ``--jobs``
-1 and 2, the ``link`` workload's 16 covariances and 18 designs, and the default design.
+sweep files at the ``sweep-snr`` benchmark settings, of a seed-7 sweep at ``--jobs``
+1 and 2 and of a K=16 sweep whose sensing counts include 0 and K, the ``link``
+workload's 16 covariances and 18 designs, and the default design.
 """
 
 import contextlib, hashlib, io, json, sys, tempfile  # noqa: E401
@@ -17,7 +18,8 @@ from jcasbeam.cli import main as cli  # noqa: E402
 
 SEED7 = "--snr 10 --rho 0.5 --jcas 2 16 --realizations 3 --seed 7 --jobs"
 SWEEPS = {"sweep-snr": "--snr 0 5 10 --rho 0.25 0.5 0.75 --jcas 4 --realizations 1 --seed 0",
-          "seed7-jobs1": f"{SEED7} 1", "seed7-jobs2": f"{SEED7} 2"}
+          "seed7-jobs1": f"{SEED7} 1", "seed7-jobs2": f"{SEED7} 2",
+          "k16-J0-to-K": "--snr 0 10 --rho 0.5 1 --jcas 0 4 16 --realizations 2 --seed 3 --config {k16}"}
 SWEEP_FILES = ("rates.csv", "beampattern_avg.csv", "beampattern_member.csv", "sweep_manifest.json")
 DESIGN_ARRAYS = ("channels", "eigen_precoders", "eigen_rates", "jcas_subcarriers", "precoders", "rates")
 
@@ -40,8 +42,10 @@ def design_digests(res) -> dict:
 def main():
     out = {}
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        k16 = f"{tmp}/k16.ini"
+        jb.write_config(jb.SystemConfig(n_subcarriers=16), k16)
         for name, flags in SWEEPS.items():
-            assert cli(["sweep", *flags.split(), "--out-dir", f"{tmp}/{name}"]) == 0
+            assert cli(["sweep", *flags.format(k16=k16).split(), "--out-dir", f"{tmp}/{name}"]) == 0
             out[name] = {f: hashlib.sha256(Path(tmp, name, f).read_bytes()).hexdigest() for f in SWEEP_FILES}
     cfg = jb.SystemConfig(n_subcarriers=16)
     grid = jb.build_grid(cfg)
