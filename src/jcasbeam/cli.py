@@ -15,6 +15,8 @@ import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
+import numpy as np
+
 from .config import SystemConfig, load_config
 from .errors import ConfigError, DegenerateChannelError, SolverError
 from .evaluation import average_jcas_pattern, beampattern_mse, sweep
@@ -35,7 +37,19 @@ def _make_out_dir(flag_value) -> Path:
 
 
 def _load_base_config(args) -> SystemConfig:
-    return load_config(args.config) if args.config else SystemConfig()
+    cfg = load_config(args.config) if args.config else SystemConfig()
+    return cfg if args.seed is None else replace(cfg, seed=args.seed)
+
+
+def _pattern_columns(angles, patterns) -> dict:
+    """The columns of a beampattern table: one block of grid rows per ``(rho, J)`` key, in key order."""
+    keys = sorted(patterns)
+    return {
+        "theta": np.tile(angles, len(keys)),
+        "gain": np.array([patterns[key] for key in keys]).reshape(-1),
+        "rho": np.repeat([rho for rho, _ in keys], len(angles)),
+        "J": np.repeat([n_jcas for _, n_jcas in keys], len(angles)),
+    }
 
 
 def _json_safe(value):
@@ -55,8 +69,6 @@ def _write_json(path: Path, payload: dict) -> None:
 def cmd_design(args) -> int:
     cfg = _load_base_config(args)
     overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
     if args.rho is not None:
         overrides["rho"] = args.rho
     if args.jcas is not None:
@@ -73,22 +85,11 @@ def cmd_design(args) -> int:
     manifest = build_run_manifest(result)
     manifest["beampattern_mse"] = mse
     _write_json(out_dir / "design_manifest.json", manifest)
-    write_table(
-        out_dir / "rates.csv",
-        [{"k": k, "rate": r} for k, r in enumerate(result.rates)],
-        ["k", "rate"],
-    )
+    write_table(out_dir / "rates.csv", {"k": np.arange(len(result.rates)), "rate": result.rates})
     n_jcas = len(result.jcas_subcarriers)
     if n_jcas:
-        pattern = average_jcas_pattern(result)
-        write_table(
-            out_dir / "beampattern.csv",
-            [
-                {"theta": t, "gain": g, "rho": cfg.rho, "J": n_jcas}
-                for t, g in zip(result.grid.angles, pattern)
-            ],
-            ["theta", "gain", "rho", "J"],
-        )
+        patterns = {(cfg.rho, n_jcas): average_jcas_pattern(result)}
+        write_table(out_dir / "beampattern.csv", _pattern_columns(result.grid.angles, patterns))
 
     print(f"jcas subcarriers: {[int(k) for k in result.jcas_subcarriers]}")
     print(
@@ -103,8 +104,6 @@ def cmd_design(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_base_config(args)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
     snrs = args.snr if args.snr else [0.0, 5.0, 10.0]
     rhos = args.rho if args.rho else [0.25, 0.5, 0.75]
     jcas_counts = args.jcas if args.jcas else sorted({cfg.n_jcas, cfg.n_subcarriers})
@@ -112,31 +111,19 @@ def cmd_sweep(args) -> int:
     result = sweep(cfg, snrs, rhos, jcas_counts, args.realizations, jobs=args.jobs)
     out_dir = _make_out_dir(args.out_dir)  # only now, so a failed sweep leaves no directory
 
+    points = result.points
     write_table(
         out_dir / "rates.csv",
-        [
-            {
-                "snr": p.snr_db,
-                "rho": p.rho,
-                "J": p.n_jcas,
-                "avg_rate": p.avg_rate,
-                "avg_mse": p.avg_mse,
-            }
-            for p in result.points
-        ],
-        ["snr", "rho", "J", "avg_rate", "avg_mse"],
+        {
+            "snr": [p.snr_db for p in points],
+            "rho": [p.rho for p in points],
+            "J": [p.n_jcas for p in points],
+            "avg_rate": [p.avg_rate for p in points],
+            "avg_mse": [p.avg_mse for p in points],
+        },
     )
-    avg_rows = []
-    member_rows = []
-    for key in sorted(result.pattern_avg):
-        rho, n_jcas = key
-        for theta, gain in zip(result.angles, result.pattern_avg[key]):
-            avg_rows.append({"theta": theta, "gain": gain, "rho": rho, "J": n_jcas})
-        for theta, gain in zip(result.angles, result.pattern_member[key]):
-            member_rows.append({"theta": theta, "gain": gain, "rho": rho, "J": n_jcas})
-    pattern_columns = ["theta", "gain", "rho", "J"]
-    write_table(out_dir / "beampattern_avg.csv", avg_rows, pattern_columns)
-    write_table(out_dir / "beampattern_member.csv", member_rows, pattern_columns)
+    write_table(out_dir / "beampattern_avg.csv", _pattern_columns(result.angles, result.pattern_avg))
+    write_table(out_dir / "beampattern_member.csv", _pattern_columns(result.angles, result.pattern_member))
 
     _write_json(
         out_dir / "sweep_manifest.json",
@@ -168,19 +155,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    d = sub.add_parser("design", help="run one full design and write its outputs")
-    d.add_argument("--config", help="path to an INI config file")
-    d.add_argument("--out-dir", help=f"output directory (default ${OUT_DIR_ENV} or ./out)")
-    d.add_argument("--seed", type=int, help="channel seed override")
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--config", help="path to an INI config file")
+    shared.add_argument("--out-dir", help=f"output directory (default ${OUT_DIR_ENV} or ./out)")
+    shared.add_argument("--seed", type=int, help="channel seed override; a sweep's realization r uses seed + r")
+
+    d = sub.add_parser("design", parents=[shared], help="run one full design and write its outputs")
     d.add_argument("--rho", type=float, help="sensing weight override in [0, 1]")
     d.add_argument("--jcas", type=int, help="sensing subcarrier count override")
     d.add_argument("--snr", type=float, help="SNR in dB; sets the power budget over the configured noise")
     d.set_defaults(func=cmd_design)
 
-    s = sub.add_parser("sweep", help="average metrics over many channel realizations")
-    s.add_argument("--config", help="path to an INI config file")
-    s.add_argument("--out-dir", help=f"output directory (default ${OUT_DIR_ENV} or ./out)")
-    s.add_argument("--seed", type=int, help="base seed; realization r uses seed + r")
+    s = sub.add_parser("sweep", parents=[shared], help="average metrics over many channel realizations")
     s.add_argument("--snr", type=float, nargs="+", help="SNR points in dB (default 0 5 10)")
     s.add_argument("--rho", type=float, nargs="+", help="sensing weights (default 0.25 0.5 0.75)")
     s.add_argument("--jcas", type=int, nargs="+", help="sensing subcarrier counts (default config value and all)")

@@ -189,7 +189,7 @@ def load_config(path) -> SystemConfig:
         raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # skips the BOM that some editors write
             parser.read_file(fh)
     except configparser.Error as exc:
         raise ConfigError(f"config file is not valid key/value text: {exc}") from exc

@@ -1,53 +1,19 @@
 """CSV result tables with a stable numeric format.
 
-Floats are written with 6 significant digits, integers bare, so emitting,
-parsing, and emitting again reproduces the same bytes. Line endings are
-always "\\n" regardless of platform.
+Integer columns are written bare, all others with 6 significant digits
+(``"%.6g"``), so reading a table back and writing it again reproduces the
+same bytes. Line endings are always "\\n" regardless of platform.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-
 import numpy as np
 
 
-def format_value(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        raise TypeError("boolean values do not belong in result tables")
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return "{:.6g}".format(float(value))
-
-
-def emit_table(rows, columns) -> str:
-    """Render rows (mappings) to CSV text with the given column order."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(list(columns))
-    for row in rows:
-        writer.writerow([format_value(row[c]) for c in columns])
-    return buf.getvalue()
-
-
-def parse_table(text: str):
-    """Inverse of :func:`emit_table`: returns (columns, rows of float dicts)."""
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValueError("table text is empty; expected a header row") from None
-    rows = []
-    for line in reader:
-        if not line:
-            continue
-        if len(line) != len(header):
-            raise ValueError(f"row has {len(line)} fields, header has {len(header)}")
-        rows.append({c: float(v) for c, v in zip(header, line)})
-    return header, rows
-
-
-def write_table(path, rows, columns) -> None:
+def write_table(path, columns) -> None:
+    """Write ``{name: array}`` columns of equal length to ``path``, one row per index."""
+    arrays = [np.asarray(c) for c in columns.values()]
+    fmt = ["%d" if np.issubdtype(a.dtype, np.integer) else "%.6g" for a in arrays]
+    rows = np.column_stack(arrays)
     with open(path, "w", newline="") as fh:
-        fh.write(emit_table(rows, columns))
+        np.savetxt(fh, rows, fmt=fmt, delimiter=",", header=",".join(columns), comments="")

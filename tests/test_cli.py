@@ -1,6 +1,7 @@
 """Command line behavior: flags, outputs, exit codes, determinism."""
 
 import argparse
+import csv
 import json
 import re
 from pathlib import Path
@@ -14,9 +15,15 @@ from jcasbeam.cli import build_parser, main
 from jcasbeam.config import SystemConfig, write_config
 from jcasbeam.errors import SolverError
 from jcasbeam.pipeline import eigen_stage, select_jcas_subcarriers
-from jcasbeam.tables import parse_table
 
 from conftest import SMALL
+
+
+def read_table(path):
+    """A CSV table's header and its rows, every value read as a float."""
+    with path.open(newline="") as fh:
+        reader = csv.DictReader(fh)
+        return reader.fieldnames, [{k: float(v) for k, v in row.items()} for row in reader]
 
 
 @pytest.fixture
@@ -38,10 +45,10 @@ def test_design_writes_outputs(small_config_file, tmp_path, capsys):
     for entry in manifest["covariance"].values():
         # converged below the tolerance, or accepted below the fallback at the cap
         assert 0 <= entry["residual"] < (covariance.TOL if entry["converged"] else covariance.FALLBACK_TOL)
-    header, rows = parse_table((out / "rates.csv").read_text())
+    header, rows = read_table(out / "rates.csv")
     assert header == ["k", "rate"]
     assert len(rows) == SMALL["n_subcarriers"]
-    header, rows = parse_table((out / "beampattern.csv").read_text())
+    header, rows = read_table(out / "beampattern.csv")
     assert header == ["theta", "gain", "rho", "J"]
     assert len(rows) == SMALL["grid_size"]
     captured = capsys.readouterr()
@@ -96,7 +103,7 @@ def test_design_edge_configurations(small_config_file, tmp_path, flags, n_refine
     assert main(["design", "--config", str(small_config_file), "--out-dir", str(out), *flags]) == 0
     manifest = json.loads((out / "design_manifest.json").read_text())
     assert len(manifest["refinement"]) == n_refined
-    _, rows = parse_table((out / "rates.csv").read_text())
+    _, rows = read_table(out / "rates.csv")
     rates = np.array([r["rate"] for r in rows])
     assert len(rates) == SMALL["n_subcarriers"]
     assert np.all(np.isfinite(rates)) and np.all(rates >= 0)
@@ -347,7 +354,7 @@ def _run_small_sweep(config_file, out):
 def test_sweep_outputs_and_labels(small_config_file, tmp_path, capsys):
     out = tmp_path / "sweep"
     assert _run_small_sweep(small_config_file, out) == 0
-    header, rows = parse_table((out / "rates.csv").read_text())
+    header, rows = read_table(out / "rates.csv")
     assert header == ["snr", "rho", "J", "avg_rate", "avg_mse"]
     assert [(r["snr"], r["rho"], r["J"]) for r in rows] == [(5.0, 0.5, 2.0), (5.0, 0.5, 6.0)]
     manifest = json.loads((out / "sweep_manifest.json").read_text())
@@ -356,7 +363,7 @@ def test_sweep_outputs_and_labels(small_config_file, tmp_path, capsys):
     labels = {p["n_jcas"]: p["label"] for p in manifest["points"]}
     assert labels == {2: "Prop.", 6: "Conv."}
     for name in ("beampattern_avg.csv", "beampattern_member.csv"):
-        header, rows = parse_table((out / name).read_text())
+        header, rows = read_table(out / name)
         assert header == ["theta", "gain", "rho", "J"]
         assert len(rows) == 2 * SMALL["grid_size"]
     assert "wrote results" in capsys.readouterr().out
@@ -378,3 +385,11 @@ def test_sweep_repeat_is_byte_identical(small_config_file, tmp_path):
     assert _run_small_sweep(small_config_file, out2) == 0
     for name in ("rates.csv", "beampattern_avg.csv", "beampattern_member.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_design_repeat_is_byte_identical(small_config_file, tmp_path):
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert main(["design", "--config", str(small_config_file), "--out-dir", str(out)]) == 0
+    for name in ("design_manifest.json", "rates.csv", "beampattern.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()

@@ -1,13 +1,18 @@
 """Configuration container and config-file round trips."""
 
+import codecs
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import jcasbeam
 from jcasbeam.config import RATE_FORMULAS, SPEED_OF_LIGHT, SystemConfig, load_config, write_config
 from jcasbeam.errors import ConfigError
 
@@ -157,6 +162,26 @@ def test_load_config_rejects_non_utf8_text(tmp_path):
     cfg_path.write_bytes(b"\xff\xfe\x00bad")
     with pytest.raises(ConfigError, match="binary.ini is not utf-8 text"):
         load_config(cfg_path)
+
+
+def test_load_config_skips_a_utf8_bom(tmp_path):
+    # some Windows editors start a UTF-8 file with a byte order mark
+    plain, bom = tmp_path / "plain.ini", tmp_path / "bom.ini"
+    write_config(SystemConfig(rho=0.25), plain)
+    bom.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+    assert load_config(bom) == load_config(plain)
+
+
+def test_load_config_reads_utf8_under_an_ascii_locale(tmp_path):
+    path = tmp_path / "greek.ini"
+    write_config(SystemConfig(rho=0.25), path)
+    path.write_text(path.read_text().replace("rho = 0.25", "# sensing weight \u03c1\nrho = 0.25"), encoding="utf-8")
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=str(Path(jcasbeam.__file__).resolve().parents[1]))
+    script = "import sys; from jcasbeam.config import load_config; print(load_config(sys.argv[1]).rho)"
+    done = subprocess.run([sys.executable, "-c", script, str(path)], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "0.25\n"
 
 
 def test_load_config_unknown_section(tmp_path):

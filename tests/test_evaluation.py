@@ -1,5 +1,6 @@
 """Pattern metrics, sweep aggregation, and table formatting."""
 
+import csv
 import warnings
 from dataclasses import replace
 
@@ -20,7 +21,7 @@ from jcasbeam.evaluation import (
 )
 from jcasbeam.pipeline import run_design
 from jcasbeam.precoding import eigenmode_precoders
-from jcasbeam.tables import emit_table, format_value, parse_table, write_table
+from jcasbeam.tables import write_table
 
 from conftest import SMALL, assert_same_design, random_complex
 
@@ -376,52 +377,37 @@ def test_sweep_rejects_a_bad_point_before_any_solve(small_cfg, monkeypatch, rhos
         sweep(small_cfg, [5.0], rhos, jcas_counts, n_realizations=1)
 
 
-def test_format_value_rules():
-    assert format_value(3) == "3"
-    assert format_value(np.int64(-2)) == "-2"
-    assert format_value(0.5) == "0.5"
-    assert format_value(1234567.0) == "1.23457e+06"
-    assert format_value(np.float64(0.1)) == "0.1"
-    with pytest.raises(TypeError):
-        format_value(True)
-    with pytest.raises(TypeError):
-        format_value(np.bool_(False))
+def test_write_table_number_formats(tmp_path):
+    # integer columns bare; every other value as format(x, ".6g")
+    path = tmp_path / "t.csv"
+    floats = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 0.1, 1234567.0]
+    write_table(path, {"k": np.arange(-2, 5), "J": [0, 7, 16, 64, 1234567, -3, 2], "x": floats})
+    k, j, x = zip(*(row.split(",") for row in path.read_text().splitlines()[1:]))
+    assert k == ("-2", "-1", "0", "1", "2", "3", "4")
+    assert j == ("0", "7", "16", "64", "1234567", "-3", "2")
+    assert x == tuple(format(v, ".6g") for v in floats)
 
 
-def test_emit_parse_round_trip():
-    rows = [
-        {"snr": 0.0, "rho": 0.25, "J": 16, "avg_rate": 1.234567, "avg_mse": 0.5},
-        {"snr": 10.0, "rho": 0.75, "J": 64, "avg_rate": 9.87654, "avg_mse": 0.128},
-    ]
-    cols = ["snr", "rho", "J", "avg_rate", "avg_mse"]
-    text = emit_table(rows, cols)
-    header, parsed = parse_table(text)
-    assert header == cols
-    assert parsed[0]["avg_rate"] == pytest.approx(1.23457, abs=1e-6)
-    again = emit_table(parsed, cols)
-    assert again == text
-
-
-def test_emit_table_newlines_and_header():
-    text = emit_table([{"a": 1}], ["a"])
-    assert text == "a\n1\n"
-    assert "\r" not in text
-
-
-def test_parse_table_rejects_bad_shapes():
-    with pytest.raises(ValueError, match="empty"):
-        parse_table("")
-    with pytest.raises(ValueError, match="fields"):
-        parse_table("a,b\n1\n")
+def test_write_table_newlines_and_header(tmp_path):
+    path = tmp_path / "t.csv"
+    write_table(path, {"a": [1], "b": [0.5]})
+    assert path.read_bytes() == b"a,b\n1,0.5\n"
+    # a table with no rows is its header line alone
+    write_table(path, {"theta": np.zeros(0), "J": np.zeros(0, dtype=int)})
+    assert path.read_bytes() == b"theta,J\n"
 
 
 def test_write_table_round_trips(tmp_path):
-    path = tmp_path / "rates.csv"
-    rows = [{"k": 0, "rate": 1.5}, {"k": 1, "rate": 2.25}]
-    write_table(path, rows, ["k", "rate"])
-    header, parsed = parse_table(path.read_text())
-    assert header == ["k", "rate"]
-    assert parsed[1]["rate"] == 2.25
+    # written, read back with csv, written again: the same bytes
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    write_table(first, {"snr": [0.0, 10.0], "J": [16, 64], "avg_rate": [1.234567, 9.87654], "avg_mse": [0.5, 0.128]})
+    with first.open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0]) == ["snr", "J", "avg_rate", "avg_mse"]
+    assert float(rows[0]["avg_rate"]) == pytest.approx(1.23457, abs=1e-6)
+    columns = {name: [(int if name == "J" else float)(r[name]) for r in rows] for name in rows[0]}
+    write_table(second, columns)
+    assert second.read_bytes() == first.read_bytes()
 
 
 def _one_carrier_pattern(f, steering):

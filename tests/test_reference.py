@@ -9,6 +9,7 @@ Checking them here too shows a bit-level drift in the test suite first. The
 reference file is only read.
 """
 
+import csv
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -25,7 +26,6 @@ from jcasbeam import (
     solve_radar_covariance,
 )
 from jcasbeam.cli import main
-from jcasbeam.tables import parse_table
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 RTOL = 1e-8  # the benchmark's tolerance on final rates and pattern errors
@@ -49,11 +49,12 @@ def test_sweep_snr_seed0_matches_the_benchmark_reference(tmp_path):
         return [(p["snr_db"], p["rho"], p["n_jcas"]) for p in pts]
 
     assert keys(points) == keys(ref)
-    _, rows = parse_table((tmp_path / "rates.csv").read_text())
+    with (tmp_path / "rates.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
     for key in ("avg_rate", "avg_mse"):
         assert np.all(rel_errors([p[key] for p in points], [p[key] for p in ref]) <= RTOL), key
         # the CSV holds 6 significant digits: it reads as the reference rounded so
-        assert [r[key] for r in rows] == [float(f"{p[key]:.6g}") for p in ref], key
+        assert [float(r[key]) for r in rows] == [float(f"{p[key]:.6g}") for p in ref], key
 
 
 def test_default_design_seed0_matches_the_benchmark_reference():

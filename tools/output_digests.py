@@ -2,8 +2,10 @@
 run ``python tools/output_digests.py > digests.json`` in two checkouts and ``diff``
 the files; each run imports ``jcasbeam`` from its own checkout's ``src/``. Covered: the
 sweep files at the ``sweep-snr`` benchmark settings, of a seed-7 sweep at ``--jobs``
-1 and 2 and of a K=16 sweep whose sensing counts include 0 and K, the ``link``
-workload's 16 covariances and 18 designs, and the default design.
+1 and 2 and of a K=16 sweep whose sensing counts include 0 and K; the ``design``
+files of ``design --seed 0`` and of a K=16 ``design --jcas 0``, which writes no
+pattern file; the ``link`` workload's 16 covariances and 18 designs, and the default
+design.
 """
 
 import contextlib, hashlib, io, json, sys, tempfile  # noqa: E401
@@ -21,6 +23,8 @@ SWEEPS = {"sweep-snr": "--snr 0 5 10 --rho 0.25 0.5 0.75 --jcas 4 --realizations
           "seed7-jobs1": f"{SEED7} 1", "seed7-jobs2": f"{SEED7} 2",
           "k16-J0-to-K": "--snr 0 10 --rho 0.5 1 --jcas 0 4 16 --realizations 2 --seed 3 --config {k16}"}
 SWEEP_FILES = ("rates.csv", "beampattern_avg.csv", "beampattern_member.csv", "sweep_manifest.json")
+DESIGNS = {"cli-design-seed0": "--seed 0", "cli-design-k16-J0": "--jcas 0 --config {k16}"}
+DESIGN_FILES = ("design_manifest.json", "rates.csv", "beampattern.csv")
 DESIGN_ARRAYS = ("channels", "eigen_precoders", "eigen_rates", "jcas_subcarriers", "precoders", "rates")
 
 
@@ -39,14 +43,20 @@ def design_digests(res) -> dict:
     return out
 
 
+def file_digest(path: Path):
+    """SHA-256 of a file, None where the run wrote none."""
+    return hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None
+
+
 def main():
     out = {}
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         k16 = f"{tmp}/k16.ini"
         jb.write_config(jb.SystemConfig(n_subcarriers=16), k16)
-        for name, flags in SWEEPS.items():
-            assert cli(["sweep", *flags.format(k16=k16).split(), "--out-dir", f"{tmp}/{name}"]) == 0
-            out[name] = {f: hashlib.sha256(Path(tmp, name, f).read_bytes()).hexdigest() for f in SWEEP_FILES}
+        for command, runs, files in (("sweep", SWEEPS, SWEEP_FILES), ("design", DESIGNS, DESIGN_FILES)):
+            for name, flags in runs.items():
+                assert cli([command, *flags.format(k16=k16).split(), "--out-dir", f"{tmp}/{name}"]) == 0
+                out[name] = {f: file_digest(Path(tmp, name, f)) for f in files}
     cfg = jb.SystemConfig(n_subcarriers=16)
     grid = jb.build_grid(cfg)
     covs = jb.solve_radar_covariance(grid, cfg.effective_power)
