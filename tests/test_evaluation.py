@@ -397,7 +397,7 @@ def test_write_table_newlines_and_header(tmp_path):
     assert path.read_bytes() == b"theta,J\n"
 
 
-def test_write_table_round_trips(tmp_path):
+def test_emit_parse_round_trip(tmp_path):
     # written, read back with csv, written again: the same bytes
     first, second = tmp_path / "first.csv", tmp_path / "second.csv"
     write_table(first, {"snr": [0.0, 10.0], "J": [16, 64], "avg_rate": [1.234567, 9.87654], "avg_mse": [0.5, 0.128]})
@@ -408,6 +408,15 @@ def test_write_table_round_trips(tmp_path):
     columns = {name: [(int if name == "J" else float)(r[name]) for r in rows] for name in rows[0]}
     write_table(second, columns)
     assert second.read_bytes() == first.read_bytes()
+
+
+def test_write_table_round_trips(tmp_path):
+    path = tmp_path / "rates.csv"
+    write_table(path, {"k": np.arange(2), "rate": [1.5, 2.25]})
+    with path.open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0]) == ["k", "rate"]
+    assert [(int(r["k"]), float(r["rate"])) for r in rows] == [(0, 1.5), (1, 2.25)]
 
 
 def _one_carrier_pattern(f, steering):
