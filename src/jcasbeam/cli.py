@@ -128,7 +128,7 @@ def cmd_sweep(args) -> int:
     _write_json(
         out_dir / "sweep_manifest.json",
         {
-            "config": cfg.to_dict(),
+            "config": asdict(cfg),
             "snrs": list(snrs),
             "rhos": list(rhos),
             "jcas_counts": list(jcas_counts),

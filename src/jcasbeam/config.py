@@ -1,16 +1,18 @@
 """System configuration: the parameter container, validation, and config files.
 
 The config file format is INI-style structured text: section headers with flat
-``key = value`` pairs. Every known key maps to one :class:`SystemConfig` field
-and unknown sections or keys are rejected, so a typo cannot silently fall back
-to a default.
+``key = value`` pairs. Each key is one :class:`SystemConfig` field, and the field
+table ``_SECTIONS`` names the section that holds it. The field's type annotation
+says how its value is read and written, and a key may be left out only where
+its field defaults to None. Unknown sections or keys are rejected, so a typo
+cannot silently fall back to a default.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
@@ -52,31 +54,21 @@ class SystemConfig:
 
     def validate(self):
         """Raise :class:`ConfigError` naming the offending key on any violation."""
-        if self.n_tx < 1:
-            raise ConfigError("n_tx must be a positive integer")
-        if self.n_rx < 1:
-            raise ConfigError("n_rx must be a positive integer")
+        for key in ("n_tx", "n_rx", "n_subcarriers", "grid_size"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be a positive integer")
         if self.n_streams < 1 or self.n_streams > min(self.n_tx, self.n_rx):
             raise ConfigError("n_streams must satisfy 1 <= n_streams <= min(n_tx, n_rx)")
-        if self.n_subcarriers < 1:
-            raise ConfigError("n_subcarriers must be a positive integer")
         if not 0 <= self.n_jcas <= self.n_subcarriers:
             raise ConfigError("n_jcas must satisfy 0 <= n_jcas <= n_subcarriers")
         # the chained comparisons reject nan as well as inf
-        if not 0 < self.power_budget < math.inf:
-            raise ConfigError("power_budget must be positive and finite")
-        if not 0 < self.noise_power < math.inf:
-            raise ConfigError("noise_power must be positive and finite")
+        for key in ("power_budget", "noise_power", "base_freq", "subcarrier_spacing"):
+            if not 0 < getattr(self, key) < math.inf:
+                raise ConfigError(f"{key} must be positive and finite")
         if not 0.0 <= self.rho <= 1.0:
             raise ConfigError("rho must lie in [0, 1]")
-        if not 0 < self.base_freq < math.inf:
-            raise ConfigError("base_freq must be positive and finite")
-        if not 0 < self.subcarrier_spacing < math.inf:
-            raise ConfigError("subcarrier_spacing must be positive and finite")
         if self.antenna_spacing is not None and not 0 < self.antenna_spacing < math.inf:
             raise ConfigError("antenna_spacing must be positive and finite (or omitted for automatic)")
-        if self.grid_size < 1:
-            raise ConfigError("grid_size must be a positive integer")
         if not 0 <= self.mainlobe_halfwidth < math.inf:
             raise ConfigError("mainlobe_halfwidth must be nonnegative and finite")
         if len(self.target_angles) == 0:
@@ -99,12 +91,6 @@ class SystemConfig:
             return self.noise_power * 10.0 ** (snr_db / 10.0)
         except OverflowError:
             raise ConfigError(f"snr {snr_db:g} dB overflows the power budget") from None
-
-    def to_dict(self) -> dict:
-        """The fields as a JSON-ready dict, ``target_angles`` as a list."""
-        fields = asdict(self)
-        fields["target_angles"] = list(fields["target_angles"])
-        return fields
 
     @property
     def top_carrier(self) -> float:
@@ -137,57 +123,47 @@ class SystemConfig:
         return self.noise_power
 
 
-# Config file schema: section -> key -> converter. Optional keys may be
-# omitted or set to "auto"/"none".
-def _parse_angle_list(raw: str) -> tuple[float, ...]:
-    parts = [p.strip() for p in raw.split(",") if p.strip()]
+def _read_floats(text: str) -> tuple[float, ...]:
+    parts = [p.strip() for p in text.split(",") if p.strip()]
     if not parts:
         raise ValueError("empty list")
     return tuple(float(p) for p in parts)
 
 
-_SCHEMA = {
-    "array": {
-        "n_tx": int,
-        "n_rx": int,
-        "n_streams": int,
-        "antenna_spacing": float,
-    },
-    "carrier": {
-        "n_subcarriers": int,
-        "base_freq": float,
-        "subcarrier_spacing": float,
-    },
-    "sensing": {
-        "n_jcas": int,
-        "rho": float,
-        "target_angles": _parse_angle_list,
-        "mainlobe_halfwidth": float,
-        "grid_size": int,
-    },
-    "link": {
-        "power_budget": float,
-        "noise_power": float,
-        "rate_formula": str,
-    },
-    "run": {
-        "seed": int,
-    },
+# Field annotation -> (read the value's text, write the value). An optional
+# float reads "", "auto" or "none" (any case) as None and writes None as "auto".
+_FORMATS = {
+    "int": (int, str),
+    "float": (float, str),
+    "float | None": (lambda text: None if text.lower() in ("", "auto", "none") else float(text),
+                     lambda value: "auto" if value is None else str(value)),
+    "str": (str, str),
+    "tuple[float, ...]": (_read_floats, lambda values: ", ".join(map(str, values))),
 }
 
-_OPTIONAL_KEYS = {"antenna_spacing"}
+# Config file layout: section -> the SystemConfig fields it holds, in file order.
+_SECTIONS = {
+    "array": ("n_tx", "n_rx", "n_streams", "antenna_spacing"),
+    "carrier": ("n_subcarriers", "base_freq", "subcarrier_spacing"),
+    "sensing": ("n_jcas", "rho", "target_angles", "mainlobe_halfwidth", "grid_size"),
+    "link": ("power_budget", "noise_power", "rate_formula"),
+    "run": ("seed",),
+}
+
+_FIELDS = {f.name: f for f in fields(SystemConfig)}
 
 
 def load_config(path) -> SystemConfig:
     """Load a :class:`SystemConfig` from an INI-style file.
 
-    Every non-optional key must be present; unknown sections or keys raise
-    :class:`ConfigError` naming the offender.
+    A key may be left out only where its field defaults to None. Unknown
+    sections or keys, and a non-empty ``[DEFAULT]`` section, raise
+    :class:`ConfigError` naming the offender. Values are read literally.
     """
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         with open(path, encoding="utf-8-sig") as fh:  # skips the BOM that some editors write
             parser.read_file(fh)
@@ -197,50 +173,33 @@ def load_config(path) -> SystemConfig:
         raise ConfigError(f"config file {path} is not {exc.encoding} text: {exc.reason}") from exc
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
+    if parser.defaults():  # configparser would copy these keys into every section
+        raise ConfigError("unknown config section [DEFAULT]")
 
     values = {}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown config section [{section}]")
         for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
+            if key not in _SECTIONS[section]:
                 raise ConfigError(f"unknown config key '{key}' in section [{section}]")
-            if key in _OPTIONAL_KEYS and raw.strip().lower() in ("", "auto", "none"):
-                values[key] = None
-                continue
+            read, _ = _FORMATS[_FIELDS[key].type]
             try:
-                values[key] = _SCHEMA[section][key](raw.strip())
+                values[key] = read(raw.strip())
             except ValueError as exc:
                 raise ConfigError(f"invalid value for config key '{key}': {raw!r}") from exc
 
-    for section, keys in _SCHEMA.items():
+    for section, keys in _SECTIONS.items():
         for key in keys:
-            if key not in values:
-                if key in _OPTIONAL_KEYS:
-                    values[key] = None
-                else:
-                    raise ConfigError(f"missing required config key '{key}' (section [{section}])")
-
-    try:
-        return SystemConfig(**values)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+            if key not in values and _FIELDS[key].default is not None:
+                raise ConfigError(f"missing required config key '{key}' (section [{section}])")
+    return SystemConfig(**values)
 
 
 def write_config(cfg: SystemConfig, path) -> None:
     """Write ``cfg`` as a config file that :func:`load_config` round-trips."""
-    parser = configparser.ConfigParser()
-    for section, keys in _SCHEMA.items():
-        parser.add_section(section)
-        for key in keys:
-            value = getattr(cfg, key)
-            if value is None:
-                parser.set(section, key, "auto")
-            elif key == "target_angles":
-                parser.set(section, key, ", ".join(repr(a) for a in value))
-            else:
-                parser.set(section, key, repr(value) if isinstance(value, float) else str(value))
+    parser = configparser.ConfigParser(interpolation=None)
+    for section, keys in _SECTIONS.items():
+        parser[section] = {key: _FORMATS[_FIELDS[key].type][1](getattr(cfg, key)) for key in keys}
     with open(path, "w") as fh:
         parser.write(fh)

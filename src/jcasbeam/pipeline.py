@@ -26,7 +26,7 @@ them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -160,7 +160,7 @@ def refine_carriers(channels, f_hat, cov, rho, power, prefactor):
 def build_run_manifest(result: DesignResult) -> dict:
     """JSON-ready summary of one design run (no arrays beyond per-k scalars)."""
     return {
-        "config": result.config.to_dict(),
+        "config": asdict(result.config),
         "jcas_subcarriers": [int(k) for k in result.jcas_subcarriers],
         "eigen_avg_rate": result.eigen_avg_rate,
         "avg_rate": result.avg_rate,

@@ -155,6 +155,18 @@ def test_non_finite_config_value_exits_2(small_config_file, tmp_path, capsys, ke
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, line", [("rate_formula", "consistent 100%"), ("seed", "%(n_tx)s")])
+def test_percent_sign_in_config_value_exits_2(small_config_file, tmp_path, capsys, key, line):
+    # a % is read literally, so validation names the key instead of configparser interpolating
+    path = tmp_path / "percent.ini"
+    lines = small_config_file.read_text().splitlines()
+    path.write_text("\n".join(f"{key} = {line}" if l.startswith(f"{key} =") else l for l in lines) + "\n")
+    out = tmp_path / "never"
+    assert main(["design", "--config", str(path), "--out-dir", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["design", "sweep"])
 def test_out_of_range_snr_exits_2(small_config_file, tmp_path, capsys, command):
     # 10 ** 400 overflows a float: no finite power budget gives this SNR

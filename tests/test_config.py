@@ -13,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jcasbeam
-from jcasbeam.config import RATE_FORMULAS, SPEED_OF_LIGHT, SystemConfig, load_config, write_config
+from jcasbeam.config import (
+    _FORMATS, _SECTIONS, RATE_FORMULAS, SPEED_OF_LIGHT, SystemConfig, load_config, write_config,
+)
 from jcasbeam.errors import ConfigError
 
 
@@ -207,6 +209,39 @@ def test_load_config_rejects_removed_sensing_tolerance_key(tmp_path):
     cfg_path.write_text(cfg_path.read_text().replace("[link]", "sensing_tolerance = auto\n\n[link]"))
     with pytest.raises(ConfigError, match="unknown config key 'sensing_tolerance' in section \\[sensing\\]"):
         load_config(cfg_path)
+
+
+def test_load_config_rejects_a_default_section(tmp_path):
+    # configparser copies [DEFAULT] keys into every section; the loader names the section itself
+    cfg_path = tmp_path / "run.ini"
+    write_config(SystemConfig(), cfg_path)
+    cfg_path.write_text("[DEFAULT]\nfoo = 1\n\n" + cfg_path.read_text())
+    with pytest.raises(ConfigError, match=r"^unknown config section \[DEFAULT\]$"):
+        load_config(cfg_path)
+
+
+@pytest.mark.parametrize(
+    "key, line, message",
+    [
+        ("rate_formula", "consistent 100%", "rate_formula must be one of"),
+        ("seed", "%(n_tx)s", "invalid value for config key 'seed': '%\\(n_tx\\)s'"),
+    ],
+)
+def test_load_config_reads_percent_signs_literally(tmp_path, key, line, message):
+    cfg_path = tmp_path / "run.ini"
+    write_config(SystemConfig(), cfg_path)
+    lines = cfg_path.read_text().splitlines()
+    cfg_path.write_text("\n".join(f"{key} = {line}" if l.startswith(f"{key} =") else l for l in lines) + "\n")
+    with pytest.raises(ConfigError, match=message):
+        load_config(cfg_path)
+
+
+def test_every_field_sits_in_exactly_one_section():
+    # a field left out of every section would silently keep its default when loaded;
+    # equal sorted lists also rule out a field listed twice
+    listed = [key for keys in _SECTIONS.values() for key in keys]
+    assert sorted(listed) == sorted(f.name for f in dataclasses.fields(SystemConfig))
+    assert all(f.type in _FORMATS for f in dataclasses.fields(SystemConfig))
 
 
 def test_load_config_missing_key_names_it(tmp_path):

@@ -4,8 +4,9 @@ the files; each run imports ``jcasbeam`` from its own checkout's ``src/``. Cover
 sweep files at the ``sweep-snr`` benchmark settings, of a seed-7 sweep at ``--jobs``
 1 and 2 and of a K=16 sweep whose sensing counts include 0 and K; the ``design``
 files of ``design --seed 0`` and of a K=16 ``design --jcas 0``, which writes no
-pattern file; the ``link`` workload's 16 covariances and 18 designs, and the default
-design.
+pattern file; the ``link`` workload's 16 covariances and 18 designs, the default
+design, and the config files that ``write_config`` writes for the default config and
+for one that sets an antenna spacing, two target angles, the literal rate and a seed.
 """
 
 import contextlib, hashlib, io, json, sys, tempfile  # noqa: E401
@@ -25,6 +26,8 @@ SWEEPS = {"sweep-snr": "--snr 0 5 10 --rho 0.25 0.5 0.75 --jcas 4 --realizations
 SWEEP_FILES = ("rates.csv", "beampattern_avg.csv", "beampattern_member.csv", "sweep_manifest.json")
 DESIGNS = {"cli-design-seed0": "--seed 0", "cli-design-k16-J0": "--jcas 0 --config {k16}"}
 DESIGN_FILES = ("design_manifest.json", "rates.csv", "beampattern.csv")
+CONFIGS = {"config-default": {}, "config-set": dict(antenna_spacing=0.07, target_angles=(-45.0, 12.5),
+                                                    rate_formula="literal", seed=11)}
 DESIGN_ARRAYS = ("channels", "eigen_precoders", "eigen_rates", "jcas_subcarriers", "precoders", "rates")
 
 
@@ -57,6 +60,9 @@ def main():
             for name, flags in runs.items():
                 assert cli([command, *flags.format(k16=k16).split(), "--out-dir", f"{tmp}/{name}"]) == 0
                 out[name] = {f: file_digest(Path(tmp, name, f)) for f in files}
+        for name, fields in CONFIGS.items():
+            jb.write_config(jb.SystemConfig(**fields), f"{tmp}/{name}.ini")
+            out[name] = file_digest(Path(tmp, f"{name}.ini"))
     cfg = jb.SystemConfig(n_subcarriers=16)
     grid = jb.build_grid(cfg)
     covs = jb.solve_radar_covariance(grid, cfg.effective_power)
