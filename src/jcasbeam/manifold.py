@@ -24,20 +24,20 @@ until every carrier is done.
 The Armijo line search runs on a ladder. Its trial steps are fixed rungs, rung
 r being CONTRACTION**r, so the values of a whole chunk of rungs
 (``LADDER_CHUNK``) are known before any is judged: one :func:`retract` of the
-column of running carriers by the row of rungs, and one stacked objective
-call, evaluate every carrier at every rung of the chunk, and carriers still
-undecided at its end get the next chunk. One routine, ``_armijo_decide``,
-reads each carrier's row of values and finds where a sequential backtracking
-search (with its polishing probes) would end. The rungs are formed by the same
-repeated multiplication by ``CONTRACTION`` as a shrinking step (exact powers
-for the contraction 0.5 used here), so each rung is bit for bit the step the
-sequential search tries at that round, and the ladder ends every search on the
-same step with the same value. The accepted rung's retracted point, already
-computed on the ladder, becomes the new iterate. The ladder keeps only points
-and values: its residuals F F^H - R, (n_tx, n_tx) per rung, would be its
-largest table, so the gradient's residual is formed again at the new
-iterate, by the same per-matrix products, which keeps a batch's peak memory
-small.
+column of running carriers by the row of rungs, and one
+:func:`tradeoff_objective` call, evaluate every carrier at every rung of the
+chunk, and carriers still undecided at its end get the next chunk. One
+routine, ``_armijo_decide``, reads each carrier's row of values and finds
+where a sequential backtracking search (with its polishing probes) would end.
+The rungs are formed by the same repeated multiplication by ``CONTRACTION``
+as a shrinking step (exact powers for the contraction 0.5 used here), so each
+rung is bit for bit the step the sequential search tries at that round, and
+the ladder ends every search on the same step with the same value. The
+accepted rung's retracted point, already computed on the ladder, becomes the
+new iterate. The ladder keeps only points and values: its residuals
+F F^H - R, (n_tx, n_tx) per rung, would be its largest table, so
+:func:`tradeoff_gradient` forms the residual again at the new iterate, by the
+same per-matrix products, which keeps a batch's peak memory small.
 
 Exactness: the plateau stop is absolute (``PLATEAU_TOL`` = 1e-10 against an
 objective of order P^2), so it is sensitive to roundoff: a 1-ulp change in one
@@ -51,14 +51,14 @@ product is the conjugating BLAS dot that ``np.vdot`` makes (through
 ``** 2`` is, not as ``x * x``, which rounds differently on about 0.1% of
 values. The stack squares all its norms in one ``np.float_power(x, 2.0)``
 call, whose loop calls that same ``pow`` (a test holds it equal to
-``math.pow`` on a million values). A per-carrier rho or power enters each
-product as the scalar would, elementwise. So a carrier's result is the same
+``math.pow`` on a million values). The primitives take a rho or a power per
+carrier, which enters each product as the scalar would, elementwise, and the
+core calls them with its carriers' own. So a carrier's result is the same
 whatever batch it runs in, and whatever rho and power its neighbours have.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,7 +80,6 @@ MAX_ITER = 500
 # Every step a search can try, up to the last polishing probe: rung r is
 # CONTRACTION**r, formed by repeated multiplication as a search shrinks its step.
 _RCG_RUNGS = np.cumprod(np.r_[1.0, np.full(2 * MAX_BACKTRACKS, CONTRACTION)])
-_RUNG_STEPS = _RCG_RUNGS[:, None, None]  # the rungs, shaped to scale a stack of directions
 
 
 def _each(values):
@@ -89,15 +88,13 @@ def _each(values):
 
 
 def _norms(mats: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix of a (..., n, m) stack, shaped (...).
+    """Frobenius norm of each matrix of a complex (..., n, m) stack, shaped (...).
 
     ``np.linalg.norm`` of one complex matrix is sqrt(re.re + im.im), two BLAS
-    dots over the strided real and imaginary views (one dot for a real
-    matrix); ``np.vecdot`` over those views makes the same dots per matrix.
+    dots over the strided real and imaginary views; ``np.vecdot`` over those
+    views makes the same dots per matrix.
     """
     flat = mats.reshape(-1, mats.shape[-2] * mats.shape[-1])
-    if not np.iscomplexobj(flat):
-        return np.sqrt(np.vecdot(flat, flat)).reshape(mats.shape[:-2])
     parts = flat[..., None].view(np.float64)  # (B, n, re/im)
     sq = np.vecdot(parts, parts, axis=1)
     return np.sqrt(sq[:, 0] + sq[:, 1]).reshape(mats.shape[:-2])
@@ -113,34 +110,26 @@ def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.vecdot(a.reshape(a.shape[:-2] + (n,)), b.reshape(b.shape[:-2] + (n,))).real
 
 
-def _residual_objective(f: np.ndarray, cov: np.ndarray, f_comm: np.ndarray, rho, rho_c):
-    """The residuals F F^H - R and the objective values of a (..., n_tx, n_streams) stack.
+def tradeoff_objective(f: np.ndarray, cov: np.ndarray, f_comm: np.ndarray, rho):
+    """gamma(F) of each precoder of a complex (..., n_tx, n_streams) stack, shaped (...).
 
-    ``rho`` and ``rho_c`` = 1 - rho broadcast against the stack's leading
+    ``rho`` is a float or one per precoder, broadcast against the leading
     axes. Each norm is squared by libm ``pow`` (``np.float_power``), as a
     scalar ``** 2`` squares it.
     """
     comm = np.float_power(_norms(f - f_comm), 2.0)
     gram = f @ f.conj().mT
-    # in place on a complex stack: on the line-search ladder these are the largest temporaries
-    resid = np.subtract(gram, cov, out=gram if gram.dtype.kind == "c" else None)
-    sens = np.float_power(_norms(resid), 2.0)
-    return resid, rho * sens + rho_c * comm
+    # in place: on the line-search ladder these residuals are the largest temporaries
+    sens = np.float_power(_norms(np.subtract(gram, cov, out=gram)), 2.0)
+    return rho * sens + (1.0 - rho) * comm
 
 
-def tradeoff_objective(f: np.ndarray, cov: np.ndarray, f_comm: np.ndarray, rho):
-    """gamma(F) of each precoder of a (..., n_tx, n_streams) stack, shaped (...)."""
-    return _residual_objective(f, cov, f_comm, rho, 1.0 - rho)[1]
+def tradeoff_gradient(f: np.ndarray, cov: np.ndarray, f_comm: np.ndarray, rho) -> np.ndarray:
+    """Euclidean (conjugate-coordinate) gradient of the tradeoff objective, per matrix.
 
-
-def _gradient(f: np.ndarray, resid: np.ndarray, f_comm: np.ndarray, c_sens, c_comm) -> np.ndarray:
-    """Euclidean gradient at ``f`` from its residual F F^H - R; c_sens = 4 rho, c_comm = 2 (1 - rho)."""
-    return c_sens * (resid @ f) + c_comm * (f - f_comm)
-
-
-def tradeoff_gradient(f: np.ndarray, cov: np.ndarray, f_comm: np.ndarray, rho: float) -> np.ndarray:
-    """Euclidean (conjugate-coordinate) gradient of the tradeoff objective, per matrix."""
-    return _gradient(f, f @ f.conj().mT - cov, f_comm, 4.0 * rho, 2.0 * (1.0 - rho))
+    ``f`` is a complex stack; ``rho`` is a float or one per matrix.
+    """
+    return _each(4.0 * rho) * ((f @ f.conj().mT - cov) @ f) + _each(2.0 * (1.0 - rho)) * (f - f_comm)
 
 
 def project_to_tangent(f: np.ndarray, g: np.ndarray, power) -> np.ndarray:
@@ -152,23 +141,22 @@ def project_to_tangent(f: np.ndarray, g: np.ndarray, power) -> np.ndarray:
     return g - _each(_inner(f, g) / power) * f
 
 
-def _normalize(v: np.ndarray, root) -> np.ndarray:
-    """Scale each matrix of a stack onto the power sphere of radius ``root`` = sqrt(P).
+def _normalize(v: np.ndarray, power) -> np.ndarray:
+    """Scale each matrix of a complex stack onto the sphere ||F||_F^2 = ``power``.
 
-    ``root`` broadcasts against the stack: a float, or one per matrix shaped
-    like the leading axes with two trailing unit axes.
+    ``power`` is a float or one per matrix, shaped like the leading axes.
     """
-    return root * v / _each(_norms(v))
+    return _each(np.sqrt(power)) * v / _each(_norms(v))
 
 
-def retract(f: np.ndarray, step, direction: np.ndarray, power: float) -> np.ndarray:
+def retract(f: np.ndarray, step, direction: np.ndarray, power) -> np.ndarray:
     """Move along ``direction`` then renormalize back onto the power sphere.
 
-    ``step`` broadcasts over the leading axes of the stack: one float, one
-    step per matrix, or, as the line search uses it, a row of steps against
-    a column of matrices.
+    ``step`` and ``power`` broadcast over the leading axes of the stack: a
+    float, one per matrix, or, as the line search uses them, a row of steps
+    against a column of matrices with one power each.
     """
-    return _normalize(f + _each(step) * direction, math.sqrt(power))
+    return _normalize(f + _each(step) * direction, power)
 
 
 def polak_ribiere_mu(g_new: np.ndarray, g_prev: np.ndarray, g_prev_transported: np.ndarray):
@@ -218,11 +206,10 @@ def _armijo_decide(values, rungs, phi0, slope, c, max_backtracks):
     return final, decided, ~failed
 
 
-def _line_search(f, direction, cov, f_comm, rho, rho_c, root, gamma, slope):
+def _line_search(f, direction, cov, f_comm, rho, power, gamma, slope):
     """Armijo searches of a stack of carriers along the retraction, on the ladder.
 
-    The carriers' ``rho`` and ``rho_c`` = 1 - rho come shaped (B, 1) and
-    ``root`` = sqrt(P) shaped (B, 1, 1, 1), to broadcast over the rungs.
+    ``rho``, ``power``, ``gamma`` and ``slope`` are the carriers' (B,) arrays.
     Each round retracts the undecided carriers to the next ``LADDER_CHUNK``
     rungs and evaluates them in one stacked call; the first round takes
     every carrier. Returns (value, ok, f_new): each carrier's objective,
@@ -233,9 +220,9 @@ def _line_search(f, direction, cov, f_comm, rho, rho_c, root, gamma, slope):
     tables = None  # points and values of every carrier at the rungs so far
     while True:
         lo = 0 if tables is None else tables[1].shape[1]
-        steps = _RUNG_STEPS[lo : lo + LADDER_CHUNK]
-        points = _normalize(f[todo, None] + steps * direction[todo, None], root[todo])
-        values = _residual_objective(points, cov[todo, None], f_comm[todo, None], rho[todo], rho_c[todo])[1]
+        steps = _RCG_RUNGS[lo : lo + LADDER_CHUNK]
+        points = retract(f[todo, None], steps, direction[todo, None], power[todo, None])
+        values = tradeoff_objective(points, cov[todo, None], f_comm[todo, None], rho[todo, None])
         chunk = (points, values)
         if tables is None:
             tables = chunk
@@ -283,9 +270,10 @@ def solve_rcg_batch(
 ) -> list[RcgResult]:
     """Minimize the tradeoff objective on each carrier of a stack, from ``f0``.
 
-    ``f0`` and ``f_comm`` are (B, n_tx, n_streams), ``cov`` is (B, n_tx, n_tx);
-    ``rho`` and ``power`` are each a float shared by every carrier or a (B,)
-    array, one per carrier. Each carrier stops on its own: when its
+    ``f0`` and ``f_comm`` are (B, n_tx, n_streams), ``cov`` is (B, n_tx, n_tx),
+    each taken as complex; ``rho`` and ``power`` are each a float shared by
+    every carrier or a (B,) array, one per carrier, which the core hands to
+    the primitives as they are. Each carrier stops on its own: when its
     Riemannian gradient norm is at most ``GRAD_TOL * sqrt(power)``, when its
     objective decrease is at most ``PLATEAU_TOL`` for ``PLATEAU_RUNS``
     consecutive iterations, when its line search cannot make progress, or
@@ -295,53 +283,42 @@ def solve_rcg_batch(
     docstring). A power whose starting objective is not finite (it overflows
     near P = 1e154) raises :class:`ConfigError` naming the first such power.
     """
+    f0, cov, f_comm = (np.asarray(a, dtype=complex) for a in (f0, cov, f_comm))
     n_car = len(f0)
     if n_car == 0:
         return []
     rho = np.broadcast_to(np.asarray(rho, dtype=float), (n_car,))
     power = np.broadcast_to(np.asarray(power, dtype=float), (n_car,))
-    # per-carrier coefficients, shaped to broadcast where they are used
-    rho_c = 1.0 - rho
-    root = np.sqrt(power)[:, None, None, None]  # against the (B, rungs, n_tx, n_streams) ladder
-    c_sens, c_comm = _each(4.0 * rho), _each(2.0 * rho_c)
-    grad_tol = GRAD_TOL * np.sqrt(power)
-    rho_w, rho_cw = rho[:, None], rho_c[:, None]  # against the ladder's (B, rungs) values
 
-    f = _normalize(f0, root[:, 0])
+    f = _normalize(f0, power)
     with np.errstate(over="ignore"):  # an overflow is reported below
-        resid, gamma = _residual_objective(f, cov, f_comm, rho, rho_c)
+        gamma = tradeoff_objective(f, cov, f_comm, rho)
     if not np.all(np.isfinite(gamma)):
         bad = power[np.argmin(np.isfinite(gamma))]
         raise ConfigError(f"power budget {bad:g} is too large: the RCG objective, of order P^2, overflows")
-    grad = project_to_tangent(f, _gradient(f, resid, f_comm, c_sens, c_comm), power)
+    grad = project_to_tangent(f, tradeoff_gradient(f, cov, f_comm, rho), power)
     direction = -grad
     grad_norm = _norms(grad)
 
     trace = np.empty((n_car, MAX_ITER + 1))
     trace[:, 0] = gamma
     final_f = np.empty_like(f)
-    final_gamma = np.empty(n_car)
     iterations = np.zeros(n_car, dtype=int)
-    reasons = [""] * n_car
+    reasons = np.empty(n_car, dtype=object)
     act = np.arange(n_car)  # original index of each running carrier
     plateau = np.zeros(n_car, dtype=int)
     it = 0
 
     def drop(done, reason, *extra):
         """Record the carriers in ``done`` as stopped and gather the rest (and ``extra``)."""
-        nonlocal act, f, grad, direction, gamma, grad_norm, plateau, cov, f_comm
-        nonlocal power, root, c_sens, c_comm, grad_tol, rho_w, rho_cw
+        nonlocal act, f, grad, direction, gamma, grad_norm, plateau, cov, f_comm, rho, power
         idx = act[done]
         final_f[idx] = f[done]
-        final_gamma[idx] = gamma[done]
         iterations[idx] = it
-        for i in idx:
-            reasons[i] = reason
+        reasons[idx] = reason
         keep = ~done
-        (act, f, grad, direction, gamma, grad_norm, plateau, cov, f_comm,
-         power, root, c_sens, c_comm, grad_tol, rho_w, rho_cw) = (
-            a[keep] for a in (act, f, grad, direction, gamma, grad_norm, plateau, cov, f_comm,
-                              power, root, c_sens, c_comm, grad_tol, rho_w, rho_cw)
+        act, f, grad, direction, gamma, grad_norm, plateau, cov, f_comm, rho, power = (
+            a[keep] for a in (act, f, grad, direction, gamma, grad_norm, plateau, cov, f_comm, rho, power)
         )
         return [a[keep] for a in extra]
 
@@ -349,7 +326,7 @@ def solve_rcg_batch(
         if it >= MAX_ITER:
             drop(np.ones(act.size, dtype=bool), "max_iterations")
             break
-        small = grad_norm <= grad_tol
+        small = grad_norm <= GRAD_TOL * np.sqrt(power)
         if np.count_nonzero(small):
             drop(small, "gradient_norm")
             if not act.size:
@@ -362,7 +339,7 @@ def solve_rcg_batch(
             direction = np.where(_each(lost), -grad, direction)
             slope = np.where(lost, -np.float_power(grad_norm, 2.0), slope)
 
-        value, ok, f_new = _line_search(f, direction, cov, f_comm, rho_w, rho_cw, root, gamma, slope)
+        value, ok, f_new = _line_search(f, direction, cov, f_comm, rho, power, gamma, slope)
         stall = ~ok & (value >= gamma)
         if np.count_nonzero(stall):
             value, f_new = drop(stall, "line_search_stall", value, f_new)
@@ -370,7 +347,7 @@ def solve_rcg_batch(
                 break
 
         # the new gradient, and the old gradient and direction transported to f_new, in one projection
-        euclid = _gradient(f_new, f_new @ f_new.conj().mT - cov, f_comm, c_sens, c_comm)
+        euclid = tradeoff_gradient(f_new, cov, f_comm, rho)
         moved = project_to_tangent(f_new, np.stack([euclid, grad, direction]), power)
         grad_new, grad_moved, direction_moved = moved
         mu = polak_ribiere_mu(grad_new, grad, grad_moved)
@@ -390,7 +367,7 @@ def solve_rcg_batch(
     return [
         RcgResult(
             precoder=final_f[c],
-            objective=float(final_gamma[c]),
+            objective=float(trace[c, iterations[c]]),
             # a copy, so the batch's (B, MAX_ITER + 1) table is freed on return
             objective_trace=trace[c, : iterations[c] + 1].copy(),
             iterations=int(iterations[c]),

@@ -157,6 +157,11 @@ def refine_carriers(channels, f_hat, cov, rho, power, prefactor):
     return refined, precoders, link_rates(channels, precoders, prefactor)
 
 
+def _scalars(record) -> dict:
+    """The scalar fields of a result record, by name."""
+    return {name: value for name, value in vars(record).items() if np.ndim(value) == 0}
+
+
 def build_run_manifest(result: DesignResult) -> dict:
     """JSON-ready summary of one design run (no arrays beyond per-k scalars)."""
     return {
@@ -165,22 +170,6 @@ def build_run_manifest(result: DesignResult) -> dict:
         "eigen_avg_rate": result.eigen_avg_rate,
         "avg_rate": result.avg_rate,
         "rates": [float(r) for r in result.rates],
-        "covariance": {
-            str(k): {
-                "iterations": sol.iterations,
-                "objective": sol.objective,
-                "converged": bool(sol.converged),
-                "residual": sol.residual,
-            }
-            for k, sol in result.covariances.items()
-        },
-        "refinement": {
-            str(k): {
-                "iterations": res.iterations,
-                "objective": res.objective,
-                "converged": bool(res.converged),
-                "stop_reason": res.stop_reason,
-            }
-            for k, res in result.refinements.items()
-        },
+        "covariance": {str(k): _scalars(sol) for k, sol in result.covariances.items()},
+        "refinement": {str(k): _scalars(res) for k, res in result.refinements.items()},
     }

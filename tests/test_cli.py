@@ -132,11 +132,12 @@ def test_oversized_sensing_count_exits_2(tmp_path, capsys):
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):
-    # an absent file, and one that is not UTF-8 text: a config error naming
-    # the file, no traceback, no output directory
+    # an absent file, one that is not UTF-8 text and one that is not key/value
+    # text: a config error naming the file, no traceback, no output directory
     (tmp_path / "binary.ini").write_bytes(b"\xff\xfe\x00bad")
+    (tmp_path / "twice.ini").write_text("[run]\nseed = 1\nseed = 2\n")
     out = tmp_path / "never"
-    for name in ("absent.ini", "binary.ini"):
+    for name in ("absent.ini", "binary.ini", "twice.ini"):
         for command in ("design", "sweep"):
             code = main([command, "--config", str(tmp_path / name), "--out-dir", str(out)])
             assert code == 2

@@ -253,12 +253,29 @@ def test_load_config_missing_key_names_it(tmp_path):
         load_config(cfg_path)
 
 
+ANGLES = "target_angles = -60.0, -30.0, 30.0, 60.0"
+NOT_KEY_VALUE = "config file is not valid key/value text"
+# (text in a written default config, its replacement, the ConfigError message)
+BAD_CONFIG_EDITS = [
+    ("rho = 0.5", "rho = lots", "rho"),
+    ("rho = 0.5", "rho = 0.5\nrho = 0.5", f"{NOT_KEY_VALUE}.*option 'rho' in section 'sensing' already exists"),
+    ("[run]", "[array]", f"{NOT_KEY_VALUE}.*section 'array' already exists"),
+    ("rho = 0.5", "rho 0.5", f"{NOT_KEY_VALUE}.*parsing errors"),
+    (ANGLES, "target_angles =", "invalid value for config key 'target_angles': ''"),
+    (ANGLES, "target_angles = ,", "invalid value for config key 'target_angles': ','"),
+]
+
+
 def test_load_config_bad_value(tmp_path):
+    # a bad value, a duplicate key or section, a line with no '=', and lists with no numbers
     cfg_path = tmp_path / "run.ini"
     write_config(SystemConfig(), cfg_path)
-    cfg_path.write_text(cfg_path.read_text().replace("rho = 0.5", "rho = lots"))
-    with pytest.raises(ConfigError, match="rho"):
-        load_config(cfg_path)
+    text = cfg_path.read_text()
+    for old, new, message in BAD_CONFIG_EDITS:
+        assert old in text
+        cfg_path.write_text(text.replace(old, new))
+        with pytest.raises(ConfigError, match=message):
+            load_config(cfg_path)
 
 
 def test_config_is_frozen():

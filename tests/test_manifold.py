@@ -341,22 +341,34 @@ def test_stacked_primitives_match_one_matrix_calls(rng):
     d = random_complex(rng, (5, 4, 2))
     cov = np.array([random_psd(rng, 4, power) for _ in range(5)])
     steps = rng.uniform(0.0, 2.0, 5)
+    # one rho and one power per carrier, as the RCG core passes them
+    rhos = np.array([0.0, 0.3, 0.5, 0.9, 1.0])
+    powers = rng.uniform(0.5, 4.0, 5)
     stacked = (
         tradeoff_gradient(f, cov, g, 0.4),
         project_to_tangent(f, g, power),
         retract(f, steps, d, power),
         polak_ribiere_mu(g, d, f),
+        tradeoff_objective(f, cov, g, rhos),
+        tradeoff_gradient(f, cov, g, rhos),
+        retract(f, steps, d, powers),
     )
     for b in range(5):
         np.testing.assert_array_equal(stacked[0][b], tradeoff_gradient(f[b], cov[b], g[b], 0.4))
         np.testing.assert_array_equal(stacked[1][b], project_to_tangent(f[b], g[b], power))
         np.testing.assert_array_equal(stacked[2][b], retract(f[b], steps[b], d[b], power))
         assert stacked[3][b] == polak_ribiere_mu(g[b], d[b], f[b])
-    # the line search's form: a column of matrices retracted by a row of steps
+        assert stacked[4][b] == tradeoff_objective(f[b], cov[b], g[b], float(rhos[b]))
+        np.testing.assert_array_equal(stacked[5][b], tradeoff_gradient(f[b], cov[b], g[b], float(rhos[b])))
+        np.testing.assert_array_equal(stacked[6][b], retract(f[b], steps[b], d[b], float(powers[b])))
+    # the line search's form: a column of matrices retracted by a row of steps,
+    # with one power per matrix
     ladder = retract(f[:, None], steps, d[:, None], power)
-    assert ladder.shape == (5, 5, 4, 2)
+    ladder_powers = retract(f[:, None], steps, d[:, None], powers[:, None])
+    assert ladder.shape == ladder_powers.shape == (5, 5, 4, 2)
     for b, r in np.ndindex(5, 5):
         np.testing.assert_array_equal(ladder[b, r], retract(f[b], steps[r], d[b], power))
+        np.testing.assert_array_equal(ladder_powers[b, r], retract(f[b], steps[r], d[b], float(powers[b])))
 
 
 def test_armijo_searches_run_side_by_side_as_alone():

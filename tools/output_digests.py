@@ -4,9 +4,12 @@ the files; each run imports ``jcasbeam`` from its own checkout's ``src/``. Cover
 sweep files at the ``sweep-snr`` benchmark settings, of a seed-7 sweep at ``--jobs``
 1 and 2 and of a K=16 sweep whose sensing counts include 0 and K; the ``design``
 files of ``design --seed 0`` and of a K=16 ``design --jcas 0``, which writes no
-pattern file; the ``link`` workload's 16 covariances and 18 designs, the default
-design, and the config files that ``write_config`` writes for the default config and
-for one that sets an antenna spacing, two target angles, the literal rate and a seed.
+pattern file; the ``link`` workload's 16 covariances and 18 designs, and two
+more K=16 ``link`` designs: at rho 0, where every carrier stops at iteration 0 on
+the gradient norm, and at rho 1, where every carrier stops on the plateau; the
+default design; and the config files that ``write_config`` writes for the default
+config and for one that sets an antenna spacing, two target angles, the literal
+rate and a seed.
 """
 
 import contextlib, hashlib, io, json, sys, tempfile  # noqa: E401
@@ -67,7 +70,8 @@ def main():
     grid = jb.build_grid(cfg)
     covs = jb.solve_radar_covariance(grid, cfg.effective_power)
     out["link-covariances"] = {k: digest(*vars(sol).values()) for k, sol in covs.items()}
-    for seed, rho, n_jcas in [(s, r, j) for s in range(3) for r in (0.25, 0.5, 0.75) for j in (4, 16)]:
+    links = [(s, r, j) for s in range(3) for r in (0.25, 0.5, 0.75) for j in (4, 16)]
+    for seed, rho, n_jcas in links + [(0, 0.0, 16), (0, 1.0, 16)]:
         channels = jb.generate_rayleigh(cfg.n_subcarriers, cfg.n_rx, cfg.n_tx, seed)
         res = jb.run_design(replace(cfg, rho=rho, n_jcas=n_jcas, seed=seed), channels, grid, covs)
         out[f"link-seed{seed}-rho{rho}-J{n_jcas}"] = design_digests(res)
