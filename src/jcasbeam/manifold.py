@@ -22,22 +22,22 @@ operands are gathered again only when a carrier stops, and the core steps
 until every carrier is done.
 
 The Armijo line search runs on a ladder. Its trial steps are fixed rungs, rung
-r being CONTRACTION**r, so the values of a whole chunk of rungs
-(``LADDER_CHUNK``) are known before any is judged: one :func:`retract` of the
-column of running carriers by the row of rungs, and one
-:func:`tradeoff_objective` call, evaluate every carrier at every rung of the
-chunk, and carriers still undecided at its end get the next chunk. One
-routine, ``_armijo_decide``, reads each carrier's row of values and finds
-where a sequential backtracking search (with its polishing probes) would end.
-The rungs are formed by the same repeated multiplication by ``CONTRACTION``
-as a shrinking step (exact powers for the contraction 0.5 used here), so each
-rung is bit for bit the step the sequential search tries at that round, and
-the ladder ends every search on the same step with the same value. The
-accepted rung's retracted point, already computed on the ladder, becomes the
-new iterate. The ladder keeps only points and values: its residuals
-F F^H - R, (n_tx, n_tx) per rung, would be its largest table, so
-:func:`tradeoff_gradient` forms the residual again at the new iterate, by the
-same per-matrix products, which keeps a batch's peak memory small.
+r being CONTRACTION**r, so the values of many rungs are known before any is
+judged: one :func:`retract` of the column of running carriers by the row of
+rungs, and one :func:`tradeoff_objective` call, evaluate every carrier at every
+rung of a round. Round 1 takes the first ``LADDER_CHUNK`` rungs of every
+carrier; the few it leaves undecided take, in round 2, every rung up to the
+last polishing probe (``_RCG_RUNGS``). One routine, ``_armijo_decide``, reads
+each carrier's row of values and finds where a sequential backtracking search
+(with its polishing probes) would end. The rungs are formed by the same
+repeated multiplication by ``CONTRACTION`` as a shrinking step (exact powers
+for the contraction 0.5 used here), so each rung is bit for bit the step the
+sequential search tries at that round: the ladder ends every search on the
+same step with the same value, and its retracted point becomes the new iterate.
+The ladder keeps only points and values: its residuals F F^H - R, (n_tx, n_tx)
+per rung, would be its largest table, so :func:`tradeoff_gradient` forms the
+residual again at the new iterate, by the same per-matrix products, which keeps
+a batch's peak memory small.
 
 Exactness: the plateau stop is absolute (``PLATEAU_TOL`` = 1e-10 against an
 objective of order P^2), so it is sensitive to roundoff: a 1-ulp change in one
@@ -69,7 +69,7 @@ from .errors import ConfigError
 CONTRACTION = 0.5
 ARMIJO_C = 1e-4
 MAX_BACKTRACKS = 50
-# rungs evaluated per stacked round: 99.9% of searches are decided within the first 7
+# the rungs of the line search's first round, which decides 99.9% of searches
 LADDER_CHUNK = 7
 # the stopping rules of the RCG solver (see solve_rcg_batch); the gradient
 # tolerance is relative, GRAD_TOL * sqrt(P)
@@ -207,46 +207,28 @@ def _armijo_decide(values, rungs, phi0, slope, c, max_backtracks):
 
 
 def _line_search(f, direction, cov, f_comm, rho, power, gamma, slope):
-    """Armijo searches of a stack of carriers along the retraction, on the ladder.
+    """Armijo searches of a stack of carriers along the retraction, on the ladder, in two rounds.
 
-    ``rho``, ``power``, ``gamma`` and ``slope`` are the carriers' (B,) arrays.
-    Each round retracts the undecided carriers to the next ``LADDER_CHUNK``
-    rungs and evaluates them in one stacked call; the first round takes
-    every carrier. Returns (value, ok, f_new): each carrier's objective,
-    success flag and retracted point at its final rung, where a sequential
+    ``rho``, ``power``, ``gamma`` and ``slope`` are the carriers' (B,) arrays. Round 1
+    takes the first ``LADDER_CHUNK`` rungs of every carrier, round 2 all of ``_RCG_RUNGS``
+    for the searches round 1 leaves undecided. Returns (value, ok, f_new): each carrier's
+    objective, success flag and retracted point at its final rung, where a sequential
     backtracking search would end.
     """
-    todo = slice(None)
-    tables = None  # points and values of every carrier at the rungs so far
-    while True:
-        lo = 0 if tables is None else tables[1].shape[1]
-        steps = _RCG_RUNGS[lo : lo + LADDER_CHUNK]
-        points = retract(f[todo, None], steps, direction[todo, None], power[todo, None])
-        values = tradeoff_objective(points, cov[todo, None], f_comm[todo, None], rho[todo, None])
-        chunk = (points, values)
-        if tables is None:
-            tables = chunk
-        else:
-            tables = tuple(_append_rows(t, new, todo) for t, new in zip(tables, chunk))
-        final, decided, ok = _armijo_decide(
-            tables[1], _RCG_RUNGS, gamma, slope, ARMIJO_C, MAX_BACKTRACKS
-        )
-        if decided.all():
-            break
-        todo = ~decided
-    points, values = tables
-    rows = np.arange(len(final))
-    return values[rows, final], ok, points[rows, final]
 
+    def ladder(rows, n_rungs):
+        """Each search of ``rows`` on the first ``n_rungs`` rungs: (value, ok, f_new, decided)."""
+        points = retract(f[rows, None], _RCG_RUNGS[:n_rungs], direction[rows, None], power[rows, None])
+        values = tradeoff_objective(points, cov[rows, None], f_comm[rows, None], rho[rows, None])
+        final, decided, ok = _armijo_decide(values, _RCG_RUNGS, gamma[rows], slope[rows], ARMIJO_C, MAX_BACKTRACKS)
+        # an undecided search may point past the table; round 2 redoes it
+        pick = np.arange(len(final)), np.minimum(final, values.shape[1] - 1)
+        return values[pick], ok, points[pick], decided
 
-def _append_rows(table: np.ndarray, new: np.ndarray, rows) -> np.ndarray:
-    """``table`` (m, n, ...) with ``new`` appended as further columns of ``rows``.
-
-    The other rows get zeros there; their decisions are already made.
-    """
-    more = np.zeros(table.shape[:1] + new.shape[1:], dtype=table.dtype)
-    more[rows] = new
-    return np.concatenate([table, more], axis=1)
+    value, ok, f_new, decided = ladder(slice(None), LADDER_CHUNK)
+    if not decided.all():
+        value[~decided], ok[~decided], f_new[~decided], _ = ladder(~decided, len(_RCG_RUNGS))
+    return value, ok, f_new
 
 
 @dataclass(frozen=True)

@@ -409,15 +409,31 @@ MIXED_STOP_RECORD = [
 ]
 
 
-def test_rcg_mixed_stop_batch_matches_its_record(mixed_stop_rules):
+def test_rcg_mixed_stop_batch_matches_its_record(mixed_stop_rules, monkeypatch):
+    rounds = []  # (width, phi0, ok) of each call of the line search's decision
+    decide = manifold._armijo_decide
+
+    def spy(values, rungs, phi0, *args):
+        final, decided, ok = decide(values, rungs, phi0, *args)
+        rounds.append((values.shape[1], phi0, ok))
+        return final, decided, ok
+
+    monkeypatch.setattr(manifold, "_armijo_decide", spy)
     stack, settings = _mixed_stop_instance()
     batch = solve_rcg_batch(*stack, **settings)
     assert [(r.iterations, r.stop_reason, r.objective) for r in batch] == MIXED_STOP_RECORD
+    # a stalled search fails at rung MAX_BACKTRACKS, past round 1: each stalled
+    # carrier's last search, from its final objective, ran and failed in round 2
+    assert manifold.LADDER_CHUNK <= MAX_BACKTRACKS
+    failed = {float(g) for width, phi0, ok in rounds if width == len(_RCG_RUNGS) for g in phi0[~ok]}
+    stalled = {obj for _, reason, obj in MIXED_STOP_RECORD if reason == "line_search_stall"}
+    assert len(stalled) == 3 and stalled <= failed
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 3])
+@pytest.mark.parametrize("chunk", [1, 2, 3, len(_RCG_RUNGS)])
 def test_rcg_ladder_chunk_does_not_change_results(mixed_stop_rules, monkeypatch, chunk):
-    # small chunks leave most searches undecided after their first round
+    # small chunks leave most searches undecided after round 1; at the full
+    # width round 1 decides every search and round 2 never runs
     stack, settings = _mixed_stop_instance()
     want = solve_rcg_batch(*stack, **settings)
     monkeypatch.setattr(manifold, "LADDER_CHUNK", chunk)

@@ -9,7 +9,9 @@ more K=16 ``link`` designs: at rho 0, where every carrier stops at iteration 0 o
 the gradient norm, and at rho 1, where every carrier stops on the plateau; the
 default design; and the config files that ``write_config`` writes for the default
 config and for one that sets an antenna spacing, two target angles, the literal
-rate and a seed.
+rate and a seed. The ``link`` designs reach both rounds of the RCG line search:
+the second, which takes the searches the first leaves undecided, runs for 4 of
+the 9,580 searches at seeds 0-2 and for 6 of the 1,077 at rho 0 and 1.
 """
 
 import contextlib, hashlib, io, json, sys, tempfile  # noqa: E401
