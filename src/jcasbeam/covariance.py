@@ -20,8 +20,8 @@ stop if solved alone, in a batch of one through
 :func:`solve_radar_covariance`. Power enters only in the finish (scale,
 polish, objective at the raw desired pattern), and the normalized target of
 the mask is the same at every power, so one solve per subcarrier serves
-every power. The finish, too, is one stacked call over every requested
-(power, subcarrier) pair: it scales and symmetrizes the unit-budget solves,
+every power. The finish, too, is one stacked call over every subcarrier at
+every requested power: it scales and symmetrizes the unit-budget solves,
 sets their diagonals, and alternates psd and diagonal projections, each
 matrix leaving the loop at its own round; one stacked pattern evaluation
 then scores them all.
@@ -291,25 +291,22 @@ def _finished(unit: np.ndarray, powers: np.ndarray) -> np.ndarray:
     return out
 
 
-def solve_radar_covariances(grid: BeamGrid, requests: dict) -> dict[float, dict[int, CovarianceSolution]]:
-    """Covariances of the mask pattern for many (power, subcarrier) pairs at once.
+def solve_radar_covariances(grid: BeamGrid, powers, subcarriers) -> list[dict[int, CovarianceSolution]]:
+    """Covariances of the mask pattern for every subcarrier at every power, at once.
 
-    ``requests`` maps each power budget to the subcarriers wanted at it. The
-    desired pattern at power P is P times the grid's binary mask, whose
-    normalized target ``mask - 1`` does not depend on P, so every requested
-    subcarrier is solved once, in one batched ADMM call, and every requested
-    (power, subcarrier) pair is then finished in one stacked call (scale,
-    polish) and scored in one stacked pattern evaluation. Returns
-    ``{power: {k: solution}}`` in request order. Iteration stops early below
-    ``TOL``; at ``MAX_ITER`` the iterate is accepted if its residual is below
+    The desired pattern at power P is P times the grid's binary mask, whose
+    normalized target ``mask - 1`` does not depend on P, so each subcarrier
+    is solved once, in one batched ADMM call, and every (power, subcarrier)
+    pair is then finished in one stacked call (scale, polish) and scored in
+    one stacked pattern evaluation. Returns one ``{k: solution}`` dict per
+    power, in the order of ``powers``. Iteration stops early below ``TOL``;
+    at ``MAX_ITER`` the iterate is accepted if its residual is below
     ``FALLBACK_TOL`` (its objective error is orders of magnitude inside the
     1e-2*P accuracy the rest of the pipeline relies on), else a
     :class:`SolverError` names the first failing subcarrier and carries its
-    last iterate at the first power that requested it, with its final
-    residual.
+    last iterate at the first listed power, with its final residual.
     """
-    pairs = [(power, int(k)) for power, ks in requests.items() for k in ks]
-    ks = list(dict.fromkeys(k for _, k in pairs))
+    ks = list(dict.fromkeys(int(k) for k in subcarriers))
     mats, iterations, converged, residual = _admm_unit(grid.steering[ks], grid.desired_gain - 1.0)
     failed = ~converged & (residual > FALLBACK_TOL)
     if failed.any():
@@ -318,18 +315,21 @@ def solve_radar_covariances(grid: BeamGrid, requests: dict) -> dict[float, dict[
             f"subcarrier {ks[c]}: covariance solver residual {residual[c]:.3e} after "
             f"{iterations[c]} iterations exceeds even the fallback tolerance "
             f"{FALLBACK_TOL:g} (tight tolerance {TOL:g})",
-            last_iterate=next(power for power, k in pairs if k == ks[c]) * mats[c],
+            last_iterate=powers[0] * mats[c],
             residual=float(residual[c]),
         )
-    rows = [ks.index(k) for _, k in pairs]
-    powers = np.array([power for power, _ in pairs], dtype=float)
-    finished = _finished(mats[rows], powers)
-    patterns = beampattern_values(finished, grid.steering[[k for _, k in pairs]])
-    objectives = np.sum(np.abs(powers[:, None] * grid.desired_gain - patterns), axis=1)
-    out = {power: {} for power in requests}
-    for (power, k), c, mat, obj in zip(pairs, rows, finished, objectives.tolist()):
-        out[power][k] = CovarianceSolution(mat, obj, int(iterations[c]), bool(converged[c]), float(residual[c]))
-    return out
+    n_pow = len(powers)
+    scale = np.repeat(np.asarray(powers, dtype=float), len(ks))  # power-major, like the output
+    finished = _finished(np.tile(mats, (n_pow, 1, 1)), scale)
+    patterns = beampattern_values(finished, np.tile(grid.steering[ks], (n_pow, 1, 1)))
+    objectives = np.sum(np.abs(scale[:, None] * grid.desired_gain - patterns), axis=1)
+    finished = finished.reshape((n_pow, len(ks)) + mats.shape[1:])
+    objectives = objectives.reshape(n_pow, len(ks)).tolist()
+    stats = [(int(i), bool(c), float(r)) for i, c, r in zip(iterations, converged, residual)]
+    return [
+        {k: CovarianceSolution(mat, obj, *stat) for k, mat, obj, stat in zip(ks, power_mats, power_objs, stats)}
+        for power_mats, power_objs in zip(finished, objectives)
+    ]
 
 
 def solve_radar_covariance(
@@ -343,5 +343,4 @@ def solve_radar_covariance(
     """
     if subcarriers is None:
         subcarriers = range(grid.n_subcarriers)
-    ks = [int(k) for k in subcarriers]
-    return solve_radar_covariances(grid, {power_budget: ks})[power_budget]
+    return solve_radar_covariances(grid, [power_budget], subcarriers)[0]

@@ -10,8 +10,8 @@ and the comparisons are matched. It runs in three passes:
    stable sort, so a smaller count's set is a subset of the largest's.
 2. The covariance problem of the binary mask depends on the subcarrier alone
    once normalized by the design power, so each needed subcarrier is solved
-   once for every SNR, in one batched call, and finished at each design
-   power that needs it.
+   once for every SNR, in one batched call, and finished at every SNR's
+   design power.
 3. Per realization and SNR, one eigen stage again, whose carriers are
    ranked once by rate. Recomputing the eigen stage rather than keeping
    pass 1's keeps memory flat in the realization count. A carrier's
@@ -101,17 +101,13 @@ class SweepResult:
     pattern_member: dict  # (rho, n_jcas) -> median-subcarrier pattern, averaged
 
 
-def _realization_links(base: SystemConfig, snrs, seed: int):
-    """Channels of realization ``seed``, and per SNR its config and eigen stage.
-
-    The configs are the base's with the SNR's power budget and ``seed``.
-    """
-    channels = generate_rayleigh(base.n_subcarriers, base.n_rx, base.n_tx, seed)
-    cfgs = [replace(base, power_budget=base.snr_power(snr), seed=seed) for snr in snrs]
-    return channels, [(cfg, eigen_stage(cfg, channels)) for cfg in cfgs]
+def _realization_links(cfgs, seed: int):
+    """Channels of realization ``seed``, and the eigen stage of each SNR's config on them."""
+    channels = generate_rayleigh(cfgs[0].n_subcarriers, cfgs[0].n_rx, cfgs[0].n_tx, seed)
+    return channels, [eigen_stage(cfg, channels) for cfg in cfgs]
 
 
-def _realization_metrics(base, snrs, rhos, jcas_counts, grid, covariances, pattern_snr, seed):
+def _realization_metrics(snrs, cfgs, rhos, jcas_counts, grid, covariances, pattern_snr, seed):
     """Metrics for every configuration on the channel realization of ``seed``.
 
     Per SNR the carriers are ranked once, by the stable sort whose prefix
@@ -120,30 +116,31 @@ def _realization_metrics(base, snrs, rhos, jcas_counts, grid, covariances, patte
     one pattern stack. A point (SNR, rho, J) reads its first J ranks, with its
     pattern rows in ascending subcarrier order as a design's are, so each
     mean adds the same values in the same order as :func:`run_design`'s.
-    Module-level so worker processes can import it. Returns
+    ``cfgs`` holds one config per SNR and ``covariances`` one solution dict
+    per SNR, both in the order of ``snrs``. Module-level so worker processes
+    can import it. Returns
     ({(snr, rho, J): (avg_rate, mse)}, {(rho, J): (avg_pattern, member_pattern)}).
     """
-    channels, stages = _realization_links(base, snrs, seed)
+    channels, stages = _realization_links(cfgs, seed)
     shape = (len(snrs), len(rhos), max(jcas_counts))
-    ranked = [np.argsort(rates, kind="stable")[:shape[2]] for _, (_, rates) in stages]
+    ranked = [np.argsort(rates, kind="stable")[:shape[2]] for _, rates in stages]
     # the refined carriers, SNR-major, then rho, then rank
     snr_of = np.repeat(np.arange(shape[0]), shape[1] * shape[2])
     ks = np.concatenate([top for top in ranked for _ in rhos])
-    powers = [cfg.effective_power for cfg, _ in stages]
     _, precoders, rates = refine_carriers(
         channels[ks],
-        np.stack([eigen[0] for _, eigen in stages])[snr_of, ks],
-        [covariances[powers[s]][k].matrix for s, k in zip(snr_of.tolist(), ks.tolist())],
+        np.stack([eigen[0] for eigen in stages])[snr_of, ks],
+        [covariances[s][k].matrix for s, k in zip(snr_of.tolist(), ks.tolist())],
         np.tile(np.repeat(rhos, shape[2]), shape[0]),
-        np.array(powers)[snr_of],
-        np.array([1.0 / cfg.effective_noise for cfg, _ in stages])[snr_of],
+        np.array([cfg.effective_power for cfg in cfgs])[snr_of],
+        np.array([1.0 / cfg.effective_noise for cfg in cfgs])[snr_of],
     )
     rates = rates.reshape(shape)
     patterns = precoder_pattern(precoders, grid.steering[ks]).reshape(*shape, len(grid.angles))
 
     point_metrics = {}
     pattern_means = {}
-    for s, (snr, (_, (_, eigen_rates)), order) in enumerate(zip(snrs, stages, ranked)):
+    for s, (snr, (_, eigen_rates), order) in enumerate(zip(snrs, stages, ranked)):
         for r, rho in enumerate(rhos):
             for n_jcas in jcas_counts:
                 top = order[:n_jcas]
@@ -191,25 +188,21 @@ def sweep(
         for n_jcas in jcas_counts:
             replace(base_cfg, rho=rho, n_jcas=n_jcas)
 
-    # Pass 1: find which subcarriers any run needs at each design power; the
-    # largest count's set holds every smaller count's.
+    # Pass 1: find which subcarriers any run needs, over every realization and
+    # SNR; the largest count's set holds every smaller count's.
+    cfgs = [replace(base_cfg, power_budget=base_cfg.snr_power(snr)) for snr in snrs]
     seeds = range(base_cfg.seed, base_cfg.seed + n_realizations)
-    needed = {}
+    needed = set()
     for seed in seeds:
-        _, stages = _realization_links(base_cfg, snrs, seed)
-        for cfg, (_, rates) in stages:
-            ks = needed.setdefault(cfg.effective_power, set())
-            ks.update(select_jcas_subcarriers(rates, max(jcas_counts)).tolist())
+        for _, rates in _realization_links(cfgs, seed)[1]:
+            needed.update(select_jcas_subcarriers(rates, max(jcas_counts)).tolist())
 
-    # Pass 2: solve each needed subcarrier once, finished at each power.
-    covariances = solve_radar_covariances(
-        grid, {power: sorted(ks) for power, ks in sorted(needed.items())}
-    )
+    # Pass 2: solve each needed subcarrier once, finished at every SNR's power.
+    covariances = solve_radar_covariances(grid, [cfg.effective_power for cfg in cfgs], sorted(needed))
 
     # Pass 3: every design per realization, optionally in parallel.
     run = partial(
-        _realization_metrics, base_cfg, tuple(snrs), tuple(rhos), tuple(jcas_counts),
-        grid, covariances, pattern_snr,
+        _realization_metrics, tuple(snrs), cfgs, tuple(rhos), tuple(jcas_counts), grid, covariances, pattern_snr
     )
     if jobs > 1:
         ctx = multiprocessing.get_context("spawn")

@@ -55,7 +55,7 @@ def test_benchmark_entry_points_are_present():
 # Each solver has one fixed set of rules, module constants: no per-call tuning values.
 SOLVER_SIGNATURES = {
     "solve_rcg_batch": ["f0", "cov", "f_comm", "rho", "power"],
-    "solve_radar_covariances": ["grid", "requests"],
+    "solve_radar_covariances": ["grid", "powers", "subcarriers"],
     "solve_radar_covariance": ["grid", "power_budget", "subcarriers=None"],
 }
 

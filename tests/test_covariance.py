@@ -113,8 +113,9 @@ def test_budget_scaling_is_exact():
 def test_objective_reported_at_returned_matrix():
     # the stacked pattern evaluation scores every (power, subcarrier) pair as a one-pair evaluation does
     grid = _small_grid()
-    sols = solve_radar_covariances(grid, {1.5: [2, 5], 7.5: [5, 2]})
-    for power, by_k in sols.items():
+    powers = [1.5, 7.5]
+    sols = solve_radar_covariances(grid, powers, [2, 5])
+    for power, by_k in zip(powers, sols):
         for k, sol in by_k.items():
             direct = np.abs(power * grid.desired_gain - beampattern_values(sol.matrix, grid.steering[k])).sum()
             assert sol.objective == direct
@@ -251,10 +252,11 @@ def test_residual_at_a_cap_off_the_rebalancing_period_is_pinned(monkeypatch, max
 
 def test_one_solve_finished_at_two_powers_equals_fresh_solves():
     grid = _small_grid()
-    both = solve_radar_covariances(grid, {2.0: [1, 3], 4.0: [3]})
-    assert sorted(both) == [2.0, 4.0]
-    assert list(both[2.0]) == [1, 3] and list(both[4.0]) == [3]
-    for power, sols in both.items():
+    powers = [2.0, 4.0, 2.0]
+    both = solve_radar_covariances(grid, powers, [1, 3])
+    assert len(both) == len(powers)
+    assert all(list(sols) == [1, 3] for sols in both)
+    for power, sols in zip(powers, both):
         fresh = solve_radar_covariance(grid, power, list(sols))
         for k, sol in sols.items():
             np.testing.assert_array_equal(sol.matrix, fresh[k].matrix)
@@ -307,7 +309,7 @@ def test_stacked_finish_equals_per_pair_finish(rng):
 def test_radar_covariance_empty_and_single_antenna():
     grid = _small_grid()
     assert solve_radar_covariance(grid, 2.0, []) == {}
-    assert solve_radar_covariances(grid, {}) == {}
+    assert solve_radar_covariances(grid, [2.0], []) == [{}]
     single = build_grid(SystemConfig(n_tx=1, n_rx=1, n_streams=1, n_subcarriers=3, n_jcas=1, grid_size=9))
     sols = solve_radar_covariance(single, 3.0)
     for sol in sols.values():
@@ -325,9 +327,12 @@ def test_batched_solver_error_names_first_failing_carrier(monkeypatch):
         solve_radar_covariance(grid, 2.0, subcarriers=[3, 1])
     with pytest.raises(SolverError) as solo:
         solve_radar_covariance(grid, 2.0, subcarriers=[3])
-    assert str(err.value) == str(solo.value)
-    np.testing.assert_array_equal(err.value.last_iterate, solo.value.last_iterate)
-    assert err.value.residual == solo.value.residual
+    with pytest.raises(SolverError) as multi:
+        solve_radar_covariances(grid, [2.0, 5.0], [3, 1])  # the iterate is carried at the first power
+    for got in (err, multi):
+        assert str(got.value) == str(solo.value)
+        np.testing.assert_array_equal(got.value.last_iterate, solo.value.last_iterate)
+        assert got.value.residual == solo.value.residual
 
 
 @pytest.mark.parametrize(

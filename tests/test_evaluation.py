@@ -243,16 +243,22 @@ def test_sweep_ships_one_function_in_one_chunk_per_worker(small_cfg, monkeypatch
     assert_same_sweep(pooled, sweep(*args))
 
 
-def test_pass3_designs_equal_run_design_bit_for_bit(small_cfg, monkeypatch):
+@pytest.mark.parametrize("rate_formula", ["consistent", "literal"])
+def test_pass3_designs_equal_run_design_bit_for_bit(small_cfg, monkeypatch, rate_formula):
     # pass 3 refines the max(J) lowest-rate carriers of every (SNR, rho) of a
     # realization in one refine_carriers call and reads each J off them:
     # designs without sensing (J=0), with every carrier sensing (J=K), and at
     # rho 0 and 1 must each equal run_design on the same inputs, carrier by
-    # carrier, in their metrics, and in their average and median-member patterns
+    # carrier, in their metrics, and in their average and median-member
+    # patterns; under the literal rate both SNRs design at power 1 and still
+    # read one solution dict each
+    small_cfg = replace(small_cfg, rate_formula=rate_formula)
     snrs, rhos, jcas_counts, seed = [0.0, 10.0], [0.0, 0.5, 1.0], [0, 2, 6], small_cfg.seed + 1
     grid = build_grid(small_cfg)
-    powers = [replace(small_cfg, power_budget=small_cfg.snr_power(snr)).effective_power for snr in snrs]
-    covariances = solve_radar_covariances(grid, {power: range(small_cfg.n_subcarriers) for power in powers})
+    cfgs = [replace(small_cfg, power_budget=small_cfg.snr_power(snr)) for snr in snrs]
+    covariances = solve_radar_covariances(
+        grid, [cfg.effective_power for cfg in cfgs], range(small_cfg.n_subcarriers)
+    )
     calls = []
 
     def spy(*args):
@@ -261,18 +267,18 @@ def test_pass3_designs_equal_run_design_bit_for_bit(small_cfg, monkeypatch):
 
     monkeypatch.setattr(evaluation, "refine_carriers", spy)
     metrics, patterns = evaluation._realization_metrics(
-        small_cfg, snrs, rhos, jcas_counts, grid, covariances, 10.0, seed
+        snrs, cfgs, rhos, jcas_counts, grid, covariances, 10.0, seed
     )
     [(refined, precoders, rates)] = calls
     n_top = max(jcas_counts)
     assert len(refined) == len(snrs) * len(rhos) * n_top
     channels = generate_rayleigh(small_cfg.n_subcarriers, small_cfg.n_rx, small_cfg.n_tx, seed)
-    blocks = [(snr, power, rho) for snr, power in zip(snrs, powers) for rho in rhos]
-    for block, (snr, power, rho) in enumerate(blocks):
+    blocks = [(s, snr, rho) for s, snr in enumerate(snrs) for rho in rhos]
+    for block, (s, snr, rho) in enumerate(blocks):
         rows = slice(block * n_top, (block + 1) * n_top)  # SNR-major, then rho, then rank
         for n_jcas in jcas_counts:
             cfg = replace(small_cfg, power_budget=small_cfg.snr_power(snr), rho=rho, n_jcas=n_jcas, seed=seed)
-            want = run_design(cfg, channels=channels, grid=grid, covariances=covariances[power])
+            want = run_design(cfg, channels=channels, grid=grid, covariances=covariances[s])
             ranked = np.argsort(want.eigen_rates, kind="stable")[:n_jcas]
             np.testing.assert_array_equal(np.sort(ranked), want.jcas_subcarriers)
             np.testing.assert_array_equal(precoders[rows][:n_jcas], want.precoders[ranked])
@@ -291,28 +297,27 @@ def test_pass3_designs_equal_run_design_bit_for_bit(small_cfg, monkeypatch):
 
 def test_pass1_solves_once_for_the_largest_counts_sets(small_cfg, monkeypatch):
     # pass 1 selects at the largest count only: the one covariance solve asks,
-    # at each power, for the union of that count's sets over the realizations
+    # at every SNR's power, for the union of that count's sets over the
+    # realizations and SNRs
     base = replace(small_cfg, n_subcarriers=12)
     snrs, jcas_counts, n_realizations = [0.0, 10.0], [1, 2, 6], 2
     requests = []
 
-    def spy(grid, request):
-        requests.append({power: list(ks) for power, ks in request.items()})
-        return solve_radar_covariances(grid, request)
+    def spy(grid, powers, subcarriers):
+        requests.append((list(powers), list(subcarriers)))
+        return solve_radar_covariances(grid, powers, subcarriers)
 
     monkeypatch.setattr(evaluation, "solve_radar_covariances", spy)
     sweep(base, snrs, [0.5], jcas_counts, n_realizations=n_realizations)
     [request] = requests
-    want = {}
+    cfgs = [replace(base, power_budget=base.snr_power(snr)) for snr in snrs]
+    want = set()
     for seed in range(base.seed, base.seed + n_realizations):
         channels = generate_rayleigh(base.n_subcarriers, base.n_rx, base.n_tx, seed)
-        for snr in snrs:
-            cfg = replace(base, power_budget=base.snr_power(snr))
+        for cfg in cfgs:
             rates = pipeline.eigen_stage(cfg, channels)[1]
-            want.setdefault(cfg.effective_power, set()).update(
-                pipeline.select_jcas_subcarriers(rates, max(jcas_counts)).tolist()
-            )
-    assert request == {power: sorted(ks) for power, ks in sorted(want.items())}
+            want.update(pipeline.select_jcas_subcarriers(rates, max(jcas_counts)).tolist())
+    assert request == ([cfg.effective_power for cfg in cfgs], sorted(want))
 
 
 def test_sweep_without_sensing_makes_no_rcg_call(small_cfg, monkeypatch):

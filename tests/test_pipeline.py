@@ -358,7 +358,7 @@ def test_refine_carriers_batch_equals_solo(small_cfg):
     grid = build_grid(small_cfg)
     channels = generate_rayleigh(small_cfg.n_subcarriers, small_cfg.n_rx, small_cfg.n_tx, small_cfg.seed)
     powers = [small_cfg.effective_power, 5.0 * small_cfg.effective_power]
-    covs = solve_radar_covariances(grid, {power: range(small_cfg.n_subcarriers) for power in powers})
+    covs = dict(zip(powers, solve_radar_covariances(grid, powers, range(small_cfg.n_subcarriers))))
     eigen = {p: eigen_stage(replace(small_cfg, power_budget=p), channels)[0] for p in powers}
     rows = [(0, 0.75, powers[0], 1.0), (3, 0.25, powers[1], 0.5), (0, 1.0, powers[0], 2.0),
             (5, 0.0, powers[1], 1.0), (3, 0.25, powers[1], 0.5), (2, 0.5, powers[0], 1.0)]

@@ -2,7 +2,9 @@
 run ``python tools/output_digests.py > digests.json`` in two checkouts and ``diff``
 the files; each run imports ``jcasbeam`` from its own checkout's ``src/``. Covered: the
 sweep files at the ``sweep-snr`` benchmark settings, of a seed-7 sweep at ``--jobs``
-1 and 2 and of a K=16 sweep whose sensing counts include 0 and K; the ``design``
+1 and 2, of a K=16 sweep whose sensing counts include 0 and K and of a K=16
+``literal``-rate sweep whose SNR list repeats one SNR, so that every SNR designs at
+power 1 and two list entries are the same SNR; the ``design``
 files of ``design --seed 0`` and of a K=16 ``design --jcas 0``, which writes no
 pattern file; the ``link`` workload's 16 covariances and 18 designs, and two
 more K=16 ``link`` designs: at rho 0, where every carrier stops at iteration 0 on
@@ -27,7 +29,8 @@ from jcasbeam.cli import main as cli  # noqa: E402
 SEED7 = "--snr 10 --rho 0.5 --jcas 2 16 --realizations 3 --seed 7 --jobs"
 SWEEPS = {"sweep-snr": "--snr 0 5 10 --rho 0.25 0.5 0.75 --jcas 4 --realizations 1 --seed 0",
           "seed7-jobs1": f"{SEED7} 1", "seed7-jobs2": f"{SEED7} 2",
-          "k16-J0-to-K": "--snr 0 10 --rho 0.5 1 --jcas 0 4 16 --realizations 2 --seed 3 --config {k16}"}
+          "k16-J0-to-K": "--snr 0 10 --rho 0.5 1 --jcas 0 4 16 --realizations 2 --seed 3 --config {k16}",
+          "k16-literal-snr-repeated": "--snr 0 10 10 --rho 0.5 1 --jcas 2 16 --realizations 2 --config {k16lit}"}
 SWEEP_FILES = ("rates.csv", "beampattern_avg.csv", "beampattern_member.csv", "sweep_manifest.json")
 DESIGNS = {"cli-design-seed0": "--seed 0", "cli-design-k16-J0": "--jcas 0 --config {k16}"}
 DESIGN_FILES = ("design_manifest.json", "rates.csv", "beampattern.csv")
@@ -59,11 +62,12 @@ def file_digest(path: Path):
 def main():
     out = {}
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
-        k16 = f"{tmp}/k16.ini"
+        k16, k16lit = f"{tmp}/k16.ini", f"{tmp}/k16-literal.ini"
         jb.write_config(jb.SystemConfig(n_subcarriers=16), k16)
+        jb.write_config(jb.SystemConfig(n_subcarriers=16, rate_formula="literal"), k16lit)
         for command, runs, files in (("sweep", SWEEPS, SWEEP_FILES), ("design", DESIGNS, DESIGN_FILES)):
             for name, flags in runs.items():
-                assert cli([command, *flags.format(k16=k16).split(), "--out-dir", f"{tmp}/{name}"]) == 0
+                assert cli([command, *flags.format(k16=k16, k16lit=k16lit).split(), "--out-dir", f"{tmp}/{name}"]) == 0
                 out[name] = {f: file_digest(Path(tmp, name, f)) for f in files}
         for name, fields in CONFIGS.items():
             jb.write_config(jb.SystemConfig(**fields), f"{tmp}/{name}.ini")
