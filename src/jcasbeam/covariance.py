@@ -144,17 +144,22 @@ def _admm_unit(steering, q):
     ``steering`` is (K, T, n_tx) and ``q`` the normalized target (T,), shared
     by every carrier; every carrier starts from the uniform budget. Carriers
     share only the stacked calls: each has its own penalties and balancing,
-    and leaves the active set at the iteration where its primal residual
-    drops below ``TOL``, or runs to ``MAX_ITER``. The iterates are column
-    stacks (K, m, 1), so every product is one stacked ``@`` that makes the
-    same BLAS call per carrier as the one-carrier formula, and a squared
-    norm is ``v.mT @ v``: a carrier's iterates are bit-identical whatever
-    batch it runs in. A single antenna has no off-diagonal to fit: its only
-    feasible matrix is the budget itself, returned with zero iterations.
+    and stops at the iteration where its primal residual drops below
+    ``TOL``, or runs to ``MAX_ITER``. A stopped carrier's iterate, residual
+    and iteration count are recorded in place, and it stays in the stack,
+    which runs on until every carrier has stopped: a stack whose carriers
+    stop far apart keeps paying for the stopped ones, which the measured
+    workloads seldom do (a few carriers, at most a few hundred iterations
+    before the cap). The iterates are column stacks (K, m, 1), so every
+    product is one stacked ``@`` that makes the same BLAS call per carrier
+    as the one-carrier formula, and a squared norm is ``v.mT @ v``: a
+    carrier's iterates are bit-identical whatever batch it runs in. A
+    single antenna has no off-diagonal to fit: its only feasible matrix is
+    the budget itself, returned with zero iterations.
 
-    Returns the stacked last iterates (K, n_tx, n_tx), Hermitian with diagonal
-    1 / n_tx, and per carrier (K,) the iteration count, the ``converged`` flag
-    and the final primal residual.
+    Returns the stacked recorded iterates (K, n_tx, n_tx), Hermitian with
+    diagonal 1 / n_tx, and per carrier (K,) the iteration count, the
+    ``converged`` flag and the final primal residual.
     """
     n_car, n_grid, n = steering.shape
     if n == 1 or n_car == 0:
@@ -173,22 +178,17 @@ def _admm_unit(steering, q):
     beta1 = np.ones(n_car)  # pattern-residual block penalty
     beta2 = np.ones(n_car)  # psd-consensus block penalty
     solve_mat = np.linalg.inv(gtg + eye2)
-
-    def broadcasts():
-        """The penalties shaped to scale the carriers' columns: beta1, 2 beta2 and 1 / beta1."""
-        return beta1[:, None, None], 2.0 * beta2[:, None, None], 1.0 / beta1[:, None, None]
-
-    b1, b2x2, inv_b1 = broadcasts()
+    b1, b2x2, inv_b1 = 1.0, 2.0, 1.0  # beta1, 2 beta2 and 1 / beta1 until a rebalance
 
     x = np.zeros((n_car, g.shape[2], 1))
     z = q - g @ x
     r_mat = _unpack(x, n, upper, lower, diag_value)  # its diagonal stays; each iteration writes the rest
+    r_flat = r_mat.reshape(n_car, -1)  # a view
     s = psd_project(r_mat)
     u = np.zeros((n_car, n_grid, 1))
     u_mat = np.zeros((n_car, n, n), dtype=complex)
 
-    act = np.arange(n_car)  # original index of each active carrier
-    final_x = x.copy()
+    final_x = np.empty_like(x)
     final_primal = np.empty(n_car)
     iterations = np.full(n_car, MAX_ITER)
     converged = np.zeros(n_car, dtype=bool)
@@ -200,7 +200,6 @@ def _admm_unit(steering, q):
 
         gx = g @ x
         vals = x[..., 0].view(complex)
-        r_flat = r_mat.reshape(len(act), -1)
         r_flat[:, upper] = vals
         r_flat[:, lower] = vals.conj()
         gx_rel = OVERRELAX * gx + (1.0 - OVERRELAX) * q_z
@@ -218,7 +217,7 @@ def _admm_unit(steering, q):
         balance = (it + 1) % BALANCE_EVERY == 0
         if not (balance or it == MAX_ITER - 1 or np.count_nonzero(p1 < TOL)):
             continue
-        r_diff = (r_mat - s).reshape(len(act), -1, 1)
+        r_diff = (r_mat - s).reshape(n_car, -1, 1)
         re, im = r_diff.real, r_diff.imag
         p2 = np.sqrt(re.mT @ re + im.mT @ im)[:, 0, 0]
         primal = np.hypot(p1, p2)
@@ -235,35 +234,24 @@ def _admm_unit(steering, q):
             down2 = ~up2 & (d2 > BALANCE_RATIO * p2)
             beta1 = np.where(up1, 2.0 * beta1, np.where(down1, beta1 / 2.0, beta1))
             beta2 = np.where(up2, 2.0 * beta2, np.where(down2, beta2 / 2.0, beta2))
-            b1, b2x2, inv_b1 = broadcasts()
+            b1, b2x2, inv_b1 = beta1[:, None, None], 2.0 * beta2[:, None, None], 1.0 / beta1[:, None, None]
             u[up1] /= 2.0
             u[down1] *= 2.0
             u_mat[up2] /= 2.0
             u_mat[down2] *= 2.0
             changed = up1 | down1 | up2 | down2
-            if changed.any():
-                solve_mat[changed] = np.linalg.inv(
-                    beta1[changed, None, None] * gtg[changed] + beta2[changed, None, None] * eye2
-                )
+            solve_mat[changed] = np.linalg.inv(b1[changed] * gtg[changed] + beta2[changed, None, None] * eye2)
 
-        done = primal < TOL
-        if done.any():
-            final_x[act[done]] = x[done]
-            final_primal[act[done]] = primal[done]
-            iterations[act[done]] = it + 1
-            converged[act[done]] = True
-            keep = ~done
-            act = act[keep]
-            x, z, s, u, u_mat, r_mat, g, gtg, solve_mat, beta1, beta2, primal = (
-                a[keep] for a in (x, z, s, u, u_mat, r_mat, g, gtg, solve_mat, beta1, beta2, primal)
-            )
-            gt = g.mT
-            b1, b2x2, inv_b1 = broadcasts()
-            if act.size == 0:
-                break
+        done = (primal < TOL) & ~converged
+        final_x[done] = x[done]
+        final_primal[done] = primal[done]
+        iterations[done] = it + 1
+        converged |= done
+        if converged.all():
+            break
 
-    final_x[act] = x
-    final_primal[act] = primal
+    final_x[~converged] = x[~converged]
+    final_primal[~converged] = primal[~converged]
     return _unpack(final_x, n, upper, lower, diag_value), iterations, converged, final_primal
 
 

@@ -167,14 +167,14 @@ def test_batched_radar_covariance_matches_solo_solves():
     ks = [5, 0, 2, 3]
     batch = solve_radar_covariance(grid, 2.0, ks)
     assert list(batch) == ks
-    assert len({sol.iterations for sol in batch.values()}) > 1  # carriers leave at different iterations
+    assert len({sol.iterations for sol in batch.values()}) > 1  # carriers stop at different iterations
     for k in ks:
         solo = solve_radar_covariance(grid, 2.0, [k])[k]
         got = batch[k]
         assert got.iterations == solo.iterations
         assert got.converged == solo.converged
-        np.testing.assert_allclose(got.matrix, solo.matrix, rtol=1e-10, atol=0)
-        assert got.objective == pytest.approx(solo.objective, rel=1e-12)
+        np.testing.assert_array_equal(got.matrix, solo.matrix)
+        assert got.objective == solo.objective
         assert got.residual == solo.residual
 
 
@@ -220,6 +220,17 @@ def test_early_stop_carriers_are_pinned(name):
     iu = np.triu_indices(overrides["n_tx"], 1)
     for k, entries in upper.items():
         np.testing.assert_array_equal(sols[k].matrix[iu], entries)
+
+
+def test_admm_stops_iterating_at_the_last_carriers_stop(monkeypatch):
+    # _soft_threshold runs once per ADMM iteration and nowhere else, so its
+    # calls count the iterations of the whole stack
+    calls = []
+    threshold = covariance._soft_threshold
+    monkeypatch.setattr(covariance, "_soft_threshold", lambda *a: calls.append(1) or threshold(*a))
+    sols = solve_radar_covariance(build_grid(SystemConfig(**EARLY_STOPS["n_tx=3"][0])), 2.0)
+    assert all(sol.converged for sol in sols.values())
+    assert len(calls) == max(sol.iterations for sol in sols.values()) == 233
 
 
 # (iterations, converged, residual) per carrier with the iteration cap off the

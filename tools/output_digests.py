@@ -9,11 +9,15 @@ files of ``design --seed 0`` and of a K=16 ``design --jcas 0``, which writes no
 pattern file; the ``link`` workload's 16 covariances and 18 designs, and two
 more K=16 ``link`` designs: at rho 0, where every carrier stops at iteration 0 on
 the gradient norm, and at rho 1, where every carrier stops on the plateau; the
-default design; and the config files that ``write_config`` writes for the default
-config and for one that sets an antenna spacing, two target angles, the literal
-rate and a seed. The ``link`` designs reach both rounds of the RCG line search:
-the second, which takes the searches the first leaves undecided, runs for 4 of
-the 9,580 searches at seeds 0-2 and for 6 of the 1,077 at rho 0 and 1.
+default design; the covariances at power 2 of the two small grids of
+``EARLY_STOPS`` in ``tests/test_covariance.py``, whose carriers stop below the
+tight tolerance at different iterations (232-233 and 2789-4821), so that the
+record of each carrier's stop is covered; and the config files that
+``write_config`` writes for the default config and for one that sets an antenna
+spacing, two target angles, the literal rate and a seed. The ``link`` designs
+reach both rounds of the RCG line search: the second, which takes the searches
+the first leaves undecided, runs for 4 of the 9,580 searches at seeds 0-2 and
+for 6 of the 1,077 at rho 0 and 1.
 """
 
 import contextlib, hashlib, io, json, sys, tempfile  # noqa: E401
@@ -36,6 +40,8 @@ DESIGNS = {"cli-design-seed0": "--seed 0", "cli-design-k16-J0": "--jcas 0 --conf
 DESIGN_FILES = ("design_manifest.json", "rates.csv", "beampattern.csv")
 CONFIGS = {"config-default": {}, "config-set": dict(antenna_spacing=0.07, target_angles=(-45.0, 12.5),
                                                     rate_formula="literal", seed=11)}
+EARLY_STOPS = {"n_tx=3": dict(n_tx=3, n_rx=2, n_streams=2, n_subcarriers=4, n_jcas=1, grid_size=21),
+               "n_tx=4": dict(n_tx=4, n_subcarriers=6, n_jcas=2, grid_size=41)}
 DESIGN_ARRAYS = ("channels", "eigen_precoders", "eigen_rates", "jcas_subcarriers", "precoders", "rates")
 
 
@@ -82,6 +88,9 @@ def main():
         res = jb.run_design(replace(cfg, rho=rho, n_jcas=n_jcas, seed=seed), channels, grid, covs)
         out[f"link-seed{seed}-rho{rho}-J{n_jcas}"] = design_digests(res)
     out["design-seed0"] = design_digests(jb.run_design(jb.SystemConfig()))
+    for name, overrides in EARLY_STOPS.items():
+        sols = jb.solve_radar_covariance(jb.build_grid(jb.SystemConfig(**overrides)), 2.0)
+        out[f"early-stops-{name}"] = {k: digest(*vars(sol).values()) for k, sol in sols.items()}
     print(json.dumps(out, indent=1, sort_keys=True))
 
 
