@@ -20,11 +20,11 @@ stop if solved alone, in a batch of one through
 :func:`solve_radar_covariance`. Power enters only in the finish (scale,
 polish, objective at the raw desired pattern), and the normalized target of
 the mask is the same at every power, so one solve per subcarrier serves
-every power. The finish, too, is one stacked call over every subcarrier at
-every requested power: it scales and symmetrizes the unit-budget solves,
-sets their diagonals, and alternates psd and diagonal projections, each
-matrix leaving the loop at its own round; one stacked pattern evaluation
-then scores them all.
+every power. The finish, too, is one stacked call, on a (power,
+subcarrier) array: it scales the unit-budget solves by a broadcast over the
+power axis, sets their diagonals, and alternates psd and diagonal
+projections, each matrix leaving the loop at its own round; one broadcast
+pattern evaluation then scores them all.
 
 Convergence note: the optimum generically sits on the psd boundary with many
 active pattern kinks, a degenerate geometry where splitting methods slow to a
@@ -256,27 +256,29 @@ def _admm_unit(steering, q):
 
 
 def _finished(unit: np.ndarray, powers: np.ndarray) -> np.ndarray:
-    """Unit-budget solves (B, n, n) scaled to their powers (B,) and polished, in one stack.
+    """Unit-budget solves (K, n, n) scaled to every power (P,) and polished: (P, K, n, n).
 
-    Each matrix is scaled and symmetrized, its diagonal set to power / n,
-    then psd and diagonal projections alternate until its minimum eigenvalue
-    is at least ``POLISH_FLOOR``, for at most ``POLISH_MAX_ROUNDS``. A matrix
-    leaves the loop at its own round, with the bits it would have alone.
+    The solves are Hermitian by construction (each lower triangle is the
+    conjugate of the upper), so each scaled matrix is too. Its diagonal is
+    set to power / n, then psd and diagonal projections alternate until its
+    minimum eigenvalue is at least ``POLISH_FLOOR``, for at most
+    ``POLISH_MAX_ROUNDS``; it leaves the loop at its own round, bit for bit.
     """
-    mats = powers[:, None, None] * unit
-    out = 0.5 * (mats + mats.conj().mT)
-    diag = np.arange(unit.shape[-1])
-    diag_values = (powers / unit.shape[-1])[:, None]
-    out[:, diag, diag] = diag_values
-    todo = np.arange(len(out))
+    n = unit.shape[-1]
+    diag = np.arange(n)
+    out = powers[:, None, None, None] * unit
+    out[..., diag, diag] = (powers / n)[:, None, None]
+    flat = out.reshape((-1, n, n))
+    diag_values = flat[:, diag, diag]
+    todo = np.arange(len(flat))
     for _ in range(POLISH_MAX_ROUNDS):
-        todo = todo[~(np.linalg.eigvalsh(out[todo])[:, 0] >= POLISH_FLOOR)]
+        todo = todo[~(np.linalg.eigvalsh(flat[todo])[:, 0] >= POLISH_FLOOR)]
         if todo.size == 0:
             break
-        polished = psd_project(out[todo])
+        polished = psd_project(flat[todo])
         polished[:, diag, diag] = diag_values[todo]
-        out[todo] = polished
-    return out
+        flat[todo] = polished
+    return flat.reshape(out.shape)
 
 
 def solve_radar_covariances(grid: BeamGrid, powers, subcarriers) -> list[dict[int, CovarianceSolution]]:
@@ -286,7 +288,7 @@ def solve_radar_covariances(grid: BeamGrid, powers, subcarriers) -> list[dict[in
     normalized target ``mask - 1`` does not depend on P, so each subcarrier
     is solved once, in one batched ADMM call, and every (power, subcarrier)
     pair is then finished in one stacked call (scale, polish) and scored in
-    one stacked pattern evaluation. Returns one ``{k: solution}`` dict per
+    one broadcast pattern evaluation. Returns one ``{k: solution}`` dict per
     power, in the order of ``powers``. Iteration stops early below ``TOL``;
     at ``MAX_ITER`` the iterate is accepted if its residual is below
     ``FALLBACK_TOL`` (its objective error is orders of magnitude inside the
@@ -306,13 +308,10 @@ def solve_radar_covariances(grid: BeamGrid, powers, subcarriers) -> list[dict[in
             last_iterate=powers[0] * mats[c],
             residual=float(residual[c]),
         )
-    n_pow = len(powers)
-    scale = np.repeat(np.asarray(powers, dtype=float), len(ks))  # power-major, like the output
-    finished = _finished(np.tile(mats, (n_pow, 1, 1)), scale)
-    patterns = beampattern_values(finished, np.tile(grid.steering[ks], (n_pow, 1, 1)))
-    objectives = np.sum(np.abs(scale[:, None] * grid.desired_gain - patterns), axis=1)
-    finished = finished.reshape((n_pow, len(ks)) + mats.shape[1:])
-    objectives = objectives.reshape(n_pow, len(ks)).tolist()
+    powers = np.asarray(powers, dtype=float)
+    finished = _finished(mats, powers)
+    patterns = beampattern_values(finished, grid.steering[ks])
+    objectives = np.sum(np.abs(powers[:, None, None] * grid.desired_gain - patterns), axis=2).tolist()
     stats = [(int(i), bool(c), float(r)) for i, c, r in zip(iterations, converged, residual)]
     return [
         {k: CovarianceSolution(mat, obj, *stat) for k, mat, obj, stat in zip(ks, power_mats, power_objs, stats)}

@@ -8,6 +8,7 @@ and the comparisons are matched. It runs in three passes:
 1. Per realization and SNR, one eigen stage and one selection at the
    largest sensing count: the lowest-rate carriers are a prefix of one
    stable sort, so a smaller count's set is a subset of the largest's.
+   The pass ends once every subcarrier is needed.
 2. The covariance problem of the binary mask depends on the subcarrier alone
    once normalized by the design power, so each needed subcarrier is solved
    once for every SNR, in one batched call, and finished at every SNR's
@@ -107,7 +108,7 @@ def _realization_links(cfgs, seed: int):
     return channels, [eigen_stage(cfg, channels) for cfg in cfgs]
 
 
-def _realization_metrics(snrs, cfgs, rhos, jcas_counts, grid, covariances, pattern_snr, seed):
+def _realization_metrics(cfgs, rhos, jcas_counts, grid, covariances, pattern_s, seed):
     """Metrics for every configuration on the channel realization of ``seed``.
 
     Per SNR the carriers are ranked once, by the stable sort whose prefix
@@ -117,12 +118,12 @@ def _realization_metrics(snrs, cfgs, rhos, jcas_counts, grid, covariances, patte
     pattern rows in ascending subcarrier order as a design's are, so each
     mean adds the same values in the same order as :func:`run_design`'s.
     ``cfgs`` holds one config per SNR and ``covariances`` one solution dict
-    per SNR, both in the order of ``snrs``. Module-level so worker processes
-    can import it. Returns
-    ({(snr, rho, J): (avg_rate, mse)}, {(rho, J): (avg_pattern, member_pattern)}).
+    per SNR, in the same order. Module-level so worker processes can import
+    it. Returns, by list position, (avg_rate, mse) per point (S, rho, J, 2)
+    and the (average, member) patterns at SNR ``pattern_s`` (rho, J, 2, T).
     """
     channels, stages = _realization_links(cfgs, seed)
-    shape = (len(snrs), len(rhos), max(jcas_counts))
+    shape = (len(cfgs), len(rhos), max(jcas_counts))
     ranked = [np.argsort(rates, kind="stable")[:shape[2]] for _, rates in stages]
     # the refined carriers, SNR-major, then rho, then rank
     snr_of = np.repeat(np.arange(shape[0]), shape[1] * shape[2])
@@ -138,19 +139,19 @@ def _realization_metrics(snrs, cfgs, rhos, jcas_counts, grid, covariances, patte
     rates = rates.reshape(shape)
     patterns = precoder_pattern(precoders, grid.steering[ks]).reshape(*shape, len(grid.angles))
 
-    point_metrics = {}
-    pattern_means = {}
-    for s, (snr, (_, eigen_rates), order) in enumerate(zip(snrs, stages, ranked)):
-        for r, rho in enumerate(rhos):
-            for n_jcas in jcas_counts:
+    metrics = np.empty(shape[:2] + (len(jcas_counts), 2))
+    pattern_means = np.zeros((shape[1], len(jcas_counts), 2, len(grid.angles)))
+    for s, ((_, eigen_rates), order) in enumerate(zip(stages, ranked)):
+        for r in range(shape[1]):
+            for j, n_jcas in enumerate(jcas_counts):
                 top = order[:n_jcas]
                 link = eigen_rates.copy()
                 link[top] = rates[s, r, :n_jcas]
                 rows = patterns[s, r, np.argsort(top)]
-                point_metrics[(snr, rho, n_jcas)] = (float(np.mean(link)), _mask_mse(rows, grid))
-                if snr == pattern_snr and n_jcas:
-                    pattern_means[(rho, n_jcas)] = (np.mean(rows, axis=0), rows[(n_jcas - 1) // 2])
-    return point_metrics, pattern_means
+                metrics[s, r, j] = np.mean(link), _mask_mse(rows, grid)
+                if s == pattern_s and n_jcas:
+                    pattern_means[r, j] = np.mean(rows, axis=0), rows[(n_jcas - 1) // 2]
+    return metrics, pattern_means
 
 
 def sweep(
@@ -182,56 +183,48 @@ def sweep(
     if jobs < 1:
         raise ConfigError("jobs must be at least 1")
     grid = build_grid(base_cfg)
-    pattern_snr = next((s for s in snrs if abs(s - 10.0) < 1e-9), snrs[-1])
+    pattern_s = next((s for s, snr in enumerate(snrs) if abs(snr - 10.0) < 1e-9), len(snrs) - 1)
 
     for rho in rhos:  # reject a bad rho or sensing count before any solve
         for n_jcas in jcas_counts:
             replace(base_cfg, rho=rho, n_jcas=n_jcas)
 
-    # Pass 1: find which subcarriers any run needs, over every realization and
-    # SNR; the largest count's set holds every smaller count's.
+    # Pass 1: find which subcarriers any run needs, over every SNR and the realizations
+    # until all are; the largest count's set holds every smaller count's.
     cfgs = [replace(base_cfg, power_budget=base_cfg.snr_power(snr)) for snr in snrs]
     seeds = range(base_cfg.seed, base_cfg.seed + n_realizations)
     needed = set()
     for seed in seeds:
         for _, rates in _realization_links(cfgs, seed)[1]:
             needed.update(select_jcas_subcarriers(rates, max(jcas_counts)).tolist())
+        if len(needed) == base_cfg.n_subcarriers:
+            break
 
     # Pass 2: solve each needed subcarrier once, finished at every SNR's power.
     covariances = solve_radar_covariances(grid, [cfg.effective_power for cfg in cfgs], sorted(needed))
 
     # Pass 3: every design per realization, optionally in parallel.
-    run = partial(
-        _realization_metrics, tuple(snrs), cfgs, tuple(rhos), tuple(jcas_counts), grid, covariances, pattern_snr
-    )
+    run = partial(_realization_metrics, cfgs, tuple(rhos), tuple(jcas_counts), grid, covariances, pattern_s)
     if jobs > 1:
         ctx = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=jobs, mp_context=ctx) as pool:
             outputs = list(pool.map(run, seeds, chunksize=math.ceil(n_realizations / jobs)))
     else:
         outputs = list(map(run, seeds))
-    metrics, patterns = zip(*outputs)
-
-    def mean(values):  # summed in realization order, so the result is reproducible
-        return sum(values) / n_realizations
-
+    # summed in realization order, so the result is reproducible
+    metrics, patterns = (sum(parts) / n_realizations for parts in zip(*outputs))
     points = tuple(
-        SweepPoint(
-            snr_db=snr,
-            rho=rho,
-            n_jcas=n_jcas,
-            avg_rate=mean(m[(snr, rho, n_jcas)][0] for m in metrics),
-            avg_mse=mean(m[(snr, rho, n_jcas)][1] for m in metrics),
-            label="Conv." if n_jcas == base_cfg.n_subcarriers else "Prop.",
-        )
-        for snr in snrs
-        for rho in rhos
-        for n_jcas in jcas_counts
+        SweepPoint(snr, rho, n_jcas, *metrics[s, r, j].tolist(),
+                   "Conv." if n_jcas == base_cfg.n_subcarriers else "Prop.")
+        for s, snr in enumerate(snrs)
+        for r, rho in enumerate(rhos)
+        for j, n_jcas in enumerate(jcas_counts)
     )
+    index = {(rho, n_jcas): (r, j) for r, rho in enumerate(rhos) for j, n_jcas in enumerate(jcas_counts) if n_jcas}
     return SweepResult(
         points=points,
-        pattern_snr=pattern_snr,
+        pattern_snr=snrs[pattern_s],
         angles=grid.angles,
-        pattern_avg={key: mean(p[key][0] for p in patterns) for key in patterns[0]},
-        pattern_member={key: mean(p[key][1] for p in patterns) for key in patterns[0]},
+        pattern_avg={key: patterns[r, j, 0] for key, (r, j) in index.items()},
+        pattern_member={key: patterns[r, j, 1] for key, (r, j) in index.items()},
     )

@@ -91,10 +91,12 @@ def run_design(
     """Run the full design for one channel realization.
 
     ``channels`` (a (K, n_rx, n_tx) array, taken as complex), ``grid``, and
-    ``covariances`` may be supplied to reuse work across runs. Covariances
-    missing for the sensing set are solved here in one batched call and
-    added to a copy of ``covariances``; supplied ones are used as they are
-    and must have been solved at ``cfg.effective_power`` on this grid. All
+    ``covariances`` may be supplied to reuse work across runs. Without
+    ``covariances`` the sensing set's are solved here in one batched call;
+    a supplied dict is used as it is, and must hold every sensing
+    subcarrier, solved at ``cfg.effective_power`` on this grid: a missing
+    subcarrier, or one whose diagonal is not ``cfg.effective_power /
+    cfg.n_tx`` to 1e-12 relative, raises :class:`ValueError` naming it. All
     sensing subcarriers are refined in one batched RCG call, each exactly as
     if solved alone.
     """
@@ -110,12 +112,22 @@ def run_design(
         )
     eigen_precoders, eigen_rates = eigen_stage(cfg, channels)
     jcas = select_jcas_subcarriers(eigen_rates, cfg.n_jcas)
-    covariances = covariances or {}
-    missing = [k for k in jcas.tolist() if k not in covariances]
-    if missing:
-        covariances = {**covariances, **solve_radar_covariance(grid, cfg.effective_power, missing)}
+    if covariances is None:
+        covariances = solve_radar_covariance(grid, cfg.effective_power, jcas)
+    for k in jcas.tolist():
+        if k not in covariances:
+            raise ValueError(f"subcarrier {k}: no covariance supplied for this sensing subcarrier")
     covariances = {k: covariances[k] for k in jcas.tolist()}
     cov = [sol.matrix for sol in covariances.values()]
+    budget = cfg.effective_power / cfg.n_tx
+    diagonals = np.array([mat.diagonal().real for mat in cov]).reshape(len(cov), cfg.n_tx)
+    wrong = np.any(np.abs(diagonals - budget) > 1e-12 * budget, axis=1)
+    if wrong.any():
+        c = int(np.argmax(wrong))
+        raise ValueError(
+            f"subcarrier {jcas[c]}: covariance diagonal {diagonals[c].mean():.6g} does not match "
+            f"the design power per antenna {budget:.6g}"
+        )
     refined, f_new, new_rates = refine_carriers(
         channels[jcas], eigen_precoders[jcas], cov, cfg.rho, cfg.effective_power, 1.0 / cfg.effective_noise
     )

@@ -306,15 +306,27 @@ def test_stacked_finish_equals_per_pair_finish(rng):
     indefinite = np.outer(a, a.conj()) / n + 1e-3 * _hermitian(rng, n)  # minimum eigenvalue about -5e-3
     np.fill_diagonal(indefinite, 1.0 / n)
     unit = np.stack([psd, indefinite])
-    pairs = [(power, i) for power in (0.5, 10.0) for i in (0, 1)]
-    got = covariance._finished(unit[[i for _, i in pairs]], np.array([power for power, _ in pairs]))
+    unit = 0.5 * (unit + unit.conj().mT)  # exactly Hermitian, as the ADMM's solves are
+    np.testing.assert_array_equal(unit, unit.conj().mT)
+    powers = np.array([0.5, 10.0])
+    got = covariance._finished(unit, powers)
+    assert got.shape == (len(powers), len(unit), n, n)
     rounds = []
-    for mat, (power, i) in zip(got, pairs):
-        want, used = _finish_alone(unit[i], power)
-        np.testing.assert_array_equal(mat, want)
-        rounds.append(used)
+    for p, power in enumerate(powers):
+        for i in range(len(unit)):
+            want, used = _finish_alone(unit[i], power)
+            np.testing.assert_array_equal(got[p, i], want)
+            rounds.append(used)
     assert rounds[0] == rounds[2] == 0  # the psd matrix leaves before any projection
     assert min(rounds[1], rounds[3]) >= 20  # the indefinite one polishes for many rounds
+
+
+def test_unit_solves_are_hermitian_bit_for_bit():
+    # the finish scales them without symmetrizing: the lower triangle must
+    # already be the conjugate of the upper, bit for bit
+    grid = _small_grid()
+    mats = covariance._admm_unit(grid.steering, grid.desired_gain - 1.0)[0]
+    np.testing.assert_array_equal(mats, mats.conj().mT)
 
 
 def test_radar_covariance_empty_and_single_antenna():
@@ -353,7 +365,7 @@ def test_batched_solver_error_names_first_failing_carrier(monkeypatch):
 )
 def test_edge_configs_run_through_design_and_sweep(small_cfg, overrides):
     cfg = replace(small_cfg, **overrides)
-    res = run_design(cfg, covariances={})
+    res = run_design(cfg, covariances=None)
     assert sorted(res.covariances) == [int(k) for k in res.jcas_subcarriers]
     assert len(res.covariances) == cfg.n_jcas
     assert np.all(np.isfinite(res.rates))

@@ -141,8 +141,10 @@ def test_sweep_regression_pin(small_sweep):
 
 
 def test_sweep_runs_one_eigen_stage_per_realization_snr_and_pass(small_cfg, monkeypatch):
-    # pass 1 and pass 3 each run one eigen stage per (realization, SNR); the
-    # (rho, J) designs of an SNR share it
+    # pass 3 runs one eigen stage per (realization, SNR), and the (rho, J)
+    # designs of an SNR share it; pass 1 does too, until every subcarrier is
+    # needed: with max(J) = K that is after the first realization, and with
+    # at most 2 x 2 carriers needed a realization, never before the last
     calls = []
 
     def counting(*args, **kwargs):
@@ -150,10 +152,12 @@ def test_sweep_runs_one_eigen_stage_per_realization_snr_and_pass(small_cfg, monk
         return eigenmode_precoders(*args, **kwargs)
 
     monkeypatch.setattr(pipeline, "eigenmode_precoders", counting)
-    snrs, rhos, jcas_counts, n_realizations = [0.0, 10.0], [0.25, 0.75], [1, 2, 6], 2
-    sweep(small_cfg, snrs, rhos, jcas_counts, n_realizations=n_realizations)
-    assert len(calls) == 2 * len(snrs) * n_realizations
-    assert set(calls) == {(small_cfg.n_subcarriers, small_cfg.n_rx, small_cfg.n_tx)}
+    snrs, rhos, n_realizations = [0.0, 10.0], [0.25, 0.75], 2
+    for jcas_counts, pass1_realizations in (([1, 2], n_realizations), ([1, 2, small_cfg.n_subcarriers], 1)):
+        calls.clear()
+        sweep(small_cfg, snrs, rhos, jcas_counts, n_realizations=n_realizations)
+        assert len(calls) == len(snrs) * (pass1_realizations + n_realizations)
+        assert set(calls) == {(small_cfg.n_subcarriers, small_cfg.n_rx, small_cfg.n_tx)}
 
 
 def test_sweep_matches_manual_average(small_sweep):
@@ -267,8 +271,10 @@ def test_pass3_designs_equal_run_design_bit_for_bit(small_cfg, monkeypatch, rate
 
     monkeypatch.setattr(evaluation, "refine_carriers", spy)
     metrics, patterns = evaluation._realization_metrics(
-        snrs, cfgs, rhos, jcas_counts, grid, covariances, 10.0, seed
+        cfgs, rhos, jcas_counts, grid, covariances, snrs.index(10.0), seed
     )
+    assert metrics.shape == (len(snrs), len(rhos), len(jcas_counts), 2)
+    assert patterns.shape == (len(rhos), len(jcas_counts), 2, len(grid.angles))
     [(refined, precoders, rates)] = calls
     n_top = max(jcas_counts)
     assert len(refined) == len(snrs) * len(rhos) * n_top
@@ -276,7 +282,8 @@ def test_pass3_designs_equal_run_design_bit_for_bit(small_cfg, monkeypatch, rate
     blocks = [(s, snr, rho) for s, snr in enumerate(snrs) for rho in rhos]
     for block, (s, snr, rho) in enumerate(blocks):
         rows = slice(block * n_top, (block + 1) * n_top)  # SNR-major, then rho, then rank
-        for n_jcas in jcas_counts:
+        r = block % len(rhos)
+        for j, n_jcas in enumerate(jcas_counts):
             cfg = replace(small_cfg, power_budget=small_cfg.snr_power(snr), rho=rho, n_jcas=n_jcas, seed=seed)
             want = run_design(cfg, channels=channels, grid=grid, covariances=covariances[s])
             ranked = np.argsort(want.eigen_rates, kind="stable")[:n_jcas]
@@ -286,13 +293,13 @@ def test_pass3_designs_equal_run_design_bit_for_bit(small_cfg, monkeypatch, rate
             for got, k in zip(refined[rows], ranked.tolist()):
                 np.testing.assert_equal(vars(got), vars(want.refinements[k]))
             mse = beampattern_mse(want.precoders, want.jcas_subcarriers, grid)
-            np.testing.assert_equal(metrics[(snr, rho, n_jcas)], (want.avg_rate, mse))
+            np.testing.assert_equal(metrics[s, r, j], (want.avg_rate, mse))
             if snr == 10.0 and n_jcas:
-                avg, member = patterns[(rho, n_jcas)]
+                avg, member = patterns[r, j]
                 np.testing.assert_array_equal(avg, average_jcas_pattern(want))
                 k = want.jcas_subcarriers[(n_jcas - 1) // 2]  # the lower middle of the ascending set
                 np.testing.assert_array_equal(member, precoder_pattern(want.precoders[k], grid.steering[k]))
-    assert sorted(patterns) == [(rho, n_jcas) for rho in rhos for n_jcas in jcas_counts if n_jcas]
+    assert not patterns[:, jcas_counts.index(0)].any()  # no pattern without sensing
 
 
 def test_pass1_solves_once_for_the_largest_counts_sets(small_cfg, monkeypatch):
@@ -318,6 +325,28 @@ def test_pass1_solves_once_for_the_largest_counts_sets(small_cfg, monkeypatch):
             rates = pipeline.eigen_stage(cfg, channels)[1]
             want.update(pipeline.select_jcas_subcarriers(rates, max(jcas_counts)).tolist())
     assert request == ([cfg.effective_power for cfg in cfgs], sorted(want))
+
+
+def test_sweep_repeated_settings_equal_their_first_occurrence(small_cfg):
+    # unsorted lists with repeats: every listed setting has its point, a
+    # repeat equal to its first occurrence, and each sensing (rho, J) has
+    # its patterns once, in the order of first occurrence
+    snrs, rhos, jcas_counts = [10.0, 0.0, 10.0], [0.75, 0.25, 0.75], [6, 2, 0, 2]
+    res = sweep(small_cfg, snrs, rhos, jcas_counts, n_realizations=2)
+    settings = [(snr, rho, n_jcas) for snr in snrs for rho in rhos for n_jcas in jcas_counts]
+    assert [(p.snr_db, p.rho, p.n_jcas) for p in res.points] == settings
+    first = {}
+    for setting, point in zip(settings, res.points):
+        want = first.setdefault(setting, point)
+        assert replace(point, avg_mse=0.0) == replace(want, avg_mse=0.0)
+        np.testing.assert_array_equal(point.avg_mse, want.avg_mse)  # nan at J = 0
+    assert len(first) == 2 * 2 * 3
+    keys = [(0.75, 6), (0.75, 2), (0.25, 6), (0.25, 2)]
+    assert list(res.pattern_avg) == list(res.pattern_member) == keys
+    once = sweep(small_cfg, [10.0], [0.75, 0.25], [6, 2], n_realizations=2)
+    for patterns in ("pattern_avg", "pattern_member"):
+        for key in keys:
+            np.testing.assert_array_equal(getattr(res, patterns)[key], getattr(once, patterns)[key])
 
 
 def test_sweep_without_sensing_makes_no_rcg_call(small_cfg, monkeypatch):

@@ -172,26 +172,26 @@ def test_run_design_accepts_precomputed_covariances(small_cfg):
     assert res.covariances[extra_key].iterations == covs[extra_key].iterations
 
 
-def test_run_design_solves_only_the_missing_covariances(small_cfg, monkeypatch):
-    # half the sensing set supplied: one solve, on exactly the other half; the
-    # supplied solutions are used as they are, and the design equals a fresh run
+def test_run_design_rejects_supplied_covariances_missing_a_sensing_carrier(small_cfg):
     cfg = replace(small_cfg, n_jcas=4)
     grid = build_grid(cfg)
-    fresh = run_design(cfg, grid=grid)
-    jcas = fresh.jcas_subcarriers.tolist()
-    supplied = {k: fresh.covariances[k] for k in jcas[::2]}
-    calls = []
+    jcas = run_design(cfg, grid=grid).jcas_subcarriers.tolist()
+    supplied = solve_radar_covariance(grid, cfg.effective_power, jcas[:-1])
+    with pytest.raises(ValueError, match=f"^subcarrier {jcas[-1]}: no covariance supplied"):
+        run_design(cfg, grid=grid, covariances=supplied)
 
-    def spy(grid, power, subcarriers):
-        calls.append((power, list(subcarriers)))
-        return solve_radar_covariance(grid, power, subcarriers)
 
-    monkeypatch.setattr(pipeline, "solve_radar_covariance", spy)
-    res = run_design(cfg, grid=grid, covariances=supplied)
-    assert calls == [(cfg.effective_power, jcas[1::2])]
-    assert all(res.covariances[k] is sol for k, sol in supplied.items())
-    assert list(supplied) == jcas[::2]  # the caller's dict is not filled in
-    assert_same_design(res, fresh)
+@pytest.mark.parametrize("rate_formula", ["consistent", "literal"])
+def test_run_design_rejects_covariances_solved_at_another_power(small_cfg, rate_formula):
+    # supplied covariances must carry the design power on their diagonal
+    cfg = replace(small_cfg, rate_formula=rate_formula, power_budget=7.0)
+    grid = build_grid(cfg)
+    jcas = run_design(cfg, grid=grid).jcas_subcarriers.tolist()
+    right = solve_radar_covariance(grid, cfg.effective_power, jcas)
+    assert_same_design(run_design(cfg, grid=grid, covariances=right), run_design(cfg, grid=grid))
+    wrong = solve_radar_covariance(grid, 2.0 * cfg.effective_power, jcas)
+    with pytest.raises(ValueError, match=f"^subcarrier {jcas[0]}: covariance diagonal"):
+        run_design(cfg, grid=grid, covariances=wrong)
 
 
 def test_run_design_reuses_supplied_channels(small_cfg):

@@ -4,7 +4,11 @@ the files; each run imports ``jcasbeam`` from its own checkout's ``src/``. Cover
 sweep files at the ``sweep-snr`` benchmark settings, of a seed-7 sweep at ``--jobs``
 1 and 2, of a K=16 sweep whose sensing counts include 0 and K and of a K=16
 ``literal``-rate sweep whose SNR list repeats one SNR, so that every SNR designs at
-power 1 and two list entries are the same SNR; the ``design``
+power 1 and two list entries are the same SNR; of a K=16 sweep at ``--jobs`` 1 and 2
+whose SNR, rho and sensing-count lists are unsorted and repeat entries (with a
+count of 0), and of a K=16 sweep with two SNRs within 1e-9 of 10 dB, the one that
+records the patterns listed first: these are the cases where a sweep setting is
+found by its position in a list rather than by its value; the ``design``
 files of ``design --seed 0`` and of a K=16 ``design --jcas 0``, which writes no
 pattern file; the ``link`` workload's 16 covariances and 18 designs, and two
 more K=16 ``link`` designs: at rho 0, where every carrier stops at iteration 0 on
@@ -31,10 +35,13 @@ import jcasbeam as jb  # noqa: E402
 from jcasbeam.cli import main as cli  # noqa: E402
 
 SEED7 = "--snr 10 --rho 0.5 --jcas 2 16 --realizations 3 --seed 7 --jobs"
+REPEATS = "--snr 10 0 10 --rho 0.75 0.25 0.75 --jcas 16 2 0 2 --realizations 2 --config {k16} --jobs"
 SWEEPS = {"sweep-snr": "--snr 0 5 10 --rho 0.25 0.5 0.75 --jcas 4 --realizations 1 --seed 0",
           "seed7-jobs1": f"{SEED7} 1", "seed7-jobs2": f"{SEED7} 2",
           "k16-J0-to-K": "--snr 0 10 --rho 0.5 1 --jcas 0 4 16 --realizations 2 --seed 3 --config {k16}",
-          "k16-literal-snr-repeated": "--snr 0 10 10 --rho 0.5 1 --jcas 2 16 --realizations 2 --config {k16lit}"}
+          "k16-literal-snr-repeated": "--snr 0 10 10 --rho 0.5 1 --jcas 2 16 --realizations 2 --config {k16lit}",
+          "k16-repeats-jobs1": f"{REPEATS} 1", "k16-repeats-jobs2": f"{REPEATS} 2",
+          "k16-snr-near-10": "--snr 10.0000000001 10 5 --rho 0.5 --jcas 4 16 --realizations 2 --config {k16}"}
 SWEEP_FILES = ("rates.csv", "beampattern_avg.csv", "beampattern_member.csv", "sweep_manifest.json")
 DESIGNS = {"cli-design-seed0": "--seed 0", "cli-design-k16-J0": "--jcas 0 --config {k16}"}
 DESIGN_FILES = ("design_manifest.json", "rates.csv", "beampattern.csv")
