@@ -18,7 +18,7 @@ from .covariance import (
     solve_radar_covariances,
 )
 from .errors import ConfigError, DegenerateChannelError, SolverError
-from .evaluation import SweepPoint, SweepResult, average_jcas_pattern, beampattern_mse, sweep
+from .evaluation import SweepPoint, SweepResult, beampattern_mse, sweep
 from .manifold import RcgResult, solve_rcg_batch
 from .pipeline import DesignResult, build_run_manifest, run_design
 from .tables import write_table
@@ -36,7 +36,6 @@ __all__ = [
     "SweepPoint",
     "SweepResult",
     "SystemConfig",
-    "average_jcas_pattern",
     "beampattern_mse",
     "build_grid",
     "build_run_manifest",

@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import SystemConfig, load_config
 from .errors import ConfigError, DegenerateChannelError, SolverError
-from .evaluation import average_jcas_pattern, beampattern_mse, sweep
+from .evaluation import mask_mse, precoder_pattern, sweep
 from .pipeline import build_run_manifest, run_design
 from .tables import write_table
 
@@ -79,19 +79,20 @@ def cmd_design(args) -> int:
         cfg = replace(cfg, **overrides)
 
     result = run_design(cfg)
-    mse = beampattern_mse(result.precoders, result.jcas_subcarriers, result.grid)
+    jcas = result.jcas_subcarriers
+    patterns = precoder_pattern(result.precoders[jcas], result.grid.steering[jcas])  # (J, T)
+    mse = mask_mse(patterns, result.grid)
     out_dir = _make_out_dir(args.out_dir)  # only now, so a failed design leaves no directory
 
     manifest = build_run_manifest(result)
     manifest["beampattern_mse"] = mse
     _write_json(out_dir / "design_manifest.json", manifest)
     write_table(out_dir / "rates.csv", {"k": np.arange(len(result.rates)), "rate": result.rates})
-    n_jcas = len(result.jcas_subcarriers)
-    if n_jcas:
-        patterns = {(cfg.rho, n_jcas): average_jcas_pattern(result)}
-        write_table(out_dir / "beampattern.csv", _pattern_columns(result.grid.angles, patterns))
+    if len(jcas):
+        average = {(cfg.rho, len(jcas)): np.mean(patterns, axis=0)}
+        write_table(out_dir / "beampattern.csv", _pattern_columns(result.grid.angles, average))
 
-    print(f"jcas subcarriers: {[int(k) for k in result.jcas_subcarriers]}")
+    print(f"jcas subcarriers: {[int(k) for k in jcas]}")
     print(
         f"average rate: {result.avg_rate:.6g} bit/s/Hz "
         f"(eigenmode stage {result.eigen_avg_rate:.6g})"

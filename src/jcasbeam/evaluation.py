@@ -44,7 +44,7 @@ from .config import SystemConfig
 from .covariance import beampattern_values as beampattern_gain
 from .covariance import solve_radar_covariances
 from .errors import ConfigError
-from .pipeline import DesignResult, eigen_stage, refine_carriers, select_jcas_subcarriers
+from .pipeline import eigen_stage, refine_carriers, select_jcas_subcarriers
 
 
 def precoder_pattern(f: np.ndarray, steering: np.ndarray) -> np.ndarray:
@@ -56,10 +56,9 @@ def precoder_pattern(f: np.ndarray, steering: np.ndarray) -> np.ndarray:
     return beampattern_gain(f @ f.conj().mT, steering)
 
 
-def _jcas_patterns(precoders: np.ndarray, jcas_subcarriers, grid: BeamGrid) -> np.ndarray:
-    """Beampatterns of the sensing subcarriers, one (J, T) stack."""
-    jcas = np.asarray(jcas_subcarriers, dtype=int)
-    return precoder_pattern(precoders[jcas], grid.steering[jcas])
+def mask_mse(patterns: np.ndarray, grid: BeamGrid) -> float:
+    """Mean of |desired - pattern|^2 over a (J, T) pattern stack; nan when J = 0."""
+    return float(np.mean(np.abs(grid.desired_gain - patterns) ** 2)) if len(patterns) else float("nan")
 
 
 def beampattern_mse(precoders: np.ndarray, jcas_subcarriers, grid: BeamGrid) -> float:
@@ -68,17 +67,8 @@ def beampattern_mse(precoders: np.ndarray, jcas_subcarriers, grid: BeamGrid) -> 
     Averages |desired - a^H F F^H a|^2 over all grid angles and all
     subcarriers in the sensing set; nan when the set is empty.
     """
-    return _mask_mse(_jcas_patterns(precoders, jcas_subcarriers, grid), grid)
-
-
-def _mask_mse(patterns: np.ndarray, grid: BeamGrid) -> float:
-    """Mean of |desired - pattern|^2 over a (J, T) pattern stack; nan when J = 0."""
-    return float(np.mean(np.abs(grid.desired_gain - patterns) ** 2)) if len(patterns) else float("nan")
-
-
-def average_jcas_pattern(result: DesignResult) -> np.ndarray:
-    """Beampattern averaged over the sensing subcarriers of one design run."""
-    return np.mean(_jcas_patterns(result.precoders, result.jcas_subcarriers, result.grid), axis=0)
+    jcas = np.asarray(jcas_subcarriers, dtype=int)
+    return mask_mse(precoder_pattern(precoders[jcas], grid.steering[jcas]), grid)
 
 
 @dataclass(frozen=True)
@@ -148,7 +138,7 @@ def _realization_metrics(cfgs, rhos, jcas_counts, grid, covariances, pattern_s, 
                 link = eigen_rates.copy()
                 link[top] = rates[s, r, :n_jcas]
                 rows = patterns[s, r, np.argsort(top)]
-                metrics[s, r, j] = np.mean(link), _mask_mse(rows, grid)
+                metrics[s, r, j] = np.mean(link), mask_mse(rows, grid)
                 if s == pattern_s and n_jcas:
                     pattern_means[r, j] = np.mean(rows, axis=0), rows[(n_jcas - 1) // 2]
     return metrics, pattern_means

@@ -239,7 +239,7 @@ class RcgResult:
     objective: float
     objective_trace: np.ndarray  # gamma per iterate, monotone nonincreasing
     iterations: int
-    converged: bool
+    converged: bool  # stopped on the gradient norm (GRAD_TOL); no other stop counts
     stop_reason: str
 
 
@@ -353,7 +353,7 @@ def solve_rcg_batch(
             # a copy, so the batch's (B, MAX_ITER + 1) table is freed on return
             objective_trace=trace[c, : iterations[c] + 1].copy(),
             iterations=int(iterations[c]),
-            converged=reasons[c] != "max_iterations",
+            converged=reasons[c] == "gradient_norm",
             stop_reason=reasons[c],
         )
         for c in range(n_car)

@@ -95,10 +95,11 @@ def run_design(
     ``covariances`` the sensing set's are solved here in one batched call;
     a supplied dict is used as it is, and must hold every sensing
     subcarrier, solved at ``cfg.effective_power`` on this grid: a missing
-    subcarrier, or one whose diagonal is not ``cfg.effective_power /
-    cfg.n_tx`` to 1e-12 relative, raises :class:`ValueError` naming it. All
-    sensing subcarriers are refined in one batched RCG call, each exactly as
-    if solved alone.
+    subcarrier, one whose matrix is not (n_tx, n_tx), or one whose diagonal
+    is not ``cfg.effective_power / cfg.n_tx`` to 1e-12 relative, raises
+    :class:`ValueError` naming it. The sensing covariances then form one
+    (J, n_tx, n_tx) stack, all refined in one batched RCG call, each exactly
+    as if solved alone.
     """
     if grid is None:
         grid = build_grid(cfg)
@@ -117,10 +118,12 @@ def run_design(
     for k in jcas.tolist():
         if k not in covariances:
             raise ValueError(f"subcarrier {k}: no covariance supplied for this sensing subcarrier")
+        if (shape := np.shape(covariances[k].matrix)) != (cfg.n_tx, cfg.n_tx):
+            raise ValueError(f"subcarrier {k}: covariance shape {shape} is not {(cfg.n_tx, cfg.n_tx)}")
     covariances = {k: covariances[k] for k in jcas.tolist()}
-    cov = [sol.matrix for sol in covariances.values()]
+    cov = np.array([sol.matrix for sol in covariances.values()]).reshape(-1, cfg.n_tx, cfg.n_tx)
     budget = cfg.effective_power / cfg.n_tx
-    diagonals = np.array([mat.diagonal().real for mat in cov]).reshape(len(cov), cfg.n_tx)
+    diagonals = cov.diagonal(axis1=1, axis2=2).real
     wrong = np.any(np.abs(diagonals - budget) > 1e-12 * budget, axis=1)
     if wrong.any():
         c = int(np.argmax(wrong))
@@ -154,17 +157,15 @@ def refine_carriers(channels, f_hat, cov, rho, power, prefactor):
     """Refine a stack of sensing carriers and relink them: steps 4 and 5 per carrier.
 
     ``channels`` (B, n_rx, n_tx), ``f_hat`` (B, n_tx, n_streams) the eigenmode
-    precoders and ``cov`` the B covariance matrices (n_tx, n_tx), one per
-    carrier; ``rho``, ``power`` and ``prefactor`` are each a float shared by
-    every carrier or a (B,) array. A carrier's refinement reads only its own
-    row, so it comes out bit for bit as if refined alone, whatever the stack.
-    One RCG batch (none for an empty stack) and one stacked relink. Returns
-    (list of :class:`RcgResult`, refined precoders (B, n_tx, n_streams),
-    rates (B,)).
+    precoders and ``cov`` the covariances, a (B, n_tx, n_tx) stack or a
+    sequence of B matrices, one per carrier; ``rho``, ``power`` and
+    ``prefactor`` are each a float shared by every carrier or a (B,) array. A
+    carrier's refinement reads only its own row, so it comes out bit for bit
+    as if refined alone, whatever the stack. One RCG batch and one stacked
+    relink; zero carriers refine nothing. Returns (list of
+    :class:`RcgResult`, refined precoders (B, n_tx, n_streams), rates (B,)).
     """
-    refined = []
-    if len(f_hat):
-        refined = solve_rcg_batch(f0=f_hat, cov=np.stack(cov), f_comm=f_hat, rho=rho, power=power)
+    refined = solve_rcg_batch(f0=f_hat, cov=cov, f_comm=f_hat, rho=rho, power=power)
     precoders = np.array([res.precoder for res in refined]).reshape(f_hat.shape)
     return refined, precoders, link_rates(channels, precoders, prefactor)
 

@@ -60,14 +60,11 @@ def _fix_column_phases(mat: np.ndarray) -> np.ndarray:
     """Rotate each column of a (..., n, m) stack so its largest-magnitude entry is real positive.
 
     Removes the per-column phase ambiguity of singular vectors so repeated
-    factorizations of the same matrix give identical beams. An all-zero
-    column is left as it is.
+    factorizations of the same matrix give identical beams. Its columns are
+    unit singular vectors, so no pivot is zero.
     """
     pivot = np.take_along_axis(mat, np.argmax(np.abs(mat), axis=-2)[..., None, :], axis=-2)
-    size = np.abs(pivot)
-    nonzero = size > 0
-    turn = np.conj(pivot) / np.where(nonzero, size, 1.0)
-    return np.where(nonzero, mat * turn, mat)
+    return mat * (np.conj(pivot) / np.abs(pivot))
 
 
 def eigenmode_precoders(h: np.ndarray, n_streams: int, total_power: float, noise_power: float):

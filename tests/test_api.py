@@ -19,7 +19,6 @@ PUBLIC_API = [
     "SweepPoint",
     "SweepResult",
     "SystemConfig",
-    "average_jcas_pattern",
     "beampattern_mse",
     "build_grid",
     "build_run_manifest",

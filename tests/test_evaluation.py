@@ -1,7 +1,6 @@
 """Pattern metrics, sweep aggregation, and table formatting."""
 
 import csv
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -14,8 +13,8 @@ from jcasbeam.covariance import solve_radar_covariances
 from jcasbeam.errors import ConfigError
 from jcasbeam.manifold import solve_rcg_batch
 from jcasbeam.evaluation import (
-    average_jcas_pattern,
     beampattern_mse,
+    mask_mse,
     precoder_pattern,
     sweep,
 )
@@ -87,9 +86,14 @@ def test_mse_empty_sensing_set_is_nan(small_cfg):
     assert np.isnan(beampattern_mse(precoders, [], grid))
 
 
+def jcas_patterns(res):
+    """The (J, T) pattern stack of a design's sensing carriers, as the design command scores it."""
+    return precoder_pattern(res.precoders[res.jcas_subcarriers], res.grid.steering[res.jcas_subcarriers])
+
+
 def test_pattern_summaries(small_cfg):
     res = run_design(small_cfg)
-    avg = average_jcas_pattern(res)
+    avg = np.mean(jcas_patterns(res), axis=0)
     assert avg.shape == (small_cfg.grid_size,)
     pats = [
         precoder_pattern(res.precoders[int(k)], res.grid.steering[int(k)])
@@ -296,7 +300,7 @@ def test_pass3_designs_equal_run_design_bit_for_bit(small_cfg, monkeypatch, rate
             np.testing.assert_equal(metrics[s, r, j], (want.avg_rate, mse))
             if snr == 10.0 and n_jcas:
                 avg, member = patterns[r, j]
-                np.testing.assert_array_equal(avg, average_jcas_pattern(want))
+                np.testing.assert_array_equal(avg, np.mean(jcas_patterns(want), axis=0))
                 k = want.jcas_subcarriers[(n_jcas - 1) // 2]  # the lower middle of the ascending set
                 np.testing.assert_array_equal(member, precoder_pattern(want.precoders[k], grid.steering[k]))
     assert not patterns[:, jcas_counts.index(0)].any()  # no pattern without sensing
@@ -349,12 +353,17 @@ def test_sweep_repeated_settings_equal_their_first_occurrence(small_cfg):
             np.testing.assert_array_equal(getattr(res, patterns)[key], getattr(once, patterns)[key])
 
 
-def test_sweep_without_sensing_makes_no_rcg_call(small_cfg, monkeypatch):
-    def no_call(*args, **kwargs):
-        raise AssertionError("RCG called without sensing subcarriers")
+def test_sweep_without_sensing_refines_empty_stacks(small_cfg, monkeypatch):
+    # without sensing carriers each realization refines one empty stack
+    stacks = []
 
-    monkeypatch.setattr(pipeline, "solve_rcg_batch", no_call)
+    def spy(f0, cov, f_comm, rho, power):
+        stacks.append((np.shape(f0), len(cov)))
+        return solve_rcg_batch(f0, cov, f_comm, rho, power)
+
+    monkeypatch.setattr(pipeline, "solve_rcg_batch", spy)
     res = sweep(small_cfg, [0.0, 10.0], [0.5], [0], n_realizations=2)
+    assert stacks == [((0, small_cfg.n_tx, small_cfg.n_streams), 0)] * 2
     assert all(np.isfinite(p.avg_rate) and np.isnan(p.avg_mse) for p in res.points)
 
 
@@ -467,9 +476,9 @@ def test_stacked_pattern_metrics_equal_per_carrier_formula(rng, small_cfg):
     assert beampattern_mse(precoders, jcas, grid) == pytest.approx(np.mean(errs), rel=1e-12)
     res = run_design(cfg)
     pats = [_one_carrier_pattern(res.precoders[k], res.grid.steering[k]) for k in res.jcas_subcarriers]
-    np.testing.assert_allclose(average_jcas_pattern(res), np.mean(pats, axis=0), rtol=1e-12, atol=0)
-    # an empty sensing set: nan, as before
+    np.testing.assert_allclose(np.mean(jcas_patterns(res), axis=0), np.mean(pats, axis=0), rtol=1e-12, atol=0)
+    # an empty sensing set: nan, as before; a design without sensing scores an empty stack
     assert np.isnan(beampattern_mse(precoders, np.array([], dtype=int), grid))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # mean of an empty stack
-        assert np.all(np.isnan(average_jcas_pattern(run_design(replace(cfg, n_jcas=0)))))
+    empty = jcas_patterns(run_design(replace(cfg, n_jcas=0)))
+    assert empty.shape == (0, len(grid.angles))
+    assert np.isnan(mask_mse(empty, grid))

@@ -285,6 +285,18 @@ def test_rcg_batch_matches_solo_exactly_across_stop_reasons(mixed_stop_rules):
     assert solve_rcg_batch(np.zeros((0, 4, 2)), np.zeros((0, 4, 4)), np.zeros((0, 4, 2)), 0.5, 2.0) == []
 
 
+def test_rcg_converged_means_the_gradient_norm_stop(mixed_stop_rules):
+    # only the gradient-norm stop is convergence: a plateau or a stalled line
+    # search ends short of the stationary point, as the iteration cap does
+    stack, settings = _mixed_stop_instance()
+    batch = solve_rcg_batch(*stack, **settings)
+    flags = {r.stop_reason: set() for r in batch}
+    for r in batch:
+        flags[r.stop_reason].add(r.converged)
+    assert flags == {"gradient_norm": {True}, "objective_plateau": {False},
+                     "line_search_stall": {False}, "max_iterations": {False}}
+
+
 def test_rcg_batch_with_rho_and_power_per_carrier_matches_solo_scalar_calls(mixed_stop_rules):
     # (B,) arrays of rho and power: each carrier as if solved alone with its
     # own scalars, on every stop reason

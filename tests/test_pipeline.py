@@ -181,6 +181,23 @@ def test_run_design_rejects_supplied_covariances_missing_a_sensing_carrier(small
         run_design(cfg, grid=grid, covariances=supplied)
 
 
+def test_run_design_rejects_wrongly_shaped_supplied_covariances(small_cfg):
+    # a supplied matrix that is not (n_tx, n_tx) is named before the stack is
+    # formed, whether one carrier's is wrong (a ragged stack) or every one's
+    cfg = replace(small_cfg, n_jcas=3)
+    grid = build_grid(cfg)
+    jcas = run_design(cfg, grid=grid).jcas_subcarriers.tolist()
+    right = solve_radar_covariance(grid, cfg.effective_power, jcas)
+    for shape in [(3, 3), (4, 3), (16,)]:
+        for bad in (jcas[1:], jcas):
+            supplied = dict(right)
+            for k in bad:
+                supplied[k] = replace(right[k], matrix=right[k].matrix.reshape(-1)[: np.prod(shape)].reshape(shape))
+            with pytest.raises(ValueError, match=f"^subcarrier {bad[0]}: covariance shape ") as err:
+                run_design(cfg, grid=grid, covariances=supplied)
+            assert str(err.value).endswith(f"{shape} is not (4, 4)")
+
+
 @pytest.mark.parametrize("rate_formula", ["consistent", "literal"])
 def test_run_design_rejects_covariances_solved_at_another_power(small_cfg, rate_formula):
     # supplied covariances must carry the design power on their diagonal
@@ -255,12 +272,17 @@ def test_run_design_regression_pin():
     assert_links_recomputed_everywhere(res)
 
 
-def test_run_design_without_sensing_makes_no_rcg_call(small_cfg, monkeypatch):
-    def no_call(*args, **kwargs):
-        raise AssertionError("RCG called without sensing subcarriers")
+def test_run_design_without_sensing_refines_an_empty_stack(small_cfg, monkeypatch):
+    stacks = []
 
-    monkeypatch.setattr(pipeline, "solve_rcg_batch", no_call)
+    def spy(f0, cov, f_comm, rho, power):
+        stacks.append((f0.shape, cov.shape))
+        return solve_rcg_batch(f0, cov, f_comm, rho, power)
+
+    monkeypatch.setattr(pipeline, "solve_rcg_batch", spy)
     res = run_design(replace(small_cfg, n_jcas=0))
+    n_tx, n_streams = small_cfg.n_tx, small_cfg.n_streams
+    assert stacks == [((0, n_tx, n_streams), (0, n_tx, n_tx))]
     assert res.refinements == {} and res.covariances == {}
     np.testing.assert_array_equal(res.rates, res.eigen_rates)
     assert_links_recomputed_everywhere(res)

@@ -21,7 +21,10 @@ record of each carrier's stop is covered; and the config files that
 spacing, two target angles, the literal rate and a seed. The ``link`` designs
 reach both rounds of the RCG line search: the second, which takes the searches
 the first leaves undecided, runs for 4 of the 9,580 searches at seeds 0-2 and
-for 6 of the 1,077 at rho 0 and 1.
+for 6 of the 1,077 at rho 0 and 1. Each field of a ``CovarianceSolution`` or an
+``RcgResult`` is hashed under its own key (its field name), so a change that moves
+one field of the solver records, such as the ``converged`` flag, shows up as
+exactly that field's keys changing.
 """
 
 import contextlib, hashlib, io, json, sys, tempfile  # noqa: E401
@@ -59,10 +62,15 @@ def digest(*parts) -> str:
     return h.hexdigest()
 
 
+def record_digests(records: dict) -> dict:
+    """Per key of ``records``, one digest per field of its result record, by field name."""
+    return {k: {name: digest(value) for name, value in vars(rec).items()} for k, rec in records.items()}
+
+
 def design_digests(res) -> dict:
     out = {name: digest(getattr(res, name)) for name in DESIGN_ARRAYS}
-    out["covariances"] = {k: digest(*vars(sol).values()) for k, sol in res.covariances.items()}
-    out["refinements"] = {k: digest(*vars(r).values()) for k, r in res.refinements.items()}
+    out["covariances"] = record_digests(res.covariances)
+    out["refinements"] = record_digests(res.refinements)
     out["mse"] = digest(jb.beampattern_mse(res.precoders, res.jcas_subcarriers, res.grid))
     return out
 
@@ -88,7 +96,7 @@ def main():
     cfg = jb.SystemConfig(n_subcarriers=16)
     grid = jb.build_grid(cfg)
     covs = jb.solve_radar_covariance(grid, cfg.effective_power)
-    out["link-covariances"] = {k: digest(*vars(sol).values()) for k, sol in covs.items()}
+    out["link-covariances"] = record_digests(covs)
     links = [(s, r, j) for s in range(3) for r in (0.25, 0.5, 0.75) for j in (4, 16)]
     for seed, rho, n_jcas in links + [(0, 0.0, 16), (0, 1.0, 16)]:
         channels = jb.generate_rayleigh(cfg.n_subcarriers, cfg.n_rx, cfg.n_tx, seed)
@@ -97,7 +105,7 @@ def main():
     out["design-seed0"] = design_digests(jb.run_design(jb.SystemConfig()))
     for name, overrides in EARLY_STOPS.items():
         sols = jb.solve_radar_covariance(jb.build_grid(jb.SystemConfig(**overrides)), 2.0)
-        out[f"early-stops-{name}"] = {k: digest(*vars(sol).values()) for k, sol in sols.items()}
+        out[f"early-stops-{name}"] = record_digests(sols)
     print(json.dumps(out, indent=1, sort_keys=True))
 
 
