@@ -175,10 +175,10 @@ def _admm_unit(steering, q):
     gtg = gt @ g
     eye2 = 2.0 * np.eye(g.shape[2])
 
-    beta1 = np.ones(n_car)  # pattern-residual block penalty
-    beta2 = np.ones(n_car)  # psd-consensus block penalty
-    solve_mat = np.linalg.inv(gtg + eye2)
-    b1, b2x2, inv_b1 = 1.0, 2.0, 1.0  # beta1, 2 beta2 and 1 / beta1 until a rebalance
+    beta = np.ones((2, n_car, 1, 1))  # per carrier, the pattern-residual and psd-consensus block penalties
+    b1, b2 = beta  # views: a rebalance scales beta in place
+    solve_mat = np.linalg.inv(b1 * gtg + b2 * eye2)
+    b2x2, inv_b1 = 2.0 * b2, 1.0 / b1
 
     x = np.zeros((n_car, g.shape[2], 1))
     z = q - g @ x
@@ -222,25 +222,23 @@ def _admm_unit(steering, q):
         p2 = np.sqrt(re.mT @ re + im.mT @ im)[:, 0, 0]
         primal = np.hypot(p1, p2)
 
-        # Rebalancing leaves x alone, so a carrier that stops below keeps its
-        # iterate whether or not its penalties were rebalanced first.
+        # Rebalancing: a block's penalty doubles where its primal residual dominates
+        # the dual one and halves where the dual dominates, and its scaled dual takes
+        # the inverse step, exactly (a power of two). It leaves x alone, so a carrier
+        # that stops below keeps its iterate whether or not it was rebalanced first.
         if balance:
             dz = gt @ (z - z_old)
-            d1 = beta1 * np.sqrt(dz.mT @ dz)[:, 0, 0]
-            d2 = beta2 * np.sqrt(2.0 * np.sum(_herm_params(s - s_old, upper, lower) ** 2, axis=(1, 2)))
-            up1 = p1 > BALANCE_RATIO * np.maximum(d1, 1e-300)
-            down1 = ~up1 & (d1 > BALANCE_RATIO * p1)
-            up2 = p2 > BALANCE_RATIO * np.maximum(d2, 1e-300)
-            down2 = ~up2 & (d2 > BALANCE_RATIO * p2)
-            beta1 = np.where(up1, 2.0 * beta1, np.where(down1, beta1 / 2.0, beta1))
-            beta2 = np.where(up2, 2.0 * beta2, np.where(down2, beta2 / 2.0, beta2))
-            b1, b2x2, inv_b1 = beta1[:, None, None], 2.0 * beta2[:, None, None], 1.0 / beta1[:, None, None]
-            u[up1] /= 2.0
-            u[down1] *= 2.0
-            u_mat[up2] /= 2.0
-            u_mat[down2] *= 2.0
-            changed = up1 | down1 | up2 | down2
-            solve_mat[changed] = np.linalg.inv(b1[changed] * gtg[changed] + beta2[changed, None, None] * eye2)
+            ds = _herm_params(s - s_old, upper, lower)
+            dual = beta * np.stack([np.sqrt(dz.mT @ dz), np.sqrt(2.0 * np.sum(ds**2, axis=(1, 2), keepdims=True))])
+            prim = np.stack([p1, p2])[..., None, None]
+            step = np.where(prim > BALANCE_RATIO * np.maximum(dual, 1e-300), 2.0,
+                            np.where(dual > BALANCE_RATIO * prim, 0.5, 1.0))
+            beta *= step
+            b2x2, inv_b1 = 2.0 * b2, 1.0 / b1
+            u /= step[0]
+            u_mat /= step[1]
+            changed = np.any(step != 1.0, axis=(0, 2, 3))
+            solve_mat[changed] = np.linalg.inv((b1 * gtg + b2 * eye2)[changed])
 
         done = (primal < TOL) & ~converged
         final_x[done] = x[done]

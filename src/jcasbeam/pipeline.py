@@ -34,6 +34,7 @@ from .beamgrid import BeamGrid, build_grid
 from .channel import generate_rayleigh
 from .config import SystemConfig
 from .covariance import CovarianceSolution, solve_radar_covariance
+from .errors import ConfigError
 from .manifold import solve_rcg_batch
 from .precoding import eigenmode_precoders, link_rates
 
@@ -52,10 +53,15 @@ def eigen_stage(cfg: SystemConfig, channels: np.ndarray):
     ``channels`` is the complex (K, n_rx, n_tx) channel stack. Returns
     (precoders, rates) with shapes (K, n_tx, n_streams) and (K,). A
     subcarrier whose channel has no usable signal dimension raises
-    :class:`DegenerateChannelError` naming it.
+    :class:`DegenerateChannelError` naming it, and a power budget whose link
+    rate overflows (near 1e308) raises :class:`ConfigError` naming it.
     """
     precoders = eigenmode_precoders(channels, cfg.n_streams, cfg.effective_power, cfg.effective_noise)
-    return precoders, link_rates(channels, precoders, 1.0 / cfg.effective_noise)
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        rates = link_rates(channels, precoders, 1.0 / cfg.effective_noise)
+    if not np.all(np.isfinite(rates)):
+        raise ConfigError(f"power budget {cfg.power_budget:g} is too large: the link rate overflows")
+    return precoders, rates
 
 
 @dataclass(frozen=True)

@@ -27,9 +27,11 @@ def waterfill(gains, total_power: float, noise_power: float = 1.0):
     by floor noise/gain (zero gains last, at an infinite floor); the candidate
     level with the m strongest channels active is (total + sum of their
     floors) / m, summed in order by ``cumsum`` as a running sum would, and a
-    row keeps the leading candidates that lie above their own floor. A row
-    whose powers miss the total by more than 1e-12 relative is rescaled onto
-    it; every other row keeps the bits of level - floor.
+    row keeps the leading candidates that lie above their own floor, and
+    always its strongest stream. A row whose powers miss the total by more
+    than 1e-12 relative is rescaled onto it, and one whose level - floor
+    rounds to zero on every stream puts the whole total on its strongest
+    stream; every other row keeps the bits of level - floor.
     Negative gains or a non-positive total raise ``ValueError``, and a row
     without a positive gain raises :class:`DegenerateChannelError`.
     """
@@ -45,12 +47,16 @@ def waterfill(gains, total_power: float, noise_power: float = 1.0):
     floor[positive] = noise_power / gains[positive]
     by_floor = np.take_along_axis(floor, np.argsort(floor, axis=-1, kind="stable"), axis=-1)
     candidate = (total_power + np.cumsum(by_floor, axis=-1)) / np.arange(1, gains.shape[-1] + 1)
-    n_active = np.logical_and.accumulate(candidate > by_floor, axis=-1).sum(axis=-1)
+    # total + floor rounds to the floor where the total is below the floor's roundoff
+    n_active = np.maximum(np.logical_and.accumulate(candidate > by_floor, axis=-1).sum(axis=-1), 1)
     level = np.take_along_axis(candidate, n_active[:, None] - 1, axis=-1)[:, 0]
     powers = np.maximum(level[:, None] - floor, 0.0)
     powers[~positive] = 0.0
-    # where the floors dwarf the total, level - floor carries the level's roundoff
+    # where the floors dwarf the total, level - floor carries the level's roundoff, or
+    # rounds to zero on every stream: then the strongest stream takes the whole total
     sums = powers.sum(axis=-1)
+    lost = sums == 0
+    powers[lost, np.argmin(floor[lost], axis=-1)] = sums[lost] = total_power
     off = np.abs(sums - total_power) > 1e-12 * total_power
     powers[off] *= total_power / sums[off, None]
     return powers, level, n_active

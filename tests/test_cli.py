@@ -190,6 +190,28 @@ def test_snr_whose_rcg_objective_overflows_exits_2(small_config_file, tmp_path, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, flags", [("design", []), ("sweep", ["--rho", "0.5", "--realizations", "1"])]
+)
+def test_snr_whose_link_rate_overflows_exits_2(small_config_file, tmp_path, capsys, command, flags):
+    # P = 1e308 is a finite power budget, but P s^2 in the link rate overflows;
+    # no sensing subcarrier, so no RCG objective overflows first
+    out = tmp_path / "never"
+    argv = [command, "--config", str(small_config_file), "--out-dir", str(out), "--snr", "3080", "--jcas", "0"]
+    assert main(argv + flags) == 2
+    err = capsys.readouterr().err
+    assert "power budget 1e+308 is too large: the link rate overflows" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_power_far_below_the_noise_still_designs(tmp_path):
+    # every noise floor dwarfs the budget: each eigenmode precoder puts it all on one stream
+    config, out = tmp_path / "faint.ini", tmp_path / "o"
+    write_config(SystemConfig(**{**SMALL, "power_budget": 1e-300, "noise_power": 1e300}), config)
+    assert main(["design", "--config", str(config), "--out-dir", str(out)]) == 0
+    assert (out / "rates.csv").exists()
+
+
 def test_sweep_mixing_an_overflowing_snr_with_finite_ones_exits_2(small_config_file, tmp_path, capsys):
     # the designs of every SNR share one RCG batch; the error names the overflowing power
     out = tmp_path / "never"

@@ -318,6 +318,16 @@ def test_run_design_single_transmit_antenna():
     assert_links_recomputed_everywhere(res)
 
 
+def test_run_design_with_power_far_below_the_noise_keeps_every_precoder_on_its_sphere(small_cfg):
+    # P = 1e-300 against noise 1e300: every noise floor dwarfs the budget, so
+    # the strongest stream of each subcarrier takes all of it
+    cfg = replace(small_cfg, power_budget=1e-300, noise_power=1e300)
+    res = run_design(cfg)
+    for precoders in (res.eigen_precoders, res.precoders):
+        np.testing.assert_allclose(np.sum(np.abs(precoders) ** 2, axis=(1, 2)), 1e-300, rtol=1e-12)
+    assert np.all(np.count_nonzero(np.linalg.norm(res.eigen_precoders, axis=1), axis=1) == 1)
+
+
 def test_run_design_names_the_degenerate_subcarrier(small_cfg):
     channels = generate_rayleigh(
         small_cfg.n_subcarriers, small_cfg.n_rx, small_cfg.n_tx, small_cfg.seed

@@ -139,6 +139,14 @@ def test_waterfill_meets_the_budget_under_floors_far_above_it():
         assert abs(powers.sum() - 1e-3) <= 1e-12 * 1e-3
 
 
+def test_waterfill_total_below_the_roundoff_of_the_strongest_floor():
+    # 1e-20 + 0.25 rounds to 0.25, so no candidate level lies above its floor;
+    # the strongest stream still takes the whole total, and no other stream any
+    powers, level, n_active = waterfill_one([4.0, 1.0, 0.5, 0.25], 1e-20, 1.0)
+    np.testing.assert_array_equal(powers, [1e-20, 0.0, 0.0, 0.0])
+    assert (level, n_active) == (0.25, 1)
+
+
 def test_waterfill_normal_row_keeps_its_bits():
     gains = np.array([[4.0, 1.0, 0.25, 0.0], [2.0, 3.0, 0.5, 1.5]])
     powers, level, _ = waterfill(gains, 1.0, 1.0)

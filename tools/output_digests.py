@@ -9,8 +9,11 @@ whose SNR, rho and sensing-count lists are unsorted and repeat entries (with a
 count of 0), and of a K=16 sweep with two SNRs within 1e-9 of 10 dB, the one that
 records the patterns listed first: these are the cases where a sweep setting is
 found by its position in a list rather than by its value; the ``design``
-files of ``design --seed 0`` and of a K=16 ``design --jcas 0``, which writes no
-pattern file; the ``link`` workload's 16 covariances and 18 designs, and two
+files of ``design --seed 0``, of a K=16 ``design --jcas 0``, which writes no
+pattern file, and of a K=16 ``design --snr -200 --jcas 2``, whose power is below the
+roundoff of every carrier's strongest noise floor, so that water-filling puts it all
+on the strongest stream (a checkout from before that rule spreads it over two or three
+streams, so this is the one case whose digests differ from such a checkout's); the ``link`` workload's 16 covariances and 18 designs, and two
 more K=16 ``link`` designs: at rho 0, where every carrier stops at iteration 0 on
 the gradient norm, and at rho 1, where every carrier stops on the plateau; the
 default design; the covariances at power 2 of the two small grids of
@@ -46,7 +49,8 @@ SWEEPS = {"sweep-snr": "--snr 0 5 10 --rho 0.25 0.5 0.75 --jcas 4 --realizations
           "k16-repeats-jobs1": f"{REPEATS} 1", "k16-repeats-jobs2": f"{REPEATS} 2",
           "k16-snr-near-10": "--snr 10.0000000001 10 5 --rho 0.5 --jcas 4 16 --realizations 2 --config {k16}"}
 SWEEP_FILES = ("rates.csv", "beampattern_avg.csv", "beampattern_member.csv", "sweep_manifest.json")
-DESIGNS = {"cli-design-seed0": "--seed 0", "cli-design-k16-J0": "--jcas 0 --config {k16}"}
+DESIGNS = {"cli-design-seed0": "--seed 0", "cli-design-k16-J0": "--jcas 0 --config {k16}",
+           "cli-design-k16-snr-200": "--snr -200 --jcas 2 --config {k16}"}
 DESIGN_FILES = ("design_manifest.json", "rates.csv", "beampattern.csv")
 CONFIGS = {"config-default": {}, "config-set": dict(antenna_spacing=0.07, target_angles=(-45.0, 12.5),
                                                     rate_formula="literal", seed=11)}
