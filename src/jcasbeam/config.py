@@ -10,7 +10,6 @@ cannot silently fall back to a default.
 
 from __future__ import annotations
 
-import configparser
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -160,6 +159,8 @@ def load_config(path) -> SystemConfig:
     sections or keys, and a non-empty ``[DEFAULT]`` section, raise
     :class:`ConfigError` naming the offender. Values are read literally.
     """
+    import configparser
+
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -198,6 +199,8 @@ def load_config(path) -> SystemConfig:
 
 def write_config(cfg: SystemConfig, path) -> None:
     """Write ``cfg`` as a config file that :func:`load_config` round-trips."""
+    import configparser
+
     parser = configparser.ConfigParser(interpolation=None)
     for section, keys in _SECTIONS.items():
         parser[section] = {key: _FORMATS[_FIELDS[key].type][1](getattr(cfg, key)) for key in keys}

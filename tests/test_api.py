@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+import subprocess
 import sys
 from pathlib import Path
 
@@ -82,3 +83,16 @@ def test_runtime_dependency_is_numpy_only():
                 continue
             for name in names:
                 assert name.split(".")[0] in allowed, f"{path.name}:{node.lineno} imports {name}"
+
+
+def test_import_leaves_the_process_pool_and_the_ini_parser_unloaded():
+    # only sweep --jobs > 1 uses the pool and only config files the parser, so a
+    # fresh interpreter's import of the package and its CLI loads neither
+    lazy = ("multiprocessing", "concurrent.futures.process", "configparser")
+    src = str(Path(jcasbeam.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import jcasbeam, jcasbeam.cli; "
+            f"print(jcasbeam.__file__); print(*(m for m in {lazy!r} if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
+    imported, loaded = out.splitlines()
+    assert Path(imported).resolve() == Path(jcasbeam.__file__).resolve()
+    assert loaded == ""

@@ -240,7 +240,7 @@ def test_sweep_ships_one_function_in_one_chunk_per_worker(small_cfg, monkeypatch
         workers.append(max_workers)
         return _InlinePool(calls)
 
-    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", pool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", pool)
     args = (small_cfg, [5.0], [0.5], [2], n_realizations)
     pooled = sweep(*args, jobs=jobs)
     [(fn, chunks)] = calls
