@@ -1,7 +1,7 @@
 """Record the benchmark's end-to-end metrics of one checkout as ``BENCH_<n>.json``:
 
-    python3 tools/bench_record.py 26                       # writes BENCH_26.json at the root
-    python3 tools/bench_record.py 26 --seeds 1 2 3 --seconds 15 --workloads link
+    python3 tools/bench_record.py N                        # writes BENCH_N.json at the root
+    python3 tools/bench_record.py N --seeds 1 2 3 --seconds 15 --workloads link
 
 Runs ``perfbench/run.py`` untraced (``--trace 0``) once per workload and seed, one run
 after another from the checkout's root, with the command and run length of
