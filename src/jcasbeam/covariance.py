@@ -13,18 +13,14 @@ constraint is enforced through a consensus copy projected by eigenvalue clip.
 One ADMM core serves every caller. It runs on the unit-budget problem
 (target ``q = mask - 1`` for the grid's binary mask), so tolerances behave
 identically for any transmit power, and it is batched over a leading carrier
-axis: the iterates of all carriers are column stacks (K, m, 1) and each step
-is one stacked numpy call, while every carrier keeps its own penalties,
-rebalancing and stopping iteration. A carrier stops exactly where it would
-stop if solved alone, in a batch of one through
-:func:`solve_radar_covariance`. Power enters only in the finish (scale,
-polish, objective at the raw desired pattern), and the normalized target of
-the mask is the same at every power, so one solve per subcarrier serves
-every power. The finish, too, is one stacked call, on a (power,
-subcarrier) array: it scales the unit-budget solves by a broadcast over the
-power axis, sets their diagonals, and alternates psd and diagonal
-projections, each matrix leaving the loop at its own round; one broadcast
-pattern evaluation then scores them all.
+axis, each carrier stopping exactly where it would if solved alone. Power
+enters only in the finish, and the normalized target of the mask is the
+same at every power, so one solve per subcarrier serves every power. The
+finish is one stacked call on a (power, subcarrier) array: it scales the
+unit-budget solves, sets their diagonals and polishes them by alternating
+psd and diagonal projections, each matrix leaving at its own round. Each
+is scored through the ADMM's own pattern map, a^H R a = P + g . x(R), so
+its objective is the one the ADMM minimizes, scaled by P.
 
 Convergence note: the optimum generically sits on the psd boundary with many
 active pattern kinks, a degenerate geometry where splitting methods slow to a
@@ -78,7 +74,7 @@ def psd_project(mat: np.ndarray) -> np.ndarray:
 
 def _herm_params(mats: np.ndarray, upper, lower) -> np.ndarray:
     """Packed params (..., 2M, 1) of the Hermitian part 0.5 * (A + A^H), read off the triangles."""
-    flat = mats.reshape(mats.shape[:-2] + (-1,))
+    flat = mats.reshape(mats.shape[:-2] + (mats.shape[-1] ** 2,))  # not -1, which an empty stack cannot infer
     half = 0.5 * (flat[..., upper] + flat[..., lower].conj())
     return np.ascontiguousarray(half).view(np.float64)[..., None]
 
@@ -98,7 +94,7 @@ def _pattern_matrix(steering: np.ndarray, iu) -> np.ndarray:
 
     steering has shape (K, T, n_tx), the result (K, T, 2M). Column 2i
     multiplies the real part of the i-th upper-triangle entry of R, column
-    2i+1 its imaginary part.
+    2i+1 its imaginary part. The covariance stage has no other pattern formula.
     """
     g = np.empty(steering.shape[:2] + (2 * len(iu[0]),))
     for g_k, a in zip(g, steering):  # one carrier at a time: no stack-sized temporaries
@@ -108,13 +104,19 @@ def _pattern_matrix(steering: np.ndarray, iu) -> np.ndarray:
     return g
 
 
-def beampattern_values(mat: np.ndarray, steering: np.ndarray) -> np.ndarray:
-    """a_t^H R a_t over all grid rows; real up to roundoff for Hermitian R.
+def _triangles(n: int):
+    iu = np.triu_indices(n, 1)
+    return iu[0] * n + iu[1], iu[1] * n + iu[0]  # flat positions of the upper triangle and of its mirror
 
-    ``mat`` (n, n) with ``steering`` (T, n) gives (T,); stacks (J, n, n) and
-    (J, T, n) give (J, T).
+
+def _objectives(mats, powers, g, q) -> np.ndarray:
+    """sum_t |P q_t - g_t . x(R)| = sum_t |P (q_t + 1) - a_t^H R a_t| per (power, carrier).
+
+    Matrices (P, K, n, n) with diagonal P / n at powers (P,) give (P, K).
+    Each sum runs along the last axis: a pair has the same bits in any stack.
     """
-    return np.real(np.einsum("...ti,...ij,...tj->...t", np.conj(steering), mat, steering))
+    gx = g @ _herm_params(mats, *_triangles(mats.shape[-1]))  # (P, K, T, 1)
+    return np.sum(np.abs(powers[:, None, None] * q - gx[..., 0]), axis=-1)
 
 
 def _soft_threshold(v: np.ndarray, kappa) -> np.ndarray:
@@ -138,40 +140,38 @@ class CovarianceSolution:
     residual: float
 
 
-def _admm_unit(steering, q):
+def _admm_unit(g, q, n):
     """Run ADMM on the unit-budget problem for a stack of carriers.
 
-    ``steering`` is (K, T, n_tx) and ``q`` the normalized target (T,), shared
-    by every carrier; every carrier starts from the uniform budget. Carriers
-    share only the stacked calls: each has its own penalties and balancing,
-    and stops at the iteration where its primal residual drops below
-    ``TOL``, or runs to ``MAX_ITER``. A stopped carrier's iterate, residual
-    and iteration count are recorded in place, and it stays in the stack,
-    which runs on until every carrier has stopped: a stack whose carriers
-    stop far apart keeps paying for the stopped ones, which the measured
-    workloads seldom do (a few carriers, at most a few hundred iterations
-    before the cap). The iterates are column stacks (K, m, 1), so every
-    product is one stacked ``@`` that makes the same BLAS call per carrier
-    as the one-carrier formula, and a squared norm is ``v.mT @ v``: a
-    carrier's iterates are bit-identical whatever batch it runs in. A
-    single antenna has no off-diagonal to fit: its only feasible matrix is
-    the budget itself, returned with zero iterations.
+    ``g`` (K, T, 2M) is the carriers' pattern map for ``n`` antennas and
+    ``q`` (T,) the normalized target they share; each carrier starts from
+    the uniform budget. Carriers share only the stacked calls: each has its
+    own penalties and balancing, and stops at the iteration where its
+    primal residual drops below ``TOL``, or runs to ``MAX_ITER``. A stopped
+    carrier's iterate, residual and iteration count are recorded in place,
+    and it stays in the stack, which runs on until every carrier has
+    stopped: a stack whose carriers stop far apart keeps paying for the
+    stopped ones, which the measured workloads seldom do (a few carriers,
+    at most a few hundred iterations before the cap). The iterates are
+    column stacks (K, m, 1), so every product is one stacked ``@`` that
+    makes the same BLAS call per carrier as the one-carrier formula, and a
+    squared norm is ``v.mT @ v``: a carrier's iterates are bit-identical
+    whatever batch it runs in. A single antenna has no off-diagonal to fit:
+    its one feasible matrix, the budget, is returned with zero iterations.
 
-    Returns the stacked recorded iterates (K, n_tx, n_tx), Hermitian with
-    diagonal 1 / n_tx, and per carrier (K,) the iteration count, the
+    Returns the stacked recorded iterates (K, n, n), Hermitian with
+    diagonal 1 / n, and per carrier (K,) the iteration count, the
     ``converged`` flag and the final primal residual.
     """
-    n_car, n_grid, n = steering.shape
+    n_car, n_grid = g.shape[:2]
     if n == 1 or n_car == 0:
         mats = np.ones((n_car, n, n), dtype=complex)
         return mats, np.zeros(n_car, dtype=int), np.ones(n_car, dtype=bool), np.zeros(n_car)
 
-    iu = np.triu_indices(n, 1)
-    upper, lower = iu[0] * n + iu[1], iu[1] * n + iu[0]  # flat positions of the triangles
+    upper, lower = _triangles(n)
     diag_value = 1.0 / n
     q = q[:, None]  # a column, like the iterates
-    g = _pattern_matrix(steering, iu)                # (K, T, P)
-    gt = g.mT                                        # (K, P, T), a view like g.T: same BLAS kernel
+    gt = g.mT                                        # (K, 2M, T), a view like g.T: same BLAS kernel
     gtg = gt @ g
     eye2 = 2.0 * np.eye(g.shape[2])
 
@@ -285,17 +285,18 @@ def solve_radar_covariances(grid: BeamGrid, powers, subcarriers) -> list[dict[in
     The desired pattern at power P is P times the grid's binary mask, whose
     normalized target ``mask - 1`` does not depend on P, so each subcarrier
     is solved once, in one batched ADMM call, and every (power, subcarrier)
-    pair is then finished in one stacked call (scale, polish) and scored in
-    one broadcast pattern evaluation. Returns one ``{k: solution}`` dict per
-    power, in the order of ``powers``. Iteration stops early below ``TOL``;
-    at ``MAX_ITER`` the iterate is accepted if its residual is below
-    ``FALLBACK_TOL`` (its objective error is orders of magnitude inside the
-    1e-2*P accuracy the rest of the pipeline relies on), else a
-    :class:`SolverError` names the first failing subcarrier and carries its
-    last iterate at the first listed power, with its final residual.
+    pair is then finished in one stacked call (scale, polish) and scored
+    through the pattern map the ADMM fits, built once from the solved rows.
+    Returns one ``{k: solution}`` dict per power, in the order of
+    ``powers``. A solve whose residual at ``MAX_ITER`` misses even
+    ``FALLBACK_TOL`` raises a :class:`SolverError` that names the first
+    failing subcarrier and carries its last iterate at the first listed
+    power, with its final residual.
     """
     ks = list(dict.fromkeys(int(k) for k in subcarriers))
-    mats, iterations, converged, residual = _admm_unit(grid.steering[ks], grid.desired_gain - 1.0)
+    n, q = grid.steering.shape[2], grid.desired_gain - 1.0
+    g = _pattern_matrix(grid.steering[ks], np.triu_indices(n, 1))
+    mats, iterations, converged, residual = _admm_unit(g, q, n)
     failed = ~converged & (residual > FALLBACK_TOL)
     if failed.any():
         c = int(np.argmax(failed))
@@ -308,8 +309,7 @@ def solve_radar_covariances(grid: BeamGrid, powers, subcarriers) -> list[dict[in
         )
     powers = np.asarray(powers, dtype=float)
     finished = _finished(mats, powers)
-    patterns = beampattern_values(finished, grid.steering[ks])
-    objectives = np.sum(np.abs(powers[:, None, None] * grid.desired_gain - patterns), axis=2).tolist()
+    objectives = _objectives(finished, powers, g, q).tolist()
     stats = [(int(i), bool(c), float(r)) for i, c, r in zip(iterations, converged, residual)]
     return [
         {k: CovarianceSolution(mat, obj, *stat) for k, mat, obj, stat in zip(ks, power_mats, power_objs, stats)}

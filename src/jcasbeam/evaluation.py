@@ -45,19 +45,18 @@ import numpy as np
 from .beamgrid import BeamGrid, build_grid
 from .channel import generate_rayleigh
 from .config import SystemConfig
-from .covariance import beampattern_values as beampattern_gain
 from .covariance import solve_radar_covariances
 from .errors import ConfigError
 from .pipeline import eigen_stage, refine_carriers, select_jcas_subcarriers
 
 
 def precoder_pattern(f: np.ndarray, steering: np.ndarray) -> np.ndarray:
-    """Transmit beampattern a^H (F F^H) a over the grid.
+    """Transmit beampattern a^H F F^H a = sum_s |(A conj(F))_ts|^2, straight from the precoders.
 
-    One precoder (n_tx, n_streams) with its (T, n_tx) steering gives (T,); a
-    stack (J, n_tx, n_streams) with (J, T, n_tx) steering gives (J, T).
+    One precoder (n_tx, n_streams) with its (T, n_tx) steering A gives (T,);
+    a stack (J, n_tx, n_streams) with (J, T, n_tx) steering gives (J, T).
     """
-    return beampattern_gain(f @ f.conj().mT, steering)
+    return np.sum(np.abs(steering @ f.conj()) ** 2, axis=-1)
 
 
 def mask_mse(patterns: np.ndarray, grid: BeamGrid) -> float:

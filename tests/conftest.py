@@ -44,6 +44,15 @@ def random_psd(rng, n, trace):
     return trace * m / np.real(np.trace(m))
 
 
+def reference_pattern(mat, steering):
+    """a_t^H R a_t over the grid rows, as the three-operand einsum; the tests' reference pattern.
+
+    ``mat`` (n, n) with ``steering`` (T, n) gives (T,); stacks (..., n, n)
+    and (..., T, n) broadcast over their leading axes.
+    """
+    return np.real(np.einsum("...ti,...ij,...tj->...t", np.conj(steering), mat, steering))
+
+
 def ula_grid(angles, mask, n_tx, freq=2.0e9):
     """A one-subcarrier BeamGrid: a half-wavelength ULA at ``freq`` and a hand-made mask."""
     angles = np.asarray(angles, dtype=float)

@@ -19,7 +19,7 @@ import pytest
 from jcasbeam.beamgrid import build_grid
 from jcasbeam.cli import main
 from jcasbeam.config import SystemConfig
-from jcasbeam.covariance import beampattern_values, solve_radar_covariance
+from jcasbeam.covariance import solve_radar_covariance
 from jcasbeam.evaluation import sweep
 from jcasbeam.manifold import (
     project_to_tangent,
@@ -30,7 +30,7 @@ from jcasbeam.manifold import (
 )
 from jcasbeam.precoding import waterfill
 
-from conftest import random_complex, random_psd, random_sphere_point
+from conftest import random_complex, random_psd, random_sphere_point, reference_pattern
 
 
 def _verdict(tag: str, ok: bool, detail: str) -> None:
@@ -370,7 +370,7 @@ def test_spot_check_error_floor():
     n_angles, n_tx = a.shape[1:]
 
     def error_and_gradient(r):
-        e = beampattern_values(r, a) - d
+        e = reference_pattern(r, a) - d
         return np.mean(e**2, axis=1), (a.mT * (2.0 * e / n_angles)[:, None, :]) @ a.conj()
 
     # the error is quadratic in R; its Hessian's largest eigenvalue is 2/T times that of |a_t^H a_s|^2

@@ -4,21 +4,22 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from jcasbeam import covariance
 from jcasbeam.beamgrid import build_grid
 from jcasbeam.config import SystemConfig
 from jcasbeam.covariance import (
-    beampattern_values,
     psd_project,
     solve_radar_covariance,
     solve_radar_covariances,
 )
 from jcasbeam.errors import SolverError
-from jcasbeam.evaluation import sweep
+from jcasbeam.evaluation import precoder_pattern, sweep
 from jcasbeam.pipeline import run_design
 
-from conftest import random_complex, ula_grid
+from conftest import random_complex, reference_pattern, ula_grid
 
 
 def _hermitian(rng, n):
@@ -41,11 +42,71 @@ def test_psd_project_keeps_psd_input(rng):
     np.testing.assert_allclose(psd_project(m), m, atol=1e-10)
 
 
-def test_beampattern_values_matches_naive_loop(rng):
-    steering = random_complex(rng, (9, 4))
+def _objectives(mats, powers, steering, mask):
+    """The package's objectives of matrices (P, K, n, n) at powers (P,) on steering (K, T, n) against a mask."""
+    g = covariance._pattern_matrix(steering, np.triu_indices(steering.shape[-1], 1))
+    return covariance._objectives(mats, np.asarray(powers, dtype=float), g, np.asarray(mask, dtype=float) - 1.0)
+
+
+def test_pattern_formulas_match_naive_loop(rng):
+    # the objective, through the ADMM's pattern map, and the precoder pattern, from F, against a^H R a per angle
+    steering = np.exp(2j * np.pi * rng.random((9, 4)))  # unit modulus, as the pattern map assumes
+    mask = np.array([1.0, 0, 0, 1, 1, 0, 0, 0, 1])
     r = _hermitian(rng, 4)
+    np.fill_diagonal(r, 3.0 / 4)
     naive = np.array([np.real(a.conj() @ r @ a) for a in steering])
-    np.testing.assert_allclose(beampattern_values(r, steering), naive, atol=1e-12)
+    got = _objectives(r[None, None], [3.0], steering[None], mask)[0, 0]
+    assert got == pytest.approx(np.abs(3.0 * mask - naive).sum(), rel=1e-12)
+    f = random_complex(rng, (4, 2))
+    naive = np.array([np.real(a.conj() @ f @ f.conj().T @ a) for a in steering])
+    np.testing.assert_allclose(precoder_pattern(f, steering), naive, rtol=1e-12, atol=0)
+
+
+def _feasible(rng, powers, n_car, n, exact_hermitian):
+    """Random psd matrices (P, K, n, n) with diagonal power / n, Hermitian exactly or only to roundoff."""
+    c = random_complex(rng, (len(powers), n_car, n, n))
+    gram = c @ c.conj().mT
+    scale = np.sqrt(np.asarray(powers)[:, None, None] / n / np.diagonal(gram, axis1=-2, axis2=-1).real)
+    mats = gram * scale[..., :, None] * scale[..., None, :]
+    if exact_hermitian:
+        mats = 0.5 * (mats + mats.conj().mT)
+    else:  # rebuilt from its eigenpairs, as the finish's psd projection rebuilds a matrix
+        vals, vecs = np.linalg.eigh(mats)
+        mats = (vecs * vals[..., None, :]) @ vecs.conj().mT
+    diag = np.arange(n)
+    mats[..., diag, diag] = (np.asarray(powers) / n)[:, None, None]
+    return mats
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 5),
+    n_car=st.integers(0, 3),
+    powers=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=3),
+    exact_hermitian=st.booleans(),
+)
+@example(seed=0, n=4, n_car=2, powers=[2.0, 10.0], exact_hermitian=False)
+@example(seed=1, n=1, n_car=2, powers=[3.0], exact_hermitian=True)
+@example(seed=2, n=3, n_car=0, powers=[1.0, 5.0], exact_hermitian=True)
+def test_objective_matches_the_reference_on_random_feasible_matrices(seed, n, n_car, powers, exact_hermitian):
+    rng = np.random.default_rng(seed)
+    n_grid = 11
+    steering = np.exp(2j * np.pi * rng.random((n_car, n_grid, n)))
+    mask = rng.integers(0, 2, n_grid)
+    mats = _feasible(rng, powers, n_car, n, exact_hermitian)
+    if not exact_hermitian and n > 1 and n_car:
+        assert not np.array_equal(mats, mats.conj().mT)  # the case the Hermitian-part read must handle
+    got = _objectives(mats, powers, steering, mask)
+    assert got.shape == (len(powers), n_car)
+    p = np.asarray(powers)[:, None]
+    want = np.sum(np.abs(p[..., None] * mask - reference_pattern(mats, steering)), axis=-1)
+    # relative to the objective, or to P where the objective is ~0: the reference's own roundoff is of size P
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(want, p)), np.max(np.abs(got - want) / np.maximum(want, p))
+    for i in range(len(powers)):  # a stacked call gives each pair the bits of its one-pair call
+        for k in range(n_car):
+            solo = _objectives(mats[i:i + 1, k:k + 1], powers[i:i + 1], steering[k:k + 1], mask)
+            assert solo[0, 0] == got[i, k]
 
 
 def test_single_angle_broadside_matches_exactly():
@@ -111,14 +172,18 @@ def test_budget_scaling_is_exact():
 
 
 def test_objective_reported_at_returned_matrix():
-    # the stacked pattern evaluation scores every (power, subcarrier) pair as a one-pair evaluation does
+    # the stacked finish scores every (power, subcarrier) pair as a one-carrier, one-power solve does,
+    # and the score is the mask error of the returned matrix
     grid = _small_grid()
     powers = [1.5, 7.5]
     sols = solve_radar_covariances(grid, powers, [2, 5])
     for power, by_k in zip(powers, sols):
         for k, sol in by_k.items():
-            direct = np.abs(power * grid.desired_gain - beampattern_values(sol.matrix, grid.steering[k])).sum()
-            assert sol.objective == direct
+            solo = solve_radar_covariances(grid, [power], [k])[0][k]
+            np.testing.assert_array_equal(sol.matrix, solo.matrix)
+            assert sol.objective == solo.objective
+            direct = np.abs(power * grid.desired_gain - reference_pattern(sol.matrix, grid.steering[k])).sum()
+            assert sol.objective == pytest.approx(direct, rel=1e-12)
 
 
 def test_solver_error_carries_iterate_and_residuals(monkeypatch):
@@ -325,7 +390,8 @@ def test_unit_solves_are_hermitian_bit_for_bit():
     # the finish scales them without symmetrizing: the lower triangle must
     # already be the conjugate of the upper, bit for bit
     grid = _small_grid()
-    mats = covariance._admm_unit(grid.steering, grid.desired_gain - 1.0)[0]
+    g = covariance._pattern_matrix(grid.steering, np.triu_indices(4, 1))
+    mats = covariance._admm_unit(g, grid.desired_gain - 1.0, 4)[0]
     np.testing.assert_array_equal(mats, mats.conj().mT)
 
 

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from jcasbeam import evaluation, pipeline
 from jcasbeam.beamgrid import build_grid
@@ -22,7 +24,7 @@ from jcasbeam.pipeline import run_design
 from jcasbeam.precoding import eigenmode_precoders
 from jcasbeam.tables import write_table
 
-from conftest import SMALL, assert_same_design, random_complex
+from conftest import SMALL, assert_same_design, random_complex, reference_pattern
 
 
 def test_precoder_pattern_matches_direct_quadratic(rng, small_cfg):
@@ -35,6 +37,33 @@ def test_precoder_pattern_matches_direct_quadratic(rng, small_cfg):
     )
     np.testing.assert_allclose(pat, direct, atol=1e-10)
     assert np.all(pat >= -1e-10)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_car=st.integers(0, 3),
+    n_tx=st.integers(1, 5),
+    n_streams=st.integers(1, 3),
+    rank=st.integers(0, 3),
+)
+@example(seed=0, n_car=0, n_tx=4, n_streams=2, rank=2)
+@example(seed=1, n_car=2, n_tx=4, n_streams=1, rank=1)
+@example(seed=2, n_car=3, n_tx=4, n_streams=3, rank=1)
+def test_precoder_pattern_matches_the_gram_reference(seed, n_car, n_tx, n_streams, rank):
+    # F of rank min(rank, n_tx, n_streams), so rank-deficient (down to F = 0) as often as full
+    rng = np.random.default_rng(seed)
+    rank = min(rank, n_tx, n_streams)
+    f = random_complex(rng, (n_car, n_tx, rank)) @ random_complex(rng, (n_car, rank, n_streams))
+    steering = random_complex(rng, (n_car, 13, n_tx))
+    got = precoder_pattern(f, steering)
+    assert got.shape == (n_car, 13)
+    want = reference_pattern(f @ f.conj().mT, steering)
+    # relative to |a|^2 ||F||^2, the bound of a^H F F^H a, which a null's roundoff scales with
+    bound = np.sum(np.abs(steering) ** 2, axis=-1) * np.sum(np.abs(f) ** 2, axis=(1, 2))[:, None]
+    assert np.all(np.abs(got - want) <= 1e-12 * bound)
+    for j in range(n_car):  # a stacked call gives each carrier the bits of its one-carrier call
+        np.testing.assert_array_equal(got[j], precoder_pattern(f[j], steering[j]))
 
 
 def test_mse_double_loop_oracle(rng, small_cfg):
@@ -129,11 +158,13 @@ def test_sweep_pattern_bookkeeping(small_sweep):
 
 # recorded before the sweep refined every (rho, J) design of an SNR from one eigen
 # stage; the two 10 dB rates re-recorded (1 ulp each) when rates came to be taken
-# from the singular values of HF
+# from the singular values of HF; the two J=2 pattern errors re-recorded (1 ulp each,
+# 0.7201298108476419 and 98.57306945443833 before) when patterns came to be taken
+# from F rather than F F^H
 SMALL_SWEEP_POINTS = [
-    (0.0, 0.5, 2, 2.907573594875025, 0.7201298108476419),
+    (0.0, 0.5, 2, 2.907573594875025, 0.7201298108476418),
     (0.0, 0.5, 6, 2.6048524073371113, 0.657836035600238),
-    (10.0, 0.5, 2, 7.4683179506134385, 98.57306945443833),
+    (10.0, 0.5, 2, 7.4683179506134385, 98.57306945443831),
     (10.0, 0.5, 6, 5.85224751841313, 98.84131027242245),
 ]
 
@@ -462,20 +493,19 @@ def test_write_table_round_trips(tmp_path):
     assert [(int(r["k"]), float(r["rate"])) for r in rows] == [(0, 1.5), (1, 2.25)]
 
 
-def _one_carrier_pattern(f, steering):
-    """a^H F F^H a of one carrier, in the one-matrix einsum."""
-    return np.real(np.einsum("ti,ij,tj->t", steering.conj(), f @ f.conj().T, steering))
-
-
 def test_stacked_pattern_metrics_equal_per_carrier_formula(rng, small_cfg):
     cfg = replace(small_cfg, n_subcarriers=8, n_jcas=5, grid_size=61)
     grid = build_grid(cfg)
     precoders = random_complex(rng, (8, cfg.n_tx, cfg.n_streams))
     jcas = np.array([0, 2, 3, 6, 7])
-    errs = [np.abs(grid.desired_gain - _one_carrier_pattern(precoders[k], grid.steering[k])) ** 2 for k in jcas]
+
+    def pattern(f, steering):  # the reference pattern of one carrier's F F^H
+        return reference_pattern(f @ f.conj().T, steering)
+
+    errs = [np.abs(grid.desired_gain - pattern(precoders[k], grid.steering[k])) ** 2 for k in jcas]
     assert beampattern_mse(precoders, jcas, grid) == pytest.approx(np.mean(errs), rel=1e-12)
     res = run_design(cfg)
-    pats = [_one_carrier_pattern(res.precoders[k], res.grid.steering[k]) for k in res.jcas_subcarriers]
+    pats = [pattern(res.precoders[k], res.grid.steering[k]) for k in res.jcas_subcarriers]
     np.testing.assert_allclose(np.mean(jcas_patterns(res), axis=0), np.mean(pats, axis=0), rtol=1e-12, atol=0)
     # an empty sensing set: nan, as before; a design without sensing scores an empty stack
     assert np.isnan(beampattern_mse(precoders, np.array([], dtype=int), grid))

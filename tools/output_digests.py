@@ -1,6 +1,18 @@
 """Print SHA-256 digests of the package's outputs as JSON, to check that a change is bit-identical:
 run ``python tools/output_digests.py > digests.json`` in two checkouts and ``diff``
-the files; each run imports ``jcasbeam`` from its own checkout's ``src/``. Covered: the
+the files; each run imports ``jcasbeam`` from its own checkout's ``src/``. To see how far
+a change moves the outputs it does move, save them in both checkouts and compare the saves:
+
+    python tools/output_digests.py --save A > /dev/null    # in one checkout
+    python tools/output_digests.py --save B > /dev/null    # in the other
+    python tools/output_digests.py --compare A B
+
+``--save DIR`` writes every value it hashes to ``DIR/outputs.npz``, one entry per key path
+(``link-covariances/3/objective``; a file's bytes as ``uint8``), and prints the digests as
+usual. ``--compare A B`` runs nothing: per key path of the two saves it prints
+``identical`` (same dtype, shape and bytes) or the largest relative difference: of
+an array against its largest magnitude, of each number in a file's text (whose text
+around the numbers must match) against itself. It exits 1 if any key differs. Covered: the
 sweep files at the ``sweep-snr`` benchmark settings, of a seed-7 sweep at ``--jobs``
 1 and 2, of a K=16 sweep whose sensing counts include 0 and K and of a K=16
 ``literal``-rate sweep whose SNR list repeats one SNR, so that every SNR designs at
@@ -27,10 +39,12 @@ the first leaves undecided, runs for 4 of the 9,580 searches at seeds 0-2 and
 for 6 of the 1,077 at rho 0 and 1. Each field of a ``CovarianceSolution`` or an
 ``RcgResult`` is hashed under its own key (its field name), so a change that moves
 one field of the solver records, such as the ``converged`` flag, shows up as
-exactly that field's keys changing.
+exactly that field's keys changing. Each design also hashes its pattern error
+(``mse``) and its sensing patterns (``patterns``, a (J, T) array) at full precision,
+which the 6-digit pattern files do not show.
 """
 
-import contextlib, hashlib, io, json, sys, tempfile  # noqa: E401
+import argparse, contextlib, hashlib, io, json, re, sys, tempfile  # noqa: E401
 from dataclasses import replace
 from pathlib import Path
 
@@ -39,6 +53,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import jcasbeam as jb  # noqa: E402
 from jcasbeam.cli import main as cli  # noqa: E402
+from jcasbeam.evaluation import precoder_pattern  # noqa: E402
 
 SEED7 = "--snr 10 --rho 0.5 --jcas 2 16 --realizations 3 --seed 7 --jobs"
 REPEATS = "--snr 10 0 10 --rho 0.75 0.25 0.75 --jcas 16 2 0 2 --realizations 2 --config {k16} --jobs"
@@ -59,6 +74,9 @@ EARLY_STOPS = {"n_tx=3": dict(n_tx=3, n_rx=2, n_streams=2, n_subcarriers=4, n_jc
 DESIGN_ARRAYS = ("channels", "eigen_precoders", "eigen_rates", "jcas_subcarriers", "precoders", "rates")
 
 
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
 def digest(*parts) -> str:
     h = hashlib.sha256()
     for part in parts:
@@ -66,25 +84,48 @@ def digest(*parts) -> str:
     return h.hexdigest()
 
 
-def record_digests(records: dict) -> dict:
-    """Per key of ``records``, one digest per field of its result record, by field name."""
-    return {k: {name: digest(value) for name, value in vars(rec).items()} for k, rec in records.items()}
+def leaf_digest(value):
+    """Digest of one output: SHA-256 of a file's bytes (None where the run wrote none), else ``digest``."""
+    if value is None:
+        return None
+    return hashlib.sha256(value).hexdigest() if isinstance(value, bytes) else digest(value)
 
 
-def design_digests(res) -> dict:
-    out = {name: digest(getattr(res, name)) for name in DESIGN_ARRAYS}
-    out["covariances"] = record_digests(res.covariances)
-    out["refinements"] = record_digests(res.refinements)
-    out["mse"] = digest(jb.beampattern_mse(res.precoders, res.jcas_subcarriers, res.grid))
+def digest_tree(tree: dict) -> dict:
+    return {k: digest_tree(v) if isinstance(v, dict) else leaf_digest(v) for k, v in tree.items()}
+
+
+def leaves(tree: dict, prefix: str = ""):
+    """(key path, value) of every leaf of a nested dict, the keys joined by '/'."""
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from leaves(value, f"{prefix}{key}/")
+        else:
+            yield f"{prefix}{key}", value
+
+
+def record_values(records: dict) -> dict:
+    """Per key of ``records``, the fields of its result record, by field name."""
+    return {k: dict(vars(rec)) for k, rec in records.items()}
+
+
+def design_values(res) -> dict:
+    out = {name: getattr(res, name) for name in DESIGN_ARRAYS}
+    out["covariances"] = record_values(res.covariances)
+    out["refinements"] = record_values(res.refinements)
+    out["mse"] = jb.beampattern_mse(res.precoders, res.jcas_subcarriers, res.grid)
+    jcas = res.jcas_subcarriers
+    out["patterns"] = precoder_pattern(res.precoders[jcas], res.grid.steering[jcas])
     return out
 
 
-def file_digest(path: Path):
-    """SHA-256 of a file, None where the run wrote none."""
-    return hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None
+def file_bytes(path: Path):
+    """A file's bytes, None where the run wrote none."""
+    return path.read_bytes() if path.exists() else None
 
 
-def main():
+def outputs() -> dict:
+    """Every covered output, nested by key: file bytes, result arrays and record fields."""
     out = {}
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         k16, k16lit = f"{tmp}/k16.ini", f"{tmp}/k16-literal.ini"
@@ -93,25 +134,91 @@ def main():
         for command, runs, files in (("sweep", SWEEPS, SWEEP_FILES), ("design", DESIGNS, DESIGN_FILES)):
             for name, flags in runs.items():
                 assert cli([command, *flags.format(k16=k16, k16lit=k16lit).split(), "--out-dir", f"{tmp}/{name}"]) == 0
-                out[name] = {f: file_digest(Path(tmp, name, f)) for f in files}
+                out[name] = {f: file_bytes(Path(tmp, name, f)) for f in files}
         for name, fields in CONFIGS.items():
             jb.write_config(jb.SystemConfig(**fields), f"{tmp}/{name}.ini")
-            out[name] = file_digest(Path(tmp, f"{name}.ini"))
+            out[name] = file_bytes(Path(tmp, f"{name}.ini"))
     cfg = jb.SystemConfig(n_subcarriers=16)
     grid = jb.build_grid(cfg)
     covs = jb.solve_radar_covariance(grid, cfg.effective_power)
-    out["link-covariances"] = record_digests(covs)
+    out["link-covariances"] = record_values(covs)
     links = [(s, r, j) for s in range(3) for r in (0.25, 0.5, 0.75) for j in (4, 16)]
     for seed, rho, n_jcas in links + [(0, 0.0, 16), (0, 1.0, 16)]:
         channels = jb.generate_rayleigh(cfg.n_subcarriers, cfg.n_rx, cfg.n_tx, seed)
         res = jb.run_design(replace(cfg, rho=rho, n_jcas=n_jcas, seed=seed), channels, grid, covs)
-        out[f"link-seed{seed}-rho{rho}-J{n_jcas}"] = design_digests(res)
-    out["design-seed0"] = design_digests(jb.run_design(jb.SystemConfig()))
+        out[f"link-seed{seed}-rho{rho}-J{n_jcas}"] = design_values(res)
+    out["design-seed0"] = design_values(jb.run_design(jb.SystemConfig()))
     for name, overrides in EARLY_STOPS.items():
         sols = jb.solve_radar_covariance(jb.build_grid(jb.SystemConfig(**overrides)), 2.0)
-        out[f"early-stops-{name}"] = record_digests(sols)
-    print(json.dumps(out, indent=1, sort_keys=True))
+        out[f"early-stops-{name}"] = record_values(sols)
+    return out
+
+
+def save(tree: dict, directory: Path) -> None:
+    directory.mkdir(parents=True, exist_ok=True)
+    arrays = {path: np.frombuffer(value, dtype=np.uint8) if isinstance(value, bytes) else np.asarray(value)
+              for path, value in leaves(tree) if value is not None}
+    np.savez(directory / "outputs.npz", **arrays)
+
+
+def relative_difference(a: np.ndarray, b: np.ndarray, scale: np.ndarray) -> float:
+    """max |a - b| / scale over the elements, 0 where a equals b (nan equals nan), inf where a nan meets a number."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rel = np.where((a == b) | (np.isnan(a) & np.isnan(b)), 0.0, np.abs(a - b) / scale)
+    return float(np.nan_to_num(rel, nan=np.inf).max(initial=0.0))
+
+
+def difference(a: np.ndarray, b: np.ndarray) -> str:
+    """How two saved values of one key differ, in words.
+
+    An array is one quantity, measured against its own largest magnitude:
+    max |a - b| / max(|a|, |b|) with both maxima over the array. The numbers
+    of a file are separate quantities, each measured against itself:
+    max over them of |a - b| / max(|a|, |b|). For a scalar both read the same.
+    """
+    if a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes():
+        return "identical"
+    per_number = a.dtype == b.dtype == np.uint8  # a file: its numbers, where the text around them matches
+    if per_number:
+        texts = [x.tobytes().decode() for x in (a, b)]
+        if NUMBER.sub("#", texts[0]) != NUMBER.sub("#", texts[1]):
+            return "differs beyond its numbers"
+        a, b = (np.array([float(n) for n in NUMBER.findall(t)]) for t in texts)
+    if a.shape != b.shape or a.dtype.kind not in "iufc" or b.dtype.kind not in "iufc":
+        return f"differs ({a.dtype}{list(a.shape)} against {b.dtype}{list(b.shape)})"
+    a, b = a.astype(complex), b.astype(complex)
+    scale = np.maximum(np.abs(a), np.abs(b))
+    return f"max relative difference {relative_difference(a, b, scale if per_number else scale.max()):.3g}"
+
+
+def compare(first: Path, second: Path) -> int:
+    with np.load(first / "outputs.npz") as a, np.load(second / "outputs.npz") as b:
+        lines = []
+        for key in sorted(set(a.files) | set(b.files)):
+            if key not in b.files or key not in a.files:
+                lines.append(f"{key}: only in {first if key in a.files else second}")
+            else:
+                lines.append(f"{key}: {difference(a[key], b[key])}")
+    moved = [line for line in lines if not line.endswith(": identical")]
+    print("\n".join(lines))
+    print(f"{len(lines)} keys, {len(lines) - len(moved)} identical, {len(moved)} differ")
+    return 1 if moved else 0
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--save", type=Path, metavar="DIR", help="also write the hashed values to DIR/outputs.npz")
+    group.add_argument("--compare", type=Path, nargs=2, metavar=("A", "B"), help="compare two --save directories")
+    args = p.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
+    tree = outputs()
+    if args.save:
+        save(tree, args.save)
+    print(json.dumps(digest_tree(tree), indent=1, sort_keys=True))
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
