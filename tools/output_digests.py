@@ -161,13 +161,6 @@ def save(tree: dict, directory: Path) -> None:
     np.savez(directory / "outputs.npz", **arrays)
 
 
-def relative_difference(a: np.ndarray, b: np.ndarray, scale: np.ndarray) -> float:
-    """max |a - b| / scale over the elements, 0 where a equals b (nan equals nan), inf where a nan meets a number."""
-    with np.errstate(invalid="ignore", divide="ignore"):
-        rel = np.where((a == b) | (np.isnan(a) & np.isnan(b)), 0.0, np.abs(a - b) / scale)
-    return float(np.nan_to_num(rel, nan=np.inf).max(initial=0.0))
-
-
 def difference(a: np.ndarray, b: np.ndarray) -> str:
     """How two saved values of one key differ, in words.
 
@@ -188,7 +181,9 @@ def difference(a: np.ndarray, b: np.ndarray) -> str:
         return f"differs ({a.dtype}{list(a.shape)} against {b.dtype}{list(b.shape)})"
     a, b = a.astype(complex), b.astype(complex)
     scale = np.maximum(np.abs(a), np.abs(b))
-    return f"max relative difference {relative_difference(a, b, scale if per_number else scale.max()):.3g}"
+    with np.errstate(invalid="ignore", divide="ignore"):  # 0 / 0 where both are 0, which a == b takes
+        rel = np.where(a == b, 0.0, np.abs(a - b) / (scale if per_number else scale.max(initial=0.0)))
+    return f"max relative difference {rel.max(initial=0.0):.3g}"
 
 
 def compare(first: Path, second: Path) -> int:
