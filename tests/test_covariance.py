@@ -338,8 +338,8 @@ def test_one_solve_finished_at_two_powers_equals_fresh_solves():
             np.testing.assert_array_equal(sol.matrix, fresh[k].matrix)
             assert sol.objective == fresh[k].objective
             solo = solve_radar_covariance(grid, power, [k])[k]
-            np.testing.assert_allclose(sol.matrix, solo.matrix, rtol=1e-10, atol=0)
-            assert sol.objective == pytest.approx(solo.objective, rel=1e-12)
+            np.testing.assert_array_equal(sol.matrix, solo.matrix)
+            assert sol.objective == solo.objective
             np.testing.assert_allclose(np.diag(sol.matrix).real, power / 4, atol=1e-8)
 
 

@@ -4,6 +4,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 import output_digests  # noqa: E402
@@ -33,3 +34,11 @@ def test_compare_reads_identical_or_the_largest_relative_difference(tmp_path, ca
         "run/rates.csv: max relative difference 4e-06",  # each number against itself: 9e-6 / 2.250009
         "6 keys, 2 identical, 4 differ",
     ]
+
+
+def test_one_of_save_and_compare_is_required(monkeypatch, capsys):
+    monkeypatch.setattr(output_digests, "outputs", lambda: pytest.fail("ran the outputs"))
+    with pytest.raises(SystemExit) as exit_:
+        output_digests.main([])
+    assert exit_.value.code == 2
+    assert "one of the arguments --save --compare is required" in capsys.readouterr().err

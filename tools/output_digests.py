@@ -1,20 +1,21 @@
-"""Print SHA-256 digests of the package's outputs as JSON, to check that a change is bit-identical:
-run ``python tools/output_digests.py > digests.json`` in two checkouts and ``diff``
-the files; each run imports ``jcasbeam`` from its own checkout's ``src/``. To see how far
-a change moves the outputs it does move, save them in both checkouts and compare the saves:
+"""Save the package's outputs, or compare two saves, to see whether and how far a change moves them:
 
-    python tools/output_digests.py --save A > /dev/null    # in one checkout
-    python tools/output_digests.py --save B > /dev/null    # in the other
+    python tools/output_digests.py --save A    # in one checkout
+    python tools/output_digests.py --save B    # in the other
     python tools/output_digests.py --compare A B
 
-``--save DIR`` writes every value it hashes to ``DIR/outputs.npz``, one entry per key path
-(``link-covariances/3/objective``; a file's bytes as ``uint8``), and prints the digests as
-usual. ``--compare A B`` runs nothing: per key path of the two saves it prints
-``identical`` (same dtype, shape and bytes) or the largest relative difference: of
-an array against its largest magnitude, of each number in a file's text (whose text
-around the numbers must match) against itself. It exits 1 if any key differs. Covered: the
-sweep files at the ``sweep-snr`` benchmark settings, of a seed-7 sweep at ``--jobs``
-1 and 2, of a K=16 sweep whose sensing counts include 0 and K and of a K=16
+Exactly one of ``--save`` and ``--compare`` is required. ``--save DIR`` runs every covered
+case with ``jcasbeam`` imported from this checkout's ``src/`` and writes each output to
+``DIR/outputs.npz``, one entry per key path (``link-covariances/3/objective``; a file's
+bytes as ``uint8``; a file the run does not write has no entry). ``--compare A B`` runs
+nothing: per key path of the two saves it prints ``identical`` (same dtype, shape and
+bytes) or the largest relative difference: of an array against its largest magnitude, of
+each number in a file's text (whose text around the numbers must match) against itself.
+It exits 1 if any key differs, so a change meant to keep every output bit for bit reads
+every key ``identical`` and exits 0.
+
+Covered: the sweep files at the ``sweep-snr`` benchmark settings, of a seed-7 sweep
+at ``--jobs`` 1 and 2, of a K=16 sweep whose sensing counts include 0 and K and of a K=16
 ``literal``-rate sweep whose SNR list repeats one SNR, so that every SNR designs at
 power 1 and two list entries are the same SNR; of a K=16 sweep at ``--jobs`` 1 and 2
 whose SNR, rho and sensing-count lists are unsorted and repeat entries (with a
@@ -25,7 +26,8 @@ files of ``design --seed 0``, of a K=16 ``design --jcas 0``, which writes no
 pattern file, and of a K=16 ``design --snr -200 --jcas 2``, whose power is below the
 roundoff of every carrier's strongest noise floor, so that water-filling puts it all
 on the strongest stream (a checkout from before that rule spreads it over two or three
-streams, so this is the one case whose digests differ from such a checkout's); the ``link`` workload's 16 covariances and 18 designs, and two
+streams, so this is the one case whose outputs differ from such a checkout's); the
+``link`` workload's 16 covariances and 18 designs, and two
 more K=16 ``link`` designs: at rho 0, where every carrier stops at iteration 0 on
 the gradient norm, and at rho 1, where every carrier stops on the plateau; the
 default design; the covariances at power 2 of the two small grids of
@@ -37,14 +39,14 @@ spacing, two target angles, the literal rate and a seed. The ``link`` designs
 reach both rounds of the RCG line search: the second, which takes the searches
 the first leaves undecided, runs for 4 of the 9,580 searches at seeds 0-2 and
 for 6 of the 1,077 at rho 0 and 1. Each field of a ``CovarianceSolution`` or an
-``RcgResult`` is hashed under its own key (its field name), so a change that moves
+``RcgResult`` is saved under its own key (its field name), so a change that moves
 one field of the solver records, such as the ``converged`` flag, shows up as
-exactly that field's keys changing. Each design also hashes its pattern error
+exactly that field's keys changing. Each design also saves its pattern error
 (``mse``) and its sensing patterns (``patterns``, a (J, T) array) at full precision,
 which the 6-digit pattern files do not show.
 """
 
-import argparse, contextlib, hashlib, io, json, re, sys, tempfile  # noqa: E401
+import argparse, contextlib, io, re, sys, tempfile  # noqa: E401
 from dataclasses import replace
 from pathlib import Path
 
@@ -75,24 +77,6 @@ DESIGN_ARRAYS = ("channels", "eigen_precoders", "eigen_rates", "jcas_subcarriers
 
 
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
-
-
-def digest(*parts) -> str:
-    h = hashlib.sha256()
-    for part in parts:
-        h.update(np.ascontiguousarray(part).tobytes() if isinstance(part, np.ndarray) else repr(part).encode())
-    return h.hexdigest()
-
-
-def leaf_digest(value):
-    """Digest of one output: SHA-256 of a file's bytes (None where the run wrote none), else ``digest``."""
-    if value is None:
-        return None
-    return hashlib.sha256(value).hexdigest() if isinstance(value, bytes) else digest(value)
-
-
-def digest_tree(tree: dict) -> dict:
-    return {k: digest_tree(v) if isinstance(v, dict) else leaf_digest(v) for k, v in tree.items()}
 
 
 def leaves(tree: dict, prefix: str = ""):
@@ -202,16 +186,13 @@ def compare(first: Path, second: Path) -> int:
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--save", type=Path, metavar="DIR", help="also write the hashed values to DIR/outputs.npz")
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--save", type=Path, metavar="DIR", help="run every case and write its outputs to DIR/outputs.npz")
     group.add_argument("--compare", type=Path, nargs=2, metavar=("A", "B"), help="compare two --save directories")
     args = p.parse_args(argv)
     if args.compare:
         return compare(*args.compare)
-    tree = outputs()
-    if args.save:
-        save(tree, args.save)
-    print(json.dumps(digest_tree(tree), indent=1, sort_keys=True))
+    save(outputs(), args.save)
     return 0
 
 
