@@ -73,6 +73,8 @@ def _feasible(rng, powers, n_car, n, exact_hermitian):
     else:  # rebuilt from its eigenpairs, as the finish's psd projection rebuilds a matrix
         vals, vecs = np.linalg.eigh(mats)
         mats = (vecs * vals[..., None, :]) @ vecs.conj().mT
+        if n > 1:  # a rebuilt 2x2 is often Hermitian exactly: one entry an ulp off its mirror's conjugate
+            mats[..., 1, 0] = np.nextafter(mats[..., 0, 1].real, np.inf) - 1j * mats[..., 0, 1].imag
     diag = np.arange(n)
     mats[..., diag, diag] = (np.asarray(powers) / n)[:, None, None]
     return mats
