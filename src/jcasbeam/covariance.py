@@ -89,15 +89,19 @@ def _unpack(x: np.ndarray, n: int, upper, lower, diag_value: float) -> np.ndarra
     return r.reshape(x.shape[:-2] + (n, n))
 
 
-def _pattern_matrix(steering: np.ndarray, iu) -> np.ndarray:
+def _pattern_matrix(steering: np.ndarray, carriers, iu) -> np.ndarray:
     """Rows g_t with a_t^H R a_t = budget + g_t . x for unit-modulus steering.
 
-    steering has shape (K, T, n_tx), the result (K, T, 2M). Column 2i
-    multiplies the real part of the i-th upper-triangle entry of R, column
-    2i+1 its imaginary part. The covariance stage has no other pattern formula.
+    ``steering`` is a grid's whole stack (K, T, n_tx) and ``carriers`` the
+    K' indices to map; the result is (K', T, 2M). Column 2i multiplies the
+    real part of the i-th upper-triangle entry of R, column 2i+1 its
+    imaginary part. Each carrier's rows are read inside the loop, one carrier
+    at a time, so no stack-sized copy or temporary is made. The covariance
+    stage has no other pattern formula.
     """
-    g = np.empty(steering.shape[:2] + (2 * len(iu[0]),))
-    for g_k, a in zip(g, steering):  # one carrier at a time: no stack-sized temporaries
+    g = np.empty((len(carriers), steering.shape[1], 2 * len(iu[0])))
+    for g_k, k in zip(g, carriers):
+        a = steering[k]
         w = np.conj(a[:, iu[0]]) * a[:, iu[1]]  # (T, M)
         g_k[:, 0::2] = 2.0 * w.real
         g_k[:, 1::2] = -2.0 * w.imag
@@ -121,6 +125,23 @@ def _objectives(mats, powers, g, q) -> np.ndarray:
 
 def _soft_threshold(v: np.ndarray, kappa) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - kappa, 0.0)
+
+
+def _set_penalty_inverses(solve_mat, gtg, b1, b2, rows) -> None:
+    """Set ``solve_mat[c]`` to inv(b1 G^T G + 2 b2 I) of each carrier ``c`` in ``rows``.
+
+    These are the ADMM's x-update systems: ``gtg`` and ``solve_mat`` are
+    (K, 2M, 2M), the penalties ``b1`` and ``b2`` (K, 1, 1). Each system is a
+    scaled copy of its carrier's G^T G with 2 b2 added on its diagonal in
+    place, which has the bits of ``b1 * gtg + b2 * (2 I)``, and is inverted
+    alone, by the LAPACK call a stacked ``inv`` makes for it: one carrier's
+    system and inverse at a time, never a stack-sized temporary.
+    """
+    diag = np.arange(gtg.shape[-1])
+    for c in rows:
+        mat = b1[c] * gtg[c]
+        mat[diag, diag] += 2.0 * b2[c, 0]
+        solve_mat[c] = np.linalg.inv(mat)
 
 
 @dataclass(frozen=True)
@@ -156,7 +177,10 @@ def _admm_unit(g, q, n):
     column stacks (K, m, 1), so every product is one stacked ``@`` that
     makes the same BLAS call per carrier as the one-carrier formula, and a
     squared norm is ``v.mT @ v``: a carrier's iterates are bit-identical
-    whatever batch it runs in. A single antenna has no off-diagonal to fit:
+    whatever batch it runs in. The x-update systems b1 G^T G + 2 b2 I are
+    formed and inverted one carrier at a time, every carrier at the start
+    and at a rebalance only those whose penalties changed, so the solve
+    makes no copy or temporary of a whole (K, 2M, 2M) stack. A single antenna has no off-diagonal to fit:
     its one feasible matrix, the budget, is returned with zero iterations.
 
     Returns the stacked recorded iterates (K, n, n), Hermitian with
@@ -173,11 +197,11 @@ def _admm_unit(g, q, n):
     q = q[:, None]  # a column, like the iterates
     gt = g.mT                                        # (K, 2M, T), a view like g.T: same BLAS kernel
     gtg = gt @ g
-    eye2 = 2.0 * np.eye(g.shape[2])
 
     beta = np.ones((2, n_car, 1, 1))  # per carrier, the pattern-residual and psd-consensus block penalties
     b1, b2 = beta  # views: a rebalance scales beta in place
-    solve_mat = np.linalg.inv(b1 * gtg + b2 * eye2)
+    solve_mat = np.empty_like(gtg)
+    _set_penalty_inverses(solve_mat, gtg, b1, b2, range(n_car))
     b2x2, inv_b1 = 2.0 * b2, 1.0 / b1
 
     x = np.zeros((n_car, g.shape[2], 1))
@@ -238,7 +262,7 @@ def _admm_unit(g, q, n):
             u /= step[0]
             u_mat /= step[1]
             changed = np.any(step != 1.0, axis=(0, 2, 3))
-            solve_mat[changed] = np.linalg.inv((b1 * gtg + b2 * eye2)[changed])
+            _set_penalty_inverses(solve_mat, gtg, b1, b2, np.flatnonzero(changed))
 
         done = (primal < TOL) & ~converged
         final_x[done] = x[done]
@@ -295,7 +319,7 @@ def solve_radar_covariances(grid: BeamGrid, powers, subcarriers) -> list[dict[in
     """
     ks = list(dict.fromkeys(int(k) for k in subcarriers))
     n, q = grid.steering.shape[2], grid.desired_gain - 1.0
-    g = _pattern_matrix(grid.steering[ks], np.triu_indices(n, 1))
+    g = _pattern_matrix(grid.steering, ks, np.triu_indices(n, 1))
     mats, iterations, converged, residual = _admm_unit(g, q, n)
     failed = ~converged & (residual > FALLBACK_TOL)
     if failed.any():

@@ -54,7 +54,8 @@ def precoder_pattern(f: np.ndarray, steering: np.ndarray) -> np.ndarray:
     """Transmit beampattern a^H F F^H a = sum_s |(A conj(F))_ts|^2, straight from the precoders.
 
     One precoder (n_tx, n_streams) with its (T, n_tx) steering A gives (T,);
-    a stack (J, n_tx, n_streams) with (J, T, n_tx) steering gives (J, T).
+    a stack (J, n_tx, n_streams) with (J, T, n_tx) steering gives (J, T),
+    and stacks broadcast over their leading axes like any ``@``.
     """
     return np.sum(np.abs(steering @ f.conj()) ** 2, axis=-1)
 
@@ -107,9 +108,12 @@ def _realization_metrics(cfgs, rhos, jcas_counts, grid, covariances, pattern_s, 
     Per SNR the carriers are ranked once, by the stable sort whose prefix
     :func:`select_jcas_subcarriers` takes, and the first max(J) ranks are
     refined at every rho, all of them in one :func:`refine_carriers` call and
-    one pattern stack. A point (SNR, rho, J) reads its first J ranks, with its
-    pattern rows in ascending subcarrier order as a design's are, so each
-    mean adds the same values in the same order as :func:`run_design`'s.
+    one pattern stack. That stack reads each SNR's ranked steering rows,
+    indexed once and broadcast over rho rather than copied once per rho:
+    no steering copy the size of the whole stack. A point (SNR, rho, J)
+    reads its first J ranks, with its pattern rows in ascending subcarrier
+    order as a design's are, so each mean adds the same values in the same
+    order as :func:`run_design`'s.
     ``cfgs`` holds one config per SNR and ``covariances`` one solution dict
     per SNR, in the same order. Module-level so worker processes can import
     it. Returns, by list position, (avg_rate, mse) per point (S, rho, J, 2)
@@ -130,7 +134,9 @@ def _realization_metrics(cfgs, rhos, jcas_counts, grid, covariances, pattern_s, 
         np.array([1.0 / cfg.effective_noise for cfg in cfgs])[snr_of],
     )
     rates = rates.reshape(shape)
-    patterns = precoder_pattern(precoders, grid.steering[ks]).reshape(*shape, len(grid.angles))
+    # (S, 1, J, T, n_tx): each SNR's ranked steering rows, broadcast over rho
+    steering = grid.steering[np.stack(ranked)][:, None]
+    patterns = precoder_pattern(precoders.reshape(shape + precoders.shape[1:]), steering)
 
     metrics = np.empty(shape[:2] + (len(jcas_counts), 2))
     pattern_means = np.zeros((shape[1], len(jcas_counts), 2, len(grid.angles)))

@@ -1,6 +1,7 @@
 """Radar covariance solver: projections, feasibility, and brute-force oracles."""
 
 from dataclasses import replace
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,7 +45,7 @@ def test_psd_project_keeps_psd_input(rng):
 
 def _objectives(mats, powers, steering, mask):
     """The package's objectives of matrices (P, K, n, n) at powers (P,) on steering (K, T, n) against a mask."""
-    g = covariance._pattern_matrix(steering, np.triu_indices(steering.shape[-1], 1))
+    g = covariance._pattern_matrix(steering, range(len(steering)), np.triu_indices(steering.shape[-1], 1))
     return covariance._objectives(mats, np.asarray(powers, dtype=float), g, np.asarray(mask, dtype=float) - 1.0)
 
 
@@ -392,9 +393,68 @@ def test_unit_solves_are_hermitian_bit_for_bit():
     # the finish scales them without symmetrizing: the lower triangle must
     # already be the conjugate of the upper, bit for bit
     grid = _small_grid()
-    g = covariance._pattern_matrix(grid.steering, np.triu_indices(4, 1))
+    g = covariance._pattern_matrix(grid.steering, range(grid.n_subcarriers), np.triu_indices(4, 1))
     mats = covariance._admm_unit(g, grid.desired_gain - 1.0, 4)[0]
     np.testing.assert_array_equal(mats, mats.conj().mT)
+
+
+def test_pattern_matrix_maps_the_listed_carriers_in_order():
+    grid = _small_grid()
+    iu = np.triu_indices(4, 1)
+    every = covariance._pattern_matrix(grid.steering, range(grid.n_subcarriers), iu)
+    np.testing.assert_array_equal(covariance._pattern_matrix(grid.steering, [5, 0, 2], iu), every[[5, 0, 2]])
+    assert covariance._pattern_matrix(grid.steering, [], iu).shape == (0, 41, 12)
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_car=st.integers(1, 5), m=st.integers(1, 12), n_grid=st.integers(1, 30))
+@example(seed=0, n_car=16, m=56, n_grid=181)  # the size of the K=16 link set-up
+def test_penalty_inverses_equal_the_stacked_inverse_bit_for_bit(seed, n_car, m, n_grid):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n_car, n_grid, m))
+    gtg = g.mT @ g
+    beta = 2.0 ** rng.integers(-10, 11, (2, n_car, 1, 1)).astype(float)  # penalties stay powers of two
+    b1, b2 = beta
+    solve_mat = np.full_like(gtg, np.nan)
+    covariance._set_penalty_inverses(solve_mat, gtg, b1, b2, range(n_car))  # the start: every carrier
+    assert _same_bits(solve_mat, np.linalg.inv(b1 * gtg + b2 * (2.0 * np.eye(m))))
+    kept = solve_mat.copy()
+    changed = rng.random(n_car) < 0.5
+    beta[:, changed] *= 2.0 ** rng.integers(-1, 2, (2, np.count_nonzero(changed), 1, 1))  # a rebalance
+    covariance._set_penalty_inverses(solve_mat, gtg, b1, b2, np.flatnonzero(changed))
+    assert _same_bits(solve_mat[changed], np.linalg.inv(b1 * gtg + b2 * (2.0 * np.eye(m)))[changed])
+    assert _same_bits(solve_mat[~changed], kept[~changed])
+
+
+def test_covariance_solve_makes_no_stack_sized_copies(monkeypatch):
+    # K=16 carriers on the default grid, capped at 250 iterations: the ADMM
+    # rebalances at iterations 100 and 200, and each re-forms every carrier's
+    # system. The traced memory on entry to _soft_threshold, which runs once
+    # per iteration, is the loop's live state: the operators and the iterates.
+    monkeypatch.setattr(covariance, "MAX_ITER", 250)
+    monkeypatch.setattr(covariance, "FALLBACK_TOL", 1.0)
+    grid = build_grid(SystemConfig(n_subcarriers=16))
+    rows, live = [], []
+    set_inverses, threshold = covariance._set_penalty_inverses, covariance._soft_threshold
+    monkeypatch.setattr(covariance, "_set_penalty_inverses", lambda *a: rows.append(len(a[-1])) or set_inverses(*a))
+    monkeypatch.setattr(covariance, "_soft_threshold",
+                        lambda *a: live.append(tracemalloc.get_traced_memory()[0]) or threshold(*a))
+    tracemalloc.start()
+    try:
+        solve_radar_covariance(grid, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows == [16, 16, 16]
+    n_car, n_grid, n = grid.steering.shape
+    system = n_car * (n * (n - 1)) ** 2 * 8  # bytes of one (K, 2M, 2M) stack
+    operators = n_car * n_grid * n * (n - 1) * 8 + 2 * system  # g, G^T G and the inverses
+    assert min(live) > operators
+    assert peak < max(live) + system, (peak - max(live)) / system
 
 
 def test_radar_covariance_empty_and_single_antenna():

@@ -43,12 +43,16 @@ for 6 of the 1,077 at rho 0 and 1. Each field of a ``CovarianceSolution`` or an
 one field of the solver records, such as the ``converged`` flag, shows up as
 exactly that field's keys changing. Each design also saves its pattern error
 (``mse``) and its sensing patterns (``patterns``, a (J, T) array) at full precision,
-which the 6-digit pattern files do not show.
+which the 6-digit pattern files do not show. So do the ``sweep-snr`` case and the K=16
+sweep whose sensing counts include 0 and K: each saves its ``SweepResult``'s
+``pattern_avg`` and ``pattern_member`` at full precision, one key per (rho, J)
+(``sweep-snr/pattern_avg/rho0.25-J4``).
 """
 
 import argparse, contextlib, io, re, sys, tempfile  # noqa: E401
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -65,6 +69,7 @@ SWEEPS = {"sweep-snr": "--snr 0 5 10 --rho 0.25 0.5 0.75 --jcas 4 --realizations
           "k16-literal-snr-repeated": "--snr 0 10 10 --rho 0.5 1 --jcas 2 16 --realizations 2 --config {k16lit}",
           "k16-repeats-jobs1": f"{REPEATS} 1", "k16-repeats-jobs2": f"{REPEATS} 2",
           "k16-snr-near-10": "--snr 10.0000000001 10 5 --rho 0.5 --jcas 4 16 --realizations 2 --config {k16}"}
+PATTERN_SWEEPS = ("sweep-snr", "k16-J0-to-K")
 SWEEP_FILES = ("rates.csv", "beampattern_avg.csv", "beampattern_member.csv", "sweep_manifest.json")
 DESIGNS = {"cli-design-seed0": "--seed 0", "cli-design-k16-J0": "--jcas 0 --config {k16}",
            "cli-design-k16-snr-200": "--snr -200 --jcas 2 --config {k16}"}
@@ -103,6 +108,12 @@ def design_values(res) -> dict:
     return out
 
 
+def sweep_patterns(result) -> dict:
+    """A sweep's average and member patterns, by field and then by (rho, J)."""
+    return {field: {f"rho{rho}-J{n_jcas}": pattern for (rho, n_jcas), pattern in getattr(result, field).items()}
+            for field in ("pattern_avg", "pattern_member")}
+
+
 def file_bytes(path: Path):
     """A file's bytes, None where the run wrote none."""
     return path.read_bytes() if path.exists() else None
@@ -110,8 +121,14 @@ def file_bytes(path: Path):
 
 def outputs() -> dict:
     """Every covered output, nested by key: file bytes, result arrays and record fields."""
-    out = {}
-    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+    out, swept = {}, []
+
+    def recorded_sweep(*args, **kwargs):  # the command's sweep, its result kept
+        swept.append(jb.sweep(*args, **kwargs))
+        return swept[-1]
+
+    with (tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()),
+          mock.patch("jcasbeam.cli.sweep", recorded_sweep)):
         k16, k16lit = f"{tmp}/k16.ini", f"{tmp}/k16-literal.ini"
         jb.write_config(jb.SystemConfig(n_subcarriers=16), k16)
         jb.write_config(jb.SystemConfig(n_subcarriers=16, rate_formula="literal"), k16lit)
@@ -119,6 +136,8 @@ def outputs() -> dict:
             for name, flags in runs.items():
                 assert cli([command, *flags.format(k16=k16, k16lit=k16lit).split(), "--out-dir", f"{tmp}/{name}"]) == 0
                 out[name] = {f: file_bytes(Path(tmp, name, f)) for f in files}
+                if name in PATTERN_SWEEPS:
+                    out[name].update(sweep_patterns(swept[-1]))
         for name, fields in CONFIGS.items():
             jb.write_config(jb.SystemConfig(**fields), f"{tmp}/{name}.ini")
             out[name] = file_bytes(Path(tmp, f"{name}.ini"))
