@@ -398,14 +398,6 @@ def test_unit_solves_are_hermitian_bit_for_bit():
     np.testing.assert_array_equal(mats, mats.conj().mT)
 
 
-def test_pattern_matrix_maps_the_listed_carriers_in_order():
-    grid = _small_grid()
-    iu = np.triu_indices(4, 1)
-    every = covariance._pattern_matrix(grid.steering, range(grid.n_subcarriers), iu)
-    np.testing.assert_array_equal(covariance._pattern_matrix(grid.steering, [5, 0, 2], iu), every[[5, 0, 2]])
-    assert covariance._pattern_matrix(grid.steering, [], iu).shape == (0, 41, 12)
-
-
 def _same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
