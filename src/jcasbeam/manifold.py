@@ -9,9 +9,15 @@ communications precoder,
 using projected gradients, Polak-Ribiere (nonnegative) conjugate directions
 with transport by projection onto the new tangent space, an Armijo
 backtracking line search along the normalization retraction, and monotone
-descent by construction. Its rules are module constants, read at call time:
-the line search's ``CONTRACTION``, ``ARMIJO_C`` and ``MAX_BACKTRACKS``, and
-the stops ``GRAD_TOL``, ``PLATEAU_TOL``, ``PLATEAU_RUNS`` and ``MAX_ITER``.
+descent by construction. Its rules are module constants: the line search's
+``CONTRACTION``, ``ARMIJO_C`` and ``MAX_BACKTRACKS``, and the stops
+``GRAD_TOL``, ``PLATEAU_TOL``, ``PLATEAU_RUNS`` and ``MAX_ITER``. Each is read
+at call time except in one place: the ladder of trial steps, ``_RCG_RUNGS``,
+is fixed at import from ``CONTRACTION`` and from its rung count
+2 * MAX_BACKTRACKS + 1, while ``_armijo_decide`` reads ``MAX_BACKTRACKS`` at
+call time. So, silently, patching ``CONTRACTION`` alone changes no step, and
+patching ``MAX_BACKTRACKS`` alone puts the search's backtrack count out of
+step with the ladder's length; a patch must rebuild ``_RCG_RUNGS`` as well.
 
 One RCG core, :func:`solve_rcg_batch`, serves every caller; one carrier is a
 stack of one. It runs a stack of carriers ``(B, n_tx, n_streams)`` through
@@ -267,7 +273,7 @@ def solve_rcg_batch(
     """
     f0, cov, f_comm = (np.asarray(a, dtype=complex) for a in (f0, cov, f_comm))
     n_car = len(f0)
-    if n_car == 0:
+    if n_car == 0:  # an empty sequence of covariances reads as shape (0,), which the stacked path cannot take
         return []
     rho = np.broadcast_to(np.asarray(rho, dtype=float), (n_car,))
     power = np.broadcast_to(np.asarray(power, dtype=float), (n_car,))

@@ -21,32 +21,15 @@ from jcasbeam.cli import main
 from jcasbeam.config import SystemConfig
 from jcasbeam.covariance import solve_radar_covariance
 from jcasbeam.evaluation import sweep
-from jcasbeam.manifold import (
-    project_to_tangent,
-    retract,
-    solve_rcg_batch,
-    tradeoff_gradient,
-    tradeoff_objective,
-)
+from jcasbeam.manifold import project_to_tangent, retract, solve_rcg_batch, tradeoff_gradient
 from jcasbeam.precoding import waterfill
 
-from conftest import random_complex, random_psd, random_sphere_point, reference_pattern
+from conftest import (disk_scan, finite_difference_gradient, random_complex, random_psd, random_sphere_point,
+                      reference_pattern, two_stream_grid_rate, waterfill_kkt_residual)
 
 
 def _verdict(tag: str, ok: bool, detail: str) -> None:
     print(f"[{tag}] {'PASS' if ok else 'FAIL'} {detail}")
-
-
-def _fd_gradient(f, cov, f_comm, rho, h=1e-5):
-    grad = np.zeros_like(f)
-    for idx in np.ndindex(f.shape):
-        for part in (1.0, 1.0j):
-            e = np.zeros_like(f)
-            e[idx] = part
-            hi = tradeoff_objective(f + h * e, cov, f_comm, rho)
-            lo = tradeoff_objective(f - h * e, cov, f_comm, rho)
-            grad += ((hi - lo) / (2.0 * h)) * e
-    return grad
 
 
 def test_property_suite():
@@ -63,7 +46,7 @@ def test_property_suite():
         f_comm = random_complex(rng, (4, 2))
         rho = float(rng.uniform(0.05, 0.95))
         g = tradeoff_gradient(f, cov, f_comm, rho)
-        g_fd = _fd_gradient(f, cov, f_comm, rho)
+        g_fd = finite_difference_gradient(f, cov, f_comm, rho)
         worst_grad = max(worst_grad, np.linalg.norm(g - g_fd) / np.linalg.norm(g_fd))
 
         on_sphere = random_sphere_point(rng, (4, 2), power)
@@ -94,12 +77,7 @@ def test_property_suite():
         total = float(rng.uniform(0.5, 8.0))
         noise = float(rng.uniform(0.3, 2.0))
         (powers,), (level,), _ = waterfill(gains[None], total, noise)
-        worst_kkt = max(worst_kkt, abs(powers.sum() - total))
-        for gi, pi in zip(gains, powers):
-            if pi > 0:
-                worst_kkt = max(worst_kkt, abs(noise / gi + pi - level))
-            else:
-                worst_kkt = max(worst_kkt, max(level - noise / gi, 0.0))
+        worst_kkt = max(worst_kkt, waterfill_kkt_residual(gains, powers, level, total, noise))
     if worst_kkt > 1e-8:
         failures.append(f"water-filling KKT residual {worst_kkt:.2e} > 1e-8")
 
@@ -143,17 +121,8 @@ def test_oracle_equivalence():
     sol = solve_radar_covariance(grid, power, [0])[0]
     a1 = grid.steering[0][:, 1]
     base = desired - power  # a^H R a = power + 2 Re(z a1)
-
-    def scan(center, radius, n):
-        side = np.linspace(-radius, radius, n)
-        zs = center + side[:, None] + 1j * side[None, :]
-        zs = zs[np.abs(zs) <= power / 2 + 1e-12]
-        errs = np.abs(base[None, :] - 2.0 * np.real(np.outer(zs, a1))).sum(axis=1)
-        i = int(np.argmin(errs))
-        return complex(zs[i]), float(errs[i])
-
-    z_best, best = scan(0.0, power / 2, 401)
-    z_best, best = scan(z_best, power / 200, 201)
+    z_best, best = disk_scan(base, a1, power, 0.0, power / 2, 401)
+    z_best, best = disk_scan(base, a1, power, z_best, power / 200, 201)
     gap = sol.objective - best
     if not abs(gap) <= 1e-2 * power:
         failures.append(f"covariance objective off brute force by {gap:.3e}")
@@ -165,14 +134,8 @@ def test_oracle_equivalence():
         gains = rng.uniform(0.2, 5.0, size=2)
         total = float(rng.uniform(0.5, 4.0))
         (powers,), _, _ = waterfill(gains[None], total, 1.0)
-        p1 = np.linspace(0.0, total, 4001)
-        rates = np.log2(1 + gains[0] * p1) + np.log2(1 + gains[1] * (total - p1))
-        best_p = p1[np.argmax(rates)]
-        lo, hi = max(best_p - total / 4000, 0.0), min(best_p + total / 4000, total)
-        p1 = np.linspace(lo, hi, 4001)
-        rates = np.log2(1 + gains[0] * p1) + np.log2(1 + gains[1] * (total - p1))
         wf_rate = float(np.sum(np.log2(1 + gains * powers)))
-        worst_wf = max(worst_wf, abs(wf_rate - float(np.max(rates))))
+        worst_wf = max(worst_wf, abs(wf_rate - two_stream_grid_rate(gains, total)))
     if worst_wf > 1e-6:
         failures.append(f"water-filling off grid oracle by {worst_wf:.2e}")
 

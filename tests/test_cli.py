@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from jcasbeam import covariance
+from jcasbeam import covariance, manifold
 from jcasbeam.channel import generate_rayleigh
 from jcasbeam.cli import build_parser, main
 from jcasbeam.config import SystemConfig, write_config
@@ -289,6 +289,19 @@ def test_readme_names_exactly_the_cli_flags():
             assert set(LONG_FLAG.findall(example)) <= flags, example
     # a flag named anywhere else in the section is one that some command accepts
     assert set(LONG_FLAG.findall(section)) <= set.union(*accepted.values())
+
+
+def test_readme_solver_rules_match_the_module_constants():
+    rules = README.read_text().split("Each solver has one fixed set of rules", 1)[1].split("\n## ", 1)[0]
+    stated = {}
+    for entry in re.findall(r"^- .*(?:\n  .*)*", rules, re.M):
+        (module,) = re.findall(r"\(`jcasbeam\.(\w+)`\)", entry)
+        for name, value in re.findall(r"`([A-Z_]+)` = (\d+(?:\.\d+)?(?:e-?\d+)?)", entry):
+            stated[module, name] = float(value)
+    want = {("covariance", name): getattr(covariance, name) for name in ("TOL", "FALLBACK_TOL", "MAX_ITER")}
+    for name in ("GRAD_TOL", "PLATEAU_TOL", "PLATEAU_RUNS", "MAX_ITER"):
+        want["manifold", name] = getattr(manifold, name)
+    assert stated == want
 
 
 def test_unknown_flag_exits_2(small_config_file):

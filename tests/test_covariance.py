@@ -20,7 +20,7 @@ from jcasbeam.errors import SolverError
 from jcasbeam.evaluation import precoder_pattern, sweep
 from jcasbeam.pipeline import run_design
 
-from conftest import random_complex, reference_pattern, ula_grid
+from conftest import disk_scan, random_complex, reference_pattern, ula_grid
 
 
 def _hermitian(rng, n):
@@ -129,24 +129,10 @@ def test_two_antenna_brute_force_oracle():
     """
     p = 2.0
     grid = ula_grid([-60.0, -30.0, 0.0, 30.0, 60.0], [1.0, 1.0, 0.0, 1.0, 1.0], 2)
-    desired = p * grid.desired_gain
-
+    offset = p * grid.desired_gain - p
     a1 = grid.steering[0, :, 1]
-
-    def scan(center, half, n=401):
-        xs = center.real + np.linspace(-half, half, n)
-        ys = center.imag + np.linspace(-half, half, n)
-        x, y = np.meshgrid(xs, ys)
-        z = x + 1j * y
-        ok = np.abs(z) <= p / 2
-        pat = p + 2 * np.real(z[..., None] * a1)
-        obj = np.abs(desired - pat).sum(axis=-1)
-        obj[~ok] = np.inf
-        i = np.unravel_index(np.argmin(obj), obj.shape)
-        return z[i], obj[i]
-
-    z0, _ = scan(0.0 + 0.0j, p / 2)
-    z1, best = scan(z0, 2 * (p / 2) / 400)  # refine around the coarse optimum
+    z0, _ = disk_scan(offset, a1, p, 0.0, p / 2, 401)
+    z1, best = disk_scan(offset, a1, p, z0, p / 400, 401)  # refine around the coarse optimum
 
     sol = solve_radar_covariance(grid, p)[0]
     assert abs(sol.objective - best) <= 1e-2 * p

@@ -24,7 +24,7 @@ from jcasbeam.pipeline import run_design
 from jcasbeam.precoding import eigenmode_precoders
 from jcasbeam.tables import write_table
 
-from conftest import SMALL, assert_same_design, random_complex, reference_pattern
+from conftest import SMALL, random_complex, reference_pattern
 
 
 def test_precoder_pattern_matches_direct_quadratic(rng, small_cfg):

@@ -1,7 +1,6 @@
 """Sphere geometry, line search, and the conjugate-gradient refinement solver."""
 
 import math
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,6 +11,7 @@ from jcasbeam import manifold
 from jcasbeam.manifold import (
     _RCG_RUNGS,
     ARMIJO_C,
+    CONTRACTION,
     MAX_BACKTRACKS,
     _armijo_decide,
     polak_ribiere_mu,
@@ -22,7 +22,7 @@ from jcasbeam.manifold import (
     tradeoff_objective,
 )
 
-from conftest import random_complex, random_psd, random_sphere_point
+from conftest import assert_same_result, finite_difference_gradient, random_complex, random_psd, random_sphere_point
 
 
 def solve_one(f0, cov, f_comm, rho, power):
@@ -32,19 +32,6 @@ def solve_one(f0, cov, f_comm, rho, power):
 
 def real_inner(a, b):
     return float(np.real(np.vdot(a, b)))
-
-
-def finite_difference_gradient(f, cov, f_comm, rho, h=1e-5):
-    """Central differences over every real coordinate of f."""
-    grad = np.zeros_like(f)
-    for idx in np.ndindex(f.shape):
-        for part in (1.0, 1.0j):
-            e = np.zeros_like(f)
-            e[idx] = part
-            hi = tradeoff_objective(f + h * e, cov, f_comm, rho)
-            lo = tradeoff_objective(f - h * e, cov, f_comm, rho)
-            grad += ((hi - lo) / (2.0 * h)) * e
-    return grad
 
 
 def test_objective_scalar_hand_case():
@@ -124,6 +111,13 @@ def test_polak_ribiere_nonnegative(rng):
         b = random_complex(rng, (3, 2))
         c = random_complex(rng, (3, 2))
         assert polak_ribiere_mu(a, b, c) >= 0.0
+
+
+def test_rcg_rungs_are_exact_powers_of_the_contraction():
+    # the ladder is fixed at import from CONTRACTION and MAX_BACKTRACKS; its
+    # repeated products are the exact powers, so each rung is the step a
+    # sequential search tries at that round
+    assert np.array_equal(_RCG_RUNGS, CONTRACTION ** np.arange(2 * MAX_BACKTRACKS + 1))
 
 
 def armijo_on_ladder(phi, phi0, slope):
@@ -226,16 +220,6 @@ def test_rcg_multistart_consistency(rng):
     assert max(finals) - min(finals) <= 1e-3
 
 
-def assert_same_result(got, want):
-    """Every RcgResult field equal bit for bit."""
-    for field in fields(want):
-        a, b = getattr(got, field.name), getattr(want, field.name)
-        if isinstance(b, np.ndarray):
-            assert a.dtype == b.dtype and np.array_equal(a, b), field.name
-        else:
-            assert type(a) is type(b) and a == b, field.name
-
-
 # Stop rules of the mixed-stop batch: an absolute gradient tolerance of 1e-13
 # at P = 2, no plateau tolerance, and a cap of 45 iterations.
 MIXED_STOP_RULES = dict(GRAD_TOL=1e-13 / math.sqrt(2.0), PLATEAU_TOL=0.0, MAX_ITER=45)
@@ -283,6 +267,7 @@ def test_rcg_batch_matches_solo_exactly_across_stop_reasons(mixed_stop_rules):
     for f0, cov, f_comm, got in zip(*stack, batch):
         assert_same_result(got, solve_one(f0, cov, f_comm, **settings))
     assert solve_rcg_batch(np.zeros((0, 4, 2)), np.zeros((0, 4, 4)), np.zeros((0, 4, 2)), 0.5, 2.0) == []
+    assert solve_rcg_batch(np.zeros((0, 4, 2)), [], np.zeros((0, 4, 2)), 0.5, 2.0) == []
 
 
 def test_rcg_converged_means_the_gradient_norm_stop(mixed_stop_rules):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from jcasbeam.errors import DegenerateChannelError
 from jcasbeam.precoding import eigenmode_precoders, link_rates, waterfill
 
-from conftest import random_complex
+from conftest import random_complex, two_stream_grid_rate, waterfill_kkt_residual
 
 
 def waterfill_one(gains, total_power, noise_power=1.0):
@@ -31,22 +31,6 @@ def eigen_one(h, n_streams, total_power, noise_power):
 def link_one(h, f, prefactor):
     """Rate of one link under its optimal combiner, as a stack of one."""
     return float(link_rates(h[None], f[None], prefactor)[0])
-
-
-def waterfill_kkt_residual(gains, powers, level, total_power, noise_power=1.0):
-    """Largest violation of the water-filling optimality conditions."""
-    g = np.asarray(gains, dtype=float)
-    res = abs(powers.sum() - total_power)
-    for gi, pi in zip(g, powers):
-        if gi <= 0:
-            res = max(res, abs(pi))
-            continue
-        floor = noise_power / gi
-        if pi > 0:
-            res = max(res, abs(floor + pi - level))
-        else:
-            res = max(res, max(level - floor, 0.0))
-    return res
 
 
 def sum_rate(gains, powers, noise_power=1.0):
@@ -160,13 +144,7 @@ def test_waterfill_matches_grid_oracle(rng):
         gains = rng.uniform(0.2, 5.0, size=2)
         total = float(rng.uniform(0.5, 4.0))
         powers, _, _ = waterfill_one(gains, total, 1.0)
-        p1 = np.linspace(0.0, total, 4001)
-        rates = np.log2(1.0 + gains[0] * p1) + np.log2(1.0 + gains[1] * (total - p1))
-        best = p1[np.argmax(rates)]
-        lo, hi = max(best - total / 4000, 0.0), min(best + total / 4000, total)
-        p1 = np.linspace(lo, hi, 4001)
-        rates = np.log2(1.0 + gains[0] * p1) + np.log2(1.0 + gains[1] * (total - p1))
-        grid_rate = float(np.max(rates))
+        grid_rate = two_stream_grid_rate(gains, total)
         wf_rate = sum_rate(gains, powers)
         assert wf_rate >= grid_rate - 1e-6
         assert abs(wf_rate - grid_rate) <= 1e-6

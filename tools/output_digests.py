@@ -30,7 +30,7 @@ streams, so this is the one case whose outputs differ from such a checkout's); t
 ``link`` workload's 16 covariances and 18 designs, and two
 more K=16 ``link`` designs: at rho 0, where every carrier stops at iteration 0 on
 the gradient norm, and at rho 1, where every carrier stops on the plateau; the
-default design; the covariances at power 2 of the two small grids of
+default design (``design-seed0``, the ``DesignResult`` of ``design --seed 0``); the covariances at power 2 of the two small grids of
 ``EARLY_STOPS`` in ``tests/test_covariance.py``, whose carriers stop below the
 tight tolerance at different iterations (232-233 and 2789-4821), so that the
 record of each carrier's stop is covered; and the config files that
@@ -121,14 +121,19 @@ def file_bytes(path: Path):
 
 def outputs() -> dict:
     """Every covered output, nested by key: file bytes, result arrays and record fields."""
-    out, swept = {}, []
+    out, swept, designed = {}, [], []
 
     def recorded_sweep(*args, **kwargs):  # the command's sweep, its result kept
         swept.append(jb.sweep(*args, **kwargs))
         return swept[-1]
 
+    def recorded_design(*args, **kwargs):  # the command's design, its result kept
+        designed.append(jb.run_design(*args, **kwargs))
+        return designed[-1]
+
     with (tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()),
-          mock.patch("jcasbeam.cli.sweep", recorded_sweep)):
+          mock.patch("jcasbeam.cli.sweep", recorded_sweep),
+          mock.patch("jcasbeam.cli.run_design", recorded_design)):
         k16, k16lit = f"{tmp}/k16.ini", f"{tmp}/k16-literal.ini"
         jb.write_config(jb.SystemConfig(n_subcarriers=16), k16)
         jb.write_config(jb.SystemConfig(n_subcarriers=16, rate_formula="literal"), k16lit)
@@ -138,6 +143,8 @@ def outputs() -> dict:
                 out[name] = {f: file_bytes(Path(tmp, name, f)) for f in files}
                 if name in PATTERN_SWEEPS:
                     out[name].update(sweep_patterns(swept[-1]))
+                if name == "cli-design-seed0":
+                    out["design-seed0"] = design_values(designed[-1])
         for name, fields in CONFIGS.items():
             jb.write_config(jb.SystemConfig(**fields), f"{tmp}/{name}.ini")
             out[name] = file_bytes(Path(tmp, f"{name}.ini"))
@@ -150,7 +157,6 @@ def outputs() -> dict:
         channels = jb.generate_rayleigh(cfg.n_subcarriers, cfg.n_rx, cfg.n_tx, seed)
         res = jb.run_design(replace(cfg, rho=rho, n_jcas=n_jcas, seed=seed), channels, grid, covs)
         out[f"link-seed{seed}-rho{rho}-J{n_jcas}"] = design_values(res)
-    out["design-seed0"] = design_values(jb.run_design(jb.SystemConfig()))
     for name, overrides in EARLY_STOPS.items():
         sols = jb.solve_radar_covariance(jb.build_grid(jb.SystemConfig(**overrides)), 2.0)
         out[f"early-stops-{name}"] = record_values(sols)
