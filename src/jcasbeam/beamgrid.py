@@ -2,12 +2,13 @@
 
 The transmit array is a uniform linear array whose steering vector phase
 depends on the actual subcarrier frequency, not just the carrier, so every
-subcarrier gets its own steering matrix.
+subcarrier gets its own steering matrix. A grid builds a subcarrier's matrix
+only when a run first asks for it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,12 +27,14 @@ def steering_vector(theta_deg, freq, n_tx: int, spacing: float) -> np.ndarray:
     Entry n is exp(j*2*pi*n*(freq*spacing/c)*sin(theta)); the first entry is
     always 1. At one frequency a scalar angle gives shape (n_tx,), an array of
     T angles (T, n_tx); a (K, 1) column of frequencies gives (K, T, n_tx).
+    The formula is elementwise in frequency, so a carrier's matrix has the
+    same bits whichever other frequencies share the call.
     """
     theta = np.deg2rad(np.asarray(theta_deg, dtype=float))
     phase_per_elem = 2.0 * np.pi * freq * spacing / SPEED_OF_LIGHT * np.sin(theta)
     n = np.arange(n_tx, dtype=float)
     steering = 1j * np.multiply.outer(phase_per_elem, n)
-    return np.exp(steering, out=steering)  # in place: no second (K, T, n_tx) array for a whole grid
+    return np.exp(steering, out=steering)  # in place: no second (K, T, n_tx) array
 
 
 def angle_grid(grid_size: int) -> np.ndarray:
@@ -50,26 +53,46 @@ def desired_beampattern(angles_deg: np.ndarray, targets, halfwidth: float) -> np
 
 @dataclass(frozen=True)
 class BeamGrid:
-    """Precomputed per-subcarrier steering matrices and the target mask.
+    """The angle grid, the subcarriers' ULA geometry and the target mask.
 
-    steering[k, t] is the steering vector at grid angle t on subcarrier k;
-    desired_gain[t] is the binary beampattern mask (identical across
-    subcarriers since the targets are).
+    ``steering(ks)`` gives the steering matrices of subcarriers ``ks``: entry
+    [..., t, :] is the steering vector at grid angle t. desired_gain[t] is
+    the binary beampattern mask (identical across subcarriers since the
+    targets are). No matrix is built with the grid: a call builds the ones
+    no earlier call asked for, all in one :func:`steering_vector` call, and
+    the grid keeps them, so a run builds each carrier it uses once and no
+    carrier it does not use.
     """
 
     angles: np.ndarray        # (T,) degrees
     frequencies: np.ndarray   # (K,) Hz
-    steering: np.ndarray      # (K, T, n_tx) complex
+    n_tx: int
+    spacing: float            # antenna spacing, m
     desired_gain: np.ndarray  # (T,) in {0, 1}
+    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # k -> (T, n_tx)
 
     @property
     def n_subcarriers(self) -> int:
         return self.frequencies.shape[0]
 
+    def steering(self, ks) -> np.ndarray:
+        """Steering matrices of subcarriers ``ks``, shaped ``np.shape(ks) + (T, n_tx)``.
+
+        An int gives (T, n_tx), a (J,) array (J, T, n_tx), and an (S, J)
+        array (S, J, T, n_tx). Each call returns a new array.
+        """
+        ks = np.asarray(ks, dtype=int)
+        flat = ks.ravel().tolist()
+        new = [k for k in dict.fromkeys(flat) if k not in self._rows]
+        if new:
+            self._rows.update(zip(new, steering_vector(self.angles, self.frequencies[new][:, None],
+                                                       self.n_tx, self.spacing)))
+        rows = np.array([self._rows[k] for k in flat], dtype=complex)
+        return rows.reshape(ks.shape + (len(self.angles), self.n_tx))
+
 
 def build_grid(cfg: SystemConfig) -> BeamGrid:
     angles = angle_grid(cfg.grid_size)
-    freqs = carrier_frequencies(cfg)
-    steering = steering_vector(angles, freqs[:, None], cfg.n_tx, cfg.spacing)
     desired = desired_beampattern(angles, cfg.target_angles, cfg.mainlobe_halfwidth)
-    return BeamGrid(angles=angles, frequencies=freqs, steering=steering, desired_gain=desired)
+    return BeamGrid(angles=angles, frequencies=carrier_frequencies(cfg), n_tx=cfg.n_tx, spacing=cfg.spacing,
+                    desired_gain=desired)

@@ -80,7 +80,7 @@ def cmd_design(args) -> int:
 
     result = run_design(cfg)
     jcas = result.jcas_subcarriers
-    patterns = precoder_pattern(result.precoders[jcas], result.grid.steering[jcas])  # (J, T)
+    patterns = precoder_pattern(result.precoders[jcas], result.grid.steering(jcas))  # (J, T)
     mse = mask_mse(patterns, result.grid)
     out_dir = _make_out_dir(args.out_dir)  # only now, so a failed design leaves no directory
 

@@ -89,19 +89,17 @@ def _unpack(x: np.ndarray, n: int, upper, lower, diag_value: float) -> np.ndarra
     return r.reshape(x.shape[:-2] + (n, n))
 
 
-def _pattern_matrix(steering: np.ndarray, carriers, iu) -> np.ndarray:
+def _pattern_matrix(steering: np.ndarray, iu) -> np.ndarray:
     """Rows g_t with a_t^H R a_t = budget + g_t . x for unit-modulus steering.
 
-    ``steering`` is a grid's whole stack (K, T, n_tx) and ``carriers`` the
-    K' indices to map; the result is (K', T, 2M). Column 2i multiplies the
-    real part of the i-th upper-triangle entry of R, column 2i+1 its
-    imaginary part. Each carrier's rows are read inside the loop, one carrier
-    at a time, so no stack-sized copy or temporary is made. The covariance
-    stage has no other pattern formula.
+    ``steering`` holds the K' carriers to map, (K', T, n_tx); the result is
+    (K', T, 2M). Column 2i multiplies the real part of the i-th
+    upper-triangle entry of R, column 2i+1 its imaginary part. The loop maps
+    one carrier at a time, so no temporary the size of the stack is made.
+    The covariance stage has no other pattern formula.
     """
-    g = np.empty((len(carriers), steering.shape[1], 2 * len(iu[0])))
-    for g_k, k in zip(g, carriers):
-        a = steering[k]
+    g = np.empty(steering.shape[:2] + (2 * len(iu[0]),))
+    for g_k, a in zip(g, steering):
         w = np.conj(a[:, iu[0]]) * a[:, iu[1]]  # (T, M)
         g_k[:, 0::2] = 2.0 * w.real
         g_k[:, 1::2] = -2.0 * w.imag
@@ -318,8 +316,8 @@ def solve_radar_covariances(grid: BeamGrid, powers, subcarriers) -> list[dict[in
     power, with its final residual.
     """
     ks = list(dict.fromkeys(int(k) for k in subcarriers))
-    n, q = grid.steering.shape[2], grid.desired_gain - 1.0
-    g = _pattern_matrix(grid.steering, ks, np.triu_indices(n, 1))
+    n, q = grid.n_tx, grid.desired_gain - 1.0
+    g = _pattern_matrix(grid.steering(ks), np.triu_indices(n, 1))
     mats, iterations, converged, residual = _admm_unit(g, q, n)
     failed = ~converged & (residual > FALLBACK_TOL)
     if failed.any():

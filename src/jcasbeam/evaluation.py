@@ -20,12 +20,13 @@ and the comparisons are matched. It runs in three passes:
    the first max(J) ranks are refined once at every (SNR, rho), all of a
    realization's in one RCG batch, one stacked relink and one pattern
    stack; every (SNR, rho, J) point reads its first J ranks off them. One
-   worker function, bound to the inputs every realization shares (the grid
-   and every covariance solution of the sweep, about 1.7 MB pickled for the
-   default sweep: 3 SNRs, all 64 subcarriers, 1.5 MB of it the grid), is
-   mapped over the seeds. Under ``jobs`` > 1 the seeds go out in at most
-   ``jobs`` contiguous blocks, so the shared inputs are pickled once per
-   block, not once per realization.
+   worker function, bound to the inputs every realization shares (the grid,
+   which holds the steering rows of pass 2's subcarriers only, and every
+   covariance solution of the sweep: about 1.7 MB pickled for the default
+   sweep, 3 SNRs and all 64 subcarriers, 1.5 MB of it the grid, and 0.14 MB
+   for 3 SNRs at J=4 on one realization), is mapped over the seeds. Under
+   ``jobs`` > 1 the seeds go out in at most ``jobs`` contiguous blocks, so
+   the shared inputs are pickled once per block, not once per realization.
 
 Importing the package loads the process pool (``multiprocessing`` and
 ``concurrent.futures.process``) only when a sweep runs under ``jobs`` > 1,
@@ -72,7 +73,7 @@ def beampattern_mse(precoders: np.ndarray, jcas_subcarriers, grid: BeamGrid) -> 
     subcarriers in the sensing set; nan when the set is empty.
     """
     jcas = np.asarray(jcas_subcarriers, dtype=int)
-    return mask_mse(precoder_pattern(precoders[jcas], grid.steering[jcas]), grid)
+    return mask_mse(precoder_pattern(precoders[jcas], grid.steering(jcas)), grid)
 
 
 @dataclass(frozen=True)
@@ -109,8 +110,8 @@ def _realization_metrics(cfgs, rhos, jcas_counts, grid, covariances, pattern_s, 
     :func:`select_jcas_subcarriers` takes, and the first max(J) ranks are
     refined at every rho, all of them in one :func:`refine_carriers` call and
     one pattern stack. That stack reads each SNR's ranked steering rows,
-    indexed once and broadcast over rho rather than copied once per rho:
-    no steering copy the size of the whole stack. A point (SNR, rho, J)
+    asked of the grid once and broadcast over rho rather than copied once
+    per rho; pass 2 built them, so this builds none. A point (SNR, rho, J)
     reads its first J ranks, with its pattern rows in ascending subcarrier
     order as a design's are, so each mean adds the same values in the same
     order as :func:`run_design`'s.
@@ -135,7 +136,7 @@ def _realization_metrics(cfgs, rhos, jcas_counts, grid, covariances, pattern_s, 
     )
     rates = rates.reshape(shape)
     # (S, 1, J, T, n_tx): each SNR's ranked steering rows, broadcast over rho
-    steering = grid.steering[np.stack(ranked)][:, None]
+    steering = grid.steering(np.stack(ranked))[:, None]
     patterns = precoder_pattern(precoders.reshape(shape + precoders.shape[1:]), steering)
 
     metrics = np.empty(shape[:2] + (len(jcas_counts), 2))

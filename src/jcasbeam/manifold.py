@@ -247,6 +247,7 @@ class RcgResult:
     iterations: int
     converged: bool  # stopped on the gradient norm (GRAD_TOL); no other stop counts
     stop_reason: str
+    grad_norm: float  # Riemannian gradient norm at the precoder, over sqrt(P)
 
 
 def solve_rcg_batch(
@@ -266,10 +267,12 @@ def solve_rcg_batch(
     objective decrease is at most ``PLATEAU_TOL`` for ``PLATEAU_RUNS``
     consecutive iterations, when its line search cannot make progress, or
     after ``MAX_ITER`` iterations. The trace of each carrier's descent is on
-    its :class:`RcgResult`. A carrier's result is the same bit for bit
-    whatever batch it runs in, a batch of one included (see the module
-    docstring). A power whose starting objective is not finite (it overflows
-    near P = 1e154) raises :class:`ConfigError` naming the first such power.
+    its :class:`RcgResult`, with the Riemannian gradient norm over
+    sqrt(power) at the point it returns, read off the iterate's own
+    gradient. A carrier's result is the same bit for bit whatever batch it
+    runs in, a batch of one included (see the module docstring). A power
+    whose starting objective is not finite (it overflows near P = 1e154)
+    raises :class:`ConfigError` naming the first such power.
     """
     f0, cov, f_comm = (np.asarray(a, dtype=complex) for a in (f0, cov, f_comm))
     n_car = len(f0)
@@ -293,6 +296,7 @@ def solve_rcg_batch(
     final_f = np.empty_like(f)
     iterations = np.zeros(n_car, dtype=int)
     reasons = np.empty(n_car, dtype=object)
+    final_grad = np.empty(n_car)
     act = np.arange(n_car)  # original index of each running carrier
     plateau = np.zeros(n_car, dtype=int)
     it = 0
@@ -304,6 +308,7 @@ def solve_rcg_batch(
         final_f[idx] = f[done]
         iterations[idx] = it
         reasons[idx] = reason
+        final_grad[idx] = grad_norm[done] / np.sqrt(power[done])
         keep = ~done
         act, f, grad, direction, gamma, grad_norm, plateau, cov, f_comm, rho, power = (
             a[keep] for a in (act, f, grad, direction, gamma, grad_norm, plateau, cov, f_comm, rho, power)
@@ -361,6 +366,7 @@ def solve_rcg_batch(
             iterations=int(iterations[c]),
             converged=reasons[c] == "gradient_norm",
             stop_reason=reasons[c],
+            grad_norm=float(final_grad[c]),
         )
         for c in range(n_car)
     ]

@@ -3,7 +3,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from jcasbeam.beamgrid import BeamGrid, steering_vector
+from jcasbeam.beamgrid import BeamGrid
 from jcasbeam.config import SPEED_OF_LIGHT, SystemConfig
 from jcasbeam.manifold import tradeoff_objective
 
@@ -58,9 +58,8 @@ def reference_pattern(mat, steering):
 
 def ula_grid(angles, mask, n_tx, freq=2.0e9):
     """A one-subcarrier BeamGrid: a half-wavelength ULA at ``freq`` and a hand-made mask."""
-    angles = np.asarray(angles, dtype=float)
-    steering = steering_vector(angles, freq, n_tx, SPEED_OF_LIGHT / (2 * freq))
-    return BeamGrid(angles, np.array([freq]), steering[None], np.asarray(mask, dtype=float))
+    return BeamGrid(np.asarray(angles, dtype=float), np.array([freq]), n_tx, SPEED_OF_LIGHT / (2 * freq),
+                    np.asarray(mask, dtype=float))
 
 
 def finite_difference_gradient(f, cov, f_comm, rho, h=1e-5):

@@ -68,14 +68,47 @@ def test_desired_mask_single_target_width():
 def test_build_grid_shapes_and_consistency():
     cfg = SystemConfig(n_tx=4, n_rx=2, n_streams=2, n_subcarriers=6, n_jcas=2, grid_size=41)
     grid = build_grid(cfg)
-    assert grid.steering.shape == (6, 41, 4)
+    assert grid.steering(range(6)).shape == (6, 41, 4)
     assert grid.angles.shape == (41,)
     assert grid.frequencies.shape == (6,)
     assert grid.desired_gain.shape == (41,)
     # every carrier's steering matrix equals a direct one-frequency call, bit for bit
     for k, freq in enumerate(grid.frequencies):
-        np.testing.assert_array_equal(grid.steering[k], steering_vector(grid.angles, freq, 4, cfg.spacing))
+        np.testing.assert_array_equal(grid.steering(k), steering_vector(grid.angles, freq, 4, cfg.spacing))
     assert len(grid.angles) == 41 and grid.n_subcarriers == 6
+    assert (grid.n_tx, grid.spacing) == (4, cfg.spacing)
+
+
+def test_steering_rows_equal_the_full_stack_bit_for_bit():
+    # the stack every grid once built in one broadcast call, against rows built on demand in other groupings
+    cfg = SystemConfig()
+    grid = build_grid(cfg)
+    full = steering_vector(grid.angles, grid.frequencies[:, None], cfg.n_tx, cfg.spacing)
+    assert full.shape == (64, cfg.grid_size, cfg.n_tx)
+    rng = np.random.default_rng(0)
+    shuffled = rng.permutation(64)
+    requests = [
+        shuffled[:5],                         # five rows, built in one call
+        7,                                    # an int: one row, (T, n_tx)
+        np.array([3, 3, 9, shuffled[0], 3]),  # repeats, some built, some kept
+        shuffled.reshape(4, 16),              # 2-D, as the sweep's (S, J) ranks: the rest of the 64
+        rng.integers(0, 64, (2, 3, 5)),       # every row kept now
+        np.array([], dtype=int),
+        np.zeros((3, 0), dtype=int),
+    ]
+    for ks in requests:
+        got = grid.steering(ks)
+        assert got.shape == np.shape(ks) + full.shape[1:] and got.dtype == full.dtype
+        np.testing.assert_array_equal(got, full[ks])
+    # a fresh grid asked for all 64 in shuffled order: one call, the same bits
+    np.testing.assert_array_equal(build_grid(cfg).steering(shuffled), full[shuffled])
+
+
+def test_steering_returns_a_new_array_each_call(small_cfg):
+    grid = build_grid(small_cfg)
+    grid.steering([1, 2])[:] = 0.0  # writing to one call's rows leaves the kept rows alone
+    grid.steering(1)[:] = 0.0
+    np.testing.assert_array_equal(grid.steering([1, 2]), build_grid(small_cfg).steering([1, 2]))
 
 
 def test_grid_mask_matches_targets(small_cfg):

@@ -45,7 +45,7 @@ def test_psd_project_keeps_psd_input(rng):
 
 def _objectives(mats, powers, steering, mask):
     """The package's objectives of matrices (P, K, n, n) at powers (P,) on steering (K, T, n) against a mask."""
-    g = covariance._pattern_matrix(steering, range(len(steering)), np.triu_indices(steering.shape[-1], 1))
+    g = covariance._pattern_matrix(steering, np.triu_indices(steering.shape[-1], 1))
     return covariance._objectives(mats, np.asarray(powers, dtype=float), g, np.asarray(mask, dtype=float) - 1.0)
 
 
@@ -130,7 +130,7 @@ def test_two_antenna_brute_force_oracle():
     p = 2.0
     grid = ula_grid([-60.0, -30.0, 0.0, 30.0, 60.0], [1.0, 1.0, 0.0, 1.0, 1.0], 2)
     offset = p * grid.desired_gain - p
-    a1 = grid.steering[0, :, 1]
+    a1 = grid.steering(0)[:, 1]
     z0, _ = disk_scan(offset, a1, p, 0.0, p / 2, 401)
     z1, best = disk_scan(offset, a1, p, z0, p / 400, 401)  # refine around the coarse optimum
 
@@ -171,7 +171,7 @@ def test_objective_reported_at_returned_matrix():
             solo = solve_radar_covariances(grid, [power], [k])[0][k]
             np.testing.assert_array_equal(sol.matrix, solo.matrix)
             assert sol.objective == solo.objective
-            direct = np.abs(power * grid.desired_gain - reference_pattern(sol.matrix, grid.steering[k])).sum()
+            direct = np.abs(power * grid.desired_gain - reference_pattern(sol.matrix, grid.steering(k))).sum()
             assert sol.objective == pytest.approx(direct, rel=1e-12)
 
 
@@ -379,7 +379,7 @@ def test_unit_solves_are_hermitian_bit_for_bit():
     # the finish scales them without symmetrizing: the lower triangle must
     # already be the conjugate of the upper, bit for bit
     grid = _small_grid()
-    g = covariance._pattern_matrix(grid.steering, range(grid.n_subcarriers), np.triu_indices(4, 1))
+    g = covariance._pattern_matrix(grid.steering(range(grid.n_subcarriers)), np.triu_indices(4, 1))
     mats = covariance._admm_unit(g, grid.desired_gain - 1.0, 4)[0]
     np.testing.assert_array_equal(mats, mats.conj().mT)
 
@@ -428,7 +428,7 @@ def test_covariance_solve_makes_no_stack_sized_copies(monkeypatch):
     finally:
         tracemalloc.stop()
     assert rows == [16, 16, 16]
-    n_car, n_grid, n = grid.steering.shape
+    n_car, n_grid, n = grid.n_subcarriers, len(grid.angles), grid.n_tx
     system = n_car * (n * (n - 1)) ** 2 * 8  # bytes of one (K, 2M, 2M) stack
     operators = n_car * n_grid * n * (n - 1) * 8 + 2 * system  # g, G^T G and the inverses
     assert min(live) > operators

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jcasbeam import evaluation, pipeline
+from jcasbeam import beamgrid, evaluation, pipeline
 from jcasbeam.beamgrid import build_grid
 from jcasbeam.channel import generate_rayleigh
+from jcasbeam.config import SystemConfig
 from jcasbeam.covariance import solve_radar_covariances
 from jcasbeam.errors import ConfigError
 from jcasbeam.manifold import solve_rcg_batch
@@ -30,10 +31,10 @@ from conftest import SMALL, random_complex, reference_pattern
 def test_precoder_pattern_matches_direct_quadratic(rng, small_cfg):
     grid = build_grid(small_cfg)
     f = random_complex(rng, (small_cfg.n_tx, small_cfg.n_streams))
-    pat = precoder_pattern(f, grid.steering[0])
+    pat = precoder_pattern(f, grid.steering(0))
     cov = f @ f.conj().T
     direct = np.array(
-        [np.real(a.conj() @ cov @ a) for a in grid.steering[0]]
+        [np.real(a.conj() @ cov @ a) for a in grid.steering(0)]
     )
     np.testing.assert_allclose(pat, direct, atol=1e-10)
     assert np.all(pat >= -1e-10)
@@ -77,7 +78,7 @@ def test_mse_double_loop_oracle(rng, small_cfg):
     for k in jcas:
         cov = precoders[k] @ precoders[k].conj().T
         for t in range(grid.angles.size):
-            a = grid.steering[k, t]
+            a = grid.steering(k)[t]
             gain = np.real(a.conj() @ cov @ a)
             total += abs(grid.desired_gain[t] - gain) ** 2
             count += 1
@@ -91,8 +92,10 @@ class _FlatGrid:
 
     def __init__(self, n_angles, desired):
         self.angles = np.zeros(n_angles)
-        self.steering = np.ones((1, n_angles, 1), dtype=complex)
         self.desired_gain = np.asarray(desired, dtype=float)
+
+    def steering(self, ks):
+        return np.ones(np.shape(ks) + (len(self.angles), 1), dtype=complex)
 
 
 def test_mse_perfect_match_is_zero():
@@ -117,7 +120,7 @@ def test_mse_empty_sensing_set_is_nan(small_cfg):
 
 def jcas_patterns(res):
     """The (J, T) pattern stack of a design's sensing carriers, as the design command scores it."""
-    return precoder_pattern(res.precoders[res.jcas_subcarriers], res.grid.steering[res.jcas_subcarriers])
+    return precoder_pattern(res.precoders[res.jcas_subcarriers], res.grid.steering(res.jcas_subcarriers))
 
 
 def test_pattern_summaries(small_cfg):
@@ -125,7 +128,7 @@ def test_pattern_summaries(small_cfg):
     avg = np.mean(jcas_patterns(res), axis=0)
     assert avg.shape == (small_cfg.grid_size,)
     pats = [
-        precoder_pattern(res.precoders[int(k)], res.grid.steering[int(k)])
+        precoder_pattern(res.precoders[int(k)], res.grid.steering(int(k)))
         for k in res.jcas_subcarriers
     ]
     np.testing.assert_allclose(avg, np.mean(pats, axis=0), atol=1e-12)
@@ -333,7 +336,7 @@ def test_pass3_designs_equal_run_design_bit_for_bit(small_cfg, monkeypatch, rate
                 avg, member = patterns[r, j]
                 np.testing.assert_array_equal(avg, np.mean(jcas_patterns(want), axis=0))
                 k = want.jcas_subcarriers[(n_jcas - 1) // 2]  # the lower middle of the ascending set
-                np.testing.assert_array_equal(member, precoder_pattern(want.precoders[k], grid.steering[k]))
+                np.testing.assert_array_equal(member, precoder_pattern(want.precoders[k], grid.steering(k)))
     assert not patterns[:, jcas_counts.index(0)].any()  # no pattern without sensing
 
 
@@ -360,6 +363,53 @@ def test_pass1_solves_once_for_the_largest_counts_sets(small_cfg, monkeypatch):
             rates = pipeline.eigen_stage(cfg, channels)[1]
             want.update(pipeline.select_jcas_subcarriers(rates, max(jcas_counts)).tolist())
     assert request == ([cfg.effective_power for cfg in cfgs], sorted(want))
+
+
+def _spy_steering_builds(monkeypatch):
+    """The frequencies of every steering_vector call a grid makes, one array per call."""
+    calls = []
+    build = beamgrid.steering_vector
+
+    def spy(angles, freq, n_tx, spacing):
+        calls.append(np.ravel(freq))
+        return build(angles, freq, n_tx, spacing)
+
+    monkeypatch.setattr(beamgrid, "steering_vector", spy)
+    return calls
+
+
+def test_sweep_builds_each_needed_carriers_steering_once(monkeypatch):
+    # at the sweep-snr benchmark settings: pass 2 builds the needed carriers' rows in one
+    # call, and pass 3, which ranks a subset of them, builds none
+    cfg = SystemConfig()
+    calls = _spy_steering_builds(monkeypatch)
+    requests = []
+
+    def spy(grid, powers, subcarriers):
+        requests.append(list(subcarriers))
+        return solve_radar_covariances(grid, powers, subcarriers)
+
+    monkeypatch.setattr(evaluation, "solve_radar_covariances", spy)
+    sweep(cfg, [0.0, 5.0, 10.0], [0.25, 0.5, 0.75], [4], n_realizations=1)
+    [needed] = requests
+    assert 4 <= len(needed) < cfg.n_subcarriers
+    [built] = calls
+    np.testing.assert_array_equal(built, build_grid(cfg).frequencies[needed])
+
+
+def test_beampattern_mse_builds_no_kept_row(monkeypatch, rng, small_cfg):
+    grid = build_grid(small_cfg)
+    precoders = random_complex(rng, (small_cfg.n_subcarriers, small_cfg.n_tx, small_cfg.n_streams))
+    calls = _spy_steering_builds(monkeypatch)
+    first = beampattern_mse(precoders, [1, 4], grid)
+    assert len(calls) == 1
+    for _ in range(3):
+        assert beampattern_mse(precoders, [1, 4], grid) == first
+        beampattern_mse(precoders, [4], grid)
+    assert len(calls) == 1
+    beampattern_mse(precoders, [0, 1, 4, 5], grid)  # only the two new rows, in one call
+    np.testing.assert_array_equal(calls[1], grid.frequencies[[0, 5]])
+    assert len(calls) == 2
 
 
 def test_sweep_repeated_settings_equal_their_first_occurrence(small_cfg):
@@ -502,10 +552,10 @@ def test_stacked_pattern_metrics_equal_per_carrier_formula(rng, small_cfg):
     def pattern(f, steering):  # the reference pattern of one carrier's F F^H
         return reference_pattern(f @ f.conj().T, steering)
 
-    errs = [np.abs(grid.desired_gain - pattern(precoders[k], grid.steering[k])) ** 2 for k in jcas]
+    errs = [np.abs(grid.desired_gain - pattern(precoders[k], grid.steering(k))) ** 2 for k in jcas]
     assert beampattern_mse(precoders, jcas, grid) == pytest.approx(np.mean(errs), rel=1e-12)
     res = run_design(cfg)
-    pats = [pattern(res.precoders[k], res.grid.steering[k]) for k in res.jcas_subcarriers]
+    pats = [pattern(res.precoders[k], res.grid.steering(k)) for k in res.jcas_subcarriers]
     np.testing.assert_allclose(np.mean(jcas_patterns(res), axis=0), np.mean(pats, axis=0), rtol=1e-12, atol=0)
     # an empty sensing set: nan, as before; a design without sensing scores an empty stack
     assert np.isnan(beampattern_mse(precoders, np.array([], dtype=int), grid))

@@ -381,6 +381,23 @@ def test_armijo_searches_run_side_by_side_as_alone():
     assert list(together[2]) == [True, True, True, False]
 
 
+@pytest.mark.parametrize("per_carrier", [False, True])
+def test_rcg_grad_norm_is_the_returned_points_gradient_norm(mixed_stop_rules, per_carrier):
+    # the recorded norm, over sqrt(P), against one recomputed from each returned precoder, on every stop reason
+    stack, settings = _mixed_stop_instance(per_carrier)
+    batch = solve_rcg_batch(*stack, **settings)
+    rhos, powers = (np.broadcast_to(settings[name], 17) for name in ("rho", "power"))
+    assert {r.stop_reason for r in batch} == {
+        "gradient_norm", "line_search_stall", "objective_plateau", "max_iterations"
+    }
+    for r, cov, f_comm, rho, power in zip(batch, stack[1], stack[2], rhos, powers):
+        f = r.precoder
+        want = np.linalg.norm(project_to_tangent(f, tradeoff_gradient(f, cov, f_comm, rho), power)) / np.sqrt(power)
+        assert type(r.grad_norm) is float
+        assert abs(r.grad_norm - want) <= 1e-12 * want, (r.stop_reason, r.grad_norm, want)
+        assert r.grad_norm <= manifold.GRAD_TOL or not r.converged
+
+
 # (iterations, stop_reason, objective) of each carrier of the mixed-stop batch
 # above, recorded with the sequential line search (one stacked phi round per
 # trial step) that the stacked Armijo ladder replaced; any change in the line

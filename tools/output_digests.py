@@ -104,7 +104,7 @@ def design_values(res) -> dict:
     out["refinements"] = record_values(res.refinements)
     out["mse"] = jb.beampattern_mse(res.precoders, res.jcas_subcarriers, res.grid)
     jcas = res.jcas_subcarriers
-    out["patterns"] = precoder_pattern(res.precoders[jcas], res.grid.steering[jcas])
+    out["patterns"] = precoder_pattern(res.precoders[jcas], res.grid.steering(jcas))
     return out
 
 
