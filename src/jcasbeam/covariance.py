@@ -34,7 +34,10 @@ consensus half, so it is below ``TOL`` only where p1 is: p2 is computed on
 an iteration where some carrier's p1 is below ``TOL``, on the iterations
 that rebalance the penalties (with the dual residual), and on the last
 iteration, whose primal residual a capped carrier reports. These rules, and
-the polish's, are fixed module constants, read at call time.
+the polish's, are fixed module constants, read at call time. No rule reads
+the duality gap each solution reports: it is built once, after the solve,
+from the pattern dual each carrier recorded at its stop, and bounds how far
+the returned objective can lie above the optimum.
 """
 
 from __future__ import annotations
@@ -121,23 +124,50 @@ def _objectives(mats, powers, g, q) -> np.ndarray:
     return np.sum(np.abs(powers[:, None, None] * q - gx[..., 0]), axis=-1)
 
 
+def _dual_bounds(mats, g, q, duals) -> np.ndarray:
+    """Per carrier (K,), a lower bound on the objective of every feasible matrix, over the power.
+
+    With m = q + 1 the mask, for any lam in [-1, 1]^T and any real
+    diagonal D, every R psd with diagonal P / n has
+    sum_t |P m_t - a_t^H R a_t| >= P (lam . m - lambda_max(A(lam) - D) - tr D / n),
+    with A(lam) = sum_t lam_t a_t a_t^H: each |e_t| >= lam_t e_t, and
+    tr((A - D) R) <= P lambda_max(A - D). A(lam) is (sum lam) I plus an
+    off-diagonal part whose upper triangle packs as g^T lam / 2, so with D
+    shifted by sum lam, which moves no bound, the bound over P reads
+    lam . q - lambda_max(A_off - D) - tr D / n. Here lam is the duals
+    (K, T, 1) clipped to [-1, 1], and D comes from complementary slackness
+    with the carriers' matrices (K, n, n): where (A_off - D) R = mu R, row i
+    gives d_i + mu = Re<R_i, (A_off R)_i> / |R_i|^2, and the shift mu moves
+    no bound either.
+    """
+    n = mats.shape[-1]
+    lam = np.clip(duals, -1.0, 1.0)
+    a_off = _unpack(0.5 * (g.mT @ lam), n, *_triangles(n), 0.0)
+    d = np.real(np.sum(mats.conj() * (a_off @ mats), axis=-1)) / np.sum(np.abs(mats) ** 2, axis=-1)
+    top = np.linalg.eigvalsh(a_off - d[..., None] * np.eye(n))[..., -1]
+    return (q @ lam)[:, 0] - top - np.sum(d, axis=-1) / n  # q @ lam: one dot per carrier
+
+
 def _soft_threshold(v: np.ndarray, kappa) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - kappa, 0.0)
 
 
-def _set_penalty_inverses(solve_mat, gtg, b1, b2, rows) -> None:
+def _set_penalty_inverses(solve_mat, g, b1, b2, rows) -> None:
     """Set ``solve_mat[c]`` to inv(b1 G^T G + 2 b2 I) of each carrier ``c`` in ``rows``.
 
-    These are the ADMM's x-update systems: ``gtg`` and ``solve_mat`` are
-    (K, 2M, 2M), the penalties ``b1`` and ``b2`` (K, 1, 1). Each system is a
-    scaled copy of its carrier's G^T G with 2 b2 added on its diagonal in
-    place, which has the bits of ``b1 * gtg + b2 * (2 I)``, and is inverted
-    alone, by the LAPACK call a stacked ``inv`` makes for it: one carrier's
-    system and inverse at a time, never a stack-sized temporary.
+    These are the ADMM's x-update systems: ``g`` is the (K, T, 2M) pattern
+    map, ``solve_mat`` (K, 2M, 2M), the penalties ``b1`` and ``b2`` (K, 1, 1).
+    Each system is formed from its carrier's slice of ``g`` when it is
+    inverted: G_c^T G_c, which has the bits of ``(g.mT @ g)[c]``, is scaled
+    by b1 in place and gets 2 b2 added on its diagonal, which gives the bits
+    of ``(b1 * (g.mT @ g) + b2 * (2 I))[c]``. It is inverted alone, by the
+    LAPACK call a stacked ``inv`` makes for it: one carrier's system and
+    inverse at a time, so no G^T G or system stack is kept or made.
     """
-    diag = np.arange(gtg.shape[-1])
+    diag = np.arange(g.shape[-1])
     for c in rows:
-        mat = b1[c] * gtg[c]
+        mat = g[c].mT @ g[c]
+        mat *= b1[c]
         mat[diag, diag] += 2.0 * b2[c, 0]
         solve_mat[c] = np.linalg.inv(mat)
 
@@ -150,6 +180,12 @@ class CovarianceSolution:
     False value means the fallback acceptance fired at the iteration cap.
     ``residual`` is the final primal residual of the unit-budget problem, the
     value the stopping rules compare with ``TOL`` and ``FALLBACK_TOL``.
+    ``gap`` certifies the objective: (objective - bound) / objective, with
+    the bound a lower bound on the objective of every feasible matrix, built
+    from the ADMM's pattern dual at its stop; the optimum lies within
+    ``gap * objective`` below the objective. A zero objective is optimal,
+    with gap 0. A negative gap says the matrix is not feasible to that
+    precision: no feasible matrix scores below the bound.
     """
 
     matrix: np.ndarray            # Hermitian psd with exact uniform diagonal
@@ -157,6 +193,7 @@ class CovarianceSolution:
     iterations: int
     converged: bool
     residual: float
+    gap: float
 
 
 def _admm_unit(g, q, n):
@@ -175,31 +212,36 @@ def _admm_unit(g, q, n):
     column stacks (K, m, 1), so every product is one stacked ``@`` that
     makes the same BLAS call per carrier as the one-carrier formula, and a
     squared norm is ``v.mT @ v``: a carrier's iterates are bit-identical
-    whatever batch it runs in. The x-update systems b1 G^T G + 2 b2 I are
-    formed and inverted one carrier at a time, every carrier at the start
-    and at a rebalance only those whose penalties changed, so the solve
-    makes no copy or temporary of a whole (K, 2M, 2M) stack. A single antenna has no off-diagonal to fit:
-    its one feasible matrix, the budget, is returned with zero iterations.
+    whatever batch it runs in. Each x-update system b1 G^T G + 2 b2 I is
+    formed from its carrier's slice of ``g`` when it is inverted, one
+    carrier at a time, every carrier at the start and at a rebalance only
+    those whose penalties changed. So the loop holds only G, the inverses
+    and the iterates: no G^T G stack, and no copy or temporary of a whole
+    (K, 2M, 2M) stack. A single antenna has no off-diagonal to fit: its one
+    feasible matrix, the budget, is returned with zero iterations, and the
+    sign of its residual as its dual.
 
     Returns the stacked recorded iterates (K, n, n), Hermitian with
-    diagonal 1 / n, and per carrier (K,) the iteration count, the
-    ``converged`` flag and the final primal residual.
+    diagonal 1 / n, per carrier (K,) the iteration count, the
+    ``converged`` flag and the final primal residual, and the carriers'
+    pattern duals -b1 u (K, T, 1) at their stops, which a rebalance does
+    not change (it scales b1 and u inversely, exactly).
     """
     n_car, n_grid = g.shape[:2]
     if n == 1 or n_car == 0:
         mats = np.ones((n_car, n, n), dtype=complex)
-        return mats, np.zeros(n_car, dtype=int), np.ones(n_car, dtype=bool), np.zeros(n_car)
+        duals = np.broadcast_to(np.sign(q)[:, None], (n_car, n_grid, 1))  # the residual's sign: a zero gap
+        return mats, np.zeros(n_car, dtype=int), np.ones(n_car, dtype=bool), np.zeros(n_car), duals
 
     upper, lower = _triangles(n)
     diag_value = 1.0 / n
     q = q[:, None]  # a column, like the iterates
     gt = g.mT                                        # (K, 2M, T), a view like g.T: same BLAS kernel
-    gtg = gt @ g
 
     beta = np.ones((2, n_car, 1, 1))  # per carrier, the pattern-residual and psd-consensus block penalties
     b1, b2 = beta  # views: a rebalance scales beta in place
-    solve_mat = np.empty_like(gtg)
-    _set_penalty_inverses(solve_mat, gtg, b1, b2, range(n_car))
+    solve_mat = np.empty((n_car, g.shape[2], g.shape[2]))
+    _set_penalty_inverses(solve_mat, g, b1, b2, range(n_car))
     b2x2, inv_b1 = 2.0 * b2, 1.0 / b1
 
     x = np.zeros((n_car, g.shape[2], 1))
@@ -211,6 +253,7 @@ def _admm_unit(g, q, n):
     u_mat = np.zeros((n_car, n, n), dtype=complex)
 
     final_x = np.empty_like(x)
+    final_dual = np.empty_like(u)
     final_primal = np.empty(n_car)
     iterations = np.full(n_car, MAX_ITER)
     converged = np.zeros(n_car, dtype=bool)
@@ -260,10 +303,11 @@ def _admm_unit(g, q, n):
             u /= step[0]
             u_mat /= step[1]
             changed = np.any(step != 1.0, axis=(0, 2, 3))
-            _set_penalty_inverses(solve_mat, gtg, b1, b2, np.flatnonzero(changed))
+            _set_penalty_inverses(solve_mat, g, b1, b2, np.flatnonzero(changed))
 
         done = (primal < TOL) & ~converged
         final_x[done] = x[done]
+        final_dual[done] = -b1[done] * u[done]
         final_primal[done] = primal[done]
         iterations[done] = it + 1
         converged |= done
@@ -271,8 +315,9 @@ def _admm_unit(g, q, n):
             break
 
     final_x[~converged] = x[~converged]
+    final_dual[~converged] = -b1[~converged] * u[~converged]
     final_primal[~converged] = primal[~converged]
-    return _unpack(final_x, n, upper, lower, diag_value), iterations, converged, final_primal
+    return _unpack(final_x, n, upper, lower, diag_value), iterations, converged, final_primal, final_dual
 
 
 def _finished(unit: np.ndarray, powers: np.ndarray) -> np.ndarray:
@@ -318,7 +363,7 @@ def solve_radar_covariances(grid: BeamGrid, powers, subcarriers) -> list[dict[in
     ks = list(dict.fromkeys(int(k) for k in subcarriers))
     n, q = grid.n_tx, grid.desired_gain - 1.0
     g = _pattern_matrix(grid.steering(ks), np.triu_indices(n, 1))
-    mats, iterations, converged, residual = _admm_unit(g, q, n)
+    mats, iterations, converged, residual, duals = _admm_unit(g, q, n)
     failed = ~converged & (residual > FALLBACK_TOL)
     if failed.any():
         c = int(np.argmax(failed))
@@ -331,11 +376,14 @@ def solve_radar_covariances(grid: BeamGrid, powers, subcarriers) -> list[dict[in
         )
     powers = np.asarray(powers, dtype=float)
     finished = _finished(mats, powers)
-    objectives = _objectives(finished, powers, g, q).tolist()
+    objectives = _objectives(finished, powers, g, q)
+    slack = objectives - powers[:, None] * _dual_bounds(mats, g, q, duals)
+    gaps = np.divide(slack, objectives, out=np.zeros_like(slack), where=objectives > 0)
     stats = [(int(i), bool(c), float(r)) for i, c, r in zip(iterations, converged, residual)]
     return [
-        {k: CovarianceSolution(mat, obj, *stat) for k, mat, obj, stat in zip(ks, power_mats, power_objs, stats)}
-        for power_mats, power_objs in zip(finished, objectives)
+        {k: CovarianceSolution(mat, obj, *stat, gap)
+         for k, mat, obj, gap, stat in zip(ks, power_mats, power_objs, power_gaps, stats)}
+        for power_mats, power_objs, power_gaps in zip(finished, objectives.tolist(), gaps.tolist())
     ]
 
 

@@ -45,6 +45,7 @@ def test_design_writes_outputs(small_config_file, tmp_path, capsys):
     for entry in manifest["covariance"].values():
         # converged below the tolerance, or accepted below the fallback at the cap
         assert 0 <= entry["residual"] < (covariance.TOL if entry["converged"] else covariance.FALLBACK_TOL)
+        assert 0 <= entry["gap"] <= 1e-6  # 1.5e-7 and 2.3e-8 on this config's two carriers
     header, rows = read_table(out / "rates.csv")
     assert header == ["k", "rate"]
     assert len(rows) == SMALL["n_subcarriers"]

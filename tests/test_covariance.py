@@ -20,7 +20,7 @@ from jcasbeam.errors import SolverError
 from jcasbeam.evaluation import precoder_pattern, sweep
 from jcasbeam.pipeline import run_design
 
-from conftest import disk_scan, random_complex, reference_pattern, ula_grid
+from conftest import assert_same_result, disk_scan, random_complex, reference_pattern, ula_grid
 
 
 def _hermitian(rng, n):
@@ -139,6 +139,76 @@ def test_two_antenna_brute_force_oracle():
     assert abs(sol.matrix[0, 1] - z1) <= 0.02
 
 
+def test_two_antenna_gap_bounds_the_scanned_minimum():
+    # weak duality on the disk oracle: the bound the gap certifies lies below
+    # the scanned minimum, which lies below the ADMM's objective
+    p = 2.0
+    grid = ula_grid([-60.0, -30.0, 0.0, 30.0, 60.0], [1.0, 1.0, 0.0, 1.0, 1.0], 2)
+    offset = p * grid.desired_gain - p
+    a1 = grid.steering(0)[:, 1]
+    z0, _ = disk_scan(offset, a1, p, 0.0, p / 2, 401)
+    _, best = disk_scan(offset, a1, p, z0, p / 400, 401)
+    sol = solve_radar_covariance(grid, p)[0]
+    bound = sol.objective * (1.0 - sol.gap)
+    assert bound <= best <= sol.objective, (bound, best, sol.objective)
+    assert 0.0 < sol.gap <= 1e-5
+
+
+def _reference_bounds(mats, powers, steering, mask, duals):
+    """P (lam . m - lambda_max(A - D) - tr D / n) per (power, carrier), A built from the steering.
+
+    A = sum_t lam_t a_t a_t^H, lam is the duals clipped to [-1, 1], and D
+    the complementary-slackness diagonal of each matrix (K, n, n) against
+    the whole A, diagonal included.
+    """
+    lam = np.clip(duals[..., 0], -1.0, 1.0)
+    a = np.einsum("kt,kti,ktj->kij", lam, steering, steering.conj())
+    d = np.real(np.sum(mats.conj() * (a @ mats), axis=-1)) / np.sum(np.abs(mats) ** 2, axis=-1)
+    top = np.linalg.eigvalsh(a - d[..., None] * np.eye(mats.shape[-1]))[..., -1]
+    return np.asarray(powers)[:, None] * (lam @ mask - top - d.sum(axis=-1) / mats.shape[-1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 5),
+    n_car=st.integers(1, 3),
+    powers=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=3),
+)
+def test_dual_bound_is_at_most_every_feasible_objective(seed, n, n_car, powers):
+    # any duals (clipped to [-1, 1]) and any unit-budget matrices to read D
+    # from give a bound below the objective of every feasible matrix
+    rng = np.random.default_rng(seed)
+    n_grid = 11
+    steering = np.exp(2j * np.pi * rng.random((n_car, n_grid, n)))
+    mask = rng.integers(0, 2, n_grid).astype(float)
+    duals = rng.uniform(-2.0, 2.0, (n_car, n_grid, 1))
+    slack_source = _feasible(rng, [1.0], n_car, n, True)[0]
+    g = covariance._pattern_matrix(steering, np.triu_indices(n, 1))
+    p = np.asarray(powers)[:, None]
+    bounds = p * covariance._dual_bounds(slack_source, g, mask - 1.0, duals)
+    scale = p * n_grid
+    np.testing.assert_allclose(bounds, _reference_bounds(slack_source, powers, steering, mask, duals),
+                               rtol=0, atol=1e-12 * scale.max())
+    for mats in (p[..., None, None] * slack_source, _feasible(rng, powers, n_car, n, True),
+                 _feasible(rng, powers, n_car, n, False)):
+        objectives = np.sum(np.abs(p[..., None] * mask - reference_pattern(mats, steering)), axis=-1)
+        assert np.all(bounds <= objectives + 1e-12 * scale)
+
+
+def test_solved_gap_bounds_every_feasible_objective(rng):
+    # the bound built from the ADMM's own duals is tight, and below the objective of random feasible matrices
+    grid = _small_grid()
+    powers = [1.5, 7.5]
+    sols = solve_radar_covariances(grid, powers, range(grid.n_subcarriers))
+    for power, by_k in zip(powers, sols):
+        others = _feasible(rng, [power] * 50, grid.n_subcarriers, grid.n_tx, False)
+        for k, sol in by_k.items():
+            assert 0.0 <= sol.gap <= 1e-4, (k, sol.gap)
+            objectives = np.abs(power * grid.desired_gain - reference_pattern(others[:, k], grid.steering(k))).sum(-1)
+            assert sol.objective * (1.0 - sol.gap) <= objectives.min()
+
+
 def test_feasibility_on_small_mask_instance():
     cfg = SystemConfig(
         n_tx=3, n_rx=2, n_streams=2, n_subcarriers=4, n_jcas=1, grid_size=21, power_budget=2.0
@@ -223,13 +293,7 @@ def test_batched_radar_covariance_matches_solo_solves():
     assert list(batch) == ks
     assert len({sol.iterations for sol in batch.values()}) > 1  # carriers stop at different iterations
     for k in ks:
-        solo = solve_radar_covariance(grid, 2.0, [k])[k]
-        got = batch[k]
-        assert got.iterations == solo.iterations
-        assert got.converged == solo.converged
-        np.testing.assert_array_equal(got.matrix, solo.matrix)
-        assert got.objective == solo.objective
-        assert got.residual == solo.residual
+        assert_same_result(batch[k], solve_radar_covariance(grid, 2.0, [k])[k])
 
 
 # Recorded with the per-iteration residual histories still in place (the final
@@ -324,11 +388,8 @@ def test_one_solve_finished_at_two_powers_equals_fresh_solves():
     for power, sols in zip(powers, both):
         fresh = solve_radar_covariance(grid, power, list(sols))
         for k, sol in sols.items():
-            np.testing.assert_array_equal(sol.matrix, fresh[k].matrix)
-            assert sol.objective == fresh[k].objective
-            solo = solve_radar_covariance(grid, power, [k])[k]
-            np.testing.assert_array_equal(sol.matrix, solo.matrix)
-            assert sol.objective == solo.objective
+            assert_same_result(sol, fresh[k])
+            assert_same_result(sol, solve_radar_covariance(grid, power, [k])[k])
             np.testing.assert_allclose(np.diag(sol.matrix).real, power / 4, atol=1e-8)
 
 
@@ -394,16 +455,16 @@ def _same_bits(a, b):
 def test_penalty_inverses_equal_the_stacked_inverse_bit_for_bit(seed, n_car, m, n_grid):
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((n_car, n_grid, m))
-    gtg = g.mT @ g
+    gtg = g.mT @ g  # the stack the function never forms
     beta = 2.0 ** rng.integers(-10, 11, (2, n_car, 1, 1)).astype(float)  # penalties stay powers of two
     b1, b2 = beta
     solve_mat = np.full_like(gtg, np.nan)
-    covariance._set_penalty_inverses(solve_mat, gtg, b1, b2, range(n_car))  # the start: every carrier
+    covariance._set_penalty_inverses(solve_mat, g, b1, b2, range(n_car))  # the start: every carrier
     assert _same_bits(solve_mat, np.linalg.inv(b1 * gtg + b2 * (2.0 * np.eye(m))))
     kept = solve_mat.copy()
     changed = rng.random(n_car) < 0.5
     beta[:, changed] *= 2.0 ** rng.integers(-1, 2, (2, np.count_nonzero(changed), 1, 1))  # a rebalance
-    covariance._set_penalty_inverses(solve_mat, gtg, b1, b2, np.flatnonzero(changed))
+    covariance._set_penalty_inverses(solve_mat, g, b1, b2, np.flatnonzero(changed))
     assert _same_bits(solve_mat[changed], np.linalg.inv(b1 * gtg + b2 * (2.0 * np.eye(m)))[changed])
     assert _same_bits(solve_mat[~changed], kept[~changed])
 
@@ -412,13 +473,15 @@ def test_covariance_solve_makes_no_stack_sized_copies(monkeypatch):
     # K=16 carriers on the default grid, capped at 250 iterations: the ADMM
     # rebalances at iterations 100 and 200, and each re-forms every carrier's
     # system. The traced memory on entry to _soft_threshold, which runs once
-    # per iteration, is the loop's live state: the operators and the iterates.
+    # per iteration, is the loop's live state: the grid's kept steering rows,
+    # g, the inverses and the iterates, which hold less than one more
+    # (K, 2M, 2M) stack. A G^T G stack kept beside them breaks the upper bound.
     monkeypatch.setattr(covariance, "MAX_ITER", 250)
     monkeypatch.setattr(covariance, "FALLBACK_TOL", 1.0)
     grid = build_grid(SystemConfig(n_subcarriers=16))
-    rows, live = [], []
+    formed, live = [], []
     set_inverses, threshold = covariance._set_penalty_inverses, covariance._soft_threshold
-    monkeypatch.setattr(covariance, "_set_penalty_inverses", lambda *a: rows.append(len(a[-1])) or set_inverses(*a))
+    monkeypatch.setattr(covariance, "_set_penalty_inverses", lambda *a: formed.append(len(a[-1])) or set_inverses(*a))
     monkeypatch.setattr(covariance, "_soft_threshold",
                         lambda *a: live.append(tracemalloc.get_traced_memory()[0]) or threshold(*a))
     tracemalloc.start()
@@ -427,11 +490,13 @@ def test_covariance_solve_makes_no_stack_sized_copies(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rows == [16, 16, 16]
+    assert formed == [16, 16, 16]
     n_car, n_grid, n = grid.n_subcarriers, len(grid.angles), grid.n_tx
     system = n_car * (n * (n - 1)) ** 2 * 8  # bytes of one (K, 2M, 2M) stack
-    operators = n_car * n_grid * n * (n - 1) * 8 + 2 * system  # g, G^T G and the inverses
+    operators = n_car * n_grid * n * (n - 1) * 8 + system  # g and the inverses
+    rows = n_car * n_grid * n * 16  # the steering rows the grid keeps
     assert min(live) > operators
+    assert max(live) < operators + rows + system, (max(live) - operators - rows) / system
     assert peak < max(live) + system, (peak - max(live)) / system
 
 
@@ -445,7 +510,7 @@ def test_radar_covariance_empty_and_single_antenna():
         # the pattern is the budget 3 at every angle, so the mask's zeros cost 3 each
         np.testing.assert_array_equal(sol.matrix, [[3.0]])
         assert sol.objective == 3.0 * np.sum(1.0 - single.desired_gain)
-        assert (sol.iterations, sol.converged) == (0, True)
+        assert (sol.iterations, sol.converged, sol.gap) == (0, True, 0.0)
 
 
 def test_batched_solver_error_names_first_failing_carrier(monkeypatch):
