@@ -60,7 +60,9 @@ TOL = 1e-6
 FALLBACK_TOL = 1e-2
 MAX_ITER = 5000
 # The finished matrix alternates psd and diagonal projections until its
-# minimum eigenvalue is at least POLISH_FLOOR, for at most POLISH_MAX_ROUNDS.
+# minimum eigenvalue is at least POLISH_FLOOR * min(1, P), for at most
+# POLISH_MAX_ROUNDS: relative to the power below P = 1, so a small power's
+# matrix is polished as far as a unit power's.
 POLISH_FLOOR = -1e-10
 POLISH_MAX_ROUNDS = 200
 
@@ -326,8 +328,9 @@ def _finished(unit: np.ndarray, powers: np.ndarray) -> np.ndarray:
     The solves are Hermitian by construction (each lower triangle is the
     conjugate of the upper), so each scaled matrix is too. Its diagonal is
     set to power / n, then psd and diagonal projections alternate until its
-    minimum eigenvalue is at least ``POLISH_FLOOR``, for at most
-    ``POLISH_MAX_ROUNDS``; it leaves the loop at its own round, bit for bit.
+    minimum eigenvalue is at least ``POLISH_FLOOR * min(1, power)``, for at
+    most ``POLISH_MAX_ROUNDS``; it leaves the loop at its own round, bit for
+    bit.
     """
     n = unit.shape[-1]
     diag = np.arange(n)
@@ -335,9 +338,10 @@ def _finished(unit: np.ndarray, powers: np.ndarray) -> np.ndarray:
     out[..., diag, diag] = (powers / n)[:, None, None]
     flat = out.reshape((-1, n, n))
     diag_values = flat[:, diag, diag]
+    floors = np.repeat(POLISH_FLOOR * np.minimum(1.0, powers), len(unit))
     todo = np.arange(len(flat))
     for _ in range(POLISH_MAX_ROUNDS):
-        todo = todo[~(np.linalg.eigvalsh(flat[todo])[:, 0] >= POLISH_FLOOR)]
+        todo = todo[~(np.linalg.eigvalsh(flat[todo])[:, 0] >= floors[todo])]
         if todo.size == 0:
             break
         polished = psd_project(flat[todo])

@@ -5,21 +5,23 @@ count) settings with paired channel realizations: realization r always uses
 seed ``base_cfg.seed + r``, so every configuration sees the same channels
 and the comparisons are matched. It runs in three passes:
 
-1. Per realization and SNR, one eigen stage and one selection at the
-   largest sensing count: the lowest-rate carriers are a prefix of one
-   stable sort, so a smaller count's set is a subset of the largest's.
-   The pass ends once every subcarrier is needed.
+1. Per realization and SNR, one eigen stage and one
+   :func:`select_jcas_subcarriers` at the largest sensing count, whose
+   ranked prefix holds every smaller count's set; the needed subcarriers
+   are the union of these prefixes. The pass ends once every subcarrier is
+   needed.
 2. The covariance problem of the binary mask depends on the subcarrier alone
    once normalized by the design power, so each needed subcarrier is solved
    once for every SNR, in one batched call, and finished at every SNR's
    design power.
-3. Per realization and SNR, one eigen stage again, whose carriers are
-   ranked once by rate. Recomputing the eigen stage rather than keeping
-   pass 1's keeps memory flat in the realization count. A carrier's
-   refinement depends on its SNR and rho, never on the sensing count, so
-   the first max(J) ranks are refined once at every (SNR, rho), all of a
-   realization's in one RCG batch, one stacked relink and one pattern
-   stack; every (SNR, rho, J) point reads its first J ranks off them. One
+3. Per realization and SNR, one eigen stage again and the same selection
+   at the largest count, so pass 3 refines exactly the prefixes pass 1
+   solved. Recomputing the eigen stage rather than keeping pass 1's keeps
+   memory flat in the realization count. A carrier's refinement depends on
+   its SNR and rho, never on the sensing count, so each prefix is refined
+   once at every (SNR, rho), all of a realization's in one RCG batch on one
+   covariance stack, one stacked relink and one pattern stack; every
+   (SNR, rho, J) point reads its first J ranks off them. One
    worker function, bound to the inputs every realization shares (the grid,
    which holds the steering rows of pass 2's subcarriers only, and every
    covariance solution of the sweep: about 1.7 MB pickled for the default
@@ -106,10 +108,10 @@ def _realization_links(cfgs, seed: int):
 def _realization_metrics(cfgs, rhos, jcas_counts, grid, covariances, pattern_s, seed):
     """Metrics for every configuration on the channel realization of ``seed``.
 
-    Per SNR the carriers are ranked once, by the stable sort whose prefix
-    :func:`select_jcas_subcarriers` takes, and the first max(J) ranks are
-    refined at every rho, all of them in one :func:`refine_carriers` call and
-    one pattern stack. That stack reads each SNR's ranked steering rows,
+    Per SNR :func:`select_jcas_subcarriers` ranks the max(J) lowest-rate
+    carriers, as pass 1 did, and they are refined at every rho, all of them
+    in one :func:`refine_carriers` call on one covariance stack and one
+    pattern stack. That stack reads each SNR's ranked steering rows,
     asked of the grid once and broadcast over rho rather than copied once
     per rho; pass 2 built them, so this builds none. A point (SNR, rho, J)
     reads its first J ranks, with its pattern rows in ascending subcarrier
@@ -122,21 +124,22 @@ def _realization_metrics(cfgs, rhos, jcas_counts, grid, covariances, pattern_s, 
     """
     channels, stages = _realization_links(cfgs, seed)
     shape = (len(cfgs), len(rhos), max(jcas_counts))
-    ranked = [np.argsort(rates, kind="stable")[:shape[2]] for _, rates in stages]
+    ranked = np.stack([select_jcas_subcarriers(rates, shape[2]) for _, rates in stages])
     # the refined carriers, SNR-major, then rho, then rank
-    snr_of = np.repeat(np.arange(shape[0]), shape[1] * shape[2])
-    ks = np.concatenate([top for top in ranked for _ in rhos])
+    snr_of, rho_of, rank = np.indices(shape).reshape(3, -1)
+    ks = ranked[snr_of, rank]
+    cov = np.array([covariances[s][k].matrix for s, k in zip(snr_of.tolist(), ks.tolist())])
     _, precoders, rates = refine_carriers(
         channels[ks],
         np.stack([eigen[0] for eigen in stages])[snr_of, ks],
-        [covariances[s][k].matrix for s, k in zip(snr_of.tolist(), ks.tolist())],
-        np.tile(np.repeat(rhos, shape[2]), shape[0]),
+        cov.reshape(-1, grid.n_tx, grid.n_tx),  # (0, n_tx, n_tx) without sensing carriers
+        np.array(rhos)[rho_of],
         np.array([cfg.effective_power for cfg in cfgs])[snr_of],
         np.array([1.0 / cfg.effective_noise for cfg in cfgs])[snr_of],
     )
     rates = rates.reshape(shape)
     # (S, 1, J, T, n_tx): each SNR's ranked steering rows, broadcast over rho
-    steering = grid.steering(np.stack(ranked))[:, None]
+    steering = grid.steering(ranked)[:, None]
     patterns = precoder_pattern(precoders.reshape(shape + precoders.shape[1:]), steering)
 
     metrics = np.empty(shape[:2] + (len(jcas_counts), 2))

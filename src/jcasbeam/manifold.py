@@ -270,14 +270,13 @@ def solve_rcg_batch(
     its :class:`RcgResult`, with the Riemannian gradient norm over
     sqrt(power) at the point it returns, read off the iterate's own
     gradient. A carrier's result is the same bit for bit whatever batch it
-    runs in, a batch of one included (see the module docstring). A power
+    runs in, a batch of one included (see the module docstring), and an
+    empty batch, B = 0, returns no results. A power
     whose starting objective is not finite (it overflows near P = 1e154)
     raises :class:`ConfigError` naming the first such power.
     """
     f0, cov, f_comm = (np.asarray(a, dtype=complex) for a in (f0, cov, f_comm))
     n_car = len(f0)
-    if n_car == 0:  # an empty sequence of covariances reads as shape (0,), which the stacked path cannot take
-        return []
     rho = np.broadcast_to(np.asarray(rho, dtype=float), (n_car,))
     power = np.broadcast_to(np.asarray(power, dtype=float), (n_car,))
 

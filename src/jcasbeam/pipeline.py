@@ -6,7 +6,7 @@ The flow per run:
    subcarriers, each one stacked call over the subcarriers. A rate is taken
    under the optimal combiner from the singular values of HF alone, so no
    combiner is formed.
-2. Pick the n_jcas subcarriers with the lowest rates for sensing duty.
+2. Rank the subcarriers by rate and give the n_jcas lowest sensing duty.
 3. Solve the beampattern covariance problem on those subcarriers.
 4. Refine each sensing subcarrier's precoder on the power sphere, trading
    covariance match against distance from the eigenmode precoder, all of
@@ -19,9 +19,10 @@ A sensing subcarrier's refinement and relinked rate depend only on its own
 channel, eigenmode precoder and covariance, and on rho and the power, never
 on the sensing count. So steps 4 and 5 are one per-carrier routine,
 :func:`refine_carriers`, shared by :func:`run_design`, which hands it its
-sensing set, and by the sweep, which hands it the lowest-rate carriers of
-every (SNR, rho) of a realization at once and reads every sensing count off
-them.
+sensing set, and by the sweep, which hands it the ranked prefix of
+:func:`select_jcas_subcarriers` at the largest count for every (SNR, rho) of
+a realization at once and reads every sensing count off it. Both hand it
+one covariance stack.
 """
 
 from __future__ import annotations
@@ -40,11 +41,12 @@ from .precoding import eigenmode_precoders, link_rates
 
 
 def select_jcas_subcarriers(rates, n_jcas: int) -> np.ndarray:
-    """Indices of the ``n_jcas`` lowest-rate subcarriers, ascending by index.
+    """Indices of the ``n_jcas`` lowest-rate subcarriers, ranked: lowest rate first.
 
-    Ties go to the lower subcarrier index (stable sort).
+    Ties go to the lower subcarrier index (stable sort), so a smaller count's
+    selection is a prefix of a larger count's.
     """
-    return np.sort(np.argsort(rates, kind="stable")[:n_jcas])
+    return np.argsort(rates, kind="stable")[:n_jcas]
 
 
 def eigen_stage(cfg: SystemConfig, channels: np.ndarray):
@@ -118,7 +120,7 @@ def run_design(
             f"configured ({cfg.n_subcarriers}, {cfg.n_rx}, {cfg.n_tx})"
         )
     eigen_precoders, eigen_rates = eigen_stage(cfg, channels)
-    jcas = select_jcas_subcarriers(eigen_rates, cfg.n_jcas)
+    jcas = np.sort(select_jcas_subcarriers(eigen_rates, cfg.n_jcas))
     if covariances is None:
         covariances = solve_radar_covariance(grid, cfg.effective_power, jcas)
     for k in jcas.tolist():
@@ -163,12 +165,12 @@ def refine_carriers(channels, f_hat, cov, rho, power, prefactor):
     """Refine a stack of sensing carriers and relink them: steps 4 and 5 per carrier.
 
     ``channels`` (B, n_rx, n_tx), ``f_hat`` (B, n_tx, n_streams) the eigenmode
-    precoders and ``cov`` the covariances, a (B, n_tx, n_tx) stack or a
-    sequence of B matrices, one per carrier; ``rho``, ``power`` and
-    ``prefactor`` are each a float shared by every carrier or a (B,) array. A
-    carrier's refinement reads only its own row, so it comes out bit for bit
-    as if refined alone, whatever the stack. One RCG batch and one stacked
-    relink; zero carriers refine nothing. Returns (list of
+    precoders and ``cov`` (B, n_tx, n_tx) the covariances, one per carrier;
+    ``rho``, ``power`` and ``prefactor`` are each a float shared by every
+    carrier or a (B,) array. A carrier's refinement reads only its own row,
+    so it comes out bit for bit as if refined alone, whatever the stack. One
+    RCG batch and one stacked relink; an empty stack, B = 0, refines
+    nothing. Returns (list of
     :class:`RcgResult`, refined precoders (B, n_tx, n_streams), rates (B,)).
     """
     refined = solve_rcg_batch(f0=f_hat, cov=cov, f_comm=f_hat, rho=rho, power=power)

@@ -14,7 +14,7 @@ check's rate gain, and its pattern error against the floor. Each reads the
 same sweeps as the failing test, from a module fixture that runs them once,
 so each clause is judged on the realizations its verdict reports. One more
 test reads the covariance solutions of the spot check's sweeps: the duality
-gap of every default-grid carrier.
+gap and the status flags of every default-grid carrier.
 """
 
 import time
@@ -23,7 +23,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from jcasbeam import evaluation
+from jcasbeam import covariance, evaluation
 from jcasbeam.beamgrid import build_grid
 from jcasbeam.cli import main
 from jcasbeam.config import SystemConfig
@@ -420,16 +420,22 @@ def test_spot_check_error_is_at_least_the_certified_floor(spot_check, certified_
 
 
 def test_covariance_gap_is_at_most_2e_4_on_every_default_grid_carrier(spot_check):
-    """The duality gap of every default-grid carrier's covariance, at both spot-check sweeps' design powers.
+    """The duality gap and the status flags of every default-grid carrier's covariance, at both sweeps' powers.
 
-    Each of the 64 solves stops at the iteration cap, with a primal residual
-    above the tight tolerance; the gap says how far its objective can lie
-    above the optimum (2.4e-8 to 1.37e-4 measured).
+    Most of the 64 solves stop at the iteration cap, with a primal residual
+    above the tight tolerance (carriers 1 and 3 meet it, at 4,744 and 4,995
+    iterations); the gap says how far its objective can lie above the
+    optimum (2.4e-8 to 1.37e-4 measured). A carrier is ``converged`` exactly
+    when its residual is below ``TOL``, and one that is not ran to the cap.
     """
     solved = spot_check[4]
     assert len(solved) == 2 and all(sorted(sols) == list(range(64)) for sols in solved)
-    gaps = np.array([sol.gap for sols in solved for sol in sols.values()])
+    sols = [sol for power_sols in solved for sol in power_sols.values()]
+    gaps = np.array([sol.gap for sol in sols])
     assert np.all((gaps >= 0.0) & (gaps <= 2e-4)), (gaps.min(), gaps.max())
+    for sol in sols:
+        assert sol.converged == (sol.residual < covariance.TOL), (sol.converged, sol.residual)
+        assert sol.converged or sol.iterations == covariance.MAX_ITER, sol.iterations
 
 
 def test_sweep_determinism(tmp_path):

@@ -397,14 +397,14 @@ def _finish_alone(unit, power):
     """One pair's finish as a per-pair loop computes it, with its polish round count.
 
     Scale, symmetrize and set the diagonal, then alternate psd and diagonal
-    projections until the minimum eigenvalue clears ``POLISH_FLOOR``.
+    projections until the minimum eigenvalue clears ``POLISH_FLOOR * min(1, power)``.
     """
     n = unit.shape[-1]
     mat = power * unit
     out = 0.5 * (mat + mat.conj().T)
     np.fill_diagonal(out, power / n)
     for rounds in range(covariance.POLISH_MAX_ROUNDS):
-        if np.linalg.eigvalsh(out)[0] >= covariance.POLISH_FLOOR:
+        if np.linalg.eigvalsh(out)[0] >= covariance.POLISH_FLOOR * min(1.0, power):
             return out, rounds
         out = psd_project(out)
         np.fill_diagonal(out, power / n)
@@ -434,6 +434,19 @@ def test_stacked_finish_equals_per_pair_finish(rng):
             rounds.append(used)
     assert rounds[0] == rounds[2] == 0  # the psd matrix leaves before any projection
     assert min(rounds[1], rounds[3]) >= 20  # the indefinite one polishes for many rounds
+
+
+def test_design_far_below_unit_power_returns_feasible_certified_covariances():
+    # at --snr -200 (P about 1e-20) an absolute eigenvalue floor let the scaled
+    # ADMM iterates through unpolished, minimum eigenvalue -1.3e-4 P and gaps
+    # below zero; the floor scales with the power below P = 1
+    base = SystemConfig(n_subcarriers=16, n_jcas=2)
+    cfg = replace(base, power_budget=base.snr_power(-200.0))
+    res = run_design(cfg)
+    assert len(res.covariances) == 2
+    for k, sol in res.covariances.items():
+        assert sol.gap >= 0.0, (k, sol.gap)
+        assert np.linalg.eigvalsh(sol.matrix)[0] >= -1e-10 * cfg.effective_power, k
 
 
 def test_unit_solves_are_hermitian_bit_for_bit():

@@ -439,13 +439,31 @@ def test_sweep_without_sensing_refines_empty_stacks(small_cfg, monkeypatch):
     stacks = []
 
     def spy(f0, cov, f_comm, rho, power):
-        stacks.append((np.shape(f0), len(cov)))
+        stacks.append((np.shape(f0), np.shape(cov)))
         return solve_rcg_batch(f0, cov, f_comm, rho, power)
 
     monkeypatch.setattr(pipeline, "solve_rcg_batch", spy)
     res = sweep(small_cfg, [0.0, 10.0], [0.5], [0], n_realizations=2)
-    assert stacks == [((0, small_cfg.n_tx, small_cfg.n_streams), 0)] * 2
+    n_tx, n_streams = small_cfg.n_tx, small_cfg.n_streams
+    assert stacks == [((0, n_tx, n_streams), (0, n_tx, n_tx))] * 2
     assert all(np.isfinite(p.avg_rate) and np.isnan(p.avg_mse) for p in res.points)
+
+
+def test_design_and_sweep_hand_refine_carriers_one_covariance_stack(small_cfg, monkeypatch):
+    # both callers gather their carriers' covariances into one (B, n_tx, n_tx) array
+    refine, stacks = pipeline.refine_carriers, []
+
+    def spy(channels, f_hat, cov, *settings):
+        stacks.append(cov)
+        return refine(channels, f_hat, cov, *settings)
+
+    monkeypatch.setattr(pipeline, "refine_carriers", spy)
+    monkeypatch.setattr(evaluation, "refine_carriers", spy)
+    run_design(small_cfg)
+    sweep(small_cfg, [0.0, 10.0], [0.25, 0.75], [0, 2], n_realizations=1)
+    n = small_cfg.n_tx
+    assert [type(cov) for cov in stacks] == [np.ndarray] * 2
+    assert [cov.shape for cov in stacks] == [(small_cfg.n_jcas, n, n), (2 * 2 * 2, n, n)]
 
 
 def test_sweep_refines_each_ranked_carrier_once_per_snr_and_rho(small_cfg, monkeypatch):

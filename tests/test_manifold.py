@@ -266,8 +266,10 @@ def test_rcg_batch_matches_solo_exactly_across_stop_reasons(mixed_stop_rules):
     }
     for f0, cov, f_comm, got in zip(*stack, batch):
         assert_same_result(got, solve_one(f0, cov, f_comm, **settings))
-    assert solve_rcg_batch(np.zeros((0, 4, 2)), np.zeros((0, 4, 4)), np.zeros((0, 4, 2)), 0.5, 2.0) == []
-    assert solve_rcg_batch(np.zeros((0, 4, 2)), [], np.zeros((0, 4, 2)), 0.5, 2.0) == []
+    # an empty stack runs the same path, with shared or (0,) settings
+    empty = np.zeros((0, 4, 2)), np.zeros((0, 4, 4)), np.zeros((0, 4, 2))
+    assert solve_rcg_batch(*empty, 0.5, 2.0) == []
+    assert solve_rcg_batch(*empty, np.zeros(0), np.zeros(0)) == []
 
 
 def test_rcg_converged_means_the_gradient_norm_stop(mixed_stop_rules):
