@@ -3,25 +3,27 @@
 The sweep runs the full design over a grid of (SNR, rho, sensing subcarrier
 count) settings with paired channel realizations: realization r always uses
 seed ``base_cfg.seed + r``, so every configuration sees the same channels
-and the comparisons are matched. It runs in three passes:
+and the comparisons are matched. One routine, :func:`_realization_links`,
+makes a realization's channels, one eigen stage per SNR and one ranking per
+SNR: :func:`select_jcas_subcarriers` at the largest sensing count, whose
+ranked prefix holds every smaller count's set. The sweep runs in three
+passes:
 
-1. Per realization and SNR, one eigen stage and one
-   :func:`select_jcas_subcarriers` at the largest sensing count, whose
-   ranked prefix holds every smaller count's set; the needed subcarriers
-   are the union of these prefixes. The pass ends once every subcarrier is
-   needed.
+1. Per realization, the links and their ranking; the needed subcarriers
+   are the union of the ranked prefixes. The pass ends once every
+   subcarrier is needed.
 2. The covariance problem of the binary mask depends on the subcarrier alone
    once normalized by the design power, so each needed subcarrier is solved
    once for every SNR, in one batched call, and finished at every SNR's
    design power.
-3. Per realization and SNR, one eigen stage again and the same selection
-   at the largest count, so pass 3 refines exactly the prefixes pass 1
-   solved. Recomputing the eigen stage rather than keeping pass 1's keeps
-   memory flat in the realization count. A carrier's refinement depends on
-   its SNR and rho, never on the sensing count, so each prefix is refined
-   once at every (SNR, rho), all of a realization's in one RCG batch on one
-   covariance stack, one stacked relink and one pattern stack; every
-   (SNR, rho, J) point reads its first J ranks off them. One
+3. Per realization, the links and their ranking again, so pass 3 refines
+   exactly the prefixes pass 1 solved. Recomputing the eigen stage rather
+   than keeping pass 1's keeps memory flat in the realization count. A
+   carrier's refinement depends on its SNR and rho, never on the sensing
+   count, so each prefix is refined once at every (SNR, rho), all of a
+   realization's in one RCG batch on one covariance stack, one stacked
+   relink and one pattern stack; every (SNR, rho, J) point reads its first
+   J ranks off them. One
    worker function, bound to the inputs every realization shares (the grid,
    which holds the steering rows of pass 2's subcarriers only, and every
    covariance solution of the sweep: about 1.7 MB pickled for the default
@@ -99,17 +101,23 @@ class SweepResult:
     pattern_member: dict  # (rho, n_jcas) -> median-subcarrier pattern, averaged
 
 
-def _realization_links(cfgs, seed: int):
-    """Channels of realization ``seed``, and the eigen stage of each SNR's config on them."""
+def _realization_links(cfgs, seed: int, count: int):
+    """Channels of realization ``seed``, each SNR's eigen stage on them, and its ranked carriers.
+
+    The ranking is :func:`select_jcas_subcarriers` of each SNR's rates at
+    ``count``, one row per SNR in an (S, count) table: the sweep's one
+    selection, which pass 1 takes the union of and pass 3 refines.
+    """
     channels = generate_rayleigh(cfgs[0].n_subcarriers, cfgs[0].n_rx, cfgs[0].n_tx, seed)
-    return channels, [eigen_stage(cfg, channels) for cfg in cfgs]
+    stages = [eigen_stage(cfg, channels) for cfg in cfgs]
+    return channels, stages, np.stack([select_jcas_subcarriers(rates, count) for _, rates in stages])
 
 
 def _realization_metrics(cfgs, rhos, jcas_counts, grid, covariances, pattern_s, seed):
     """Metrics for every configuration on the channel realization of ``seed``.
 
-    Per SNR :func:`select_jcas_subcarriers` ranks the max(J) lowest-rate
-    carriers, as pass 1 did, and they are refined at every rho, all of them
+    Per SNR :func:`_realization_links` ranks the max(J) lowest-rate
+    carriers, as for pass 1, and they are refined at every rho, all of them
     in one :func:`refine_carriers` call on one covariance stack and one
     pattern stack. That stack reads each SNR's ranked steering rows,
     asked of the grid once and broadcast over rho rather than copied once
@@ -122,9 +130,8 @@ def _realization_metrics(cfgs, rhos, jcas_counts, grid, covariances, pattern_s, 
     it. Returns, by list position, (avg_rate, mse) per point (S, rho, J, 2)
     and the (average, member) patterns at SNR ``pattern_s`` (rho, J, 2, T).
     """
-    channels, stages = _realization_links(cfgs, seed)
     shape = (len(cfgs), len(rhos), max(jcas_counts))
-    ranked = np.stack([select_jcas_subcarriers(rates, shape[2]) for _, rates in stages])
+    channels, stages, ranked = _realization_links(cfgs, seed, shape[2])
     # the refined carriers, SNR-major, then rho, then rank
     snr_of, rho_of, rank = np.indices(shape).reshape(3, -1)
     ks = ranked[snr_of, rank]
@@ -198,8 +205,7 @@ def sweep(
     seeds = range(base_cfg.seed, base_cfg.seed + n_realizations)
     needed = set()
     for seed in seeds:
-        for _, rates in _realization_links(cfgs, seed)[1]:
-            needed.update(select_jcas_subcarriers(rates, max(jcas_counts)).tolist())
+        needed.update(_realization_links(cfgs, seed, max(jcas_counts))[2].ravel().tolist())
         if len(needed) == base_cfg.n_subcarriers:
             break
 

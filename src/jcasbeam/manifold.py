@@ -12,12 +12,8 @@ backtracking line search along the normalization retraction, and monotone
 descent by construction. Its rules are module constants: the line search's
 ``CONTRACTION``, ``ARMIJO_C`` and ``MAX_BACKTRACKS``, and the stops
 ``GRAD_TOL``, ``PLATEAU_TOL``, ``PLATEAU_RUNS`` and ``MAX_ITER``. Each is read
-at call time except in one place: the ladder of trial steps, ``_RCG_RUNGS``,
-is fixed at import from ``CONTRACTION`` and from its rung count
-2 * MAX_BACKTRACKS + 1, while ``_armijo_decide`` reads ``MAX_BACKTRACKS`` at
-call time. So, silently, patching ``CONTRACTION`` alone changes no step, and
-patching ``MAX_BACKTRACKS`` alone puts the search's backtrack count out of
-step with the ladder's length; a patch must rebuild ``_RCG_RUNGS`` as well.
+at call time: each solve builds its ladder of trial steps from ``CONTRACTION``
+and ``MAX_BACKTRACKS`` (:func:`_ladder`).
 
 One RCG core, :func:`solve_rcg_batch`, serves every caller; one carrier is a
 stack of one. It runs a stack of carriers ``(B, n_tx, n_streams)`` through
@@ -32,14 +28,15 @@ r being CONTRACTION**r, so the values of many rungs are known before any is
 judged: one :func:`retract` of the column of running carriers by the row of
 rungs, and one :func:`tradeoff_objective` call, evaluate every carrier at every
 rung of a round. Round 1 takes the first ``LADDER_CHUNK`` rungs of every
-carrier; the few it leaves undecided take, in round 2, every rung up to the
-last polishing probe (``_RCG_RUNGS``). One routine, ``_armijo_decide``, reads
-each carrier's row of values and finds where a sequential backtracking search
-(with its polishing probes) would end. The rungs are formed by the same
-repeated multiplication by ``CONTRACTION`` as a shrinking step (exact powers
-for the contraction 0.5 used here), so each rung is bit for bit the step the
-sequential search tries at that round: the ladder ends every search on the
-same step with the same value, and its retracted point becomes the new iterate.
+carrier; the few it leaves undecided take, in round 2, every rung of the
+solve's :func:`_ladder`, up to the last polishing probe. One routine,
+``_armijo_decide``, reads each carrier's row of values and finds where a
+sequential backtracking search (with its polishing probes) would end. The
+rungs are formed by the same repeated multiplication by ``CONTRACTION`` as a
+shrinking step (exact powers for the contraction 0.5 used here), so each rung
+is bit for bit the step the sequential search tries at that round: the ladder
+ends every search on the same step with the same value, and its retracted
+point becomes the new iterate.
 The ladder keeps only points and values: its residuals F F^H - R, (n_tx, n_tx)
 per rung, would be its largest table, so :func:`tradeoff_gradient` forms the
 residual again at the new iterate, by the same per-matrix products, which keeps
@@ -83,9 +80,15 @@ GRAD_TOL = 1e-6
 PLATEAU_TOL = 1e-10
 PLATEAU_RUNS = 3
 MAX_ITER = 500
-# Every step a search can try, up to the last polishing probe: rung r is
-# CONTRACTION**r, formed by repeated multiplication as a search shrinks its step.
-_RCG_RUNGS = np.cumprod(np.r_[1.0, np.full(2 * MAX_BACKTRACKS, CONTRACTION)])
+
+
+def _ladder() -> np.ndarray:
+    """Every step a search can try, up to the last polishing probe: 2 * MAX_BACKTRACKS + 1 rungs.
+
+    Rung r is CONTRACTION**r, formed by repeated multiplication as a search
+    shrinks its step.
+    """
+    return np.cumprod(np.r_[1.0, np.full(2 * MAX_BACKTRACKS, CONTRACTION)])
 
 
 def _each(values):
@@ -212,28 +215,28 @@ def _armijo_decide(values, rungs, phi0, slope, c, max_backtracks):
     return final, decided, ~failed
 
 
-def _line_search(f, direction, cov, f_comm, rho, power, gamma, slope):
+def _line_search(f, direction, cov, f_comm, rho, power, gamma, slope, rungs):
     """Armijo searches of a stack of carriers along the retraction, on the ladder, in two rounds.
 
-    ``rho``, ``power``, ``gamma`` and ``slope`` are the carriers' (B,) arrays. Round 1
-    takes the first ``LADDER_CHUNK`` rungs of every carrier, round 2 all of ``_RCG_RUNGS``
-    for the searches round 1 leaves undecided. Returns (value, ok, f_new): each carrier's
-    objective, success flag and retracted point at its final rung, where a sequential
-    backtracking search would end.
+    ``rho``, ``power``, ``gamma`` and ``slope`` are the carriers' (B,) arrays, and
+    ``rungs`` is :func:`_ladder`'s. Round 1 takes the first ``LADDER_CHUNK`` rungs of
+    every carrier, round 2 all of ``rungs`` for the searches round 1 leaves undecided.
+    Returns (value, ok, f_new): each carrier's objective, success flag and retracted
+    point at its final rung, where a sequential backtracking search would end.
     """
 
     def ladder(rows, n_rungs):
         """Each search of ``rows`` on the first ``n_rungs`` rungs: (value, ok, f_new, decided)."""
-        points = retract(f[rows, None], _RCG_RUNGS[:n_rungs], direction[rows, None], power[rows, None])
+        points = retract(f[rows, None], rungs[:n_rungs], direction[rows, None], power[rows, None])
         values = tradeoff_objective(points, cov[rows, None], f_comm[rows, None], rho[rows, None])
-        final, decided, ok = _armijo_decide(values, _RCG_RUNGS, gamma[rows], slope[rows], ARMIJO_C, MAX_BACKTRACKS)
+        final, decided, ok = _armijo_decide(values, rungs, gamma[rows], slope[rows], ARMIJO_C, MAX_BACKTRACKS)
         # an undecided search may point past the table; round 2 redoes it
         pick = np.arange(len(final)), np.minimum(final, values.shape[1] - 1)
         return values[pick], ok, points[pick], decided
 
     value, ok, f_new, decided = ladder(slice(None), LADDER_CHUNK)
     if not decided.all():
-        value[~decided], ok[~decided], f_new[~decided], _ = ladder(~decided, len(_RCG_RUNGS))
+        value[~decided], ok[~decided], f_new[~decided], _ = ladder(~decided, len(rungs))
     return value, ok, f_new
 
 
@@ -280,6 +283,7 @@ def solve_rcg_batch(
     rho = np.broadcast_to(np.asarray(rho, dtype=float), (n_car,))
     power = np.broadcast_to(np.asarray(power, dtype=float), (n_car,))
 
+    rungs = _ladder()
     f = _normalize(f0, power)
     with np.errstate(over="ignore"):  # an overflow is reported below
         gamma = tradeoff_objective(f, cov, f_comm, rho)
@@ -331,7 +335,7 @@ def solve_rcg_batch(
             direction = np.where(_each(lost), -grad, direction)
             slope = np.where(lost, -np.float_power(grad_norm, 2.0), slope)
 
-        value, ok, f_new = _line_search(f, direction, cov, f_comm, rho, power, gamma, slope)
+        value, ok, f_new = _line_search(f, direction, cov, f_comm, rho, power, gamma, slope, rungs)
         stall = ~ok & (value >= gamma)
         if np.count_nonzero(stall):
             value, f_new = drop(stall, "line_search_stall", value, f_new)

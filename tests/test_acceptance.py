@@ -14,7 +14,10 @@ check's rate gain, and its pattern error against the floor. Each reads the
 same sweeps as the failing test, from a module fixture that runs them once,
 so each clause is judged on the realizations its verdict reports. One more
 test reads the covariance solutions of the spot check's sweeps: the duality
-gap and the status flags of every default-grid carrier.
+gap and the status flags of every default-grid carrier. And one checks the
+reason for the failing 3x clause: a semidefinite certificate that no
+covariance the covariance stage can return holds every target at 3x every
+sidelobe.
 """
 
 import time
@@ -24,7 +27,7 @@ import numpy as np
 import pytest
 
 from jcasbeam import covariance, evaluation
-from jcasbeam.beamgrid import build_grid
+from jcasbeam.beamgrid import build_grid, steering_vector
 from jcasbeam.cli import main
 from jcasbeam.config import SystemConfig
 from jcasbeam.covariance import solve_radar_covariance, solve_radar_covariances
@@ -242,6 +245,75 @@ def test_beampattern_peaks_lie_within_2_deg_of_the_targets(pattern_sweep):
     assert max(offsets.values()) <= 2.0, offsets
 
 
+def _pair_sum(mu, targets, sidelobes):
+    """Per carrier, sum over (target t, sidelobe s) of mu_ts (a_t a_t^H - 3 a_s a_s^H).
+
+    ``targets`` and ``sidelobes`` are (K, ., n_tx) steering rows; ``mu`` is
+    (targets, sidelobes). Its inner product with R is the mu-weighted sum of
+    a_t^H R a_t - 3 a_s^H R a_s.
+    """
+    return (targets.mT * mu.sum(axis=1)) @ targets.conj() - 3.0 * (sidelobes.mT * mu.sum(axis=0)) @ sidelobes.conj()
+
+
+def _three_x_certificate(iterations=200):
+    """Multipliers that no default-grid covariance holds every target gain at 3x every sidelobe.
+
+    If R is psd with diagonal c > 0 and some mu >= 0 (not all zero) and real
+    diagonal D give sum mu_ts (a_t a_t^H - 3 a_s a_s^H) - D <= 0 (negative
+    semidefinite) and tr D < 0, then sum mu_ts (a_t^H R a_t - 3 a_s^H R a_s)
+    <= <D, R> = c tr D < 0, so some target's gain is below 3x some sidelobe's.
+    One mu serves every carrier, each with its own D. For mu on the simplex
+    and a diagonal d, the least D is diag(d) + lambda_max(sum - diag(d)) I,
+    of trace sum(d) + n lambda_max: projected subgradient ascent on minus that
+    trace (its mean over the carriers for mu) finds mu and d. Returns the
+    iterate of least worst-carrier trace as (mu, D's diagonals (K, n_tx),
+    target rows, sidelobe rows), D lifted by 1e-9 so that roundoff cannot
+    put the largest eigenvalue above 0.
+    """
+    cfg = SystemConfig()
+    grid = build_grid(cfg)
+    n_tx = grid.n_tx
+    targets = steering_vector(cfg.target_angles, grid.frequencies[:, None], n_tx, grid.spacing)
+    sidelobes = grid.steering(range(grid.n_subcarriers))[:, grid.desired_gain == 0]
+    mu = np.full((targets.shape[1], sidelobes.shape[1]), 1.0 / (targets.shape[1] * sidelobes.shape[1]))
+    d = np.zeros((len(targets), n_tx))
+    best = (np.inf,)
+    for i in range(iterations):
+        w, v = np.linalg.eigh(_pair_sum(mu, targets, sidelobes) - d[:, None, :] * np.eye(n_tx))
+        trace = d.sum(axis=1) + n_tx * w[:, -1]
+        if trace.max() < best[0]:
+            best = trace.max(), mu, d + w[:, -1:] + 1e-9
+        # subgradients of the trace at the top eigenvector v: 1 - n |v_i|^2 in d_i, and
+        # n (|a_t^H v|^2 - 3 |a_s^H v|^2) in mu_ts, of which only the direction is used
+        top = v[:, None, :, -1]
+        grad_d = 1.0 - n_tx * np.abs(top[:, 0]) ** 2
+        gains_t = np.mean(np.abs(np.sum(targets.conj() * top, axis=-1)) ** 2, axis=0)
+        gains_s = np.mean(np.abs(np.sum(sidelobes.conj() * top, axis=-1)) ** 2, axis=0)
+        grad_mu = gains_t[:, None] - 3.0 * gains_s
+        step = 1.0 / np.sqrt(i + 1.0)
+        d = d - step * grad_d / np.linalg.norm(grad_d, axis=1, keepdims=True)
+        mu = _simplex_projection((mu - 0.1 * step * grad_mu / np.linalg.norm(grad_mu)).ravel(), 1.0).reshape(mu.shape)
+    return best[1], best[2], targets, sidelobes
+
+
+def test_no_default_grid_covariance_holds_every_target_at_3x_every_sidelobe():
+    """The reason for test_beampattern_shape's failing 3x clause, checked with ``eigvalsh``.
+
+    On every carrier of the default grid, the searched multipliers mu >= 0
+    and diagonal D give sum mu_ts (a_t a_t^H - 3 a_s a_s^H) - D <= 0 and
+    tr D < 0 (see ``_three_x_certificate``): no psd covariance with a uniform
+    diagonal, as the covariance stage's are, holds all four target gains at
+    3x the largest sidelobe. The sidelobes are the grid angles outside the
+    mainlobes, as test_beampattern_shape takes them. About 1 s.
+    """
+    mu, diag, targets, sidelobes = _three_x_certificate()
+    assert np.all(mu >= 0.0) and mu.sum() > 0.0
+    residual = _pair_sum(mu, targets, sidelobes) - diag[:, None, :] * np.eye(diag.shape[1])
+    top = np.linalg.eigvalsh(residual)[:, -1]
+    assert np.all(top <= 0.0), top.max()
+    assert np.all(diag.sum(axis=1) < 0.0), diag.sum(axis=1).max()
+
+
 def _trend_failures(points):
     pts = {(p.rho, p.n_jcas): p for p in points}
     rhos = sorted({p.rho for p in points})
@@ -351,13 +423,18 @@ def test_rate_and_mse_spot_check(spot_check):
     )
 
 
+def _simplex_projection(x: np.ndarray, total: float) -> np.ndarray:
+    """Nearest points of {y >= 0, sum y = total} to the rows of x."""
+    desc = -np.sort(-x, axis=-1)
+    shifts = (np.cumsum(desc, axis=-1) - total) / np.arange(1, x.shape[-1] + 1)
+    shift = np.take_along_axis(shifts, np.sum(desc > shifts, axis=-1, keepdims=True) - 1, axis=-1)
+    return np.maximum(x - shift, 0.0)
+
+
 def _trace_projection(mats: np.ndarray, power: float) -> np.ndarray:
     """Nearest matrices of {R psd, tr R = power} to a Hermitian stack: eigenvalues onto the simplex."""
     w, v = np.linalg.eigh(mats)
-    desc = w[:, ::-1]
-    shifts = (np.cumsum(desc, axis=1) - power) / np.arange(1, desc.shape[1] + 1)
-    shift = np.take_along_axis(shifts, np.sum(desc > shifts, axis=1, keepdims=True) - 1, axis=1)
-    return (v * np.maximum(w - shift, 0.0)[:, None, :]) @ v.conj().mT
+    return (v * _simplex_projection(w, power)[:, None, :]) @ v.conj().mT
 
 
 @pytest.fixture(scope="module")

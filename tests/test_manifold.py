@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from jcasbeam import manifold
 from jcasbeam.manifold import (
-    _RCG_RUNGS,
     ARMIJO_C,
     CONTRACTION,
     MAX_BACKTRACKS,
     _armijo_decide,
+    _ladder,
     polak_ribiere_mu,
     project_to_tangent,
     retract,
@@ -114,10 +114,34 @@ def test_polak_ribiere_nonnegative(rng):
 
 
 def test_rcg_rungs_are_exact_powers_of_the_contraction():
-    # the ladder is fixed at import from CONTRACTION and MAX_BACKTRACKS; its
-    # repeated products are the exact powers, so each rung is the step a
-    # sequential search tries at that round
-    assert np.array_equal(_RCG_RUNGS, CONTRACTION ** np.arange(2 * MAX_BACKTRACKS + 1))
+    # the ladder is built from CONTRACTION and MAX_BACKTRACKS; its repeated
+    # products are the exact powers, so each rung is the step a sequential
+    # search tries at that round
+    assert np.array_equal(_ladder(), CONTRACTION ** np.arange(2 * MAX_BACKTRACKS + 1))
+
+
+def test_rcg_ladder_follows_the_line_search_constants(rng, monkeypatch):
+    # a solve reads CONTRACTION and MAX_BACKTRACKS when it runs, and hands
+    # every search the ladder they make: 2 * 3 + 1 powers of 0.25
+    seen = []
+    decide = manifold._armijo_decide
+
+    def spy(values, rungs, phi0, slope, c, max_backtracks):
+        seen.append((rungs.copy(), max_backtracks))
+        return decide(values, rungs, phi0, slope, c, max_backtracks)
+
+    monkeypatch.setattr(manifold, "_armijo_decide", spy)
+    monkeypatch.setattr(manifold, "CONTRACTION", 0.25)
+    monkeypatch.setattr(manifold, "MAX_BACKTRACKS", 3)
+    power = 2.0
+    f0 = np.stack([random_sphere_point(rng, (4, 2), power) for _ in range(2)])
+    cov = np.stack([random_psd(rng, 4, power) for _ in range(2)])
+    f_comm = np.stack([random_sphere_point(rng, (4, 2), power) for _ in range(2)])
+    solve_rcg_batch(f0, cov, f_comm, 0.5, power)
+    assert seen
+    for rungs, max_backtracks in seen:
+        assert max_backtracks == 3
+        np.testing.assert_array_equal(rungs, 0.25 ** np.arange(7))
 
 
 def armijo_on_ladder(phi, phi0, slope):
@@ -127,10 +151,11 @@ def armijo_on_ladder(phi, phi0, slope):
     """
     phi0 = np.atleast_1d(np.asarray(phi0, dtype=float))
     slope = np.atleast_1d(np.asarray(slope, dtype=float))
-    values = np.stack([np.broadcast_to(phi(step), phi0.shape) for step in _RCG_RUNGS], axis=1)
-    final, decided, ok = _armijo_decide(values, _RCG_RUNGS, phi0, slope, ARMIJO_C, MAX_BACKTRACKS)
+    rungs = _ladder()
+    values = np.stack([np.broadcast_to(phi(step), phi0.shape) for step in rungs], axis=1)
+    final, decided, ok = _armijo_decide(values, rungs, phi0, slope, ARMIJO_C, MAX_BACKTRACKS)
     assert decided.all()
-    return _RCG_RUNGS[final], values[np.arange(len(final)), final], ok
+    return rungs[final], values[np.arange(len(final)), final], ok
 
 
 def test_armijo_quadratic():
@@ -441,12 +466,12 @@ def test_rcg_mixed_stop_batch_matches_its_record(mixed_stop_rules, monkeypatch):
     # a stalled search fails at rung MAX_BACKTRACKS, past round 1: each stalled
     # carrier's last search, from its final objective, ran and failed in round 2
     assert manifold.LADDER_CHUNK <= MAX_BACKTRACKS
-    failed = {float(g) for width, phi0, ok in rounds if width == len(_RCG_RUNGS) for g in phi0[~ok]}
+    failed = {float(g) for width, phi0, ok in rounds if width == len(_ladder()) for g in phi0[~ok]}
     stalled = {obj for _, reason, obj in MIXED_STOP_RECORD if reason == "line_search_stall"}
     assert len(stalled) == 3 and stalled <= failed
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 3, len(_RCG_RUNGS)])
+@pytest.mark.parametrize("chunk", [1, 2, 3, len(_ladder())])
 def test_rcg_ladder_chunk_does_not_change_results(mixed_stop_rules, monkeypatch, chunk):
     # small chunks leave most searches undecided after round 1; at the full
     # width round 1 decides every search and round 2 never runs

@@ -14,7 +14,8 @@ each number in a file's text (whose text around the numbers must match) against 
 It exits 1 if any key differs, so a change meant to keep every output bit for bit reads
 every key ``identical`` and exits 0.
 
-Covered: the sweep files at the ``sweep-snr`` benchmark settings, of a seed-7 sweep
+Covered: the sweep files of the ``sweep-snr`` benchmark's seed-0 sweep, run by its
+workload's own ``run`` in ``perfbench/workloads.py``, of a seed-7 sweep
 at ``--jobs`` 1 and 2, of a K=16 sweep whose sensing counts include 0 and K and of a K=16
 ``literal``-rate sweep whose SNR list repeats one SNR, so that every SNR designs at
 power 1 and two list entries are the same SNR; of a K=16 sweep at ``--jobs`` 1 and 2
@@ -27,7 +28,8 @@ pattern file, and of a K=16 ``design --snr -200 --jcas 2``, whose power is below
 roundoff of every carrier's strongest noise floor, so that water-filling puts it all
 on the strongest stream (a checkout from before that rule spreads it over two or three
 streams, so this is the one case whose outputs differ from such a checkout's); the
-``link`` workload's 16 covariances and 18 designs, and two
+``link`` workload's 16 covariances and its 18 designs at seeds 0-2, by the workload's own
+``link_designs``, and two
 more K=16 ``link`` designs: at rho 0, where every carrier stops at iteration 0 on
 the gradient norm, and at rho 1, where every carrier stops on the plateau; the
 default design (``design-seed0``, the ``DesignResult`` of ``design --seed 0``); the covariances at power 2 of the two small grids of
@@ -56,21 +58,23 @@ from unittest import mock
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
 import jcasbeam as jb  # noqa: E402
 from jcasbeam.cli import main as cli  # noqa: E402
 from jcasbeam.evaluation import precoder_pattern  # noqa: E402
 
+sys.path.insert(0, str(ROOT / "perfbench"))  # the benchmark's cases, only read
+from workloads import LINK_SUBCARRIERS, REFERENCE_SEED, SWEEP_FILES, SweepSnrWorkload, link_designs  # noqa: E402
+
 SEED7 = "--snr 10 --rho 0.5 --jcas 2 16 --realizations 3 --seed 7 --jobs"
 REPEATS = "--snr 10 0 10 --rho 0.75 0.25 0.75 --jcas 16 2 0 2 --realizations 2 --config {k16} --jobs"
-SWEEPS = {"sweep-snr": "--snr 0 5 10 --rho 0.25 0.5 0.75 --jcas 4 --realizations 1 --seed 0",
-          "seed7-jobs1": f"{SEED7} 1", "seed7-jobs2": f"{SEED7} 2",
+SWEEPS = {"seed7-jobs1": f"{SEED7} 1", "seed7-jobs2": f"{SEED7} 2",
           "k16-J0-to-K": "--snr 0 10 --rho 0.5 1 --jcas 0 4 16 --realizations 2 --seed 3 --config {k16}",
           "k16-literal-snr-repeated": "--snr 0 10 10 --rho 0.5 1 --jcas 2 16 --realizations 2 --config {k16lit}",
           "k16-repeats-jobs1": f"{REPEATS} 1", "k16-repeats-jobs2": f"{REPEATS} 2",
           "k16-snr-near-10": "--snr 10.0000000001 10 5 --rho 0.5 --jcas 4 16 --realizations 2 --config {k16}"}
 PATTERN_SWEEPS = ("sweep-snr", "k16-J0-to-K")
-SWEEP_FILES = ("rates.csv", "beampattern_avg.csv", "beampattern_member.csv", "sweep_manifest.json")
 DESIGNS = {"cli-design-seed0": "--seed 0", "cli-design-k16-J0": "--jcas 0 --config {k16}",
            "cli-design-k16-snr-200": "--snr -200 --jcas 2 --config {k16}"}
 DESIGN_FILES = ("design_manifest.json", "rates.csv", "beampattern.csv")
@@ -137,26 +141,35 @@ def outputs() -> dict:
         k16, k16lit = f"{tmp}/k16.ini", f"{tmp}/k16-literal.ini"
         jb.write_config(jb.SystemConfig(n_subcarriers=16), k16)
         jb.write_config(jb.SystemConfig(n_subcarriers=16, rate_formula="literal"), k16lit)
+
+        def record(name, directory, files):  # a command's files, and a sweep's patterns
+            out[name] = {f: file_bytes(directory / f) for f in files}
+            if name in PATTERN_SWEEPS:
+                out[name].update(sweep_patterns(swept[-1]))
+
+        code, directory = SweepSnrWorkload(jb, Path(tmp), None).run(-1, REFERENCE_SEED)
+        assert code == 0
+        record("sweep-snr", directory, SWEEP_FILES)
         for command, runs, files in (("sweep", SWEEPS, SWEEP_FILES), ("design", DESIGNS, DESIGN_FILES)):
             for name, flags in runs.items():
                 assert cli([command, *flags.format(k16=k16, k16lit=k16lit).split(), "--out-dir", f"{tmp}/{name}"]) == 0
-                out[name] = {f: file_bytes(Path(tmp, name, f)) for f in files}
-                if name in PATTERN_SWEEPS:
-                    out[name].update(sweep_patterns(swept[-1]))
+                record(name, Path(tmp, name), files)
                 if name == "cli-design-seed0":
                     out["design-seed0"] = design_values(designed[-1])
         for name, fields in CONFIGS.items():
             jb.write_config(jb.SystemConfig(**fields), f"{tmp}/{name}.ini")
             out[name] = file_bytes(Path(tmp, f"{name}.ini"))
-    cfg = jb.SystemConfig(n_subcarriers=16)
+    cfg = jb.SystemConfig(n_subcarriers=LINK_SUBCARRIERS)
     grid = jb.build_grid(cfg)
     covs = jb.solve_radar_covariance(grid, cfg.effective_power)
     out["link-covariances"] = record_values(covs)
-    links = [(s, r, j) for s in range(3) for r in (0.25, 0.5, 0.75) for j in (4, 16)]
-    for seed, rho, n_jcas in links + [(0, 0.0, 16), (0, 1.0, 16)]:
-        channels = jb.generate_rayleigh(cfg.n_subcarriers, cfg.n_rx, cfg.n_tx, seed)
-        res = jb.run_design(replace(cfg, rho=rho, n_jcas=n_jcas, seed=seed), channels, grid, covs)
-        out[f"link-seed{seed}-rho{rho}-J{n_jcas}"] = design_values(res)
+    for seed in range(3):
+        for rho, n_jcas, res, _ in link_designs(jb, cfg, grid, covs, seed):
+            out[f"link-seed{seed}-rho{rho}-J{n_jcas}"] = design_values(res)
+    channels = jb.generate_rayleigh(cfg.n_subcarriers, cfg.n_rx, cfg.n_tx, 0)
+    for rho in (0.0, 1.0):
+        res = jb.run_design(replace(cfg, rho=rho, n_jcas=16, seed=0), channels, grid, covs)
+        out[f"link-seed0-rho{rho}-J16"] = design_values(res)
     for name, overrides in EARLY_STOPS.items():
         sols = jb.solve_radar_covariance(jb.build_grid(jb.SystemConfig(**overrides)), 2.0)
         out[f"early-stops-{name}"] = record_values(sols)
