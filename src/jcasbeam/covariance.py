@@ -204,13 +204,14 @@ def _admm_unit(g, q, n):
     ``g`` (K, T, 2M) is the carriers' pattern map for ``n`` antennas and
     ``q`` (T,) the normalized target they share; each carrier starts from
     the uniform budget. Carriers share only the stacked calls: each has its
-    own penalties and balancing, and stops at the iteration where its
-    primal residual drops below ``TOL``, or runs to ``MAX_ITER``. A stopped
-    carrier's iterate, residual and iteration count are recorded in place,
-    and it stays in the stack, which runs on until every carrier has
-    stopped: a stack whose carriers stop far apart keeps paying for the
-    stopped ones, which the measured workloads seldom do (a few carriers,
-    at most a few hundred iterations before the cap). The iterates are
+    own penalties and balancing, and stops at the iteration where its primal
+    residual drops below ``TOL`` or at ``MAX_ITER``, whichever comes first.
+    The loop's one record block records a stopped carrier's iterate,
+    residual, dual and iteration count, and the carrier stays in the stack,
+    which runs on until every carrier has stopped: a stack whose carriers
+    stop far apart keeps paying for the stopped ones, which the measured
+    workloads seldom do (a few carriers, at most a few hundred iterations
+    before the cap). The iterates are
     column stacks (K, m, 1), so every product is one stacked ``@`` that
     makes the same BLAS call per carrier as the one-carrier formula, and a
     squared norm is ``v.mT @ v``: a carrier's iterates are bit-identical
@@ -219,22 +220,17 @@ def _admm_unit(g, q, n):
     carrier at a time, every carrier at the start and at a rebalance only
     those whose penalties changed. So the loop holds only G, the inverses
     and the iterates: no G^T G stack, and no copy or temporary of a whole
-    (K, 2M, 2M) stack. A single antenna has no off-diagonal to fit: its one
-    feasible matrix, the budget, is returned with zero iterations, and the
-    sign of its residual as its dual.
+    (K, 2M, 2M) stack. A single antenna, whose x is empty, and an empty
+    stack run the same loop as any other.
 
     Returns the stacked recorded iterates (K, n, n), Hermitian with
     diagonal 1 / n, per carrier (K,) the iteration count, the
-    ``converged`` flag and the final primal residual, and the carriers'
+    ``converged`` flag (the residual below ``TOL``) and the final primal
+    residual, and the carriers'
     pattern duals -b1 u (K, T, 1) at their stops, which a rebalance does
     not change (it scales b1 and u inversely, exactly).
     """
     n_car, n_grid = g.shape[:2]
-    if n == 1 or n_car == 0:
-        mats = np.ones((n_car, n, n), dtype=complex)
-        duals = np.broadcast_to(np.sign(q)[:, None], (n_car, n_grid, 1))  # the residual's sign: a zero gap
-        return mats, np.zeros(n_car, dtype=int), np.ones(n_car, dtype=bool), np.zeros(n_car), duals
-
     upper, lower = _triangles(n)
     diag_value = 1.0 / n
     q = q[:, None]  # a column, like the iterates
@@ -249,7 +245,7 @@ def _admm_unit(g, q, n):
     x = np.zeros((n_car, g.shape[2], 1))
     z = q - g @ x
     r_mat = _unpack(x, n, upper, lower, diag_value)  # its diagonal stays; each iteration writes the rest
-    r_flat = r_mat.reshape(n_car, -1)  # a view
+    r_flat = r_mat.reshape(n_car, n * n)  # a view; not -1, which an empty stack cannot infer
     s = psd_project(r_mat)
     u = np.zeros((n_car, n_grid, 1))
     u_mat = np.zeros((n_car, n, n), dtype=complex)
@@ -257,10 +253,11 @@ def _admm_unit(g, q, n):
     final_x = np.empty_like(x)
     final_dual = np.empty_like(u)
     final_primal = np.empty(n_car)
-    iterations = np.full(n_car, MAX_ITER)
-    converged = np.zeros(n_car, dtype=bool)
+    iterations = np.zeros(n_car, dtype=int)  # 0 while a carrier runs
 
     for it in range(MAX_ITER):
+        if iterations.all():  # every carrier has stopped; an empty stack runs no iteration
+            break
         y = _herm_params(s - u_mat, upper, lower)
         q_z = q - z
         x = solve_mat @ (b1 * (gt @ (q_z - u)) + b2x2 * y)
@@ -284,7 +281,7 @@ def _admm_unit(g, q, n):
         balance = (it + 1) % BALANCE_EVERY == 0
         if not (balance or it == MAX_ITER - 1 or np.count_nonzero(p1 < TOL)):
             continue
-        r_diff = (r_mat - s).reshape(n_car, -1, 1)
+        r_diff = (r_mat - s).reshape(n_car, n * n, 1)
         re, im = r_diff.real, r_diff.imag
         p2 = np.sqrt(re.mT @ re + im.mT @ im)[:, 0, 0]
         primal = np.hypot(p1, p2)
@@ -307,19 +304,12 @@ def _admm_unit(g, q, n):
             changed = np.any(step != 1.0, axis=(0, 2, 3))
             _set_penalty_inverses(solve_mat, g, b1, b2, np.flatnonzero(changed))
 
-        done = (primal < TOL) & ~converged
+        done = ((primal < TOL) | (it == MAX_ITER - 1)) & (iterations == 0)
         final_x[done] = x[done]
         final_dual[done] = -b1[done] * u[done]
         final_primal[done] = primal[done]
         iterations[done] = it + 1
-        converged |= done
-        if converged.all():
-            break
-
-    final_x[~converged] = x[~converged]
-    final_dual[~converged] = -b1[~converged] * u[~converged]
-    final_primal[~converged] = primal[~converged]
-    return _unpack(final_x, n, upper, lower, diag_value), iterations, converged, final_primal, final_dual
+    return _unpack(final_x, n, upper, lower, diag_value), iterations, final_primal < TOL, final_primal, final_dual
 
 
 def _finished(unit: np.ndarray, powers: np.ndarray) -> np.ndarray:

@@ -222,7 +222,9 @@ def _line_search(f, direction, cov, f_comm, rho, power, gamma, slope, rungs):
     ``rungs`` is :func:`_ladder`'s. Round 1 takes the first ``LADDER_CHUNK`` rungs of
     every carrier, round 2 all of ``rungs`` for the searches round 1 leaves undecided.
     Returns (value, ok, f_new): each carrier's objective, success flag and retracted
-    point at its final rung, where a sequential backtracking search would end.
+    point at its final rung, where a sequential backtracking search would end. A
+    search that round 2 leaves undecided, which only a ladder shorter than
+    :func:`_ladder`'s can, raises ``ValueError``.
     """
 
     def ladder(rows, n_rungs):
@@ -236,7 +238,9 @@ def _line_search(f, direction, cov, f_comm, rho, power, gamma, slope, rungs):
 
     value, ok, f_new, decided = ladder(slice(None), LADDER_CHUNK)
     if not decided.all():
-        value[~decided], ok[~decided], f_new[~decided], _ = ladder(~decided, len(rungs))
+        value[~decided], ok[~decided], f_new[~decided], decided[~decided] = ladder(~decided, len(rungs))
+    if not decided.all():
+        raise ValueError(f"{np.count_nonzero(~decided)} line searches undecided on a {len(rungs)}-rung ladder")
     return value, ok, f_new
 
 
@@ -269,7 +273,10 @@ def solve_rcg_batch(
     Riemannian gradient norm is at most ``GRAD_TOL * sqrt(power)``, when its
     objective decrease is at most ``PLATEAU_TOL`` for ``PLATEAU_RUNS``
     consecutive iterations, when its line search cannot make progress, or
-    after ``MAX_ITER`` iterations. The trace of each carrier's descent is on
+    after ``MAX_ITER`` iterations. The loop runs while a carrier runs, up to
+    the cap, whose stop is recorded after it; a carrier leaves the stack
+    when it stops, and a stack that empties mid-iteration finishes that
+    iteration on empty arrays. The trace of each carrier's descent is on
     its :class:`RcgResult`, with the Riemannian gradient norm over
     sqrt(power) at the point it returns, read off the iterate's own
     gradient. A carrier's result is the same bit for bit whatever batch it
@@ -318,15 +325,10 @@ def solve_rcg_batch(
         )
         return [a[keep] for a in extra]
 
-    while act.size:
-        if it >= MAX_ITER:
-            drop(np.ones(act.size, dtype=bool), "max_iterations")
-            break
+    while act.size and it < MAX_ITER:
         small = grad_norm <= GRAD_TOL * np.sqrt(power)
         if np.count_nonzero(small):
             drop(small, "gradient_norm")
-            if not act.size:
-                break
 
         slope = _inner(grad, direction)
         lost = slope >= 0.0
@@ -339,8 +341,6 @@ def solve_rcg_batch(
         stall = ~ok & (value >= gamma)
         if np.count_nonzero(stall):
             value, f_new = drop(stall, "line_search_stall", value, f_new)
-            if not act.size:
-                break
 
         # the new gradient, and the old gradient and direction transported to f_new, in one projection
         euclid = tradeoff_gradient(f_new, cov, f_comm, rho)
@@ -359,6 +359,7 @@ def solve_rcg_batch(
         flat = plateau >= PLATEAU_RUNS
         if np.count_nonzero(flat):
             drop(flat, "objective_plateau")
+    drop(np.ones(act.size, dtype=bool), "max_iterations")
 
     return [
         RcgResult(

@@ -299,6 +299,7 @@ def test_batched_radar_covariance_matches_solo_solves():
 # Recorded with the per-iteration residual histories still in place (the final
 # residual was the last history entry): carriers that stop below TOL, after two
 # penalty rebalancings (n_tx=3) or after dozens (n_tx=4), at power 2.
+# tools/output_digests.py imports this table and saves each grid's solves.
 EARLY_STOPS = {
     "n_tx=3": (
         dict(n_tx=3, n_rx=2, n_streams=2, n_subcarriers=4, n_jcas=1, grid_size=21),
@@ -513,17 +514,24 @@ def test_covariance_solve_makes_no_stack_sized_copies(monkeypatch):
     assert peak < max(live) + system, (peak - max(live)) / system
 
 
-def test_radar_covariance_empty_and_single_antenna():
+@pytest.mark.parametrize("mask", ["grid", "ones", "zeros"])
+def test_radar_covariance_empty_and_single_antenna(mask):
+    # both run the general ADMM loop: an empty stack, and a single antenna,
+    # whose one feasible matrix is the budget and whose x has no entries
     grid = _small_grid()
     assert solve_radar_covariance(grid, 2.0, []) == {}
     assert solve_radar_covariances(grid, [2.0], []) == [{}]
     single = build_grid(SystemConfig(n_tx=1, n_rx=1, n_streams=1, n_subcarriers=3, n_jcas=1, grid_size=9))
+    if mask != "grid":
+        single = replace(single, desired_gain=np.full(9, float(mask == "ones")))
     sols = solve_radar_covariance(single, 3.0)
     for sol in sols.values():
         # the pattern is the budget 3 at every angle, so the mask's zeros cost 3 each
         np.testing.assert_array_equal(sol.matrix, [[3.0]])
         assert sol.objective == 3.0 * np.sum(1.0 - single.desired_gain)
-        assert (sol.iterations, sol.converged, sol.gap) == (0, True, 0.0)
+        assert (sol.converged, sol.gap) == (True, 0.0)
+        assert 0 < sol.iterations < covariance.MAX_ITER
+        assert sol.residual < covariance.TOL
 
 
 def test_batched_solver_error_names_first_failing_carrier(monkeypatch):

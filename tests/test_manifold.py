@@ -158,6 +158,29 @@ def armijo_on_ladder(phi, phi0, slope):
     return rungs[final], values[np.arange(len(final)), final], ok
 
 
+def test_line_search_raises_on_a_search_its_ladder_leaves_undecided(rng):
+    # a direction so long that the first sufficient decrease is at rung 8: on
+    # a 9-rung ladder the search cannot tell whether polishing goes on
+    power = np.array([2.0])
+    f = random_sphere_point(rng, (4, 2), 2.0)[None]
+    f_comm = random_sphere_point(rng, (4, 2), 2.0)[None]
+    cov = random_psd(rng, 4, 2.0)[None]
+    rho = np.array([0.5])
+    gamma = tradeoff_objective(f, cov, f_comm, rho)
+    grad = project_to_tangent(f, tradeoff_gradient(f, cov, f_comm, rho), power)
+    rungs = _ladder()[:9]
+
+    def first_sufficient(direction):
+        points = retract(f[:, None], rungs, direction[:, None], power[:, None])
+        bound = gamma + ARMIJO_C * rungs * real_inner(grad[0], direction[0])
+        return np.flatnonzero(tradeoff_objective(points, cov, f_comm, rho)[0] <= bound)[0]
+
+    direction = next(-scale * grad for scale in 2.0 ** np.arange(40) if first_sufficient(-scale * grad) == 8)
+    slope = np.array([real_inner(grad[0], direction[0])])
+    with pytest.raises(ValueError, match="1 line searches undecided on a 9-rung ladder"):
+        manifold._line_search(f, direction, cov, f_comm, rho, power, gamma, slope, rungs)
+
+
 def test_armijo_quadratic():
     delta, value, ok = armijo_on_ladder(lambda d: (2.0 * d - 1.0) ** 2, phi0=1.0, slope=-4.0)
     assert (delta[0], value[0], ok[0]) == (0.5, 0.0, True)
@@ -295,6 +318,25 @@ def test_rcg_batch_matches_solo_exactly_across_stop_reasons(mixed_stop_rules):
     empty = np.zeros((0, 4, 2)), np.zeros((0, 4, 4)), np.zeros((0, 4, 2))
     assert solve_rcg_batch(*empty, 0.5, 2.0) == []
     assert solve_rcg_batch(*empty, np.zeros(0), np.zeros(0)) == []
+
+
+@pytest.mark.parametrize("reason", ["gradient_norm", "line_search_stall"])
+def test_rcg_batch_that_empties_mid_iteration_matches_solo(mixed_stop_rules, monkeypatch, reason):
+    # every carrier stops on one reason, so the last stop empties the stack
+    # mid-iteration; the iteration finishes on empty arrays and records nothing
+    stack, settings = _mixed_stop_instance()
+    if reason == "gradient_norm":  # rho 0 from the target: the gradient stop at iteration 0
+        stack, settings = (stack[2][:4], stack[1][:4], stack[2][:4]), dict(rho=0.0, power=2.0)
+    else:  # the mixed batch's three stalled carriers
+        stack = tuple(a[[10, 12, 15]] for a in stack)
+    sizes = []
+    pr_mu = manifold.polak_ribiere_mu
+    monkeypatch.setattr(manifold, "polak_ribiere_mu", lambda g, *a: sizes.append(len(g)) or pr_mu(g, *a))
+    batch = solve_rcg_batch(*stack, **settings)
+    assert sizes[-1] == 0
+    assert {r.stop_reason for r in batch} == {reason}
+    for f0, cov, f_comm, got in zip(*stack, batch):
+        assert_same_result(got, solve_one(f0, cov, f_comm, **settings))
 
 
 def test_rcg_converged_means_the_gradient_norm_stop(mixed_stop_rules):

@@ -33,7 +33,7 @@ streams, so this is the one case whose outputs differ from such a checkout's); t
 more K=16 ``link`` designs: at rho 0, where every carrier stops at iteration 0 on
 the gradient norm, and at rho 1, where every carrier stops on the plateau; the
 default design (``design-seed0``, the ``DesignResult`` of ``design --seed 0``); the covariances at power 2 of the two small grids of
-``EARLY_STOPS`` in ``tests/test_covariance.py``, whose carriers stop below the
+``EARLY_STOPS``, imported from ``tests/test_covariance.py``, whose carriers stop below the
 tight tolerance at different iterations (232-233 and 2789-4821), so that the
 record of each carrier's stop is covered; and the config files that
 ``write_config`` writes for the default config and for one that sets an antenna
@@ -66,6 +66,8 @@ from jcasbeam.evaluation import precoder_pattern  # noqa: E402
 
 sys.path.insert(0, str(ROOT / "perfbench"))  # the benchmark's cases, only read
 from workloads import LINK_SUBCARRIERS, REFERENCE_SEED, SWEEP_FILES, SweepSnrWorkload, link_designs  # noqa: E402
+sys.path.insert(0, str(ROOT / "tests"))  # the early-stop grids, only read
+from test_covariance import EARLY_STOPS  # noqa: E402
 
 SEED7 = "--snr 10 --rho 0.5 --jcas 2 16 --realizations 3 --seed 7 --jobs"
 REPEATS = "--snr 10 0 10 --rho 0.75 0.25 0.75 --jcas 16 2 0 2 --realizations 2 --config {k16} --jobs"
@@ -80,8 +82,6 @@ DESIGNS = {"cli-design-seed0": "--seed 0", "cli-design-k16-J0": "--jcas 0 --conf
 DESIGN_FILES = ("design_manifest.json", "rates.csv", "beampattern.csv")
 CONFIGS = {"config-default": {}, "config-set": dict(antenna_spacing=0.07, target_angles=(-45.0, 12.5),
                                                     rate_formula="literal", seed=11)}
-EARLY_STOPS = {"n_tx=3": dict(n_tx=3, n_rx=2, n_streams=2, n_subcarriers=4, n_jcas=1, grid_size=21),
-               "n_tx=4": dict(n_tx=4, n_subcarriers=6, n_jcas=2, grid_size=41)}
 DESIGN_ARRAYS = ("channels", "eigen_precoders", "eigen_rates", "jcas_subcarriers", "precoders", "rates")
 
 
@@ -170,7 +170,7 @@ def outputs() -> dict:
     for rho in (0.0, 1.0):
         res = jb.run_design(replace(cfg, rho=rho, n_jcas=16, seed=0), channels, grid, covs)
         out[f"link-seed0-rho{rho}-J16"] = design_values(res)
-    for name, overrides in EARLY_STOPS.items():
+    for name, (overrides, *_) in EARLY_STOPS.items():
         sols = jb.solve_radar_covariance(jb.build_grid(jb.SystemConfig(**overrides)), 2.0)
         out[f"early-stops-{name}"] = record_values(sols)
     return out
