@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beamgrid import BeamGrid
-from .errors import SolverError
+from .errors import SolverError, check_powers
 
 # Over-relaxation and per-block penalty balancing; both penalties start at 1.
 OVERRELAX = 1.6
@@ -352,8 +352,10 @@ def solve_radar_covariances(grid: BeamGrid, powers, subcarriers) -> list[dict[in
     ``powers``. A solve whose residual at ``MAX_ITER`` misses even
     ``FALLBACK_TOL`` raises a :class:`SolverError` that names the first
     failing subcarrier and carries its last iterate at the first listed
-    power, with its final residual.
+    power, with its final residual. A power that is not positive and finite
+    raises :class:`ConfigError` naming it, before any solve.
     """
+    check_powers(powers)
     ks = list(dict.fromkeys(int(k) for k in subcarriers))
     n, q = grid.n_tx, grid.desired_gain - 1.0
     g = _pattern_matrix(grid.steering(ks), np.triu_indices(n, 1))

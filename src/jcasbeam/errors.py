@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the power-budget check both solvers make."""
+
+import numpy as np
 
 
 class ConfigError(ValueError):
@@ -20,3 +22,12 @@ class SolverError(RuntimeError):
 
 class DegenerateChannelError(ValueError):
     """Channel matrix carries no usable signal dimension (zero channel)."""
+
+
+def check_powers(powers) -> None:
+    """Raise :class:`ConfigError` naming the first power budget that is not positive and finite."""
+    powers = np.ravel(np.asarray(powers, dtype=float))
+    # the comparisons reject nan as well as inf
+    bad = ~((powers > 0.0) & (powers < np.inf))
+    if np.count_nonzero(bad):
+        raise ConfigError(f"power budget {powers[np.argmax(bad)]:g} must be positive and finite")

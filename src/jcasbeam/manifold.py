@@ -19,28 +19,34 @@ One RCG core, :func:`solve_rcg_batch`, serves every caller; one carrier is a
 stack of one. It runs a stack of carriers ``(B, n_tx, n_streams)`` through
 stacked numpy calls: the geometry primitives below act on every matrix of a
 stack ``(..., n, m)``, and every carrier keeps its own Armijo step, accepted
-flag, Polak-Ribiere coefficient, plateau counter and stop reason. The running
-operands are gathered again only when a carrier stops, and the core steps
-until every carrier is done.
+flag, Polak-Ribiere coefficient, plateau counter and stop reason. Its
+per-carrier constants, sqrt(P), the gradient tolerance, 4 rho, 2 (1 - rho) and
+the line search's columns (:func:`_ladder_columns`), are formed once per solve.
+The running operands and these constants are gathered again only when a
+carrier stops, and the core steps until every carrier is done.
 
 The Armijo line search runs on a ladder. Its trial steps are fixed rungs, rung
 r being CONTRACTION**r, so the values of many rungs are known before any is
-judged: one :func:`retract` of the column of running carriers by the row of
-rungs, and one :func:`tradeoff_objective` call, evaluate every carrier at every
-rung of a round. Round 1 takes the first ``LADDER_CHUNK`` rungs of every
-carrier; the few it leaves undecided take, in round 2, every rung of the
-solve's :func:`_ladder`, up to the last polishing probe. One routine,
-``_armijo_decide``, reads each carrier's row of values and finds where a
-sequential backtracking search (with its polishing probes) would end. The
-rungs are formed by the same repeated multiplication by ``CONTRACTION`` as a
-shrinking step (exact powers for the contraction 0.5 used here), so each rung
-is bit for bit the step the sequential search tries at that round: the ladder
-ends every search on the same step with the same value, and its retracted
-point becomes the new iterate.
-The ladder keeps only points and values: its residuals F F^H - R, (n_tx, n_tx)
-per rung, would be its largest table, so :func:`tradeoff_gradient` forms the
-residual again at the new iterate, by the same per-matrix products, which keeps
-a batch's peak memory small.
+judged: one retraction of the column of running carriers by the row of rungs,
+and one objective call, evaluate every carrier at every rung of a round. Round
+1 takes the first ``LADDER_CHUNK`` rungs of every carrier; the few it leaves
+undecided take, in round 2, every rung of the solve's :func:`_ladder`, up to
+the last polishing probe. One routine, ``_armijo_decide``, reads each carrier's
+row of values and finds where a sequential backtracking search (with its
+polishing probes) would end. The rungs are formed by the same repeated
+multiplication by ``CONTRACTION`` as a shrinking step (exact powers for the
+contraction 0.5 used here), so each rung is bit for bit the step the
+sequential search tries at that round: the ladder ends every search on the
+same step with the same value, and its retracted point becomes the new
+iterate.
+The objective forms each trial point's residual F F^H - R on the way to its
+value. The line search keeps the final rung's residual, and the gradient at
+the new iterate reads it, so each accepted step forms one gram, not two. A
+round's tables, residuals included, are freed when it returns, round 1's
+before round 2 is built, and the kept residual is dropped once the gradient
+has read it. So a ladder's tables are the largest arrays alive, as they were
+when the gradient formed its residual again, and a batch's peak memory stays
+where it was (a test bounds it on the ``link`` benchmark's J=16 batches).
 
 Exactness: the plateau stop is absolute (``PLATEAU_TOL`` = 1e-10 against an
 objective of order P^2), so it is sensitive to roundoff: a 1-ulp change in one
@@ -56,8 +62,10 @@ values. The stack squares all its norms in one ``np.float_power(x, 2.0)``
 call, whose loop calls that same ``pow`` (a test holds it equal to
 ``math.pow`` on a million values). The primitives take a rho or a power per
 carrier, which enters each product as the scalar would, elementwise, and the
-core calls them with its carriers' own. So a carrier's result is the same
-whatever batch it runs in, and whatever rho and power its neighbours have.
+core calls them with its carriers' own; the factors it forms once per solve,
+such as 1 - rho and sqrt(P), are the values the public primitives form on
+each call. So a carrier's result is the same whatever batch it runs in, and
+whatever rho and power its neighbours have.
 """
 
 from __future__ import annotations
@@ -66,7 +74,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_powers
 
 # the line search of the RCG solver
 CONTRACTION = 0.5
@@ -119,6 +127,18 @@ def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.vecdot(a.reshape(a.shape[:-2] + (n,)), b.reshape(b.shape[:-2] + (n,))).real
 
 
+def _objective(f, cov, f_comm, rho, rho_c):
+    """gamma(F) of each precoder of a stack, shaped (...), and its residual F F^H - R.
+
+    ``rho`` and ``rho_c``, which is 1 - rho, broadcast against the leading axes.
+    """
+    comm = np.float_power(_norms(f - f_comm), 2.0)
+    resid = f @ f.conj().mT
+    # in place: on the line-search ladder these residuals are the largest temporaries
+    np.subtract(resid, cov, out=resid)
+    return rho * np.float_power(_norms(resid), 2.0) + rho_c * comm, resid
+
+
 def tradeoff_objective(f: np.ndarray, cov: np.ndarray, f_comm: np.ndarray, rho):
     """gamma(F) of each precoder of a complex (..., n_tx, n_streams) stack, shaped (...).
 
@@ -126,11 +146,16 @@ def tradeoff_objective(f: np.ndarray, cov: np.ndarray, f_comm: np.ndarray, rho):
     axes. Each norm is squared by libm ``pow`` (``np.float_power``), as a
     scalar ``** 2`` squares it.
     """
-    comm = np.float_power(_norms(f - f_comm), 2.0)
-    gram = f @ f.conj().mT
-    # in place: on the line-search ladder these residuals are the largest temporaries
-    sens = np.float_power(_norms(np.subtract(gram, cov, out=gram)), 2.0)
-    return rho * sens + (1.0 - rho) * comm
+    return _objective(f, cov, f_comm, rho, 1.0 - rho)[0]
+
+
+def _gradient(f, resid, f_comm, four_rho, two_rho_c):
+    """Euclidean gradient of each matrix from its residual F F^H - R.
+
+    ``four_rho`` and ``two_rho_c`` are 4 rho and 2 (1 - rho), shaped to
+    broadcast over the matrices.
+    """
+    return four_rho * (resid @ f) + two_rho_c * (f - f_comm)
 
 
 def tradeoff_gradient(f: np.ndarray, cov: np.ndarray, f_comm: np.ndarray, rho) -> np.ndarray:
@@ -138,7 +163,7 @@ def tradeoff_gradient(f: np.ndarray, cov: np.ndarray, f_comm: np.ndarray, rho) -
 
     ``f`` is a complex stack; ``rho`` is a float or one per matrix.
     """
-    return _each(4.0 * rho) * ((f @ f.conj().mT - cov) @ f) + _each(2.0 * (1.0 - rho)) * (f - f_comm)
+    return _gradient(f, f @ f.conj().mT - cov, f_comm, _each(4.0 * rho), _each(2.0 * (1.0 - rho)))
 
 
 def project_to_tangent(f: np.ndarray, g: np.ndarray, power) -> np.ndarray:
@@ -150,29 +175,39 @@ def project_to_tangent(f: np.ndarray, g: np.ndarray, power) -> np.ndarray:
     return g - _each(_inner(f, g) / power) * f
 
 
-def _normalize(v: np.ndarray, power) -> np.ndarray:
-    """Scale each matrix of a complex stack onto the sphere ||F||_F^2 = ``power``.
+def _normalize(v: np.ndarray, root) -> np.ndarray:
+    """Scale each matrix of a complex stack, in place, to Frobenius norm ``root``.
 
-    ``power`` is a float or one per matrix, shaped like the leading axes.
+    ``root`` is sqrt(power), shaped to broadcast over the matrices. In place, so a
+    line-search round's retraction makes no table beyond its trial points.
     """
-    return _each(np.sqrt(power)) * v / _each(_norms(v))
+    norms = _each(_norms(v))
+    v *= root
+    v /= norms
+    return v
+
+
+def _retract(f, steps, direction, root):
+    """:func:`retract` with ``steps`` and ``root`` = sqrt(power) shaped to broadcast over the matrices."""
+    return _normalize(f + steps * direction, root)
 
 
 def retract(f: np.ndarray, step, direction: np.ndarray, power) -> np.ndarray:
     """Move along ``direction`` then renormalize back onto the power sphere.
 
     ``step`` and ``power`` broadcast over the leading axes of the stack: a
-    float, one per matrix, or, as the line search uses them, a row of steps
-    against a column of matrices with one power each.
+    float, one per matrix, or a row of steps against a column of matrices with
+    one power each, the line search's form (which it takes through
+    ``_retract``, with the steps and sqrt(power) shaped once per solve).
     """
-    return _normalize(f + _each(step) * direction, power)
+    return _retract(f, _each(step), direction, _each(np.sqrt(power)))
 
 
 def polak_ribiere_mu(g_new: np.ndarray, g_prev: np.ndarray, g_prev_transported: np.ndarray):
     """Nonnegative Polak-Ribiere coefficient of each matrix; zero resets to steepest descent."""
     denom = _inner(g_prev, g_prev)
     num = _inner(g_new, g_new - g_prev_transported)
-    ratio = np.divide(num, denom, out=np.zeros_like(num), where=denom > 0.0)
+    ratio = np.divide(num, denom, out=np.zeros(num.shape), where=denom > 0.0)
     return np.where(ratio > 0.0, ratio, 0.0)
 
 
@@ -181,8 +216,9 @@ def _armijo_decide(values, rungs, phi0, slope, c, max_backtracks):
 
     ``values`` is (m, n): row i holds search i's objective at ``rungs[:n]``.
     Returns (final, decided, ok), each (m,). A decided search ends on rung
-    ``final``; an undecided one needs values at more rungs. Values appended
-    later never change a decision already made.
+    ``final`` with success flag ``ok``; an undecided one needs values at more
+    rungs, and its ``final``, a rung of the table, and ``ok`` are
+    placeholders. Values appended later never change a decision already made.
 
     The rule is the sequential backtracking search's. The first rung whose
     value is within the sufficient-decrease bound is accepted. At rung
@@ -194,54 +230,73 @@ def _armijo_decide(values, rungs, phi0, slope, c, max_backtracks):
     stagnate, while a shorter step only weakens the required decrease.
     """
     m, n = values.shape
-    r = np.arange(n)
     bound = phi0[:, None] + c * rungs[:n] * slope[:, None]
     sufficient = values <= bound
-    if n > max_backtracks:
+    wide = n > max_backtracks
+    if wide:
         last = max_backtracks
         sufficient[:, last] = ~(values[:, last] > bound[:, last])
         sufficient[:, last + 1 :] = False
-    accepted = sufficient.any(axis=1)
-    first = np.argmax(sufficient, axis=1)
-    rise = np.zeros((m, n), dtype=bool)
-    rise[:, 1:] = values[:, 1:] >= values[:, :-1]
-    rise &= r > first[:, None]
+    # after[:, r]: the search has accepted a rung r or below, so rung r + 1 is a polishing probe
+    after = np.logical_or.accumulate(sufficient, axis=1)
+    # rise[:, r]: that probe does not fall below rung r, and polishing ends on rung r
+    rise = values[:, 1:] >= values[:, :-1]
+    rise &= after[:, :-1]
     rose = rise.any(axis=1)
-    # polishing ends on the rung before the first rise, or after max_backtracks steps
-    final = np.minimum(np.where(rose, np.argmax(rise, axis=1) - 1, n), first + max_backtracks)
-    failed = ~accepted & (n > max_backtracks)
-    final[failed] = max_backtracks
-    decided = failed | accepted & (rose | (first + max_backtracks < n))
-    return final, decided, ~failed
+    final = np.argmax(rise, axis=1) if n > 1 else np.zeros(m, dtype=np.intp)
+    accepted = after[:, -1]
+    if not wide:
+        # no search fails and none reaches its polishing cap on a round this narrow
+        return final, rose, accepted
+    # polishing also ends after max_backtracks steps; an undecided search points at the last rung
+    cap = np.argmax(sufficient, axis=1) + max_backtracks
+    final = np.minimum(np.where(rose, final, n - 1), cap)
+    final[~accepted] = max_backtracks
+    return final, rose | (cap < n) | ~accepted, accepted
 
 
-def _line_search(f, direction, cov, f_comm, rho, power, gamma, slope, rungs):
+def _ladder_columns(cov, f_comm, rho, root):
+    """The carriers' (cov, f_comm, rho, 1 - rho, sqrt(P)), each a column against the ladder's row of rungs.
+
+    Each is (B, 1, ...), shaped to broadcast against a (B, n_rungs, ...) table of
+    trial points; ``rho`` and ``root`` = sqrt(P) are (B,) arrays.
+    """
+    return cov[:, None], f_comm[:, None], rho[:, None], (1.0 - rho)[:, None], root[:, None, None, None]
+
+
+def _line_search(f, direction, columns, gamma, slope, rungs):
     """Armijo searches of a stack of carriers along the retraction, on the ladder, in two rounds.
 
-    ``rho``, ``power``, ``gamma`` and ``slope`` are the carriers' (B,) arrays, and
-    ``rungs`` is :func:`_ladder`'s. Round 1 takes the first ``LADDER_CHUNK`` rungs of
-    every carrier, round 2 all of ``rungs`` for the searches round 1 leaves undecided.
-    Returns (value, ok, f_new): each carrier's objective, success flag and retracted
-    point at its final rung, where a sequential backtracking search would end. A
-    search that round 2 leaves undecided, which only a ladder shorter than
-    :func:`_ladder`'s can, raises ``ValueError``.
+    ``columns`` is :func:`_ladder_columns`' of the carriers, ``gamma`` and ``slope`` are
+    their (B,) arrays, and ``rungs`` is :func:`_ladder`'s. Round 1 takes the first
+    ``LADDER_CHUNK`` rungs of every carrier, round 2 all of ``rungs`` for the searches
+    round 1 leaves undecided. Returns (value, ok, f_new, resid): each carrier's
+    objective, success flag, retracted point and its residual F F^H - R at its final
+    rung, where a sequential backtracking search would end. A search that round 2
+    leaves undecided, which only a ladder shorter than :func:`_ladder`'s can, raises
+    ``ValueError``.
     """
+    cov, f_comm, rho, rho_c, root = columns
+    steps = rungs[:, None, None]
 
     def ladder(rows, n_rungs):
-        """Each search of ``rows`` on the first ``n_rungs`` rungs: (value, ok, f_new, decided)."""
-        points = retract(f[rows, None], rungs[:n_rungs], direction[rows, None], power[rows, None])
-        values = tradeoff_objective(points, cov[rows, None], f_comm[rows, None], rho[rows, None])
-        final, decided, ok = _armijo_decide(values, rungs, gamma[rows], slope[rows], ARMIJO_C, MAX_BACKTRACKS)
-        # an undecided search may point past the table; round 2 redoes it
-        pick = np.arange(len(final)), np.minimum(final, values.shape[1] - 1)
-        return values[pick], ok, points[pick], decided
+        """Each search of ``rows`` on the first ``n_rungs`` rungs: (value, ok, f_new, resid, decided).
 
-    value, ok, f_new, decided = ladder(slice(None), LADDER_CHUNK)
+        The round's tables are freed on return: only the final rung's point and residual are kept.
+        """
+        points = _retract(f[rows, None], steps[:n_rungs], direction[rows, None], root[rows])
+        values, resid = _objective(points, cov[rows], f_comm[rows], rho[rows], rho_c[rows])
+        final, decided, ok = _armijo_decide(values, rungs, gamma[rows], slope[rows], ARMIJO_C, MAX_BACKTRACKS)
+        pick = np.arange(len(final)), final
+        return values[pick], ok, points[pick], resid[pick], decided
+
+    value, ok, f_new, resid, decided = ladder(slice(None), LADDER_CHUNK)
     if not decided.all():
-        value[~decided], ok[~decided], f_new[~decided], decided[~decided] = ladder(~decided, len(rungs))
+        redo = ~decided
+        value[redo], ok[redo], f_new[redo], resid[redo], decided[redo] = ladder(redo, len(rungs))
     if not decided.all():
         raise ValueError(f"{np.count_nonzero(~decided)} line searches undecided on a {len(rungs)}-rung ladder")
-    return value, ok, f_new
+    return value, ok, f_new, resid
 
 
 @dataclass(frozen=True)
@@ -281,17 +336,25 @@ def solve_rcg_batch(
     sqrt(power) at the point it returns, read off the iterate's own
     gradient. A carrier's result is the same bit for bit whatever batch it
     runs in, a batch of one included (see the module docstring), and an
-    empty batch, B = 0, returns no results. A power
-    whose starting objective is not finite (it overflows near P = 1e154)
-    raises :class:`ConfigError` naming the first such power.
+    empty batch, B = 0, returns no results. A power that is not positive
+    and finite, or whose starting objective is not (it overflows near
+    P = 1e154), raises :class:`ConfigError` naming the first such power.
     """
-    f0, cov, f_comm = (np.asarray(a, dtype=complex) for a in (f0, cov, f_comm))
-    n_car = len(f0)
+    f = np.array(f0, dtype=complex)  # a copy, normalized in place below
+    cov, f_comm = (np.asarray(a, dtype=complex) for a in (cov, f_comm))
+    n_car = len(f)
+    check_powers(power)
     rho = np.broadcast_to(np.asarray(rho, dtype=float), (n_car,))
     power = np.broadcast_to(np.asarray(power, dtype=float), (n_car,))
 
     rungs = _ladder()
-    f = _normalize(f0, power)
+    # per-carrier constants, gathered with the running carriers when some stop
+    root = np.sqrt(power)
+    tol = GRAD_TOL * root
+    four_rho, two_rho_c = _each(4.0 * rho), _each(2.0 * (1.0 - rho))
+    columns = _ladder_columns(cov, f_comm, rho, root)
+
+    f = _normalize(f, _each(root))
     with np.errstate(over="ignore"):  # an overflow is reported below
         gamma = tradeoff_objective(f, cov, f_comm, rho)
     if not np.all(np.isfinite(gamma)):
@@ -313,20 +376,23 @@ def solve_rcg_batch(
 
     def drop(done, reason, *extra):
         """Record the carriers in ``done`` as stopped and gather the rest (and ``extra``)."""
-        nonlocal act, f, grad, direction, gamma, grad_norm, plateau, cov, f_comm, rho, power
+        nonlocal act, f, grad, direction, gamma, grad_norm, plateau, f_comm, power, root, tol, four_rho, two_rho_c
+        nonlocal columns
         idx = act[done]
         final_f[idx] = f[done]
         iterations[idx] = it
         reasons[idx] = reason
-        final_grad[idx] = grad_norm[done] / np.sqrt(power[done])
+        final_grad[idx] = grad_norm[done] / root[done]
         keep = ~done
-        act, f, grad, direction, gamma, grad_norm, plateau, cov, f_comm, rho, power = (
-            a[keep] for a in (act, f, grad, direction, gamma, grad_norm, plateau, cov, f_comm, rho, power)
+        act, f, grad, direction, gamma, grad_norm, plateau, f_comm, power, root, tol, four_rho, two_rho_c = (
+            a[keep]
+            for a in (act, f, grad, direction, gamma, grad_norm, plateau, f_comm, power, root, tol, four_rho, two_rho_c)
         )
+        columns = tuple(a[keep] for a in columns)
         return [a[keep] for a in extra]
 
     while act.size and it < MAX_ITER:
-        small = grad_norm <= GRAD_TOL * np.sqrt(power)
+        small = grad_norm <= tol
         if np.count_nonzero(small):
             drop(small, "gradient_norm")
 
@@ -337,17 +403,26 @@ def solve_rcg_batch(
             direction = np.where(_each(lost), -grad, direction)
             slope = np.where(lost, -np.float_power(grad_norm, 2.0), slope)
 
-        value, ok, f_new = _line_search(f, direction, cov, f_comm, rho, power, gamma, slope, rungs)
-        stall = ~ok & (value >= gamma)
-        if np.count_nonzero(stall):
-            value, f_new = drop(stall, "line_search_stall", value, f_new)
+        value, ok, f_new, resid = _line_search(f, direction, columns, gamma, slope, rungs)
+        euclid = _gradient(f_new, resid, f_comm, four_rho, two_rho_c)
+        # each array is freed once read: one kept longer leaves a hole among the arrays made
+        # after it, and over many solves the heap, and peak RSS, grow
+        del resid
+        if not ok.all():  # only a round wider than MAX_BACKTRACKS fails a search
+            stall = ~ok & (value >= gamma)
+            if np.count_nonzero(stall):
+                value, f_new, euclid = drop(stall, "line_search_stall", value, f_new, euclid)
 
         # the new gradient, and the old gradient and direction transported to f_new, in one projection
-        euclid = tradeoff_gradient(f_new, cov, f_comm, rho)
-        moved = project_to_tangent(f_new, np.stack([euclid, grad, direction]), power)
+        moved = np.empty((3,) + f_new.shape, dtype=complex)
+        moved[0] = euclid
+        moved[1] = grad
+        moved[2] = direction
+        del euclid
+        moved = project_to_tangent(f_new, moved, power)
         grad_new, grad_moved, direction_moved = moved
         mu = polak_ribiere_mu(grad_new, grad, grad_moved)
-        direction = -grad_new + _each(mu) * direction_moved
+        direction = _each(mu) * direction_moved - grad_new
 
         decrease = gamma - value
         f, grad, gamma = f_new, grad_new, value

@@ -16,7 +16,7 @@ from jcasbeam.covariance import (
     solve_radar_covariance,
     solve_radar_covariances,
 )
-from jcasbeam.errors import SolverError
+from jcasbeam.errors import ConfigError, SolverError
 from jcasbeam.evaluation import precoder_pattern, sweep
 from jcasbeam.pipeline import run_design
 
@@ -512,6 +512,17 @@ def test_covariance_solve_makes_no_stack_sized_copies(monkeypatch):
     assert min(live) > operators
     assert max(live) < operators + rows + system, (max(live) - operators - rows) / system
     assert peak < max(live) + system, (peak - max(live)) / system
+
+
+@pytest.mark.parametrize("power", [0.0, -1.0, np.nan, np.inf])
+def test_radar_covariance_rejects_a_power_that_is_not_positive_and_finite(power):
+    # a negative budget would scale the unit solve into a matrix with diagonal
+    # -P/n and a negative eigenvalue, and nan would reach the eigen solver
+    grid = _small_grid()
+    with pytest.raises(ConfigError, match=f"^power budget {power:g} must be positive and finite$"):
+        solve_radar_covariance(grid, power, [0])
+    with pytest.raises(ConfigError, match=f"^power budget {power:g} must be positive and finite$"):
+        solve_radar_covariances(grid, [2.0, power], [0, 1])
 
 
 @pytest.mark.parametrize("mask", ["grid", "ones", "zeros"])

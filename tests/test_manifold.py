@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jcasbeam import manifold
+from jcasbeam.errors import ConfigError
 from jcasbeam.manifold import (
     ARMIJO_C,
     CONTRACTION,
@@ -178,7 +179,8 @@ def test_line_search_raises_on_a_search_its_ladder_leaves_undecided(rng):
     direction = next(-scale * grad for scale in 2.0 ** np.arange(40) if first_sufficient(-scale * grad) == 8)
     slope = np.array([real_inner(grad[0], direction[0])])
     with pytest.raises(ValueError, match="1 line searches undecided on a 9-rung ladder"):
-        manifold._line_search(f, direction, cov, f_comm, rho, power, gamma, slope, rungs)
+        manifold._line_search(f, direction, manifold._ladder_columns(cov, f_comm, rho, np.sqrt(power)), gamma, slope,
+                              rungs)
 
 
 def test_armijo_quadratic():
@@ -266,6 +268,26 @@ def test_rcg_multistart_consistency(rng):
         start = random_sphere_point(rng, (4, 2), power)
         finals.append(solve_one(start, cov, f_comm, 0.5, power).objective)
     assert max(finals) - min(finals) <= 1e-3
+
+
+@pytest.mark.parametrize("power", [0.0, -1.0, math.nan, math.inf])
+def test_rcg_rejects_a_power_that_is_not_positive_and_finite(rng, power):
+    # at P = 0 the solver would run MAX_ITER iterations on nan; a negative or
+    # nan power would be reported as one whose objective overflows
+    f0, cov, f_comm = _small_instance(rng)
+    message = f"^power budget {power:g} must be positive and finite$"
+    with pytest.raises(ConfigError, match=message):
+        solve_one(f0, cov, f_comm, 0.5, power)
+    # among powers per carrier, the bad one is named
+    stack = np.stack([f0, f0]), np.stack([cov, cov]), np.stack([f_comm, f_comm])
+    with pytest.raises(ConfigError, match=message):
+        solve_rcg_batch(*stack, 0.5, np.array([2.0, power]))
+
+
+def test_rcg_reports_a_finite_power_whose_objective_overflows(rng):
+    f0, cov, f_comm = _small_instance(rng)
+    with pytest.raises(ConfigError, match=r"^power budget 1e\+200 is too large: the RCG objective"):
+        solve_one(f0, cov, f_comm, 0.5, 1e200)
 
 
 # Stop rules of the mixed-stop batch: an absolute gradient tolerance of 1e-13

@@ -14,6 +14,16 @@ every run was ``correct``, the ops attempted and failed, and per end-to-end metr
 its unit, the values in seed order, their median and their first and third quartiles
 (``statistics.quantiles(values, n=4)``; with one seed both quartiles are that seed's
 value). Keys are sorted.
+
+``--against DIR`` also runs every seed in the checkout at ``DIR`` (say, the parent
+commit's), with this checkout's command and run length, alternating which side runs
+first: the parent first at the first seed, this checkout first at the second, and so
+on. The file then also records ``DIR``'s commit and dirty flag under ``against``,
+per workload the other side's ``correct``, ``attempted`` and ``failed`` under
+``against``, and per metric the other side's summary under ``against`` and
+``wins``, the number of seeds at which this checkout's value is strictly better in
+the metric's direction (``better`` in ``BENCHMARK.json``). Without it the schema is
+as above.
 """
 
 import argparse
@@ -28,12 +38,18 @@ ROOT = Path(__file__).resolve().parents[1]
 VERSIONS = "import platform, numpy; print(platform.python_version(), numpy.__version__)"
 
 
-def git(*args):
-    """Output of a git command at the root, or None outside a git checkout."""
+def git(*args, cwd=ROOT):
+    """Output of a git command in a checkout (this one by default), or None outside a git checkout."""
     try:
-        return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True).stdout.strip()
+        return subprocess.run(["git", *args], cwd=cwd, capture_output=True, text=True, check=True).stdout.strip()
     except (OSError, subprocess.CalledProcessError):
         return None
+
+
+def checkout(cwd=ROOT) -> dict:
+    """The git commit of a checkout and whether tracked files differ from it (both None outside git)."""
+    status = git("status", "--porcelain", "--untracked-files=no", cwd=cwd)
+    return {"commit": git("rev-parse", "HEAD", cwd=cwd), "dirty": None if status is None else bool(status)}
 
 
 def summary(values: list) -> dict:
@@ -41,14 +57,20 @@ def summary(values: list) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "values": values}
 
 
-def run(command: list, workload: str, seed: int, seconds: int) -> dict:
-    """One untraced benchmark run: the JSON object on the last line of its standard output."""
+def run(command: list, workload: str, seed: int, seconds: int, cwd=ROOT) -> dict:
+    """One untraced benchmark run in a checkout: the JSON object on the last line of its standard output."""
     cmd = command + ["--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=900)
+    proc = subprocess.run(cmd, cwd=cwd, capture_output=True, text=True, timeout=900)
     if proc.returncode != 0:
         print(proc.stderr, file=sys.stderr)
-        raise SystemExit(f"{workload} seed {seed} exited {proc.returncode}")
+        raise SystemExit(f"{workload} seed {seed} in {cwd} exited {proc.returncode}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def outcome(runs: list) -> dict:
+    """Whether every run was correct, and the ops they attempted and failed."""
+    return {"correct": all(r["correct"] for r in runs), "attempted": sum(r["attempted"] for r in runs),
+            "failed": sum(r["failed"] for r in runs)}
 
 
 def main(argv=None):
@@ -59,15 +81,14 @@ def main(argv=None):
     p.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3, 4, 5])
     p.add_argument("--seconds", type=int, default=spec["run_seconds"])
     p.add_argument("--out", type=Path, help="where to write the file (default: BENCH_<n>.json at the root)")
+    p.add_argument("--against", type=Path, help="a checkout to run every seed in as well, alternating with this one")
     args = p.parse_args(argv)
-    names = [m["name"] for m in spec["end_to_end"]]
+    metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
 
-    status = git("status", "--porcelain", "--untracked-files=no")
     python, numpy = subprocess.run([spec["command"][0], "-c", VERSIONS], capture_output=True,
                                    text=True, check=True).stdout.split()
     record = {
-        "commit": git("rev-parse", "HEAD"),
-        "dirty": None if status is None else bool(status),
+        **checkout(),
         "python": python,
         "numpy": numpy,
         "cpu_count": os.cpu_count(),
@@ -75,19 +96,34 @@ def main(argv=None):
         "seeds": args.seeds,
         "workloads": {},
     }
+    sides = {"here": ROOT}
+    if args.against:
+        record["against"] = checkout(args.against)
+        sides = {"against": args.against, "here": ROOT}
     for workload in args.workloads:
-        runs = []
-        for seed in args.seeds:
-            runs.append(run(spec["command"], workload, seed, args.seconds))
-            print(f"{workload} seed {seed}: correct={runs[-1]['correct']} attempted={runs[-1]['attempted']} "
-                  f"failed={runs[-1]['failed']}", flush=True)
-        record["workloads"][workload] = {
-            "correct": all(r["correct"] for r in runs),
-            "attempted": sum(r["attempted"] for r in runs),
-            "failed": sum(r["failed"] for r in runs),
-            "metrics": {name: {"unit": runs[0]["metrics"][name]["unit"],
-                               **summary([r["metrics"][name]["value"] for r in runs])} for name in names},
+        runs = {side: [] for side in sides}
+        for i, seed in enumerate(args.seeds):
+            for side in list(sides)[:: -1 if i % 2 else 1]:
+                runs[side].append(run(spec["command"], workload, seed, args.seconds, sides[side]))
+                last = runs[side][-1]
+                print(f"{workload} seed {seed} ({side}): correct={last['correct']} attempted={last['attempted']} "
+                      f"failed={last['failed']}", flush=True)
+
+        def values(side, name):
+            return [r["metrics"][name]["value"] for r in runs[side]]
+
+        entry = record["workloads"][workload] = {
+            **outcome(runs["here"]),
+            "metrics": {name: {"unit": runs["here"][0]["metrics"][name]["unit"], **summary(values("here", name))}
+                        for name in metrics},
         }
+        if args.against:
+            entry["against"] = outcome(runs["against"])
+            for name, better in metrics.items():
+                sign = 1.0 if better == "higher" else -1.0
+                pairs = zip(values("here", name), values("against", name))
+                entry["metrics"][name]["against"] = summary(values("against", name))
+                entry["metrics"][name]["wins"] = sum(sign * (mine - theirs) > 0 for mine, theirs in pairs)
 
     out = args.out or ROOT / f"BENCH_{args.n}.json"
     out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
