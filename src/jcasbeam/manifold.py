@@ -41,12 +41,13 @@ same step with the same value, and its retracted point becomes the new
 iterate.
 The objective forms each trial point's residual F F^H - R on the way to its
 value. The line search keeps the final rung's residual, and the gradient at
-the new iterate reads it, so each accepted step forms one gram, not two. A
-round's tables, residuals included, are freed when it returns, round 1's
-before round 2 is built, and the kept residual is dropped once the gradient
-has read it. So a ladder's tables are the largest arrays alive, as they were
-when the gradient formed its residual again, and a batch's peak memory stays
-where it was (a test bounds it on the ``link`` benchmark's J=16 batches).
+the new iterate reads it, as the first gradient reads the starting point's,
+so each point the solver visits forms one gram, not two. A round's tables,
+residuals included, are freed when it returns, round 1's before round 2 is
+built, and a kept residual is dropped once the gradient has read it. So a
+ladder's tables are the largest arrays alive, as they were when the gradient
+formed its residual again, and a batch's peak memory stays where it was (a
+test bounds it on the ``link`` benchmark's J=16 batches).
 
 Exactness: the plateau stop is absolute (``PLATEAU_TOL`` = 1e-10 against an
 objective of order P^2), so it is sensitive to roundoff: a 1-ulp change in one
@@ -187,20 +188,15 @@ def _normalize(v: np.ndarray, root) -> np.ndarray:
     return v
 
 
-def _retract(f, steps, direction, root):
-    """:func:`retract` with ``steps`` and ``root`` = sqrt(power) shaped to broadcast over the matrices."""
-    return _normalize(f + steps * direction, root)
-
-
 def retract(f: np.ndarray, step, direction: np.ndarray, power) -> np.ndarray:
     """Move along ``direction`` then renormalize back onto the power sphere.
 
     ``step`` and ``power`` broadcast over the leading axes of the stack: a
     float, one per matrix, or a row of steps against a column of matrices with
-    one power each, the line search's form (which it takes through
-    ``_retract``, with the steps and sqrt(power) shaped once per solve).
+    one power each, the line search's form (which the line search writes out
+    itself, with the steps and sqrt(power) shaped once per solve).
     """
-    return _retract(f, _each(step), direction, _each(np.sqrt(power)))
+    return _normalize(f + _each(step) * direction, _each(np.sqrt(power)))
 
 
 def polak_ribiere_mu(g_new: np.ndarray, g_prev: np.ndarray, g_prev_transported: np.ndarray):
@@ -284,7 +280,7 @@ def _line_search(f, direction, columns, gamma, slope, rungs):
 
         The round's tables are freed on return: only the final rung's point and residual are kept.
         """
-        points = _retract(f[rows, None], steps[:n_rungs], direction[rows, None], root[rows])
+        points = _normalize(f[rows, None] + steps[:n_rungs] * direction[rows, None], root[rows])
         values, resid = _objective(points, cov[rows], f_comm[rows], rho[rows], rho_c[rows])
         final, decided, ok = _armijo_decide(values, rungs, gamma[rows], slope[rows], ARMIJO_C, MAX_BACKTRACKS)
         pick = np.arange(len(final)), final
@@ -328,11 +324,14 @@ def solve_rcg_batch(
     Riemannian gradient norm is at most ``GRAD_TOL * sqrt(power)``, when its
     objective decrease is at most ``PLATEAU_TOL`` for ``PLATEAU_RUNS``
     consecutive iterations, when its line search cannot make progress, or
-    after ``MAX_ITER`` iterations. The loop runs while a carrier runs, up to
-    the cap, whose stop is recorded after it; a carrier leaves the stack
-    when it stops, and a stack that empties mid-iteration finishes that
-    iteration on empty arrays. The trace of each carrier's descent is on
-    its :class:`RcgResult`, with the Riemannian gradient norm over
+    after ``MAX_ITER`` iterations. A carrier leaves the stack when it stops.
+    The loop ends at its head, after recording the gradient-norm stops, when
+    the stack is empty or at the cap, whose stop is recorded after it: a
+    carrier that meets the tolerance at the cap stops on the gradient norm,
+    and a stack that empties at the head runs no line search. (One that a
+    stalled line search empties finishes that iteration on empty arrays and
+    records nothing.) The trace of each carrier's descent is on its
+    :class:`RcgResult`, with the Riemannian gradient norm over
     sqrt(power) at the point it returns, read off the iterate's own
     gradient. A carrier's result is the same bit for bit whatever batch it
     runs in, a batch of one included (see the module docstring), and an
@@ -344,8 +343,7 @@ def solve_rcg_batch(
     cov, f_comm = (np.asarray(a, dtype=complex) for a in (cov, f_comm))
     n_car = len(f)
     check_powers(power)
-    rho = np.broadcast_to(np.asarray(rho, dtype=float), (n_car,))
-    power = np.broadcast_to(np.asarray(power, dtype=float), (n_car,))
+    rho, power = (np.broadcast_to(np.asarray(a, dtype=float), (n_car,)) for a in (rho, power))
 
     rungs = _ladder()
     # per-carrier constants, gathered with the running carriers when some stop
@@ -356,11 +354,12 @@ def solve_rcg_batch(
 
     f = _normalize(f, _each(root))
     with np.errstate(over="ignore"):  # an overflow is reported below
-        gamma = tradeoff_objective(f, cov, f_comm, rho)
+        gamma, resid = _objective(f, cov, f_comm, rho, 1.0 - rho)
     if not np.all(np.isfinite(gamma)):
         bad = power[np.argmin(np.isfinite(gamma))]
         raise ConfigError(f"power budget {bad:g} is too large: the RCG objective, of order P^2, overflows")
-    grad = project_to_tangent(f, tradeoff_gradient(f, cov, f_comm, rho), power)
+    grad = project_to_tangent(f, _gradient(f, resid, f_comm, four_rho, two_rho_c), power)
+    del resid
     direction = -grad
     grad_norm = _norms(grad)
 
@@ -391,10 +390,12 @@ def solve_rcg_batch(
         columns = tuple(a[keep] for a in columns)
         return [a[keep] for a in extra]
 
-    while act.size and it < MAX_ITER:
+    while True:
         small = grad_norm <= tol
         if np.count_nonzero(small):
             drop(small, "gradient_norm")
+        if not act.size or it == MAX_ITER:
+            break
 
         slope = _inner(grad, direction)
         lost = slope >= 0.0
@@ -424,13 +425,11 @@ def solve_rcg_batch(
         mu = polak_ribiere_mu(grad_new, grad, grad_moved)
         direction = _each(mu) * direction_moved - grad_new
 
-        decrease = gamma - value
+        plateau = np.where(np.abs(gamma - value) <= PLATEAU_TOL, plateau + 1, 0)
         f, grad, gamma = f_new, grad_new, value
         it += 1
         grad_norm = _norms(grad)
         trace[act, it] = gamma
-
-        plateau = np.where(np.abs(decrease) <= PLATEAU_TOL, plateau + 1, 0)
         flat = plateau >= PLATEAU_RUNS
         if np.count_nonzero(flat):
             drop(flat, "objective_plateau")

@@ -259,6 +259,44 @@ def test_rcg_max_iteration_stop(rng, monkeypatch):
         assert not res.converged
 
 
+def test_rcg_batch_stopped_at_iteration_0_runs_no_line_search(rng, monkeypatch):
+    # rho 0 from f0 = f_comm: every carrier meets the gradient tolerance at its start, and
+    # the loop ends at its head before any line search, projection or Polak-Ribiere step
+    power = 2.0
+    f_comm = np.array([random_sphere_point(rng, (4, 2), power) for _ in range(3)])
+    cov = np.array([random_psd(rng, 4, power) for _ in range(3)])
+    calls = []
+    search = manifold._line_search
+    monkeypatch.setattr(manifold, "_line_search", lambda f, *a: calls.append(len(f)) or search(f, *a))
+    batch = solve_rcg_batch(f_comm, cov, f_comm, 0.0, power)
+    assert calls == []
+    for f, c, got in zip(f_comm, cov, batch):
+        assert (got.iterations, got.stop_reason, got.converged) == (0, "gradient_norm", True)
+        np.testing.assert_allclose(got.precoder, f, rtol=1e-15, atol=1e-15)
+        assert got.objective_trace.tolist() == [got.objective] == [tradeoff_objective(got.precoder, c, f, 0.0)]
+
+
+def test_rcg_gradient_stop_at_the_cap_is_convergence(rng, monkeypatch):
+    # a carrier that first meets the gradient tolerance at the iteration cap stops on the
+    # gradient norm, converged, and not on the cap
+    f0, cov, f_comm = _small_instance(rng)
+    monkeypatch.setattr(manifold, "PLATEAU_TOL", 0.0)
+    monkeypatch.setattr(manifold, "GRAD_TOL", 0.0)
+    capped = []  # the solve stopped by each cap: one trajectory, cut after 0, 1, ..., 7 iterations
+    for cap in range(8):
+        monkeypatch.setattr(manifold, "MAX_ITER", cap)
+        capped.append(solve_one(f0, cov, f_comm, 0.5, 2.0))
+        assert (capped[-1].iterations, capped[-1].stop_reason) == (cap, "max_iterations")
+    norms = [r.grad_norm for r in capped]
+    cap = max(k for k in range(1, 8) if norms[k] < min(norms[:k]))
+    monkeypatch.setattr(manifold, "MAX_ITER", cap)
+    monkeypatch.setattr(manifold, "GRAD_TOL", (norms[cap] + min(norms[:cap])) / 2)
+    got = solve_one(f0, cov, f_comm, 0.5, 2.0)
+    assert (got.iterations, got.stop_reason, got.converged) == (cap, "gradient_norm", True)
+    np.testing.assert_array_equal(got.precoder, capped[cap].precoder)
+    np.testing.assert_array_equal(got.objective_trace, capped[cap].objective_trace)
+
+
 def test_rcg_multistart_consistency(rng):
     # Several random starts of one instance land on (numerically) one optimum.
     power = 2.0
@@ -344,8 +382,9 @@ def test_rcg_batch_matches_solo_exactly_across_stop_reasons(mixed_stop_rules):
 
 @pytest.mark.parametrize("reason", ["gradient_norm", "line_search_stall"])
 def test_rcg_batch_that_empties_mid_iteration_matches_solo(mixed_stop_rules, monkeypatch, reason):
-    # every carrier stops on one reason, so the last stop empties the stack
-    # mid-iteration; the iteration finishes on empty arrays and records nothing
+    # every carrier stops on one reason, so the last stop empties the stack. The gradient
+    # stop empties it at the loop head, which then runs no step; the last stalled line
+    # search empties it mid-iteration, which finishes on empty arrays and records nothing
     stack, settings = _mixed_stop_instance()
     if reason == "gradient_norm":  # rho 0 from the target: the gradient stop at iteration 0
         stack, settings = (stack[2][:4], stack[1][:4], stack[2][:4]), dict(rho=0.0, power=2.0)
@@ -355,7 +394,10 @@ def test_rcg_batch_that_empties_mid_iteration_matches_solo(mixed_stop_rules, mon
     pr_mu = manifold.polak_ribiere_mu
     monkeypatch.setattr(manifold, "polak_ribiere_mu", lambda g, *a: sizes.append(len(g)) or pr_mu(g, *a))
     batch = solve_rcg_batch(*stack, **settings)
-    assert sizes[-1] == 0
+    if reason == "gradient_norm":
+        assert sizes == []
+    else:
+        assert sizes[-1] == 0
     assert {r.stop_reason for r in batch} == {reason}
     for f0, cov, f_comm, got in zip(*stack, batch):
         assert_same_result(got, solve_one(f0, cov, f_comm, **settings))
