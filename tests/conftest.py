@@ -121,10 +121,9 @@ def riemannian_newton(f, cov, f_comm, rho, power, steps):
     gammas = [tradeoff_objective(f, cov, f_comm, rho)]
     for _ in range(steps):
         grad, hess = sphere_gradient_hessian(f, cov, f_comm, rho, power)
-        border = real_coords(f)
         system = np.zeros((b, d + 1, d + 1))
         system[:, :d, :d] = hess
-        system[:, :d, d] = system[:, d, :d] = border
+        system[:, :d, d] = system[:, d, :d] = real_coords(f)  # the border keeps eta tangent
         rhs = np.zeros((b, d + 1, 1))
         rhs[:, :d, 0] = -real_coords(grad)
         x = np.linalg.solve(system, rhs)[:, :d, 0]

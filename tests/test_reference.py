@@ -4,10 +4,10 @@ This runs ``perfbench/workloads.py``: for ``sweep-snr``, ``link`` and ``design``
 the workload's ``prepare()`` and ``finish()`` must find no problems. ``finish()``
 compares the seed-0 outputs with ``perfbench/reference.json`` at the benchmark's
 tolerances, so a bit-level drift shows in the test suite first; the reference file
-is only read. The seed-0 ``link`` RCG batches also certify how far the solver stops
-from a stationary point: Riemannian Newton steps (``conftest.riemannian_newton``)
-from each stop reach one, which is a strict local minimum. A change that reshapes ``WORKLOADS`` must keep ``prepare()`` and
-``finish()`` or update this test.
+is only read. A change that reshapes ``WORKLOADS`` must keep ``prepare()`` and
+``finish()`` or update this test. The seed-0 ``link`` RCG batches also certify how
+far the solver stops from a stationary point: Riemannian Newton steps
+(``conftest.riemannian_newton``) from each stop reach one, a strict local minimum.
 """
 
 import copy
