@@ -20,10 +20,11 @@ stack of one. It runs a stack of carriers ``(B, n_tx, n_streams)`` through
 stacked numpy calls: the geometry primitives below act on every matrix of a
 stack ``(..., n, m)``, and every carrier keeps its own Armijo step, accepted
 flag, Polak-Ribiere coefficient, plateau counter and stop reason. Its
-per-carrier constants, sqrt(P), the gradient tolerance, 4 rho, 2 (1 - rho) and
-the line search's columns (:func:`_ladder_columns`), are formed once per solve.
-The running operands and these constants are gathered again only when a
-carrier stops, and the core steps until every carrier is done.
+per-carrier constants, sqrt(P), the gradient tolerance, 1 - rho, 4 rho and
+2 (1 - rho), are formed once per solve, and each carrier input is held once:
+the line search shapes the running carriers' own arrays against its row of
+rungs. The running operands and these constants are gathered again only when
+a carrier stops, and the core steps until every carrier is done.
 
 The Armijo line search runs on a ladder. Its trial steps are fixed rungs, rung
 r being CONTRACTION**r, so the values of many rungs are known before any is
@@ -251,28 +252,20 @@ def _armijo_decide(values, rungs, phi0, slope, c, max_backtracks):
     return final, rose | (cap < n) | ~accepted, accepted
 
 
-def _ladder_columns(cov, f_comm, rho, root):
-    """The carriers' (cov, f_comm, rho, 1 - rho, sqrt(P)), each a column against the ladder's row of rungs.
-
-    Each is (B, 1, ...), shaped to broadcast against a (B, n_rungs, ...) table of
-    trial points; ``rho`` and ``root`` = sqrt(P) are (B,) arrays.
-    """
-    return cov[:, None], f_comm[:, None], rho[:, None], (1.0 - rho)[:, None], root[:, None, None, None]
-
-
-def _line_search(f, direction, columns, gamma, slope, rungs):
+def _line_search(f, direction, cov, f_comm, rho, rho_c, root, gamma, slope, rungs):
     """Armijo searches of a stack of carriers along the retraction, on the ladder, in two rounds.
 
-    ``columns`` is :func:`_ladder_columns`' of the carriers, ``gamma`` and ``slope`` are
-    their (B,) arrays, and ``rungs`` is :func:`_ladder`'s. Round 1 takes the first
-    ``LADDER_CHUNK`` rungs of every carrier, round 2 all of ``rungs`` for the searches
-    round 1 leaves undecided. Returns (value, ok, f_new, resid): each carrier's
-    objective, success flag, retracted point and its residual F F^H - R at its final
-    rung, where a sequential backtracking search would end. A search that round 2
-    leaves undecided, which only a ladder shorter than :func:`_ladder`'s can, raises
-    ``ValueError``.
+    ``cov``, ``f_comm``, ``rho``, ``rho_c`` (1 - rho) and ``root`` (sqrt(P)) are the
+    carriers' own stacks and (B,) arrays, ``gamma`` and ``slope`` their (B,) arrays, and
+    ``rungs`` is :func:`_ladder`'s. Each round shapes the rows it runs into a column
+    against its row of rungs (``a[rows, None]``): in round 1, ``rows`` is a slice, so
+    these are views. Round 1 takes the first ``LADDER_CHUNK`` rungs of every carrier,
+    round 2 all of ``rungs`` for the searches round 1 leaves undecided. Returns (value,
+    ok, f_new, resid): each carrier's objective, success flag, retracted point and its
+    residual F F^H - R at its final rung, where a sequential backtracking search would
+    end. A search that round 2 leaves undecided, which only a ladder shorter than
+    :func:`_ladder`'s can, raises ``ValueError``.
     """
-    cov, f_comm, rho, rho_c, root = columns
     steps = rungs[:, None, None]
 
     def ladder(rows, n_rungs):
@@ -280,8 +273,8 @@ def _line_search(f, direction, columns, gamma, slope, rungs):
 
         The round's tables are freed on return: only the final rung's point and residual are kept.
         """
-        points = _normalize(f[rows, None] + steps[:n_rungs] * direction[rows, None], root[rows])
-        values, resid = _objective(points, cov[rows], f_comm[rows], rho[rows], rho_c[rows])
+        points = _normalize(f[rows, None] + steps[:n_rungs] * direction[rows, None], root[rows, None, None, None])
+        values, resid = _objective(points, cov[rows, None], f_comm[rows, None], rho[rows, None], rho_c[rows, None])
         final, decided, ok = _armijo_decide(values, rungs, gamma[rows], slope[rows], ARMIJO_C, MAX_BACKTRACKS)
         pick = np.arange(len(final)), final
         return values[pick], ok, points[pick], resid[pick], decided
@@ -325,12 +318,15 @@ def solve_rcg_batch(
     objective decrease is at most ``PLATEAU_TOL`` for ``PLATEAU_RUNS``
     consecutive iterations, when its line search cannot make progress, or
     after ``MAX_ITER`` iterations. A carrier leaves the stack when it stops.
-    The loop ends at its head, after recording the gradient-norm stops, when
-    the stack is empty or at the cap, whose stop is recorded after it: a
-    carrier that meets the tolerance at the cap stops on the gradient norm,
-    and a stack that empties at the head runs no line search. (One that a
-    stalled line search empties finishes that iteration on empty arrays and
-    records nothing.) The trace of each carrier's descent is on its
+    Every stop but the stall is recorded in one block at the loop's head, in
+    this order: the gradient norm, the plateau, the cap. So a carrier whose
+    gradient meets the tolerance on the iteration that completes its plateau
+    run, or at the cap, stops on the gradient norm, and ``converged``, which
+    is true only on that stop, says whether the returned point meets the
+    tolerance. The loop ends at its head when the stack is empty, so a
+    stack that empties there runs no line search. (One that a stalled line
+    search empties finishes that iteration on empty arrays and records
+    nothing.) The trace of each carrier's descent is on its
     :class:`RcgResult`, with the Riemannian gradient norm over
     sqrt(power) at the point it returns, read off the iterate's own
     gradient. A carrier's result is the same bit for bit whatever batch it
@@ -349,12 +345,12 @@ def solve_rcg_batch(
     # per-carrier constants, gathered with the running carriers when some stop
     root = np.sqrt(power)
     tol = GRAD_TOL * root
-    four_rho, two_rho_c = _each(4.0 * rho), _each(2.0 * (1.0 - rho))
-    columns = _ladder_columns(cov, f_comm, rho, root)
+    rho_c = 1.0 - rho
+    four_rho, two_rho_c = _each(4.0 * rho), _each(2.0 * rho_c)
 
     f = _normalize(f, _each(root))
     with np.errstate(over="ignore"):  # an overflow is reported below
-        gamma, resid = _objective(f, cov, f_comm, rho, 1.0 - rho)
+        gamma, resid = _objective(f, cov, f_comm, rho, rho_c)
     if not np.all(np.isfinite(gamma)):
         bad = power[np.argmin(np.isfinite(gamma))]
         raise ConfigError(f"power budget {bad:g} is too large: the RCG objective, of order P^2, overflows")
@@ -374,27 +370,28 @@ def solve_rcg_batch(
     it = 0
 
     def drop(done, reason, *extra):
-        """Record the carriers in ``done`` as stopped and gather the rest (and ``extra``)."""
-        nonlocal act, f, grad, direction, gamma, grad_norm, plateau, f_comm, power, root, tol, four_rho, two_rho_c
-        nonlocal columns
+        """Record the carriers in ``done``, if any, as stopped and gather the rest (and ``extra``)."""
+        nonlocal act, f, grad, direction, gamma, grad_norm, plateau, cov, f_comm, rho, rho_c, power, root, tol
+        nonlocal four_rho, two_rho_c
+        if not np.count_nonzero(done):
+            return extra
         idx = act[done]
         final_f[idx] = f[done]
         iterations[idx] = it
         reasons[idx] = reason
         final_grad[idx] = grad_norm[done] / root[done]
         keep = ~done
-        act, f, grad, direction, gamma, grad_norm, plateau, f_comm, power, root, tol, four_rho, two_rho_c = (
-            a[keep]
-            for a in (act, f, grad, direction, gamma, grad_norm, plateau, f_comm, power, root, tol, four_rho, two_rho_c)
-        )
-        columns = tuple(a[keep] for a in columns)
+        (act, f, grad, direction, gamma, grad_norm, plateau, cov, f_comm, rho, rho_c, power, root, tol, four_rho,
+         two_rho_c) = (a[keep] for a in (act, f, grad, direction, gamma, grad_norm, plateau, cov, f_comm, rho, rho_c,
+                                         power, root, tol, four_rho, two_rho_c))
         return [a[keep] for a in extra]
 
     while True:
-        small = grad_norm <= tol
-        if np.count_nonzero(small):
-            drop(small, "gradient_norm")
-        if not act.size or it == MAX_ITER:
+        # every stop but the stall, in this order: a carrier that meets two stops on one iterate takes the first
+        drop(grad_norm <= tol, "gradient_norm")
+        drop(plateau >= PLATEAU_RUNS, "objective_plateau")
+        drop(np.full(act.size, it == MAX_ITER), "max_iterations")
+        if not act.size:
             break
 
         slope = _inner(grad, direction)
@@ -404,15 +401,13 @@ def solve_rcg_batch(
             direction = np.where(_each(lost), -grad, direction)
             slope = np.where(lost, -np.float_power(grad_norm, 2.0), slope)
 
-        value, ok, f_new, resid = _line_search(f, direction, columns, gamma, slope, rungs)
+        value, ok, f_new, resid = _line_search(f, direction, cov, f_comm, rho, rho_c, root, gamma, slope, rungs)
         euclid = _gradient(f_new, resid, f_comm, four_rho, two_rho_c)
         # each array is freed once read: one kept longer leaves a hole among the arrays made
         # after it, and over many solves the heap, and peak RSS, grow
         del resid
         if not ok.all():  # only a round wider than MAX_BACKTRACKS fails a search
-            stall = ~ok & (value >= gamma)
-            if np.count_nonzero(stall):
-                value, f_new, euclid = drop(stall, "line_search_stall", value, f_new, euclid)
+            value, f_new, euclid = drop(~ok & (value >= gamma), "line_search_stall", value, f_new, euclid)
 
         # the new gradient, and the old gradient and direction transported to f_new, in one projection
         moved = np.empty((3,) + f_new.shape, dtype=complex)
@@ -430,10 +425,6 @@ def solve_rcg_batch(
         it += 1
         grad_norm = _norms(grad)
         trace[act, it] = gamma
-        flat = plateau >= PLATEAU_RUNS
-        if np.count_nonzero(flat):
-            drop(flat, "objective_plateau")
-    drop(np.ones(act.size, dtype=bool), "max_iterations")
 
     return [
         RcgResult(

@@ -133,6 +133,125 @@ def riemannian_newton(f, cov, f_comm, rho, power, steps):
     return f, np.array(gammas)
 
 
+def _center(state, derivatives, inside, weight):
+    """Damped Newton steps on each case's barrier function at its ``weight``, toward its minimizer.
+
+    ``derivatives(state, weight)`` gives the gradient (B, N) and Hessian (B, N, N) of each case's
+    function, which is self-concordant, so the damped step 1 / (1 + sqrt(decrement)) stays in its
+    domain (Nesterov-Nemirovski 1994); ``inside(state)`` (B,) guards that against roundoff, halving a
+    step that leaves the domain, up to 60 times. A case stops once its Newton decrement is at most
+    1e-6, or after 60 steps. The Hessian is scaled to unit diagonal before the solve.
+    """
+    active = np.ones(len(state), dtype=bool)
+    for _ in range(60):
+        grad, hess = derivatives(state, weight)
+        scale = 1.0 / np.sqrt(np.diagonal(hess, axis1=1, axis2=2))
+        step = -scale * np.linalg.solve(scale[:, :, None] * hess * scale[:, None, :], (scale * grad)[..., None])[..., 0]
+        dec = np.maximum(-np.sum(grad * step, axis=1), 0.0)
+        active &= dec > 1e-6
+        if not active.any():
+            break
+        size = np.where(active, np.where(dec > 0.0625, 1.0 / (1.0 + np.sqrt(dec)), 1.0), 0.0)
+        trial = state + size[:, None] * step
+        for _ in range(60):
+            out = ~inside(trial)
+            if not out.any():
+                break
+            size[out] /= 2.0
+            trial = state + size[:, None] * step
+        state = trial
+    return state
+
+
+def interior_point_covariance(steering, mask, power):
+    """The covariance problem of ``covariance.py`` solved by interior-point barrier paths, with a certificate.
+
+    For each case, steering (T, n) of a ULA with first entry 1, ``mask`` (T,) and a power P, it
+    minimizes sum_t |P m_t - a_t^H R a_t| over Hermitian R with diag R = P/n and R psd. The
+    pattern reads R only through its trace and its n - 1 diagonal sums: a_t^H R a_t = P + g14_t . y,
+    y the (Re, Im) of the sums at offsets 1..n-1, which are ``sel`` @ x of the off-diagonal
+    parameters x (Re, Im of the upper triangle). The problem and its dual (the primal-dual pair of
+    Helmberg-Rendl-Vanderbei-Wolkowicz 1996) are each solved by a log-barrier path, followed by
+    damped Newton steps (Boyd-Vandenberghe 2004, 11.3), at a weight w:
+    - the primal minimizes sum_t h(r_t) - log det R(x) over x, r = P m - a^H R a, where h(r) =
+      min_s (w s - log(s^2 - r^2)) = u - log(1 + u) + const, u = hypot(1, w r), is the barrier of
+      the epigraph of |r| with s eliminated; the pattern part of its Hessian is sel^T (g14^T
+      diag(h'') g14) sel, a product of the 2(n - 1) columns;
+    - the dual maximizes lam . (P m) - (P/n) sum d over |lam| < 1 and Z = Diag(d) - sum_t lam_t
+      a_t a_t^H positive definite, whose value bounds every feasible objective from below (weak
+      duality, as ``covariance._dual_bounds`` states it), with barriers -log det Z and
+      -sum log(1 - lam^2).
+    The weight starts at 2T + n over the objective at x = 0 and grows tenfold a round for 11
+    rounds, which certifies a relative gap of about 1e-10; each path's point stays strictly
+    feasible. Returns R (B, n, n), the objective at R (B,) and the certified relative gap
+    (objective - dual value) / objective (B,), the dual value lowered by P times any negative
+    eigenvalue of Z that roundoff leaves.
+    """
+    n_case, n_grid, n = steering.shape
+    power = np.broadcast_to(np.asarray(power, dtype=float), (n_case,))
+    want = power[:, None] * mask
+    lead = steering[..., 1:] * steering[..., :1].conj()  # e^{j d phi_t} at offsets d = 1..n-1
+    g14 = np.empty((n_case, n_grid, 2 * (n - 1)))
+    g14[..., 0::2], g14[..., 1::2] = 2.0 * lead.real, -2.0 * lead.imag
+    iu = np.triu_indices(n, 1)
+    pairs, offset = np.arange(len(iu[0])), iu[1] - iu[0] - 1
+    sel = np.zeros((2 * (n - 1), 2 * len(pairs)))
+    sel[2 * offset, 2 * pairs] = sel[2 * offset + 1, 2 * pairs + 1] = 1.0
+    g = g14 @ sel
+    basis = np.zeros((2 * len(pairs), n, n), dtype=complex)  # R(x) = (P/n) I + sum_k x_k basis_k
+    basis[2 * pairs, iu[0], iu[1]] = basis[2 * pairs, iu[1], iu[0]] = 1.0
+    basis[2 * pairs + 1, iu[0], iu[1]], basis[2 * pairs + 1, iu[1], iu[0]] = 1.0j, -1.0j
+    basis_t = basis.mT.reshape(len(basis), n * n).T  # Re tr(M basis_l) = Re (M.flat @ basis_t)[l]
+    eye = np.eye(n)
+
+    def primal_matrix(x):
+        return (power / n)[:, None, None] * eye + np.tensordot(x, basis, axes=1)
+
+    def primal_derivatives(x, weight):
+        r = want - power[:, None] - (g @ x[..., None])[..., 0]
+        u = np.hypot(1.0, weight[:, None] * r)
+        inv = np.linalg.inv(primal_matrix(x))
+        slope = weight[:, None] ** 2 * r / (1.0 + u)  # h'(r)
+        grad = -(g.mT @ slope[..., None])[..., 0] - np.real(inv.reshape(n_case, -1) @ basis_t)
+        curve = weight[:, None] ** 2 / (u * (1.0 + u))  # h''(r)
+        spread = (inv[:, None] @ basis @ inv[:, None]).reshape(n_case, len(basis), n * n)
+        return grad, sel.T @ (g14.mT @ (curve[..., None] * g14)) @ sel + np.real(spread @ basis_t)
+
+    def dual_matrix(v):
+        return v[:, n_grid:, None] * eye - (steering * v[:, :n_grid, None]).mT @ steering.conj()
+
+    def dual_derivatives(v, weight):
+        lam = v[:, :n_grid]
+        inv = np.linalg.inv(dual_matrix(v))
+        za = steering @ inv.mT  # row t: (Z^-1 a_t)^T
+        grad = np.concatenate([-weight[:, None] * want + np.real(np.sum(steering.conj() * za, axis=2))
+                               + 2.0 * lam / (1.0 - lam**2),
+                               (weight * power / n)[:, None] - np.real(np.diagonal(inv, axis1=1, axis2=2))], axis=1)
+        cross = -np.abs(za) ** 2
+        hess = np.block([[np.abs(steering.conj() @ za.mT) ** 2, cross], [cross.mT, np.abs(inv) ** 2]])
+        hess[:, np.arange(n_grid), np.arange(n_grid)] += 2.0 * (1.0 + lam**2) / (1.0 - lam**2) ** 2
+        return grad, hess
+
+    def primal_inside(x):
+        return np.linalg.eigvalsh(primal_matrix(x))[:, 0] > 0.0
+
+    def dual_inside(v):
+        return (np.abs(v[:, :n_grid]).max(axis=1) < 1.0) & (np.linalg.eigvalsh(dual_matrix(v))[:, 0] > 0.0)
+
+    x = np.zeros((n_case, len(basis)))
+    v = np.concatenate([np.zeros((n_case, n_grid)), np.ones((n_case, n))], axis=1)
+    weight = (2 * n_grid + n) / np.sum(np.abs(want - power[:, None]), axis=1)
+    for _ in range(11):
+        x = _center(x, primal_derivatives, primal_inside, weight)
+        v = _center(v, dual_derivatives, dual_inside, weight)
+        weight = 10.0 * weight
+    mats = primal_matrix(x)
+    objective = np.sum(np.abs(want - reference_pattern(mats, steering)), axis=1)
+    dual = np.sum(v[:, :n_grid] * want, axis=1) - power / n * np.sum(v[:, n_grid:], axis=1)
+    dual += power * np.minimum(np.linalg.eigvalsh(dual_matrix(v))[:, 0], 0.0)
+    return mats, objective, (objective - dual) / objective
+
+
 def waterfill_kkt_residual(gains, powers, level, total_power, noise_power=1.0):
     """Largest violation of the water-filling optimality conditions."""
     g = np.asarray(gains, dtype=float)

@@ -20,7 +20,14 @@ from jcasbeam.errors import ConfigError, SolverError
 from jcasbeam.evaluation import precoder_pattern, sweep
 from jcasbeam.pipeline import run_design
 
-from conftest import assert_same_result, disk_scan, random_complex, reference_pattern, ula_grid
+from conftest import (
+    assert_same_result,
+    disk_scan,
+    interior_point_covariance,
+    random_complex,
+    reference_pattern,
+    ula_grid,
+)
 
 
 def _hermitian(rng, n):
@@ -575,3 +582,57 @@ def test_edge_configs_run_through_design_and_sweep(small_cfg, overrides):
     out = sweep(cfg, [0.0, 5.0], [0.5], [cfg.n_jcas], n_realizations=1)
     assert [p.snr_db for p in out.points] == [0.0, 5.0]
     assert all(np.isfinite(p.avg_rate) for p in out.points)
+
+
+@pytest.fixture(scope="module")
+def interior_point_cases():
+    """Carriers 0, 31 and 63 of the default grid at P = 1 and 10, solved by the ADMM and by the
+    interior-point oracle: (grid, steering (6, T, n), powers (6,), ADMM solutions, oracle R, objective, gap)."""
+    grid = build_grid(SystemConfig())
+    ks, powers = [0, 31, 63], [1.0, 10.0]
+    admm = [sol[k] for sol in solve_radar_covariances(grid, powers, ks) for k in ks]
+    steering = np.tile(grid.steering(ks), (len(powers), 1, 1))
+    power = np.repeat(powers, len(ks))
+    return (grid, steering, power, admm) + interior_point_covariance(steering, grid.desired_gain, power)
+
+
+def test_interior_point_oracle_certifies_a_feasible_optimum(interior_point_cases):
+    # its own certified gap reads 6.7e-11 on every case; its matrix is feasible by construction
+    grid, _, power, _, mats, _, gap = interior_point_cases
+    assert np.all(gap <= 1e-8), gap
+    n = grid.n_tx
+    np.testing.assert_array_equal(np.diagonal(mats, axis1=1, axis2=2), np.repeat(power / n, n).reshape(-1, n))
+    assert np.all(np.linalg.eigvalsh(mats)[:, 0] > 0.0)
+
+
+def test_admm_objective_lies_within_its_gap_above_the_interior_point_optimum(interior_point_cases):
+    # the ADMM lies 5.8e-8 (carrier 0), 9.9e-6 (31) and 1.8e-5 (63) above the oracle, against its
+    # own gaps of 6.4e-8, 1.04e-4 and 8.8e-5; its dual bound lies below the oracle's objective
+    *_, admm, _, objective, gap = interior_point_cases
+    admm_objective = np.array([sol.objective for sol in admm])
+    admm_gap = np.array([sol.gap for sol in admm])
+    assert np.all(admm_objective - objective <= admm_gap * admm_objective)
+    assert np.all(objective <= admm_objective + gap * objective)
+    assert np.all(objective >= admm_objective * (1.0 - admm_gap))
+
+
+def test_admm_pattern_matches_the_interior_point_pattern(interior_point_cases):
+    # the optimum's pattern is pinned down closer than its matrix: the patterns differ by at
+    # most 1.1e-6 P (carrier 0), 5.7e-4 P (31) and 1.6e-3 P (63)
+    _, steering, power, admm, mats, _, _ = interior_point_cases
+    admm_pattern = reference_pattern(np.array([sol.matrix for sol in admm]), steering)
+    oracle_pattern = reference_pattern(mats, steering)
+    assert np.all(np.abs(admm_pattern - oracle_pattern) <= 2e-3 * power[:, None])
+
+
+def test_interior_point_pattern_has_the_near_peak_lobe_at_13_degrees(interior_point_cases):
+    # the optimum's local maxima lie at +-13, +-31 and +-58 degrees, at 1.58-1.68 P, 1.71-1.78 P
+    # and 1.21-1.23 P: the lobe at +-13 degrees, outside every mainlobe, is near the peak
+    grid, steering, power, _, mats, _, _ = interior_point_cases
+    pattern = reference_pattern(mats, steering) / power[:, None]
+    interior = (pattern[:, 1:-1] >= pattern[:, :-2]) & (pattern[:, 1:-1] >= pattern[:, 2:])
+    for lobe in (-13.0, 13.0):
+        t = int(np.argmin(np.abs(grid.angles - lobe)))
+        assert grid.desired_gain[t] == 0.0
+        assert np.all(interior[:, t - 1])
+        assert np.all(pattern[:, t] >= 0.85 * pattern.max(axis=1))

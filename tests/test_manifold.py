@@ -179,8 +179,7 @@ def test_line_search_raises_on_a_search_its_ladder_leaves_undecided(rng):
     direction = next(-scale * grad for scale in 2.0 ** np.arange(40) if first_sufficient(-scale * grad) == 8)
     slope = np.array([real_inner(grad[0], direction[0])])
     with pytest.raises(ValueError, match="1 line searches undecided on a 9-rung ladder"):
-        manifold._line_search(f, direction, manifold._ladder_columns(cov, f_comm, rho, np.sqrt(power)), gamma, slope,
-                              rungs)
+        manifold._line_search(f, direction, cov, f_comm, rho, 1.0 - rho, np.sqrt(power), gamma, slope, rungs)
 
 
 def test_armijo_quadratic():

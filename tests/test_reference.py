@@ -5,9 +5,10 @@ the workload's ``prepare()`` and ``finish()`` must find no problems. ``finish()`
 compares the seed-0 outputs with ``perfbench/reference.json`` at the benchmark's
 tolerances, so a bit-level drift shows in the test suite first; the reference file
 is only read. A change that reshapes ``WORKLOADS`` must keep ``prepare()`` and
-``finish()`` or update this test. The seed-0 ``link`` RCG batches also certify how
-far the solver stops from a stationary point: Riemannian Newton steps
-(``conftest.riemannian_newton``) from each stop reach one, a strict local minimum.
+``finish()`` or update this test. The RCG batches of the seed-0 ``link`` designs and
+of the default design also certify how far the solver stops from a stationary point:
+Riemannian Newton steps (``conftest.riemannian_newton``) from each stop reach one, a
+strict local minimum.
 """
 
 import copy
@@ -43,8 +44,31 @@ def test_sweep_snr_seed0_matches_the_benchmark_reference(tmp_path):
     assert seed0_problems("sweep-snr", tmp_path) == ([], [])
 
 
-def test_default_design_seed0_matches_the_benchmark_reference(tmp_path):
-    assert seed0_problems("design", tmp_path) == ([], [])
+def spy_rcg_batches(mp, batches):
+    """Append the inputs of every RCG batch the pipeline runs, while ``mp`` holds, to ``batches``."""
+    solve = pipeline.solve_rcg_batch
+
+    def spy_solve(f0, cov, f_comm, rho, power):
+        batches.append((f0, cov, f_comm, rho, power))
+        return solve(f0, cov, f_comm, rho, power)
+
+    mp.setattr(pipeline, "solve_rcg_batch", spy_solve)
+
+
+@pytest.fixture(scope="module")
+def design_seed0(tmp_path_factory):
+    """The problems the ``design`` workload finds in its set-up and its seed-0 outputs, and the
+    inputs of the one RCG batch its seed-0 design ran."""
+    batches = []
+    with pytest.MonkeyPatch.context() as mp:
+        spy_rcg_batches(mp, batches)
+        problems = seed0_problems("design", tmp_path_factory.mktemp("design"))
+    (batch,) = batches
+    return problems, batch
+
+
+def test_default_design_seed0_matches_the_benchmark_reference(design_seed0):
+    assert design_seed0[0] == ([], [])
 
 
 @pytest.fixture(scope="module")
@@ -79,18 +103,14 @@ def link_seed0_rcg(link):
     row count of every line-search round they ran."""
     workload, _ = link
     batches, rounds = [], []
-    solve, decide = pipeline.solve_rcg_batch, manifold._armijo_decide
-
-    def spy_solve(f0, cov, f_comm, rho, power):
-        batches.append((f0, cov, f_comm, rho, power))
-        return solve(f0, cov, f_comm, rho, power)
+    decide = manifold._armijo_decide
 
     def spy_decide(values, *args):
         rounds.append(values.shape)
         return decide(values, *args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pipeline, "solve_rcg_batch", spy_solve)
+        spy_rcg_batches(mp, batches)
         mp.setattr(manifold, "_armijo_decide", spy_decide)
         link_designs(jcasbeam, workload.cfg, workload.grid, workload.covariances, REFERENCE_SEED)
     return batches, rounds
@@ -119,6 +139,17 @@ def test_link_line_search_first_round_decides_nearly_every_search(link_seed0_rcg
     second = sum(m for m, n in rounds if n == len(manifold._ladder()))
     assert first + second == sum(m for m, _ in rounds) and first > 1000
     assert second <= 0.002 * first, (second, first)
+
+
+def test_link_rcg_is_converged_exactly_where_its_gradient_meets_the_tolerance(link_seed0_rcg):
+    # the gradient norm is checked before the plateau and the cap, so a carrier is converged when,
+    # and only when, its returned point meets GRAD_TOL; the gradient norms nearest the tolerance
+    # over link seeds 0-2 are 8.9e-7 and 1.03e-6, so no carrier sits on the boundary
+    batches, _ = link_seed0_rcg
+    results = [r for batch in batches for r in manifold.solve_rcg_batch(*batch)]
+    for r in results:
+        assert r.converged == (r.stop_reason == "gradient_norm") == (r.grad_norm <= manifold.GRAD_TOL), r
+    assert any(r.converged for r in results)
 
 
 @pytest.fixture(scope="module")
@@ -176,6 +207,28 @@ def test_link_rcg_stops_lie_near_their_newton_endpoints(link_seed0_newton):
         assert np.all(dist <= 3e-4 * np.sqrt(power)), dist.max() / np.sqrt(power)
         grad_norm = np.linalg.norm(sphere_gradient_hessian(stops, *problem)[0], axis=(-2, -1))
         assert np.all(dist <= grad_norm / smallest_tangent_curvature(ends, *problem))
+
+
+def test_default_design_rcg_stops_lie_near_strict_local_minima(design_seed0):
+    # the link tests' certificate on the default design's 16 carriers (rho 0.5, P = 10): the RCG
+    # stops at gradient norms of 1.6e-6 to 1.1e-5 (over sqrt(P)), three Newton steps reach 1.4e-15,
+    # the first lowering every objective; the tangent Hessian's smallest eigenvalue is 0.127 to
+    # 0.502, and the stops lie 1.8e-6 to 1.7e-5 (relative Frobenius) from their endpoints, 0.14 to
+    # 0.73 of |grad| / lambda_min
+    _, batch = design_seed0
+    problem, power = batch[1:], batch[-1]
+    stops = np.array([r.precoder for r in manifold.solve_rcg_batch(*batch)])
+    ends, gammas = riemannian_newton(stops, *problem, steps=3)
+    after = np.linalg.norm(sphere_gradient_hessian(ends, *problem)[0], axis=(-2, -1))
+    assert after.max() <= 1e-13 * np.sqrt(power), after.max() / np.sqrt(power)
+    assert np.all(gammas[1] < gammas[0])
+    assert np.all(gammas[1:] <= gammas[:-1] * (1.0 + 4.0 * np.finfo(float).eps))
+    curvature = smallest_tangent_curvature(ends, *problem)
+    assert curvature.min() > 0.1
+    dist = np.linalg.norm(stops - ends, axis=(-2, -1))
+    assert np.all(dist <= 3e-5 * np.sqrt(power)), dist.max() / np.sqrt(power)
+    grad_norm = np.linalg.norm(sphere_gradient_hessian(stops, *problem)[0], axis=(-2, -1))
+    assert np.all(dist <= grad_norm / curvature)
 
 
 def test_newton_gradient_and_hessian_match_finite_differences(link_seed0_rcg):
