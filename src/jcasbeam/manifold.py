@@ -323,10 +323,9 @@ def solve_rcg_batch(
     gradient meets the tolerance on the iteration that completes its plateau
     run, or at the cap, stops on the gradient norm, and ``converged``, which
     is true only on that stop, says whether the returned point meets the
-    tolerance. The loop ends at its head when the stack is empty, so a
-    stack that empties there runs no line search. (One that a stalled line
-    search empties finishes that iteration on empty arrays and records
-    nothing.) The trace of each carrier's descent is on its
+    tolerance. The loop ends at its head when the stack is empty, whichever
+    stop emptied it, so no step runs on an empty stack. The trace of each
+    carrier's descent is on its
     :class:`RcgResult`, with the Riemannian gradient norm over
     sqrt(power) at the point it returns, read off the iterate's own
     gradient. A carrier's result is the same bit for bit whatever batch it
@@ -408,6 +407,8 @@ def solve_rcg_batch(
         del resid
         if not ok.all():  # only a round wider than MAX_BACKTRACKS fails a search
             value, f_new, euclid = drop(~ok & (value >= gamma), "line_search_stall", value, f_new, euclid)
+            if not act.size:
+                continue
 
         # the new gradient, and the old gradient and direction transported to f_new, in one projection
         moved = np.empty((3,) + f_new.shape, dtype=complex)

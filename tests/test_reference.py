@@ -8,13 +8,15 @@ is only read. A change that reshapes ``WORKLOADS`` must keep ``prepare()`` and
 ``finish()`` or update this test. The RCG batches of the seed-0 ``link`` designs and
 of the default design also certify how far the solver stops from a stationary point:
 Riemannian Newton steps (``conftest.riemannian_newton``) from each stop reach one, a
-strict local minimum.
+strict local minimum. At rho = 1 the closed-form strict design (``conftest.strict_precoders``)
+certifies the RCG's answers on the ``link`` covariances.
 """
 
 import copy
 import json
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +26,9 @@ import jcasbeam
 import jcasbeam.cli  # noqa: F401  (the workloads call it as jcasbeam.cli)
 from jcasbeam import manifold, pipeline
 from jcasbeam.manifold import project_to_tangent, retract, tradeoff_objective
+from jcasbeam.precoding import link_rates
 
-from conftest import real_coords, riemannian_newton, sphere_gradient_hessian
+from conftest import real_coords, riemannian_newton, sphere_gradient_hessian, strict_precoders
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -251,3 +254,45 @@ def test_newton_gradient_and_hessian_match_finite_differences(link_seed0_rcg):
             curve = np.einsum("bi,bij,bj->b", x, hess, x)
             assert np.all(np.abs((up - down) / (2 * h) - slope) <= 1e-6 * grad_scale)
             assert np.all(np.abs((up - 2 * mid + down) / h**2 - curve) <= 1e-6 * hess_scale)
+
+
+@pytest.fixture(scope="module")
+def link_strict(link):
+    """The rho = 1, J = 16 designs of seeds 0-9 on the ``link`` covariances, each with its carriers'
+    closed-form strict precoders: (design, cov, f_comm, power, closed form), one per seed."""
+    workload, _ = link
+    out = []
+    for seed in range(10):
+        cfg = replace(workload.cfg, rho=1.0, n_jcas=LINK_SUBCARRIERS, seed=seed)
+        result = jcasbeam.run_design(cfg, grid=workload.grid, covariances=workload.covariances)
+        cov = np.array([sol.matrix for sol in result.covariances.values()])
+        f_comm = result.eigen_precoders[result.jcas_subcarriers]
+        power = cfg.effective_power
+        out.append((result, cov, f_comm, power, strict_precoders(cov, f_comm, power)))
+    return out
+
+
+def test_strict_closed_form_solves_the_rho1_link_carriers(link_strict):
+    # on all 160 carriers the closed form reaches gamma <= 4.9e-20, where the RCG stops on the
+    # plateau at 1.0e-9 to 4.0e-8 (seed 0, after 40-96 iterations); it lies on the sphere to
+    # 2.1e-15 and its Riemannian gradient is at most 2.5e-14 sqrt(P)
+    assert sum(len(f) for *_, f in link_strict) == 160
+    for result, cov, f_comm, power, f in link_strict:
+        rcg = np.array([r.objective for r in result.refinements.values()])
+        assert np.all(tradeoff_objective(f, cov, f_comm, 1.0) <= rcg)
+        assert np.all(np.abs(np.linalg.norm(f, axis=(-2, -1)) ** 2 - power) <= 1e-12 * power)
+        grad = np.linalg.norm(sphere_gradient_hessian(f, cov, f_comm, 1.0, power)[0], axis=(-2, -1))
+        assert grad.max() <= 1e-12 * np.sqrt(power), grad.max() / np.sqrt(power)
+
+
+def test_strict_closed_form_lies_near_the_rho1_link_designs(link_strict):
+    # F F^H lies within 4.7e-5 (relative Frobenius) of the RCG's, and the per-carrier rates move by
+    # at most 2.8e-3 bit/s/Hz, which the RCG's plateau stop, short of F F^H = R, leaves
+    for result, _, _, _, f in link_strict:
+        jcas = result.jcas_subcarriers
+        rcg = result.precoders[jcas]
+        ours, theirs = f @ f.conj().mT, rcg @ rcg.conj().mT
+        dist = np.linalg.norm(ours - theirs, axis=(-2, -1)) / np.linalg.norm(theirs, axis=(-2, -1))
+        assert dist.max() <= 1e-4, dist.max()
+        moved = link_rates(result.channels[jcas], f, 1.0 / result.config.effective_noise) - result.rates[jcas]
+        assert np.abs(moved).max() <= 5e-3, np.abs(moved).max()
