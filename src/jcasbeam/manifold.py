@@ -50,6 +50,13 @@ ladder's tables are the largest arrays alive, as they were when the gradient
 formed its residual again, and a batch's peak memory stays where it was (a
 test bounds it on the ``link`` benchmark's J=16 batches).
 
+At rho = 1 the minimizers are known in closed form: every F = L Q, with L the
+top-``n_streams`` eigenfactor of R scaled to power P and Q unitary, attains the
+least gamma, and :func:`strict_precoders` gives the one nearest F_hat, the strict
+design of Liu et al. (IEEE TSP 2018). Its Riemannian gradient is at roundoff, so
+an RCG started there stops at iteration 0 on its gradient test; the pipeline
+starts its rho = 1 carriers there (``pipeline.refine_carriers``).
+
 Exactness: the plateau stop is absolute (``PLATEAU_TOL`` = 1e-10 against an
 objective of order P^2), so it is sensitive to roundoff: a 1-ulp change in one
 objective value can move the stop iteration and the returned precoder by
@@ -440,3 +447,30 @@ def solve_rcg_batch(
         )
         for c in range(n_car)
     ]
+
+
+def simplex_projection(x: np.ndarray, total) -> np.ndarray:
+    """Nearest points of {y >= 0, sum y = total} to the rows of x; ``total`` a float or one per row."""
+    desc = -np.sort(-x, axis=-1)
+    shifts = (np.cumsum(desc, axis=-1) - np.asarray(total)[..., None]) / np.arange(1, x.shape[-1] + 1)
+    shift = np.take_along_axis(shifts, np.sum(desc > shifts, axis=-1, keepdims=True) - 1, axis=-1)
+    return np.maximum(x - shift, 0.0)
+
+
+def strict_precoders(cov: np.ndarray, f_comm: np.ndarray, power) -> np.ndarray:
+    """The minimizers of the tradeoff objective at rho = 1 nearest ``f_comm``, one per carrier.
+
+    At rho = 1 the objective is ||F F^H - R||^2 on ||F||^2 = P. For ``cov`` (B, n, n), ``f_comm`` (B, n, m)
+    and ``power`` a float or (B,), one stacked ``eigh`` gives each R's top m eigenpairs (V, lambda); the
+    eigenvalues projected onto {mu >= 0, sum mu = P} give L = V diag(sqrt(mu)), and every F = L Q, Q
+    unitary, attains the minimum. The one nearest ``f_comm`` is L polar(L^H f_comm), the polar factor
+    U W^H of L^H f_comm = U S W^H read off one stacked SVD: the strict-constraint design of Liu et al.,
+    "Toward dual-functional radar-communication systems: optimal waveform design", IEEE TSP 2018.
+    An empty stack, B = 0, gives none.
+    """
+    m = f_comm.shape[-1]
+    w, v = np.linalg.eigh(cov)
+    mu = simplex_projection(w[..., :-m - 1:-1], power)
+    lead = v[..., :-m - 1:-1] * np.sqrt(mu)[..., None, :]
+    u, _, wh = np.linalg.svd(lead.conj().mT @ f_comm)
+    return lead @ (u @ wh)

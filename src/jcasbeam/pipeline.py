@@ -10,7 +10,11 @@ The flow per run:
 3. Solve the beampattern covariance problem on those subcarriers.
 4. Refine each sensing subcarrier's precoder on the power sphere, trading
    covariance match against distance from the eigenmode precoder, all of
-   them in one batched RCG call, with rho and power per subcarrier.
+   them in one batched RCG call, with rho and power per subcarrier. A
+   subcarrier whose rho is 1 starts at the closed-form strict design
+   (:func:`~jcasbeam.manifold.strict_precoders`), where the RCG stops at
+   iteration 0 on its gradient test; every other starts at its eigenmode
+   precoder.
 5. Reassemble: refined precoders on sensing subcarriers, eigenmode elsewhere.
    Rates are recomputed on the sensing subcarriers; elsewhere the precoder
    is the eigenmode one, so its eigen-stage rate is kept.
@@ -36,7 +40,7 @@ from .channel import generate_rayleigh
 from .config import SystemConfig
 from .covariance import CovarianceSolution, solve_radar_covariance
 from .errors import ConfigError
-from .manifold import solve_rcg_batch
+from .manifold import solve_rcg_batch, strict_precoders
 from .precoding import eigenmode_precoders, link_rates
 
 
@@ -168,12 +172,18 @@ def refine_carriers(channels, f_hat, cov, rho, power, prefactor):
     precoders and ``cov`` (B, n_tx, n_tx) the covariances, one per carrier;
     ``rho``, ``power`` and ``prefactor`` are each a float shared by every
     carrier or a (B,) array. A carrier's refinement reads only its own row,
-    so it comes out bit for bit as if refined alone, whatever the stack. One
-    RCG batch and one stacked relink; an empty stack, B = 0, refines
+    so it comes out bit for bit as if refined alone, whatever the stack. A
+    carrier whose rho is 1 starts at its strict design, the closed-form
+    minimizer nearest its eigenmode precoder; every other at that precoder.
+    One RCG batch and one stacked relink; an empty stack, B = 0, refines
     nothing. Returns (list of
     :class:`RcgResult`, refined precoders (B, n_tx, n_streams), rates (B,)).
     """
-    refined = solve_rcg_batch(f0=f_hat, cov=cov, f_comm=f_hat, rho=rho, power=power)
+    f0 = np.array(f_hat, dtype=complex)
+    strict = np.broadcast_to(rho, f0.shape[:1]) == 1.0
+    if strict.any():
+        f0[strict] = strict_precoders(cov[strict], f0[strict], np.broadcast_to(power, strict.shape)[strict])
+    refined = solve_rcg_batch(f0=f0, cov=cov, f_comm=f_hat, rho=rho, power=power)
     precoders = np.array([res.precoder for res in refined]).reshape(f_hat.shape)
     return refined, precoders, link_rates(channels, precoders, prefactor)
 

@@ -133,32 +133,6 @@ def riemannian_newton(f, cov, f_comm, rho, power, steps):
     return f, np.array(gammas)
 
 
-def simplex_projection(x: np.ndarray, total) -> np.ndarray:
-    """Nearest points of {y >= 0, sum y = total} to the rows of x; ``total`` a float or one per row."""
-    desc = -np.sort(-x, axis=-1)
-    shifts = (np.cumsum(desc, axis=-1) - np.asarray(total)[..., None]) / np.arange(1, x.shape[-1] + 1)
-    shift = np.take_along_axis(shifts, np.sum(desc > shifts, axis=-1, keepdims=True) - 1, axis=-1)
-    return np.maximum(x - shift, 0.0)
-
-
-def strict_precoders(cov, f_comm, power):
-    """The closed-form minimizers of the RCG tradeoff objective at rho = 1 nearest ``f_comm``, per carrier.
-
-    At rho = 1 the objective is ||F F^H - R||^2 on ||F||^2 = P. For ``cov`` (B, n, n), ``f_comm`` (B, n, m)
-    and ``power`` a float or (B,), one stacked ``eigh`` gives each R's top m eigenpairs (V, lambda); the
-    eigenvalues projected onto {mu >= 0, sum mu = P} give L = V diag(sqrt(mu)), and every F = L Q, Q
-    unitary, attains the minimum. The one nearest ``f_comm`` is L polar(L^H f_comm), the polar factor
-    U W^H of L^H f_comm = U S W^H read off one stacked SVD: the strict-constraint design of Liu et al.,
-    "Toward dual-functional radar-communication systems: optimal waveform design", IEEE TSP 2018.
-    """
-    m = f_comm.shape[-1]
-    w, v = np.linalg.eigh(cov)
-    mu = simplex_projection(w[..., :-m - 1:-1], power)
-    lead = v[..., :-m - 1:-1] * np.sqrt(mu)[..., None, :]
-    u, _, wh = np.linalg.svd(lead.conj().mT @ f_comm)
-    return lead @ (u @ wh)
-
-
 def _center(state, derivatives, inside, weight):
     """Damped Newton steps on each case's barrier function at its ``weight``, toward its minimizer.
 

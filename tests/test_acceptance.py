@@ -32,11 +32,11 @@ from jcasbeam.cli import main
 from jcasbeam.config import SystemConfig
 from jcasbeam.covariance import solve_radar_covariance, solve_radar_covariances
 from jcasbeam.evaluation import sweep
-from jcasbeam.manifold import project_to_tangent, retract, solve_rcg_batch, tradeoff_gradient
+from jcasbeam.manifold import project_to_tangent, retract, simplex_projection, solve_rcg_batch, tradeoff_gradient
 from jcasbeam.precoding import waterfill
 
 from conftest import (disk_scan, finite_difference_gradient, random_complex, random_psd, random_sphere_point,
-                      reference_pattern, simplex_projection, two_stream_grid_rate, waterfill_kkt_residual)
+                      reference_pattern, two_stream_grid_rate, waterfill_kkt_residual)
 
 
 def _verdict(tag: str, ok: bool, detail: str) -> None:

@@ -8,11 +8,19 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def results_listing() -> list:
+    """The files in the checkout's ``perfbench/results/``, which runs in copies of the checkout leave alone."""
+    results = ROOT / "perfbench" / "results"
+    return sorted(p.name for p in results.iterdir()) if results.exists() else []
+
+
 def test_bench_record_writes_one_seed_of_link_in_the_schema(tmp_path):
     out = tmp_path / "BENCH_0.json"
+    before = results_listing()
     subprocess.run([sys.executable, str(ROOT / "tools" / "bench_record.py"), "0", "--workloads", "link",
                     "--seeds", "1", "--seconds", "1", "--out", str(out)],
                    cwd=ROOT, capture_output=True, text=True, check=True, timeout=300)
+    assert results_listing() == before
     text = out.read_text()
     record = json.loads(text)
     assert text == json.dumps(record, indent=1, sort_keys=True) + "\n"
@@ -35,9 +43,11 @@ def test_bench_record_writes_one_seed_of_link_in_the_schema(tmp_path):
 def test_bench_record_against_a_checkout_adds_its_values_and_the_wins(tmp_path):
     # against this checkout itself: one 1-s link seed on each side
     out = tmp_path / "BENCH_0.json"
+    before = results_listing()
     proc = subprocess.run([sys.executable, str(ROOT / "tools" / "bench_record.py"), "0", "--workloads", "link",
                            "--seeds", "1", "--seconds", "1", "--out", str(out), "--against", str(ROOT)],
                           cwd=ROOT, capture_output=True, text=True, check=True, timeout=300)
+    assert results_listing() == before
     # the parent side runs first at the first seed
     assert proc.stdout.index("link seed 1 (against)") < proc.stdout.index("link seed 1 (here)")
     record = json.loads(out.read_text())

@@ -95,15 +95,21 @@ def test_design_without_sensing_skips_pattern(small_config_file, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "flags, n_refined",
-    [(["--rho", "1"], SMALL["n_jcas"]), (["--jcas", str(SMALL["n_subcarriers"])], SMALL["n_subcarriers"])],
+    "flags, n_refined, strict",
+    [(["--rho", "1"], SMALL["n_jcas"], True), (["--jcas", str(SMALL["n_subcarriers"])], SMALL["n_subcarriers"], False)],
     ids=["rho=1", "n_jcas=K"],
 )
-def test_design_edge_configurations(small_config_file, tmp_path, flags, n_refined):
+def test_design_edge_configurations(small_config_file, tmp_path, flags, n_refined, strict):
+    # at rho = 1 (``strict``) every carrier starts at its closed-form strict design and stops there, at
+    # iteration 0 on its gradient test
     out = tmp_path / "edge"
     assert main(["design", "--config", str(small_config_file), "--out-dir", str(out), *flags]) == 0
     manifest = json.loads((out / "design_manifest.json").read_text())
     assert len(manifest["refinement"]) == n_refined
+    if strict:
+        for rec in manifest["refinement"].values():
+            assert (rec["iterations"], rec["stop_reason"], rec["converged"]) == (0, "gradient_norm", True)
+            assert rec["grad_norm"] <= 1e-12
     _, rows = read_table(out / "rates.csv")
     rates = np.array([r["rate"] for r in rows])
     assert len(rates) == SMALL["n_subcarriers"]

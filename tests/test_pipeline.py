@@ -15,7 +15,7 @@ from jcasbeam.channel import generate_rayleigh
 from jcasbeam.config import SystemConfig
 from jcasbeam.covariance import solve_radar_covariance, solve_radar_covariances
 from jcasbeam.errors import DegenerateChannelError
-from jcasbeam.manifold import solve_rcg_batch, tradeoff_objective
+from jcasbeam.manifold import solve_rcg_batch, strict_precoders, tradeoff_objective
 from jcasbeam.precoding import link_rates
 from jcasbeam.pipeline import (
     build_run_manifest,
@@ -24,7 +24,7 @@ from jcasbeam.pipeline import (
     select_jcas_subcarriers,
 )
 
-from conftest import assert_same_design
+from conftest import assert_same_design, assert_same_result
 
 
 def test_selection_picks_lowest_rates():
@@ -357,8 +357,13 @@ def assert_sane_design(res):
 
 
 def test_run_design_pure_sensing_weight(small_cfg):
+    # at rho = 1 every sensing carrier starts at its strict design and stops there: at iteration 0, on
+    # its gradient test, with the gradient at roundoff
     res = run_design(replace(small_cfg, rho=1.0))
     assert sorted(res.refinements) == res.jcas_subcarriers.tolist()
+    for rec in res.refinements.values():
+        assert (rec.iterations, rec.stop_reason, rec.converged) == (0, "gradient_norm", True)
+        assert rec.grad_norm <= 1e-12
     assert_sane_design(res)
     assert_links_recomputed_everywhere(res)
 
@@ -385,9 +390,10 @@ def test_run_design_on_rank_deficient_channels():
 
 
 def test_refine_carriers_batch_equals_solo(small_cfg):
-    # one stack at mixed rho, power and prefactor, a carrier repeated, must
-    # equal each carrier refined alone at shared float settings, as run_design
-    # refines, and leave its inputs as they were; an empty stack refines nothing
+    # one stack at mixed rho (1 among them, whose carrier starts at its strict
+    # design), power and prefactor, a carrier repeated, must equal each carrier
+    # refined alone at shared float settings, as run_design refines, and leave
+    # its inputs as they were; an empty stack refines nothing
     grid = build_grid(small_cfg)
     channels = generate_rayleigh(small_cfg.n_subcarriers, small_cfg.n_rx, small_cfg.n_tx, small_cfg.seed)
     powers = [small_cfg.effective_power, 5.0 * small_cfg.effective_power]
@@ -410,6 +416,31 @@ def test_refine_carriers_batch_equals_solo(small_cfg):
         np.testing.assert_array_equal(a, b)
     refined, precoders, rates = pipeline.refine_carriers(*(a[:0] for a in args))
     assert refined == [] and precoders.shape == (0, small_cfg.n_tx, small_cfg.n_streams) and rates.shape == (0,)
+
+
+def test_refine_carriers_starts_only_its_rho1_carriers_at_the_strict_design(small_cfg):
+    # in a stack that mixes rho 0.5 and 1 (whose batch = solo is test_refine_carriers_batch_equals_solo's),
+    # the rho 0.5 rows equal a stack with no rho 1 row and the RCG run from the eigenmode precoders, bit
+    # for bit; each rho 1 carrier starts at its strict design and stops there, at iteration 0 on its gradient
+    power, prefactor = small_cfg.effective_power, 1.0 / small_cfg.effective_noise
+    channels = generate_rayleigh(small_cfg.n_subcarriers, small_cfg.n_rx, small_cfg.n_tx, small_cfg.seed)
+    f_hat = eigen_stage(small_cfg, channels)[0]
+    cov = np.stack([sol.matrix for sol in solve_radar_covariance(build_grid(small_cfg), power).values()])
+    rho = np.array([1.0, 0.5, 0.5, 1.0, 0.5, 1.0])
+    refined, precoders, rates = pipeline.refine_carriers(channels, f_hat, cov, rho, power, prefactor)
+    half = rho == 0.5
+    alone, alone_precoders, alone_rates = pipeline.refine_carriers(
+        channels[half], f_hat[half], cov[half], 0.5, power, prefactor)
+    rcg = solve_rcg_batch(f_hat[half], cov[half], f_hat[half], 0.5, power)
+    for i, rec, direct in zip(np.flatnonzero(half), alone, rcg):
+        assert_same_result(refined[i], rec)
+        assert_same_result(rec, direct)
+    np.testing.assert_array_equal(precoders[half], alone_precoders)
+    np.testing.assert_array_equal(rates[half], alone_rates)
+    strict = strict_precoders(cov[~half], f_hat[~half], power)
+    for i in np.flatnonzero(~half):
+        assert (refined[i].iterations, refined[i].stop_reason, refined[i].converged) == (0, "gradient_norm", True)
+    np.testing.assert_allclose(precoders[~half], strict, rtol=0, atol=1e-12 * np.sqrt(power))
 
 
 @st.composite

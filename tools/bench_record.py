@@ -4,8 +4,12 @@
     python3 tools/bench_record.py N --seeds 1 2 3 --seconds 15 --workloads link
 
 Runs ``perfbench/run.py`` untraced (``--trace 0``) once per workload and seed, one run
-after another from the checkout's root, with the command and run length of
-``BENCHMARK.json``, as ``perfbench/spread.py`` does. Every workload of
+after another, with the command and run length of ``BENCHMARK.json``, as
+``perfbench/spread.py`` does. Each run starts in a fresh temporary copy of the checkout's
+git-tracked files as they stand in its working tree (outside a git checkout, of every
+file), as the benchmark runs each side in a new directory: so what earlier runs left in
+the checkout, such as ``perfbench/results/``, cannot bias a run, and the runs leave
+nothing in it. Every workload of
 ``BENCHMARK.json`` is run unless ``--workloads`` names some, over seeds 1-5 unless
 ``--seeds`` names others. The file records the git commit and whether tracked files
 differed from it (both null outside a git checkout); the Python and numpy versions of
@@ -29,9 +33,11 @@ as above.
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -57,10 +63,28 @@ def summary(values: list) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "values": values}
 
 
+def copy_tracked(source: Path, dest: Path) -> Path:
+    """A copy at ``dest`` of the git-tracked files of ``source`` as they stand in its working tree.
+
+    A tracked file deleted from the working tree is left out; where git lists none (outside a git checkout),
+    every file is copied.
+    """
+    listed = git("ls-files", "-z", cwd=source)
+    if not listed:
+        return Path(shutil.copytree(source, dest, symlinks=True))
+    for name in filter(None, listed.split("\0")):
+        if os.path.lexists(source / name):
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source / name, dest / name, follow_symlinks=False)
+    return dest
+
+
 def run(command: list, workload: str, seed: int, seconds: int, cwd=ROOT) -> dict:
-    """One untraced benchmark run in a checkout: the JSON object on the last line of its standard output."""
+    """One untraced benchmark run in a fresh copy of a checkout: the JSON object its standard output ends with."""
     cmd = command + ["--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=cwd, capture_output=True, text=True, timeout=900)
+    with tempfile.TemporaryDirectory(prefix="bench_record-") as tmp:
+        proc = subprocess.run(cmd, cwd=copy_tracked(Path(cwd), Path(tmp) / "checkout"), capture_output=True,
+                              text=True, timeout=900)
     if proc.returncode != 0:
         print(proc.stderr, file=sys.stderr)
         raise SystemExit(f"{workload} seed {seed} in {cwd} exited {proc.returncode}")

@@ -31,7 +31,8 @@ streams, so this is the one case whose outputs differ from such a checkout's); t
 ``link`` workload's 16 covariances and its 18 designs at seeds 0-2, by the workload's own
 ``link_designs``, and two
 more K=16 ``link`` designs: at rho 0, where every carrier stops at iteration 0 on
-the gradient norm, and at rho 1, where every carrier stops on the plateau; the
+the gradient norm, and at rho 1, where every carrier starts at its closed-form
+strict design and stops there, at iteration 0 on the gradient norm; the
 default design (``design-seed0``, the ``DesignResult`` of ``design --seed 0``); the covariances at power 2 of the two small grids of
 ``EARLY_STOPS``, imported from ``tests/test_covariance.py``, whose carriers stop below the
 tight tolerance at different iterations (232-233 and 2789-4821), so that the
@@ -39,8 +40,8 @@ record of each carrier's stop is covered; and the config files that
 ``write_config`` writes for the default config and for one that sets an antenna
 spacing, two target angles, the literal rate and a seed. The ``link`` designs
 reach both rounds of the RCG line search: the second, which takes the searches
-the first leaves undecided, runs for 4 of the 9,580 searches at seeds 0-2 and
-for 6 of the 1,077 at rho 0 and 1. Each field of a ``CovarianceSolution`` or an
+the first leaves undecided, runs for 4 of the 9,580 searches at seeds 0-2 (the
+rho 0 and rho 1 designs run none). Each field of a ``CovarianceSolution`` or an
 ``RcgResult`` is saved under its own key (its field name), so a change that moves
 one field of the solver records, such as the ``converged`` flag, shows up as
 exactly that field's keys changing. Each design also saves its pattern error
