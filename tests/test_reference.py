@@ -276,8 +276,9 @@ def link_strict(link):
 
 def test_strict_closed_form_solves_the_rho1_link_carriers(link_strict):
     # every one of the 160 carriers starts at its strict design and stops there, at iteration 0 on the
-    # gradient norm (at most 2.2e-14 sqrt(P)), with gamma at most the RCG's from F_hat, which stops on
-    # the plateau at 1.0e-9 to 4.0e-8 (seed 0, after 40-96 iterations); its rate is the link's log-det
+    # gradient norm (at most 2.1e-14 sqrt(P)), on the sphere to 3.6e-16, with gamma at most 4.9e-20,
+    # where the RCG from F_hat stops at 7.2e-13 to 8.7e-8 (at seed 0 on the plateau, after 40-96
+    # iterations); its rate is the link's log-det to 5.3e-15
     assert sum(len(result.refinements) for result, *_ in link_strict) == 160
     for result, cov, f_comm, power, rcg in link_strict:
         refined = list(result.refinements.values())
@@ -286,6 +287,8 @@ def test_strict_closed_form_solves_the_rho1_link_carriers(link_strict):
         f = np.array([r.precoder for r in refined])
         assert np.all(tradeoff_objective(f, cov, f_comm, 1.0) <= [r.objective for r in rcg])
         assert np.all(np.abs(np.linalg.norm(f, axis=(-2, -1)) ** 2 - power) <= 1e-12 * power)
+        grad = np.linalg.norm(sphere_gradient_hessian(f, cov, f_comm, 1.0, power)[0], axis=(-2, -1))
+        assert grad.max() <= 1e-12 * np.sqrt(power), grad.max() / np.sqrt(power)
         jcas = result.jcas_subcarriers
         np.testing.assert_array_equal(result.precoders[jcas], f)
         hf = result.channels[jcas] @ f
@@ -299,10 +302,9 @@ def test_strict_closed_form_lies_near_the_rho1_link_designs(link_strict):
     # move by at most 2.8e-3 bit/s/Hz, which the RCG's plateau stop, short of F F^H = R, leaves
     for result, _, _, _, rcg in link_strict:
         jcas = result.jcas_subcarriers
-        f, theirs = result.precoders[jcas], np.array([r.precoder for r in rcg])
-        ours, theirs = f @ f.conj().mT, theirs @ theirs.conj().mT
+        f, f_rcg = result.precoders[jcas], np.array([r.precoder for r in rcg])
+        ours, theirs = f @ f.conj().mT, f_rcg @ f_rcg.conj().mT
         dist = np.linalg.norm(ours - theirs, axis=(-2, -1)) / np.linalg.norm(theirs, axis=(-2, -1))
         assert dist.max() <= 1e-4, dist.max()
-        moved = result.rates[jcas] - link_rates(result.channels[jcas], np.array([r.precoder for r in rcg]),
-                                                1.0 / result.config.effective_noise)
+        moved = result.rates[jcas] - link_rates(result.channels[jcas], f_rcg, 1.0 / result.config.effective_noise)
         assert np.abs(moved).max() <= 5e-3, np.abs(moved).max()
