@@ -46,9 +46,8 @@ the new iterate reads it, as the first gradient reads the starting point's,
 so each point the solver visits forms one gram, not two. A round's tables,
 residuals included, are freed when it returns, round 1's before round 2 is
 built, and a kept residual is dropped once the gradient has read it. So a
-ladder's tables are the largest arrays alive, as they were when the gradient
-formed its residual again, and a batch's peak memory stays where it was (a
-test bounds it on the ``link`` benchmark's J=16 batches).
+ladder's tables are the largest arrays alive (a test bounds a batch's peak
+memory on the ``link`` benchmark's J=16 batches).
 
 At rho = 1 the minimizers are known in closed form: every F = L Q, with L the
 top-``n_streams`` eigenfactor of R scaled to power P and Q unitary, attains the
@@ -71,10 +70,8 @@ values. The stack squares all its norms in one ``np.float_power(x, 2.0)``
 call, whose loop calls that same ``pow`` (a test holds it equal to
 ``math.pow`` on a million values). The primitives take a rho or a power per
 carrier, which enters each product as the scalar would, elementwise, and the
-core calls them with its carriers' own; the factors it forms once per solve,
-such as 1 - rho and sqrt(P), are the values the public primitives form on
-each call. So a carrier's result is the same whatever batch it runs in, and
-whatever rho and power its neighbours have.
+core calls them with its carriers' own. So a carrier's result is the same
+whatever batch it runs in, and whatever rho and power its neighbours have.
 """
 
 from __future__ import annotations
@@ -167,14 +164,6 @@ def _gradient(f, resid, f_comm, four_rho, two_rho_c):
     return four_rho * (resid @ f) + two_rho_c * (f - f_comm)
 
 
-def tradeoff_gradient(f: np.ndarray, cov: np.ndarray, f_comm: np.ndarray, rho) -> np.ndarray:
-    """Euclidean (conjugate-coordinate) gradient of the tradeoff objective, per matrix.
-
-    ``f`` is a complex stack; ``rho`` is a float or one per matrix.
-    """
-    return _gradient(f, f @ f.conj().mT - cov, f_comm, _each(4.0 * rho), _each(2.0 * (1.0 - rho)))
-
-
 def project_to_tangent(f: np.ndarray, g: np.ndarray, power) -> np.ndarray:
     """Remove the radial component of g at the sphere point f (||f||^2 = power).
 
@@ -194,17 +183,6 @@ def _normalize(v: np.ndarray, root) -> np.ndarray:
     v *= root
     v /= norms
     return v
-
-
-def retract(f: np.ndarray, step, direction: np.ndarray, power) -> np.ndarray:
-    """Move along ``direction`` then renormalize back onto the power sphere.
-
-    ``step`` and ``power`` broadcast over the leading axes of the stack: a
-    float, one per matrix, or a row of steps against a column of matrices with
-    one power each, the line search's form (which the line search writes out
-    itself, with the steps and sqrt(power) shaped once per solve).
-    """
-    return _normalize(f + _each(step) * direction, _each(np.sqrt(power)))
 
 
 def polak_ribiere_mu(g_new: np.ndarray, g_prev: np.ndarray, g_prev_transported: np.ndarray):

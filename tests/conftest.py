@@ -5,7 +5,7 @@ import pytest
 
 from jcasbeam.beamgrid import BeamGrid
 from jcasbeam.config import SPEED_OF_LIGHT, SystemConfig
-from jcasbeam.manifold import tradeoff_objective
+from jcasbeam.manifold import _each, _gradient, _normalize, _objective, tradeoff_objective
 
 # Small but non-trivial setup: 4x2 link, 6 subcarriers, coarse angle grid.
 # Covariance solves and RCG runs complete in milliseconds at this size.
@@ -73,6 +73,30 @@ def finite_difference_gradient(f, cov, f_comm, rho, h=1e-5):
             lo = tradeoff_objective(f - h * e, cov, f_comm, rho)
             grad += ((hi - lo) / (2.0 * h)) * e
     return grad
+
+
+def rcg_gradient(f, cov, f_comm, rho):
+    """Euclidean gradient of each matrix of a stack as ``solve_rcg_batch`` forms it, shaped like ``f``.
+
+    ``_gradient`` reads the residual F F^H - R of ``_objective``, with 4 rho and 2 (1 - rho) shaped by
+    ``_each``; ``rho`` is a float or one per matrix.
+    """
+    rho = np.asarray(rho, dtype=float)
+    rho_c = 1.0 - rho
+    resid = _objective(f, cov, f_comm, rho, rho_c)[1]
+    return _gradient(f, resid, f_comm, _each(4.0 * rho), _each(2.0 * rho_c))
+
+
+def ladder_points(f, steps, direction, power):
+    """The line search's trial points: each matrix of ``f`` (B, n, m) moved along its ``direction`` by
+    each of ``steps`` (R,) and normalized to its power, (B, R, n, m).
+
+    The form ``manifold._line_search`` writes: a column of matrices by a row of steps, with sqrt(power)
+    shaped against both; ``power`` is a float or one per matrix.
+    """
+    steps = np.asarray(steps, dtype=float)
+    root = np.sqrt(np.broadcast_to(np.asarray(power, dtype=float), (len(f),)))
+    return _normalize(f[:, None] + steps[:, None, None] * direction[:, None], root[:, None, None, None])
 
 
 def real_coords(mats):

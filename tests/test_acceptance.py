@@ -32,11 +32,12 @@ from jcasbeam.cli import main
 from jcasbeam.config import SystemConfig
 from jcasbeam.covariance import solve_radar_covariance, solve_radar_covariances
 from jcasbeam.evaluation import sweep
-from jcasbeam.manifold import project_to_tangent, retract, simplex_projection, solve_rcg_batch, tradeoff_gradient
+from jcasbeam.manifold import project_to_tangent, simplex_projection, solve_rcg_batch
 from jcasbeam.precoding import waterfill
 
-from conftest import (disk_scan, finite_difference_gradient, random_complex, random_psd, random_sphere_point,
-                      reference_pattern, two_stream_grid_rate, waterfill_kkt_residual)
+from conftest import (disk_scan, finite_difference_gradient, ladder_points, random_complex, random_psd,
+                      random_sphere_point, rcg_gradient, reference_pattern, two_stream_grid_rate,
+                      waterfill_kkt_residual)
 
 
 def _verdict(tag: str, ok: bool, detail: str) -> None:
@@ -56,14 +57,14 @@ def test_property_suite():
         cov = random_psd(rng, 4, power)
         f_comm = random_complex(rng, (4, 2))
         rho = float(rng.uniform(0.05, 0.95))
-        g = tradeoff_gradient(f, cov, f_comm, rho)
+        g = rcg_gradient(f, cov, f_comm, rho)
         g_fd = finite_difference_gradient(f, cov, f_comm, rho)
         worst_grad = max(worst_grad, np.linalg.norm(g - g_fd) / np.linalg.norm(g_fd))
 
         on_sphere = random_sphere_point(rng, (4, 2), power)
         tangent = project_to_tangent(on_sphere, random_complex(rng, (4, 2)), power)
         worst_tan = max(worst_tan, abs(np.real(np.vdot(on_sphere, tangent))))
-        moved = retract(on_sphere, float(rng.uniform(0.0, 2.0)), tangent, power)
+        moved = ladder_points(on_sphere[None], [rng.uniform(0.0, 2.0)], tangent[None], power)[0, 0]
         worst_norm = max(worst_norm, abs(np.linalg.norm(moved) - np.sqrt(power)))
     if worst_grad > 1e-5:
         failures.append(f"gradient vs finite differences {worst_grad:.2e} > 1e-5")

@@ -15,15 +15,15 @@ from jcasbeam.manifold import (
     MAX_BACKTRACKS,
     _armijo_decide,
     _ladder,
+    _normalize,
     polak_ribiere_mu,
     project_to_tangent,
-    retract,
     solve_rcg_batch,
-    tradeoff_gradient,
     tradeoff_objective,
 )
 
-from conftest import assert_same_result, finite_difference_gradient, random_complex, random_psd, random_sphere_point
+from conftest import (assert_same_result, finite_difference_gradient, ladder_points, random_complex, random_psd,
+                      random_sphere_point, rcg_gradient)
 
 
 def solve_one(f0, cov, f_comm, rho, power):
@@ -43,7 +43,7 @@ def test_objective_scalar_hand_case():
     expected = 0.6 * (1.5 ** 2 - 2.0) ** 2 + 0.4 * 0.5 ** 2
     assert tradeoff_objective(f, cov, f_comm, rho) == pytest.approx(expected, abs=1e-12)
     g = 4 * 0.6 * (1.5 ** 2 - 2.0) * 1.5 + 2 * 0.4 * 0.5
-    assert tradeoff_gradient(f, cov, f_comm, rho)[0, 0] == pytest.approx(g, abs=1e-12)
+    assert rcg_gradient(f, cov, f_comm, rho)[0, 0] == pytest.approx(g, abs=1e-12)
 
 
 def test_gradient_matches_finite_differences(rng):
@@ -53,7 +53,7 @@ def test_gradient_matches_finite_differences(rng):
         cov = random_psd(rng, 4, 2.0)
         f_comm = random_complex(rng, (4, 2))
         rho = float(rng.uniform(0.05, 0.95))
-        g = tradeoff_gradient(f, cov, f_comm, rho)
+        g = rcg_gradient(f, cov, f_comm, rho)
         g_fd = finite_difference_gradient(f, cov, f_comm, rho)
         rel = np.linalg.norm(g - g_fd) / np.linalg.norm(g_fd)
         assert rel <= 1e-5
@@ -71,19 +71,12 @@ def test_tangent_projection_residual(rng):
 
 
 def test_retraction_stays_on_sphere(rng):
+    # the line search's form: a column of 20 points retracted by a row of 5 steps
     power = 2.5
-    for _ in range(20):
-        f = random_sphere_point(rng, (4, 2), power)
-        d = project_to_tangent(f, random_complex(rng, (4, 2)), power)
-        out = retract(f, float(rng.uniform(0.0, 2.0)), d, power)
-        assert abs(np.linalg.norm(out) - np.sqrt(power)) <= 1e-9
-
-
-def test_retraction_zero_step_identity(rng):
-    power = 2.0
-    f = random_sphere_point(rng, (3, 2), power)
-    d = project_to_tangent(f, random_complex(rng, (3, 2)), power)
-    np.testing.assert_allclose(retract(f, 0.0, d, power), f, atol=1e-12)
+    f = np.array([random_sphere_point(rng, (4, 2), power) for _ in range(20)])
+    d = project_to_tangent(f, random_complex(rng, (20, 4, 2)), power)
+    out = ladder_points(f, rng.uniform(0.0, 2.0, 5), d, power)
+    assert np.all(np.abs(np.linalg.norm(out, axis=(-2, -1)) - np.sqrt(power)) <= 1e-9)
 
 
 def test_transport_lands_in_tangent_space(rng):
@@ -168,11 +161,11 @@ def test_line_search_raises_on_a_search_its_ladder_leaves_undecided(rng):
     cov = random_psd(rng, 4, 2.0)[None]
     rho = np.array([0.5])
     gamma = tradeoff_objective(f, cov, f_comm, rho)
-    grad = project_to_tangent(f, tradeoff_gradient(f, cov, f_comm, rho), power)
+    grad = project_to_tangent(f, rcg_gradient(f, cov, f_comm, rho), power)
     rungs = _ladder()[:9]
 
     def first_sufficient(direction):
-        points = retract(f[:, None], rungs, direction[:, None], power[:, None])
+        points = ladder_points(f, rungs, direction, power)
         bound = gamma + ARMIJO_C * rungs * real_inner(grad[0], direction[0])
         return np.flatnonzero(tradeoff_objective(points, cov, f_comm, rho)[0] <= bound)[0]
 
@@ -473,30 +466,26 @@ def test_stacked_primitives_match_one_matrix_calls(rng):
     rhos = np.array([0.0, 0.3, 0.5, 0.9, 1.0])
     powers = rng.uniform(0.5, 4.0, 5)
     stacked = (
-        tradeoff_gradient(f, cov, g, 0.4),
+        rcg_gradient(f, cov, g, 0.4),
         project_to_tangent(f, g, power),
-        retract(f, steps, d, power),
         polak_ribiere_mu(g, d, f),
         tradeoff_objective(f, cov, g, rhos),
-        tradeoff_gradient(f, cov, g, rhos),
-        retract(f, steps, d, powers),
+        rcg_gradient(f, cov, g, rhos),
     )
     for b in range(5):
-        np.testing.assert_array_equal(stacked[0][b], tradeoff_gradient(f[b], cov[b], g[b], 0.4))
+        np.testing.assert_array_equal(stacked[0][b], rcg_gradient(f[b], cov[b], g[b], 0.4))
         np.testing.assert_array_equal(stacked[1][b], project_to_tangent(f[b], g[b], power))
-        np.testing.assert_array_equal(stacked[2][b], retract(f[b], steps[b], d[b], power))
-        assert stacked[3][b] == polak_ribiere_mu(g[b], d[b], f[b])
-        assert stacked[4][b] == tradeoff_objective(f[b], cov[b], g[b], float(rhos[b]))
-        np.testing.assert_array_equal(stacked[5][b], tradeoff_gradient(f[b], cov[b], g[b], float(rhos[b])))
-        np.testing.assert_array_equal(stacked[6][b], retract(f[b], steps[b], d[b], float(powers[b])))
-    # the line search's form: a column of matrices retracted by a row of steps,
-    # with one power per matrix
-    ladder = retract(f[:, None], steps, d[:, None], power)
-    ladder_powers = retract(f[:, None], steps, d[:, None], powers[:, None])
+        assert stacked[2][b] == polak_ribiere_mu(g[b], d[b], f[b])
+        assert stacked[3][b] == tradeoff_objective(f[b], cov[b], g[b], float(rhos[b]))
+        np.testing.assert_array_equal(stacked[4][b], rcg_gradient(f[b], cov[b], g[b], float(rhos[b])))
+    # the line search's retraction: a column of matrices by a row of steps, with
+    # one power shared or one per matrix, against each point normalized alone
+    ladder = ladder_points(f, steps, d, power)
+    ladder_powers = ladder_points(f, steps, d, powers)
     assert ladder.shape == ladder_powers.shape == (5, 5, 4, 2)
     for b, r in np.ndindex(5, 5):
-        np.testing.assert_array_equal(ladder[b, r], retract(f[b], steps[r], d[b], power))
-        np.testing.assert_array_equal(ladder_powers[b, r], retract(f[b], steps[r], d[b], float(powers[b])))
+        np.testing.assert_array_equal(ladder[b, r], _normalize(f[b] + steps[r] * d[b], np.sqrt(power)))
+        np.testing.assert_array_equal(ladder_powers[b, r], _normalize(f[b] + steps[r] * d[b], np.sqrt(powers[b])))
 
 
 def test_armijo_searches_run_side_by_side_as_alone():
@@ -523,7 +512,7 @@ def test_rcg_grad_norm_is_the_returned_points_gradient_norm(mixed_stop_rules, pe
     }
     for r, cov, f_comm, rho, power in zip(batch, stack[1], stack[2], rhos, powers):
         f = r.precoder
-        want = np.linalg.norm(project_to_tangent(f, tradeoff_gradient(f, cov, f_comm, rho), power)) / np.sqrt(power)
+        want = np.linalg.norm(project_to_tangent(f, rcg_gradient(f, cov, f_comm, rho), power)) / np.sqrt(power)
         assert type(r.grad_norm) is float
         assert abs(r.grad_norm - want) <= 1e-12 * want, (r.stop_reason, r.grad_norm, want)
         assert r.grad_norm <= manifold.GRAD_TOL or not r.converged

@@ -26,10 +26,10 @@ import pytest
 import jcasbeam
 import jcasbeam.cli  # noqa: F401  (the workloads call it as jcasbeam.cli)
 from jcasbeam import manifold, pipeline
-from jcasbeam.manifold import project_to_tangent, retract, tradeoff_objective
+from jcasbeam.manifold import _each, _normalize, project_to_tangent, tradeoff_objective
 from jcasbeam.precoding import link_rates
 
-from conftest import real_coords, riemannian_newton, sphere_gradient_hessian
+from conftest import ladder_points, real_coords, riemannian_newton, sphere_gradient_hessian
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -243,13 +243,14 @@ def test_newton_gradient_and_hessian_match_finite_differences(link_seed0_rcg):
     rng = np.random.default_rng(0)
     h = 3e-4
     for f0, cov, f_comm, rho, power in batches:
-        f = retract(f0, 0.0, np.zeros_like(f0), power)
+        f = _normalize(np.array(f0, dtype=complex), _each(np.sqrt(power)))  # the solver's starting point
         grad, hess = sphere_gradient_hessian(f, cov, f_comm, rho, power)
         grad_scale, hess_scale = np.linalg.norm(grad, axis=(-2, -1)), np.linalg.norm(hess, 2, axis=(-2, -1))
         for _ in range(4):
             xi = project_to_tangent(f, rng.standard_normal(f.shape) + 1j * rng.standard_normal(f.shape), power)
             xi /= np.linalg.norm(xi, axis=(-2, -1))[:, None, None]
-            up, mid, down = (tradeoff_objective(retract(f, t, xi, power), cov, f_comm, rho) for t in (h, 0.0, -h))
+            points = ladder_points(f, [h, 0.0, -h], xi, power)
+            up, mid, down = (tradeoff_objective(points[:, k], cov, f_comm, rho) for k in range(3))
             x = real_coords(xi)
             slope = np.sum(real_coords(grad) * x, axis=-1)
             curve = np.einsum("bi,bij,bj->b", x, hess, x)
