@@ -3,12 +3,17 @@
 Every stage runs on a stack of subcarriers at once, and a single matrix is a
 stack of one: :func:`eigenmode_precoders` takes one SVD of the
 (K, n_rx, n_tx) channel stack, water-fills every carrier with
-:func:`waterfill` through a cumulative sum over its sorted noise floors and
-fixes the column phases of all carriers together; :func:`link_rates` takes
-one values-only SVD of the stack of effective channels HF. Stacked numpy
-linear algebra makes the same LAPACK call per matrix as on one matrix, and
-the running sums are taken in the same order, so a carrier's precoder and
-rate are the same bit for bit whatever stack it is in.
+:func:`waterfill` and fixes the column phases of all carriers together;
+:func:`link_rates` takes one values-only SVD of the stack of effective
+channels HF. Water-filling is the Euclidean projection of the negated noise
+floors onto the scaled simplex {p >= 0, sum p = P}, and
+:func:`simplex_projection`, a cumulative sum over each row's sorted entries,
+is the one such projection in the package: the rho = 1 strict design
+(``manifold.strict_precoders``) allocates its covariance's top eigenvalues
+with it too. Stacked numpy linear algebra makes the same LAPACK call per
+matrix as on one matrix, and the running sums are taken in the same order,
+so a carrier's precoder and rate are the same bit for bit whatever stack it
+is in.
 """
 
 from __future__ import annotations
@@ -18,22 +23,52 @@ import numpy as np
 from .errors import DegenerateChannelError
 
 
+def _project(x: np.ndarray, total):
+    """Nearest points of {y >= 0, sum y = total} to the rows of a (K, n) stack, with levels and active counts.
+
+    ``total`` is a float or one per row. Per row, sorted in descending order, the candidate level with
+    the m largest entries active is (total - their running sum) / m, summed by ``cumsum``; the row keeps
+    the leading run of entries x_m with x_m + candidate m > 0, and always its largest, and y = max(x +
+    level, 0). A row whose y rounds to zero on every entry puts the whole total on its largest
+    entry, and a row whose sum misses the total by more than 1e-12 relative is rescaled onto it; every
+    other row keeps the bits of x + level. Returns (y (K, n), levels (K,), active counts (K,)).
+    """
+    total = np.broadcast_to(np.asarray(total, dtype=float), x.shape[:-1])
+    desc = -np.sort(-x, axis=-1)
+    levels = (total[:, None] - np.cumsum(desc, axis=-1)) / np.arange(1, x.shape[-1] + 1)
+    # total - sum rounds to -sum where the total is below the roundoff of the largest entry
+    n_active = np.maximum(np.logical_and.accumulate(-desc < levels, axis=-1).sum(axis=-1), 1)
+    level = np.take_along_axis(levels, n_active[:, None] - 1, axis=-1)[:, 0]
+    y = np.maximum(x + level[:, None], 0.0)
+    # where the entries dwarf the total, x + level carries the level's roundoff, or rounds
+    # to zero on every entry: then the largest entry takes the whole total
+    sums = y.sum(axis=-1)
+    lost = sums == 0
+    y[lost, np.argmax(x[lost], axis=-1)] = sums[lost] = total[lost]
+    off = np.abs(sums - total) > 1e-12 * total
+    y[off] *= total[off, None] / sums[off, None]
+    return y, level, n_active
+
+
+def simplex_projection(x, total) -> np.ndarray:
+    """Nearest points of {y >= 0, sum y = total} to the rows of a (K, n) stack, by :func:`_project`.
+
+    ``total`` is a float or one per row.
+    """
+    return _project(x, total)[0]
+
+
 def waterfill(gains, total_power: float, noise_power: float = 1.0):
     """Exact water-filling of each row of a (K, n) stack of channel power gains.
 
     Per row, maximizes sum_i log(1 + g_i p_i / noise) subject to
-    sum p_i = total and p_i >= 0 by the closed-form active-set construction.
-    Returns (powers (K, n), levels (K,), active counts (K,)). Rows are sorted
-    by floor noise/gain (zero gains last, at an infinite floor); the candidate
-    level with the m strongest channels active is (total + sum of their
-    floors) / m, summed in order by ``cumsum`` as a running sum would, and a
-    row keeps the leading candidates that lie above their own floor, and
-    always its strongest stream. A row whose powers miss the total by more
-    than 1e-12 relative is rescaled onto it, and one whose level - floor
-    rounds to zero on every stream puts the whole total on its strongest
-    stream; every other row keeps the bits of level - floor.
-    Negative gains or a non-positive total raise ``ValueError``, and a row
-    without a positive gain raises :class:`DegenerateChannelError`.
+    sum p_i = total and p_i >= 0. The optimum is max(level - floor_i, 0),
+    floor_i = noise/g_i (infinite for a zero gain): the projection of the
+    negated floors onto {p >= 0, sum p = total} (:func:`_project`, with its
+    rules for a total below the roundoff of the strongest floor). Returns
+    (powers (K, n), levels (K,), active counts (K,)). Negative gains or a
+    non-positive total raise ``ValueError``, and a row without a positive gain
+    raises :class:`DegenerateChannelError`.
     """
     gains = np.asarray(gains, dtype=float)
     if np.any(gains < 0):
@@ -43,23 +78,8 @@ def waterfill(gains, total_power: float, noise_power: float = 1.0):
     positive = gains > 0
     if not np.all(np.any(positive, axis=-1)):
         raise DegenerateChannelError("no positive channel gains to allocate power over")
-    floor = np.full(gains.shape, np.inf)
-    floor[positive] = noise_power / gains[positive]
-    by_floor = np.take_along_axis(floor, np.argsort(floor, axis=-1, kind="stable"), axis=-1)
-    candidate = (total_power + np.cumsum(by_floor, axis=-1)) / np.arange(1, gains.shape[-1] + 1)
-    # total + floor rounds to the floor where the total is below the floor's roundoff
-    n_active = np.maximum(np.logical_and.accumulate(candidate > by_floor, axis=-1).sum(axis=-1), 1)
-    level = np.take_along_axis(candidate, n_active[:, None] - 1, axis=-1)[:, 0]
-    powers = np.maximum(level[:, None] - floor, 0.0)
-    powers[~positive] = 0.0
-    # where the floors dwarf the total, level - floor carries the level's roundoff, or
-    # rounds to zero on every stream: then the strongest stream takes the whole total
-    sums = powers.sum(axis=-1)
-    lost = sums == 0
-    powers[lost, np.argmin(floor[lost], axis=-1)] = sums[lost] = total_power
-    off = np.abs(sums - total_power) > 1e-12 * total_power
-    powers[off] *= total_power / sums[off, None]
-    return powers, level, n_active
+    floor = np.divide(noise_power, gains, out=np.full(gains.shape, np.inf), where=positive)
+    return _project(-floor, total_power)
 
 
 def _fix_column_phases(mat: np.ndarray) -> np.ndarray:

@@ -129,6 +129,22 @@ def sphere_gradient_hessian(f, cov, f_comm, rho, power):
     return euclid - lam * f, hess
 
 
+def tangent_curvature(f, cov, f_comm, rho, power):
+    """The smallest eigenpair of each carrier's Hessian on the tangent space at f: (B,) and (B, n, m).
+
+    The Hessian of ``sphere_gradient_hessian`` is restricted to the tangent space, F^perp in
+    ``real_coords``, through the orthonormal basis that a complete QR of real_coords(F) gives past its
+    first column. A negative eigenvalue marks a saddle, and its eigenvector, returned as a unit tangent
+    matrix, is a direction of descent.
+    """
+    _, hess = sphere_gradient_hessian(f, cov, f_comm, rho, power)
+    tangent = np.linalg.qr(real_coords(f)[..., None], mode="complete")[0][..., 1:]  # (B, d, d - 1)
+    values, vectors = np.linalg.eigh(tangent.mT @ hess @ tangent)
+    x = (tangent @ vectors[..., :1])[..., 0]
+    half = x.shape[-1] // 2
+    return values[:, 0], (x[:, :half] + 1j * x[:, half:]).reshape(f.shape)
+
+
 def riemannian_newton(f, cov, f_comm, rho, power, steps):
     """``steps`` Riemannian Newton steps on each carrier of a stack, retracting by normalization.
 
@@ -274,6 +290,33 @@ def interior_point_covariance(steering, mask, power):
     dual = np.sum(v[:, :n_grid] * want, axis=1) - power / n * np.sum(v[:, n_grid:], axis=1)
     dual += power * np.minimum(np.linalg.eigvalsh(dual_matrix(v))[:, 0], 0.0)
     return mats, objective, (objective - dual) / objective
+
+
+def oblique_least_squares_covariance(steering, mask, power, steps):
+    """Least-squares fit of the pattern to the scaled mask over {R psd, diag R = P/n}, by ``steps`` gradient steps.
+
+    For each case, steering (T, n) and ``mask`` (T,), it minimizes mean_t |P m_t - a_t^H R a_t|^2, the
+    pattern error that ``certified_floor`` bounds at P = 1, with R = V V^H: the rows of V (n, n) keep
+    squared norm P/n, so V lies on a complex oblique manifold and R meets the covariance stage's
+    constraints exactly. A step moves V along the Euclidean gradient 2 G V, G = (2/T) sum_t e_t a_t a_t^H
+    with e the pattern residual, by 1/(2 L P), L = (2/T) lambda_max(|a_t^H a_s|^2) the gradient's
+    Lipschitz constant in R, then renormalizes each row (Absil-Gallivan, "Joint diagonalization on the
+    oblique manifold", 2006). It starts at V = sqrt(P/n) I. Returns R (B, n, n) and its pattern error
+    (B,). The pattern is |a_t^H V|^2, so no R is formed until the end.
+    """
+    n_case, n_grid, n = steering.shape
+    power = np.broadcast_to(np.asarray(power, dtype=float), (n_case,))[:, None, None]
+    lipschitz = 2.0 / n_grid * np.linalg.eigvalsh(np.abs(steering.conj() @ steering.mT) ** 2)[:, -1, None, None]
+    want = power[..., 0] * mask
+    root = np.sqrt(power / n)
+    v = root * np.eye(n, dtype=complex)
+    for _ in range(steps):
+        rows = steering.conj() @ v  # a_t^H V
+        resid = np.sum(np.abs(rows) ** 2, axis=-1) - want
+        v = v - steering.mT @ ((2.0 / n_grid) * resid[..., None] * rows) / (lipschitz * power)
+        v *= root / np.linalg.norm(v, axis=-1, keepdims=True)
+    mats = v @ v.conj().mT
+    return mats, np.mean((reference_pattern(mats, steering) - want) ** 2, axis=-1)
 
 
 def waterfill_kkt_residual(gains, powers, level, total_power, noise_power=1.0):

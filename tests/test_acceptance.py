@@ -32,12 +32,12 @@ from jcasbeam.cli import main
 from jcasbeam.config import SystemConfig
 from jcasbeam.covariance import solve_radar_covariance, solve_radar_covariances
 from jcasbeam.evaluation import sweep
-from jcasbeam.manifold import project_to_tangent, simplex_projection, solve_rcg_batch
-from jcasbeam.precoding import waterfill
+from jcasbeam.manifold import project_to_tangent, solve_rcg_batch
+from jcasbeam.precoding import simplex_projection, waterfill
 
-from conftest import (disk_scan, finite_difference_gradient, ladder_points, random_complex, random_psd,
-                      random_sphere_point, rcg_gradient, reference_pattern, two_stream_grid_rate,
-                      waterfill_kkt_residual)
+from conftest import (disk_scan, finite_difference_gradient, ladder_points, oblique_least_squares_covariance,
+                      random_complex, random_psd, random_sphere_point, rcg_gradient, reference_pattern,
+                      two_stream_grid_rate, waterfill_kkt_residual)
 
 
 def _verdict(tag: str, ok: bool, detail: str) -> None:
@@ -294,7 +294,8 @@ def _three_x_certificate(iterations=200):
         grad_mu = gains_t[:, None] - 3.0 * gains_s
         step = 1.0 / np.sqrt(i + 1.0)
         d = d - step * grad_d / np.linalg.norm(grad_d, axis=1, keepdims=True)
-        mu = simplex_projection((mu - 0.1 * step * grad_mu / np.linalg.norm(grad_mu)).ravel(), 1.0).reshape(mu.shape)
+        mu = mu - 0.1 * step * grad_mu / np.linalg.norm(grad_mu)
+        mu = simplex_projection(mu.reshape(1, -1), 1.0).reshape(mu.shape)
     return best[1], best[2], targets, sidelobes
 
 
@@ -472,6 +473,26 @@ def test_spot_check_error_floor(certified_floor):
     """
     floor = certified_floor
     assert np.all(floor > 0.26), f"certified floor {floor.min():.4f} on carrier {floor.argmin()} is inside the band"
+
+
+def test_least_squares_covariance_reaches_the_certified_floor(certified_floor):
+    """A least-squares covariance fit under the covariance stage's constraints meets the certified floor.
+
+    On every default-grid carrier at P = 1, 1,000 steps of ``oblique_least_squares_covariance`` end
+    within 1e-4 of the carrier's ``certified_floor`` (measured: 3.5e-5 at worst, 2.8e-6 after 2,000
+    steps), with a mean pattern error of 0.33503 against the floor's 0.33501, an exact diagonal and a
+    smallest eigenvalue of 2.5e-4. The floor is certified over the larger set tr R = P, so the uniform
+    diagonal costs nothing under this metric. The covariance stage's least-absolute-deviation
+    covariances read a mean of 0.459 on the same carriers. About 2 s.
+    """
+    grid = build_grid(SystemConfig())
+    power, n_tx = 1.0, grid.n_tx
+    mats, err = oblique_least_squares_covariance(grid.steering(range(grid.n_subcarriers)), grid.desired_gain,
+                                                 power, 1000)
+    assert np.all(err >= certified_floor - 1e-12)
+    assert np.all(err - certified_floor <= 1e-4), (err - certified_floor).max()
+    assert np.abs(np.diagonal(mats, axis1=1, axis2=2) - power / n_tx).max() <= 1e-15
+    assert np.linalg.eigvalsh(mats)[:, 0].min() >= 0.0
 
 
 def test_spot_check_rate_gain_is_positive(spot_check):

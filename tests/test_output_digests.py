@@ -42,3 +42,13 @@ def test_one_of_save_and_compare_is_required(monkeypatch, capsys):
         output_digests.main([])
     assert exit_.value.code == 2
     assert "one of the arguments --save --compare is required" in capsys.readouterr().err
+
+
+def test_projection_table_saves_every_return_of_both_projections():
+    table = output_digests.projection_table()
+    keys = [key for key, _ in output_digests.leaves(table)]
+    assert len(keys) == 3 * len(output_digests.WATERFILLS) + len(output_digests.PROJECTIONS)
+    # the edge row's entries dwarf its total, which its largest entry takes whole
+    np.testing.assert_array_equal(table["simplex_projection"]["edge"], [[1.0, 0.0, 0.0]])
+    for name, (total, _) in output_digests.WATERFILLS.items():
+        np.testing.assert_allclose(table["waterfill"][name]["powers"].sum(axis=1), total, rtol=1e-12)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jcasbeam.errors import DegenerateChannelError
-from jcasbeam.precoding import eigenmode_precoders, link_rates, waterfill
+from jcasbeam.precoding import eigenmode_precoders, link_rates, simplex_projection, waterfill
 
 from conftest import random_complex, two_stream_grid_rate, waterfill_kkt_residual
 
@@ -136,6 +136,47 @@ def test_waterfill_normal_row_keeps_its_bits():
     powers, level, _ = waterfill(gains, 1.0, 1.0)
     floor = np.where(gains > 0, 1.0 / np.where(gains > 0, gains, 1.0), np.inf)
     np.testing.assert_array_equal(powers, np.maximum(level[:, None] - floor, 0.0))
+
+
+# rows at extreme scales, with their totals: a float or one per row
+EXTREME_ROWS = [
+    # entries that dwarf the total: the leading candidate level, (1 - 1e20) / 1, rounds to -1e20,
+    # so no entry has x + candidate > 0, and x + level is 0 on every entry
+    ([[1e20, 1.0, 0.5]], 1.0),
+    ([[1e300, -1e300, 1e299], [1e-300, -1e-300, 0.0], [-5e-324, 0.0, 5e-324]], [1e300, 1e-300, 1.0]),
+    ([[3.0, -2.0, 1.0, 0.5], [4.0, 4.0, 4.0, 4.0]], 1e-20),
+    ([[-1e10, -1e10 - 5.0, 7.0, 1e-30], [1e16, 1e16 + 2.0, -1e16, 3.0]], [1e5, 1e-8]),
+]
+
+
+@pytest.mark.parametrize("rows, total", EXTREME_ROWS)
+def test_simplex_projection_is_feasible_at_extreme_scales(rows, total):
+    y = simplex_projection(np.array(rows), total)
+    total = np.broadcast_to(total, len(rows))
+    assert np.all(y >= 0.0)
+    assert np.all(np.abs(y.sum(axis=1) - total) <= 1e-12 * total), (y, total)
+
+
+def test_simplex_projection_puts_a_dwarfed_total_on_the_largest_entry():
+    np.testing.assert_array_equal(simplex_projection(np.array([[0.5, 1e20, 1.0]]), 1.0), [[0.0, 1.0, 0.0]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.integers(1, 8).flatmap(lambda n: st.lists(st.lists(st.floats(-1e300, 1e300), min_size=n, max_size=n),
+                                                          min_size=1, max_size=4)),
+       total=st.floats(1e-300, 1e300))
+def test_simplex_projection_property(rows, total):
+    y = simplex_projection(np.array(rows), total)
+    assert np.all(y >= 0.0)
+    assert np.all(np.abs(y.sum(axis=1) - total) <= 1e-12 * total)
+
+
+def test_waterfill_is_the_projection_of_the_negated_floors(rng):
+    gains = rng.uniform(0.0, 4.0, size=(20, 5))
+    gains[rng.uniform(size=gains.shape) < 0.3] = 0.0
+    gains[:, 0] = np.maximum(gains[:, 0], 0.1)
+    floor = np.where(gains > 0, 0.8 / np.where(gains > 0, gains, 1.0), np.inf)
+    np.testing.assert_array_equal(waterfill(gains, 3.0, 0.8)[0], simplex_projection(-floor, 3.0))
 
 
 def test_waterfill_matches_grid_oracle(rng):

@@ -29,7 +29,7 @@ from jcasbeam import manifold, pipeline
 from jcasbeam.manifold import _each, _normalize, project_to_tangent, tradeoff_objective
 from jcasbeam.precoding import link_rates
 
-from conftest import ladder_points, real_coords, riemannian_newton, sphere_gradient_hessian
+from conftest import ladder_points, real_coords, riemannian_newton, sphere_gradient_hessian, tangent_curvature
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -187,17 +187,10 @@ def test_newton_from_each_link_rcg_stop_never_raises_the_objective(link_seed0_ne
         assert np.all(gammas[1:] <= gammas[:-1] * (1.0 + 4.0 * np.finfo(float).eps))
 
 
-def smallest_tangent_curvature(f, cov, f_comm, rho, power):
-    """The smallest eigenvalue of each carrier's Hessian on the tangent space at f, F^perp in real coordinates."""
-    _, hess = sphere_gradient_hessian(f, cov, f_comm, rho, power)
-    tangent = np.linalg.svd(real_coords(f)[:, None, :])[2][:, 1:].mT  # (B, d, d - 1), orthonormal
-    return np.linalg.eigvalsh(tangent.mT @ hess @ tangent)[:, 0]
-
-
 def test_newton_endpoints_of_the_link_designs_are_strict_local_minima(link_seed0_newton):
     # the tangent Hessian at each endpoint is positive definite; its smallest eigenvalue is 0.021
     for (_, *problem), _, ends, _ in link_seed0_newton:
-        assert smallest_tangent_curvature(ends, *problem).min() > 0.01
+        assert tangent_curvature(ends, *problem)[0].min() > 0.01
 
 
 def test_link_rcg_stops_lie_near_their_newton_endpoints(link_seed0_newton):
@@ -210,7 +203,7 @@ def test_link_rcg_stops_lie_near_their_newton_endpoints(link_seed0_newton):
         power = problem[-1]
         assert np.all(dist <= 3e-4 * np.sqrt(power)), dist.max() / np.sqrt(power)
         grad_norm = np.linalg.norm(sphere_gradient_hessian(stops, *problem)[0], axis=(-2, -1))
-        assert np.all(dist <= grad_norm / smallest_tangent_curvature(ends, *problem))
+        assert np.all(dist <= grad_norm / tangent_curvature(ends, *problem)[0])
 
 
 def test_default_design_rcg_stops_lie_near_strict_local_minima(design_seed0):
@@ -227,12 +220,39 @@ def test_default_design_rcg_stops_lie_near_strict_local_minima(design_seed0):
     assert after.max() <= 1e-13 * np.sqrt(power), after.max() / np.sqrt(power)
     assert np.all(gammas[1] < gammas[0])
     assert np.all(gammas[1:] <= gammas[:-1] * (1.0 + 4.0 * np.finfo(float).eps))
-    curvature = smallest_tangent_curvature(ends, *problem)
+    curvature = tangent_curvature(ends, *problem)[0]
     assert curvature.min() > 0.1
     dist = np.linalg.norm(stops - ends, axis=(-2, -1))
     assert np.all(dist <= 3e-5 * np.sqrt(power)), dist.max() / np.sqrt(power)
     grad_norm = np.linalg.norm(sphere_gradient_hessian(stops, *problem)[0], axis=(-2, -1))
     assert np.all(dist <= grad_norm / curvature)
+
+
+def test_link_rcg_stops_are_not_saddles(link):
+    # every sensing carrier of the J = 16 link designs at seeds 0-2, 144 carriers at 10 dB, where no
+    # stream is switched off: each RCG stop's tangent Hessian has its smallest eigenvalue at 0.021 or
+    # more, so none is a saddle; the eigenvector returned with it is a unit tangent direction of that
+    # curvature
+    workload, _ = link
+    curvatures = []
+    for seed in range(3):
+        for rho, n_jcas, result, _ in link_designs(jcasbeam, workload.cfg, workload.grid, workload.covariances, seed):
+            if n_jcas != LINK_SUBCARRIERS:
+                continue
+            jcas = result.jcas_subcarriers
+            f, f_comm = result.precoders[jcas], result.eigen_precoders[jcas]
+            problem = (np.array([result.covariances[k].matrix for k in jcas.tolist()]), f_comm, rho,
+                       workload.cfg.effective_power)
+            curvature, direction = tangent_curvature(f, *problem)
+            x = real_coords(direction)
+            np.testing.assert_allclose(np.linalg.norm(x, axis=-1), 1.0, rtol=0, atol=1e-12)
+            assert np.abs(np.sum(x * real_coords(f), axis=-1)).max() <= 1e-12 * np.sqrt(problem[-1])
+            hess = sphere_gradient_hessian(f, *problem)[1]
+            np.testing.assert_allclose(np.einsum("bi,bij,bj->b", x, hess, x), curvature, rtol=0, atol=1e-10)
+            curvatures.append(curvature)
+    curvatures = np.concatenate(curvatures)
+    assert len(curvatures) == 144
+    assert curvatures.min() >= -1e-8, curvatures.min()
 
 
 def test_newton_gradient_and_hessian_match_finite_differences(link_seed0_rcg):

@@ -38,7 +38,14 @@ default design (``design-seed0``, the ``DesignResult`` of ``design --seed 0``); 
 tight tolerance at different iterations (232-233 and 2789-4821), so that the
 record of each carrier's stop is covered; and the config files that
 ``write_config`` writes for the default config and for one that sets an antenna
-spacing, two target angles, the literal rate and a seed. The ``link`` designs
+spacing, two target angles, the literal rate and a seed; and the scaled-simplex
+projection that water-filling and the rho = 1 strict design share, on a fixed table
+(``projection-table``): ``waterfill`` on gain rows with zero gains at a total of 1, at
+a total below the roundoff of every row's strongest floor and under floors far above
+the total, and ``simplex_projection`` on mixed-sign rows at one total and at one total
+per row, and on the edge row [1e20, 1, 0.5] at total 1, whose entries dwarf the total
+(a checkout from before the shared projection returns the infeasible [6.7e19, 0, 0]
+there, so this is the one key that differs from such a checkout's). The ``link`` designs
 reach both rounds of the RCG line search: the second, which takes the searches
 the first leaves undecided, runs for 4 of the 9,580 searches at seeds 0-2 (the
 rho 0 and rho 1 designs run none). Each field of a ``CovarianceSolution`` or an
@@ -62,6 +69,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 import jcasbeam as jb  # noqa: E402
+from jcasbeam import manifold, precoding  # noqa: E402
 from jcasbeam.cli import main as cli  # noqa: E402
 from jcasbeam.evaluation import precoder_pattern  # noqa: E402
 
@@ -84,6 +92,13 @@ DESIGN_FILES = ("design_manifest.json", "rates.csv", "beampattern.csv")
 CONFIGS = {"config-default": {}, "config-set": dict(antenna_spacing=0.07, target_angles=(-45.0, 12.5),
                                                     rate_formula="literal", seed=11)}
 DESIGN_ARRAYS = ("channels", "eigen_precoders", "eigen_rates", "jcas_subcarriers", "precoders", "rates")
+# the projection's table: gain rows with zero gains, each case's (total, noise), and rows to project
+GAINS = [[4.0, 1.0, 0.5, 0.25], [2.0, 0.0, 1.0, 0.0], [0.0, 0.0, 3.0, 1e-3], [1e-3, 1.1e-3, 1.2e-3, 0.0]]
+WATERFILLS = {"total1": (1.0, 1.0), "total-below-roundoff": (1e-20, 1.0), "floors-above-total": (1e-3, 1e3)}
+ROWS = [[0.3, -0.2, 1.5, 0.7], [2.0, 2.0, 2.0, 2.0], [-1.0, -3.0, -2.0, -0.5]]
+PROJECTIONS = {"rows": (ROWS, 2.0), "per-row-total": (ROWS, [1.0, 0.5, 3.0]), "edge": ([[1e20, 1.0, 0.5]], 1.0)}
+# a checkout from before the shared projection keeps it in manifold
+simplex_projection = getattr(precoding, "simplex_projection", None) or manifold.simplex_projection
 
 
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
@@ -174,6 +189,17 @@ def outputs() -> dict:
     for name, (overrides, *_) in EARLY_STOPS.items():
         sols = jb.solve_radar_covariance(jb.build_grid(jb.SystemConfig(**overrides)), 2.0)
         out[f"early-stops-{name}"] = record_values(sols)
+    out["projection-table"] = projection_table()
+    return out
+
+
+def projection_table() -> dict:
+    """``waterfill``'s three returns and ``simplex_projection``'s rows on the fixed table."""
+    out = {"waterfill": {}, "simplex_projection": {}}
+    for name, (total, noise) in WATERFILLS.items():
+        out["waterfill"][name] = dict(zip(("powers", "level", "n_active"), precoding.waterfill(GAINS, total, noise)))
+    for name, (rows, total) in PROJECTIONS.items():
+        out["simplex_projection"][name] = simplex_projection(np.array(rows), total)
     return out
 
 
