@@ -4,9 +4,10 @@ Design flow: eigenmode precoding per subcarrier, selection of the weakest
 subcarriers for sensing duty, beampattern-matching covariance design, and
 Riemannian refinement of the sensing precoders on the transmit power sphere.
 
-The package exports the entry points of the command line and of each stage,
-with their result and error types; every other function stays importable
-from its submodule.
+The package exports the entry points of each stage, config loading and
+writing included, with their result records and error types; every other
+function stays importable from its submodule (``tables.write_table``, for
+one).
 """
 
 from .beamgrid import BeamGrid, build_grid
@@ -20,8 +21,7 @@ from .covariance import (
 from .errors import ConfigError, DegenerateChannelError, SolverError
 from .evaluation import SweepPoint, SweepResult, beampattern_mse, sweep
 from .manifold import RcgResult, solve_rcg_batch
-from .pipeline import DesignResult, build_run_manifest, run_design
-from .tables import write_table
+from .pipeline import DesignResult, run_design
 
 __version__ = "0.1.0"
 
@@ -38,7 +38,6 @@ __all__ = [
     "SystemConfig",
     "beampattern_mse",
     "build_grid",
-    "build_run_manifest",
     "generate_rayleigh",
     "load_config",
     "run_design",
@@ -47,5 +46,4 @@ __all__ = [
     "solve_rcg_batch",
     "sweep",
     "write_config",
-    "write_table",
 ]

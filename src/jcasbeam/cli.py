@@ -20,7 +20,7 @@ import numpy as np
 from .config import SystemConfig, load_config
 from .errors import ConfigError, DegenerateChannelError, SolverError
 from .evaluation import mask_mse, precoder_pattern, sweep
-from .pipeline import build_run_manifest, run_design
+from .pipeline import run_design
 from .tables import write_table
 
 OUT_DIR_ENV = "JCASBEAM_OUT_DIR"
@@ -49,6 +49,26 @@ def _pattern_columns(angles, patterns) -> dict:
         "gain": np.array([patterns[key] for key in keys]).reshape(-1),
         "rho": np.repeat([rho for rho, _ in keys], len(angles)),
         "J": np.repeat([n_jcas for _, n_jcas in keys], len(angles)),
+    }
+
+
+def _scalars(record) -> dict:
+    """The scalar fields of a result record, by name."""
+    return {name: value for name, value in vars(record).items() if np.ndim(value) == 0}
+
+
+def _design_manifest(result, mse) -> dict:
+    """``design_manifest.json`` of a ``DesignResult`` and its pattern error: the run's totals and each
+    sensing carrier's solver records."""
+    return {
+        "config": asdict(result.config),
+        "jcas_subcarriers": [int(k) for k in result.jcas_subcarriers],
+        "eigen_avg_rate": result.eigen_avg_rate,
+        "avg_rate": result.avg_rate,
+        "rates": [float(r) for r in result.rates],
+        "beampattern_mse": mse,
+        "covariance": {str(k): _scalars(sol) for k, sol in result.covariances.items()},
+        "refinement": {str(k): _scalars(res) for k, res in result.refinements.items()},
     }
 
 
@@ -84,9 +104,7 @@ def cmd_design(args) -> int:
     mse = mask_mse(patterns, result.grid)
     out_dir = _make_out_dir(args.out_dir)  # only now, so a failed design leaves no directory
 
-    manifest = build_run_manifest(result)
-    manifest["beampattern_mse"] = mse
-    _write_json(out_dir / "design_manifest.json", manifest)
+    _write_json(out_dir / "design_manifest.json", _design_manifest(result, mse))
     write_table(out_dir / "rates.csv", {"k": np.arange(len(result.rates)), "rate": result.rates})
     if len(jcas):
         average = {(cfg.rho, len(jcas)): np.mean(patterns, axis=0)}

@@ -147,16 +147,6 @@ def _objective(f, cov, f_comm, rho, rho_c):
     return rho * np.float_power(_norms(resid), 2.0) + rho_c * comm, resid
 
 
-def tradeoff_objective(f: np.ndarray, cov: np.ndarray, f_comm: np.ndarray, rho):
-    """gamma(F) of each precoder of a complex (..., n_tx, n_streams) stack, shaped (...).
-
-    ``rho`` is a float or one per precoder, broadcast against the leading
-    axes. Each norm is squared by libm ``pow`` (``np.float_power``), as a
-    scalar ``** 2`` squares it.
-    """
-    return _objective(f, cov, f_comm, rho, 1.0 - rho)[0]
-
-
 def _gradient(f, resid, f_comm, four_rho, two_rho_c):
     """Euclidean gradient of each matrix from its residual F F^H - R.
 
@@ -250,8 +240,7 @@ def _line_search(f, direction, cov, f_comm, rho, rho_c, root, gamma, slope, rung
     round 2 all of ``rungs`` for the searches round 1 leaves undecided. Returns (value,
     ok, f_new, resid): each carrier's objective, success flag, retracted point and its
     residual F F^H - R at its final rung, where a sequential backtracking search would
-    end. A search that round 2 leaves undecided, which only a ladder shorter than
-    :func:`_ladder`'s can, raises ``ValueError``.
+    end.
     """
     steps = rungs[:, None, None]
 
@@ -268,10 +257,9 @@ def _line_search(f, direction, cov, f_comm, rho, rho_c, root, gamma, slope, rung
 
     value, ok, f_new, resid, decided = ladder(slice(None), LADDER_CHUNK)
     if not decided.all():
+        # every rung up to the last polishing probe decides every search
         redo = ~decided
-        value[redo], ok[redo], f_new[redo], resid[redo], decided[redo] = ladder(redo, len(rungs))
-    if not decided.all():
-        raise ValueError(f"{np.count_nonzero(~decided)} line searches undecided on a {len(rungs)}-rung ladder")
+        value[redo], ok[redo], f_new[redo], resid[redo], _ = ladder(redo, len(rungs))
     return value, ok, f_new, resid
 
 
@@ -317,15 +305,26 @@ def solve_rcg_batch(
     sqrt(power) at the point it returns, read off the iterate's own
     gradient. A carrier's result is the same bit for bit whatever batch it
     runs in, a batch of one included (see the module docstring), and an
-    empty batch, B = 0, returns no results. A power that is not positive
-    and finite, or whose starting objective is not (it overflows near
-    P = 1e154), raises :class:`ConfigError` naming the first such power.
+    empty batch, B = 0, returns no results. A rho outside [0, 1], nan
+    included, raises :class:`ConfigError` naming the first such rho; so does
+    a power that is not positive and finite, or whose starting objective is
+    not (it overflows near P = 1e154), naming the first such power.
+
+    The first trial step and the plateau test do not scale with the power.
+    With P in the thousands some carriers reach ``MAX_ITER``, from about
+    P = 1e5 all do, from about 1e12 most stop on the stall, and from about
+    1e20 every carrier stalls at iteration 1. From about P = 1e103 the line
+    search's trial points overflow in the norms (a ``RuntimeWarning``, no
+    error), below the start objective's overflow.
     """
     f = np.array(f0, dtype=complex)  # a copy, normalized in place below
     cov, f_comm = (np.asarray(a, dtype=complex) for a in (cov, f_comm))
     n_car = len(f)
     check_powers(power)
     rho, power = (np.broadcast_to(np.asarray(a, dtype=float), (n_car,)) for a in (rho, power))
+    outside = ~((rho >= 0.0) & (rho <= 1.0))  # the comparisons reject nan too
+    if outside.any():
+        raise ConfigError(f"rho {rho[np.argmax(outside)]:g} must lie in [0, 1]")
 
     rungs = _ladder()
     # per-carrier constants, gathered with the running carriers when some stop

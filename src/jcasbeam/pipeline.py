@@ -27,11 +27,14 @@ sensing set, and by the sweep, which hands it the ranked prefix of
 :func:`select_jcas_subcarriers` at the largest count for every (SNR, rho) of
 a realization at once and reads every sensing count off it. Both hand it
 one covariance stack.
+
+The module only computes: the command line (``cli.py``) writes a
+:class:`DesignResult` out, ``design_manifest.json`` included.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -186,21 +189,3 @@ def refine_carriers(channels, f_hat, cov, rho, power, prefactor):
     refined = solve_rcg_batch(f0=f0, cov=cov, f_comm=f_hat, rho=rho, power=power)
     precoders = np.array([res.precoder for res in refined]).reshape(f_hat.shape)
     return refined, precoders, link_rates(channels, precoders, prefactor)
-
-
-def _scalars(record) -> dict:
-    """The scalar fields of a result record, by name."""
-    return {name: value for name, value in vars(record).items() if np.ndim(value) == 0}
-
-
-def build_run_manifest(result: DesignResult) -> dict:
-    """JSON-ready summary of one design run (no arrays beyond per-k scalars)."""
-    return {
-        "config": asdict(result.config),
-        "jcas_subcarriers": [int(k) for k in result.jcas_subcarriers],
-        "eigen_avg_rate": result.eigen_avg_rate,
-        "avg_rate": result.avg_rate,
-        "rates": [float(r) for r in result.rates],
-        "covariance": {str(k): _scalars(sol) for k, sol in result.covariances.items()},
-        "refinement": {str(k): _scalars(res) for k, res in result.refinements.items()},
-    }

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateChannelError
+from .errors import DegenerateChannelError, check_powers
 
 
 def _project(x: np.ndarray, total):
@@ -31,8 +31,10 @@ def _project(x: np.ndarray, total):
     the leading run of entries x_m with x_m + candidate m > 0, and always its largest, and y = max(x +
     level, 0). A row whose y rounds to zero on every entry puts the whole total on its largest
     entry, and a row whose sum misses the total by more than 1e-12 relative is rescaled onto it; every
-    other row keeps the bits of x + level. Returns (y (K, n), levels (K,), active counts (K,)).
+    other row keeps the bits of x + level. Returns (y (K, n), levels (K,), active counts (K,)). A total
+    that is not positive and finite raises :class:`ConfigError` naming it.
     """
+    check_powers(total)
     total = np.broadcast_to(np.asarray(total, dtype=float), x.shape[:-1])
     desc = -np.sort(-x, axis=-1)
     levels = (total[:, None] - np.cumsum(desc, axis=-1)) / np.arange(1, x.shape[-1] + 1)
@@ -66,15 +68,14 @@ def waterfill(gains, total_power: float, noise_power: float = 1.0):
     floor_i = noise/g_i (infinite for a zero gain): the projection of the
     negated floors onto {p >= 0, sum p = total} (:func:`_project`, with its
     rules for a total below the roundoff of the strongest floor). Returns
-    (powers (K, n), levels (K,), active counts (K,)). Negative gains or a
-    non-positive total raise ``ValueError``, and a row without a positive gain
-    raises :class:`DegenerateChannelError`.
+    (powers (K, n), levels (K,), active counts (K,)). Negative gains raise
+    ``ValueError``, a total that is not positive and finite raises
+    :class:`ConfigError`, and a row without a positive gain raises
+    :class:`DegenerateChannelError`.
     """
     gains = np.asarray(gains, dtype=float)
     if np.any(gains < 0):
         raise ValueError("channel gains must be nonnegative")
-    if not total_power > 0:
-        raise ValueError("total_power must be positive")
     positive = gains > 0
     if not np.all(np.any(positive, axis=-1)):
         raise DegenerateChannelError("no positive channel gains to allocate power over")

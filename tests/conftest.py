@@ -5,7 +5,7 @@ import pytest
 
 from jcasbeam.beamgrid import BeamGrid
 from jcasbeam.config import SPEED_OF_LIGHT, SystemConfig
-from jcasbeam.manifold import _each, _gradient, _normalize, _objective, tradeoff_objective
+from jcasbeam.manifold import _each, _gradient, _normalize, _objective
 
 # Small but non-trivial setup: 4x2 link, 6 subcarriers, coarse angle grid.
 # Covariance solves and RCG runs complete in milliseconds at this size.
@@ -62,6 +62,14 @@ def ula_grid(angles, mask, n_tx, freq=2.0e9):
                     np.asarray(mask, dtype=float))
 
 
+def rcg_objective(f, cov, f_comm, rho):
+    """The tradeoff objective gamma(F) of each matrix of a stack as ``solve_rcg_batch`` forms it, shaped (...).
+
+    ``_objective``'s value, with 1 - rho; ``rho`` is a float or one per matrix.
+    """
+    return _objective(f, cov, f_comm, rho, 1.0 - rho)[0]
+
+
 def finite_difference_gradient(f, cov, f_comm, rho, h=1e-5):
     """Central differences of the RCG tradeoff objective over every real coordinate of f."""
     grad = np.zeros_like(f)
@@ -69,8 +77,8 @@ def finite_difference_gradient(f, cov, f_comm, rho, h=1e-5):
         for part in (1.0, 1.0j):
             e = np.zeros_like(f)
             e[idx] = part
-            hi = tradeoff_objective(f + h * e, cov, f_comm, rho)
-            lo = tradeoff_objective(f - h * e, cov, f_comm, rho)
+            hi = rcg_objective(f + h * e, cov, f_comm, rho)
+            lo = rcg_objective(f - h * e, cov, f_comm, rho)
             grad += ((hi - lo) / (2.0 * h)) * e
     return grad
 
@@ -158,7 +166,7 @@ def riemannian_newton(f, cov, f_comm, rho, power, steps):
     b, n, m = f.shape
     d = 2 * n * m
     root = np.sqrt(np.broadcast_to(np.asarray(power, dtype=float), (b,)))[:, None, None]
-    gammas = [tradeoff_objective(f, cov, f_comm, rho)]
+    gammas = [rcg_objective(f, cov, f_comm, rho)]
     for _ in range(steps):
         grad, hess = sphere_gradient_hessian(f, cov, f_comm, rho, power)
         system = np.zeros((b, d + 1, d + 1))
@@ -169,7 +177,7 @@ def riemannian_newton(f, cov, f_comm, rho, power, steps):
         x = np.linalg.solve(system, rhs)[:, :d, 0]
         step = f + (x[:, : n * m] + 1j * x[:, n * m :]).reshape(f.shape)
         f = root * step / np.linalg.norm(step, axis=(-2, -1))[:, None, None]
-        gammas.append(tradeoff_objective(f, cov, f_comm, rho))
+        gammas.append(rcg_objective(f, cov, f_comm, rho))
     return f, np.array(gammas)
 
 

@@ -21,7 +21,6 @@ PUBLIC_API = [
     "SystemConfig",
     "beampattern_mse",
     "build_grid",
-    "build_run_manifest",
     "generate_rayleigh",
     "load_config",
     "run_design",
@@ -30,7 +29,6 @@ PUBLIC_API = [
     "solve_rcg_batch",
     "sweep",
     "write_config",
-    "write_table",
 ]
 
 

@@ -14,7 +14,7 @@ from jcasbeam.channel import generate_rayleigh
 from jcasbeam.cli import build_parser, main
 from jcasbeam.config import SystemConfig, write_config
 from jcasbeam.errors import SolverError
-from jcasbeam.pipeline import eigen_stage, select_jcas_subcarriers
+from jcasbeam.pipeline import eigen_stage, run_design, select_jcas_subcarriers
 
 from conftest import SMALL
 
@@ -54,6 +54,26 @@ def test_design_writes_outputs(small_config_file, tmp_path, capsys):
     assert len(rows) == SMALL["grid_size"]
     captured = capsys.readouterr()
     assert "average rate" in captured.out
+
+
+def test_design_manifest_records_the_run(small_config_file, tmp_path):
+    # the design's totals and, per sensing carrier, its covariance and RCG records, as run_design gives them
+    out = tmp_path / "o"
+    assert main(["design", "--config", str(small_config_file), "--out-dir", str(out)]) == 0
+    manifest = json.loads((out / "design_manifest.json").read_text())
+    res = run_design(SystemConfig(**SMALL))
+    assert manifest["config"]["target_angles"] == list(res.config.target_angles)
+    assert manifest["jcas_subcarriers"] == res.jcas_subcarriers.tolist()
+    assert (manifest["eigen_avg_rate"], manifest["avg_rate"]) == (res.eigen_avg_rate, res.avg_rate)
+    assert manifest["rates"] == res.rates.tolist()
+    assert sorted(manifest["covariance"]) == sorted(manifest["refinement"]) == sorted(map(str, res.covariances))
+    for k, sol in res.covariances.items():
+        entry = manifest["covariance"][str(k)]
+        assert entry["converged"] is bool(sol.converged)
+        assert (entry["iterations"], entry["objective"]) == (sol.iterations, sol.objective)
+    for k, rec in res.refinements.items():
+        entry = manifest["refinement"][str(k)]
+        assert (entry["objective"], entry["stop_reason"]) == (rec.objective, rec.stop_reason)
 
 
 def test_design_overrides_reach_manifest(small_config_file, tmp_path):

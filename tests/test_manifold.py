@@ -19,11 +19,10 @@ from jcasbeam.manifold import (
     polak_ribiere_mu,
     project_to_tangent,
     solve_rcg_batch,
-    tradeoff_objective,
 )
 
 from conftest import (assert_same_result, finite_difference_gradient, ladder_points, random_complex, random_psd,
-                      random_sphere_point, rcg_gradient)
+                      random_sphere_point, rcg_gradient, rcg_objective)
 
 
 def solve_one(f0, cov, f_comm, rho, power):
@@ -41,7 +40,7 @@ def test_objective_scalar_hand_case():
     f_comm = np.array([[1.0 + 0j]])
     rho = 0.6
     expected = 0.6 * (1.5 ** 2 - 2.0) ** 2 + 0.4 * 0.5 ** 2
-    assert tradeoff_objective(f, cov, f_comm, rho) == pytest.approx(expected, abs=1e-12)
+    assert rcg_objective(f, cov, f_comm, rho) == pytest.approx(expected, abs=1e-12)
     g = 4 * 0.6 * (1.5 ** 2 - 2.0) * 1.5 + 2 * 0.4 * 0.5
     assert rcg_gradient(f, cov, f_comm, rho)[0, 0] == pytest.approx(g, abs=1e-12)
 
@@ -152,29 +151,6 @@ def armijo_on_ladder(phi, phi0, slope):
     return rungs[final], values[np.arange(len(final)), final], ok
 
 
-def test_line_search_raises_on_a_search_its_ladder_leaves_undecided(rng):
-    # a direction so long that the first sufficient decrease is at rung 8: on
-    # a 9-rung ladder the search cannot tell whether polishing goes on
-    power = np.array([2.0])
-    f = random_sphere_point(rng, (4, 2), 2.0)[None]
-    f_comm = random_sphere_point(rng, (4, 2), 2.0)[None]
-    cov = random_psd(rng, 4, 2.0)[None]
-    rho = np.array([0.5])
-    gamma = tradeoff_objective(f, cov, f_comm, rho)
-    grad = project_to_tangent(f, rcg_gradient(f, cov, f_comm, rho), power)
-    rungs = _ladder()[:9]
-
-    def first_sufficient(direction):
-        points = ladder_points(f, rungs, direction, power)
-        bound = gamma + ARMIJO_C * rungs * real_inner(grad[0], direction[0])
-        return np.flatnonzero(tradeoff_objective(points, cov, f_comm, rho)[0] <= bound)[0]
-
-    direction = next(-scale * grad for scale in 2.0 ** np.arange(40) if first_sufficient(-scale * grad) == 8)
-    slope = np.array([real_inner(grad[0], direction[0])])
-    with pytest.raises(ValueError, match="1 line searches undecided on a 9-rung ladder"):
-        manifold._line_search(f, direction, cov, f_comm, rho, 1.0 - rho, np.sqrt(power), gamma, slope, rungs)
-
-
 def test_armijo_quadratic():
     delta, value, ok = armijo_on_ladder(lambda d: (2.0 * d - 1.0) ** 2, phi0=1.0, slope=-4.0)
     assert (delta[0], value[0], ok[0]) == (0.5, 0.0, True)
@@ -206,7 +182,7 @@ def test_rcg_monotone_descent(rng):
         assert np.all(np.diff(res.objective_trace) <= 1e-12)
         assert abs(np.linalg.norm(res.precoder) - np.sqrt(power)) <= 1e-9
         assert res.objective == pytest.approx(
-            tradeoff_objective(res.precoder, cov, f_comm, 0.5), abs=1e-12
+            rcg_objective(res.precoder, cov, f_comm, 0.5), abs=1e-12
         )
 
 
@@ -265,7 +241,7 @@ def test_rcg_batch_stopped_at_iteration_0_runs_no_line_search(rng, monkeypatch):
     for f, c, got in zip(f_comm, cov, batch):
         assert (got.iterations, got.stop_reason, got.converged) == (0, "gradient_norm", True)
         np.testing.assert_allclose(got.precoder, f, rtol=1e-15, atol=1e-15)
-        assert got.objective_trace.tolist() == [got.objective] == [tradeoff_objective(got.precoder, c, f, 0.0)]
+        assert got.objective_trace.tolist() == [got.objective] == [rcg_objective(got.precoder, c, f, 0.0)]
 
 
 def test_rcg_gradient_stop_at_the_cap_is_convergence(rng, monkeypatch):
@@ -312,6 +288,22 @@ def test_rcg_rejects_a_power_that_is_not_positive_and_finite(rng, power):
     stack = np.stack([f0, f0]), np.stack([cov, cov]), np.stack([f_comm, f_comm])
     with pytest.raises(ConfigError, match=message):
         solve_rcg_batch(*stack, 0.5, np.array([2.0, power]))
+
+
+@pytest.mark.parametrize("rho", [math.nan, -0.5, 1.5])
+def test_rcg_rejects_a_rho_outside_0_1(rng, rho):
+    # a nan rho would be reported as a power whose objective overflows, and a rho
+    # outside [0, 1] would run to a stop on an objective unbounded below
+    f0, cov, f_comm = _small_instance(rng)
+    message = rf"^rho {rho:g} must lie in \[0, 1\]$"
+    with pytest.raises(ConfigError, match=message):
+        solve_one(f0, cov, f_comm, rho, 2.0)
+    # named before the overflow probe, and among rhos per carrier
+    with pytest.raises(ConfigError, match=message):
+        solve_one(f0, cov, f_comm, rho, 1e200)
+    stack = np.stack([f0, f0]), np.stack([cov, cov]), np.stack([f_comm, f_comm])
+    with pytest.raises(ConfigError, match=message):
+        solve_rcg_batch(*stack, np.array([0.5, rho]), 2.0)
 
 
 def test_rcg_reports_a_finite_power_whose_objective_overflows(rng):
@@ -446,13 +438,13 @@ def test_stacked_objective_squares_norms_like_a_scalar(rng, rho):
     stack = np.concatenate([random_complex(rng, (3, 2, 1)), np.zeros((1, 2, 1), dtype=complex)])
     cov = np.concatenate([random_complex(rng, (3, 2, 2)), odd[None]])
     f_comm = np.concatenate([random_complex(rng, (3, 2, 1)), odd[None, :, :1]])
-    stacked = tradeoff_objective(stack, cov, f_comm, rho)
+    stacked = rcg_objective(stack, cov, f_comm, rho)
     assert stacked.shape == (4,)
     assert stacked[3] == math.pow(v, 2)
     for f, c, fc, got in zip(stack, cov, f_comm, stacked):
         # the one-matrix formula, squaring each norm as a float scalar
         want = rho * np.linalg.norm(f @ f.conj().T - c) ** 2 + (1 - rho) * np.linalg.norm(f - fc) ** 2
-        assert got == want == tradeoff_objective(f, c, fc, rho)
+        assert got == want == rcg_objective(f, c, fc, rho)
 
 
 def test_stacked_primitives_match_one_matrix_calls(rng):
@@ -469,14 +461,14 @@ def test_stacked_primitives_match_one_matrix_calls(rng):
         rcg_gradient(f, cov, g, 0.4),
         project_to_tangent(f, g, power),
         polak_ribiere_mu(g, d, f),
-        tradeoff_objective(f, cov, g, rhos),
+        rcg_objective(f, cov, g, rhos),
         rcg_gradient(f, cov, g, rhos),
     )
     for b in range(5):
         np.testing.assert_array_equal(stacked[0][b], rcg_gradient(f[b], cov[b], g[b], 0.4))
         np.testing.assert_array_equal(stacked[1][b], project_to_tangent(f[b], g[b], power))
         assert stacked[2][b] == polak_ribiere_mu(g[b], d[b], f[b])
-        assert stacked[3][b] == tradeoff_objective(f[b], cov[b], g[b], float(rhos[b]))
+        assert stacked[3][b] == rcg_objective(f[b], cov[b], g[b], float(rhos[b]))
         np.testing.assert_array_equal(stacked[4][b], rcg_gradient(f[b], cov[b], g[b], float(rhos[b])))
     # the line search's retraction: a column of matrices by a row of steps, with
     # one power shared or one per matrix, against each point normalized alone
@@ -618,7 +610,9 @@ def _sequential_armijo(phi, phi0, slope, delta0=1.0, contraction=0.5, c=1e-4, ma
 
 def check_ladder_against_sequential(table, phi0, slope, c, max_backtracks, chunk):
     """The table-fed decision, fed ``chunk`` rungs at a time, ends every search where
-    the sequential search does, once it holds the last rung that search evaluates."""
+    the sequential search does, once it holds the last rung that search evaluates; and
+    the first 2 * max_backtracks + 1 rungs, the width of the solver's ladder, decide
+    every search."""
     rows = np.arange(len(table))
     rungs = 0.5 ** np.arange(table.shape[1])  # exact: the repeated halvings of 1
     rung_of = {float(d): r for r, d in enumerate(rungs)}
@@ -638,6 +632,8 @@ def check_ladder_against_sequential(table, phi0, slope, c, max_backtracks, chunk
         )
         last.append(max(seen))
     assert max(last) < table.shape[1]
+    width = 2 * max_backtracks + 1
+    assert _armijo_decide(table[:, :width], rungs, phi0, slope, c, max_backtracks)[1].all()
 
     for n in range(chunk, table.shape[1] + chunk, chunk):
         n = min(n, table.shape[1])

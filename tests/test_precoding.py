@@ -1,11 +1,13 @@
 """Water-filling, eigenmode precoders, and rate computation."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jcasbeam.errors import DegenerateChannelError
+from jcasbeam.errors import ConfigError, DegenerateChannelError
 from jcasbeam.precoding import eigenmode_precoders, link_rates, simplex_projection, waterfill
 
 from conftest import random_complex, two_stream_grid_rate, waterfill_kkt_residual
@@ -71,7 +73,7 @@ def test_waterfill_all_zero_gains_degenerate():
 def test_waterfill_input_validation():
     with pytest.raises(ValueError, match="nonnegative"):
         waterfill_one([1.0, -0.5], 1.0)
-    with pytest.raises(ValueError, match="total_power"):
+    with pytest.raises(ConfigError, match="power budget 0 must be positive and finite"):
         waterfill_one([1.0], 0.0)
     with pytest.raises(ValueError, match="nonnegative"):
         waterfill([[1.0, 2.0], [1.0, -0.5]], 1.0)
@@ -169,6 +171,18 @@ def test_simplex_projection_property(rows, total):
     y = simplex_projection(np.array(rows), total)
     assert np.all(y >= 0.0)
     assert np.all(np.abs(y.sum(axis=1) - total) <= 1e-12 * total)
+
+
+@pytest.mark.parametrize("total", [math.inf, math.nan, 0.0, -1.0])
+def test_projections_reject_a_total_that_is_not_positive_and_finite(total):
+    message = f"^power budget {total:g} must be positive and finite$"
+    with pytest.raises(ConfigError, match=message):
+        waterfill([[1.0, 2.0]], total)
+    with pytest.raises(ConfigError, match=message):
+        simplex_projection(np.array([[1.0, 2.0]]), total)
+    # among totals per row, the bad one is named
+    with pytest.raises(ConfigError, match=message):
+        simplex_projection(np.array([[1.0, 2.0], [0.5, 0.5]]), [1.0, total])
 
 
 def test_waterfill_is_the_projection_of_the_negated_floors(rng):

@@ -26,10 +26,11 @@ import pytest
 import jcasbeam
 import jcasbeam.cli  # noqa: F401  (the workloads call it as jcasbeam.cli)
 from jcasbeam import manifold, pipeline
-from jcasbeam.manifold import _each, _normalize, project_to_tangent, tradeoff_objective
+from jcasbeam.manifold import _each, _normalize, project_to_tangent
 from jcasbeam.precoding import link_rates
 
-from conftest import ladder_points, real_coords, riemannian_newton, sphere_gradient_hessian, tangent_curvature
+from conftest import (ladder_points, rcg_objective, real_coords, riemannian_newton, sphere_gradient_hessian,
+                      tangent_curvature)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -270,7 +271,7 @@ def test_newton_gradient_and_hessian_match_finite_differences(link_seed0_rcg):
             xi = project_to_tangent(f, rng.standard_normal(f.shape) + 1j * rng.standard_normal(f.shape), power)
             xi /= np.linalg.norm(xi, axis=(-2, -1))[:, None, None]
             points = ladder_points(f, [h, 0.0, -h], xi, power)
-            up, mid, down = (tradeoff_objective(points[:, k], cov, f_comm, rho) for k in range(3))
+            up, mid, down = (rcg_objective(points[:, k], cov, f_comm, rho) for k in range(3))
             x = real_coords(xi)
             slope = np.sum(real_coords(grad) * x, axis=-1)
             curve = np.einsum("bi,bij,bj->b", x, hess, x)
@@ -306,7 +307,7 @@ def test_strict_closed_form_solves_the_rho1_link_carriers(link_strict):
         assert all(r.iterations == 0 and r.stop_reason == "gradient_norm" and r.converged for r in refined)
         assert max(r.grad_norm for r in refined) <= 1e-12
         f = np.array([r.precoder for r in refined])
-        assert np.all(tradeoff_objective(f, cov, f_comm, 1.0) <= [r.objective for r in rcg])
+        assert np.all(rcg_objective(f, cov, f_comm, 1.0) <= [r.objective for r in rcg])
         assert np.all(np.abs(np.linalg.norm(f, axis=(-2, -1)) ** 2 - power) <= 1e-12 * power)
         grad = np.linalg.norm(sphere_gradient_hessian(f, cov, f_comm, 1.0, power)[0], axis=(-2, -1))
         assert grad.max() <= 1e-12 * np.sqrt(power), grad.max() / np.sqrt(power)

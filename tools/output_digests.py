@@ -26,11 +26,8 @@ found by its position in a list rather than by its value; the ``design``
 files of ``design --seed 0``, of a K=16 ``design --jcas 0``, which writes no
 pattern file, and of a K=16 ``design --snr -200 --jcas 2``, whose power is below the
 roundoff of every carrier's strongest noise floor, so that water-filling puts it all
-on the strongest stream (a checkout from before that rule spreads it over two or three
-streams, so this is the one case whose outputs differ from such a checkout's); the
-``link`` workload's 16 covariances and its 18 designs at seeds 0-2, by the workload's own
-``link_designs``, and two
-more K=16 ``link`` designs: at rho 0, where every carrier stops at iteration 0 on
+on the strongest stream; the ``link`` workload's 16 covariances and its 18 designs at
+seeds 0-2, by the workload's own ``link_designs``, and two more K=16 ``link`` designs: at rho 0, where every carrier stops at iteration 0 on
 the gradient norm, and at rho 1, where every carrier starts at its closed-form
 strict design and stops there, at iteration 0 on the gradient norm; the
 default design (``design-seed0``, the ``DesignResult`` of ``design --seed 0``); the covariances at power 2 of the two small grids of
@@ -43,10 +40,8 @@ projection that water-filling and the rho = 1 strict design share, on a fixed ta
 (``projection-table``): ``waterfill`` on gain rows with zero gains at a total of 1, at
 a total below the roundoff of every row's strongest floor and under floors far above
 the total, and ``simplex_projection`` on mixed-sign rows at one total and at one total
-per row, and on the edge row [1e20, 1, 0.5] at total 1, whose entries dwarf the total
-(a checkout from before the shared projection returns the infeasible [6.7e19, 0, 0]
-there, so this is the one key that differs from such a checkout's). The ``link`` designs
-reach both rounds of the RCG line search: the second, which takes the searches
+per row, and on the edge row [1e20, 1, 0.5] at total 1, whose entries dwarf the total.
+The ``link`` designs reach both rounds of the RCG line search: the second, which takes the searches
 the first leaves undecided, runs for 4 of the 9,580 searches at seeds 0-2 (the
 rho 0 and rho 1 designs run none). Each field of a ``CovarianceSolution`` or an
 ``RcgResult`` is saved under its own key (its field name), so a change that moves
@@ -69,7 +64,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 import jcasbeam as jb  # noqa: E402
-from jcasbeam import manifold, precoding  # noqa: E402
+from jcasbeam import precoding  # noqa: E402
 from jcasbeam.cli import main as cli  # noqa: E402
 from jcasbeam.evaluation import precoder_pattern  # noqa: E402
 
@@ -97,8 +92,6 @@ GAINS = [[4.0, 1.0, 0.5, 0.25], [2.0, 0.0, 1.0, 0.0], [0.0, 0.0, 3.0, 1e-3], [1e
 WATERFILLS = {"total1": (1.0, 1.0), "total-below-roundoff": (1e-20, 1.0), "floors-above-total": (1e-3, 1e3)}
 ROWS = [[0.3, -0.2, 1.5, 0.7], [2.0, 2.0, 2.0, 2.0], [-1.0, -3.0, -2.0, -0.5]]
 PROJECTIONS = {"rows": (ROWS, 2.0), "per-row-total": (ROWS, [1.0, 0.5, 3.0]), "edge": ([[1e20, 1.0, 0.5]], 1.0)}
-# a checkout from before the shared projection keeps it in manifold
-simplex_projection = getattr(precoding, "simplex_projection", None) or manifold.simplex_projection
 
 
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
@@ -199,7 +192,7 @@ def projection_table() -> dict:
     for name, (total, noise) in WATERFILLS.items():
         out["waterfill"][name] = dict(zip(("powers", "level", "n_active"), precoding.waterfill(GAINS, total, noise)))
     for name, (rows, total) in PROJECTIONS.items():
-        out["simplex_projection"][name] = simplex_projection(np.array(rows), total)
+        out["simplex_projection"][name] = precoding.simplex_projection(np.array(rows), total)
     return out
 
 
