@@ -1,5 +1,6 @@
 """Subcarrier selection, refinement assembly, and full design runs."""
 
+import json
 import warnings
 from dataclasses import fields, replace
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from jcasbeam import pipeline
 from jcasbeam.beamgrid import build_grid
+from jcasbeam.cli import _design_manifest
 from jcasbeam.channel import generate_rayleigh
 from jcasbeam.config import SystemConfig
 from jcasbeam.covariance import solve_radar_covariance, solve_radar_covariances
@@ -218,11 +220,40 @@ def test_run_design_reuses_supplied_channels(small_cfg):
     assert res.channels is channels
 
 
+def test_manifest_is_json_ready(small_cfg):
+    # the manifest is built in the CLI; the pattern error is its own input, so any float serves here
+    res = run_design(small_cfg)
+    manifest = _design_manifest(res, 0.5)
+    text = json.dumps(manifest)
+    back = json.loads(text)
+    assert back["config"]["n_tx"] == small_cfg.n_tx
+    assert back["config"]["target_angles"] == list(small_cfg.target_angles)
+    assert back["jcas_subcarriers"] == [int(k) for k in res.jcas_subcarriers]
+    assert back["avg_rate"] == pytest.approx(res.avg_rate)
+    assert len(back["rates"]) == small_cfg.n_subcarriers
+    for k in res.jcas_subcarriers:
+        entry = back["refinement"][str(int(k))]
+        assert entry["objective"] >= 0
+        assert entry["stop_reason"]
+        assert back["covariance"][str(int(k))]["iterations"] >= 1
+
+
 def test_avg_rate_properties(small_cfg):
     res = run_design(small_cfg)
     assert res.avg_rate == pytest.approx(float(np.mean(res.rates)))
     assert res.eigen_avg_rate == pytest.approx(float(np.mean(res.eigen_rates)))
     assert res.avg_rate <= res.eigen_avg_rate + 1e-9
+
+
+def test_manifest_reports_covariance_convergence(small_cfg):
+    res = run_design(small_cfg)
+    back = json.loads(json.dumps(_design_manifest(res, 0.5)))
+    assert sorted(back["covariance"]) == sorted(str(k) for k in res.covariances)
+    for k, sol in res.covariances.items():
+        entry = back["covariance"][str(k)]
+        assert entry["converged"] is bool(sol.converged)
+        assert entry["iterations"] == sol.iterations
+        assert entry["objective"] == sol.objective
 
 
 def assert_links_recomputed_everywhere(res):
